@@ -12,23 +12,18 @@ from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, ChannelRealization,
                       SystemConfig, draw_bs_channels, draw_channels,
                       draw_relay_channels, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
-                     DimensionError, NotRankOneError, NumericFailureError,
-                     RelayArqError, UnsupportedOrderError)
-from .linalg import HermitianEig, conjT, herm_eig, kron_identity, null_basis, unvec, vec
+                     DimensionError, NumericFailureError, RelayArqError,
+                     UnsupportedOrderError)
+from .linalg import HermitianEig, conjT, herm_eig, null_basis
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp_n3,
                      cf_inversion_cdf, cf_inversion_outage,
                      characteristic_function, diff_exp_params,
                      outage_interference_n3, outage_single_user,
                      pdf_diff_exp_n3)
-from .relay_multi import (MultiBeamformer, RankReduction, RankReductionState,
-                          extract_beamformer, max_min_sinr, rank_reduce,
-                          reduce_dimension, reduce_instance,
-                          sum_diagonal_blocks)
+from .relay_multi import MultiBeamformer, max_min_sinr
 from .relay_single import (Beamformer, beamform_gain, optimal_gain,
                            rate_protected, rate_target,
-                           solve_single_user_beamformer,
-                           solve_single_user_beamformer_full)
-from .sdp import SdpInstance, SdpOutcome, solve_feasibility
+                           solve_single_user_beamformer)
 from .simulate import (ExperimentTable, OutageEstimate, RelayEstimate,
                        TrialOutcome, run_experiment, run_relay_trial,
                        simulate_direct, simulate_relay)

@@ -15,6 +15,7 @@ disjoint Philox substream, so results are reproducible no matter how trials
 are partitioned across workers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,15 @@ class SystemConfig:
     Pr_multi: float = None   # type: ignore[assignment]
 
     def __post_init__(self):
+        if self.Pr_single is None:
+            object.__setattr__(self, "Pr_single", float(self.P))
+        if self.Pr_multi is None:
+            object.__setattr__(self, "Pr_multi", 2.0 * float(self.P))
+        # nan compares False against every bound below, so it is caught here
+        if not all(math.isfinite(x) for x in (
+                self.P, self.noise_var, self.var_direct, self.var_cross,
+                self.var_relay, self.rate, self.Pr_single, self.Pr_multi)):
+            raise ContractViolationError("parameters must be finite numbers")
         if self.N < 1 or self.M < 1:
             raise ContractViolationError("antenna counts must be at least 1")
         if self.P <= 0 or self.noise_var <= 0:
@@ -67,10 +77,6 @@ class SystemConfig:
             raise ContractViolationError("rate must be nonnegative")
         if self.retx < 1:
             raise ContractViolationError("attempt budget must be at least 1")
-        if self.Pr_single is None:
-            object.__setattr__(self, "Pr_single", float(self.P))
-        if self.Pr_multi is None:
-            object.__setattr__(self, "Pr_multi", 2.0 * float(self.P))
         if self.Pr_single <= 0 or self.Pr_multi <= 0:
             raise ContractViolationError("relay powers must be positive")
 

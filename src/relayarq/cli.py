@@ -230,10 +230,10 @@ def _cmd_beamform_multi(params):
     cfg = _build_cfg(params, snr)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
     ranks = []
-    for x in (sol.X1, sol.X2):
-        eig = herm_eig(x)
+    for b in (sol.b1, sol.b2):
+        eig = herm_eig(np.outer(b, b.conj()))
         ranks.append(int(np.sum(eig.eigenvalues > 1e-8 * eig.eigenvalues[0])))
-    power = float((np.trace(sol.X1) + np.trace(sol.X2)).real)
+    power = float(np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real)
     rows = [(params["m"], sol.t_star, sol.sinr1, sol.sinr2,
              ranks[0], ranks[1], power)]
     return ("m", "t_star", "sinr1", "sinr2", "rank1", "rank2",

@@ -31,7 +31,3 @@ class NumericFailureError(RelayArqError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details
-
-
-class NotRankOneError(RelayArqError):
-    """A matrix expected to be (numerically) rank one is not."""

@@ -1,11 +1,8 @@
 """Small complex linear-algebra kernel used throughout the package.
 
-Conventions pinned here and relied on everywhere else:
-
-* ``vec`` stacks columns (Fortran order), so vec(A X B) = (B^T kron A) vec(X).
-* Hermitian eigenpairs come back sorted by descending eigenvalue, and each
-  eigenvector is phase-fixed so its largest-magnitude entry is real positive.
-  That makes every decomposition in the package deterministic.
+Hermitian eigenpairs come back sorted by descending eigenvalue, and each
+eigenvector is phase-fixed so its largest-magnitude entry is real positive.
+That makes every decomposition in the package deterministic.
 """
 
 from dataclasses import dataclass
@@ -81,22 +78,3 @@ def null_basis(h: np.ndarray) -> np.ndarray:
     v[0] += alpha                              # reflector direction w + alpha e1
     refl = np.eye(m, dtype=complex) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
     return refl[:, 1:]
-
-
-def kron_identity(n: int, a: np.ndarray) -> np.ndarray:
-    """I_n kron a."""
-    if n < 1:
-        raise DimensionError("identity factor must be at least 1x1")
-    return np.kron(np.eye(n), np.asarray(a))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")

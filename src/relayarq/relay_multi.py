@@ -3,286 +3,108 @@
 The relay retransmits both users' messages at once while the base stations
 stay silent, so each user sees the other's relay beam as interference:
 
-    SINR_i = |h_i^H b_i|^2 / (|h_i^H b_j|^2 + noise_var).
+    SINR_i = |h_i^H b_i|^2 / (|h_i^H b_j|^2 + noise_var),
 
-The largest common SINR target is found by bisection over SDP feasibility
-probes (see sdp.py), after relaxing b_i b_i^H to PSD matrices X_i. The
-relaxation is tightened back to beamformers by a rank-reduction sweep that
-moves along the null space of the active constraints until both
-certificates are rank one; the three constraint values are preserved
-exactly at every step, so the extracted beamformers inherit the probed
-SINR level.
+and the design maximizes min(SINR_1, SINR_2) subject to
+||b_1||^2 + ||b_2||^2 <= power. The semidefinite relaxation of this problem
+is tight (the optimum is one beam per user), and under a single total-power
+budget the optimum follows from uplink-downlink duality (Schubert & Boche,
+IEEE T-VT 2004; Wiesel, Eldar & Shamai, IEEE T-SP 2006):
 
-Beamformers live in an M x n_streams matrix whose first column carries the
-beam (remaining columns are zero): the retransmitted codeword is a stream
-vector, but one relay beam per user is optimal here, and the matrix shape
-keeps the single-user and multiuser paths interchangeable in the
-simulator. The production solve works in the per-user channel space
-(dimension M); ``full=True`` solves the equivalent stream-lifted problem
-of dimension M * n_streams instead, which is exact but much slower, and
-exists as a cross-check.
+* In the dual uplink, user j transmits with power q_j, q_1 + q_2 = power,
+  and the relay receives user i with the MMSE filter
+  (noise_var I + q_j h_j h_j^H)^-1 h_i. By Sherman-Morrison its SINR is
+  q_i f_i(q_j) with the scalar
+  f_i(q_j) = (||h_i||^2 - q_j |h_i^H h_j|^2 / (noise_var + q_j ||h_j||^2))
+             / noise_var.
+* User 1's uplink SINR falls and user 2's rises as q_2 grows over
+  [0, power], so the max-min uplink design equalizes them at one q_2.
+  The balanced level t is the optimal max-min SINR in both directions.
+* The downlink beams point along the unit MMSE filters, and their powers
+  solve the 2 x 2 linear system that sets both downlink SINRs to t; those
+  powers add up to the same budget.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import (ContractViolationError, DimensionError,
-                     NumericFailureError, NotRankOneError)
-from .linalg import herm_eig, unvec
-from .sdp import SdpInstance, SdpOutcome, solve_feasibility, _basis, _mat, _theta
+from .errors import ContractViolationError, DimensionError
 
-RANK_TOL = 1e-9           # eigenvalue ratio treated as numerically zero
-EXTRACT_TOL = 1e-6        # rank-1 acceptance ratio for extraction
-
-
-@dataclass(frozen=True)
-class RankReductionState:
-    """Snapshot taken before one reduction step."""
-
-    w: int                    # r1^2 + r2^2
-    ranks: tuple
-    residual: float           # constraint-preservation residual of the step
-
-
-@dataclass(frozen=True)
-class RankReduction:
-    X1: np.ndarray
-    X2: np.ndarray
-    steps: tuple
+BALANCE_XTOL = 1e-14      # root tolerance on q_2, relative to the power budget
 
 
 @dataclass(frozen=True)
 class MultiBeamformer:
     """Solution of one max-min SINR design."""
 
-    b1: np.ndarray            # M x n_streams, beam in column 0
+    b1: np.ndarray            # length-M beam serving user 1
     b2: np.ndarray
-    t_star: float             # highest feasible target found (within eps)
-    sinr1: float              # achieved by the extracted beams
+    t_star: float             # optimal common SINR
+    sinr1: float              # achieved by the beams
     sinr2: float
-    X1: np.ndarray            # rank-reduced certificates at t_star
-    X2: np.ndarray
-    probes: int               # bisection probes spent
-    slack: float              # certificate slack at t_star
+    probes: int               # root-finding steps spent balancing the uplink
 
-
-# ---------------------------------------------------------------------------
-# stream-lifted instances and their reduction
-# ---------------------------------------------------------------------------
-
-def sum_diagonal_blocks(x: np.ndarray, m: int) -> np.ndarray:
-    """Sum of the k diagonal m x m blocks of a (k m) x (k m) matrix."""
-    if x.shape[0] != x.shape[1] or x.shape[0] % m:
-        raise DimensionError("matrix size must be a multiple of the block size")
-    k = x.shape[0] // m
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(k):
-        out += x[i * m:(i + 1) * m, i * m:(i + 1) * m]
-    return out
-
-
-def reduce_dimension(x_full: np.ndarray, m: int) -> np.ndarray:
-    """Map a stream-lifted certificate to the per-user channel space.
-
-    tr((I kron h h^H) X) = h^H S h with S the diagonal-block sum, and
-    tr(S) = tr(X), so the reduced matrix satisfies the reduced instance
-    with exactly the slack of the full one.
-    """
-    return sum_diagonal_blocks(x_full, m)
-
-
-def reduce_instance(inst: SdpInstance, m: int) -> SdpInstance:
-    """Reduced-dimension instance equivalent to a stream-lifted one."""
-    if inst.dim % m:
-        raise DimensionError("full dimension must be a multiple of m")
-    return SdpInstance(dim=m, C1=np.asarray(inst.C1)[:m, :m].copy(),
-                       C2=np.asarray(inst.C2)[:m, :m].copy(),
-                       t=inst.t, noise_var=inst.noise_var, power=inst.power)
-
-
-def _instance(c1, c2, t, noise_var, power, m, n_streams, full):
-    if full:
-        eye = np.eye(n_streams)
-        return SdpInstance(dim=m * n_streams, C1=np.kron(eye, c1),
-                           C2=np.kron(eye, c2), t=t, noise_var=noise_var,
-                           power=power)
-    return SdpInstance(dim=m, C1=c1, C2=c2, t=t, noise_var=noise_var,
-                       power=power)
-
-
-# ---------------------------------------------------------------------------
-# rank reduction
-# ---------------------------------------------------------------------------
-
-def _factor(x: np.ndarray) -> np.ndarray:
-    """V with V V^H = X, columns spanning the numerical range of X."""
-    eig = herm_eig(x)
-    lmax = max(eig.eigenvalues[0], 0.0)
-    keep = eig.eigenvalues > RANK_TOL * max(lmax, 1e-300)
-    return eig.eigenvectors[:, keep] * np.sqrt(eig.eigenvalues[keep])
-
-
-def rank_reduce(x1: np.ndarray, x2: np.ndarray, c1: np.ndarray,
-                c2: np.ndarray, t: float) -> RankReduction:
-    """Drive a feasible certificate pair down to rank one per user.
-
-    Each step finds a Hermitian perturbation pair in the null space of the
-    three active constraint functionals (both SINR rows and total power)
-    and steps to the boundary of the PSD cone, removing at least one
-    eigenvalue while leaving every constraint value untouched. Terminates
-    once r1^2 + r2^2 <= 3, which forces ranks (1, 1).
-    """
-    v1 = _factor(np.asarray(x1, dtype=complex))
-    v2 = _factor(np.asarray(x2, dtype=complex))
-    steps = []
-    for _ in range(64):
-        r1, r2 = v1.shape[1], v2.shape[1]
-        if r1 == 0 or r2 == 0:
-            raise NumericFailureError("certificate lost rank entirely",
-                                      details={"ranks": (r1, r2)})
-        w = r1 * r1 + r2 * r2
-        if w <= 3:
-            break
-        iu1, _ = _basis(r1)
-        iu2, _ = _basis(r2)
-        rows = np.empty((3, w))
-        m11 = v1.conj().T @ c1 @ v1
-        m12 = v2.conj().T @ c1 @ v2
-        m21 = v1.conj().T @ c2 @ v1
-        m22 = v2.conj().T @ c2 @ v2
-        rows[0] = np.concatenate((_theta(m11, r1, iu1), -t * _theta(m12, r2, iu2)))
-        rows[1] = np.concatenate((-t * _theta(m21, r1, iu1), _theta(m22, r2, iu2)))
-        rows[2] = np.concatenate((_theta(v1.conj().T @ v1, r1, iu1),
-                                  _theta(v2.conj().T @ v2, r2, iu2)))
-        _, _, vt = np.linalg.svd(rows)
-        null = vt[-1]
-        d1 = _mat(null[:r1 * r1], r1, iu1)
-        d2 = _mat(null[r1 * r1:], r2, iu2)
-        e1 = np.linalg.eigvalsh(d1)
-        e2 = np.linalg.eigvalsh(d2)
-        cands = np.concatenate((e1, e2))
-        delta = cands[np.argmax(np.abs(cands))]
-        steps.append(RankReductionState(
-            w=w, ranks=(r1, r2), residual=float(np.linalg.norm(rows @ null))))
-        v1 = _factor(v1 @ (np.eye(r1) - d1 / delta) @ v1.conj().T)
-        v2 = _factor(v2 @ (np.eye(r2) - d2 / delta) @ v2.conj().T)
-    else:
-        raise NumericFailureError("rank reduction did not terminate",
-                                  details={"steps": steps})
-    return RankReduction(X1=v1 @ v1.conj().T, X2=v2 @ v2.conj().T,
-                         steps=tuple(steps))
-
-
-def extract_beamformer(x: np.ndarray) -> np.ndarray:
-    """Rank-1 factor b with b b^H = X, or NotRankOneError."""
-    eig = herm_eig(np.asarray(x, dtype=complex))
-    lead = eig.eigenvalues[0]
-    if lead <= 0.0:
-        return np.zeros(x.shape[0], dtype=complex)
-    if x.shape[0] > 1 and eig.eigenvalues[1] > EXTRACT_TOL * lead:
-        raise NotRankOneError(
-            f"second eigenvalue is {eig.eigenvalues[1] / lead:.3e} of the first")
-    return np.sqrt(lead) * eig.eigenvectors[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# bisection driver
-# ---------------------------------------------------------------------------
 
 def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
-                 eps: Optional[float] = None, noise_var: float = 1.0,
-                 n_streams: int = 1, full: bool = False,
-                 tol: float = 1e-8) -> MultiBeamformer:
+                 noise_var: float = 1.0) -> MultiBeamformer:
     """Best common SINR for two users sharing the relay's power budget.
 
-    Bisects the target over [0, power min_i ||h_i||^2 / noise_var]; probes
-    run the barrier solver in verdict mode and warm-start each other, then
-    a full-precision solve at the last feasible target produces the
-    certificate that is rank-reduced and factored into beams. ``eps``
-    (default 1e-4 of the upper end) is the bisection resolution: the true
-    optimum lies within eps above the returned target.
+    Returns beams that reach ``t_star`` for both users (to rounding) with
+    total power at most ``power``. A user whose channel is zero cannot be
+    reached, so the optimum is then 0 and both beams are zero.
     """
     h1 = np.asarray(h1, dtype=complex).reshape(-1)
     h2 = np.asarray(h2, dtype=complex).reshape(-1)
     if h1.shape != h2.shape:
         raise DimensionError("user channels must have equal length")
-    m = h1.size
-    if power <= 0 or noise_var <= 0:
-        raise ContractViolationError("power and noise must be positive")
-    if n_streams < 1:
-        raise ContractViolationError("n_streams must be at least 1")
+    if not (0.0 < power < np.inf and 0.0 < noise_var < np.inf):
+        raise ContractViolationError(
+            "power and noise must be positive and finite")
 
-    c1 = np.outer(h1, h1.conj())
-    c2 = np.outer(h2, h2.conj())
-    b_hi = power * min(np.linalg.norm(h1) ** 2, np.linalg.norm(h2) ** 2) / noise_var
-    if eps is None:
-        eps = 1e-4 * b_hi
+    n1 = float(np.vdot(h1, h1).real)
+    n2 = float(np.vdot(h2, h2).real)
+    if n1 == 0.0 or n2 == 0.0:
+        zero = np.zeros(h1.size, dtype=complex)
+        return MultiBeamformer(b1=zero, b2=zero.copy(), t_star=0.0,
+                               sinr1=0.0, sinr2=0.0, probes=0)
+    cross = np.vdot(h2, h1)                   # h2^H h1
+    # ||h1||^2 ||h2||^2 - |h1^H h2|^2 through the projection of h2 off h1,
+    # which keeps its relative accuracy for nearly parallel channels
+    perp = h2 - h1 * (np.conj(cross) / n1)
+    gram_det = n1 * float(np.vdot(perp, perp).real)
+    s = noise_var
 
-    # Verdicts maintain the bracket; the probe slacks (monotone decreasing
-    # in t) feed a regula-falsi guess that usually lands near the root.
-    # Guesses are clamped into the middle of the bracket and fall back to
-    # plain bisection whenever the previous one shrank the bracket poorly.
-    t_lo, t_hi = 0.0, b_hi
-    slack_lo = slack_hi = None
-    probes = 0
-    use_secant = True
-    warm: Optional[SdpOutcome] = None
-    warm_lo: Optional[SdpOutcome] = None
-    while t_hi - t_lo > eps:
-        width = t_hi - t_lo
-        if use_secant and slack_lo is not None and slack_hi is not None \
-                and slack_lo > 0.0 > slack_hi:
-            t_mid = t_lo + slack_lo * width / (slack_lo - slack_hi)
-            t_mid = min(max(t_mid, t_lo + 0.15 * width), t_hi - 0.15 * width)
-        else:
-            t_mid = t_lo + 0.5 * width
-        out = solve_feasibility(
-            _instance(c1, c2, t_mid, noise_var, power, m, n_streams, full),
-            tol=tol, verdict_only=True, warm_start=warm)
-        probes += 1
-        warm = out
-        if out.feasible:
-            t_lo, slack_lo, warm_lo = t_mid, out.slack, out
-        else:
-            t_hi, slack_hi = t_mid, out.slack
-        use_secant = (t_hi - t_lo) < 0.7 * width
+    def uplink_sinr(q_own, q_other, n_own, n_other):
+        # q_own f_own(q_other), with the bracket of f over a common
+        # denominator: n_own - q |c|^2 / (s + q n_other)
+        return q_own * (n_own * s + q_other * gram_det) \
+            / (s * (s + q_other * n_other))
 
-    # The certificate's centering gap converts to an SINR deficit roughly
-    # as gap * (1 + t) * power * ||h||^2 / noise, so the final solve gets
-    # a tolerance scaled to keep the deficit well under the 1e-6 the
-    # extracted beams are allowed to sit below t_star. Warm-starting from
-    # the probe that set t_lo (same target) keeps the descent on-path.
-    c_scale = max(np.linalg.norm(h1) ** 2, np.linalg.norm(h2) ** 2)
-    denom = (1.0 + t_lo) * power * c_scale / noise_var
-    final = solve_feasibility(
-        _instance(c1, c2, t_lo, noise_var, power, m, n_streams, full),
-        tol=min(tol, max(1e-11, 1e-7 / denom)), warm_start=warm_lo)
-    if full:
-        c1s = np.kron(np.eye(n_streams), c1)
-        c2s = np.kron(np.eye(n_streams), c2)
-    else:
-        c1s, c2s = c1, c2
-    red = rank_reduce(final.X1, final.X2, c1s, c2s, t_lo)
-    vec1 = extract_beamformer(red.X1)
-    vec2 = extract_beamformer(red.X2)
-    if full:
-        b1 = unvec(vec1, m, n_streams)
-        b2 = unvec(vec2, m, n_streams)
-    else:
-        b1 = np.zeros((m, n_streams), dtype=complex)
-        b2 = np.zeros((m, n_streams), dtype=complex)
-        b1[:, 0] = vec1
-        b2[:, 0] = vec2
-    s1 = _sinr(h1, b1, b2, noise_var)
-    s2 = _sinr(h2, b2, b1, noise_var)
-    return MultiBeamformer(b1=b1, b2=b2, t_star=t_lo, sinr1=s1, sinr2=s2,
-                           X1=red.X1, X2=red.X2, probes=probes,
-                           slack=final.slack)
+    def imbalance(q2):
+        q1 = power - q2
+        return uplink_sinr(q1, q2, n1, n2) - uplink_sinr(q2, q1, n2, n1)
 
+    q2, root = brentq(imbalance, 0.0, power, xtol=BALANCE_XTOL * power,
+                      full_output=True)
+    q1 = power - q2
+    t = min(uplink_sinr(q1, q2, n1, n2), uplink_sinr(q2, q1, n2, n1))
 
-def _sinr(h, b_own, b_other, noise_var):
-    sig = np.linalg.norm(b_own.conj().T @ h) ** 2
-    intf = np.linalg.norm(b_other.conj().T @ h) ** 2
-    return float(sig / (intf + noise_var))
+    u1 = h1 - h2 * (q2 * cross / (s + q2 * n2))
+    u2 = h2 - h1 * (q1 * np.conj(cross) / (s + q1 * n1))
+    u1 /= np.linalg.norm(u1)
+    u2 /= np.linalg.norm(u2)
+    # a[i, k] = |h_i^H u_k|^2; both downlink SINRs equal t when
+    # p_1 a11 - t a12 p_2 = t s  and  p_2 a22 - t a21 p_1 = t s
+    a = np.abs(np.array([h1, h2]).conj() @ np.array([u1, u2]).T) ** 2
+    det = a[0, 0] * a[1, 1] - t * t * a[0, 1] * a[1, 0]
+    p1 = t * s * (a[1, 1] + t * a[0, 1]) / det
+    p2 = t * s * (a[0, 0] + t * a[1, 0]) / det
+    scale = min(1.0, power / (p1 + p2))       # rounding may overshoot
+    p1, p2 = p1 * scale, p2 * scale
+    return MultiBeamformer(
+        b1=np.sqrt(p1) * u1, b2=np.sqrt(p2) * u2, t_star=t,
+        sinr1=float(p1 * a[0, 0] / (p2 * a[0, 1] + s)),
+        sinr2=float(p2 * a[1, 1] / (p1 * a[1, 0] + s)),
+        probes=root.iterations)

@@ -8,16 +8,12 @@ protected user:
     maximize ||B^H g_target||^2
     s.t.     B^H g_protect = 0,   tr(B B^H) = Pr.
 
-Stacking columns turns the zero-forcing constraint into (I kron g_p^H)
-vec(B) = 0, whose null space is I kron U with U an orthonormal basis of the
-complement of g_protect. The objective restricted to that subspace is block
-diagonal, so the optimum is rank one: one column carrying sqrt(Pr) times
-the unit projection of g_target onto U, the rest zero. Its value is
-Pr ||P_perp g_target||^2 with P_perp the projector orthogonal to g_protect.
-
-``solve_single_user_beamformer`` implements that closed form directly;
-``solve_single_user_beamformer_full`` solves the stacked MN-dimensional
-eigenproblem instead and is kept as a cross-check of the reduction.
+The optimum is rank one: a single beam carrying sqrt(Pr) times the unit
+projection of g_target onto an orthonormal basis U of the complement of
+g_protect. Its value is Pr ||P_perp g_target||^2 with P_perp the projector
+orthogonal to g_protect. ``solve_single_user_beamformer`` implements that
+closed form; the test suite checks it against the stacked eigenproblem over
+vec(B).
 """
 
 from dataclasses import dataclass
@@ -26,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
 from .errors import DegenerateInputError, DimensionError
-from .linalg import conjT, herm_eig, kron_identity, null_basis, unvec, vec
+from .linalg import conjT, null_basis
 
 DEGENERATE_GAIN = 1e-12   # squared projection below this counts as unservable
 
@@ -35,7 +31,7 @@ DEGENERATE_GAIN = 1e-12   # squared projection below this counts as unservable
 class Beamformer:
     """Relay transmit beamformer with bookkeeping for its design contract.
 
-    matrix         M x N complex beamforming matrix
+    matrix         M x 1 complex beamforming matrix
     power          tr(B B^H), equals the relay power budget
     null_residual  ||B^H g_protect|| achieved by the design
     degenerate     True when g_target lies in span(g_protect), in which case
@@ -55,12 +51,11 @@ def beamform_gain(b: np.ndarray, g: np.ndarray) -> float:
 
 
 def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
-                                 power: float, n_streams: int = 1) -> Beamformer:
+                                 power: float) -> Beamformer:
     """Optimal zero-forcing beamformer, closed form.
 
-    The optimum is rank one, so all power sits in the first column; the
-    remaining n_streams - 1 columns are zero. Objective value equals
-    power * ||P_perp g_target||^2 (projector orthogonal to g_protect).
+    Objective value equals power * ||P_perp g_target||^2 (projector
+    orthogonal to g_protect).
     """
     g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
     g_target = np.asarray(g_target, dtype=complex).reshape(-1)
@@ -75,7 +70,7 @@ def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
     u = null_basis(g_protect)                 # M x (M-1), orthonormal
     w = conjT(u) @ g_target
     gain = float(np.vdot(w, w).real)
-    b = np.zeros((m, n_streams), dtype=complex)
+    b = np.zeros((m, 1), dtype=complex)
     if gain <= DEGENERATE_GAIN * float(np.vdot(g_target, g_target).real + 1.0):
         b[:, 0] = np.sqrt(power) * u[:, 0]
         degenerate = True
@@ -85,33 +80,6 @@ def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
     resid = float(np.linalg.norm(conjT(b) @ g_protect))
     return Beamformer(matrix=b, power=float(np.trace(b @ conjT(b)).real),
                       null_residual=resid, degenerate=degenerate)
-
-
-def solve_single_user_beamformer_full(g_protect: np.ndarray, g_target: np.ndarray,
-                                      power: float, n_streams: int) -> Beamformer:
-    """Same optimum through the stacked MN-dimensional eigenproblem.
-
-    Builds V = I kron U spanning the zero-forcing subspace, takes the top
-    eigenvector of V^H (I kron g_t g_t^H) V, and unstacks. Exercised by
-    tests against the closed form; the production path never calls it.
-    """
-    g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
-    g_target = np.asarray(g_target, dtype=complex).reshape(-1)
-    m = g_protect.size
-    if m < 2:
-        raise DegenerateInputError(
-            "zero-forcing toward one user needs at least two relay antennas")
-    u = null_basis(g_protect)
-    v = kron_identity(n_streams, u)           # MN x (M-1)N
-    target_outer = np.outer(g_target, g_target.conj())
-    a = conjT(v) @ kron_identity(n_streams, target_outer) @ v
-    eig = herm_eig(a)
-    b_stacked = np.sqrt(power) * (v @ eig.eigenvectors[:, 0])
-    b = unvec(b_stacked, m, n_streams)
-    resid = float(np.linalg.norm(conjT(b) @ g_protect))
-    return Beamformer(matrix=b, power=float(np.vdot(vec(b), vec(b)).real),
-                      null_residual=resid,
-                      degenerate=bool(eig.eigenvalues[0] <= DEGENERATE_GAIN))
 
 
 def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray, power: float) -> float:

@@ -13,7 +13,8 @@ own base station stays silent. If both users failed, the base stations go
 silent and the relay retransmits both messages at the max-min SINR design;
 round-2 base-station channels are still drawn so both relay modes consume
 the trial's random stream the same way. The relay is assumed to decode the
-first round perfectly.
+first round perfectly. A zero relay channel (``var_relay = 0``) reaches
+nobody, so the retransmission then fails.
 
 Every trial owns a counter-based substream keyed by (seed, context, trial
 index), and chunk results are reduced by integer sums, so failure counts
@@ -25,20 +26,15 @@ trial.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
                       draw_relay_channels, substream)
-from .errors import ContractViolationError, NumericFailureError
+from .errors import ContractViolationError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import beamform_gain, solve_single_user_beamformer
-
-SOLVER_EPS_REL = 1e-3     # bisection resolution relative to the SINR cap
-SOLVER_TOL = 1e-6         # barrier duality measure for probes
-RETRY_TOL_FACTOR = 100.0  # loosening applied on the single retry
 
 MODE_NONE = "none"
 MODE_SINGLE = "single-user"
@@ -83,7 +79,7 @@ class RelayEstimate:
     pooled: OutageEstimate
     user1: OutageEstimate
     user2: OutageEstimate
-    aborted: int              # trials dropped after a failed solver retry
+    aborted: int              # unsolved trials: always 0 (closed forms)
     mode_counts: tuple        # (none, single-user, multiuser) trial counts
 
 
@@ -130,9 +126,8 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def run_relay_trial(cfg: SystemConfig, seed: int,
-                    trial: int) -> Optional[TrialOutcome]:
-    """One complete relay-ARQ trial; None when the solver aborted it."""
+def run_relay_trial(cfg: SystemConfig, seed: int, trial: int) -> TrialOutcome:
+    """One complete relay-ARQ trial."""
     rng = substream(seed, CTX_RELAY, trial)
     gamma = cfg.sinr_threshold
     h1 = draw_bs_channels(cfg, rng)
@@ -144,52 +139,33 @@ def run_relay_trial(cfg: SystemConfig, seed: int,
     g = draw_relay_channels(cfg, rng)
     if not ok.any():
         # both messages ride the relay; base stations stay silent
-        try:
-            sol = _solve_multi(cfg, g)
-        except NumericFailureError:
-            return None
+        sol = max_min_sinr(g[0], g[1], cfg.Pr_multi, noise_var=cfg.noise_var)
         return TrialOutcome(True, True, MODE_MULTI,
                             sol.sinr1 >= gamma, sol.sinr2 >= gamma)
 
     f = 0 if not ok[0] else 1             # the one failed user
     o = 1 - f
-    bf = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
-    p_ant = cfg.P / cfg.N
-    interf = p_ant * np.sum(np.abs(h2[f, o]) ** 2)
-    sinr_f = beamform_gain(bf.matrix, g[f]) / (cfg.noise_var + interf)
     final = [True, True]
-    final[f] = bool(sinr_f >= gamma)
+    final[f] = False
+    if g[f].any():
+        bf = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
+        p_ant = cfg.P / cfg.N
+        interf = p_ant * np.sum(np.abs(h2[f, o]) ** 2)
+        sinr_f = beamform_gain(bf.matrix, g[f]) / (cfg.noise_var + interf)
+        final[f] = bool(sinr_f >= gamma)
     return TrialOutcome(f == 0, f == 1, MODE_SINGLE, final[0], final[1])
 
 
-def _solve_multi(cfg: SystemConfig, g: np.ndarray):
-    b_hi = cfg.Pr_multi * min(np.linalg.norm(g[0]) ** 2,
-                              np.linalg.norm(g[1]) ** 2) / cfg.noise_var
-    try:
-        return max_min_sinr(g[0], g[1], cfg.Pr_multi,
-                            eps=SOLVER_EPS_REL * b_hi,
-                            noise_var=cfg.noise_var, tol=SOLVER_TOL)
-    except NumericFailureError:
-        return max_min_sinr(g[0], g[1], cfg.Pr_multi,
-                            eps=SOLVER_EPS_REL * b_hi,
-                            noise_var=cfg.noise_var,
-                            tol=SOLVER_TOL * RETRY_TOL_FACTOR)
-
-
 def _relay_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
-    # fails per user, aborted count, mode counts (none, single, multi)
+    # fails per user, mode counts (none, single, multi)
     fails = np.zeros(2, dtype=np.int64)
-    aborted = 0
     modes = np.zeros(3, dtype=np.int64)
     for trial in range(start, stop):
         out = run_relay_trial(cfg, seed, trial)
-        if out is None:
-            aborted += 1
-            continue
         modes[(MODE_NONE, MODE_SINGLE, MODE_MULTI).index(out.mode)] += 1
         fails[0] += not out.user1_final
         fails[1] += not out.user2_final
-    return fails, aborted, modes
+    return fails, modes
 
 
 def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
@@ -200,18 +176,16 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
     fails = np.zeros(2, dtype=np.int64)
-    aborted = 0
     modes = np.zeros(3, dtype=np.int64)
-    for part in _run_chunks(_relay_chunk, cfg, seed, trials, threads):
-        fails += part[0]
-        aborted += part[1]
-        modes += part[2]
-    kept = trials - aborted
+    for part_fails, part_modes in _run_chunks(_relay_chunk, cfg, seed,
+                                              trials, threads):
+        fails += part_fails
+        modes += part_modes
     return RelayEstimate(
-        pooled=OutageEstimate(trials=2 * kept, failures=int(fails.sum())),
-        user1=OutageEstimate(trials=kept, failures=int(fails[0])),
-        user2=OutageEstimate(trials=kept, failures=int(fails[1])),
-        aborted=aborted, mode_counts=tuple(int(x) for x in modes))
+        pooled=OutageEstimate(trials=2 * trials, failures=int(fails.sum())),
+        user1=OutageEstimate(trials=trials, failures=int(fails[0])),
+        user2=OutageEstimate(trials=trials, failures=int(fails[1])),
+        aborted=0, mode_counts=tuple(int(x) for x in modes))
 
 
 def _run_chunks(worker, cfg, seed, trials, threads):

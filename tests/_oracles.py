@@ -2,11 +2,17 @@
 
 Everything here is deliberately written against the problem statements, not
 against the package internals, so agreement is meaningful: dumb grids, plain
-quadrature, and one closed form that only exists for orthogonal channels.
+quadrature, one closed form that only exists for orthogonal channels, and
+the single-user relay design solved as the stacked eigenproblem over vec(B).
+The semidefinite max-min SINR reference lives in ``_sdp_oracle``.
 """
 
 import numpy as np
 from scipy.integrate import quad
+
+from relayarq.errors import DimensionError
+from relayarq.linalg import herm_eig, null_basis
+from relayarq.relay_single import DEGENERATE_GAIN, Beamformer
 
 
 def cn_vector(rng, m, var):
@@ -74,3 +80,49 @@ def numeric_cdf_from_pdf(pdf, c, lo=-np.inf):
     neg, _ = quad(pdf, lo, 0.0, limit=400)
     pos, _ = quad(pdf, 0.0, c, limit=400)
     return neg + pos
+
+
+# ---------------------------------------------------------------------------
+# stacked (vec) form of the single-user relay design
+# ---------------------------------------------------------------------------
+
+def kron_identity(n: int, a: np.ndarray) -> np.ndarray:
+    """I_n kron a."""
+    if n < 1:
+        raise DimensionError("identity factor must be at least 1x1")
+    return np.kron(np.eye(n), np.asarray(a))
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization: vec(A X B) = (B^T kron A) vec(X)."""
+    return np.asarray(a).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    v = np.asarray(v).reshape(-1)
+    if v.size != rows * cols:
+        raise DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
+    return v.reshape((rows, cols), order="F")
+
+
+def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
+    """Zero-forcing relay design through the stacked MN-dimensional eigenproblem.
+
+    Stacking columns turns B^H g_protect = 0 into (I kron g_p^H) vec(B) = 0,
+    whose null space is spanned by V = I kron U with U an orthonormal basis
+    of the complement of g_protect. The top eigenvector of
+    V^H (I kron g_t g_t^H) V, unstacked, is an M x n_streams optimum.
+    """
+    g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
+    g_target = np.asarray(g_target, dtype=complex).reshape(-1)
+    m = g_protect.size
+    u = null_basis(g_protect)
+    v = kron_identity(n_streams, u)           # MN x (M-1)N
+    target_outer = np.outer(g_target, g_target.conj())
+    a = v.conj().T @ kron_identity(n_streams, target_outer) @ v
+    eig = herm_eig(a)
+    b = unvec(np.sqrt(power) * (v @ eig.eigenvectors[:, 0]), m, n_streams)
+    resid = float(np.linalg.norm(b.conj().T @ g_protect))
+    return Beamformer(matrix=b, power=float(np.vdot(vec(b), vec(b)).real),
+                      null_residual=resid,
+                      degenerate=bool(eig.eigenvalues[0] <= DEGENERATE_GAIN))

@@ -13,6 +13,9 @@ from relayarq.channel import (
 from relayarq.errors import ContractViolationError
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def make_cfg(**kw):
     base = dict(N=3, M=3, P=100.0, noise_var=1.0, var_direct=2.0,
                 var_cross=1.0, var_relay=4.0, rate=2.0)
@@ -44,6 +47,9 @@ def test_snr_db():
     dict(N=0), dict(M=0), dict(P=0.0), dict(noise_var=0.0),
     dict(var_direct=-1.0), dict(rate=-0.5), dict(retx=0),
     dict(Pr_single=-1.0),
+    dict(P=NAN), dict(P=INF), dict(noise_var=NAN), dict(var_direct=INF),
+    dict(var_cross=NAN), dict(var_relay=INF), dict(rate=NAN), dict(rate=INF),
+    dict(Pr_single=NAN), dict(Pr_multi=INF), dict(Pr_multi=NAN),
 ])
 def test_config_validation(kw):
     with pytest.raises(ContractViolationError):

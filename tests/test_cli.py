@@ -69,6 +69,14 @@ def test_bad_snr_grid_exits_2(capsys):
         assert "SNR grid" in err
 
 
+def test_non_finite_parameters_exit_2(capsys):
+    for flags in (("--rate", "nan"), ("--snr-db", "inf"),
+                  ("--var-relay", "nan"), ("--noise-var", "inf")):
+        code, _, err = run_cli(capsys, "analytic", *flags)
+        assert code == 2, flags
+        assert "finite" in err
+
+
 def test_trials_floor_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate-direct", "--trials", "99")
     assert code == 2

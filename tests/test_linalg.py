@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
-from relayarq.linalg import (
-    conjT,
-    herm_eig,
-    kron_identity,
-    null_basis,
-    unvec,
-    vec,
-)
+from relayarq.linalg import conjT, herm_eig, null_basis
+
+from _oracles import kron_identity, unvec, vec
 
 
 def test_herm_eig_two_by_two_closed_form():
@@ -82,8 +77,9 @@ def test_unvec_size_mismatch():
 
 
 def test_vec_kron_trace_identity():
-    # tr(C X) with X = x x^H equals x^H C x; the lifted form used in the
-    # multiuser path must agree: vec(B)^H (I kron C) vec(B) = tr(C B B^H)
+    # tr(C X) with X = x x^H equals x^H C x; the stacked form the
+    # single-user reference solves must agree: vec(B)^H (I kron C) vec(B)
+    # = tr(C B B^H)
     rng = np.random.default_rng(13)
     m, s = 3, 2
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

@@ -9,10 +9,9 @@ from relayarq.relay_single import (
     rate_protected,
     rate_target,
     solve_single_user_beamformer,
-    solve_single_user_beamformer_full,
 )
 
-from _oracles import cn_vector
+from _oracles import cn_vector, solve_single_user_beamformer_full
 
 
 def test_gain_matches_projection_formula():
@@ -29,13 +28,11 @@ def test_power_and_null_constraints():
     rng = np.random.default_rng(1)
     gp = cn_vector(rng, 4, 1.0)
     gt = cn_vector(rng, 4, 1.0)
-    bf = solve_single_user_beamformer(gp, gt, power=7.0, n_streams=3)
-    assert bf.matrix.shape == (4, 3)
+    bf = solve_single_user_beamformer(gp, gt, power=7.0)
+    assert bf.matrix.shape == (4, 1)
     assert bf.power == pytest.approx(7.0, rel=1e-12)
     assert bf.null_residual < 1e-12
     assert not bf.degenerate
-    # rank one: every column beyond the first is zero
-    assert np.all(bf.matrix[:, 1:] == 0)
 
 
 def test_gain_linear_in_power():
@@ -48,11 +45,13 @@ def test_gain_linear_in_power():
 
 
 def test_full_eigen_path_agrees():
+    # the stacked problem allows any number of streams; the one-beam
+    # closed form must still reach its optimum
     rng = np.random.default_rng(3)
     for m, s in ((2, 1), (3, 2), (5, 3)):
         gp = cn_vector(rng, m, 2.0)
         gt = cn_vector(rng, m, 2.0)
-        closed = solve_single_user_beamformer(gp, gt, 3.0, n_streams=s)
+        closed = solve_single_user_beamformer(gp, gt, 3.0)
         full = solve_single_user_beamformer_full(gp, gt, 3.0, n_streams=s)
         want = beamform_gain(closed.matrix, gt)
         assert beamform_gain(full.matrix, gt) == pytest.approx(want, rel=1e-10)

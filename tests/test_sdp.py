@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError
-from relayarq.sdp import (
+
+from _oracles import cn_vector
+from _sdp_oracle import (
     SdpInstance,
     SdpOutcome,
     _basis,
@@ -11,8 +13,6 @@ from relayarq.sdp import (
     _theta,
     solve_feasibility,
 )
-
-from _oracles import cn_vector
 
 
 def make_instance(rng, m=3, t_frac=0.3, power=20.0, noise_var=1.0):

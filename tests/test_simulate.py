@@ -132,6 +132,20 @@ def test_relay_beats_direct_at_high_rate():
     assert relay.pooled.p_hat < direct.p_hat
 
 
+def test_zero_relay_channel_fails_retransmission():
+    # a relay that reaches nobody rescues nobody, in either relay mode
+    cfg = make_cfg(P=10.0, rate=2.0, var_relay=0.0)
+    modes = set()
+    for trial in range(40):
+        out = run_relay_trial(cfg, seed=13, trial=trial)
+        modes.add(out.mode)
+        assert out.user1_final == (not out.user1_failed_round1)
+        assert out.user2_final == (not out.user2_failed_round1)
+    assert {MODE_SINGLE, MODE_MULTI} <= modes
+    est = simulate_relay(cfg, trials=40, seed=13)
+    assert sum(est.mode_counts) == 40 and est.aborted == 0
+
+
 def test_relay_validates_antennas():
     with pytest.raises(ContractViolationError):
         simulate_relay(make_cfg(M=1), trials=10, seed=0)
