@@ -2,9 +2,9 @@
 
 When both users miss their packets the relay serves them at once and the
 fair objective is the worst of the two SINRs. The script solves one
-instance and walks through what comes back: the balanced SINR, the
-root-finding steps that balanced the dual uplink, the beams, and how the
-power budget is split between the two users.
+instance and walks through what comes back: the balanced SINR, the dual
+uplink powers that balance it (closed form, q1 ||h1||^2 = q2 ||h2||^2),
+the beams, and how the power budget is split between the two users.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ def main():
     p2 = np.linalg.norm(sol.b2) ** 2
     print(f"max-min SINR t*:          {sol.t_star:.6f}")
     print(f"achieved SINRs:           {sol.sinr1:.6f}, {sol.sinr2:.6f}")
-    print(f"root-finding steps:       {sol.probes}")
+    print(f"dual uplink powers:       {sol.q1:.6f} + {sol.q2:.6f}")
     print(f"power split:              {p1:.6f} + {p2:.6f} = {p1 + p2:.6f} "
           f"of {POWER}")
     print(f"rate at t*:               {np.log2(1.0 + sol.t_star):.4f} "

@@ -10,7 +10,7 @@ relay array size to show how the zero-forcing cost shrinks.
 
 import numpy as np
 
-from relayarq.channel import SystemConfig, draw_channels, substream
+from relayarq.channel import SystemConfig, draw_relay_channels, substream
 from relayarq.relay_single import (beamform_gain, optimal_gain,
                                    solve_single_user_beamformer)
 
@@ -21,9 +21,9 @@ def main():
     rng = np.random.default_rng(3)
     cfg = SystemConfig(N=3, M=4, P=POWER, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0)
-    chan = draw_channels(cfg, substream(3, 0, 0))
-    g_protect = chan.g[0]                 # user 0 already has its packet
-    g_target = chan.g[1]
+    g = draw_relay_channels(cfg, substream(3, 0, 0))
+    g_protect = g[0]                      # user 0 already has its packet
+    g_target = g[1]
 
     bf = solve_single_user_beamformer(g_protect, g_target, cfg.Pr_single)
     print(f"relay antennas:          {cfg.M}")

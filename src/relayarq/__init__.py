@@ -8,25 +8,23 @@ retransmission modes, and a Monte Carlo engine that reproduces the
 system-level outage experiments.
 """
 
-from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, ChannelRealization,
-                      SystemConfig, draw_bs_channels, draw_channels,
-                      draw_relay_channels, substream)
+from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
+                      draw_bs_channels, draw_relay_channels, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, NumericFailureError, RelayArqError,
                      UnsupportedOrderError)
-from .linalg import HermitianEig, conjT, herm_eig, null_basis
+from .linalg import HermitianEig, conjT, herm_eig, null_basis, project_off
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp_n3,
                      cf_inversion_cdf, cf_inversion_outage,
                      characteristic_function, diff_exp_params,
                      outage_interference_n3, outage_single_user,
                      pdf_diff_exp_n3)
-from .relay_multi import MultiBeamformer, max_min_sinr
+from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import (Beamformer, beamform_gain, optimal_gain,
-                           rate_protected, rate_target,
                            solve_single_user_beamformer)
-from .simulate import (ExperimentTable, OutageEstimate, RelayEstimate,
-                       TrialOutcome, run_experiment, run_relay_trial,
-                       simulate_direct, simulate_relay)
+from .simulate import (BLOCK, ExperimentTable, OutageEstimate, RelayEstimate,
+                       RelayVerdicts, relay_block, relay_verdicts,
+                       run_experiment, simulate_direct, simulate_relay)
 
 __version__ = "0.1.0"
 

@@ -10,9 +10,10 @@ flat per transmission round:
 
 Per-complex-entry variance s means real and imaginary parts each carry s/2.
 
-Randomness is counter-based: every (seed, context, trial) triple owns a
-disjoint Philox substream, so results are reproducible no matter how trials
-are partitioned across workers.
+Randomness is counter-based: every (seed, context, index) triple owns a
+disjoint Philox substream. The Monte Carlo engine keys one substream per
+block of trials and draws each block's channels as whole arrays, so results
+are reproducible no matter how blocks are partitioned across workers.
 """
 
 import math
@@ -90,21 +91,9 @@ class SystemConfig:
         return 10.0 * np.log10(self.P / self.noise_var)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One round of fading.
-
-    h[i, j] is the length-N vector from BS j to user i (0-indexed);
-    g[i] is the length-M vector from the relay to user i.
-    """
-
-    h: np.ndarray  # complex, shape (2, 2, N)
-    g: np.ndarray  # complex, shape (2, M)
-
-
-def substream(seed: int, context: int, trial: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, context, trial) triple."""
-    counter = (int(context) << 128) + (int(trial) << 64)
+def substream(seed: int, context: int, index: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, context, index) triple."""
+    counter = (int(context) << 128) + (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
                                                 counter=counter))
 
@@ -129,12 +118,8 @@ def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
     return np.sqrt(var / 2.0)[..., :, :, None] * z
 
 
-def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Fresh relay-to-user channels, shape (2, M)."""
-    return _cn(rng, (2, cfg.M), cfg.var_relay)
-
-
-def draw_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """One complete fading realization (BS links first, then relay links)."""
-    return ChannelRealization(h=draw_bs_channels(cfg, rng),
-                              g=draw_relay_channels(cfg, rng))
+def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator,
+                        rounds: int = None) -> np.ndarray:
+    """Fresh relay-to-user channels, shape (2, M) or (rounds, 2, M)."""
+    shape = (2, cfg.M) if rounds is None else (rounds, 2, cfg.M)
+    return _cn(rng, shape, cfg.var_relay)

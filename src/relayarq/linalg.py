@@ -60,6 +60,17 @@ def herm_eig(a: np.ndarray) -> HermitianEig:
     return HermitianEig(w, u)
 
 
+def project_off(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Component of v orthogonal to u, v - u (u^H v) / ||u||^2.
+
+    Batched over leading axes (vectors along the last axis). Where u is the
+    zero vector there is nothing to project off, and v comes back unchanged.
+    """
+    uu = np.sum(u.real ** 2 + u.imag ** 2, axis=-1, keepdims=True)
+    uv = np.sum(u.conj() * v, axis=-1, keepdims=True)
+    return v - u * (uv / np.where(uu > 0, uu, 1.0))
+
+
 def null_basis(h: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of a single vector.
 

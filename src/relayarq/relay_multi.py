@@ -17,9 +17,14 @@ IEEE T-VT 2004; Wiesel, Eldar & Shamai, IEEE T-SP 2006):
   q_i f_i(q_j) with the scalar
   f_i(q_j) = (||h_i||^2 - q_j |h_i^H h_j|^2 / (noise_var + q_j ||h_j||^2))
              / noise_var.
-* User 1's uplink SINR falls and user 2's rises as q_2 grows over
-  [0, power], so the max-min uplink design equalizes them at one q_2.
-  The balanced level t is the optimal max-min SINR in both directions.
+* Write x_i = q_i ||h_i||^2 and G = ||h_1||^2 ||h_2||^2 - |h_1^H h_2|^2.
+  Over a common denominator, the gap between the two uplink SINRs
+  factors as (x_1 - x_2) (noise_var (noise_var + x_1 + x_2) + q_1 q_2 G),
+  and the second factor is positive, so the SINRs balance exactly where
+  x_1 = x_2: q_1 = power ||h_2||^2 / (||h_1||^2 + ||h_2||^2). The balanced
+  level t = q_1 (||h_1||^2 noise_var + q_2 G)
+            / (noise_var (noise_var + q_1 ||h_1||^2))
+  is the optimal max-min SINR in both directions.
 * The downlink beams point along the unit MMSE filters, and their powers
   solve the 2 x 2 linear system that sets both downlink SINRs to t; those
   powers add up to the same budget.
@@ -28,11 +33,9 @@ IEEE T-VT 2004; Wiesel, Eldar & Shamai, IEEE T-SP 2006):
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ContractViolationError, DimensionError
-
-BALANCE_XTOL = 1e-14      # root tolerance on q_2, relative to the power budget
+from .linalg import project_off
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,32 @@ class MultiBeamformer:
     t_star: float             # optimal common SINR
     sinr1: float              # achieved by the beams
     sinr2: float
-    probes: int               # root-finding steps spent balancing the uplink
+    q1: float                 # balanced dual-uplink powers, q1 + q2 = power
+    q2: float
+
+
+def balanced_uplink(h1: np.ndarray, h2: np.ndarray, power: float,
+                    noise_var: float):
+    """Balanced dual-uplink powers and the common SINR, in closed form.
+
+    Channels are batched over leading axes (antennas along the last axis);
+    returns arrays ``(q1, q2, t)`` of the batch shape. Where either channel
+    is zero that user cannot be reached: t is 0 there, and q1, q2 carry no
+    meaning.
+    """
+    n1 = np.sum(h1.real ** 2 + h1.imag ** 2, axis=-1)
+    n2 = np.sum(h2.real ** 2 + h2.imag ** 2, axis=-1)
+    # ||h1||^2 ||h2||^2 - |h1^H h2|^2 through the projection of h2 off h1,
+    # which keeps its relative accuracy for nearly parallel channels
+    perp = project_off(h2, h1)
+    gram = n1 * np.sum(perp.real ** 2 + perp.imag ** 2, axis=-1)
+    reach = (n1 > 0) & (n2 > 0)
+    total = np.where(reach, n1 + n2, 1.0)
+    q1 = power * n2 / total
+    q2 = power * n1 / total
+    s = noise_var
+    t = np.where(reach, q1 * (n1 * s + q2 * gram) / (s * (s + q1 * n1)), 0.0)
+    return q1, q2, t
 
 
 def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
@@ -63,34 +91,15 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
         raise ContractViolationError(
             "power and noise must be positive and finite")
 
-    n1 = float(np.vdot(h1, h1).real)
-    n2 = float(np.vdot(h2, h2).real)
-    if n1 == 0.0 or n2 == 0.0:
+    if not (h1.any() and h2.any()):
         zero = np.zeros(h1.size, dtype=complex)
         return MultiBeamformer(b1=zero, b2=zero.copy(), t_star=0.0,
-                               sinr1=0.0, sinr2=0.0, probes=0)
-    cross = np.vdot(h2, h1)                   # h2^H h1
-    # ||h1||^2 ||h2||^2 - |h1^H h2|^2 through the projection of h2 off h1,
-    # which keeps its relative accuracy for nearly parallel channels
-    perp = h2 - h1 * (np.conj(cross) / n1)
-    gram_det = n1 * float(np.vdot(perp, perp).real)
+                               sinr1=0.0, sinr2=0.0, q1=0.0, q2=0.0)
+    q1, q2, t = (float(x) for x in balanced_uplink(h1, h2, power, noise_var))
     s = noise_var
-
-    def uplink_sinr(q_own, q_other, n_own, n_other):
-        # q_own f_own(q_other), with the bracket of f over a common
-        # denominator: n_own - q |c|^2 / (s + q n_other)
-        return q_own * (n_own * s + q_other * gram_det) \
-            / (s * (s + q_other * n_other))
-
-    def imbalance(q2):
-        q1 = power - q2
-        return uplink_sinr(q1, q2, n1, n2) - uplink_sinr(q2, q1, n2, n1)
-
-    q2, root = brentq(imbalance, 0.0, power, xtol=BALANCE_XTOL * power,
-                      full_output=True)
-    q1 = power - q2
-    t = min(uplink_sinr(q1, q2, n1, n2), uplink_sinr(q2, q1, n2, n1))
-
+    n1 = float(np.vdot(h1, h1).real)
+    n2 = float(np.vdot(h2, h2).real)
+    cross = np.vdot(h2, h1)                   # h2^H h1
     u1 = h1 - h2 * (q2 * cross / (s + q2 * n2))
     u2 = h2 - h1 * (q1 * np.conj(cross) / (s + q1 * n1))
     u1 /= np.linalg.norm(u1)
@@ -107,4 +116,4 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
         b1=np.sqrt(p1) * u1, b2=np.sqrt(p2) * u2, t_star=t,
         sinr1=float(p1 * a[0, 0] / (p2 * a[0, 1] + s)),
         sinr2=float(p2 * a[1, 1] / (p1 * a[1, 0] + s)),
-        probes=root.iterations)
+        q1=q1, q2=q2)

@@ -8,21 +8,19 @@ protected user:
     maximize ||B^H g_target||^2
     s.t.     B^H g_protect = 0,   tr(B B^H) = Pr.
 
-The optimum is rank one: a single beam carrying sqrt(Pr) times the unit
-projection of g_target onto an orthonormal basis U of the complement of
-g_protect. Its value is Pr ||P_perp g_target||^2 with P_perp the projector
-orthogonal to g_protect. ``solve_single_user_beamformer`` implements that
-closed form; the test suite checks it against the stacked eigenproblem over
-vec(B).
+The optimum is rank one: a single beam sqrt(Pr) P_perp g_target /
+||P_perp g_target||, with P_perp the projector orthogonal to g_protect. Its
+value is Pr ||P_perp g_target||^2. ``solve_single_user_beamformer``
+implements that closed form; the test suite checks it against the stacked
+eigenproblem over vec(B).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemConfig
 from .errors import DegenerateInputError, DimensionError
-from .linalg import conjT, null_basis
+from .linalg import conjT, null_basis, project_off
 
 DEGENERATE_GAIN = 1e-12   # squared projection below this counts as unservable
 
@@ -67,16 +65,19 @@ def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
             "zero-forcing toward one user needs at least two relay antennas")
     if power <= 0:
         raise DegenerateInputError("relay power must be positive")
-    u = null_basis(g_protect)                 # M x (M-1), orthonormal
-    w = conjT(u) @ g_target
+    if not g_protect.any():
+        raise DegenerateInputError("protected channel is zero")
+    # a second pass restores the orthogonality that cancellation costs the
+    # first when g_target is nearly parallel to g_protect
+    w = project_off(project_off(g_target, g_protect), g_protect)
     gain = float(np.vdot(w, w).real)
     b = np.zeros((m, 1), dtype=complex)
-    if gain <= DEGENERATE_GAIN * float(np.vdot(g_target, g_target).real + 1.0):
-        b[:, 0] = np.sqrt(power) * u[:, 0]
-        degenerate = True
+    degenerate = gain <= DEGENERATE_GAIN * float(
+        np.vdot(g_target, g_target).real + 1.0)
+    if degenerate:
+        b[:, 0] = np.sqrt(power) * null_basis(g_protect)[:, 0]
     else:
-        b[:, 0] = np.sqrt(power) * (u @ (w / np.sqrt(gain)))
-        degenerate = False
+        b[:, 0] = np.sqrt(power) * (w / np.sqrt(gain))
     resid = float(np.linalg.norm(conjT(b) @ g_protect))
     return Beamformer(matrix=b, power=float(np.trace(b @ conjT(b)).real),
                       null_residual=resid, degenerate=degenerate)
@@ -86,32 +87,7 @@ def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray, power: float) -> f
     """Analytic optimum power * ||(I - g_p g_p^H / ||g_p||^2) g_target||^2."""
     g_p = np.asarray(g_protect, dtype=complex).reshape(-1)
     g_t = np.asarray(g_target, dtype=complex).reshape(-1)
-    np2 = np.vdot(g_p, g_p).real
-    if np2 == 0:
+    if not g_p.any():
         raise DegenerateInputError("protected channel is zero")
-    proj = g_t - g_p * (np.vdot(g_p, g_t) / np2)
+    proj = project_off(g_t, g_p)
     return float(power * np.vdot(proj, proj).real)
-
-
-# ---------------------------------------------------------------------------
-# achieved rates during a single-user relay round
-# (orientation: user 0 is protected and served by its own BS, user 1 is the
-# relay's target; swap the realization's user/BS axes for the mirror case)
-# ---------------------------------------------------------------------------
-
-def rate_protected(cfg: SystemConfig, chan: ChannelRealization,
-                   bf: Beamformer) -> float:
-    """Rate of the BS-served user, with relay leakage as interference."""
-    h_own = chan.h[0, 0]
-    leak = beamform_gain(bf.matrix, chan.g[0])
-    sig = (cfg.P / cfg.N) * float(np.vdot(h_own, h_own).real)
-    return float(np.log2(1.0 + sig / (leak + cfg.noise_var)))
-
-
-def rate_target(cfg: SystemConfig, chan: ChannelRealization,
-                bf: Beamformer) -> float:
-    """Rate of the relay-served user, with the active BS as interference."""
-    sig = beamform_gain(bf.matrix, chan.g[1])
-    h_cross = chan.h[1, 0]
-    interf = (cfg.P / cfg.N) * float(np.vdot(h_cross, h_cross).real)
-    return float(np.log2(1.0 + sig / (interf + cfg.noise_var)))

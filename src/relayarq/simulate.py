@@ -10,17 +10,21 @@ the shared relay. If one user failed, the relay beamforms that user's
 message while nulling the other user, whose base station is meanwhile
 serving fresh traffic (that fresh message is not scored); the failed user's
 own base station stays silent. If both users failed, the base stations go
-silent and the relay retransmits both messages at the max-min SINR design;
-round-2 base-station channels are still drawn so both relay modes consume
-the trial's random stream the same way. The relay is assumed to decode the
-first round perfectly. A zero relay channel (``var_relay = 0``) reaches
-nobody, so the retransmission then fails.
+silent and the relay retransmits both messages at the max-min SINR design.
+The relay is assumed to decode the first round perfectly. A zero relay
+channel (``var_relay = 0``) reaches nobody, so the retransmission then
+fails.
 
-Every trial owns a counter-based substream keyed by (seed, context, trial
-index), and chunk results are reduced by integer sums, so failure counts
-are identical for any thread count. Grid sweeps reuse the same seed at
-every point: common random numbers across a curve, fresh draws within each
-trial.
+Trials run in blocks of ``BLOCK``. Block b covers trials
+[b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their channels, as
+whole arrays, from one counter-based substream keyed by (seed, context, b);
+the verdicts then come from array operations over the block. Threads take
+contiguous runs of blocks and their results are reduced by integer sums,
+so failure counts are identical for any thread count. A trial's draws
+depend on its block and on that block's length, so a run with more trials
+is not a prefix-extension of a shorter one. Grid sweeps reuse the same seed
+at every point: common random numbers across a curve, fresh draws within
+each trial.
 """
 
 import math
@@ -32,13 +36,16 @@ import numpy as np
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
                       draw_relay_channels, substream)
 from .errors import ContractViolationError
+from .linalg import project_off
 from .outage import arq_outage, outage_interference_n3, outage_single_user
-from .relay_multi import max_min_sinr
-from .relay_single import beamform_gain, solve_single_user_beamformer
+from .relay_multi import balanced_uplink
+
+BLOCK = 256               # trials per random-number block
 
 MODE_NONE = "none"
 MODE_SINGLE = "single-user"
 MODE_MULTI = "multiuser"
+MODES = (MODE_NONE, MODE_SINGLE, MODE_MULTI)   # index = mode code
 
 
 @dataclass(frozen=True)
@@ -62,17 +69,6 @@ class OutageEstimate:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """What happened to the two messages of one relay-ARQ trial."""
-
-    user1_failed_round1: bool
-    user2_failed_round1: bool
-    mode: str
-    user1_final: bool         # True = message delivered
-    user2_final: bool
-
-
-@dataclass(frozen=True)
 class RelayEstimate:
     """Relay-ARQ estimates, pooled over both users and per user."""
 
@@ -81,6 +77,22 @@ class RelayEstimate:
     user2: OutageEstimate
     aborted: int              # unsolved trials: always 0 (closed forms)
     mode_counts: tuple        # (none, single-user, multiuser) trial counts
+
+
+@dataclass(frozen=True)
+class RelayVerdicts:
+    """Per-trial outcomes of a batch of relay-ARQ trials."""
+
+    round1: np.ndarray        # (n, 2) bool, user decoded the direct round
+    mode: np.ndarray          # (n,) int, index into MODES
+    delivered: np.ndarray     # (n, 2) bool, message delivered in the end
+
+
+def _blocks(start: int, stop: int):
+    """(block index, trial count) for each block of the trials
+    [start, stop); ``start`` sits on a block boundary."""
+    for lo in range(start, stop, BLOCK):
+        yield lo // BLOCK, min(BLOCK, stop - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +106,7 @@ def _direct_sinr_ok(cfg: SystemConfig, h: np.ndarray) -> np.ndarray:
     SINR >= 2^R - 1, i.e. the mutual information supports the rate.
     """
     p_ant = cfg.P / cfg.N
-    e = np.sum(np.abs(h) ** 2, axis=-1)           # (L, 2, 2) link energies
+    e = np.sum(h.real ** 2 + h.imag ** 2, axis=-1)   # (L, 2, 2) link energies
     own = np.stack((e[:, 0, 0], e[:, 1, 1]), axis=1)
     cross = np.stack((e[:, 0, 1], e[:, 1, 0]), axis=1)
     gamma = cfg.sinr_threshold
@@ -103,11 +115,12 @@ def _direct_sinr_ok(cfg: SystemConfig, h: np.ndarray) -> np.ndarray:
 
 def _direct_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
     fails = np.zeros(2, dtype=np.int64)
-    for trial in range(start, stop):
-        rng = substream(seed, CTX_DIRECT, trial)
-        h = draw_bs_channels(cfg, rng, rounds=cfg.retx)
-        ok = _direct_sinr_ok(cfg, h)
-        fails += ~ok.any(axis=0)
+    for block, n in _blocks(start, stop):
+        rng = substream(seed, CTX_DIRECT, block)
+        # trial-major: trial k owns rounds [k retx, (k + 1) retx)
+        h = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
+        ok = _direct_sinr_ok(cfg, h).reshape(n, cfg.retx, 2)
+        fails += np.count_nonzero(~ok.any(axis=1), axis=0)
     return fails
 
 
@@ -126,45 +139,57 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def run_relay_trial(cfg: SystemConfig, seed: int, trial: int) -> TrialOutcome:
-    """One complete relay-ARQ trial."""
-    rng = substream(seed, CTX_RELAY, trial)
+def relay_verdicts(cfg: SystemConfig, h1: np.ndarray, h2: np.ndarray,
+                   g: np.ndarray) -> RelayVerdicts:
+    """Outcomes of n relay-ARQ trials from their channels.
+
+    h1, h2 are the round-1 and round-2 BS channels, shaped (n, 2, 2, N);
+    g holds the relay channels, shaped (n, 2, M). Both relay modes are
+    evaluated for every trial and each trial keeps the one its round-1
+    outcome selects.
+    """
     gamma = cfg.sinr_threshold
-    h1 = draw_bs_channels(cfg, rng)
-    ok = _direct_sinr_ok(cfg, h1[None])[0]
-    if ok.all():
-        return TrialOutcome(False, False, MODE_NONE, True, True)
+    idx = np.arange(len(h1))
+    ok = _direct_sinr_ok(cfg, h1)
+    mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
 
-    h2 = draw_bs_channels(cfg, rng)
-    g = draw_relay_channels(cfg, rng)
-    if not ok.any():
-        # both messages ride the relay; base stations stay silent
-        sol = max_min_sinr(g[0], g[1], cfg.Pr_multi, noise_var=cfg.noise_var)
-        return TrialOutcome(True, True, MODE_MULTI,
-                            sol.sinr1 >= gamma, sol.sinr2 >= gamma)
-
-    f = 0 if not ok[0] else 1             # the one failed user
+    # one user failed: the relay zero-forces toward the other user o while
+    # BS o serves fresh traffic. A failure needs gamma > 0, so a zero g_f
+    # (no gain) fails here too.
+    f = np.where(ok[:, 0], 1, 0)
     o = 1 - f
-    final = [True, True]
-    final[f] = False
-    if g[f].any():
-        bf = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
-        p_ant = cfg.P / cfg.N
-        interf = p_ant * np.sum(np.abs(h2[f, o]) ** 2)
-        sinr_f = beamform_gain(bf.matrix, g[f]) / (cfg.noise_var + interf)
-        final[f] = bool(sinr_f >= gamma)
-    return TrialOutcome(f == 0, f == 1, MODE_SINGLE, final[0], final[1])
+    gain = cfg.Pr_single * np.sum(
+        np.abs(project_off(g[idx, f], g[idx, o])) ** 2, axis=-1)
+    interf = (cfg.P / cfg.N) * np.sum(np.abs(h2[idx, f, o]) ** 2, axis=-1)
+    single_ok = gain / (cfg.noise_var + interf) >= gamma
+
+    # both failed: both messages ride the relay at the balanced SINR
+    _, _, t = balanced_uplink(g[:, 0], g[:, 1], cfg.Pr_multi, cfg.noise_var)
+    multi_ok = t >= gamma
+
+    rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
+    return RelayVerdicts(round1=ok, mode=mode,
+                         delivered=ok | rescued[:, None])
+
+
+def relay_block(cfg: SystemConfig, seed: int, block: int,
+                n: int = BLOCK) -> RelayVerdicts:
+    """Draw and judge the ``n`` trials of one relay block."""
+    rng = substream(seed, CTX_RELAY, block)
+    h1 = draw_bs_channels(cfg, rng, rounds=n)
+    h2 = draw_bs_channels(cfg, rng, rounds=n)
+    g = draw_relay_channels(cfg, rng, rounds=n)
+    return relay_verdicts(cfg, h1, h2, g)
 
 
 def _relay_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
     # fails per user, mode counts (none, single, multi)
     fails = np.zeros(2, dtype=np.int64)
     modes = np.zeros(3, dtype=np.int64)
-    for trial in range(start, stop):
-        out = run_relay_trial(cfg, seed, trial)
-        modes[(MODE_NONE, MODE_SINGLE, MODE_MULTI).index(out.mode)] += 1
-        fails[0] += not out.user1_final
-        fails[1] += not out.user2_final
+    for block, n in _blocks(start, stop):
+        out = relay_block(cfg, seed, block, n)
+        modes += np.bincount(out.mode, minlength=3)
+        fails += np.count_nonzero(~out.delivered, axis=0)
     return fails, modes
 
 
@@ -189,15 +214,20 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
 
 
 def _run_chunks(worker, cfg, seed, trials, threads):
-    """Partition [0, trials) into contiguous chunks, one per thread."""
+    """Split the blocks of [0, trials) into contiguous runs, one per thread.
+
+    Each worker gets the trial range of its run, starting on a block
+    boundary.
+    """
     threads = max(1, int(threads))
-    base, extra = divmod(trials, threads)
+    blocks = -(-trials // BLOCK)
+    base, extra = divmod(blocks, threads)
     bounds = []
     lo = 0
     for c in range(threads):
         hi = lo + base + (1 if c < extra else 0)
         if hi > lo:
-            bounds.append((lo, hi))
+            bounds.append((lo * BLOCK, min(hi * BLOCK, trials)))
         lo = hi
     if len(bounds) == 1:
         return [worker(cfg, seed, *bounds[0])]

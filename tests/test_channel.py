@@ -6,7 +6,6 @@ from relayarq.channel import (
     CTX_RELAY,
     SystemConfig,
     draw_bs_channels,
-    draw_channels,
     draw_relay_channels,
     substream,
 )
@@ -94,8 +93,8 @@ def test_relay_channel_variance():
     assert abs(np.mean(g.real ** 2) - 1.5) < 0.05
 
 
-def test_draw_channels_bundle():
-    cfg = make_cfg(N=3, M=5)
-    chan = draw_channels(cfg, substream(3, CTX_RELAY, 1))
-    assert chan.h.shape == (2, 2, 3)
-    assert chan.g.shape == (2, 5)
+def test_relay_channel_shapes():
+    cfg = make_cfg(M=5)
+    rng = substream(3, CTX_RELAY, 1)
+    assert draw_relay_channels(cfg, rng).shape == (2, 5)
+    assert draw_relay_channels(cfg, rng, rounds=7).shape == (7, 2, 5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
-from relayarq.linalg import conjT, herm_eig, null_basis
+from relayarq.linalg import conjT, herm_eig, null_basis, project_off
 
 from _oracles import kron_identity, unvec, vec
 
@@ -88,3 +88,19 @@ def test_vec_kron_trace_identity():
     lhs = np.vdot(vec(b), kron_identity(s, c) @ vec(b)).real
     rhs = np.trace(c @ b @ conjT(b)).real
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def test_project_off_batched():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    u = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    u[1, 0] = 0.0                              # nothing to project off
+    w = project_off(v, u)
+    assert w.shape == v.shape
+    assert np.array_equal(w[1, 0], v[1, 0])
+    for idx in np.ndindex(4, 2):
+        if not u[idx].any():
+            continue
+        p = np.eye(3) - np.outer(u[idx], u[idx].conj()) / np.vdot(u[idx], u[idx])
+        assert np.allclose(w[idx], p @ v[idx], atol=1e-14)
+        assert abs(np.vdot(u[idx], w[idx])) < 1e-13

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DimensionError
-from relayarq.relay_multi import max_min_sinr
+from relayarq.relay_multi import balanced_uplink, max_min_sinr
 
 from _oracles import brute_force_m2, cn_vector, orthogonal_pair_optimum
 from _sdp_oracle import (
@@ -34,6 +34,21 @@ def assert_contract(sol, h1, h2, power, noise_var):
     used = np.linalg.norm(sol.b1) ** 2 + np.linalg.norm(sol.b2) ** 2
     assert used <= power * (1 + 1e-12)
     assert used == pytest.approx(power, rel=1e-9)
+
+
+def assert_balanced_uplink(sol, h1, h2, power, noise_var):
+    """The dual uplink balances at q1 ||h1||^2 = q2 ||h2||^2 on the full
+    budget, and its MMSE receivers (matrix inverse, no Sherman-Morrison)
+    both reach t_star there."""
+    n1, n2 = np.vdot(h1, h1).real, np.vdot(h2, h2).real
+    assert sol.q1 * n1 == pytest.approx(sol.q2 * n2, rel=1e-12)
+    assert sol.q1 + sol.q2 == pytest.approx(power, rel=1e-12)
+    eye = np.eye(h1.size)
+    for q, h, q_other, h_other in ((sol.q1, h1, sol.q2, h2),
+                                   (sol.q2, h2, sol.q1, h1)):
+        cov = noise_var * eye + q_other * np.outer(h_other, h_other.conj())
+        up = q * np.vdot(h, np.linalg.solve(cov, h)).real
+        assert up == pytest.approx(sol.t_star, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +138,7 @@ def test_solution_contract():
             sol = max_min_sinr(h1, h2, 20.0, noise_var=noise)
             assert_contract(sol, h1, h2, 20.0, noise)
             assert sol.b1.shape == sol.b2.shape == (m,)
-            assert sol.probes >= 1
+            assert_balanced_uplink(sol, h1, h2, 20.0, noise)
             assert sol.t_star > 0
     # parallel channels leave no spatial separation: the relay can only
     # split power, and the balanced SINR still has to hold
@@ -157,6 +172,22 @@ def test_high_power_matches_sdp_oracle():
             ref = sdp_max_min_sinr(h1, h2, power)
             # rounding allowance only: the SDP beams are a feasible design
             assert sol.t_star >= min(ref.sinr1, ref.sinr2) * (1 - 1e-12)
+
+
+def test_batched_balance_matches_single_solves():
+    rng = np.random.default_rng(10)
+    h1 = cn_vector(rng, 24, 4.0).reshape(6, 4)
+    h2 = cn_vector(rng, 24, 4.0).reshape(6, 4)
+    h2[2] = 0.0                                # an unreachable user
+    h2[3] = (0.5 - 1j) * h1[3]                 # no spatial separation
+    q1, q2, t = balanced_uplink(h1, h2, 30.0, 0.5)
+    assert t.shape == (6,) and t[2] == 0.0
+    for i in range(6):
+        sol = max_min_sinr(h1[i], h2[i], 30.0, noise_var=0.5)
+        assert t[i] == pytest.approx(sol.t_star, rel=1e-14)
+        if i != 2:
+            assert (q1[i], q2[i]) == pytest.approx((sol.q1, sol.q2),
+                                                   rel=1e-14)
 
 
 def test_unreachable_user_gives_zero_target():

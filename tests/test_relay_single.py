@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from relayarq.channel import SystemConfig, draw_channels, substream
+from relayarq.channel import (SystemConfig, draw_bs_channels,
+                              draw_relay_channels, substream)
 from relayarq.errors import DegenerateInputError, DimensionError
 from relayarq.relay_single import (
     beamform_gain,
     optimal_gain,
-    rate_protected,
-    rate_target,
     solve_single_user_beamformer,
 )
 
@@ -80,24 +79,35 @@ def test_input_validation():
         optimal_gain(np.zeros(3), np.ones(3), 1.0)
 
 
+def draw_round(cfg, seed):
+    """One round of BS channels (2, 2, N) and relay channels (2, M)."""
+    rng = substream(seed, 0, 0)
+    return draw_bs_channels(cfg, rng), draw_relay_channels(cfg, rng)
+
+
 def test_protected_user_sees_no_relay_power():
     cfg = SystemConfig(N=3, M=4, P=100.0, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0)
-    chan = draw_channels(cfg, substream(5, 0, 0))
-    bf = solve_single_user_beamformer(chan.g[0], chan.g[1], cfg.Pr_single)
+    h, g = draw_round(cfg, 5)
+    bf = solve_single_user_beamformer(g[0], g[1], cfg.Pr_single)
     # zero leakage: the protected rate equals the relay-free rate
-    h_own = chan.h[0, 0]
+    h_own = h[0, 0]
     sig = (cfg.P / cfg.N) * float(np.vdot(h_own, h_own).real)
     want = np.log2(1.0 + sig / cfg.noise_var)
-    assert rate_protected(cfg, chan, bf) == pytest.approx(want, rel=1e-12)
+    leak = beamform_gain(bf.matrix, g[0])
+    got = np.log2(1.0 + sig / (leak + cfg.noise_var))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_target_rate_uses_beamformed_signal():
     cfg = SystemConfig(N=3, M=4, P=100.0, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0)
-    chan = draw_channels(cfg, substream(6, 0, 0))
-    bf = solve_single_user_beamformer(chan.g[0], chan.g[1], cfg.Pr_single)
-    sig = beamform_gain(bf.matrix, chan.g[1])
-    interf = (cfg.P / cfg.N) * float(np.vdot(chan.h[1, 0], chan.h[1, 0]).real)
+    h, g = draw_round(cfg, 6)
+    bf = solve_single_user_beamformer(g[0], g[1], cfg.Pr_single)
+    sig = beamform_gain(bf.matrix, g[1])
+    interf = (cfg.P / cfg.N) * float(np.vdot(h[1, 0], h[1, 0]).real)
     want = np.log2(1.0 + sig / (interf + cfg.noise_var))
-    assert rate_target(cfg, chan, bf) == pytest.approx(want, rel=1e-12)
+    # the relay-served user's rate is the projector gain over the active BS
+    proj = optimal_gain(g[0], g[1], cfg.Pr_single)
+    got = np.log2(1.0 + proj / (interf + cfg.noise_var))
+    assert got == pytest.approx(want, rel=1e-12)
