@@ -15,10 +15,8 @@ from .errors import (ContractViolationError, DegenerateInputError,
                      UnsupportedOrderError)
 from .linalg import HermitianEig, conjT, herm_eig, null_basis, project_off
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp_n3,
-                     cf_inversion_cdf, cf_inversion_outage,
-                     characteristic_function, diff_exp_params,
-                     outage_interference_n3, outage_single_user,
-                     pdf_diff_exp_n3)
+                     diff_exp_params, outage_interference_n3,
+                     outage_single_user, pdf_diff_exp_n3)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import (Beamformer, beamform_gain, optimal_gain,
                            solve_single_user_beamformer)

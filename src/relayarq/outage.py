@@ -12,23 +12,22 @@ negative tail by mu = 1/(gamma var_cross); outage is the CDF of the
 N-antenna sum Z = sum_k y_k at c = N noise_var gamma / P.
 
 For N = 3 the CDF is available in closed form (repeated integration by
-parts of the residue polynomial). For any N, the same probability can be
-recovered by numeric inversion of the characteristic function
+parts of the residue polynomial). The test suite checks it against a
+numeric Gil-Pelaez inversion of the characteristic function
 
-    phi_Z(t) = (lam mu / (lam + mu))^N (1/(lam - jt) + 1/(mu + jt))^N
+    phi_Z(t) = (lam mu / (lam + mu))^N (1/(lam - jt) + 1/(mu + jt))^N,
 
-via the Gil-Pelaez formula; the two routes cross-check each other.
+a quadrature oracle that lives in ``tests/_oracles.py``, not here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
 from .channel import SystemConfig
 from .errors import (ContractViolationError, DegenerateInputError,
-                     NumericFailureError, UnsupportedOrderError)
+                     UnsupportedOrderError)
 
 
 # ---------------------------------------------------------------------------
@@ -143,50 +142,6 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
         return outage_single_user(cfg)
     c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
     return cdf_diff_exp_n3(c, diff_exp_params(cfg))
-
-
-# ---------------------------------------------------------------------------
-# characteristic-function route (any N); numeric oracle for the closed form
-# ---------------------------------------------------------------------------
-
-def characteristic_function(t, p: DiffExpPdfParams) -> np.ndarray:
-    """phi_Z(t) of the N-antenna sum."""
-    t = np.asarray(t, dtype=float)
-    base = (p.lam * p.mu / (p.lam + p.mu)) * (1.0 / (p.lam - 1j * t)
-                                              + 1.0 / (p.mu + 1j * t))
-    return base ** p.n
-
-
-def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
-    """Pr{Z < c} by Gil-Pelaez inversion of the characteristic function.
-
-    The integrand decays like (lam mu)^n / t^(2n+1); the truncation point is
-    chosen so the analytic tail bound stays below tol/10, and the quadrature
-    error estimate is checked against tol as well.
-    """
-    tail = tol / 10.0
-    horizon = np.sqrt(p.lam * p.mu) * (1.0 / (2 * p.n * np.pi * tail)) ** (1.0 / (2 * p.n))
-
-    def integrand(t):
-        return (np.exp(-1j * t * c) * characteristic_function(t, p)).imag / t
-
-    val, err = quad(integrand, 0.0, horizon, limit=2000,
-                    epsabs=tol / 20.0, epsrel=1e-12)
-    if err > tol:
-        raise NumericFailureError(
-            "characteristic-function quadrature did not converge",
-            details={"estimate": val, "error": err, "horizon": horizon})
-    return float(min(max(0.5 - val / np.pi, 0.0), 1.0))
-
-
-def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:
-    """Interference outage for any antenna count N via CF inversion."""
-    if cfg.sinr_threshold == 0.0:
-        return 0.0
-    if cfg.var_cross == 0:
-        return outage_single_user(cfg)
-    c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
-    return cf_inversion_cdf(c, diff_exp_params(cfg), tol=tol)
 
 
 # ---------------------------------------------------------------------------

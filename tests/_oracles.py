@@ -2,17 +2,23 @@
 
 Everything here is deliberately written against the problem statements, not
 against the package internals, so agreement is meaningful: dumb grids, plain
-quadrature, one closed form that only exists for orthogonal channels, the
-single-user relay design solved as the stacked eigenproblem over vec(B), and
-the relay-ARQ protocol judged one trial at a time by building both relay
-designs. The semidefinite max-min SINR reference lives in ``_sdp_oracle``.
+quadrature, Gil-Pelaez inversion of the characteristic function for the
+interference outage at any antenna count, one closed form that only exists
+for orthogonal channels, the single-user relay design solved as the stacked
+eigenproblem over vec(B), and the relay-ARQ protocol judged one trial at a
+time by building both relay designs. The semidefinite max-min SINR
+reference lives in ``_sdp_oracle``.
 """
 
-import numpy as np
-from scipy.integrate import quad
+import warnings
 
-from relayarq.errors import DimensionError
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+
+from relayarq.channel import SystemConfig
+from relayarq.errors import DimensionError, NumericFailureError
 from relayarq.linalg import herm_eig, null_basis
+from relayarq.outage import DiffExpPdfParams, diff_exp_params, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import (DEGENERATE_GAIN, Beamformer, beamform_gain,
                                    solve_single_user_beamformer)
@@ -83,6 +89,72 @@ def numeric_cdf_from_pdf(pdf, c, lo=-np.inf):
     neg, _ = quad(pdf, lo, 0.0, limit=400)
     pos, _ = quad(pdf, 0.0, c, limit=400)
     return neg + pos
+
+
+# ---------------------------------------------------------------------------
+# characteristic-function route (any N): oracle for the closed-form outage
+# ---------------------------------------------------------------------------
+
+def characteristic_function(t, p: DiffExpPdfParams) -> np.ndarray:
+    """phi_Z(t) of the N-antenna sum."""
+    t = np.asarray(t, dtype=float)
+    base = (p.lam * p.mu / (p.lam + p.mu)) * (1.0 / (p.lam - 1j * t)
+                                              + 1.0 / (p.mu + 1j * t))
+    return base ** p.n
+
+
+def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
+    """Pr{Z < c} by Gil-Pelaez inversion of the characteristic function.
+
+    The integrand decays like (lam mu)^n / t^(2n+1); the truncation point is
+    chosen so the analytic tail bound stays below tol/10, and the quadrature
+    error estimate is checked against tol as well.
+
+    Valid domain: the integrand varies on the scales 1/lam and 1/mu at once,
+    so the two tail rates must lie within about six decades of each other,
+    max(lam, mu)/min(lam, mu) <= 1e6 (a rate of about 20 bit/s/Hz at unit
+    variances). At n = 3 over that range, with c from -30/mu to 30/lam, it
+    agrees with the closed form to 1e-6; from about 3e6 on, quadrature
+    fails for some c. Every quadrature warning is raised as
+    NumericFailureError rather than returned as a value: at unit variances,
+    N = 3, P = 1e4 and R = 30 the quadrature warns and returns 0.5 where
+    the outage is 1.
+    """
+    tail = tol / 10.0
+    horizon = np.sqrt(p.lam * p.mu) * (1.0 / (2 * p.n * np.pi * tail)) ** (1.0 / (2 * p.n))
+
+    def integrand(t):
+        return (np.exp(-1j * t * c) * characteristic_function(t, p)).imag / t
+
+    details = {"lam": p.lam, "mu": p.mu, "n": p.n, "c": c, "horizon": horizon}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, err = quad(integrand, 0.0, horizon, limit=2000,
+                            epsabs=tol / 20.0, epsrel=1e-12)
+        except IntegrationWarning as exc:
+            raise NumericFailureError(
+                f"characteristic-function quadrature failed: {exc}",
+                details=details) from exc
+    if err > tol:
+        raise NumericFailureError(
+            "characteristic-function quadrature did not converge",
+            details={**details, "estimate": val, "error": err})
+    return float(min(max(0.5 - val / np.pi, 0.0), 1.0))
+
+
+def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:
+    """Interference outage for any antenna count N via CF inversion.
+
+    Same valid domain as ``cf_inversion_cdf``: the rates there are
+    1/var_direct and 1/((2^R - 1) var_cross).
+    """
+    if cfg.sinr_threshold == 0.0:
+        return 0.0
+    if cfg.var_cross == 0:
+        return outage_single_user(cfg)
+    c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
+    return cf_inversion_cdf(c, diff_exp_params(cfg), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 from relayarq.channel import SystemConfig
 from relayarq.outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp_n3,
-                             characteristic_function, cf_inversion_cdf,
                              outage_interference_n3, outage_single_user,
                              pdf_diff_exp_n3)
 from relayarq.relay_multi import max_min_sinr
@@ -24,7 +23,8 @@ from relayarq.simulate import (FIG2_RATES, FIG2_SNR_DB, FIG3_M, FIG3_RATE,
                                FIG3_SNR_DB, simulate_direct, simulate_relay)
 from relayarq import cli
 
-from _oracles import brute_force_m2, cn_vector
+from _oracles import (brute_force_m2, cf_inversion_cdf,
+                      characteristic_function, cn_vector)
 from _sdp_oracle import sdp_max_min_sinr
 
 # interference-limited example system: 3 BS antennas, strong direct links

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,3 +241,21 @@ def test_figure_1_table(capsys):
 
 def test_figure_requires_valid_index(capsys):
     assert run_cli(capsys, "figure", "4")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# import path
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # every CLI call pays for what importing the package loads; quadrature
+    # and its oracles belong to the tests, and only scipy.special is needed
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, relayarq.cli; "
+             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == ""

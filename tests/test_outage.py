@@ -1,23 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from relayarq.channel import SystemConfig
-from relayarq.errors import ContractViolationError, UnsupportedOrderError
+from relayarq.errors import (ContractViolationError, NumericFailureError,
+                             UnsupportedOrderError)
 from relayarq.outage import (
     DiffExpPdfParams,
     arq_outage,
     cdf_diff_exp_n3,
-    cf_inversion_cdf,
-    cf_inversion_outage,
-    characteristic_function,
     diff_exp_params,
     outage_interference_n3,
     outage_single_user,
     pdf_diff_exp_n3,
 )
 
-from _oracles import numeric_cdf_from_pdf
+from _oracles import (cf_inversion_cdf, cf_inversion_outage,
+                      characteristic_function, numeric_cdf_from_pdf)
 
 
 def make_cfg(**kw):
@@ -155,6 +156,20 @@ def test_interference_outage_pipeline():
     c = cfg.N * cfg.noise_var * gamma / cfg.P
     assert got == pytest.approx(cdf_diff_exp_n3(c, diff_exp_params(cfg)), abs=1e-15)
     assert cf_inversion_outage(cfg) == pytest.approx(got, abs=1e-7)
+
+
+@pytest.mark.parametrize("rate", [25.0, 30.0])
+def test_cf_inversion_fails_loudly_outside_its_domain(rate):
+    # the rate ratio (2^R - 1) is far beyond 1e6: at R = 30 the quadrature
+    # used to warn and return 0.5 where the closed form gives 1
+    cfg = make_cfg(P=1e4, var_direct=1.0, var_cross=1.0, var_relay=1.0,
+                   rate=rate)
+    assert outage_interference_n3(cfg) == pytest.approx(1.0, abs=1e-12)
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericFailureError):
+            cf_inversion_outage(cfg)
+    assert not leaked
 
 
 def test_interference_outage_zero_rate_and_no_cross():
