@@ -4,7 +4,8 @@ Both base stations scale their power together, so the cross-cell
 interference grows exactly as fast as the desired signal and the outage
 probability saturates at a floor set by the channel statistics alone.
 A user without the interferer would see outage fall off a cliff instead.
-The Monte Carlo column double-checks the closed forms.
+The Monte Carlo column double-checks the closed forms, which hold for any
+number N of base-station antennas: change N in ``config`` to move the floor.
 """
 
 import numpy as np

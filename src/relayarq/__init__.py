@@ -11,12 +11,11 @@ system-level outage experiments.
 from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
                       draw_bs_channels, draw_relay_channels, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
-                     DimensionError, NumericFailureError, RelayArqError,
-                     UnsupportedOrderError)
-from .linalg import HermitianEig, conjT, herm_eig, null_basis, project_off
-from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp_n3,
+                     DimensionError, RelayArqError)
+from .linalg import conjT, null_basis, project_off
+from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
                      diff_exp_params, outage_interference_n3,
-                     outage_single_user, pdf_diff_exp_n3)
+                     outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import (Beamformer, beamform_gain, optimal_gain,
                            solve_single_user_beamformer)

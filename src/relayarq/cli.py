@@ -25,7 +25,6 @@ import numpy as np
 
 from .channel import CTX_GENERIC, SystemConfig, substream
 from .errors import RelayArqError
-from .linalg import herm_eig
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
@@ -203,13 +202,17 @@ def _cmd_simulate_relay(params):
             "user2_p", "user2_ci", "aborted"), rows, code
 
 
-def _cmd_beamform_single(params):
+def _draw_channel_pair(params):
+    """Two relay channels from the run's seed, first one drawn first."""
     rng = substream(params["seed"], CTX_GENERIC, 0)
     scale = np.sqrt(params["var_relay"] / 2.0)
-    g_p = scale * (rng.standard_normal(params["m"])
-                   + 1j * rng.standard_normal(params["m"]))
-    g_t = scale * (rng.standard_normal(params["m"])
-                   + 1j * rng.standard_normal(params["m"]))
+    m = params["m"]
+    return tuple(scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                 for _ in range(2))
+
+
+def _cmd_beamform_single(params):
+    g_p, g_t = _draw_channel_pair(params)
     snr = _parse_snr_grid(params["snr_db"])[0]
     cfg = _build_cfg(params, snr)
     bf = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
@@ -220,19 +223,12 @@ def _cmd_beamform_single(params):
 
 
 def _cmd_beamform_multi(params):
-    rng = substream(params["seed"], CTX_GENERIC, 0)
-    scale = np.sqrt(params["var_relay"] / 2.0)
-    g1 = scale * (rng.standard_normal(params["m"])
-                  + 1j * rng.standard_normal(params["m"]))
-    g2 = scale * (rng.standard_normal(params["m"])
-                  + 1j * rng.standard_normal(params["m"]))
+    g1, g2 = _draw_channel_pair(params)
     snr = _parse_snr_grid(params["snr_db"])[0]
     cfg = _build_cfg(params, snr)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
-    ranks = []
-    for b in (sol.b1, sol.b2):
-        eig = herm_eig(np.outer(b, b.conj()))
-        ranks.append(int(np.sum(eig.eigenvalues > 1e-8 * eig.eigenvalues[0])))
+    # b b^H has rank 1 for a nonzero beam and 0 for the zero beam
+    ranks = [int(b.any()) for b in (sol.b1, sol.b2)]
     power = float(np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real)
     rows = [(params["m"], sol.t_star, sol.sinr1, sol.sinr2,
              ranks[0], ranks[1], power)]

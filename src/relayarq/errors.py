@@ -15,19 +15,3 @@ class ContractViolationError(RelayArqError):
 
 class DegenerateInputError(RelayArqError):
     """An input is valid in shape but degenerate in value (e.g. zero channel)."""
-
-
-class UnsupportedOrderError(RelayArqError):
-    """A closed form is only implemented for a specific antenna count."""
-
-
-class NumericFailureError(RelayArqError):
-    """An iterative numeric routine failed to converge.
-
-    Carries whatever diagnostic payload the caller attached (iteration
-    trace, residuals) in ``details``.
-    """
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details

@@ -1,63 +1,16 @@
 """Small complex linear-algebra kernel used throughout the package.
 
-Hermitian eigenpairs come back sorted by descending eigenvalue, and each
-eigenvector is phase-fixed so its largest-magnitude entry is real positive.
-That makes every decomposition in the package deterministic.
+Projections and null bases are built from Householder reflectors and
+explicit inner products, so every result is deterministic in its inputs.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError, DimensionError
-
-HERM_TOL = 1e-10        # relative Hermiticity / reconstruction tolerance
+from .errors import DegenerateInputError
 
 
 def conjT(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition A = U diag(w) U^H with w descending."""
-
-    eigenvalues: np.ndarray   # real, shape (n,), descending
-    eigenvectors: np.ndarray  # unitary, shape (n, n), column k pairs with w[k]
-
-
-def _fix_phases(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    k = np.argmax(np.abs(u), axis=0)
-    anchors = u[k, np.arange(u.shape[1])]
-    mags = np.abs(anchors)
-    # zero column cannot occur for a unitary factor; guard anyway
-    phases = np.where(mags > 0, anchors / np.where(mags > 0, mags, 1.0), 1.0)
-    return u / phases
-
-
-def herm_eig(a: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises ContractViolationError if ``a`` deviates from Hermitian by more
-    than HERM_TOL relative to its Frobenius norm, or if the reconstruction
-    residual exceeds the same bound.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - conjT(a)) > HERM_TOL * max(scale, 1.0):
-        raise ContractViolationError("matrix is not Hermitian")
-    w, u = np.linalg.eigh((a + conjT(a)) / 2)
-    order = np.argsort(w)[::-1]               # descending, stable for ties
-    w = w[order]
-    u = _fix_phases(u[:, order])
-    resid = np.linalg.norm(u @ np.diag(w) @ conjT(u) - a)
-    if resid > HERM_TOL * max(scale, 1.0):
-        raise ContractViolationError(
-            f"eigendecomposition residual {resid:.3e} exceeds contract")
-    return HermitianEig(w, u)
 
 
 def project_off(v: np.ndarray, u: np.ndarray) -> np.ndarray:

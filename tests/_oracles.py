@@ -7,7 +7,8 @@ interference outage at any antenna count, one closed form that only exists
 for orthogonal channels, the single-user relay design solved as the stacked
 eigenproblem over vec(B), and the relay-ARQ protocol judged one trial at a
 time by building both relay designs. The semidefinite max-min SINR
-reference lives in ``_sdp_oracle``.
+reference lives in ``_sdp_oracle``. A reference that cannot deliver its
+value raises ``NumericFailureError`` rather than returning a wrong one.
 """
 
 import warnings
@@ -16,12 +17,24 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
-from relayarq.errors import DimensionError, NumericFailureError
-from relayarq.linalg import herm_eig, null_basis
+from relayarq.errors import DimensionError, RelayArqError
+from relayarq.linalg import null_basis
 from relayarq.outage import DiffExpPdfParams, diff_exp_params, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import (DEGENERATE_GAIN, Beamformer, beamform_gain,
                                    solve_single_user_beamformer)
+
+
+class NumericFailureError(RelayArqError):
+    """A reference computation failed to converge.
+
+    Carries whatever diagnostic payload the caller attached (iteration
+    trace, residuals) in ``details``.
+    """
+
+    def __init__(self, message, details=None):
+        super().__init__(message)
+        self.details = details
 
 
 def cn_vector(rng, m, var):
@@ -81,16 +94,6 @@ def brute_force_m2(h1, h2, power, noise_var, n_theta=141, n_alpha=161):
     return best
 
 
-def numeric_cdf_from_pdf(pdf, c, lo=-np.inf):
-    """Plain quadrature of a density, split at zero where ours has a kink."""
-    if c <= 0:
-        val, _ = quad(pdf, lo, c, limit=400)
-        return val
-    neg, _ = quad(pdf, lo, 0.0, limit=400)
-    pos, _ = quad(pdf, 0.0, c, limit=400)
-    return neg + pos
-
-
 # ---------------------------------------------------------------------------
 # characteristic-function route (any N): oracle for the closed-form outage
 # ---------------------------------------------------------------------------
@@ -115,7 +118,9 @@ def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
     max(lam, mu)/min(lam, mu) <= 1e6 (a rate of about 20 bit/s/Hz at unit
     variances). At n = 3 over that range, with c from -30/mu to 30/lam, it
     agrees with the closed form to 1e-6; from about 3e6 on, quadrature
-    fails for some c. Every quadrature warning is raised as
+    fails for some c. At n = 1 the integrand decays only like 1/t^3, and
+    the oscillation e^(-jtc) up to the horizon defeats the quadrature once
+    |c| sqrt(lam mu) exceeds about 9. Every quadrature warning is raised as
     NumericFailureError rather than returned as a value: at unit variances,
     N = 3, P = 1e4 and R = 30 the quadrature warns and returns 0.5 where
     the outage is 1.
@@ -195,12 +200,12 @@ def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
     v = kron_identity(n_streams, u)           # MN x (M-1)N
     target_outer = np.outer(g_target, g_target.conj())
     a = v.conj().T @ kron_identity(n_streams, target_outer) @ v
-    eig = herm_eig(a)
-    b = unvec(np.sqrt(power) * (v @ eig.eigenvectors[:, 0]), m, n_streams)
+    w, u = np.linalg.eigh(a)                   # ascending: the top pair is last
+    b = unvec(np.sqrt(power) * (v @ u[:, -1]), m, n_streams)
     resid = float(np.linalg.norm(b.conj().T @ g_protect))
     return Beamformer(matrix=b, power=float(np.vdot(vec(b), vec(b)).real),
                       null_residual=resid,
-                      degenerate=bool(eig.eigenvalues[0] <= DEGENERATE_GAIN))
+                      degenerate=bool(w[-1] <= DEGENERATE_GAIN))
 
 
 # ---------------------------------------------------------------------------

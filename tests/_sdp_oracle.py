@@ -29,6 +29,9 @@ infeasibility through the duality gap bound s* <= s_centered + mu nu.
 Bisection uses this mode for probes and a full-precision pass for the
 final certificate. At high SINR the verdicts can call targets just below
 the optimum infeasible, so ``t_star`` may undershoot it by ~1e-3 relative.
+
+Eigendecompositions here go through ``herm_eig``, which sorts eigenpairs
+and fixes eigenvector phases so that rank reduction is deterministic.
 """
 
 from dataclasses import dataclass
@@ -37,14 +40,69 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_solve
 
-from relayarq.errors import ContractViolationError, NumericFailureError
-from relayarq.linalg import herm_eig
+from relayarq.errors import ContractViolationError, DimensionError
+from relayarq.linalg import conjT
 
+from _oracles import NumericFailureError
+
+HERM_TOL = 1e-10          # relative Hermiticity / reconstruction tolerance
 FEAS_MARGIN = 1e-9        # on the normalized slack
 ARMIJO = 0.25
 MAX_NEWTON_PER_STAGE = 60
 GAP_SAFETY = 1.5          # slack on the mu*nu duality bound at a centered point
 
+
+# ---------------------------------------------------------------------------
+# deterministic Hermitian eigendecomposition
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HermitianEig:
+    """Eigendecomposition A = U diag(w) U^H with w descending."""
+
+    eigenvalues: np.ndarray   # real, shape (n,), descending
+    eigenvectors: np.ndarray  # unitary, shape (n, n), column k pairs with w[k]
+
+
+def _fix_phases(u: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive."""
+    k = np.argmax(np.abs(u), axis=0)
+    anchors = u[k, np.arange(u.shape[1])]
+    mags = np.abs(anchors)
+    # zero column cannot occur for a unitary factor; guard anyway
+    phases = np.where(mags > 0, anchors / np.where(mags > 0, mags, 1.0), 1.0)
+    return u / phases
+
+
+def herm_eig(a: np.ndarray) -> HermitianEig:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Eigenpairs come back sorted by descending eigenvalue, each eigenvector
+    phase-fixed so its largest-magnitude entry is real positive. Raises
+    ContractViolationError if ``a`` deviates from Hermitian by more than
+    HERM_TOL relative to its Frobenius norm, or if the reconstruction
+    residual exceeds the same bound.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.linalg.norm(a)
+    if np.linalg.norm(a - conjT(a)) > HERM_TOL * max(scale, 1.0):
+        raise ContractViolationError("matrix is not Hermitian")
+    w, u = np.linalg.eigh((a + conjT(a)) / 2)
+    order = np.argsort(w)[::-1]               # descending, stable for ties
+    w = w[order]
+    u = _fix_phases(u[:, order])
+    resid = np.linalg.norm(u @ np.diag(w) @ conjT(u) - a)
+    if resid > HERM_TOL * max(scale, 1.0):
+        raise ContractViolationError(
+            f"eigendecomposition residual {resid:.3e} exceeds contract")
+    return HermitianEig(w, u)
+
+
+# ---------------------------------------------------------------------------
+# one feasibility probe
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SdpInstance:

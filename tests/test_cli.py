@@ -89,10 +89,25 @@ def test_trials_floor_exits_2(capsys):
 
 
 def test_computation_error_exits_2(capsys):
-    # the interference closed form requires three BS antennas
-    code, _, err = run_cli(capsys, "analytic", "--n", "2")
+    # a zero own-cell channel has no outage law; the library raises
+    code, _, err = run_cli(capsys, "analytic", "--var-direct", "0")
     assert code == 2
-    assert "N = 3" in err
+    assert "var_direct must be positive" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_analytic_any_antenna_count(capsys, n):
+    code, out, _ = run_cli(capsys, "analytic", "--n", str(n),
+                           "--snr-db", "0:40:10")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 5
+    for row in rows:
+        cfg = SystemConfig(N=n, M=3, P=10.0 ** (float(row[0]) / 10.0),
+                           noise_var=1.0, var_direct=2.0, var_cross=1.0,
+                           var_relay=4.0, rate=2.0, retx=2)
+        assert float(row[2]) == pytest.approx(outage_interference_n3(cfg),
+                                              rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

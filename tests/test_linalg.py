@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
-from relayarq.linalg import conjT, herm_eig, null_basis, project_off
+from relayarq.linalg import conjT, null_basis, project_off
 
 from _oracles import kron_identity, unvec, vec
+from _sdp_oracle import herm_eig
 
 
 def test_herm_eig_two_by_two_closed_form():

@@ -50,8 +50,9 @@ def test_outage_estimate_stats():
 # direct link
 # ---------------------------------------------------------------------------
 
-def test_direct_matches_analytic():
-    cfg = make_cfg(retx=1, P=10.0)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_direct_matches_analytic(n):
+    cfg = make_cfg(N=n, retx=1, P=10.0)
     est = simulate_direct(cfg, trials=20000, seed=1)
     want = outage_interference_n3(cfg)
     sigma = math.sqrt(want * (1 - want) / est.trials)
