@@ -8,8 +8,6 @@ The Monte Carlo column double-checks the closed forms, which hold for any
 number N of base-station antennas: change N in ``config`` to move the floor.
 """
 
-import numpy as np
-
 from relayarq.channel import SystemConfig
 from relayarq.outage import outage_interference_n3, outage_single_user
 from relayarq.simulate import simulate_direct
@@ -19,9 +17,9 @@ TRIALS = 20_000
 
 
 def config(snr_db: float) -> SystemConfig:
-    return SystemConfig(N=3, M=3, P=NOISE * 10.0 ** (snr_db / 10.0),
-                        noise_var=NOISE, var_direct=2.0, var_cross=1.0,
-                        var_relay=4.0, rate=2.0, retx=1)
+    return SystemConfig.at_snr(snr_db, N=3, M=3, noise_var=NOISE,
+                               var_direct=2.0, var_cross=1.0, var_relay=4.0,
+                               rate=2.0, retx=1)
 
 
 def main():

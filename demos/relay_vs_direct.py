@@ -5,11 +5,9 @@ the same interference-limited links and collapses as soon as the rate
 outruns the saturation floor; the relay listens to the first round,
 decodes, and retransmits over its own much cleaner channels. The single
 user bound shows how much of the interference penalty the relay claws
-back. Trimmed trial counts keep this within about a minute; the test
-suite runs the same sweep harder.
+back. The trial counts are trimmed; the test suite runs the same sweep
+harder.
 """
-
-import numpy as np
 
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_single_user
@@ -20,9 +18,9 @@ SNR_DB = 40.0
 
 
 def config(rate: float) -> SystemConfig:
-    return SystemConfig(N=3, M=3, P=10.0 ** (SNR_DB / 10.0), noise_var=1.0,
-                        var_direct=2.0, var_cross=1.0, var_relay=4.0,
-                        rate=rate, retx=2)
+    return SystemConfig.at_snr(SNR_DB, N=3, M=3, noise_var=1.0,
+                               var_direct=2.0, var_cross=1.0, var_relay=4.0,
+                               rate=rate, retx=2)
 
 
 def main():

@@ -10,7 +10,7 @@ relay array size to show how the zero-forcing cost shrinks.
 
 import numpy as np
 
-from relayarq.channel import SystemConfig, draw_relay_channels, substream
+from relayarq.channel import SystemConfig, cn, draw_relay_channels, substream
 from relayarq.relay_single import (beamform_gain, optimal_gain,
                                    solve_single_user_beamformer)
 
@@ -38,10 +38,8 @@ def main():
     # the gap to the unconstrained beamformer closes
     print(f"{'M':>3} {'zero-forced gain':>17} {'unconstrained':>14}")
     for m in range(2, 9):
-        g_p = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) \
-            * np.sqrt(cfg.var_relay / 2.0)
-        g_t = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) \
-            * np.sqrt(cfg.var_relay / 2.0)
+        g_p = cn(rng, m, cfg.var_relay)
+        g_t = cn(rng, m, cfg.var_relay)
         zf = optimal_gain(g_p, g_t, POWER)
         free = POWER * float(np.vdot(g_t, g_t).real)
         print(f"{m:3d} {zf:17.4f} {free:14.4f}")

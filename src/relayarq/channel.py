@@ -81,6 +81,13 @@ class SystemConfig:
         if self.Pr_single <= 0 or self.Pr_multi <= 0:
             raise ContractViolationError("relay powers must be positive")
 
+    @classmethod
+    def at_snr(cls, snr_db: float, *, noise_var: float,
+               **kw) -> "SystemConfig":
+        """Config whose per-BS power P lies snr_db above noise_var."""
+        return cls(P=noise_var * 10.0 ** (snr_db / 10.0), noise_var=noise_var,
+                   **kw)
+
     @property
     def sinr_threshold(self) -> float:
         """gamma = 2^R - 1."""
@@ -98,7 +105,7 @@ def substream(seed: int, context: int, index: int) -> np.random.Generator:
                                                 counter=counter))
 
 
-def _cn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
+def cn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian with per-entry variance var."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(var / 2.0) * z
@@ -122,4 +129,4 @@ def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator,
                         rounds: int = None) -> np.ndarray:
     """Fresh relay-to-user channels, shape (2, M) or (rounds, 2, M)."""
     shape = (2, cfg.M) if rounds is None else (rounds, 2, cfg.M)
-    return _cn(rng, shape, cfg.var_relay)
+    return cn(rng, shape, cfg.var_relay)

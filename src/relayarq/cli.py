@@ -13,9 +13,9 @@ Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
 Floats are printed with 17 significant digits, so equal runs produce
 byte-identical files. A flat ``key = value`` config file can hold any
-run parameter; command-line flags override it. Exit codes: 0 success,
-2 usage, config, or computation error, 3 solver-failure budget exceeded
-(more than 0.1% of trials aborted).
+run parameter in ``PARAMS``; command-line flags override it. Exit codes:
+0 success, 2 usage, config, or computation error, 3 solver-failure budget
+exceeded (more than 0.1% of trials aborted).
 """
 
 import argparse
@@ -23,41 +23,40 @@ import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, SystemConfig, substream
+from .channel import CTX_GENERIC, SystemConfig, cn, substream
 from .errors import RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
-from .relay_single import optimal_gain, solve_single_user_beamformer
+from .relay_single import (beamform_gain, optimal_gain,
+                           solve_single_user_beamformer)
 from .simulate import run_experiment, simulate_direct, simulate_relay
 
 ABORT_BUDGET = 1e-3
+# n and m above this would draw multi-GB channel blocks; it is also the
+# largest order the outage law is tested at
+MAX_ANTENNAS = 5000
 
-# every key a config file may set; flags use the same names
-CONFIG_KEYS = ("seed", "trials", "threads", "n", "m", "rate", "retx",
-               "noise_var", "var_direct", "var_cross", "var_relay",
-               "snr_db", "preset", "output")
+# every run parameter: (type, default). A config file sets it by its key,
+# the command line by the key with dashes (``noise_var`` is
+# ``--noise-var``), except that ``output`` is ``-o``.
+PARAMS = {
+    "seed": (int, 0), "trials": (int, 10000), "threads": (int, 1),
+    "n": (int, 3), "m": (int, 3), "rate": (float, 2.0), "retx": (int, 2),
+    "noise_var": (float, 1.0), "var_direct": (float, 2.0),
+    "var_cross": (float, 1.0), "var_relay": (float, 4.0),
+    "snr_db": (str, "10"), "output": (str, None),
+}
 
-_DEFAULTS = dict(seed=0, trials=10000, threads=1, n=3, m=3, rate=2.0,
-                 retx=2, noise_var=1.0, var_direct=2.0, var_cross=1.0,
-                 var_relay=4.0, snr_db="10", preset=None, output=None)
 
-_INT_KEYS = {"seed", "trials", "threads", "n", "m", "retx"}
-_FLOAT_KEYS = {"rate", "noise_var", "var_direct", "var_cross", "var_relay"}
-
-
-class ConfigError(Exception):
-    pass
+class ConfigError(RelayArqError):
+    """A run parameter or config file is malformed or out of range."""
 
 
 def _coerce(key: str, text: str):
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
+        return PARAMS[key][0](text)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {text!r}")
-    return text
 
 
 def _load_config(path: str) -> dict:
@@ -74,7 +73,7 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"{path}:{ln}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in PARAMS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         out[key] = _coerce(key, val.strip())
     return out
@@ -99,28 +98,28 @@ def _parse_snr_grid(text: str):
 
 
 def _effective_params(args) -> dict:
-    params = dict(_DEFAULTS)
+    params = {key: default for key, (_, default) in PARAMS.items()}
     if args.config:
         params.update(_load_config(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
+    for key in PARAMS:
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if params["trials"] < 100:
         raise ConfigError("trials must be at least 100")
     if params["threads"] < 1:
         raise ConfigError("threads must be at least 1")
+    if max(params["n"], params["m"]) > MAX_ANTENNAS:
+        raise ConfigError(f"n and m must be at most {MAX_ANTENNAS}")
     return params
 
 
 def _build_cfg(params: dict, snr_db: float) -> SystemConfig:
-    p = params["noise_var"] * 10.0 ** (snr_db / 10.0)
-    return SystemConfig(N=params["n"], M=params["m"], P=p,
-                        noise_var=params["noise_var"],
-                        var_direct=params["var_direct"],
-                        var_cross=params["var_cross"],
-                        var_relay=params["var_relay"],
-                        rate=params["rate"], retx=params["retx"])
+    return SystemConfig.at_snr(snr_db, N=params["n"], M=params["m"],
+                               noise_var=params["noise_var"],
+                               var_direct=params["var_direct"],
+                               var_cross=params["var_cross"],
+                               var_relay=params["var_relay"],
+                               rate=params["rate"], retx=params["retx"])
 
 
 def _fmt(x) -> str:
@@ -143,7 +142,7 @@ def _write_csv(path, columns, rows):
 
 
 def _dump_config(path, params):
-    keys = [k for k in CONFIG_KEYS if params.get(k) is not None]
+    keys = [k for k in PARAMS if params[k] is not None]
     text = "".join(f"{k} = {params[k]}\n" for k in keys)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -157,7 +156,7 @@ def _progress(msg: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analytic(params):
+def _cmd_analytic(params, args):
     rows = []
     for snr in _parse_snr_grid(params["snr_db"]):
         cfg = _build_cfg(params, snr)
@@ -169,7 +168,7 @@ def _cmd_analytic(params):
             "interference_arq"), rows, 0
 
 
-def _cmd_simulate_direct(params):
+def _cmd_simulate_direct(params, args):
     rows = []
     grid = _parse_snr_grid(params["snr_db"])
     for i, snr in enumerate(grid):
@@ -182,7 +181,7 @@ def _cmd_simulate_direct(params):
     return ("SNR_dB", "p", "ci", "messages", "failures"), rows, 0
 
 
-def _cmd_simulate_relay(params):
+def _cmd_simulate_relay(params, args):
     rows = []
     grid = _parse_snr_grid(params["snr_db"])
     aborted = 0
@@ -205,24 +204,21 @@ def _cmd_simulate_relay(params):
 def _draw_channel_pair(params):
     """Two relay channels from the run's seed, first one drawn first."""
     rng = substream(params["seed"], CTX_GENERIC, 0)
-    scale = np.sqrt(params["var_relay"] / 2.0)
-    m = params["m"]
-    return tuple(scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-                 for _ in range(2))
+    return tuple(cn(rng, params["m"], params["var_relay"]) for _ in range(2))
 
 
-def _cmd_beamform_single(params):
+def _cmd_beamform_single(params, args):
     g_p, g_t = _draw_channel_pair(params)
     snr = _parse_snr_grid(params["snr_db"])[0]
     cfg = _build_cfg(params, snr)
     bf = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
-    gain = float(np.linalg.norm(bf.matrix.conj().T @ g_t) ** 2)
-    rows = [(params["m"], gain, optimal_gain(g_p, g_t, cfg.Pr_single),
+    rows = [(params["m"], beamform_gain(bf.matrix, g_t),
+             optimal_gain(g_p, g_t, cfg.Pr_single),
              bf.null_residual, bf.power)]
     return ("m", "gain", "predicted_gain", "null_residual", "power"), rows, 0
 
 
-def _cmd_beamform_multi(params):
+def _cmd_beamform_multi(params, args):
     g1, g2 = _draw_channel_pair(params)
     snr = _parse_snr_grid(params["snr_db"])[0]
     cfg = _build_cfg(params, snr)
@@ -236,34 +232,22 @@ def _cmd_beamform_multi(params):
             "power"), rows, 0
 
 
-def _cmd_figure(params, which):
-    preset = f"fig{which}"
-    table = run_experiment(preset, trials=params["trials"],
+def _cmd_figure(params, args):
+    table = run_experiment(f"fig{args.which}", trials=params["trials"],
                            seed=params["seed"], threads=params["threads"],
                            progress=_progress)
     return table.columns, table.rows, 0
 
 
-# ---------------------------------------------------------------------------
-
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("-o", dest="output", default=None)
-    sp.add_argument("--dump-config", dest="dump_config", default=None,
-                    metavar="PATH")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--rate", type=float, default=None)
-    sp.add_argument("--retx", type=int, default=None)
-    sp.add_argument("--snr-db", dest="snr_db", default=None,
-                    metavar="X|A:B:STEP")
-    sp.add_argument("--noise-var", dest="noise_var", type=float, default=None)
-    sp.add_argument("--var-direct", dest="var_direct", type=float, default=None)
-    sp.add_argument("--var-cross", dest="var_cross", type=float, default=None)
-    sp.add_argument("--var-relay", dest="var_relay", type=float, default=None)
+# subcommand name -> handler(params, args) returning (columns, rows, exit code)
+COMMANDS = {
+    "analytic": _cmd_analytic,
+    "simulate-direct": _cmd_simulate_direct,
+    "simulate-relay": _cmd_simulate_relay,
+    "beamform-single": _cmd_beamform_single,
+    "beamform-multi": _cmd_beamform_multi,
+    "figure": _cmd_figure,
+}
 
 
 def main(argv=None) -> int:
@@ -271,12 +255,15 @@ def main(argv=None) -> int:
         prog="relayarq",
         description="Outage analytics and relay beamforming experiments.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("analytic", "simulate-direct", "simulate-relay",
-                 "beamform-single", "beamform-multi"):
-        _add_common(subs.add_parser(name))
-    fig = subs.add_parser("figure")
-    fig.add_argument("which", choices=("1", "2", "3"))
-    _add_common(fig)
+    for name in COMMANDS:
+        sp = subs.add_parser(name)
+        if name == "figure":
+            sp.add_argument("which", choices=("1", "2", "3"))
+        sp.add_argument("--config")
+        sp.add_argument("--dump-config", metavar="PATH")
+        for key, (typ, _) in PARAMS.items():
+            flag = "-o" if key == "output" else "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, type=typ)
 
     try:
         args = parser.parse_args(argv)
@@ -285,31 +272,13 @@ def main(argv=None) -> int:
 
     try:
         params = _effective_params(args)
-        if args.command == "figure":
-            params["preset"] = f"fig{args.which}"
-        if params.get("output") is not None:
-            params["output"] = str(params["output"])
         if args.dump_config:
             _dump_config(args.dump_config, params)
-        if args.command == "analytic":
-            columns, rows, code = _cmd_analytic(params)
-        elif args.command == "simulate-direct":
-            columns, rows, code = _cmd_simulate_direct(params)
-        elif args.command == "simulate-relay":
-            columns, rows, code = _cmd_simulate_relay(params)
-        elif args.command == "beamform-single":
-            columns, rows, code = _cmd_beamform_single(params)
-        elif args.command == "beamform-multi":
-            columns, rows, code = _cmd_beamform_multi(params)
-        else:
-            columns, rows, code = _cmd_figure(params, args.which)
-    except ConfigError as e:
-        print(f"relayarq: {e}", file=sys.stderr)
-        return 2
+        columns, rows, code = COMMANDS[args.command](params, args)
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)
         return 2
-    _write_csv(params.get("output"), columns, rows)
+    _write_csv(params["output"], columns, rows)
     return code
 
 

@@ -28,6 +28,7 @@ each trial.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -231,7 +232,9 @@ def _run_chunks(worker, cfg, seed, trials, threads):
         lo = hi
     if len(bounds) == 1:
         return [worker(cfg, seed, *bounds[0])]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
+    # more runs than cores queue up instead of starting more threads
+    workers = min(len(bounds), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(worker, cfg, seed, lo, hi) for lo, hi in bounds]
         return [f.result() for f in futs]
 
@@ -263,9 +266,7 @@ _FIG23_BASE = dict(N=3, M=3, noise_var=1.0, var_direct=2.0, var_cross=1.0,
 
 
 def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
-    merged = dict(base, **kw)
-    p = merged["noise_var"] * 10.0 ** (snr_db / 10.0)
-    return SystemConfig(P=p, **merged)
+    return SystemConfig.at_snr(snr_db, **dict(base, **kw))
 
 
 def run_experiment(preset: str, trials: int = 10000, seed: int = 0,

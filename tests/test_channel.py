@@ -22,6 +22,17 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
+@pytest.mark.parametrize("snr_db", [-30.0, 0.0, 7.5, 40.0, 200.0])
+@pytest.mark.parametrize("noise_var", [1e-3, 1.0, 4.0])
+def test_at_snr_sets_power_from_snr(snr_db, noise_var):
+    cfg = SystemConfig.at_snr(snr_db, N=3, M=3, noise_var=noise_var,
+                              var_direct=2.0, var_cross=1.0, var_relay=4.0,
+                              rate=2.0)
+    assert cfg.snr_db == pytest.approx(snr_db, abs=1e-12)
+    assert cfg.P == noise_var * 10.0 ** (snr_db / 10.0)
+    assert cfg.noise_var == noise_var
+
+
 def test_relay_power_defaults():
     cfg = make_cfg(P=50.0)
     assert cfg.Pr_single == 50.0

@@ -95,6 +95,28 @@ def test_computation_error_exits_2(capsys):
     assert "var_direct must be positive" in err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_antenna_ceiling_exits_2_before_any_draw(capsys, monkeypatch,
+                                                 command, flag):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew channels past the antenna ceiling")
+    for name in ("simulate_direct", "outage_single_user",
+                 "outage_interference_n3"):
+        monkeypatch.setattr(cli, name, no_draw)
+    code, out, err = run_cli(capsys, command, flag, "5001")
+    assert code == 2
+    assert out == ""
+    assert "at most 5000" in err
+
+
+def test_antenna_ceiling_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "analytic", "--n", "5000")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert 0.0 <= float(rows[0][2]) <= 1.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_analytic_any_antenna_count(capsys, n):
     code, out, _ = run_cli(capsys, "analytic", "--n", str(n),
@@ -149,6 +171,7 @@ def test_config_round_trip(tmp_path, capsys):
     ("bogus = 1\n", "unknown key"),
     ("rate\n", "expected key = value"),
     ("rate = abc\n", "bad value"),
+    ("preset = fig1\n", "unknown key"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     conf = tmp_path / "bad.conf"
@@ -156,6 +179,32 @@ def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     code, _, err = run_cli(capsys, "analytic", "--config", str(conf))
     assert code == 2
     assert needle in err
+
+
+# a non-default value for every run parameter, as text
+SAMPLE = {"seed": "7", "trials": "500", "threads": "2", "n": "4", "m": "5",
+          "rate": "3.5", "retx": "3", "noise_var": "0.5", "var_direct": "1.5",
+          "var_cross": "0.25", "var_relay": "2.5", "snr_db": "0:10:5",
+          "output": "table.csv"}
+
+
+@pytest.mark.parametrize("key", list(cli.PARAMS))
+def test_flag_and_config_key_agree(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    value = SAMPLE[key]
+    assert cli.PARAMS[key][0](value) != cli.PARAMS[key][1]
+    flag = "-o" if key == "output" else "--" + key.replace("_", "-")
+    (tmp_path / "run.conf").write_text(f"{key} = {value}\n")
+    code, by_flag, _ = run_cli(capsys, "analytic", flag, value,
+                               "--dump-config", "flag.conf")
+    assert code == 0
+    code, by_file, _ = run_cli(capsys, "analytic", "--config", "run.conf",
+                               "--dump-config", "file.conf")
+    assert code == 0
+    assert by_flag == by_file
+    dumped = (tmp_path / "flag.conf").read_text()
+    assert dumped == (tmp_path / "file.conf").read_text()
+    assert f"{key} = {cli.PARAMS[key][0](value)}\n" in dumped
 
 
 def test_missing_config_exits_2(capsys):

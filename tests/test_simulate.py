@@ -1,4 +1,6 @@
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from relayarq.channel import (CTX_DIRECT, SystemConfig, draw_bs_channels,
                               draw_relay_channels, substream)
 from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, outage_interference_n3
+import relayarq.simulate as simulate
 from relayarq.simulate import (
     BLOCK,
     MODE_MULTI,
@@ -167,6 +170,39 @@ def test_thread_count_invariant_across_blocks(engine, threads):
     cfg = make_cfg(P=10.0, rate=1.0)
     want = engine(cfg, trials=ODD_TRIALS, seed=17, threads=1)
     assert engine(cfg, trials=ODD_TRIALS, seed=17, threads=threads) == want
+
+
+@pytest.mark.parametrize("cores,want", [(None, 1), (2, 2), (64, 7)])
+def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
+    sizes, submitted = [], []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records its size, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    cfg = make_cfg(P=10.0)
+    got = simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=7)
+    # seven runs of one block each, however few workers serve them
+    assert sizes == [want]
+    assert len(submitted) == 7
+    monkeypatch.undo()
+    assert got == simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=1)
 
 
 def test_relay_beats_direct_at_high_rate():
