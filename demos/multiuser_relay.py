@@ -9,20 +9,17 @@ the beams, and how the power budget is split between the two users.
 
 import numpy as np
 
+from relayarq.channel import cn
 from relayarq.relay_multi import max_min_sinr
 
 POWER = 20.0
 NOISE = 1.0
 
 
-def cn(rng, m):
-    return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-
-
 def main():
     rng = np.random.default_rng(11)
-    h1 = cn(rng, 3) * 2.0
-    h2 = cn(rng, 3) * 2.0
+    h1 = cn(rng, 3, 4.0)
+    h2 = cn(rng, 3, 4.0)
 
     sol = max_min_sinr(h1, h2, POWER, noise_var=NOISE)
     p1 = np.linalg.norm(sol.b1) ** 2
@@ -40,8 +37,8 @@ def main():
     # so draw fresh ones per size instead
     print(f"{'M':>3} {'t*':>10} {'power to user 1':>16}")
     for m in (2, 3, 4, 6):
-        g1 = cn(rng, m) * 2.0
-        g2 = cn(rng, m) * 2.0
+        g1 = cn(rng, m, 4.0)
+        g2 = cn(rng, m, 4.0)
         s = max_min_sinr(g1, g2, POWER, noise_var=NOISE)
         print(f"{m:3d} {s.t_star:10.4f} {np.linalg.norm(s.b1) ** 2:16.4f}")
 

@@ -11,8 +11,7 @@ relay array size to show how the zero-forcing cost shrinks.
 import numpy as np
 
 from relayarq.channel import SystemConfig, cn, draw_relay_channels, substream
-from relayarq.relay_single import (beamform_gain, optimal_gain,
-                                   solve_single_user_beamformer)
+from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
 POWER = 10.0
 
@@ -25,13 +24,13 @@ def main():
     g_protect = g[0]                      # user 0 already has its packet
     g_target = g[1]
 
-    bf = solve_single_user_beamformer(g_protect, g_target, cfg.Pr_single)
+    b = solve_single_user_beamformer(g_protect, g_target, cfg.Pr_single)
     print(f"relay antennas:          {cfg.M}")
-    print(f"achieved |b^H g|^2:      {beamform_gain(bf.matrix, g_target):.6f}")
+    print(f"achieved |b^H g|^2:      {abs(np.vdot(b, g_target)) ** 2:.6f}")
     print(f"projector formula:       "
           f"{optimal_gain(g_protect, g_target, cfg.Pr_single):.6f}")
-    print(f"leakage to protected:    {bf.null_residual:.2e}")
-    print(f"power spent:             {bf.power:.6f} of {cfg.Pr_single}")
+    print(f"leakage to protected:    {abs(np.vdot(b, g_protect)):.2e}")
+    print(f"power spent:             {np.vdot(b, b).real:.6f} of {cfg.Pr_single}")
     print()
 
     # more antennas leave more room next to the null-space constraint, so

@@ -12,13 +12,12 @@ from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
                       draw_bs_channels, draw_relay_channels, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
-from .linalg import conjT, null_basis, project_off
+from .linalg import project_off
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
                      diff_exp_params, outage_interference_n3,
                      outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
-from .relay_single import (Beamformer, beamform_gain, optimal_gain,
-                           solve_single_user_beamformer)
+from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, ExperimentTable, OutageEstimate, RelayEstimate,
                        RelayVerdicts, relay_block, relay_verdicts,
                        run_experiment, simulate_direct, simulate_relay)

@@ -13,12 +13,15 @@ Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
 Floats are printed with 17 significant digits, so equal runs produce
 byte-identical files. A flat ``key = value`` config file can hold any
-run parameter in ``PARAMS``; command-line flags override it. Exit codes:
-0 success, 2 usage, config, or computation error, 3 solver-failure budget
-exceeded (more than 0.1% of trials aborted).
+run parameter in ``PARAMS``; command-line flags override it. ``-o`` and
+``--dump-config`` must name a file in an existing directory, which is
+checked before any work. Exit codes: 0 success, 2 usage, config, output or
+computation error, 3 solver-failure budget exceeded (more than 0.1% of
+trials aborted).
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -27,8 +30,7 @@ from .channel import CTX_GENERIC, SystemConfig, cn, substream
 from .errors import RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
-from .relay_single import (beamform_gain, optimal_gain,
-                           solve_single_user_beamformer)
+from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import run_experiment, simulate_direct, simulate_relay
 
 ABORT_BUDGET = 1e-3
@@ -130,22 +132,33 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
+def _check_dir(path):
+    """Fail before any work when path names no file in an existing directory."""
+    if path and (os.path.isdir(path)
+                 or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"cannot write {path}: not a file in an existing "
+                          "directory")
+
+
+def _write(path, text):
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}")
 
 
-def _dump_config(path, params):
-    keys = [k for k in PARAMS if params[k] is not None]
-    text = "".join(f"{k} = {params[k]}\n" for k in keys)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _csv_text(columns, rows):
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _config_text(params):
+    return "".join(f"{k} = {v}\n" for k, v in params.items() if v is not None)
 
 
 def _progress(msg: str):
@@ -201,27 +214,28 @@ def _cmd_simulate_relay(params, args):
             "user2_p", "user2_ci", "aborted"), rows, code
 
 
-def _draw_channel_pair(params):
-    """Two relay channels from the run's seed, first one drawn first."""
+def _beamform_setup(params):
+    """The run's config at its one SNR, and two relay channels drawn from
+    its seed, first one drawn first."""
+    grid = _parse_snr_grid(params["snr_db"])
+    if len(grid) > 1:
+        raise ConfigError("beamform commands take one SNR")
+    cfg = _build_cfg(params, grid[0])      # validates before any draw
     rng = substream(params["seed"], CTX_GENERIC, 0)
-    return tuple(cn(rng, params["m"], params["var_relay"]) for _ in range(2))
+    return cfg, tuple(cn(rng, cfg.M, cfg.var_relay) for _ in range(2))
 
 
 def _cmd_beamform_single(params, args):
-    g_p, g_t = _draw_channel_pair(params)
-    snr = _parse_snr_grid(params["snr_db"])[0]
-    cfg = _build_cfg(params, snr)
-    bf = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
-    rows = [(params["m"], beamform_gain(bf.matrix, g_t),
+    cfg, (g_p, g_t) = _beamform_setup(params)
+    b = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
+    rows = [(params["m"], abs(np.vdot(b, g_t)) ** 2,
              optimal_gain(g_p, g_t, cfg.Pr_single),
-             bf.null_residual, bf.power)]
+             abs(np.vdot(b, g_p)), np.vdot(b, b).real)]
     return ("m", "gain", "predicted_gain", "null_residual", "power"), rows, 0
 
 
 def _cmd_beamform_multi(params, args):
-    g1, g2 = _draw_channel_pair(params)
-    snr = _parse_snr_grid(params["snr_db"])[0]
-    cfg = _build_cfg(params, snr)
+    cfg, (g1, g2) = _beamform_setup(params)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
     # b b^H has rank 1 for a nonzero beam and 0 for the zero beam
     ranks = [int(b.any()) for b in (sol.b1, sol.b2)]
@@ -272,13 +286,15 @@ def main(argv=None) -> int:
 
     try:
         params = _effective_params(args)
+        _check_dir(params["output"])
+        _check_dir(args.dump_config)
         if args.dump_config:
-            _dump_config(args.dump_config, params)
+            _write(args.dump_config, _config_text(params))
         columns, rows, code = COMMANDS[args.command](params, args)
+        _write(params["output"], _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)
         return 2
-    _write_csv(params["output"], columns, rows)
     return code
 
 

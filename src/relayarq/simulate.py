@@ -37,9 +37,9 @@ import numpy as np
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
                       draw_relay_channels, substream)
 from .errors import ContractViolationError
-from .linalg import project_off
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import balanced_uplink
+from .relay_single import optimal_gain
 
 BLOCK = 256               # trials per random-number block
 
@@ -159,8 +159,7 @@ def relay_verdicts(cfg: SystemConfig, h1: np.ndarray, h2: np.ndarray,
     # (no gain) fails here too.
     f = np.where(ok[:, 0], 1, 0)
     o = 1 - f
-    gain = cfg.Pr_single * np.sum(
-        np.abs(project_off(g[idx, f], g[idx, o])) ** 2, axis=-1)
+    gain = optimal_gain(g[idx, o], g[idx, f], cfg.Pr_single)
     interf = (cfg.P / cfg.N) * np.sum(np.abs(h2[idx, f, o]) ** 2, axis=-1)
     single_ok = gain / (cfg.noise_var + interf) >= gamma
 

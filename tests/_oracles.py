@@ -5,10 +5,11 @@ against the package internals, so agreement is meaningful: dumb grids, plain
 quadrature, Gil-Pelaez inversion of the characteristic function for the
 interference outage at any antenna count, one closed form that only exists
 for orthogonal channels, the single-user relay design solved as the stacked
-eigenproblem over vec(B), and the relay-ARQ protocol judged one trial at a
-time by building both relay designs. The semidefinite max-min SINR
-reference lives in ``_sdp_oracle``. A reference that cannot deliver its
-value raises ``NumericFailureError`` rather than returning a wrong one.
+eigenproblem over vec(B) on a Householder null basis, and the relay-ARQ
+protocol judged one trial at a time by building both relay designs. The
+semidefinite max-min SINR reference lives in ``_sdp_oracle``. A reference
+that cannot deliver its value raises ``NumericFailureError`` rather than
+returning a wrong one.
 """
 
 import warnings
@@ -17,12 +18,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
-from relayarq.errors import DimensionError, RelayArqError
-from relayarq.linalg import null_basis
+from relayarq.errors import DegenerateInputError, DimensionError, RelayArqError
 from relayarq.outage import DiffExpPdfParams, diff_exp_params, outage_single_user
 from relayarq.relay_multi import max_min_sinr
-from relayarq.relay_single import (DEGENERATE_GAIN, Beamformer, beamform_gain,
-                                   solve_single_user_beamformer)
+from relayarq.relay_single import solve_single_user_beamformer
 
 
 class NumericFailureError(RelayArqError):
@@ -166,6 +165,30 @@ def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:
 # stacked (vec) form of the single-user relay design
 # ---------------------------------------------------------------------------
 
+def conjT(a: np.ndarray) -> np.ndarray:
+    return a.conj().T
+
+
+def null_basis(h: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of a single vector.
+
+    Returns U of shape (M, M-1) with U^H h = 0 and U^H U = I, built from the
+    Householder reflector that maps h onto the first coordinate axis. The
+    construction is deterministic in the entries of h.
+    """
+    h = np.asarray(h, dtype=complex).reshape(-1)
+    m = h.size
+    nrm = np.linalg.norm(h)
+    if nrm == 0.0:
+        raise DegenerateInputError("cannot build a null basis for the zero vector")
+    w = h / nrm
+    alpha = w[0] / abs(w[0]) if abs(w[0]) > 0 else 1.0
+    v = w.copy()
+    v[0] += alpha                              # reflector direction w + alpha e1
+    refl = np.eye(m, dtype=complex) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return refl[:, 1:]
+
+
 def kron_identity(n: int, a: np.ndarray) -> np.ndarray:
     """I_n kron a."""
     if n < 1:
@@ -191,7 +214,7 @@ def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
     Stacking columns turns B^H g_protect = 0 into (I kron g_p^H) vec(B) = 0,
     whose null space is spanned by V = I kron U with U an orthonormal basis
     of the complement of g_protect. The top eigenvector of
-    V^H (I kron g_t g_t^H) V, unstacked, is an M x n_streams optimum.
+    V^H (I kron g_t g_t^H) V, unstacked, is an M x n_streams optimum B.
     """
     g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
     g_target = np.asarray(g_target, dtype=complex).reshape(-1)
@@ -200,12 +223,8 @@ def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
     v = kron_identity(n_streams, u)           # MN x (M-1)N
     target_outer = np.outer(g_target, g_target.conj())
     a = v.conj().T @ kron_identity(n_streams, target_outer) @ v
-    w, u = np.linalg.eigh(a)                   # ascending: the top pair is last
-    b = unvec(np.sqrt(power) * (v @ u[:, -1]), m, n_streams)
-    resid = float(np.linalg.norm(b.conj().T @ g_protect))
-    return Beamformer(matrix=b, power=float(np.vdot(vec(b), vec(b)).real),
-                      null_residual=resid,
-                      degenerate=bool(w[-1] <= DEGENERATE_GAIN))
+    _, u = np.linalg.eigh(a)                   # ascending: the top pair is last
+    return unvec(np.sqrt(power) * (v @ u[:, -1]), m, n_streams)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +259,8 @@ def relay_trial_reference(cfg, h1, h2, g):
     final = [True, True]
     final[f] = False
     if g[f].any():
-        bf = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
+        b = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
         interf = p_ant * energy(h2[f, o])
-        final[f] = bool(beamform_gain(bf.matrix, g[f])
+        final[f] = bool(abs(np.vdot(b, g[f])) ** 2
                         / (cfg.noise_var + interf) >= gamma)
     return ok, "single-user", tuple(final)

@@ -41,9 +41,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from relayarq.errors import ContractViolationError, DimensionError
-from relayarq.linalg import conjT
 
-from _oracles import NumericFailureError
+from _oracles import NumericFailureError, conjT
 
 HERM_TOL = 1e-10          # relative Hermiticity / reconstruction tolerance
 FEAS_MARGIN = 1e-9        # on the normalized slack

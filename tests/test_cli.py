@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,38 @@ def test_antenna_ceiling_is_inclusive(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert 0.0 <= float(rows[0][2]) <= 1.0
+
+
+def _forbid_library_calls(monkeypatch):
+    def no_call(*args, **kwargs):
+        raise AssertionError("library called before the run was validated")
+    for name in ("simulate_direct", "outage_single_user",
+                 "outage_interference_n3", "solve_single_user_beamformer",
+                 "max_min_sinr"):
+        monkeypatch.setattr(cli, name, no_call)
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
+@pytest.mark.parametrize("flag", ["-o", "--dump-config"])
+def test_unusable_output_path_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flag):
+    _forbid_library_calls(monkeypatch)
+    for target in (tmp_path / "missing_dir" / "x.out", tmp_path):
+        code, out, err = run_cli(capsys, command, flag, str(target))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write {target}" in err
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    # the directory exists, but the file name is longer than any file
+    # system allows, so only the write itself can fail
+    target = tmp_path / ("x" * 300)
+    code, out, err = run_cli(capsys, "analytic", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {target}" in err
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -289,6 +322,34 @@ def test_beamform_multi_self_consistent(capsys):
     t_star = float(rows[0][1])
     assert min(float(rows[0][2]), float(rows[0][3])) >= t_star * (1 - 1e-3)
     assert rows[0][4] == "1" and rows[0][5] == "1"
+
+
+def test_beamform_single_zero_relay_channel(capsys):
+    # a zero relay channel is an outcome: nothing to null, nothing to reach
+    code, out, _ = run_cli(capsys, "beamform-single", "--var-relay", "0")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][:4] == ["3", "0", "0", "0"]
+    assert float(rows[0][4]) == pytest.approx(10.0, rel=1e-15)
+    code, out, _ = run_cli(capsys, "beamform-multi", "--var-relay", "0")
+    assert code == 0
+    assert parse_csv(out)[1][0] == ["3", "0", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("command", ["beamform-single", "beamform-multi"])
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--snr-db", "0:40:10", "beamform commands take one SNR"),
+    ("--var-relay", "-1", "variances must be nonnegative"),
+])
+def test_beamform_bad_input_exits_2_before_any_draw(
+        capsys, monkeypatch, command, flag, value, needle):
+    _forbid_library_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no draw at a negative variance
+        code, out, err = run_cli(capsys, command, flag, value)
+    assert code == 2
+    assert out == ""
+    assert needle in err
 
 
 # ---------------------------------------------------------------------------

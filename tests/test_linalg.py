@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
-from relayarq.linalg import conjT, null_basis, project_off
+from relayarq.linalg import project_off
 
-from _oracles import kron_identity, unvec, vec
+from _oracles import conjT, kron_identity, null_basis, unvec, vec
 from _sdp_oracle import herm_eig
 
 
