@@ -20,9 +20,9 @@ def main():
     rng = np.random.default_rng(3)
     cfg = SystemConfig(N=3, M=4, P=POWER, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0)
-    g = draw_relay_channels(cfg, substream(3, 0, 0))
-    g_protect = g[0]                      # user 0 already has its packet
-    g_target = g[1]
+    # user 0 already has its packet
+    g_protect, g_target = draw_relay_channels(cfg, substream(3, 0, 0),
+                                              rounds=1)[0]
 
     b = solve_single_user_beamformer(g_protect, g_target, cfg.Pr_single)
     print(f"relay antennas:          {cfg.M}")

@@ -18,9 +18,9 @@ from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
                      outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
-from .simulate import (BLOCK, ExperimentTable, OutageEstimate, RelayEstimate,
-                       RelayVerdicts, relay_block, relay_verdicts,
-                       run_experiment, simulate_direct, simulate_relay)
+from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
+                       relay_block, relay_verdicts, run_experiment,
+                       simulate_direct, simulate_relay)
 
 __version__ = "0.1.0"
 

@@ -93,10 +93,6 @@ class SystemConfig:
         """gamma = 2^R - 1."""
         return 2.0 ** self.rate - 1.0
 
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.P / self.noise_var)
-
 
 def substream(seed: int, context: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, context, index) triple."""
@@ -105,28 +101,25 @@ def substream(seed: int, context: int, index: int) -> np.random.Generator:
                                                 counter=counter))
 
 
-def cn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian with per-entry variance var."""
+def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
+    """Circularly symmetric complex Gaussian with per-entry variance var
+    (a number, or an array that broadcasts against ``shape``)."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(var / 2.0) * z
 
 
 def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
-                     rounds: int = None) -> np.ndarray:
-    """Fresh BS-to-user channels, shape (2, 2, N) or (rounds, 2, 2, N).
+                     rounds: int) -> np.ndarray:
+    """BS-to-user channels of ``rounds`` fresh rounds, (rounds, 2, 2, N).
 
     Entry [i, i] uses var_direct, entry [i, j] with j != i uses var_cross.
-    Passing ``rounds`` draws that many independent rounds in one batch.
     """
-    shape = (2, 2, cfg.N) if rounds is None else (rounds, 2, 2, cfg.N)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     var = np.array([[cfg.var_direct, cfg.var_cross],
                     [cfg.var_cross, cfg.var_direct]])
-    return np.sqrt(var / 2.0)[..., :, :, None] * z
+    return cn(rng, (rounds, 2, 2, cfg.N), var[..., None])
 
 
 def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator,
-                        rounds: int = None) -> np.ndarray:
-    """Fresh relay-to-user channels, shape (2, M) or (rounds, 2, M)."""
-    shape = (2, cfg.M) if rounds is None else (rounds, 2, cfg.M)
-    return cn(rng, shape, cfg.var_relay)
+                        rounds: int) -> np.ndarray:
+    """Relay-to-user channels of ``rounds`` fresh rounds, (rounds, 2, M)."""
+    return cn(rng, (rounds, 2, cfg.M), cfg.var_relay)

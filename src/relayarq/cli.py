@@ -16,8 +16,7 @@ byte-identical files. A flat ``key = value`` config file can hold any
 run parameter in ``PARAMS``; command-line flags override it. ``-o`` and
 ``--dump-config`` must name a file in an existing directory, which is
 checked before any work. Exit codes: 0 success, 2 usage, config, output or
-computation error, 3 solver-failure budget exceeded (more than 0.1% of
-trials aborted).
+computation error.
 """
 
 import argparse
@@ -33,7 +32,6 @@ from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import run_experiment, simulate_direct, simulate_relay
 
-ABORT_BUDGET = 1e-3
 # n and m above this would draw multi-GB channel blocks; it is also the
 # largest order the outage law is tested at
 MAX_ANTENNAS = 5000
@@ -178,7 +176,7 @@ def _cmd_analytic(params, args):
         rows.append((snr, p_su, p_int, arq_outage(p_su, cfg.retx),
                      arq_outage(p_int, cfg.retx)))
     return ("SNR_dB", "single_user", "interference", "single_user_arq",
-            "interference_arq"), rows, 0
+            "interference_arq"), rows
 
 
 def _cmd_simulate_direct(params, args):
@@ -191,27 +189,22 @@ def _cmd_simulate_direct(params, args):
         rows.append((snr, est.p_hat, est.ci_halfwidth, est.trials,
                      est.failures))
         _progress(f"simulate-direct {i + 1}/{len(grid)} SNR={snr} dB")
-    return ("SNR_dB", "p", "ci", "messages", "failures"), rows, 0
+    return ("SNR_dB", "p", "ci", "messages", "failures"), rows
 
 
 def _cmd_simulate_relay(params, args):
     rows = []
     grid = _parse_snr_grid(params["snr_db"])
-    aborted = 0
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
         est = simulate_relay(cfg, params["trials"], params["seed"],
                              params["threads"])
-        aborted += est.aborted
         rows.append((snr, est.pooled.p_hat, est.pooled.ci_halfwidth,
                      est.user1.p_hat, est.user1.ci_halfwidth,
-                     est.user2.p_hat, est.user2.ci_halfwidth, est.aborted))
+                     est.user2.p_hat, est.user2.ci_halfwidth))
         _progress(f"simulate-relay {i + 1}/{len(grid)} SNR={snr} dB")
-    code = 3 if aborted > ABORT_BUDGET * params["trials"] * len(grid) else 0
-    if code:
-        _progress(f"solver aborted {aborted} trials (budget exceeded)")
     return ("SNR_dB", "pooled_p", "pooled_ci", "user1_p", "user1_ci",
-            "user2_p", "user2_ci", "aborted"), rows, code
+            "user2_p", "user2_ci"), rows
 
 
 def _beamform_setup(params):
@@ -231,7 +224,7 @@ def _cmd_beamform_single(params, args):
     rows = [(params["m"], abs(np.vdot(b, g_t)) ** 2,
              optimal_gain(g_p, g_t, cfg.Pr_single),
              abs(np.vdot(b, g_p)), np.vdot(b, b).real)]
-    return ("m", "gain", "predicted_gain", "null_residual", "power"), rows, 0
+    return ("m", "gain", "predicted_gain", "null_residual", "power"), rows
 
 
 def _cmd_beamform_multi(params, args):
@@ -243,17 +236,16 @@ def _cmd_beamform_multi(params, args):
     rows = [(params["m"], sol.t_star, sol.sinr1, sol.sinr2,
              ranks[0], ranks[1], power)]
     return ("m", "t_star", "sinr1", "sinr2", "rank1", "rank2",
-            "power"), rows, 0
+            "power"), rows
 
 
 def _cmd_figure(params, args):
-    table = run_experiment(f"fig{args.which}", trials=params["trials"],
-                           seed=params["seed"], threads=params["threads"],
-                           progress=_progress)
-    return table.columns, table.rows, 0
+    return run_experiment(f"fig{args.which}", trials=params["trials"],
+                          seed=params["seed"], threads=params["threads"],
+                          progress=_progress)
 
 
-# subcommand name -> handler(params, args) returning (columns, rows, exit code)
+# subcommand name -> handler(params, args) returning (columns, rows)
 COMMANDS = {
     "analytic": _cmd_analytic,
     "simulate-direct": _cmd_simulate_direct,
@@ -290,12 +282,12 @@ def main(argv=None) -> int:
         _check_dir(args.dump_config)
         if args.dump_config:
             _write(args.dump_config, _config_text(params))
-        columns, rows, code = COMMANDS[args.command](params, args)
+        columns, rows = COMMANDS[args.command](params, args)
         _write(params["output"], _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)
         return 2
-    return code
+    return 0
 
 
 if __name__ == "__main__":

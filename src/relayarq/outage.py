@@ -39,10 +39,11 @@ def outage_single_user(cfg: SystemConfig) -> float:
 
     Pr{ log2(1 + (P/N) ||h||^2 / noise_var) < R } with ||h||^2 a sum of N
     exponentials of mean var_direct; evaluates the regularized lower
-    incomplete gamma at N noise_var gamma / (P var_direct).
+    incomplete gamma at N noise_var gamma / (P var_direct). A zero own-cell
+    channel carries nothing, so it is in outage at every positive rate.
     """
-    if cfg.var_direct <= 0:
-        raise DegenerateInputError("var_direct must be positive")
+    if cfg.var_direct == 0:
+        return float(cfg.sinr_threshold > 0)
     x = cfg.N * cfg.noise_var * cfg.sinr_threshold / (cfg.P * cfg.var_direct)
     return float(gammainc(cfg.N, x))
 
@@ -122,7 +123,7 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
     """
     if cfg.sinr_threshold == 0.0:
         return 0.0
-    if cfg.var_cross == 0:
+    if cfg.var_cross == 0 or cfg.var_direct == 0:
         return outage_single_user(cfg)
     c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
     return cdf_diff_exp(c, diff_exp_params(cfg))

@@ -76,7 +76,8 @@ class RelayEstimate:
     pooled: OutageEstimate
     user1: OutageEstimate
     user2: OutageEstimate
-    aborted: int              # unsolved trials: always 0 (closed forms)
+    # always 0; kept because perfbench/spans.py:_tally_relay reads it
+    aborted: int
     mode_counts: tuple        # (none, single-user, multiuser) trial counts
 
 
@@ -128,11 +129,7 @@ def _direct_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
 def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
                     threads: int = 1) -> OutageEstimate:
     """Interference-limited direct ARQ outage, pooled over both users."""
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
-    fails = np.zeros(2, dtype=np.int64)
-    for part in _run_chunks(_direct_chunk, cfg, seed, trials, threads):
-        fails += part
+    fails = _run_chunks(_direct_chunk, cfg, seed, trials, threads)
     return OutageEstimate(trials=2 * trials, failures=int(fails.sum()))
 
 
@@ -183,42 +180,38 @@ def relay_block(cfg: SystemConfig, seed: int, block: int,
 
 
 def _relay_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
-    # fails per user, mode counts (none, single, multi)
-    fails = np.zeros(2, dtype=np.int64)
-    modes = np.zeros(3, dtype=np.int64)
+    # (fail_1, fail_2, n_none, n_single, n_multi)
+    counts = np.zeros(5, dtype=np.int64)
     for block, n in _blocks(start, stop):
         out = relay_block(cfg, seed, block, n)
-        modes += np.bincount(out.mode, minlength=3)
-        fails += np.count_nonzero(~out.delivered, axis=0)
-    return fails, modes
+        counts[:2] += np.count_nonzero(~out.delivered, axis=0)
+        counts[2:] += np.bincount(out.mode, minlength=3)
+    return counts
 
 
 def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
                    threads: int = 1) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round."""
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    fails = np.zeros(2, dtype=np.int64)
-    modes = np.zeros(3, dtype=np.int64)
-    for part_fails, part_modes in _run_chunks(_relay_chunk, cfg, seed,
-                                              trials, threads):
-        fails += part_fails
-        modes += part_modes
+    fail_1, fail_2, *modes = map(int, _run_chunks(_relay_chunk, cfg, seed,
+                                                  trials, threads))
     return RelayEstimate(
-        pooled=OutageEstimate(trials=2 * trials, failures=int(fails.sum())),
-        user1=OutageEstimate(trials=trials, failures=int(fails[0])),
-        user2=OutageEstimate(trials=trials, failures=int(fails[1])),
-        aborted=0, mode_counts=tuple(int(x) for x in modes))
+        pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),
+        user1=OutageEstimate(trials=trials, failures=fail_1),
+        user2=OutageEstimate(trials=trials, failures=fail_2),
+        aborted=0, mode_counts=tuple(modes))
 
 
 def _run_chunks(worker, cfg, seed, trials, threads):
-    """Split the blocks of [0, trials) into contiguous runs, one per thread.
+    """Split the blocks of [0, trials) into contiguous runs, one per thread,
+    and return the sum of the count vectors the workers return.
 
     Each worker gets the trial range of its run, starting on a block
     boundary.
     """
+    if trials < 1:
+        raise ContractViolationError("trials must be at least 1")
     threads = max(1, int(threads))
     blocks = -(-trials // BLOCK)
     base, extra = divmod(blocks, threads)
@@ -230,23 +223,17 @@ def _run_chunks(worker, cfg, seed, trials, threads):
             bounds.append((lo * BLOCK, min(hi * BLOCK, trials)))
         lo = hi
     if len(bounds) == 1:
-        return [worker(cfg, seed, *bounds[0])]
+        return worker(cfg, seed, *bounds[0])
     # more runs than cores queue up instead of starting more threads
     workers = min(len(bounds), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(worker, cfg, seed, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futs]
+        return sum(f.result() for f in futs)
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExperimentTable:
-    columns: tuple
-    rows: list
-
 
 FIG1_SNR_DB = tuple(range(0, 41, 5))
 FIG1_ATTEMPTS = (1, 2, 3, 10)
@@ -269,8 +256,8 @@ def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
 
 
 def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
-                   threads: int = 1, progress=None) -> ExperimentTable:
-    """Produce one figure's data table.
+                   threads: int = 1, progress=None):
+    """Produce one figure's data table as (columns, rows).
 
     fig1: direct ARQ vs SNR for several attempt budgets, analytic next to
     Monte Carlo. fig2: single-user bound, direct ARQ, and relay ARQ over a
@@ -289,7 +276,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
                 rows.append((float(snr), attempts, analytic, est.p_hat,
                              est.ci_halfwidth))
                 note(f"fig1 snr={snr} L={attempts}")
-        return ExperimentTable(("SNR_dB", "L", "analytic", "mc", "ci"), rows)
+        return ("SNR_dB", "L", "analytic", "mc", "ci"), rows
 
     if preset == "fig2":
         rows = []
@@ -304,7 +291,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             rows.append((float(rate), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig2 R={rate}")
-        return ExperimentTable(("R", "series", "p", "ci"), rows)
+        return ("R", "series", "p", "ci"), rows
 
     if preset == "fig3":
         rows = []
@@ -316,6 +303,6 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             rows.append((float(m), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig3 M={m}")
-        return ExperimentTable(("M", "series", "p", "ci"), rows)
+        return ("M", "series", "p", "ci"), rows
 
     raise ContractViolationError(f"unknown preset: {preset!r}")

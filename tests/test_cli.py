@@ -10,7 +10,7 @@ import pytest
 import relayarq.cli as cli
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
-from relayarq.simulate import OutageEstimate, RelayEstimate, simulate_direct
+from relayarq.simulate import simulate_direct
 
 
 def run_cli(capsys, *argv):
@@ -90,10 +90,28 @@ def test_trials_floor_exits_2(capsys):
 
 
 def test_computation_error_exits_2(capsys):
-    # a zero own-cell channel has no outage law; the library raises
-    code, _, err = run_cli(capsys, "analytic", "--var-direct", "0")
+    # the relay protocol needs an antenna to null with; the library raises
+    code, out, err = run_cli(capsys, "simulate-relay", "--m", "1",
+                             "--trials", "100")
     assert code == 2
-    assert "var_direct must be positive" in err
+    assert out == ""
+    assert "relay needs at least 2 antennas" in err
+
+
+@pytest.mark.parametrize("rate, want", [("2", 1.0), ("0", 0.0)])
+def test_zero_own_cell_channel_is_an_outcome(capsys, rate, want):
+    # no own-cell signal: every message is lost at a positive rate, none at
+    # rate 0, in the closed forms and in the simulation alike
+    code, out, _ = run_cli(capsys, "analytic", "--var-direct", "0",
+                           "--rate", rate, "--snr-db", "0:40:20")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3
+    assert all(float(x) == want for row in rows for x in row[1:])
+    code, out, _ = run_cli(capsys, "simulate-direct", "--var-direct", "0",
+                           "--rate", rate, "--trials", "100")
+    assert code == 0
+    assert float(parse_csv(out)[1][0][1]) == want
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
@@ -278,22 +296,8 @@ def test_simulate_relay_csv(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["SNR_dB", "pooled_p", "pooled_ci", "user1_p", "user1_ci",
-                      "user2_p", "user2_ci", "aborted"]
-    assert len(rows) == 1
-    assert int(rows[0][7]) == 0
-
-
-def test_abort_budget_exits_3(monkeypatch, capsys):
-    broken = RelayEstimate(
-        pooled=OutageEstimate(trials=120, failures=10),
-        user1=OutageEstimate(trials=60, failures=5),
-        user2=OutageEstimate(trials=60, failures=5),
-        aborted=40, mode_counts=(20, 20, 20))
-    monkeypatch.setattr(cli, "simulate_relay", lambda *a, **k: broken)
-    code, out, err = run_cli(capsys, "simulate-relay", "--trials", "100")
-    assert code == 3
-    # the table is still written so the partial data is not lost
-    assert out.startswith("SNR_dB,")
+                      "user2_p", "user2_ci"]
+    assert len(rows) == 1 and len(rows[0]) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ def test_input_validation():
 def draw_round(cfg, seed):
     """One round of BS channels (2, 2, N) and relay channels (2, M)."""
     rng = substream(seed, 0, 0)
-    return draw_bs_channels(cfg, rng), draw_relay_channels(cfg, rng)
+    return (draw_bs_channels(cfg, rng, rounds=1)[0],
+            draw_relay_channels(cfg, rng, rounds=1)[0])
 
 
 def test_protected_user_sees_no_relay_power():

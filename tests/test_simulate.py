@@ -111,8 +111,9 @@ def test_direct_seed_sensitivity():
 
 
 def test_direct_validates_trials():
-    with pytest.raises(ContractViolationError):
-        simulate_direct(make_cfg(), trials=0, seed=0)
+    for engine in (simulate_direct, simulate_relay):
+        with pytest.raises(ContractViolationError, match="trials"):
+            engine(make_cfg(), trials=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +286,18 @@ def test_relay_validates_antennas():
 # ---------------------------------------------------------------------------
 
 def test_fig1_table_shape():
-    tab = run_experiment("fig1", trials=200, seed=0)
-    assert tab.columns == ("SNR_dB", "L", "analytic", "mc", "ci")
-    assert len(tab.rows) == 9 * 4
-    snrs = sorted({r[0] for r in tab.rows})
+    columns, rows = run_experiment("fig1", trials=200, seed=0)
+    assert columns == ("SNR_dB", "L", "analytic", "mc", "ci")
+    assert len(rows) == 9 * 4
+    snrs = sorted({r[0] for r in rows})
     assert snrs == [float(s) for s in range(0, 41, 5)]
-    for row in tab.rows:
+    for row in rows:
         assert 0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0
 
 
 def test_fig1_analytic_tracks_mc():
-    tab = run_experiment("fig1", trials=3000, seed=1)
-    for _, attempts, analytic, mc, ci in tab.rows:
+    _, rows = run_experiment("fig1", trials=3000, seed=1)
+    for _, attempts, analytic, mc, ci in rows:
         guard = max(ci, 3.0 / 6000.0)
         assert abs(mc - analytic) <= 1.5 * guard
 
