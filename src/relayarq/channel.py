@@ -9,6 +9,10 @@ flat per transmission round:
 * ``var_relay``   variance of the relay-to-user link (same for both users).
 
 Per-complex-entry variance s means real and imaginary parts each carry s/2.
+A user's SINR sees its BS links only through their power gains ||h||^2,
+which for N entries of variance s are exactly Gamma(N, s); the engine
+draws those gains directly. Relay links stay complex vectors, because the
+beam designs project them.
 
 Randomness is counter-based: every (seed, context, index) triple owns a
 disjoint Philox substream. The Monte Carlo engine keys one substream per
@@ -17,6 +21,7 @@ are reproducible no matter how blocks are partitioned across workers.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +81,10 @@ class SystemConfig:
             raise ContractViolationError("channel variances must be nonnegative")
         if self.rate < 0:
             raise ContractViolationError("rate must be nonnegative")
+        if self.rate >= sys.float_info.max_exp:    # 2.0 ** rate overflows
+            raise ContractViolationError(
+                f"rate must be below {sys.float_info.max_exp} bits per "
+                "channel use")
         if self.retx < 1:
             raise ContractViolationError("attempt budget must be at least 1")
         if self.Pr_single <= 0 or self.Pr_multi <= 0:
@@ -85,8 +94,12 @@ class SystemConfig:
     def at_snr(cls, snr_db: float, *, noise_var: float,
                **kw) -> "SystemConfig":
         """Config whose per-BS power P lies snr_db above noise_var."""
-        return cls(P=noise_var * 10.0 ** (snr_db / 10.0), noise_var=noise_var,
-                   **kw)
+        try:
+            ratio = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ContractViolationError(
+                f"SNR of {snr_db} dB overflows the transmit power") from None
+        return cls(P=noise_var * ratio, noise_var=noise_var, **kw)
 
     @property
     def sinr_threshold(self) -> float:
@@ -102,21 +115,22 @@ def substream(seed: int, context: int, index: int) -> np.random.Generator:
 
 
 def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
-    """Circularly symmetric complex Gaussian with per-entry variance var
-    (a number, or an array that broadcasts against ``shape``)."""
+    """Circularly symmetric complex Gaussian with per-entry variance var."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(var / 2.0) * z
 
 
 def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
                      rounds: int) -> np.ndarray:
-    """BS-to-user channels of ``rounds`` fresh rounds, (rounds, 2, 2, N).
+    """BS-to-user power gains ||h_ij||^2 of ``rounds`` fresh rounds, float
+    (rounds, 2, 2).
 
-    Entry [i, i] uses var_direct, entry [i, j] with j != i uses var_cross.
+    Entry [i, j] is the gain from BS j to user i: Gamma(N, var_direct) on
+    the diagonal, Gamma(N, var_cross) off it. A zero variance gives zeros.
     """
     var = np.array([[cfg.var_direct, cfg.var_cross],
                     [cfg.var_cross, cfg.var_direct]])
-    return cn(rng, (rounds, 2, 2, cfg.N), var[..., None])
+    return rng.standard_gamma(cfg.N, (rounds, 2, 2)) * var
 
 
 def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator,

@@ -35,6 +35,9 @@ from .simulate import run_experiment, simulate_direct, simulate_relay
 # n and m above this would draw multi-GB channel blocks; it is also the
 # largest order the outage law is tested at
 MAX_ANTENNAS = 5000
+# a direct-ARQ block draws BLOCK * retx rounds at once; this keeps one
+# block's gains under about 8 MB
+MAX_ATTEMPTS = 1000
 
 # every run parameter: (type, default). A config file sets it by its key,
 # the command line by the key with dashes (``noise_var`` is
@@ -110,6 +113,8 @@ def _effective_params(args) -> dict:
         raise ConfigError("threads must be at least 1")
     if max(params["n"], params["m"]) > MAX_ANTENNAS:
         raise ConfigError(f"n and m must be at most {MAX_ANTENNAS}")
+    if params["retx"] > MAX_ATTEMPTS:
+        raise ConfigError(f"retx must be at most {MAX_ATTEMPTS}")
     return params
 
 

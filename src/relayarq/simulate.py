@@ -15,6 +15,10 @@ The relay is assumed to decode the first round perfectly. A zero relay
 channel (``var_relay = 0``) reaches nobody, so the retransmission then
 fails.
 
+Both protocols see a base-station link only through its power gain, so
+the engine draws BS links as Gamma(N) gains (``channel.draw_bs_channels``)
+and keeps complex vectors only for the relay links the beams project.
+
 Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their channels, as
 whole arrays, from one counter-based substream keyed by (seed, context, b);
@@ -101,16 +105,16 @@ def _blocks(start: int, stop: int):
 # direct ARQ
 # ---------------------------------------------------------------------------
 
-def _direct_sinr_ok(cfg: SystemConfig, h: np.ndarray) -> np.ndarray:
-    """Per-user success flags for a batch of rounds, h shaped (L, 2, 2, N).
+def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
+    """Per-user success flags for a batch of rounds, from the BS power
+    gains e shaped (L, 2, 2), e[:, i, j] = ||h_ij||^2.
 
     SINR_i = (P/N) ||h_ii||^2 / (noise + (P/N) ||h_ij||^2); success means
     SINR >= 2^R - 1, i.e. the mutual information supports the rate.
     """
     p_ant = cfg.P / cfg.N
-    e = np.sum(h.real ** 2 + h.imag ** 2, axis=-1)   # (L, 2, 2) link energies
-    own = np.stack((e[:, 0, 0], e[:, 1, 1]), axis=1)
-    cross = np.stack((e[:, 0, 1], e[:, 1, 0]), axis=1)
+    own = e.diagonal(axis1=1, axis2=2)               # (L, 2): e[:, i, i]
+    cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)  # (L, 2): e[:, i, 1 - i]
     gamma = cfg.sinr_threshold
     return p_ant * own >= gamma * (cfg.noise_var + p_ant * cross)
 
@@ -120,8 +124,8 @@ def _direct_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
     for block, n in _blocks(start, stop):
         rng = substream(seed, CTX_DIRECT, block)
         # trial-major: trial k owns rounds [k retx, (k + 1) retx)
-        h = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
-        ok = _direct_sinr_ok(cfg, h).reshape(n, cfg.retx, 2)
+        e = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
+        ok = _direct_sinr_ok(cfg, e).reshape(n, cfg.retx, 2)
         fails += np.count_nonzero(~ok.any(axis=1), axis=0)
     return fails
 
@@ -137,18 +141,18 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def relay_verdicts(cfg: SystemConfig, h1: np.ndarray, h2: np.ndarray,
+def relay_verdicts(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
                    g: np.ndarray) -> RelayVerdicts:
     """Outcomes of n relay-ARQ trials from their channels.
 
-    h1, h2 are the round-1 and round-2 BS channels, shaped (n, 2, 2, N);
+    e1, e2 are the round-1 and round-2 BS power gains, shaped (n, 2, 2);
     g holds the relay channels, shaped (n, 2, M). Both relay modes are
     evaluated for every trial and each trial keeps the one its round-1
     outcome selects.
     """
     gamma = cfg.sinr_threshold
-    idx = np.arange(len(h1))
-    ok = _direct_sinr_ok(cfg, h1)
+    idx = np.arange(len(e1))
+    ok = _direct_sinr_ok(cfg, e1)
     mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
 
     # one user failed: the relay zero-forces toward the other user o while
@@ -157,7 +161,7 @@ def relay_verdicts(cfg: SystemConfig, h1: np.ndarray, h2: np.ndarray,
     f = np.where(ok[:, 0], 1, 0)
     o = 1 - f
     gain = optimal_gain(g[idx, o], g[idx, f], cfg.Pr_single)
-    interf = (cfg.P / cfg.N) * np.sum(np.abs(h2[idx, f, o]) ** 2, axis=-1)
+    interf = (cfg.P / cfg.N) * e2[idx, f, o]
     single_ok = gain / (cfg.noise_var + interf) >= gamma
 
     # both failed: both messages ride the relay at the balanced SINR
@@ -173,10 +177,10 @@ def relay_block(cfg: SystemConfig, seed: int, block: int,
                 n: int = BLOCK) -> RelayVerdicts:
     """Draw and judge the ``n`` trials of one relay block."""
     rng = substream(seed, CTX_RELAY, block)
-    h1 = draw_bs_channels(cfg, rng, rounds=n)
-    h2 = draw_bs_channels(cfg, rng, rounds=n)
+    e1 = draw_bs_channels(cfg, rng, rounds=n)
+    e2 = draw_bs_channels(cfg, rng, rounds=n)
     g = draw_relay_channels(cfg, rng, rounds=n)
-    return relay_verdicts(cfg, h1, h2, g)
+    return relay_verdicts(cfg, e1, e2, g)
 
 
 def _relay_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):

@@ -231,21 +231,17 @@ def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
 # relay ARQ, one trial at a time
 # ---------------------------------------------------------------------------
 
-def relay_trial_reference(cfg, h1, h2, g):
+def relay_trial_reference(cfg, e1, e2, g):
     """One relay-ARQ trial from explicit channels, by building the beams.
 
-    h1, h2 are the trial's round-1 and round-2 BS channels, shaped
-    (2, 2, N) with h[i, j] from BS j to user i; g is (2, M). Returns
-    (round-1 success per user, mode name, delivered per user).
+    e1, e2 are the trial's round-1 and round-2 BS power gains, shaped
+    (2, 2) with e[i, j] = ||h_ij||^2 from BS j to user i; g is (2, M).
+    Returns (round-1 success per user, mode name, delivered per user).
     """
     gamma = cfg.sinr_threshold
     p_ant = cfg.P / cfg.N
-
-    def energy(v):
-        return float(np.vdot(v, v).real)
-
-    ok = tuple(p_ant * energy(h1[i, i])
-               >= gamma * (cfg.noise_var + p_ant * energy(h1[i, 1 - i]))
+    ok = tuple(p_ant * float(e1[i, i])
+               >= gamma * (cfg.noise_var + p_ant * float(e1[i, 1 - i]))
                for i in (0, 1))
     if all(ok):
         return ok, "none", (True, True)
@@ -260,7 +256,7 @@ def relay_trial_reference(cfg, h1, h2, g):
     final[f] = False
     if g[f].any():
         b = solve_single_user_beamformer(g[o], g[f], cfg.Pr_single)
-        interf = p_ant * energy(h2[f, o])
+        interf = p_ant * float(e2[f, o])
         final[f] = bool(abs(np.vdot(b, g[f])) ** 2
                         / (cfg.noise_var + interf) >= gamma)
     return ok, "single-user", tuple(final)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from relayarq.channel import (
     CTX_DIRECT,
@@ -34,6 +35,12 @@ def test_at_snr_sets_power_from_snr(snr_db, noise_var):
     assert cfg.noise_var == noise_var
 
 
+def test_at_snr_rejects_overflowing_power():
+    with pytest.raises(ContractViolationError, match="4000"):
+        SystemConfig.at_snr(4000.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
+                            var_cross=1.0, var_relay=4.0, rate=2.0)
+
+
 def test_relay_power_defaults():
     cfg = make_cfg(P=50.0)
     assert cfg.Pr_single == 50.0
@@ -57,6 +64,7 @@ def test_sinr_threshold():
     dict(P=NAN), dict(P=INF), dict(noise_var=NAN), dict(var_direct=INF),
     dict(var_cross=NAN), dict(var_relay=INF), dict(rate=NAN), dict(rate=INF),
     dict(Pr_single=NAN), dict(Pr_multi=INF), dict(Pr_multi=NAN),
+    dict(rate=1024.0),
 ])
 def test_config_validation(kw):
     with pytest.raises(ContractViolationError):
@@ -79,16 +87,40 @@ def test_substream_separation():
 def test_bs_channel_shapes():
     cfg = make_cfg(N=4)
     rng = substream(0, CTX_DIRECT, 0)
-    assert draw_bs_channels(cfg, rng, rounds=1).shape == (1, 2, 2, 4)
-    assert draw_bs_channels(cfg, rng, rounds=5).shape == (5, 2, 2, 4)
+    for rounds in (1, 5):
+        e = draw_bs_channels(cfg, rng, rounds=rounds)
+        assert e.shape == (rounds, 2, 2) and e.dtype == np.float64
 
 
 def test_bs_channel_variance_structure():
+    # a gain sums N entries of variance var, so its mean is N var
     cfg = make_cfg(N=2, var_direct=2.0, var_cross=0.5)
-    h = draw_bs_channels(cfg, substream(1, CTX_DIRECT, 0), rounds=40000)
-    e = np.mean(np.abs(h) ** 2, axis=(0, 3))
-    assert np.allclose(e[[0, 1], [0, 1]], 2.0, rtol=0.05)
-    assert np.allclose(e[[0, 1], [1, 0]], 0.5, rtol=0.05)
+    e = draw_bs_channels(cfg, substream(1, CTX_DIRECT, 0), rounds=40000)
+    mean = e.mean(axis=0)
+    assert np.allclose(mean[[0, 1], [0, 1]], 2 * 2.0, rtol=0.05)
+    assert np.allclose(mean[[0, 1], [1, 0]], 2 * 0.5, rtol=0.05)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_bs_gains_follow_gamma_law(n):
+    # ||h||^2 of n CN(0, var) entries is Gamma(n, var): each link's gain over
+    # its variance passes a KS test against Gamma(n, 1)
+    cfg = make_cfg(N=n, var_direct=2.0, var_cross=0.5)
+    e = draw_bs_channels(cfg, substream(4, CTX_DIRECT, n), rounds=5000)
+    var = np.array([[2.0, 0.5], [0.5, 2.0]])
+    for i, j in np.ndindex(2, 2):
+        assert stats.kstest(e[:, i, j] / var[i, j],
+                            stats.gamma(n).cdf).pvalue > 1e-3, (i, j)
+
+
+@pytest.mark.parametrize("zero", ["var_direct", "var_cross"])
+def test_bs_gains_zero_variance_gives_zeros(zero):
+    cfg = make_cfg(**{zero: 0.0})
+    e = draw_bs_channels(cfg, substream(5, CTX_DIRECT, 0), rounds=100)
+    # the zeroed links: the diagonal for var_direct, the rest for var_cross
+    zeroed = np.eye(2, dtype=bool) == (zero == "var_direct")
+    assert (e[:, zeroed] == 0.0).all()
+    assert (e[:, ~zeroed] > 0.0).all()
 
 
 def test_relay_channel_variance():

@@ -139,10 +139,46 @@ def test_antenna_ceiling_is_inclusive(capsys):
 def _forbid_library_calls(monkeypatch):
     def no_call(*args, **kwargs):
         raise AssertionError("library called before the run was validated")
-    for name in ("simulate_direct", "outage_single_user",
+    for name in ("simulate_direct", "simulate_relay", "outage_single_user",
                  "outage_interference_n3", "solve_single_user_beamformer",
                  "max_min_sinr"):
         monkeypatch.setattr(cli, name, no_call)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("analytic", "--rate", "2000"), "rate must be below 1024"),
+    (("simulate-direct", "--rate", "2000", "--trials", "100"),
+     "rate must be below 1024"),
+    (("analytic", "--snr-db", "4000"), "overflows the transmit power"),
+    (("simulate-relay", "--snr-db", "4000", "--trials", "100"),
+     "overflows the transmit power"),
+])
+def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
+                                                needle):
+    # 2^R and 10^(SNR/10) past the double range are config errors, caught
+    # when the config is built
+    _forbid_library_calls(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+def test_attempt_ceiling_exits_2_before_any_draw(capsys, monkeypatch):
+    _forbid_library_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate-direct", "--trials", "100",
+                             "--retx", str(cli.MAX_ATTEMPTS + 1))
+    assert code == 2
+    assert out == ""
+    assert f"retx must be at most {cli.MAX_ATTEMPTS}" in err
+
+
+def test_attempt_ceiling_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "simulate-direct", "--trials", "100",
+                           "--retx", str(cli.MAX_ATTEMPTS))
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert 0.0 <= float(rows[0][1]) <= 1.0
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate-direct"])

@@ -90,15 +90,14 @@ def test_direct_block_layout():
     want = 0
     for block in range(4):
         n = min(BLOCK, ODD_TRIALS - block * BLOCK)
-        h = draw_bs_channels(cfg, substream(14, CTX_DIRECT, block),
-                             rounds=n * cfg.retx).reshape(n, cfg.retx, 2, 2, -1)
-        for trial in h:
+        e = draw_bs_channels(cfg, substream(14, CTX_DIRECT, block),
+                             rounds=n * cfg.retx).reshape(n, cfg.retx, 2, 2)
+        for trial in e:
             for i in (0, 1):
                 want += not any(
-                    p_ant * np.vdot(r[i, i], r[i, i]).real
+                    p_ant * float(r[i, i])
                     >= cfg.sinr_threshold
-                    * (cfg.noise_var + p_ant * np.vdot(r[i, 1 - i],
-                                                       r[i, 1 - i]).real)
+                    * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
                     for r in trial)
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
 
@@ -254,14 +253,14 @@ def test_block_verdicts_match_per_trial_reference():
         parallel = case.pop("parallel", False)
         cfg = make_cfg(**case)
         sub = substream(16, 0, k)
-        h1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
-        h2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
+        e1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
+        e2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
         g = draw_relay_channels(cfg, sub, rounds=BLOCK)
         if parallel:
             g = near_parallel(rng, g)
-        got = relay_verdicts(cfg, h1, h2, g)
+        got = relay_verdicts(cfg, e1, e2, g)
         for i in range(BLOCK):
-            ok, mode, final = relay_trial_reference(cfg, h1[i], h2[i], g[i])
+            ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
             assert MODES[got.mode[i]] == mode, (case, i)
             assert tuple(got.delivered[i]) == final, (case, i)
