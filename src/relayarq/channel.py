@@ -67,7 +67,11 @@ class SystemConfig:
         if self.Pr_single is None:
             object.__setattr__(self, "Pr_single", float(self.P))
         if self.Pr_multi is None:
-            object.__setattr__(self, "Pr_multi", 2.0 * float(self.P))
+            pr_multi = 2.0 * float(self.P)
+            if math.isfinite(self.P) and not math.isfinite(pr_multi):
+                raise ContractViolationError(
+                    f"multiuser relay power 2P overflows at P = {self.P:g}")
+            object.__setattr__(self, "Pr_multi", pr_multi)
         # nan compares False against every bound below, so it is caught here
         if not all(math.isfinite(x) for x in (
                 self.P, self.noise_var, self.var_direct, self.var_cross,

@@ -23,12 +23,23 @@ Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their channels, as
 whole arrays, from one counter-based substream keyed by (seed, context, b);
 the verdicts then come from array operations over the block. Threads take
-contiguous runs of blocks and their results are reduced by integer sums,
-so failure counts are identical for any thread count. A trial's draws
-depend on its block and on that block's length, so a run with more trials
-is not a prefix-extension of a shorter one. Grid sweeps reuse the same seed
-at every point: common random numbers across a curve, fresh draws within
-each trial.
+contiguous runs of blocks and their results are joined in block order
+(direct) or reduced by integer sums (relay), so failure counts are
+identical for any thread count. A trial's draws depend on its block and on
+that block's length, so a run with more trials is not a prefix-extension
+of a shorter one. Grid sweeps reuse the same seed at every point: common
+random numbers across a curve, fresh draws within each trial.
+
+The direct engine reuses those common draws instead of redrawing them. A
+round succeeds when the margin ||h_ii||^2 - gamma ||h_ij||^2 reaches the
+floor gamma sigma^2 / (P/N), and the margin does not depend on P or
+sigma^2. So the engine keeps each message's best margin over its
+attempts in a memo of one entry keyed by (seed, trials, N, var_direct,
+var_cross, rate, retx): 16 bytes per trial. A point whose config differs
+from the last one only in P or noise_var counts the margins below its
+floor and draws nothing. Figure 1 therefore runs its
+attempt budgets L in the outer loop and SNR in the inner one; its rows
+are put back in SNR-major order, but its progress lines come L-major.
 """
 
 import math
@@ -105,36 +116,86 @@ def _blocks(start: int, stop: int):
 # direct ARQ
 # ---------------------------------------------------------------------------
 
-def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
-    """Per-user success flags for a batch of rounds, from the BS power
-    gains e shaped (L, 2, 2), e[:, i, j] = ||h_ij||^2.
-
-    SINR_i = (P/N) ||h_ii||^2 / (noise + (P/N) ||h_ij||^2); success means
-    SINR >= 2^R - 1, i.e. the mutual information supports the rate.
-    """
-    p_ant = cfg.P / cfg.N
+def _direct_margin(e: np.ndarray, gamma: float) -> np.ndarray:
+    """SNR-free margins ||h_ii||^2 - gamma ||h_ij||^2 of a batch of rounds,
+    (L, 2), from the BS power gains e shaped (L, 2, 2), e[:, i, j] =
+    ||h_ij||^2."""
     own = e.diagonal(axis1=1, axis2=2)               # (L, 2): e[:, i, i]
     cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)  # (L, 2): e[:, i, 1 - i]
+    return own - gamma * cross
+
+
+def _direct_floor(cfg: SystemConfig) -> float:
+    """The margin a direct round needs: gamma sigma^2 / (P/N)."""
+    return cfg.sinr_threshold * cfg.noise_var / (cfg.P / cfg.N)
+
+
+def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
+    """Per-user success flags for a batch of rounds, from the BS power
+    gains e shaped (L, 2, 2).
+
+    SINR_i = (P/N) ||h_ii||^2 / (noise + (P/N) ||h_ij||^2); success means
+    SINR >= gamma = 2^R - 1, i.e. the mutual information supports the
+    rate. Dividing by P/N turns that into margin >= floor, which cannot
+    overflow at any finite power.
+    """
+    return _direct_margin(e, cfg.sinr_threshold) >= _direct_floor(cfg)
+
+
+def _margin_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
+    """Best margin over the attempts of each (trial, user) of the trials
+    [start, stop), float (stop - start, 2)."""
     gamma = cfg.sinr_threshold
-    return p_ant * own >= gamma * (cfg.noise_var + p_ant * cross)
-
-
-def _direct_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
-    fails = np.zeros(2, dtype=np.int64)
+    best = np.empty((stop - start, 2))
     for block, n in _blocks(start, stop):
         rng = substream(seed, CTX_DIRECT, block)
         # trial-major: trial k owns rounds [k retx, (k + 1) retx)
         e = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
-        ok = _direct_sinr_ok(cfg, e).reshape(n, cfg.retx, 2)
-        fails += np.count_nonzero(~ok.any(axis=1), axis=0)
-    return fails
+        lo = block * BLOCK - start
+        best[lo:lo + n] = _direct_margin(e, gamma).reshape(
+            n, cfg.retx, 2).max(axis=1)
+    return best
+
+
+# (key, margins) of the last direct run: one entry, replaced whole and never
+# written in place, so callers racing on it at worst repeat a draw
+_memo = None
+
+
+def _best_margins(cfg: SystemConfig, seed: int, trials: int,
+                  threads: int) -> np.ndarray:
+    """Best margin of every (trial, user), float (trials, 2), read-only.
+
+    Memoised on exactly what they depend on, so a curve over P or
+    noise_var draws once; the thread count only splits the work.
+    """
+    global _memo
+    key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate,
+           cfg.retx)
+    memo = _memo
+    if memo is None or memo[0] != key:
+        parts = _run_chunks(_margin_chunk, cfg, seed, trials, threads)
+        margins = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        margins.flags.writeable = False
+        memo = _memo = (key, margins)
+    return memo[1]
+
+
+def clear_margin_memo():
+    """Forget the memoised direct margins."""
+    global _memo
+    _memo = None
 
 
 def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
                     threads: int = 1) -> OutageEstimate:
-    """Interference-limited direct ARQ outage, pooled over both users."""
-    fails = _run_chunks(_direct_chunk, cfg, seed, trials, threads)
-    return OutageEstimate(trials=2 * trials, failures=int(fails.sum()))
+    """Interference-limited direct ARQ outage, pooled over both users.
+
+    A message is lost when its best margin falls below the floor.
+    """
+    margins = _best_margins(cfg, seed, trials, threads)
+    fails = np.count_nonzero(margins < _direct_floor(cfg))
+    return OutageEstimate(trials=2 * trials, failures=int(fails))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +259,8 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     """Relay-assisted ARQ outage: one direct round plus one relay round."""
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    fail_1, fail_2, *modes = map(int, _run_chunks(_relay_chunk, cfg, seed,
-                                                  trials, threads))
+    fail_1, fail_2, *modes = map(int, sum(_run_chunks(_relay_chunk, cfg,
+                                                      seed, trials, threads)))
     return RelayEstimate(
         pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),
         user1=OutageEstimate(trials=trials, failures=fail_1),
@@ -209,7 +270,7 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
 
 def _run_chunks(worker, cfg, seed, trials, threads):
     """Split the blocks of [0, trials) into contiguous runs, one per thread,
-    and return the sum of the count vectors the workers return.
+    and return the workers' results in block order.
 
     Each worker gets the trial range of its run, starting on a block
     boundary.
@@ -227,12 +288,12 @@ def _run_chunks(worker, cfg, seed, trials, threads):
             bounds.append((lo * BLOCK, min(hi * BLOCK, trials)))
         lo = hi
     if len(bounds) == 1:
-        return worker(cfg, seed, *bounds[0])
+        return [worker(cfg, seed, *bounds[0])]
     # more runs than cores queue up instead of starting more threads
     workers = min(len(bounds), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(worker, cfg, seed, lo, hi) for lo, hi in bounds]
-        return sum(f.result() for f in futs)
+        return [f.result() for f in futs]
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +333,16 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
     note = progress if progress is not None else (lambda msg: None)
     if preset == "fig1":
         rows = []
-        for snr in FIG1_SNR_DB:
-            for attempts in FIG1_ATTEMPTS:
+        # L outer, so each curve draws its margins once
+        for attempts in FIG1_ATTEMPTS:
+            for snr in FIG1_SNR_DB:
                 cfg = _cfg(_FIG1_BASE, snr, retx=attempts)
                 analytic = arq_outage(outage_interference_n3(cfg), attempts)
                 est = simulate_direct(cfg, trials, seed, threads)
                 rows.append((float(snr), attempts, analytic, est.p_hat,
                              est.ci_halfwidth))
-                note(f"fig1 snr={snr} L={attempts}")
+                note(f"fig1 L={attempts} snr={snr}")
+        rows.sort(key=lambda row: row[0])    # stable: SNR-major, L minor
         return ("SNR_dB", "L", "analytic", "mc", "ci"), rows
 
     if preset == "fig2":

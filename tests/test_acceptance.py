@@ -19,7 +19,7 @@ from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 from relayarq.simulate import (FIG2_RATES, FIG2_SNR_DB, FIG3_M, FIG3_RATE,
                                FIG3_SNR_DB, simulate_direct, simulate_relay)
-from relayarq import cli
+from relayarq import cli, simulate
 
 from _oracles import brute_force_m2, cf_inversion_cdf, cn_vector
 from _sdp_oracle import sdp_max_min_sinr
@@ -286,6 +286,7 @@ def test_c9_csv_byte_determinism(tmp_path):
     outs = []
     for tag, threads in (("a", "1"), ("b", "3")):
         path = tmp_path / f"direct_{tag}.csv"
+        simulate.clear_margin_memo()    # each thread count draws afresh
         code = cli.main(["simulate-direct", "--seed", "5", "--trials", "3000",
                          "--rate", "2", "--snr-db", "0:40:10",
                          "--threads", threads, "-o", str(path)])

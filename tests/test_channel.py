@@ -41,6 +41,17 @@ def test_at_snr_rejects_overflowing_power():
                             var_cross=1.0, var_relay=4.0, rate=2.0)
 
 
+def test_default_multiuser_relay_power_must_not_overflow():
+    # P is finite but 2P is not: the message names the relay power, not
+    # "finite numbers"
+    with pytest.raises(ContractViolationError, match="relay power 2P"):
+        make_cfg(P=1e308)
+    with pytest.raises(ContractViolationError, match="relay power 2P"):
+        SystemConfig.at_snr(3080.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
+                            var_cross=1.0, var_relay=4.0, rate=2.0)
+    assert make_cfg(P=1e308, Pr_multi=1.0).Pr_multi == 1.0
+
+
 def test_relay_power_defaults():
     cfg = make_cfg(P=50.0)
     assert cfg.Pr_single == 50.0

@@ -10,7 +10,7 @@ import pytest
 import relayarq.cli as cli
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
-from relayarq.simulate import simulate_direct
+from relayarq.simulate import clear_margin_memo, simulate_direct
 
 
 def run_cli(capsys, *argv):
@@ -152,11 +152,14 @@ def _forbid_library_calls(monkeypatch):
     (("analytic", "--snr-db", "4000"), "overflows the transmit power"),
     (("simulate-relay", "--snr-db", "4000", "--trials", "100"),
      "overflows the transmit power"),
+    (("analytic", "--snr-db", "3080"), "relay power 2P overflows"),
+    (("simulate-direct", "--snr-db", "3080", "--trials", "100"),
+     "relay power 2P overflows"),
 ])
 def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
                                                 needle):
-    # 2^R and 10^(SNR/10) past the double range are config errors, caught
-    # when the config is built
+    # 2^R, 10^(SNR/10) and the default Pr_multi = 2P past the double range
+    # are config errors, caught when the config is built
     _forbid_library_calls(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -312,6 +315,7 @@ def test_simulate_direct_matches_library(capsys):
     assert header == ["SNR_dB", "p", "ci", "messages", "failures"]
     cfg = SystemConfig(N=3, M=3, P=10.0, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0, retx=2)
+    clear_margin_memo()     # draw afresh rather than reread the CLI's run
     est = simulate_direct(cfg, trials=500, seed=9)
     assert int(rows[0][3]) == est.trials
     assert int(rows[0][4]) == est.failures
@@ -322,6 +326,7 @@ def test_repeat_runs_byte_identical(capsys):
     args = ("simulate-direct", "--snr-db", "0:10:5", "--trials", "300",
             "--seed", "3", "--threads", "2")
     _, first, _ = run_cli(capsys, *args)
+    clear_margin_memo()
     _, second, _ = run_cli(capsys, *args)
     assert first == second
 

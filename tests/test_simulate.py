@@ -1,5 +1,9 @@
 import math
 import os
+import sys
+import threading
+import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -77,7 +81,9 @@ def test_direct_zero_rate_never_fails():
 
 def test_direct_thread_count_invariant():
     cfg = make_cfg(P=10.0)
+    simulate.clear_margin_memo()
     a = simulate_direct(cfg, trials=3000, seed=4, threads=1)
+    simulate.clear_margin_memo()
     b = simulate_direct(cfg, trials=3000, seed=4, threads=3)
     assert (a.trials, a.failures) == (b.trials, b.failures)
 
@@ -100,6 +106,23 @@ def test_direct_block_layout():
                     * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
                     for r in trial)
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
+
+
+def test_direct_verdict_cannot_overflow():
+    # at 3077 dB, (P/N) * 20 and (P/N) * 15 both overflow to inf, and the
+    # SINR form compared inf >= inf; own - gamma cross = 20 - 45 fails
+    cfg = SystemConfig.at_snr(3077.0, N=3, M=3, noise_var=1.0,
+                              var_direct=2.0, var_cross=1.0, var_relay=4.0,
+                              rate=2.0)
+    e = np.array([[[20.0, 15.0], [15.0, 20.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not simulate._direct_sinr_ok(cfg, e).any()
+        out = relay_verdicts(cfg, e, np.zeros_like(e),
+                             np.zeros((1, 2, cfg.M), complex))
+        assert not out.round1.any()
+        # a round that clears the threshold still passes
+        assert simulate._direct_sinr_ok(cfg, e + np.diag([30.0, 30.0])).all()
 
 
 def test_direct_seed_sensitivity():
@@ -168,7 +191,9 @@ def test_thread_count_invariant_across_blocks(engine, threads):
     # four blocks, the last one partial: threads split them 4, 2+2, 2+1+1
     # and 1+1+1+1 (one thread idle)
     cfg = make_cfg(P=10.0, rate=1.0)
+    simulate.clear_margin_memo()
     want = engine(cfg, trials=ODD_TRIALS, seed=17, threads=1)
+    simulate.clear_margin_memo()
     assert engine(cfg, trials=ODD_TRIALS, seed=17, threads=threads) == want
 
 
@@ -197,12 +222,127 @@ def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     cfg = make_cfg(P=10.0)
+    simulate.clear_margin_memo()
     got = simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=7)
     # seven runs of one block each, however few workers serve them
     assert sizes == [want]
     assert len(submitted) == 7
     monkeypatch.undo()
+    simulate.clear_margin_memo()
     assert got == simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=1)
+
+
+# ---------------------------------------------------------------------------
+# the direct-margin memo
+# ---------------------------------------------------------------------------
+
+def count_draws(monkeypatch):
+    """Count the BS draws the engine makes from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draw_bs_channels(*args, **kwargs)
+    monkeypatch.setattr(simulate, "draw_bs_channels", counted)
+    return calls
+
+
+def test_second_point_of_a_curve_draws_nothing(monkeypatch):
+    simulate.clear_margin_memo()
+    calls = count_draws(monkeypatch)
+    simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
+    assert len(calls) == 4
+    for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0)):
+        simulate_direct(make_cfg(**kw), trials=ODD_TRIALS, seed=18)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 20), ("trials", 2 * BLOCK + 3), ("N", 2), ("var_direct", 3.0),
+    ("var_cross", 0.5), ("rate", 1.5), ("retx", 3),
+    ("P", 30.0), ("noise_var", 0.25), ("M", 5), ("var_relay", 1.0),
+])
+def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
+    keyed = field in ("seed", "trials", "N", "var_direct", "var_cross",
+                      "rate", "retx")
+    run = dict(seed=19, trials=ODD_TRIALS)
+    cfg = dict(P=10.0, retx=2)
+    simulate.clear_margin_memo()
+    simulate_direct(make_cfg(**cfg), **run)
+    (run if field in run else cfg)[field] = value
+    calls = count_draws(monkeypatch)
+    got = simulate_direct(make_cfg(**cfg), **run)
+    # a key field draws afresh; P, noise_var and the relay fields hit
+    assert bool(calls) == keyed
+    simulate.clear_margin_memo()
+    assert simulate_direct(make_cfg(**cfg), **run) == got
+
+
+def test_memo_is_thread_count_invariant():
+    cfg = make_cfg(P=10.0, retx=3)
+    simulate.clear_margin_memo()
+    want = simulate._best_margins(cfg, 21, ODD_TRIALS, threads=1)
+    assert not want.flags.writeable
+    assert want.shape == (ODD_TRIALS, 2)
+    for threads in (2, 3, 5):
+        simulate.clear_margin_memo()
+        got = simulate._best_margins(cfg, 21, ODD_TRIALS, threads)
+        assert np.array_equal(got, want)
+        # a hit at another thread count returns the same margins
+        assert simulate._best_margins(cfg, 21, ODD_TRIALS, 1) is got
+
+
+def test_memo_under_racing_callers():
+    # more callers than cores alternate between two curves, so the one
+    # memo entry keeps being replaced under them; every answer must still
+    # be the one a serial run gives
+    cfgs = [make_cfg(P=p, rate=r) for r in (1.0, 2.0) for p in (3.0, 30.0)]
+    want = []
+    for cfg in cfgs:
+        simulate.clear_margin_memo()
+        want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
+    errors = []
+
+    def caller(k):
+        try:
+            for j in range(40):
+                i = (k + j) % len(cfgs)
+                got = simulate_direct(cfgs[i], trials=2 * BLOCK, seed=23,
+                                      threads=1 + j % 2)
+                if got != want[i]:
+                    errors.append((k, j, got, want[i]))
+        except Exception as exc:      # reported through errors below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in pool)
+    assert errors == []
+
+
+def test_memo_memory_is_16_bytes_per_trial():
+    trials = 200_000
+    cfg = make_cfg(P=10.0, retx=2)
+    block_gains = BLOCK * cfg.retx * 4 * 8
+    # slack: the bool mask a point counts failures with, and 64 KiB
+    slack = 2 * trials + 64 * 1024
+    simulate.clear_margin_memo()
+    tracemalloc.start()
+    try:
+        simulate_direct(cfg, trials=trials, seed=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate.clear_margin_memo()
+    assert peak <= 16 * trials + block_gains + slack
 
 
 def test_relay_beats_direct_at_high_rate():
