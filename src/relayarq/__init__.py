@@ -16,7 +16,8 @@ from .linalg import project_off
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
                      diff_exp_params, outage_interference_n3,
                      outage_single_user)
-from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
+from .relay_multi import (MultiBeamformer, balanced_uplink, max_min_sinr,
+                          uplink_gains)
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
                        relay_block, relay_verdicts, run_experiment,

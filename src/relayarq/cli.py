@@ -7,7 +7,13 @@ Subcommands:
   simulate-relay    Monte Carlo relay-ARQ outage (pooled and per user)
   beamform-single   one zero-forcing relay design on a seeded random draw
   beamform-multi    one max-min SINR relay design on a seeded random draw
-  figure <1|2|3>    the three preset experiment tables
+  figure 1|2|3      the three preset experiment tables
+
+One parser serves every command: each takes the same flags, one for each
+run parameter in ``PARAMS``, and options and positionals may come in any
+order, so ``figure 2 --trials 100`` and ``figure --trials 100 2`` are the
+same run. The figure index goes with ``figure`` and with no other
+command.
 
 Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
@@ -15,8 +21,11 @@ Floats are printed with 17 significant digits, so equal runs produce
 byte-identical files. A flat ``key = value`` config file can hold any
 run parameter in ``PARAMS``; command-line flags override it. ``-o`` and
 ``--dump-config`` must name a file in an existing directory, which is
-checked before any work. Exit codes: 0 success, 2 usage, config, output or
-computation error.
+checked before any work. So are the ceilings: ``--n``/``--m`` at most
+MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
+MAX_TRIALS (the engine's memos stay under 1 GiB) and an SNR grid of at
+most MAX_GRID_POINTS points, counted before it is built. Exit codes: 0
+success, 2 usage, config, output or computation error.
 """
 
 import argparse
@@ -30,7 +39,8 @@ from .errors import RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
-from .simulate import run_experiment, simulate_direct, simulate_relay
+from .simulate import (STATS, run_experiment, simulate_direct,
+                       simulate_relay)
 
 # n and m above this would draw multi-GB channel blocks; it is also the
 # largest order the outage law is tested at
@@ -38,6 +48,11 @@ MAX_ANTENNAS = 5000
 # a direct-ARQ block draws BLOCK * retx rounds at once; this keeps one
 # block's gains under about 8 MB
 MAX_ATTEMPTS = 1000
+# the engine memoises 16 B of direct margins and 8 STATS B of relay
+# statistics per trial; this keeps both memos under 1 GiB
+MAX_TRIALS = 2 ** 30 // (16 + 8 * STATS)
+# every point keeps one CSV row in memory until the run ends
+MAX_GRID_POINTS = 100_000
 
 # every run parameter: (type, default). A config file sets it by its key,
 # the command line by the key with dashes (``noise_var`` is
@@ -83,7 +98,8 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_snr_grid(text: str):
-    """'a:b:step' inclusive grid, or a single number."""
+    """'a:b:step' inclusive grid, or a single number; at most
+    MAX_GRID_POINTS points, counted before the grid is built."""
     parts = str(text).split(":")
     try:
         if len(parts) == 1:
@@ -93,9 +109,12 @@ def _parse_snr_grid(text: str):
             if step <= 0 or b < a:
                 raise ValueError
             n = int(round((b - a) / step))
+            if n >= MAX_GRID_POINTS:
+                raise ConfigError(f"SNR grid {text!r} has more than "
+                                  f"{MAX_GRID_POINTS} points")
             grid = [a + k * step for k in range(n + 1)]
             return [x for x in grid if x <= b + 1e-9]
-    except ValueError:
+    except (ValueError, OverflowError):     # round(inf) overflows
         pass
     raise ConfigError(f"bad SNR grid {text!r}; expected X or A:B:STEP")
 
@@ -109,6 +128,8 @@ def _effective_params(args) -> dict:
             params[key] = getattr(args, key)
     if params["trials"] < 100:
         raise ConfigError("trials must be at least 100")
+    if params["trials"] > MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {MAX_TRIALS}")
     if params["threads"] < 1:
         raise ConfigError("threads must be at least 1")
     if max(params["n"], params["m"]) > MAX_ANTENNAS:
@@ -262,22 +283,25 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # one parser, built per call rather than at import
     parser = argparse.ArgumentParser(
         prog="relayarq",
         description="Outage analytics and relay beamforming experiments.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = subs.add_parser(name)
-        if name == "figure":
-            sp.add_argument("which", choices=("1", "2", "3"))
-        sp.add_argument("--config")
-        sp.add_argument("--dump-config", metavar="PATH")
-        for key, (typ, _) in PARAMS.items():
-            flag = "-o" if key == "output" else "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key, type=typ)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("which", nargs="?", choices=("1", "2", "3"),
+                        help="figure index, for the figure command only")
+    parser.add_argument("--config")
+    parser.add_argument("--dump-config", metavar="PATH")
+    for key, (typ, _) in PARAMS.items():
+        flag = "-o" if key == "output" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=typ)
 
     try:
-        args = parser.parse_args(argv)
+        # intermixed, so the figure index may follow the options
+        args = parser.parse_intermixed_args(argv)
+        if (args.command == "figure") != (args.which is not None):
+            parser.error("a figure index 1, 2 or 3 goes with figure, and "
+                         "only with figure")
     except SystemExit as e:
         return int(e.code or 0)
 

@@ -24,7 +24,9 @@ IEEE T-VT 2004; Wiesel, Eldar & Shamai, IEEE T-SP 2006):
   x_1 = x_2: q_1 = power ||h_2||^2 / (||h_1||^2 + ||h_2||^2). The balanced
   level t = q_1 (||h_1||^2 noise_var + q_2 G)
             / (noise_var (noise_var + q_1 ||h_1||^2))
-  is the optimal max-min SINR in both directions.
+  is the optimal max-min SINR in both directions. In noise units,
+  q~ = q / noise_var, it reads t = (||h_1||^2 + q~_2 G) / (1/q~_1 + ||h_1||^2),
+  so the channels enter only through ||h_1||^2, ||h_2||^2 and G.
 * The downlink beams point along the unit MMSE filters, and their powers
   solve the 2 x 2 linear system that sets both downlink SINRs to t; those
   powers add up to the same budget.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
-from .linalg import project_off
+from .linalg import project_off, sq_norm
 
 
 @dataclass(frozen=True)
@@ -51,28 +53,39 @@ class MultiBeamformer:
     q2: float
 
 
-def balanced_uplink(h1: np.ndarray, h2: np.ndarray, power: float,
-                    noise_var: float):
-    """Balanced dual-uplink powers and the common SINR, in closed form.
+def uplink_gains(h1: np.ndarray, h2: np.ndarray):
+    """The statistics the max-min design sees its channels through.
 
     Channels are batched over leading axes (antennas along the last axis);
-    returns arrays ``(q1, q2, t)`` of the batch shape. Where either channel
-    is zero that user cannot be reached: t is 0 there, and q1, q2 carry no
-    meaning.
+    returns ``(||h1||^2, ||h2||^2, ||P_perp h2||^2)`` of the batch shape,
+    with P_perp the projector off h1. The Gram term
+    ||h1||^2 ||h2||^2 - |h1^H h2|^2 is the product of the first and the
+    third; going through the projection keeps its relative accuracy for
+    nearly parallel channels.
     """
-    n1 = np.sum(h1.real ** 2 + h1.imag ** 2, axis=-1)
-    n2 = np.sum(h2.real ** 2 + h2.imag ** 2, axis=-1)
-    # ||h1||^2 ||h2||^2 - |h1^H h2|^2 through the projection of h2 off h1,
-    # which keeps its relative accuracy for nearly parallel channels
-    perp = project_off(h2, h1)
-    gram = n1 * np.sum(perp.real ** 2 + perp.imag ** 2, axis=-1)
+    return sq_norm(h1), sq_norm(h2), sq_norm(project_off(h2, h1))
+
+
+def balanced_uplink(n1, n2, gram, power: float, noise_var: float):
+    """Balanced dual-uplink powers and the common SINR, in closed form.
+
+    Takes n_i = ||h_i||^2 and gram = ||h1||^2 ||h2||^2 - |h1^H h2|^2,
+    batched alike, and returns arrays ``(q1, q2, t)`` of their shape. t is
+    computed in noise units, q~ = q / noise_var:
+    t = (n1 + q~2 gram) / (1 / q~1 + n1), so only power / noise_var enters
+    and no intermediate over- or underflows with the noise's absolute
+    scale. Where either channel is zero that user cannot be reached: t is
+    0 there, and q1, q2 carry no meaning.
+    """
     reach = (n1 > 0) & (n2 > 0)
     total = np.where(reach, n1 + n2, 1.0)
-    q1 = power * n2 / total
-    q2 = power * n1 / total
-    s = noise_var
-    t = np.where(reach, q1 * (n1 * s + q2 * gram) / (s * (s + q1 * n1)), 0.0)
-    return q1, q2, t
+    q1 = power * (n2 / total)
+    q2 = power * (n1 / total)
+    # far above the noise t overflows to inf, and far below it (or where a
+    # user is unreachable) noise_var / q1 does: both are the right verdict
+    with np.errstate(over="ignore", divide="ignore"):
+        t = (n1 + q2 / noise_var * gram) / (noise_var / q1 + n1)
+    return q1, q2, np.where(reach, t, 0.0)
 
 
 def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
@@ -95,10 +108,10 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
         zero = np.zeros(h1.size, dtype=complex)
         return MultiBeamformer(b1=zero, b2=zero.copy(), t_star=0.0,
                                sinr1=0.0, sinr2=0.0, q1=0.0, q2=0.0)
-    q1, q2, t = (float(x) for x in balanced_uplink(h1, h2, power, noise_var))
+    n1, n2, perp = (float(x) for x in uplink_gains(h1, h2))
+    q1, q2, t = (float(x) for x in balanced_uplink(n1, n2, n1 * perp, power,
+                                                   noise_var))
     s = noise_var
-    n1 = float(np.vdot(h1, h1).real)
-    n2 = float(np.vdot(h2, h2).real)
     cross = np.vdot(h2, h1)                   # h2^H h1
     u1 = h1 - h2 * (q2 * cross / (s + q2 * n2))
     u2 = h2 - h1 * (q1 * np.conj(cross) / (s + q1 * n1))

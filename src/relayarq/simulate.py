@@ -21,25 +21,38 @@ and keeps complex vectors only for the relay links the beams project.
 
 Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their channels, as
-whole arrays, from one counter-based substream keyed by (seed, context, b);
-the verdicts then come from array operations over the block. Threads take
-contiguous runs of blocks and their results are joined in block order
-(direct) or reduced by integer sums (relay), so failure counts are
-identical for any thread count. A trial's draws depend on its block and on
-that block's length, so a run with more trials is not a prefix-extension
-of a shorter one. Grid sweeps reuse the same seed at every point: common
-random numbers across a curve, fresh draws within each trial.
+whole arrays, from one counter-based substream keyed by (seed, context, b),
+and reduces them to a few floats per trial that the verdicts then come
+from. Threads take contiguous runs of blocks and write disjoint rows of
+one array, so failure counts are identical for any thread count. A
+trial's draws depend on its block and on that block's length, so a run
+with more trials is not a prefix-extension of a shorter one. Grid sweeps
+reuse the same seed at every point: common random numbers across a
+curve, fresh draws within each trial.
 
-The direct engine reuses those common draws instead of redrawing them. A
-round succeeds when the margin ||h_ii||^2 - gamma ||h_ij||^2 reaches the
-floor gamma sigma^2 / (P/N), and the margin does not depend on P or
-sigma^2. So the engine keeps each message's best margin over its
-attempts in a memo of one entry keyed by (seed, trials, N, var_direct,
-var_cross, rate, retx): 16 bytes per trial. A point whose config differs
-from the last one only in P or noise_var counts the margins below its
-floor and draws nothing. Figure 1 therefore runs its
-attempt budgets L in the outer loop and SNR in the inner one; its rows
-are put back in SNR-major order, but its progress lines come L-major.
+Both engines reuse those common draws instead of redrawing them. Each
+keeps the per-trial floats its verdicts need in a memo of one entry,
+keyed by exactly what the floats depend on; a point whose key matches
+the last one draws nothing and only judges. ``clear_memos`` forgets both.
+
+* Direct: a round succeeds when the margin ||h_ii||^2 - gamma ||h_ij||^2
+  reaches the floor gamma sigma^2 / (P/N), and the margin does not depend
+  on P or sigma^2. The memo holds each message's best margin over its
+  attempts, 16 bytes per trial, keyed by (seed, trials, N, var_direct,
+  var_cross, rate, retx). Figure 1 therefore runs its attempt budgets L
+  in the outer loop and SNR in the inner one; its rows are put back in
+  SNR-major order, but its progress lines come L-major.
+* Relay: a trial is judged from STATS = 11 floats, 88 bytes, none of
+  which depends on the rate, the powers or the noise: the 4 round-1 BS
+  gains, the 2 round-2 cross gains e2[f, 1 - f] a failed user f would
+  see, the max-min design's ||g1||^2, ||g2||^2 and ||P_perp_g1 g2||^2
+  (as ``relay_multi.uplink_gains`` gives them), and the zero-forcing gain
+  ||P_perp_go g_f||^2 for f = 0, 1 (``relay_single.optimal_gain`` at unit
+  power). The memo is keyed by (seed, trials, N, M, var_direct,
+  var_cross, var_relay), so figure 2's rate sweep, or any SNR grid,
+  draws once. Each verdict is divided through by the noise or by P, so
+  only P / sigma^2 and power ratios enter and the outcome does not
+  depend on the noise's absolute scale.
 """
 
 import math
@@ -52,11 +65,12 @@ import numpy as np
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
                       draw_relay_channels, substream)
 from .errors import ContractViolationError
+from .linalg import project_off, sq_norm
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import balanced_uplink
-from .relay_single import optimal_gain
 
 BLOCK = 256               # trials per random-number block
+JUDGE_ROWS = 16 * BLOCK   # relay trials judged per array pass
 
 MODE_NONE = "none"
 MODE_SINGLE = "single-user"
@@ -142,49 +156,59 @@ def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
     return _direct_margin(e, cfg.sinr_threshold) >= _direct_floor(cfg)
 
 
-def _margin_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
-    """Best margin over the attempts of each (trial, user) of the trials
-    [start, stop), float (stop - start, 2)."""
+def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
+                  start: int):
+    """Write the best margin over the attempts of each (trial, user) of
+    the trials [start, start + len(out)) into out, float (len(out), 2)."""
     gamma = cfg.sinr_threshold
-    best = np.empty((stop - start, 2))
-    for block, n in _blocks(start, stop):
+    for block, n in _blocks(start, start + len(out)):
         rng = substream(seed, CTX_DIRECT, block)
         # trial-major: trial k owns rounds [k retx, (k + 1) retx)
         e = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
         lo = block * BLOCK - start
-        best[lo:lo + n] = _direct_margin(e, gamma).reshape(
+        out[lo:lo + n] = _direct_margin(e, gamma).reshape(
             n, cfg.retx, 2).max(axis=1)
-    return best
 
 
-# (key, margins) of the last direct run: one entry, replaced whole and never
-# written in place, so callers racing on it at worst repeat a draw
-_memo = None
+# chunk worker -> (key, rows) of that engine's last run: one entry per
+# engine, replaced whole and never written in place, so callers racing on
+# it at worst repeat a draw
+_memos = {}
+
+
+def _memoised(worker, width: int, key, cfg: SystemConfig, seed: int,
+              trials: int, threads: int) -> np.ndarray:
+    """The rows ``worker`` writes for the trials [0, trials), float
+    (trials, width), read-only.
+
+    Memoised on ``key``, which must hold everything the rows depend on;
+    the thread count only splits the work. Threads write disjoint slices
+    of one array, so a draw keeps no second copy of its result.
+    """
+    if trials < 1:
+        raise ContractViolationError("trials must be at least 1")
+    memo = _memos.get(worker)
+    if memo is None or memo[0] != key:
+        rows = np.empty((trials, width))
+        _run_chunks(lambda lo, hi: worker(cfg, seed, rows[lo:hi], lo),
+                    trials, threads)
+        rows.flags.writeable = False
+        memo = _memos[worker] = (key, rows)
+    return memo[1]
+
+
+def clear_memos():
+    """Forget the memoised direct margins and relay statistics."""
+    _memos.clear()
 
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int,
                   threads: int) -> np.ndarray:
-    """Best margin of every (trial, user), float (trials, 2), read-only.
-
-    Memoised on exactly what they depend on, so a curve over P or
-    noise_var draws once; the thread count only splits the work.
-    """
-    global _memo
+    """Best margin of every (trial, user), float (trials, 2), read-only,
+    memoised on exactly what they depend on."""
     key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate,
            cfg.retx)
-    memo = _memo
-    if memo is None or memo[0] != key:
-        parts = _run_chunks(_margin_chunk, cfg, seed, trials, threads)
-        margins = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        margins.flags.writeable = False
-        memo = _memo = (key, margins)
-    return memo[1]
-
-
-def clear_margin_memo():
-    """Forget the memoised direct margins."""
-    global _memo
-    _memo = None
+    return _memoised(_margin_chunk, 2, key, cfg, seed, trials, threads)
 
 
 def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
@@ -202,31 +226,65 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def relay_verdicts(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
-                   g: np.ndarray) -> RelayVerdicts:
-    """Outcomes of n relay-ARQ trials from their channels.
+# columns of the relay statistics: round-1 gains e1[i, j] at 2 i + j, the
+# round-2 cross gains seen by a failed user f, the max-min design's
+# ||g1||^2, ||g2||^2 and ||P_perp_g1 g2||^2, and the zero-forcing gains
+# ||P_perp_go g_f||^2 for f = 0, 1
+_E1, _Y, _UPLINK, _X = slice(0, 4), 4, 6, 9
+STATS = 11                # floats per relay trial
+
+
+def relay_stats(e1: np.ndarray, e2: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The statistics n relay-ARQ trials are judged by, float (n, STATS).
 
     e1, e2 are the round-1 and round-2 BS power gains, shaped (n, 2, 2);
-    g holds the relay channels, shaped (n, 2, M). Both relay modes are
-    evaluated for every trial and each trial keeps the one its round-1
-    outcome selects.
+    g holds the relay channels, shaped (n, 2, M). None of the statistics
+    depends on the rate, the powers or the noise.
+    """
+    n = len(e1)
+    g1, g2 = g[:, 0], g[:, 1]
+    off1 = project_off(g2, g1)        # g2 with its g1 component removed
+    off2 = project_off(g1, g2)
+    out = np.empty((n, STATS))
+    out[:, _E1] = e1.reshape(n, 4)
+    out[:, _Y] = e2[:, 0, 1]
+    out[:, _Y + 1] = e2[:, 1, 0]
+    # summed as relay_multi.uplink_gains and relay_single.optimal_gain sum
+    # them, bit for bit, from one projection each way instead of three
+    out[:, _UPLINK] = sq_norm(g1)
+    out[:, _UPLINK + 1] = sq_norm(g2)
+    out[:, _UPLINK + 2] = sq_norm(off1)
+    out[:, _X] = np.sum(np.abs(off2) ** 2, axis=-1)
+    out[:, _X + 1] = np.sum(np.abs(off1) ** 2, axis=-1)
+    return out
+
+
+def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
+    """Outcomes of the relay-ARQ trials whose statistics are ``stats``.
+
+    Both relay modes are evaluated for every trial and each trial keeps
+    the one its round-1 outcome selects. Every test is divided through by
+    the noise or by P, so only P / noise_var, the relay powers over P and
+    the channel statistics enter.
     """
     gamma = cfg.sinr_threshold
-    idx = np.arange(len(e1))
-    ok = _direct_sinr_ok(cfg, e1)
+    ok = _direct_sinr_ok(cfg, stats[:, _E1].reshape(-1, 2, 2))
     mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
 
-    # one user failed: the relay zero-forces toward the other user o while
-    # BS o serves fresh traffic. A failure needs gamma > 0, so a zero g_f
-    # (no gain) fails here too.
-    f = np.where(ok[:, 0], 1, 0)
-    o = 1 - f
-    gain = optimal_gain(g[idx, o], g[idx, f], cfg.Pr_single)
-    interf = (cfg.P / cfg.N) * e2[idx, f, o]
-    single_ok = gain / (cfg.noise_var + interf) >= gamma
+    # one user f failed: the relay zero-forces toward the other user while
+    # that user's BS serves fresh traffic. The SINR test
+    # Pr_single X / (noise_var + (P/N) Y) >= gamma is divided through by
+    # P. A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
+    f = ok[:, 0].astype(np.intp)
+    rows = np.arange(len(stats))
+    x = stats[rows, _X + f]
+    y = stats[rows, _Y + f]
+    single_ok = ((cfg.Pr_single / cfg.P) * x - (gamma / cfg.N) * y
+                 >= gamma * cfg.noise_var / cfg.P)
 
     # both failed: both messages ride the relay at the balanced SINR
-    _, _, t = balanced_uplink(g[:, 0], g[:, 1], cfg.Pr_multi, cfg.noise_var)
+    n1, n2, perp = stats[:, _UPLINK:_UPLINK + 3].T
+    _, _, t = balanced_uplink(n1, n2, n1 * perp, cfg.Pr_multi, cfg.noise_var)
     multi_ok = t >= gamma
 
     rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
@@ -234,33 +292,64 @@ def relay_verdicts(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
                          delivered=ok | rescued[:, None])
 
 
-def relay_block(cfg: SystemConfig, seed: int, block: int,
-                n: int = BLOCK) -> RelayVerdicts:
-    """Draw and judge the ``n`` trials of one relay block."""
+def relay_verdicts(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
+                   g: np.ndarray) -> RelayVerdicts:
+    """Outcomes of n relay-ARQ trials from their channels, shaped as
+    ``relay_stats`` takes them."""
+    return judge_relay(cfg, relay_stats(e1, e2, g))
+
+
+def _block_stats(cfg: SystemConfig, seed: int, block: int,
+                 n: int) -> np.ndarray:
+    """Draw the ``n`` trials of one relay block and reduce them to their
+    statistics."""
     rng = substream(seed, CTX_RELAY, block)
     e1 = draw_bs_channels(cfg, rng, rounds=n)
     e2 = draw_bs_channels(cfg, rng, rounds=n)
     g = draw_relay_channels(cfg, rng, rounds=n)
-    return relay_verdicts(cfg, e1, e2, g)
+    return relay_stats(e1, e2, g)
 
 
-def _relay_chunk(cfg: SystemConfig, seed: int, start: int, stop: int):
-    # (fail_1, fail_2, n_none, n_single, n_multi)
-    counts = np.zeros(5, dtype=np.int64)
-    for block, n in _blocks(start, stop):
-        out = relay_block(cfg, seed, block, n)
-        counts[:2] += np.count_nonzero(~out.delivered, axis=0)
-        counts[2:] += np.bincount(out.mode, minlength=3)
-    return counts
+def relay_block(cfg: SystemConfig, seed: int, block: int,
+                n: int = BLOCK) -> RelayVerdicts:
+    """Draw and judge the ``n`` trials of one relay block."""
+    return judge_relay(cfg, _block_stats(cfg, seed, block, n))
+
+
+def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, start: int):
+    """Write the statistics of the relay trials
+    [start, start + len(out)) into out."""
+    for block, n in _blocks(start, start + len(out)):
+        lo = block * BLOCK - start
+        out[lo:lo + n] = _block_stats(cfg, seed, block, n)
+
+
+def _relay_stats(cfg: SystemConfig, seed: int, trials: int,
+                 threads: int) -> np.ndarray:
+    """Statistics of every relay trial, float (trials, STATS), read-only,
+    memoised on exactly what they depend on."""
+    key = (seed, trials, cfg.N, cfg.M, cfg.var_direct, cfg.var_cross,
+           cfg.var_relay)
+    return _memoised(_stats_chunk, STATS, key, cfg, seed, trials, threads)
 
 
 def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
                    threads: int = 1) -> RelayEstimate:
-    """Relay-assisted ARQ outage: one direct round plus one relay round."""
+    """Relay-assisted ARQ outage: one direct round plus one relay round.
+
+    The trials are judged JUDGE_ROWS at a time from their memoised
+    statistics, so a sweep over the rate, P or noise_var draws once.
+    """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    fail_1, fail_2, *modes = map(int, sum(_run_chunks(_relay_chunk, cfg,
-                                                      seed, trials, threads)))
+    stats = _relay_stats(cfg, seed, trials, threads)
+    # (fail_1, fail_2, n_none, n_single, n_multi)
+    counts = np.zeros(5, dtype=np.int64)
+    for lo in range(0, trials, JUDGE_ROWS):
+        out = judge_relay(cfg, stats[lo:lo + JUDGE_ROWS])
+        counts[:2] += np.count_nonzero(~out.delivered, axis=0)
+        counts[2:] += np.bincount(out.mode, minlength=3)
+    fail_1, fail_2, *modes = map(int, counts)
     return RelayEstimate(
         pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),
         user1=OutageEstimate(trials=trials, failures=fail_1),
@@ -268,15 +357,10 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
         aborted=0, mode_counts=tuple(modes))
 
 
-def _run_chunks(worker, cfg, seed, trials, threads):
-    """Split the blocks of [0, trials) into contiguous runs, one per thread,
-    and return the workers' results in block order.
-
-    Each worker gets the trial range of its run, starting on a block
-    boundary.
-    """
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
+def _run_chunks(fill, trials: int, threads: int):
+    """Split the blocks of [0, trials) into contiguous runs, one per
+    thread, and call ``fill(lo, hi)`` on the trial range of each run; each
+    range starts on a block boundary."""
     threads = max(1, int(threads))
     blocks = -(-trials // BLOCK)
     base, extra = divmod(blocks, threads)
@@ -288,12 +372,13 @@ def _run_chunks(worker, cfg, seed, trials, threads):
             bounds.append((lo * BLOCK, min(hi * BLOCK, trials)))
         lo = hi
     if len(bounds) == 1:
-        return [worker(cfg, seed, *bounds[0])]
+        fill(*bounds[0])
+        return
     # more runs than cores queue up instead of starting more threads
     workers = min(len(bounds), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(worker, cfg, seed, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futs]
+        for fut in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
+            fut.result()
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +418,14 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
     note = progress if progress is not None else (lambda msg: None)
     if preset == "fig1":
         rows = []
+        # the one-attempt law does not depend on L: one per SNR
+        p_int = {snr: outage_interference_n3(_cfg(_FIG1_BASE, snr))
+                 for snr in FIG1_SNR_DB}
         # L outer, so each curve draws its margins once
         for attempts in FIG1_ATTEMPTS:
             for snr in FIG1_SNR_DB:
                 cfg = _cfg(_FIG1_BASE, snr, retx=attempts)
-                analytic = arq_outage(outage_interference_n3(cfg), attempts)
+                analytic = arq_outage(p_int[snr], attempts)
                 est = simulate_direct(cfg, trials, seed, threads)
                 rows.append((float(snr), attempts, analytic, est.p_hat,
                              est.ci_halfwidth))

@@ -276,6 +276,7 @@ def test_c9_csv_byte_determinism(tmp_path):
     outs = []
     for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         path = tmp_path / f"relay_{tag}.csv"
+        simulate.clear_memos()          # each run draws afresh
         code = cli.main(["simulate-relay", *base, "--threads", threads,
                          "-o", str(path)])
         assert code == 0
@@ -286,7 +287,7 @@ def test_c9_csv_byte_determinism(tmp_path):
     outs = []
     for tag, threads in (("a", "1"), ("b", "3")):
         path = tmp_path / f"direct_{tag}.csv"
-        simulate.clear_margin_memo()    # each thread count draws afresh
+        simulate.clear_memos()    # each thread count draws afresh
         code = cli.main(["simulate-direct", "--seed", "5", "--trials", "3000",
                          "--rate", "2", "--snr-db", "0:40:10",
                          "--threads", threads, "-o", str(path)])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 import relayarq.cli as cli
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
-from relayarq.simulate import clear_margin_memo, simulate_direct
+from relayarq.simulate import clear_memos, simulate_direct
 
 
 def run_cli(capsys, *argv):
@@ -69,7 +70,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_bad_snr_grid_exits_2(capsys):
-    for grid in ("abc", "0:10", "10:0:5", "0:10:-1", "0:10:0"):
+    for grid in ("abc", "0:10", "10:0:5", "0:10:-1", "0:10:0", "0:inf:1"):
         code, _, err = run_cli(capsys, "analytic", "--snr-db", grid)
         assert code == 2, grid
         assert "SNR grid" in err
@@ -182,6 +183,43 @@ def test_attempt_ceiling_is_inclusive(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert 0.0 <= float(rows[0][1]) <= 1.0
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("simulate-relay", "--trials", str(cli.MAX_TRIALS + 1)),
+     f"trials must be at most {cli.MAX_TRIALS}"),
+    (("simulate-direct", "--trials", "100", "--snr-db", "0:inf:1"),
+     "bad SNR grid"),
+    (("analytic", "--snr-db", f"0:{cli.MAX_GRID_POINTS}:1"),
+     f"more than {cli.MAX_GRID_POINTS} points"),
+    (("simulate-relay", "--trials", "100", "--snr-db",
+      f"0:{10 * cli.MAX_GRID_POINTS}:1"),
+     f"more than {cli.MAX_GRID_POINTS} points"),
+])
+def test_run_ceilings_exit_2_before_any_allocation(capsys, monkeypatch,
+                                                   argv, needle):
+    # a grid is counted before it is built, and a run past the trial
+    # ceiling never reaches the engine's memos
+    _forbid_library_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert peak < 1 << 20
+
+
+def test_run_ceilings_are_inclusive(capsys, monkeypatch):
+    assert len(cli._parse_snr_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) \
+        == cli.MAX_GRID_POINTS
+    # the largest trial count passes validation and reaches the engine
+    _forbid_library_calls(monkeypatch)
+    with pytest.raises(AssertionError, match="before the run was validated"):
+        cli.main(["simulate-relay", "--trials", str(cli.MAX_TRIALS)])
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
@@ -315,7 +353,7 @@ def test_simulate_direct_matches_library(capsys):
     assert header == ["SNR_dB", "p", "ci", "messages", "failures"]
     cfg = SystemConfig(N=3, M=3, P=10.0, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0, retx=2)
-    clear_margin_memo()     # draw afresh rather than reread the CLI's run
+    clear_memos()     # draw afresh rather than reread the CLI's run
     est = simulate_direct(cfg, trials=500, seed=9)
     assert int(rows[0][3]) == est.trials
     assert int(rows[0][4]) == est.failures
@@ -326,7 +364,7 @@ def test_repeat_runs_byte_identical(capsys):
     args = ("simulate-direct", "--snr-db", "0:10:5", "--trials", "300",
             "--seed", "3", "--threads", "2")
     _, first, _ = run_cli(capsys, *args)
-    clear_margin_memo()
+    clear_memos()
     _, second, _ = run_cli(capsys, *args)
     assert first == second
 
@@ -410,7 +448,38 @@ def test_figure_1_table(capsys):
 
 
 def test_figure_requires_valid_index(capsys):
-    assert run_cli(capsys, "figure", "4")[0] == 2
+    for argv in (("figure", "4"), ("figure",), ("analytic", "1"),
+                 ("simulate-relay", "--trials", "100", "2"),
+                 ("figure", "1", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("usage: relayarq")
+
+
+def test_figure_index_before_or_after_the_options(capsys):
+    outs = []
+    for argv in (("figure", "--trials", "100", "--seed", "2", "2"),
+                 ("figure", "2", "--trials", "100", "--seed", "2"),
+                 ("figure", "--trials", "100", "2", "--seed", "2")):
+        clear_memos()                   # each run draws afresh
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert parse_csv(outs[0])[0] == ["R", "series", "p", "ci"]
+
+
+def test_help_names_every_command_and_flag(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    for name in cli.COMMANDS:
+        assert name in out
+    for key in cli.PARAMS:
+        flag = "-o" if key == "output" else "--" + key.replace("_", "-")
+        assert f"{flag} " in out
+    for flag in ("--config", "--dump-config"):
+        assert flag in out
 
 
 # ---------------------------------------------------------------------------

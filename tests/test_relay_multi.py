@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DimensionError
-from relayarq.relay_multi import balanced_uplink, max_min_sinr
+from relayarq.relay_multi import balanced_uplink, max_min_sinr, uplink_gains
 
 from _oracles import brute_force_m2, cn_vector, orthogonal_pair_optimum
 from _sdp_oracle import (
@@ -180,7 +180,8 @@ def test_batched_balance_matches_single_solves():
     h2 = cn_vector(rng, 24, 4.0).reshape(6, 4)
     h2[2] = 0.0                                # an unreachable user
     h2[3] = (0.5 - 1j) * h1[3]                 # no spatial separation
-    q1, q2, t = balanced_uplink(h1, h2, 30.0, 0.5)
+    n1, n2, perp = uplink_gains(h1, h2)
+    q1, q2, t = balanced_uplink(n1, n2, n1 * perp, 30.0, 0.5)
     assert t.shape == (6,) and t[2] == 0.0
     for i in range(6):
         sol = max_min_sinr(h1[i], h2[i], 30.0, noise_var=0.5)

@@ -8,11 +8,14 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relayarq.channel import (CTX_DIRECT, SystemConfig, draw_bs_channels,
                               draw_relay_channels, substream)
 from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, outage_interference_n3
+from relayarq.relay_multi import uplink_gains
+from relayarq.relay_single import optimal_gain
 import relayarq.simulate as simulate
 from relayarq.simulate import (
     BLOCK,
@@ -81,9 +84,9 @@ def test_direct_zero_rate_never_fails():
 
 def test_direct_thread_count_invariant():
     cfg = make_cfg(P=10.0)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     a = simulate_direct(cfg, trials=3000, seed=4, threads=1)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     b = simulate_direct(cfg, trials=3000, seed=4, threads=3)
     assert (a.trials, a.failures) == (b.trials, b.failures)
 
@@ -123,6 +126,21 @@ def test_direct_verdict_cannot_overflow():
         assert not out.round1.any()
         # a round that clears the threshold still passes
         assert simulate._direct_sinr_ok(cfg, e + np.diag([30.0, 30.0])).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(snrs=st.lists(st.floats(-50.0, 3075.0), min_size=2, max_size=30),
+       seed=st.integers(0, 2), rate=st.sampled_from((0.5, 2.0, 6.0)))
+def test_direct_failures_never_rise_with_snr(snrs, seed, rate):
+    # common random numbers: at one seed every point judges the same
+    # draws, so a higher SNR can only lower the floor and the losses
+    fails = []
+    for snr in sorted(snrs):
+        cfg = SystemConfig.at_snr(snr, N=3, M=3, noise_var=1.0,
+                                  var_direct=2.0, var_cross=1.0,
+                                  var_relay=4.0, rate=rate)
+        fails.append(simulate_direct(cfg, trials=1000, seed=seed).failures)
+    assert all(b <= a for a, b in zip(fails, fails[1:])), fails
 
 
 def test_direct_seed_sensitivity():
@@ -179,7 +197,9 @@ def test_relay_modes_partition_and_counts():
 
 def test_relay_thread_count_invariant():
     cfg = make_cfg(P=10.0, rate=1.0)
+    simulate.clear_memos()
     a = simulate_relay(cfg, trials=120, seed=11, threads=1)
+    simulate.clear_memos()
     b = simulate_relay(cfg, trials=120, seed=11, threads=3)
     assert a == b
 
@@ -191,9 +211,9 @@ def test_thread_count_invariant_across_blocks(engine, threads):
     # four blocks, the last one partial: threads split them 4, 2+2, 2+1+1
     # and 1+1+1+1 (one thread idle)
     cfg = make_cfg(P=10.0, rate=1.0)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     want = engine(cfg, trials=ODD_TRIALS, seed=17, threads=1)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     assert engine(cfg, trials=ODD_TRIALS, seed=17, threads=threads) == want
 
 
@@ -222,13 +242,13 @@ def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     cfg = make_cfg(P=10.0)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     got = simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=7)
     # seven runs of one block each, however few workers serve them
     assert sizes == [want]
     assert len(submitted) == 7
     monkeypatch.undo()
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     assert got == simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=1)
 
 
@@ -236,19 +256,20 @@ def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
 # the direct-margin memo
 # ---------------------------------------------------------------------------
 
-def count_draws(monkeypatch):
-    """Count the BS draws the engine makes from here on."""
+def count_draws(monkeypatch, name="draw_bs_channels"):
+    """Count the engine's calls of ``name`` from here on."""
     calls = []
+    fn = getattr(simulate, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return draw_bs_channels(*args, **kwargs)
-    monkeypatch.setattr(simulate, "draw_bs_channels", counted)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(simulate, name, counted)
     return calls
 
 
 def test_second_point_of_a_curve_draws_nothing(monkeypatch):
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     calls = count_draws(monkeypatch)
     simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
     assert len(calls) == 4
@@ -267,29 +288,60 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
                       "rate", "retx")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, retx=2)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     simulate_direct(make_cfg(**cfg), **run)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch)
     got = simulate_direct(make_cfg(**cfg), **run)
     # a key field draws afresh; P, noise_var and the relay fields hit
     assert bool(calls) == keyed
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     assert simulate_direct(make_cfg(**cfg), **run) == got
 
 
 def test_memo_is_thread_count_invariant():
     cfg = make_cfg(P=10.0, retx=3)
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     want = simulate._best_margins(cfg, 21, ODD_TRIALS, threads=1)
     assert not want.flags.writeable
     assert want.shape == (ODD_TRIALS, 2)
     for threads in (2, 3, 5):
-        simulate.clear_margin_memo()
+        simulate.clear_memos()
         got = simulate._best_margins(cfg, 21, ODD_TRIALS, threads)
         assert np.array_equal(got, want)
         # a hit at another thread count returns the same margins
         assert simulate._best_margins(cfg, 21, ODD_TRIALS, 1) is got
+
+
+def race(run, want, callers=6, rounds=40):
+    """Callers, more than there are cores, each make ``rounds`` calls
+    ``run(i, j)`` over the configs i in turn, with a 1 us switch interval;
+    returns every answer that differs from ``want[i]``, and every error."""
+    errors = []
+
+    def caller(k):
+        try:
+            for j in range(rounds):
+                i = (k + j) % len(want)
+                got = run(i, j)
+                if got != want[i]:
+                    errors.append((k, j, got, want[i]))
+        except Exception as exc:      # reported through errors
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=caller, args=(k,))
+                for k in range(callers)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in pool)
+    return errors
 
 
 def test_memo_under_racing_callers():
@@ -299,33 +351,10 @@ def test_memo_under_racing_callers():
     cfgs = [make_cfg(P=p, rate=r) for r in (1.0, 2.0) for p in (3.0, 30.0)]
     want = []
     for cfg in cfgs:
-        simulate.clear_margin_memo()
+        simulate.clear_memos()
         want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
-    errors = []
-
-    def caller(k):
-        try:
-            for j in range(40):
-                i = (k + j) % len(cfgs)
-                got = simulate_direct(cfgs[i], trials=2 * BLOCK, seed=23,
-                                      threads=1 + j % 2)
-                if got != want[i]:
-                    errors.append((k, j, got, want[i]))
-        except Exception as exc:      # reported through errors below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pool = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in pool)
-    assert errors == []
+    assert race(lambda i, j: simulate_direct(
+        cfgs[i], trials=2 * BLOCK, seed=23, threads=1 + j % 2), want) == []
 
 
 def test_memo_memory_is_16_bytes_per_trial():
@@ -334,15 +363,145 @@ def test_memo_memory_is_16_bytes_per_trial():
     block_gains = BLOCK * cfg.retx * 4 * 8
     # slack: the bool mask a point counts failures with, and 64 KiB
     slack = 2 * trials + 64 * 1024
-    simulate.clear_margin_memo()
+    simulate.clear_memos()
     tracemalloc.start()
     try:
         simulate_direct(cfg, trials=trials, seed=22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        simulate.clear_margin_memo()
+        simulate.clear_memos()
     assert peak <= 16 * trials + block_gains + slack
+
+
+# ---------------------------------------------------------------------------
+# the relay-statistics memo
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 20), ("trials", 2 * BLOCK + 3), ("N", 2), ("M", 5),
+    ("var_direct", 3.0), ("var_cross", 0.5), ("var_relay", 1.0),
+    ("rate", 4.0), ("P", 30.0), ("noise_var", 0.25), ("retx", 3),
+    ("Pr_single", 7.0), ("Pr_multi", 90.0),
+])
+def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
+    keyed = field in ("seed", "trials", "N", "M", "var_direct", "var_cross",
+                      "var_relay")
+    run = dict(seed=19, trials=ODD_TRIALS)
+    cfg = dict(P=10.0, rate=1.0)
+    simulate.clear_memos()
+    simulate_relay(make_cfg(**cfg), **run)
+    (run if field in run else cfg)[field] = value
+    calls = count_draws(monkeypatch, "draw_relay_channels")
+    got = simulate_relay(make_cfg(**cfg), **run)
+    # a key field draws afresh; the rate, the powers and the noise hit
+    assert bool(calls) == keyed
+    simulate.clear_memos()
+    assert simulate_relay(make_cfg(**cfg), **run) == got
+
+
+def test_fig2_draws_its_relay_trials_once(monkeypatch):
+    # 7 rates at one SNR: the relay draws once, the direct engine once per
+    # rate (gamma is part of its margins)
+    simulate.clear_memos()
+    counted = {name: count_draws(monkeypatch, name) for name in
+               ("substream", "draw_bs_channels", "draw_relay_channels")}
+    run_experiment("fig2", trials=100, seed=0)
+    assert {k: len(v) for k, v in counted.items()} == dict(
+        substream=8, draw_bs_channels=9, draw_relay_channels=1)
+
+
+def test_relay_memo_is_thread_count_invariant():
+    cfg = make_cfg(P=10.0, rate=1.0)
+    simulate.clear_memos()
+    want = simulate._relay_stats(cfg, 21, ODD_TRIALS, threads=1)
+    assert not want.flags.writeable
+    assert want.shape == (ODD_TRIALS, simulate.STATS)
+    for threads in (2, 3, 5):
+        simulate.clear_memos()
+        got = simulate._relay_stats(cfg, 21, ODD_TRIALS, threads)
+        assert np.array_equal(got, want)
+        # a hit at another thread count returns the same statistics
+        assert simulate._relay_stats(cfg, 21, ODD_TRIALS, 1) is got
+
+
+def test_relay_memo_under_racing_callers():
+    # more callers than cores alternate between two relay keys and two
+    # rates, with direct runs in between, so both memo entries keep being
+    # replaced under them; every answer must be the one a serial run gives
+    cfgs = [make_cfg(P=10.0, rate=r, var_relay=v)
+            for v in (1.0, 4.0) for r in (1.0, 3.0)]
+    want = []
+    for cfg in cfgs:
+        simulate.clear_memos()
+        want.append(simulate_relay(cfg, trials=2 * BLOCK, seed=23))
+
+    def run(i, j):
+        got = simulate_relay(cfgs[i], trials=2 * BLOCK, seed=23,
+                             threads=1 + j % 2)
+        simulate_direct(cfgs[i], trials=BLOCK, seed=23)
+        return got
+    assert race(run, want) == []
+
+
+def test_relay_memo_memory_is_88_bytes_per_trial():
+    trials = 200_000
+    cfg = make_cfg(rate=4.0)
+    # one block: its BS gains, and its relay channels with the normals
+    # they are built from and the two projections of the statistics
+    block = BLOCK * (2 * 4 * 8 + 4 * 2 * cfg.M * 16)
+    # the judge's temporaries, JUDGE_ROWS trials at a time, and 64 KiB
+    slack = simulate.JUDGE_ROWS * 16 * 8 + 64 * 1024
+    simulate.clear_memos()
+    tracemalloc.start()
+    try:
+        simulate_relay(cfg, trials=trials, seed=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate.clear_memos()
+    assert peak <= 8 * simulate.STATS * trials + block + slack
+
+
+# ---------------------------------------------------------------------------
+# scale-free verdicts
+# ---------------------------------------------------------------------------
+
+def test_relay_outage_does_not_depend_on_the_noise_scale():
+    # only P / noise_var matters; at 1e-170, 1e-200 and 1e200 the balanced
+    # SINR's denominator under- or overflowed and every multiuser trial
+    # read NaN and failed (pooled p 0.9835 instead of 0.0105)
+    ests = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for noise in (1.0, 1e150, 1e-170, 1e-200, 1e200):
+            cfg = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=noise,
+                                      var_direct=2.0, var_cross=1.0,
+                                      var_relay=4.0, rate=4.0)
+            ests.append(simulate_relay(cfg, trials=1000, seed=0))
+    assert ests[0].pooled.failures == 21
+    assert all(est == ests[0] for est in ests)
+
+
+def test_single_user_rescue_cannot_overflow():
+    # at 3077 dB, Pr_single X and (P/N) Y both overflow to inf and the
+    # SINR form read inf / inf = NaN as a loss; the SINR is
+    # 100 / (15 / 3) = 20 >= gamma = 3
+    cfg = SystemConfig.at_snr(3077.0, N=3, M=3, noise_var=1.0,
+                              var_direct=2.0, var_cross=1.0, var_relay=4.0,
+                              rate=2.0)
+    e1 = np.array([[[20.0, 1.0], [15.0, 20.0]]])     # user 2 fails
+    e2 = np.array([[[1.0, 1.0], [15.0, 1.0]]])       # Y = e2[1, 0] = 15
+    g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = relay_verdicts(cfg, e1, e2, g)
+        assert out.round1.tolist() == [[True, False]]
+        assert out.delivered.tolist() == [[True, True]]
+        # past Y = 100 the SINR falls below gamma
+        e2[0, 1, 0] = 100.0 * (1 + 1e-12)
+        assert relay_verdicts(cfg, e1, e2, g).delivered.tolist() \
+            == [[True, False]]
 
 
 def test_relay_beats_direct_at_high_rate():
@@ -415,6 +574,28 @@ def test_block_verdicts_match_per_trial_reference():
     assert {True, False} <= {all(f) for f in outcomes[MODE_SINGLE]}
 
 
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_relay_stats_are_the_designs_statistics(m):
+    # the engine judges by exactly what the two designs compute, bit for
+    # bit, near-parallel and zero relay channels included
+    cfg = make_cfg(M=m)
+    sub = substream(24, 0, m)
+    e1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
+    e2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
+    g = near_parallel(np.random.default_rng(m),
+                      draw_relay_channels(cfg, sub, rounds=BLOCK))
+    g[:8] = 0.0
+    g[8:16, 1] = 0.0
+    s = simulate.relay_stats(e1, e2, g)
+    g1, g2 = g[:, 0], g[:, 1]
+    want = np.column_stack([
+        e1.reshape(BLOCK, 4), e2[:, 0, 1], e2[:, 1, 0],
+        *uplink_gains(g1, g2),
+        optimal_gain(g2, g1, 1.0), optimal_gain(g1, g2, 1.0)])
+    assert s.shape == (BLOCK, simulate.STATS)
+    assert np.array_equal(s, want)
+
+
 def test_relay_validates_antennas():
     with pytest.raises(ContractViolationError):
         simulate_relay(make_cfg(M=1), trials=10, seed=0)
@@ -432,6 +613,21 @@ def test_fig1_table_shape():
     assert snrs == [float(s) for s in range(0, 41, 5)]
     for row in rows:
         assert 0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0
+
+
+def test_fig1_closed_form_once_per_snr(monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return outage_interference_n3(cfg)
+    monkeypatch.setattr(simulate, "outage_interference_n3", counted)
+    _, rows = run_experiment("fig1", trials=100, seed=0)
+    assert len(calls) == len(simulate.FIG1_SNR_DB)
+    # each cell is the L-attempt law of that point's own config, bit for bit
+    for snr, attempts, analytic, *_ in rows:
+        cfg = simulate._cfg(simulate._FIG1_BASE, snr, retx=attempts)
+        assert analytic == arq_outage(outage_interference_n3(cfg), attempts)
 
 
 def test_fig1_analytic_tracks_mc():
