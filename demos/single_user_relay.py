@@ -10,7 +10,7 @@ relay array size to show how the zero-forcing cost shrinks.
 
 import numpy as np
 
-from relayarq.channel import SystemConfig, cn, draw_relay_channels, substream
+from relayarq.channel import SystemConfig, cn, substream
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
 POWER = 10.0
@@ -21,8 +21,7 @@ def main():
     cfg = SystemConfig(N=3, M=4, P=POWER, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0)
     # user 0 already has its packet
-    g_protect, g_target = draw_relay_channels(cfg, substream(3, 0, 0),
-                                              rounds=1)[0]
+    g_protect, g_target = cn(substream(3, 0, 0), (2, cfg.M), cfg.var_relay)
 
     b = solve_single_user_beamformer(g_protect, g_target, cfg.Pr_single)
     print(f"relay antennas:          {cfg.M}")

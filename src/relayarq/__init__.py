@@ -9,7 +9,7 @@ system-level outage experiments.
 """
 
 from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
-                      draw_bs_channels, draw_relay_channels, substream)
+                      draw_bs_channels, draw_relay_gains, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
 from .linalg import project_off
@@ -20,7 +20,7 @@ from .relay_multi import (MultiBeamformer, balanced_uplink, max_min_sinr,
                           uplink_gains)
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
-                       relay_block, relay_verdicts, run_experiment,
+                       judge_relay, relay_block, run_experiment,
                        simulate_direct, simulate_relay)
 
 __version__ = "0.1.0"

@@ -11,8 +11,11 @@ flat per transmission round:
 Per-complex-entry variance s means real and imaginary parts each carry s/2.
 A user's SINR sees its BS links only through their power gains ||h||^2,
 which for N entries of variance s are exactly Gamma(N, s); the engine
-draws those gains directly. Relay links stay complex vectors, because the
-beam designs project them.
+draws those gains directly. Both relay designs see a pair of relay links
+g1, g2 only through three independent Gamma variates (rotational
+invariance; N. R. Goodman, Ann. Math. Statist. 34, 1963), and the engine
+draws those too. ``cn`` draws complex channels for the single-draw
+``beamform-*`` commands and the demos.
 
 Randomness is counter-based: every (seed, context, index) triple owns a
 disjoint Philox substream. The Monte Carlo engine keys one substream per
@@ -137,7 +140,17 @@ def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
     return rng.standard_gamma(cfg.N, (rounds, 2, 2)) * var
 
 
-def draw_relay_channels(cfg: SystemConfig, rng: np.random.Generator,
-                        rounds: int) -> np.ndarray:
-    """Relay-to-user channels of ``rounds`` fresh rounds, (rounds, 2, M)."""
-    return cn(rng, (rounds, 2, cfg.M), cfg.var_relay)
+def draw_relay_gains(cfg: SystemConfig, rng: np.random.Generator,
+                     rounds: int) -> np.ndarray:
+    """The relay-link statistics (A, B, C) of ``rounds`` fresh rounds,
+    float (rounds, 3).
+
+    For relay links g1, g2 of M entries of variance v, A = ||g1||^2 is
+    Gamma(M, v), B = ||P_perp_g1 g2||^2 is Gamma(M - 1, v) and
+    C = |g1^H g2|^2 / ||g1||^2 is Gamma(1, v), all three independent.
+    So ||g2||^2 = B + C, the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is
+    A B, and ||P_perp_g2 g1||^2 = A B / (B + C). A zero variance gives
+    zeros.
+    """
+    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (rounds, 3)) \
+        * cfg.var_relay

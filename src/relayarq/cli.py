@@ -23,9 +23,11 @@ run parameter in ``PARAMS``; command-line flags override it. ``-o`` and
 ``--dump-config`` must name a file in an existing directory, which is
 checked before any work. So are the ceilings: ``--n``/``--m`` at most
 MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
-MAX_TRIALS (the engine's memos stay under 1 GiB) and an SNR grid of at
-most MAX_GRID_POINTS points, counted before it is built. Exit codes: 0
-success, 2 usage, config, output or computation error.
+MAX_TRIALS (the engine's memos stay under 1 GiB), an SNR grid of at
+most MAX_GRID_POINTS points, counted before it is built, and the one SNR
+a beamform command takes. The ``--dump-config`` file is written only
+once the run has succeeded. Exit codes: 0 success, 2 usage, config,
+output or computation error.
 """
 
 import argparse
@@ -42,13 +44,14 @@ from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (STATS, run_experiment, simulate_direct,
                        simulate_relay)
 
-# n and m above this would draw multi-GB channel blocks; it is also the
-# largest order the outage law is tested at
+# the largest order the outage law is tested at, whose sum holds O(n)
+# extended-precision terms per call; m shares the bound, though no Monte
+# Carlo draw grows with n or m
 MAX_ANTENNAS = 5000
 # a direct-ARQ block draws BLOCK * retx rounds at once; this keeps one
 # block's gains under about 8 MB
 MAX_ATTEMPTS = 1000
-# the engine memoises 16 B of direct margins and 8 STATS B of relay
+# the engine memoises 16 B of direct margins and 8 STATS = 72 B of relay
 # statistics per trial; this keeps both memos under 1 GiB
 MAX_TRIALS = 2 ** 30 // (16 + 8 * STATS)
 # every point keeps one CSV row in memory until the run ends
@@ -119,7 +122,9 @@ def _parse_snr_grid(text: str):
     raise ConfigError(f"bad SNR grid {text!r}; expected X or A:B:STEP")
 
 
-def _effective_params(args) -> dict:
+def _effective_params(args):
+    """The run's parameters and its parsed SNR grid, both checked against
+    every ceiling before anything is drawn or written."""
     params = {key: default for key, (_, default) in PARAMS.items()}
     if args.config:
         params.update(_load_config(args.config))
@@ -136,7 +141,10 @@ def _effective_params(args) -> dict:
         raise ConfigError(f"n and m must be at most {MAX_ANTENNAS}")
     if params["retx"] > MAX_ATTEMPTS:
         raise ConfigError(f"retx must be at most {MAX_ATTEMPTS}")
-    return params
+    grid = _parse_snr_grid(params["snr_db"])
+    if args.command.startswith("beamform") and len(grid) > 1:
+        raise ConfigError("beamform commands take one SNR")
+    return params, grid
 
 
 def _build_cfg(params: dict, snr_db: float) -> SystemConfig:
@@ -193,9 +201,9 @@ def _progress(msg: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analytic(params, args):
+def _cmd_analytic(params, grid, args):
     rows = []
-    for snr in _parse_snr_grid(params["snr_db"]):
+    for snr in grid:
         cfg = _build_cfg(params, snr)
         p_su = outage_single_user(cfg)
         p_int = outage_interference_n3(cfg)
@@ -205,9 +213,8 @@ def _cmd_analytic(params, args):
             "interference_arq"), rows
 
 
-def _cmd_simulate_direct(params, args):
+def _cmd_simulate_direct(params, grid, args):
     rows = []
-    grid = _parse_snr_grid(params["snr_db"])
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
         est = simulate_direct(cfg, params["trials"], params["seed"],
@@ -218,9 +225,8 @@ def _cmd_simulate_direct(params, args):
     return ("SNR_dB", "p", "ci", "messages", "failures"), rows
 
 
-def _cmd_simulate_relay(params, args):
+def _cmd_simulate_relay(params, grid, args):
     rows = []
-    grid = _parse_snr_grid(params["snr_db"])
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
         est = simulate_relay(cfg, params["trials"], params["seed"],
@@ -233,19 +239,16 @@ def _cmd_simulate_relay(params, args):
             "user2_p", "user2_ci"), rows
 
 
-def _beamform_setup(params):
+def _beamform_setup(params, grid):
     """The run's config at its one SNR, and two relay channels drawn from
     its seed, first one drawn first."""
-    grid = _parse_snr_grid(params["snr_db"])
-    if len(grid) > 1:
-        raise ConfigError("beamform commands take one SNR")
     cfg = _build_cfg(params, grid[0])      # validates before any draw
     rng = substream(params["seed"], CTX_GENERIC, 0)
     return cfg, tuple(cn(rng, cfg.M, cfg.var_relay) for _ in range(2))
 
 
-def _cmd_beamform_single(params, args):
-    cfg, (g_p, g_t) = _beamform_setup(params)
+def _cmd_beamform_single(params, grid, args):
+    cfg, (g_p, g_t) = _beamform_setup(params, grid)
     b = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
     rows = [(params["m"], abs(np.vdot(b, g_t)) ** 2,
              optimal_gain(g_p, g_t, cfg.Pr_single),
@@ -253,8 +256,8 @@ def _cmd_beamform_single(params, args):
     return ("m", "gain", "predicted_gain", "null_residual", "power"), rows
 
 
-def _cmd_beamform_multi(params, args):
-    cfg, (g1, g2) = _beamform_setup(params)
+def _cmd_beamform_multi(params, grid, args):
+    cfg, (g1, g2) = _beamform_setup(params, grid)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
     # b b^H has rank 1 for a nonzero beam and 0 for the zero beam
     ranks = [int(b.any()) for b in (sol.b1, sol.b2)]
@@ -265,13 +268,13 @@ def _cmd_beamform_multi(params, args):
             "power"), rows
 
 
-def _cmd_figure(params, args):
+def _cmd_figure(params, grid, args):
     return run_experiment(f"fig{args.which}", trials=params["trials"],
                           seed=params["seed"], threads=params["threads"],
                           progress=_progress)
 
 
-# subcommand name -> handler(params, args) returning (columns, rows)
+# subcommand name -> handler(params, grid, args) returning (columns, rows)
 COMMANDS = {
     "analytic": _cmd_analytic,
     "simulate-direct": _cmd_simulate_direct,
@@ -306,12 +309,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
 
     try:
-        params = _effective_params(args)
+        params, grid = _effective_params(args)
         _check_dir(params["output"])
         _check_dir(args.dump_config)
+        columns, rows = COMMANDS[args.command](params, grid, args)
+        # written once the run has succeeded, so no refused run leaves one
         if args.dump_config:
             _write(args.dump_config, _config_text(params))
-        columns, rows = COMMANDS[args.command](params, args)
         _write(params["output"], _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)

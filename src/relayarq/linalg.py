@@ -1,4 +1,4 @@
-"""Projection kernel shared by the relay designs and the Monte Carlo engine."""
+"""Projection kernel shared by the two relay designs."""
 
 import numpy as np
 

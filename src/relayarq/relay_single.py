@@ -10,10 +10,11 @@ protected user:
 
 The optimum is a single beam sqrt(Pr) P_perp g_target / ||P_perp g_target||,
 with P_perp the projector orthogonal to g_protect, and its value is
-Pr ||P_perp g_target||^2. ``optimal_gain`` is that value, batched, and the
-Monte Carlo engine judges its trials with it; ``solve_single_user_beamformer``
-builds the beam. The test suite checks both against the stacked
-eigenproblem over vec(B), which allows any number of streams.
+Pr ||P_perp g_target||^2. ``optimal_gain`` is that value, batched (the
+Monte Carlo engine reads the same gain off its Gamma draws), and
+``solve_single_user_beamformer`` builds the beam. The test suite checks
+both against the stacked eigenproblem over vec(B), which allows any
+number of streams.
 """
 
 import numpy as np

@@ -15,16 +15,18 @@ The relay is assumed to decode the first round perfectly. A zero relay
 channel (``var_relay = 0``) reaches nobody, so the retransmission then
 fails.
 
-Both protocols see a base-station link only through its power gain, so
-the engine draws BS links as Gamma(N) gains (``channel.draw_bs_channels``)
-and keeps complex vectors only for the relay links the beams project.
+Both protocols see a base-station link only through its power gain, and
+both relay designs see a pair of relay links only through three
+independent Gamma variates, so the engine draws BS links as Gamma(N)
+gains (``channel.draw_bs_channels``) and relay links as their (A, B, C)
+(``channel.draw_relay_gains``). It never builds a channel vector.
 
 Trials run in blocks of ``BLOCK``. Block b covers trials
-[b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their channels, as
+[b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their gains, as
 whole arrays, from one counter-based substream keyed by (seed, context, b),
-and reduces them to a few floats per trial that the verdicts then come
-from. Threads take contiguous runs of blocks and write disjoint rows of
-one array, so failure counts are identical for any thread count. A
+and keeps a few floats per trial that the verdicts then come from.
+Threads take contiguous runs of blocks and write disjoint rows of one
+array, so failure counts are identical for any thread count. A
 trial's draws depend on its block and on that block's length, so a run
 with more trials is not a prefix-extension of a shorter one. Grid sweeps
 reuse the same seed at every point: common random numbers across a
@@ -42,17 +44,18 @@ the last one draws nothing and only judges. ``clear_memos`` forgets both.
   var_cross, rate, retx). Figure 1 therefore runs its attempt budgets L
   in the outer loop and SNR in the inner one; its rows are put back in
   SNR-major order, but its progress lines come L-major.
-* Relay: a trial is judged from STATS = 11 floats, 88 bytes, none of
+* Relay: a trial is judged from STATS = 9 floats, 72 bytes, none of
   which depends on the rate, the powers or the noise: the 4 round-1 BS
   gains, the 2 round-2 cross gains e2[f, 1 - f] a failed user f would
-  see, the max-min design's ||g1||^2, ||g2||^2 and ||P_perp_g1 g2||^2
-  (as ``relay_multi.uplink_gains`` gives them), and the zero-forcing gain
-  ||P_perp_go g_f||^2 for f = 0, 1 (``relay_single.optimal_gain`` at unit
-  power). The memo is keyed by (seed, trials, N, M, var_direct,
-  var_cross, var_relay), so figure 2's rate sweep, or any SNR grid,
-  draws once. Each verdict is divided through by the noise or by P, so
-  only P / sigma^2 and power ratios enter and the outcome does not
-  depend on the noise's absolute scale.
+  see, and the relay links' A = ||g1||^2, B = ||P_perp_g1 g2||^2 and
+  C = |g1^H g2|^2 / ||g1||^2. The max-min design reads ||g1||^2 = A,
+  ||g2||^2 = B + C and the Gram term A B; the zero-forcing gain
+  ||P_perp_go g_f||^2 is B for f = 1 and A B / (B + C) for f = 0. The
+  memo is keyed by (seed, trials, N, M, var_direct, var_cross,
+  var_relay), so figure 2's rate sweep, or any SNR grid, draws once.
+  Each verdict is divided through by the noise or by P, so only
+  P / sigma^2 and power ratios enter and the outcome does not depend on
+  the noise's absolute scale.
 """
 
 import math
@@ -63,9 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
-                      draw_relay_channels, substream)
+                      draw_relay_gains, substream)
 from .errors import ContractViolationError
-from .linalg import project_off, sq_norm
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import balanced_uplink
 
@@ -227,40 +229,15 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 # columns of the relay statistics: round-1 gains e1[i, j] at 2 i + j, the
-# round-2 cross gains seen by a failed user f, the max-min design's
-# ||g1||^2, ||g2||^2 and ||P_perp_g1 g2||^2, and the zero-forcing gains
-# ||P_perp_go g_f||^2 for f = 0, 1
-_E1, _Y, _UPLINK, _X = slice(0, 4), 4, 6, 9
-STATS = 11                # floats per relay trial
-
-
-def relay_stats(e1: np.ndarray, e2: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The statistics n relay-ARQ trials are judged by, float (n, STATS).
-
-    e1, e2 are the round-1 and round-2 BS power gains, shaped (n, 2, 2);
-    g holds the relay channels, shaped (n, 2, M). None of the statistics
-    depends on the rate, the powers or the noise.
-    """
-    n = len(e1)
-    g1, g2 = g[:, 0], g[:, 1]
-    off1 = project_off(g2, g1)        # g2 with its g1 component removed
-    off2 = project_off(g1, g2)
-    out = np.empty((n, STATS))
-    out[:, _E1] = e1.reshape(n, 4)
-    out[:, _Y] = e2[:, 0, 1]
-    out[:, _Y + 1] = e2[:, 1, 0]
-    # summed as relay_multi.uplink_gains and relay_single.optimal_gain sum
-    # them, bit for bit, from one projection each way instead of three
-    out[:, _UPLINK] = sq_norm(g1)
-    out[:, _UPLINK + 1] = sq_norm(g2)
-    out[:, _UPLINK + 2] = sq_norm(off1)
-    out[:, _X] = np.sum(np.abs(off2) ** 2, axis=-1)
-    out[:, _X + 1] = np.sum(np.abs(off1) ** 2, axis=-1)
-    return out
+# round-2 cross gains seen by a failed user f, and the relay links' (A, B,
+# C) as channel.draw_relay_gains draws them
+_E1, _Y, _A, _B, _C = slice(0, 4), 4, 6, 7, 8
+STATS = 9                 # floats per relay trial
 
 
 def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
-    """Outcomes of the relay-ARQ trials whose statistics are ``stats``.
+    """Outcomes of the relay-ARQ trials whose statistics are ``stats``,
+    float (n, STATS).
 
     Both relay modes are evaluated for every trial and each trial keeps
     the one its round-1 outcome selects. Every test is divided through by
@@ -270,21 +247,24 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     gamma = cfg.sinr_threshold
     ok = _direct_sinr_ok(cfg, stats[:, _E1].reshape(-1, 2, 2))
     mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
+    a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
+    n2 = b + c                        # ||g2||^2
 
     # one user f failed: the relay zero-forces toward the other user while
-    # that user's BS serves fresh traffic. The SINR test
+    # that user's BS serves fresh traffic. Its gain X = ||P_perp_go g_f||^2
+    # is B for f = 1 and A B / (B + C) for f = 0; where g2 = 0 there is
+    # nothing to null, and X = A. The SINR test
     # Pr_single X / (noise_var + (P/N) Y) >= gamma is divided through by
     # P. A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
-    f = ok[:, 0].astype(np.intp)
-    rows = np.arange(len(stats))
-    x = stats[rows, _X + f]
-    y = stats[rows, _Y + f]
+    user2_failed = ok[:, 0]
+    beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
+    x = np.where(user2_failed, b, a * beta)
+    y = np.where(user2_failed, stats[:, _Y + 1], stats[:, _Y])
     single_ok = ((cfg.Pr_single / cfg.P) * x - (gamma / cfg.N) * y
                  >= gamma * cfg.noise_var / cfg.P)
 
     # both failed: both messages ride the relay at the balanced SINR
-    n1, n2, perp = stats[:, _UPLINK:_UPLINK + 3].T
-    _, _, t = balanced_uplink(n1, n2, n1 * perp, cfg.Pr_multi, cfg.noise_var)
+    _, _, t = balanced_uplink(a, n2, a * b, cfg.Pr_multi, cfg.noise_var)
     multi_ok = t >= gamma
 
     rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
@@ -292,22 +272,15 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
                          delivered=ok | rescued[:, None])
 
 
-def relay_verdicts(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
-                   g: np.ndarray) -> RelayVerdicts:
-    """Outcomes of n relay-ARQ trials from their channels, shaped as
-    ``relay_stats`` takes them."""
-    return judge_relay(cfg, relay_stats(e1, e2, g))
-
-
 def _block_stats(cfg: SystemConfig, seed: int, block: int,
                  n: int) -> np.ndarray:
-    """Draw the ``n`` trials of one relay block and reduce them to their
-    statistics."""
+    """Draw the statistics of the ``n`` trials of one relay block: round-1
+    BS gains, round-2 BS gains, then relay gains."""
     rng = substream(seed, CTX_RELAY, block)
     e1 = draw_bs_channels(cfg, rng, rounds=n)
     e2 = draw_bs_channels(cfg, rng, rounds=n)
-    g = draw_relay_channels(cfg, rng, rounds=n)
-    return relay_stats(e1, e2, g)
+    return np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0],
+                            draw_relay_gains(cfg, rng, rounds=n)])
 
 
 def relay_block(cfg: SystemConfig, seed: int, block: int,
@@ -361,8 +334,9 @@ def _run_chunks(fill, trials: int, threads: int):
     """Split the blocks of [0, trials) into contiguous runs, one per
     thread, and call ``fill(lo, hi)`` on the trial range of each run; each
     range starts on a block boundary."""
-    threads = max(1, int(threads))
     blocks = -(-trials // BLOCK)
+    # a run per block at most: more threads would only get empty runs
+    threads = min(max(1, int(threads)), blocks)
     base, extra = divmod(blocks, threads)
     bounds = []
     lo = 0

@@ -5,8 +5,10 @@ against the package internals, so agreement is meaningful: dumb grids, plain
 quadrature, Gil-Pelaez inversion of the characteristic function for the
 interference outage at any antenna count, one closed form that only exists
 for orthogonal channels, the single-user relay design solved as the stacked
-eigenproblem over vec(B) on a Householder null basis, and the relay-ARQ
-protocol judged one trial at a time by building both relay designs. The
+eigenproblem over vec(B) on a Householder null basis, the relay-ARQ
+protocol judged one trial at a time by building both relay designs, and
+the reduction of complex relay channels to the (A, B, C) the engine draws
+as Gamma variates. The
 semidefinite max-min SINR reference lives in ``_sdp_oracle``. A reference
 that cannot deliver its value raises ``NumericFailureError`` rather than
 returning a wrong one.
@@ -230,6 +232,20 @@ def solve_single_user_beamformer_full(g_protect, g_target, power, n_streams):
 # ---------------------------------------------------------------------------
 # relay ARQ, one trial at a time
 # ---------------------------------------------------------------------------
+
+def relay_gains(g):
+    """(A, B, C) of relay channel pairs g, complex (n, 2, M), as float (n, 3).
+
+    A = ||g1||^2, B = ||g2 - g1 (g1^H g2) / ||g1||^2||^2 (g2 off g1) and
+    C = |g1^H g2|^2 / ||g1||^2; where g1 = 0, C = 0 and B = ||g2||^2.
+    """
+    g1, g2 = g[:, 0], g[:, 1]
+    a = np.sum(np.abs(g1) ** 2, axis=-1)
+    safe = np.where(a > 0, a, 1.0)
+    inner = np.sum(g1.conj() * g2, axis=-1)
+    b = np.sum(np.abs(g2 - g1 * (inner / safe)[:, None]) ** 2, axis=-1)
+    return np.column_stack([a, b, np.abs(inner) ** 2 / safe])
+
 
 def relay_trial_reference(cfg, e1, e2, g):
     """One relay-ARQ trial from explicit channels, by building the beams.

@@ -6,11 +6,14 @@ from relayarq.channel import (
     CTX_DIRECT,
     CTX_RELAY,
     SystemConfig,
+    cn,
     draw_bs_channels,
-    draw_relay_channels,
+    draw_relay_gains,
     substream,
 )
 from relayarq.errors import ContractViolationError
+
+from _oracles import relay_gains
 
 
 NAN, INF = float("nan"), float("inf")
@@ -135,18 +138,42 @@ def test_bs_gains_zero_variance_gives_zeros(zero):
 
 
 def test_relay_channel_variance():
+    # each of the M antennas of either relay link carries var_relay:
+    # E||g1||^2 = E A and E||g2||^2 = E (B + C) are both M var_relay
     cfg = make_cfg(M=4, var_relay=3.0)
-    rng = substream(2, CTX_RELAY, 0)
-    g = np.concatenate([draw_relay_channels(cfg, rng, rounds=1)
-                        for _ in range(20000)])
-    assert g.shape == (20000, 2, 4)
-    assert abs(np.mean(np.abs(g) ** 2) - 3.0) < 0.05
-    # circular symmetry: real and imaginary parts carry half the power each
-    assert abs(np.mean(g.real ** 2) - 1.5) < 0.05
+    abc = draw_relay_gains(cfg, substream(2, CTX_RELAY, 0), rounds=20000)
+    a, b, c = abc.T
+    assert abs(np.mean(a) / 4 - 3.0) < 0.05
+    assert abs(np.mean(b + c) / 4 - 3.0) < 0.05
+    assert (abc >= 0.0).all()
+    zero = draw_relay_gains(make_cfg(var_relay=0.0),
+                            substream(2, CTX_RELAY, 1), rounds=50)
+    assert (zero == 0.0).all()
 
 
 def test_relay_channel_shapes():
     cfg = make_cfg(M=5)
     rng = substream(3, CTX_RELAY, 1)
-    assert draw_relay_channels(cfg, rng, rounds=1).shape == (1, 2, 5)
-    assert draw_relay_channels(cfg, rng, rounds=7).shape == (7, 2, 5)
+    assert draw_relay_gains(cfg, rng, rounds=1).shape == (1, 3)
+    assert draw_relay_gains(cfg, rng, rounds=7).shape == (7, 3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_relay_gains_follow_gamma_law(m):
+    # A = ||g1||^2, B = ||P_perp_g1 g2||^2 and C = |g1^H g2|^2 / ||g1||^2
+    # of two CN(0, v I_M) links are independent Gamma(M), Gamma(M - 1) and
+    # Gamma(1) variates; so ||g2||^2 = B + C is Gamma(M) and
+    # ||P_perp_g2 g1||^2 = A B / (B + C) is Gamma(M - 1). Each passes a KS
+    # test, both as reduced from complex draws and as the engine draws it
+    cfg = make_cfg(M=m, var_relay=2.5)
+    rounds = 5000
+    reduced = relay_gains(cn(substream(28, CTX_RELAY, m), (rounds, 2, m),
+                             cfg.var_relay))
+    drawn = draw_relay_gains(cfg, substream(29, CTX_RELAY, m), rounds)
+    for source, abc in (("complex", reduced), ("gamma", drawn)):
+        a, b, c = (abc / cfg.var_relay).T
+        for name, x, order in (("A", a, m), ("B", b, m - 1), ("C", c, 1),
+                               ("B + C", b + c, m),
+                               ("AB / (B + C)", a * b / (b + c), m - 1)):
+            assert stats.kstest(x, stats.gamma(order).cdf).pvalue > 1e-3, \
+                (source, name)

@@ -235,6 +235,24 @@ def test_unusable_output_path_exits_2_before_any_work(
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("analytic", "--snr-db", "0:1e12:1"), "more than 100000 points"),
+    (("beamform-multi", "--snr-db", "0:10:5"),
+     "beamform commands take one SNR"),
+    (("analytic", "--snr-db", "4000"), "overflows the transmit power"),
+])
+def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
+                                     needle):
+    # the config file records a run that happened, never a refused one
+    _forbid_library_calls(monkeypatch)
+    dump = tmp_path / "run.conf"
+    code, out, err = run_cli(capsys, *argv, "--dump-config", str(dump))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert not dump.exists()
+
+
 def test_failed_write_exits_2(tmp_path, capsys):
     # the directory exists, but the file name is longer than any file
     # system allows, so only the write itself can fail

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from relayarq.channel import (SystemConfig, draw_bs_channels,
-                              draw_relay_channels, substream)
+from relayarq.channel import SystemConfig, cn, draw_bs_channels, substream
 from relayarq.errors import DegenerateInputError, DimensionError
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
@@ -133,7 +132,7 @@ def draw_round(cfg, seed):
     """One round of BS power gains (2, 2) and relay channels (2, M)."""
     rng = substream(seed, 0, 0)
     return (draw_bs_channels(cfg, rng, rounds=1)[0],
-            draw_relay_channels(cfg, rng, rounds=1)[0])
+            cn(rng, (2, cfg.M), cfg.var_relay))
 
 
 def test_protected_user_sees_no_relay_power():

@@ -1,21 +1,21 @@
+import dataclasses
 import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relayarq.channel import (CTX_DIRECT, SystemConfig, draw_bs_channels,
-                              draw_relay_channels, substream)
+from relayarq.channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, cn,
+                              draw_bs_channels, draw_relay_gains, substream)
 from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, outage_interference_n3
-from relayarq.relay_multi import uplink_gains
-from relayarq.relay_single import optimal_gain
 import relayarq.simulate as simulate
 from relayarq.simulate import (
     BLOCK,
@@ -24,14 +24,14 @@ from relayarq.simulate import (
     MODE_SINGLE,
     MODES,
     OutageEstimate,
+    judge_relay,
     relay_block,
-    relay_verdicts,
     run_experiment,
     simulate_direct,
     simulate_relay,
 )
 
-from _oracles import relay_trial_reference
+from _oracles import relay_gains, relay_trial_reference
 
 # a trial count that leaves the last block partial and gives 4 blocks
 ODD_TRIALS = 3 * BLOCK + 17
@@ -42,6 +42,15 @@ def make_cfg(**kw):
                 var_cross=1.0, var_relay=4.0, rate=2.0, retx=2)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def stats_of(e1, e2, g):
+    """The relay statistics of n trials, in the engine's column order, from
+    their round-1 and round-2 BS gains (n, 2, 2) and relay channels
+    (n, 2, M)."""
+    n = len(e1)
+    return np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0],
+                            relay_gains(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +130,8 @@ def test_direct_verdict_cannot_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not simulate._direct_sinr_ok(cfg, e).any()
-        out = relay_verdicts(cfg, e, np.zeros_like(e),
-                             np.zeros((1, 2, cfg.M), complex))
+        out = judge_relay(cfg, stats_of(e, np.zeros_like(e),
+                                        np.zeros((1, 2, cfg.M), complex)))
         assert not out.round1.any()
         # a round that clears the threshold still passes
         assert simulate._direct_sinr_ok(cfg, e + np.diag([30.0, 30.0])).all()
@@ -250,6 +259,25 @@ def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
     monkeypatch.undo()
     simulate.clear_memos()
     assert got == simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=1)
+
+
+def test_thread_count_is_clamped_to_the_blocks(monkeypatch):
+    # runs beyond the block count would be empty: a huge thread count
+    # costs nothing, and a one-block run starts no thread at all
+    def no_pool(max_workers):
+        raise AssertionError("a one-block run started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    cfg = make_cfg(P=10.0)
+    for engine in (simulate_direct, simulate_relay):
+        simulate.clear_memos()
+        want = engine(cfg, trials=BLOCK, seed=27, threads=1)
+        simulate.clear_memos()
+        start = time.perf_counter()
+        got = engine(cfg, trials=BLOCK, seed=27, threads=10 ** 8)
+        # unclamped, the split alone took seconds (about 85 ns a thread)
+        assert time.perf_counter() - start < 1.0
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +420,7 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     simulate.clear_memos()
     simulate_relay(make_cfg(**cfg), **run)
     (run if field in run else cfg)[field] = value
-    calls = count_draws(monkeypatch, "draw_relay_channels")
+    calls = count_draws(monkeypatch, "draw_relay_gains")
     got = simulate_relay(make_cfg(**cfg), **run)
     # a key field draws afresh; the rate, the powers and the noise hit
     assert bool(calls) == keyed
@@ -405,10 +433,10 @@ def test_fig2_draws_its_relay_trials_once(monkeypatch):
     # rate (gamma is part of its margins)
     simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name) for name in
-               ("substream", "draw_bs_channels", "draw_relay_channels")}
+               ("substream", "draw_bs_channels", "draw_relay_gains")}
     run_experiment("fig2", trials=100, seed=0)
     assert {k: len(v) for k, v in counted.items()} == dict(
-        substream=8, draw_bs_channels=9, draw_relay_channels=1)
+        substream=8, draw_bs_channels=9, draw_relay_gains=1)
 
 
 def test_relay_memo_is_thread_count_invariant():
@@ -444,23 +472,24 @@ def test_relay_memo_under_racing_callers():
     assert race(run, want) == []
 
 
-def test_relay_memo_memory_is_88_bytes_per_trial():
+def test_relay_memo_memory_is_72_bytes_per_trial():
     trials = 200_000
-    cfg = make_cfg(rate=4.0)
-    # one block: its BS gains, and its relay channels with the normals
-    # they are built from and the two projections of the statistics
-    block = BLOCK * (2 * 4 * 8 + 4 * 2 * cfg.M * 16)
+    assert simulate.STATS == 9
+    # one block, at any M: its two rounds of BS gains, its relay gains and
+    # the Gamma draws they are scaled from, and its stacked statistics
+    block = BLOCK * 8 * (2 * 4 + 2 * 3 + simulate.STATS)
     # the judge's temporaries, JUDGE_ROWS trials at a time, and 64 KiB
     slack = simulate.JUDGE_ROWS * 16 * 8 + 64 * 1024
-    simulate.clear_memos()
-    tracemalloc.start()
-    try:
-        simulate_relay(cfg, trials=trials, seed=22)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for m in (3, 5000):
         simulate.clear_memos()
-    assert peak <= 8 * simulate.STATS * trials + block + slack
+        tracemalloc.start()
+        try:
+            simulate_relay(make_cfg(rate=4.0, M=m), trials=trials, seed=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            simulate.clear_memos()
+        assert peak <= 72 * trials + block + slack, m
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +508,38 @@ def test_relay_outage_does_not_depend_on_the_noise_scale():
                                       var_direct=2.0, var_cross=1.0,
                                       var_relay=4.0, rate=4.0)
             ests.append(simulate_relay(cfg, trials=1000, seed=0))
-    assert ests[0].pooled.failures == 21
+    assert ests[0].pooled.failures == 20
     assert all(est == ests[0] for est in ests)
+
+
+# fig2's 40 dB, R = 4 point, whose statistics the scale test judges
+_FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
+                               var_cross=1.0, var_relay=4.0, rate=4.0)
+_FIG2_R4_STATS = simulate._block_stats(_FIG2_R4, 3, 0, BLOCK)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1009))
+# the ends of the valid range: the noise 2^k must be positive, and
+# Pr_multi = 2^(k + 14.3) finite
+@example(k=-1074)
+@example(k=1009)
+def test_verdicts_do_not_depend_on_the_power_scale(k):
+    # multiplying P, noise_var and both relay powers by 2^k keeps every
+    # ratio the verdicts read, so no verdict may change, subnormal scales
+    # included, and nothing may over- or underflow into a warning
+    cfg = dataclasses.replace(
+        _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
+                     for f in ("P", "noise_var", "Pr_single", "Pr_multi")})
+    want = judge_relay(_FIG2_R4, _FIG2_R4_STATS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = judge_relay(cfg, _FIG2_R4_STATS)
+        assert np.array_equal(got.round1, want.round1)
+        assert np.array_equal(got.mode, want.mode)
+        assert np.array_equal(got.delivered, want.delivered)
+        assert simulate_direct(cfg, trials=1000, seed=3) \
+            == simulate_direct(_FIG2_R4, trials=1000, seed=3)
 
 
 def test_single_user_rescue_cannot_overflow():
@@ -495,12 +554,12 @@ def test_single_user_rescue_cannot_overflow():
     g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = relay_verdicts(cfg, e1, e2, g)
+        out = judge_relay(cfg, stats_of(e1, e2, g))
         assert out.round1.tolist() == [[True, False]]
         assert out.delivered.tolist() == [[True, True]]
         # past Y = 100 the SINR falls below gamma
         e2[0, 1, 0] = 100.0 * (1 + 1e-12)
-        assert relay_verdicts(cfg, e1, e2, g).delivered.tolist() \
+        assert judge_relay(cfg, stats_of(e1, e2, g)).delivered.tolist() \
             == [[True, False]]
 
 
@@ -544,20 +603,26 @@ def test_block_verdicts_match_per_trial_reference():
         dict(P=10.0, rate=2.0, var_relay=0.0),
         *(dict(P=1e4, rate=2.0, M=m, parallel=True) for m in (2, 3, 4, 5, 6)),
         dict(P=10.0, rate=1.0, M=4, parallel=True),
+        *(dict(P=10.0, rate=1.0, M=m, zero=True) for m in (2, 4)),
     ]
     modes_seen = set()
     outcomes = {MODE_SINGLE: set(), MODE_MULTI: set()}
     draws = 0
     for k, case in enumerate(cases):
         parallel = case.pop("parallel", False)
+        zero = case.pop("zero", False)
         cfg = make_cfg(**case)
         sub = substream(16, 0, k)
         e1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
         e2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
-        g = draw_relay_channels(cfg, sub, rounds=BLOCK)
+        g = cn(sub, (BLOCK, 2, cfg.M), cfg.var_relay)
         if parallel:
             g = near_parallel(rng, g)
-        got = relay_verdicts(cfg, e1, e2, g)
+        if zero:
+            g[:BLOCK // 3, 1] = 0.0     # nothing to null toward user 2
+            g[-BLOCK // 3:, 0] = 0.0
+        # the engine judges by the (A, B, C) the channels reduce to
+        got = judge_relay(cfg, stats_of(e1, e2, g))
         for i in range(BLOCK):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
@@ -574,26 +639,19 @@ def test_block_verdicts_match_per_trial_reference():
     assert {True, False} <= {all(f) for f in outcomes[MODE_SINGLE]}
 
 
-@pytest.mark.parametrize("m", [2, 3, 6])
-def test_relay_stats_are_the_designs_statistics(m):
-    # the engine judges by exactly what the two designs compute, bit for
-    # bit, near-parallel and zero relay channels included
-    cfg = make_cfg(M=m)
-    sub = substream(24, 0, m)
-    e1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
-    e2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
-    g = near_parallel(np.random.default_rng(m),
-                      draw_relay_channels(cfg, sub, rounds=BLOCK))
-    g[:8] = 0.0
-    g[8:16, 1] = 0.0
-    s = simulate.relay_stats(e1, e2, g)
-    g1, g2 = g[:, 0], g[:, 1]
-    want = np.column_stack([
-        e1.reshape(BLOCK, 4), e2[:, 0, 1], e2[:, 1, 0],
-        *uplink_gains(g1, g2),
-        optimal_gain(g2, g1, 1.0), optimal_gain(g1, g2, 1.0)])
-    assert s.shape == (BLOCK, simulate.STATS)
-    assert np.array_equal(s, want)
+def test_block_stats_layout():
+    # a relay block draws its round-1 gains, its round-2 gains and then its
+    # relay gains from one substream, and keeps 9 floats per trial
+    cfg = make_cfg(M=4)
+    n = 37
+    rng = substream(26, CTX_RELAY, 5)
+    e1 = draw_bs_channels(cfg, rng, rounds=n)
+    e2 = draw_bs_channels(cfg, rng, rounds=n)
+    abc = draw_relay_gains(cfg, rng, rounds=n)
+    want = np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0], abc])
+    got = simulate._block_stats(cfg, 26, 5, n)
+    assert got.shape == (n, simulate.STATS)
+    assert np.array_equal(got, want)
 
 
 def test_relay_validates_antennas():
