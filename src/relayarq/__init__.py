@@ -12,12 +12,11 @@ from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
                       draw_bs_channels, draw_relay_gains, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
-from .linalg import project_off
+from .linalg import span_coords
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
                      diff_exp_params, outage_interference_n3,
                      outage_single_user)
-from .relay_multi import (MultiBeamformer, balanced_uplink, max_min_sinr,
-                          uplink_gains)
+from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
                        judge_relay, relay_block, run_experiment,

@@ -1,20 +1,27 @@
-"""Projection kernel shared by the two relay designs."""
+"""Two relay channels in coordinates of the plane they span.
+
+Both relay designs keep their beams in span{g1, g2}: a beam component off
+that plane reaches neither user. One Householder QR of [g1 g2] gives the
+plane an orthonormal basis Q = [Q0 Q1] and the channels coordinates in it,
+
+    g1 = a Q0,    g2 = c Q0 + b Q1,
+
+so |a|^2 = ||g1||^2 = A, |b|^2 = ||P_perp_g1 g2||^2 = B and
+|c|^2 = |g1^H g2|^2 / ||g1||^2 = C, the three numbers the Monte Carlo
+engine draws as Gamma variates. Householder QR keeps Q orthonormal when
+the channels are parallel or zero, so neither design needs a threshold or
+a fallback axis.
+"""
 
 import numpy as np
 
 
-def sq_norm(v: np.ndarray) -> np.ndarray:
-    """||v||^2 as the sum of re^2 + im^2, batched over leading axes
-    (vectors along the last axis)."""
-    return np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
+def span_coords(g1: np.ndarray, g2: np.ndarray):
+    """``(Q, a, b, c)`` of the pair g1, g2, with Q complex (M, 2).
 
-
-def project_off(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to u, v - u (u^H v) / ||u||^2.
-
-    Batched over leading axes (vectors along the last axis). Where u is the
-    zero vector there is nothing to project off, and v comes back unchanged.
+    On a one-antenna relay the plane is a line: b = 0 and Q's second
+    column is zero.
     """
-    uu = sq_norm(u)[..., None]
-    uv = np.sum(u.conj() * v, axis=-1, keepdims=True)
-    return v - u * (uv / np.where(uu > 0, uu, 1.0))
+    g = np.column_stack([g1, g2]).astype(complex)
+    q, r = np.linalg.qr(np.pad(g, ((0, max(0, 2 - len(g))), (0, 0))))
+    return q[:len(g)], r[0, 0], r[1, 1], r[0, 1]

@@ -10,6 +10,9 @@ a difference of independent exponentials. Its density is two-sided
 exponential with the positive tail governed by lam = 1/var_direct and the
 negative tail by mu = 1/(gamma var_cross); outage is the CDF of the
 N-antenna sum Z = sum_k y_k at c = N noise_var gamma / P.
+``outage_interference_n3`` takes that CDF in units of var_direct, rates
+1 and var_direct / (gamma var_cross) at c / var_direct, so only ratios
+enter and no rate over- or underflows on its own.
 
 The N-antenna sum is a difference of two Gamma(N) variables, and its CDF
 is a finite sum of incomplete-gamma terms for every N (conditioning on one
@@ -42,10 +45,12 @@ def outage_single_user(cfg: SystemConfig) -> float:
     incomplete gamma at N noise_var gamma / (P var_direct). A zero own-cell
     channel carries nothing, so it is in outage at every positive rate.
     """
-    if cfg.var_direct == 0:
-        return float(cfg.sinr_threshold > 0)
-    x = cfg.N * cfg.noise_var * cfg.sinr_threshold / (cfg.P * cfg.var_direct)
-    return float(gammainc(cfg.N, x))
+    gamma = cfg.sinr_threshold
+    if not (gamma and cfg.var_direct):
+        return float(gamma > 0)
+    # divided in turn: P var_direct underflows where both are tiny
+    return float(gammainc(cfg.N, cfg.N * cfg.noise_var * gamma / cfg.P
+                          / cfg.var_direct))
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +82,9 @@ def diff_exp_params(cfg: SystemConfig) -> DiffExpPdfParams:
     if cfg.var_direct <= 0 or cfg.var_cross <= 0:
         raise DegenerateInputError("both channel variances must be positive here")
     gamma = cfg.sinr_threshold
+    # 1 / gamma / var_cross: gamma var_cross underflows where both are tiny
     return DiffExpPdfParams(lam=1.0 / cfg.var_direct,
-                            mu=1.0 / (gamma * cfg.var_cross),
-                            n=cfg.N)
+                            mu=1.0 / gamma / cfg.var_cross, n=cfg.N)
 
 
 def cdf_diff_exp(c: float, p: DiffExpPdfParams) -> float:
@@ -88,8 +93,8 @@ def cdf_diff_exp(c: float, p: DiffExpPdfParams) -> float:
     Z is Gamma(N, lam) - Gamma(N, mu). With a = lam/(lam+mu),
     b = mu/(lam+mu) and w_i = C(N-1+i, i), i = 0..N-1,
 
-        c <= 0:  F(c) = sum_i w_i a^N b^i Q(N-i, mu |c|)
-        c >  0:  F(c) = sum_i w_i a^N b^i
+        c <  0:  F(c) = sum_i w_i a^N b^i Q(N-i, mu |c|)
+        c >= 0:  F(c) = sum_i w_i a^N b^i
                         + sum_i w_i b^N a^i P(N-i, lam c),
 
     with P, Q the regularized incomplete gammas. Every term is positive;
@@ -104,10 +109,12 @@ def cdf_diff_exp(c: float, p: DiffExpPdfParams) -> float:
     ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
     ratio[0] = 1
     log_w = np.cumsum(np.log(ratio))
-    log_a = -np.log1p(np.longdouble(p.mu) / p.lam)
-    log_b = -np.log1p(np.longdouble(p.lam) / p.mu)
+    # a rate of inf (a variance below the normal range) makes a log -inf;
+    # a floor far below exp's range keeps the 0 * log of i = 0 at 0
+    log_a = np.maximum(-np.log1p(np.longdouble(p.mu) / p.lam), -2.0 ** 16)
+    log_b = np.maximum(-np.log1p(np.longdouble(p.lam) / p.mu), -2.0 ** 16)
     mass_neg = np.exp(log_w + n * log_a + i * log_b)
-    if c <= 0:
+    if c < 0:
         terms = mass_neg * gammaincc(n - i, -c * p.mu)
     else:
         mass_pos = np.exp(log_w + n * log_b + i * log_a)
@@ -125,8 +132,14 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
         return 0.0
     if cfg.var_cross == 0 or cfg.var_direct == 0:
         return outage_single_user(cfg)
-    c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
-    return cdf_diff_exp(c, diff_exp_params(cfg))
+    # in units of var_direct: lam = 1 and mu = var_direct / (gamma
+    # var_cross), so neither rate over- or underflows on its own
+    gamma = cfg.sinr_threshold
+    ratio = cfg.var_direct / gamma / cfg.var_cross
+    if not ratio:     # interference beyond a float's range of the signal
+        return 1.0
+    c = cfg.N * cfg.noise_var * gamma / cfg.P / cfg.var_direct
+    return cdf_diff_exp(c, DiffExpPdfParams(lam=1.0, mu=ratio, n=cfg.N))
 
 
 # ---------------------------------------------------------------------------

@@ -6,38 +6,38 @@ stay silent, so each user sees the other's relay beam as interference:
     SINR_i = |h_i^H b_i|^2 / (|h_i^H b_j|^2 + noise_var),
 
 and the design maximizes min(SINR_1, SINR_2) subject to
-||b_1||^2 + ||b_2||^2 <= power. The semidefinite relaxation of this problem
-is tight (the optimum is one beam per user), and under a single total-power
-budget the optimum follows from uplink-downlink duality (Schubert & Boche,
-IEEE T-VT 2004; Wiesel, Eldar & Shamai, IEEE T-SP 2006):
+||b_1||^2 + ||b_2||^2 <= power. The optimum is one beam per user in
+span{h1, h2}; under one total-power budget it follows from uplink-downlink
+duality (Schubert & Boche, IEEE T-VT 2004). ``max_min_sinr`` works in the
+coordinates of ``linalg.span_coords``, h1 = (a, 0) and h2 = (c, b), with
+A, B, C their squared magnitudes and q~ = q / noise_var:
 
-* In the dual uplink, user j transmits with power q_j, q_1 + q_2 = power,
-  and the relay receives user i with the MMSE filter
-  (noise_var I + q_j h_j h_j^H)^-1 h_i. By Sherman-Morrison its SINR is
-  q_i f_i(q_j) with the scalar
-  f_i(q_j) = (||h_i||^2 - q_j |h_i^H h_j|^2 / (noise_var + q_j ||h_j||^2))
-             / noise_var.
-* Write x_i = q_i ||h_i||^2 and G = ||h_1||^2 ||h_2||^2 - |h_1^H h_2|^2.
-  Over a common denominator, the gap between the two uplink SINRs
-  factors as (x_1 - x_2) (noise_var (noise_var + x_1 + x_2) + q_1 q_2 G),
-  and the second factor is positive, so the SINRs balance exactly where
-  x_1 = x_2: q_1 = power ||h_2||^2 / (||h_1||^2 + ||h_2||^2). The balanced
-  level t = q_1 (||h_1||^2 noise_var + q_2 G)
-            / (noise_var (noise_var + q_1 ||h_1||^2))
-  is the optimal max-min SINR in both directions. In noise units,
-  q~ = q / noise_var, it reads t = (||h_1||^2 + q~_2 G) / (1/q~_1 + ||h_1||^2),
-  so the channels enter only through ||h_1||^2, ||h_2||^2 and G.
-* The downlink beams point along the unit MMSE filters, and their powers
-  solve the 2 x 2 linear system that sets both downlink SINRs to t; those
-  powers add up to the same budget.
+* Dual uplink: user j transmits q_j, q_1 + q_2 = power. The SINRs balance
+  where q_1 A = q_2 (B + C), at t = (A + q~_2 A B) / (1/q~_1 + A), the
+  optimal max-min SINR in both directions (``balanced_uplink``, which the
+  Monte Carlo engine calls too).
+* Filters: the 2 x 2 adjugate turns the MMSE filters
+  (I + q~_j h_j h_j^H)^-1 h_i into v1 = (1 + q~_2 B, -q~_2 b conj(c)) and
+  v2 = (c, b (1 + q~_1 A)), whose inner products with the channels are
+  exact: h1^H v1 = conj(a) (1 + q~_2 B), h2^H v1 = conj(c),
+  h1^H v2 = conj(a) c and h2^H v2 = C + B (1 + q~_1 A). Nothing cancels.
+* Powers: with a_ik = |h^H u|^2 of user i + 1 and unit filter k + 1, both
+  downlink SINRs equal t at p_1 = q_1 (a11 + t a01) / (a11 + t a10) and
+  p_2 = q_2 (a00 + t a10) / (a00 + t a01), ratios of positive sums: the
+  uplink and downlink systems share one determinant, which drops out.
+
+The coordinates are scaled to O(1) and power / noise_var is carried in
+their units, so no intermediate depends on the channels' or the noise's
+absolute scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
-from .linalg import project_off, sq_norm
+from .linalg import span_coords
 
 
 @dataclass(frozen=True)
@@ -53,29 +53,14 @@ class MultiBeamformer:
     q2: float
 
 
-def uplink_gains(h1: np.ndarray, h2: np.ndarray):
-    """The statistics the max-min design sees its channels through.
-
-    Channels are batched over leading axes (antennas along the last axis);
-    returns ``(||h1||^2, ||h2||^2, ||P_perp h2||^2)`` of the batch shape,
-    with P_perp the projector off h1. The Gram term
-    ||h1||^2 ||h2||^2 - |h1^H h2|^2 is the product of the first and the
-    third; going through the projection keeps its relative accuracy for
-    nearly parallel channels.
-    """
-    return sq_norm(h1), sq_norm(h2), sq_norm(project_off(h2, h1))
-
-
 def balanced_uplink(n1, n2, gram, power: float, noise_var: float):
     """Balanced dual-uplink powers and the common SINR, in closed form.
 
     Takes n_i = ||h_i||^2 and gram = ||h1||^2 ||h2||^2 - |h1^H h2|^2,
-    batched alike, and returns arrays ``(q1, q2, t)`` of their shape. t is
-    computed in noise units, q~ = q / noise_var:
-    t = (n1 + q~2 gram) / (1 / q~1 + n1), so only power / noise_var enters
-    and no intermediate over- or underflows with the noise's absolute
-    scale. Where either channel is zero that user cannot be reached: t is
-    0 there, and q1, q2 carry no meaning.
+    batched alike, and returns arrays ``(q1, q2, t)`` of their shape, t in
+    noise units as t = (n1 + q~2 gram) / (1 / q~1 + n1). Where either
+    channel is zero that user cannot be reached: t is 0 there, and q1, q2
+    carry no meaning.
     """
     reach = (n1 > 0) & (n2 > 0)
     total = np.where(reach, n1 + n2, 1.0)
@@ -94,7 +79,8 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
 
     Returns beams that reach ``t_star`` for both users (to rounding) with
     total power at most ``power``. A user whose channel is zero cannot be
-    reached, so the optimum is then 0 and both beams are zero.
+    reached, so the optimum is then 0 and both beams are zero. Raises
+    ContractViolationError where the optimum overflows a float.
     """
     h1 = np.asarray(h1, dtype=complex).reshape(-1)
     h2 = np.asarray(h2, dtype=complex).reshape(-1)
@@ -104,29 +90,38 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
         raise ContractViolationError(
             "power and noise must be positive and finite")
 
-    if not (h1.any() and h2.any()):
+    q, a, b, c = span_coords(h1, h2)
+    scale = float(max(abs(a), abs(b), abs(c))) or 1.0
+    a, b, c = a / scale, b / scale, c / scale
+    # rho = power scale^2 / noise_var from mantissas and exponents, never
+    # forming power / noise_var or scale^2: the budget in the noise units of
+    # the scaled channels, which q1, q2, p1 and p2 below are in
+    (mp, ep), (mn, en), (ms, es) = map(math.frexp, (power, noise_var, scale))
+    try:
+        rho = math.ldexp(mp * ms * ms / mn, ep - en + 2 * es)
+    except OverflowError:
+        raise ContractViolationError(
+            "the max-min SINR overflows at this power") from None
+    A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
+    q1, q2, t = (float(x) for x in balanced_uplink(A, B + C, A * B, rho, 1.0))
+    if not t > 0:             # a zero channel, or rho underflowed
         zero = np.zeros(h1.size, dtype=complex)
-        return MultiBeamformer(b1=zero, b2=zero.copy(), t_star=0.0,
-                               sinr1=0.0, sinr2=0.0, q1=0.0, q2=0.0)
-    n1, n2, perp = (float(x) for x in uplink_gains(h1, h2))
-    q1, q2, t = (float(x) for x in balanced_uplink(n1, n2, n1 * perp, power,
-                                                   noise_var))
-    s = noise_var
-    cross = np.vdot(h2, h1)                   # h2^H h1
-    u1 = h1 - h2 * (q2 * cross / (s + q2 * n2))
-    u2 = h2 - h1 * (q1 * np.conj(cross) / (s + q1 * n1))
-    u1 /= np.linalg.norm(u1)
-    u2 /= np.linalg.norm(u2)
-    # a[i, k] = |h_i^H u_k|^2; both downlink SINRs equal t when
-    # p_1 a11 - t a12 p_2 = t s  and  p_2 a22 - t a21 p_1 = t s
-    a = np.abs(np.array([h1, h2]).conj() @ np.array([u1, u2]).T) ** 2
-    det = a[0, 0] * a[1, 1] - t * t * a[0, 1] * a[1, 0]
-    p1 = t * s * (a[1, 1] + t * a[0, 1]) / det
-    p2 = t * s * (a[0, 0] + t * a[1, 0]) / det
-    scale = min(1.0, power / (p1 + p2))       # rounding may overshoot
-    p1, p2 = p1 * scale, p2 * scale
+        return MultiBeamformer(zero, zero.copy(), 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    v1 = np.array([1 + q2 * B, -q2 * b * np.conj(c)])
+    v2 = np.array([c, b * (1 + q1 * A)])
+    norm1, norm2 = np.hypot(*abs(v1)), np.hypot(*abs(v2))
+    a00 = (abs(a) * v1[0].real / norm1) ** 2
+    a10 = (abs(c) / norm1) ** 2
+    a01 = (abs(a) * abs(c) / norm2) ** 2
+    a11 = ((C + B * (1 + q1 * A)) / norm2) ** 2
+    p1 = q1 * (a11 + t * a01) / (a11 + t * a10)
+    p2 = q2 * (a00 + t * a10) / (a00 + t * a01)
+    shrink = min(1.0, rho / (p1 + p2))        # rounding may overshoot
+    p1, p2 = p1 * shrink, p2 * shrink
     return MultiBeamformer(
-        b1=np.sqrt(p1) * u1, b2=np.sqrt(p2) * u2, t_star=t,
-        sinr1=float(p1 * a[0, 0] / (p2 * a[0, 1] + s)),
-        sinr2=float(p2 * a[1, 1] / (p1 * a[1, 0] + s)),
-        q1=q1, q2=q2)
+        b1=np.sqrt(power * (p1 / rho)) * (q @ (v1 / norm1)),
+        b2=np.sqrt(power * (p2 / rho)) * (q @ (v2 / norm2)), t_star=t,
+        sinr1=float(p1 * a00 / (p2 * a01 + 1)),
+        sinr2=float(p2 * a11 / (p1 * a10 + 1)),
+        q1=power * (q1 / rho), q2=power * (q2 / rho))

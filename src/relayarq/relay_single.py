@@ -8,31 +8,48 @@ protected user:
     maximize |b^H g_target|^2
     s.t.     b^H g_protect = 0,   ||b||^2 = Pr.
 
-The optimum is a single beam sqrt(Pr) P_perp g_target / ||P_perp g_target||,
-with P_perp the projector orthogonal to g_protect, and its value is
-Pr ||P_perp g_target||^2. ``optimal_gain`` is that value, batched (the
-Monte Carlo engine reads the same gain off its Gamma draws), and
-``solve_single_user_beamformer`` builds the beam. The test suite checks
-both against the stacked eigenproblem over vec(B), which allows any
-number of streams.
+In the span coordinates of ``linalg.span_coords(g_target, g_protect)``,
+g_target = a Q0 and g_protect = c Q0 + b Q1. A beam Q w nulls g_protect
+exactly when w is along (conj(b), -conj(c)), so the optimum is
+sqrt(Pr) Q w with that unit w, and its value is Pr |a|^2 |w_0|^2 =
+Pr A B / (B + C), the gain the Monte Carlo engine reads off its Gamma
+draws. Only where g_protect = 0 is that w zero: nothing needs nulling, and
+w = (1, 0) points the beam straight at the target. The test suite checks
+both functions against the stacked eigenproblem over vec(B), which allows
+any number of streams.
 """
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .linalg import project_off
-
-DEGENERATE_GAIN = 1e-12   # squared projection below this counts as unservable
+from .linalg import span_coords
 
 
-def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray, power: float):
-    """Optimum power * ||P_perp g_target||^2 of the zero-forcing design.
+def _zero_forcing(g_protect, g_target, power: float):
+    """The span basis Q, the target's coordinate a and the unit w."""
+    g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
+    g_target = np.asarray(g_target, dtype=complex).reshape(-1)
+    if g_target.size != g_protect.size:
+        raise DimensionError("channel vectors must share the antenna count")
+    if g_protect.size < 2:
+        raise DegenerateInputError(
+            "zero-forcing toward one user needs at least two relay antennas")
+    if power <= 0:
+        raise DegenerateInputError("relay power must be positive")
+    q, a, b, c = span_coords(g_target, g_protect)
+    norm = np.hypot(abs(b), abs(c))
+    w = np.array([np.conj(b), -np.conj(c)]) / norm if norm else \
+        np.array([1.0, 0.0])
+    return q, a, w
 
-    Batched over leading axes, antennas on the last axis. Where g_protect
-    is zero there is nothing to null, and the value is power * ||g_target||^2.
-    """
-    return power * np.sum(np.abs(project_off(g_target, g_protect)) ** 2,
-                          axis=-1)
+
+def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray,
+                 power: float) -> float:
+    """Optimum power |a|^2 |w_0|^2 of the zero-forcing design, squared
+    last so that no factor under- or overflows before the gain does. Where
+    g_protect is zero the value is power ||g_target||^2."""
+    _, a, w = _zero_forcing(g_protect, g_target, power)
+    return float(abs(np.sqrt(power) * a * w[0]) ** 2)
 
 
 def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
@@ -42,25 +59,5 @@ def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
     When g_target lies in span(g_protect) no beam reaches it, and b is a
     direction orthogonal to g_protect that carries the full power.
     """
-    g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
-    g_target = np.asarray(g_target, dtype=complex).reshape(-1)
-    m = g_protect.size
-    if g_target.size != m:
-        raise DimensionError("channel vectors must share the antenna count")
-    if m < 2:
-        raise DegenerateInputError(
-            "zero-forcing toward one user needs at least two relay antennas")
-    if power <= 0:
-        raise DegenerateInputError("relay power must be positive")
-    # a second pass restores the orthogonality that cancellation costs the
-    # first when g_target is nearly parallel to g_protect
-    w = project_off(project_off(g_target, g_protect), g_protect)
-    gain = float(np.vdot(w, w).real)
-    if gain <= DEGENERATE_GAIN * float(np.vdot(g_target, g_target).real + 1.0):
-        # the axis where |g_protect| is smallest keeps at least 1 - 1/M of
-        # its length once projected off g_protect
-        w = np.zeros(m, dtype=complex)
-        w[np.argmin(np.abs(g_protect))] = 1.0
-        w = project_off(w, g_protect)
-        gain = float(np.vdot(w, w).real)
-    return np.sqrt(power) * (w / np.sqrt(gain))
+    q, _, w = _zero_forcing(g_protect, g_target, power)
+    return np.sqrt(power) * (q @ w)

@@ -38,7 +38,7 @@ keyed by exactly what the floats depend on; a point whose key matches
 the last one draws nothing and only judges. ``clear_memos`` forgets both.
 
 * Direct: a round succeeds when the margin ||h_ii||^2 - gamma ||h_ij||^2
-  reaches the floor gamma sigma^2 / (P/N), and the margin does not depend
+  reaches the floor gamma N sigma^2 / P, and the margin does not depend
   on P or sigma^2. The memo holds each message's best margin over its
   attempts, 16 bytes per trial, keyed by (seed, trials, N, var_direct,
   var_cross, rate, retx). Figure 1 therefore runs its attempt budgets L
@@ -142,8 +142,14 @@ def _direct_margin(e: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _direct_floor(cfg: SystemConfig) -> float:
-    """The margin a direct round needs: gamma sigma^2 / (P/N)."""
-    return cfg.sinr_threshold * cfg.noise_var / (cfg.P / cfg.N)
+    """The margin a direct round needs: gamma N sigma^2 / P.
+
+    sigma^2 / P is formed first: P/N underflows to 0 where P is subnormal.
+    Where sigma^2 / P overflows instead, only rate 0 can succeed, and its
+    floor stays 0.
+    """
+    gamma = cfg.sinr_threshold
+    return gamma * cfg.N * (cfg.noise_var / cfg.P) if gamma else 0.0
 
 
 def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relayarq.cli as cli
 from relayarq.channel import SystemConfig
@@ -113,6 +117,40 @@ def test_zero_own_cell_channel_is_an_outcome(capsys, rate, want):
                            "--rate", rate, "--trials", "100")
     assert code == 0
     assert float(parse_csv(out)[1][0][1]) == want
+
+
+@pytest.mark.parametrize("command", ["simulate-direct", "simulate-relay"])
+@pytest.mark.parametrize("rate, want", [("2", 1.0), ("0", 0.0)])
+def test_subnormal_power_is_an_outcome(capsys, command, rate, want):
+    # P = 2e-323 is subnormal and P/N underflowed to 0, so the direct
+    # floor divided by zero; every message fails at rate 2, none at rate 0
+    code, out, _ = run_cli(capsys, command, "--trials", "100", "--n", "64",
+                           "--noise-var", "1e-300", "--snr-db", "-227",
+                           "--rate", rate)
+    assert code == 0
+    assert float(parse_csv(out)[1][0][1]) == want
+
+
+@pytest.mark.parametrize("flags", [
+    ("--noise-var", "1e-200", "--var-direct", "1e-200"),   # P var_direct = 0
+    ("--var-direct", "1e-320"),                  # 1 / var_direct = inf
+])
+def test_vanishing_own_cell_variance_loses_everything(capsys, flags):
+    code, out, _ = run_cli(capsys, "analytic", *flags)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert all(float(x) == pytest.approx(1.0, abs=1e-12) for x in rows[0][1:])
+
+
+def test_vanishing_interference_is_single_user(capsys):
+    # gamma var_cross = 6.7e-16 * 1e-320 underflowed to 0
+    code, out, _ = run_cli(capsys, "analytic", "--rate", "1e-15",
+                           "--var-cross", "1e-320")
+    assert code == 0
+    _, rows = parse_csv(out)
+    for single, interference in ((1, 2), (3, 4)):
+        assert float(rows[0][interference]) == pytest.approx(
+            float(rows[0][single]), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
@@ -437,6 +475,31 @@ def test_beamform_single_zero_relay_channel(capsys):
     assert parse_csv(out)[1][0] == ["3", "0", "0", "0", "0", "0", "0"]
 
 
+def test_beamform_single_serves_a_weak_target(capsys):
+    # an absolute threshold once sent this servable target the fallback
+    # beam, 47 % short of its gain
+    code, out, _ = run_cli(capsys, "beamform-single", "--var-relay", "1e-13")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--snr-db", "1600"),          # the filters and power system cancelled
+    ("--var-relay", "1e-170"),     # the Gram term underflowed
+])
+def test_beamform_multi_reaches_t_star_at_extremes(capsys, flags):
+    code, out, _ = run_cli(capsys, "beamform-multi", *flags)
+    assert code == 0
+    assert "nan" not in out
+    _, rows = parse_csv(out)
+    t_star, s1, s2 = (float(x) for x in rows[0][1:4])
+    assert min(s1, s2) >= t_star * (1 - 1e-9)
+    snr_db = float(dict(zip(flags[::2], flags[1::2])).get("--snr-db", 10))
+    budget = 2 * 10.0 ** (snr_db / 10)       # Pr_multi = 2P, noise 1
+    assert float(rows[0][6]) == pytest.approx(budget, rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["beamform-single", "beamform-multi"])
 @pytest.mark.parametrize("flag, value, needle", [
     ("--snr-db", "0:40:10", "beamform commands take one SNR"),
@@ -516,3 +579,54 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == ""
+
+
+# ---------------------------------------------------------------------------
+# the whole accepted input range
+# ---------------------------------------------------------------------------
+
+# columns that hold a probability, per command
+_PROBABILITIES = {
+    "analytic": (1, 2, 3, 4),
+    "simulate-direct": (1,),
+    "simulate-relay": (1, 3, 5),
+    "beamform-single": (),
+    "beamform-multi": (),
+}
+# subnormal, tiny, ordinary and near-max values all come up
+_VARIANCE = st.floats(0.0, sys.float_info.max)
+_NOISE = st.floats(5e-324, sys.float_info.max)
+
+
+@pytest.mark.parametrize("command", list(_PROBABILITIES))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+       m=st.integers(1, 64), rate=st.floats(0.0, 1030.0),
+       retx=st.integers(1, 4), noise_var=_NOISE, var_direct=_VARIANCE,
+       var_cross=_VARIANCE, var_relay=_VARIANCE,
+       snr_db=st.floats(-3300.0, 3100.0))
+def test_every_accepted_input_gives_an_outcome_or_exit_2(command, **params):
+    # each run parameter of cli.PARAMS over its whole range at 100 trials:
+    # the CLI answers with a table free of NaN whose probabilities lie in
+    # [0, 1], or refuses with exit 2; it never raises
+    argv = [command, "--trials", "100"]
+    for key, value in params.items():
+        argv.append(f"--{key.replace('_', '-')}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code:
+        return
+    text = out.getvalue()
+    assert "nan" not in text
+    _, rows = parse_csv(text)
+    for row in rows:
+        assert all(0.0 <= float(row[c]) <= 1.0
+                   for c in _PROBABILITIES[command]), row
+    if command == "beamform-single":
+        gain, predicted = float(rows[0][1]), float(rows[0][2])
+        if math.isfinite(gain):
+            # a gain below the normal range cannot carry 1e-12
+            assert gain == pytest.approx(predicted, rel=1e-12,
+                                         abs=sys.float_info.min)

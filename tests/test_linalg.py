@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
-from relayarq.linalg import project_off
+from relayarq.linalg import span_coords
 
 from _oracles import conjT, kron_identity, null_basis, unvec, vec
 from _sdp_oracle import herm_eig
@@ -91,17 +91,30 @@ def test_vec_kron_trace_identity():
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
-def test_project_off_batched():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
-    u = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
-    u[1, 0] = 0.0                              # nothing to project off
-    w = project_off(v, u)
-    assert w.shape == v.shape
-    assert np.array_equal(w[1, 0], v[1, 0])
-    for idx in np.ndindex(4, 2):
-        if not u[idx].any():
-            continue
-        p = np.eye(3) - np.outer(u[idx], u[idx].conj()) / np.vdot(u[idx], u[idx])
-        assert np.allclose(w[idx], p @ v[idx], atol=1e-14)
-        assert abs(np.vdot(u[idx], w[idx])) < 1e-13
+@pytest.mark.parametrize("case", ["random", "parallel", "zero_first",
+                                  "zero_both", "one_antenna"])
+def test_span_coords_reconstruct_the_pair(case):
+    # g1 = a Q0 and g2 = c Q0 + b Q1 with Q orthonormal, also where the
+    # pair spans less than a plane; one antenna leaves Q1 = 0 and b = 0
+    rng = np.random.default_rng(17)
+    m = 1 if case == "one_antenna" else 4
+    g1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    g2 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if case == "parallel":
+        g2 = (0.5 - 1j) * g1
+    if case in ("zero_first", "zero_both"):
+        g1 = np.zeros(m, dtype=complex)
+    if case == "zero_both":
+        g2 = np.zeros(m, dtype=complex)
+    q, a, b, c = span_coords(g1, g2)
+    assert q.shape == (m, 2)
+    scale = np.linalg.norm(g1) + np.linalg.norm(g2)
+    assert np.allclose(a * q[:, 0], g1, atol=1e-15 * scale)
+    assert np.allclose(c * q[:, 0] + b * q[:, 1], g2, atol=1e-15 * scale)
+    if m > 1:
+        assert np.allclose(conjT(q) @ q, np.eye(2), atol=1e-15)
+    else:
+        assert b == 0 and not q[:, 1].any()
+    assert abs(a) ** 2 == pytest.approx(np.vdot(g1, g1).real, rel=1e-14)
+    assert abs(b) ** 2 + abs(c) ** 2 == pytest.approx(np.vdot(g2, g2).real,
+                                                       rel=1e-14)

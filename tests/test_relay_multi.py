@@ -1,10 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relayarq.errors import ContractViolationError, DimensionError
-from relayarq.relay_multi import balanced_uplink, max_min_sinr, uplink_gains
+from relayarq.relay_multi import balanced_uplink, max_min_sinr
 
-from _oracles import brute_force_m2, cn_vector, orthogonal_pair_optimum
+from _oracles import (brute_force_m2, cn_vector, orthogonal_pair_optimum,
+                      relay_gains)
 from _sdp_oracle import (
     NotRankOneError,
     SdpInstance,
@@ -180,8 +185,8 @@ def test_batched_balance_matches_single_solves():
     h2 = cn_vector(rng, 24, 4.0).reshape(6, 4)
     h2[2] = 0.0                                # an unreachable user
     h2[3] = (0.5 - 1j) * h1[3]                 # no spatial separation
-    n1, n2, perp = uplink_gains(h1, h2)
-    q1, q2, t = balanced_uplink(n1, n2, n1 * perp, 30.0, 0.5)
+    a, b, c = relay_gains(np.stack([h1, h2], axis=1)).T
+    q1, q2, t = balanced_uplink(a, b + c, a * b, 30.0, 0.5)
     assert t.shape == (6,) and t[2] == 0.0
     for i in range(6):
         sol = max_min_sinr(h1[i], h2[i], 30.0, noise_var=0.5)
@@ -206,3 +211,44 @@ def test_input_validation():
                          (1.0, 0.0), (1.0, np.nan)):
         with pytest.raises(ContractViolationError):
             max_min_sinr(np.ones(3), np.ones(3), power, noise_var=noise)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([2, 3, 8]), k=st.integers(-500, 500),
+       snr_db=st.floats(0.0, 3000.0), parallel=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+# the beams once read NaN at 1600 dB, and at gains of 2^-564 (the Gram
+# term underflowed); parallel channels at the top of the range
+@example(m=3, k=0, snr_db=1600.0, parallel=False, seed=0)
+@example(m=3, k=-282, snr_db=10.0, parallel=False, seed=0)
+@example(m=8, k=0, snr_db=3000.0, parallel=True, seed=1)
+def test_contract_at_every_scale(m, k, snr_db, parallel, seed):
+    # channels scaled by 2^k and 0 to 3000 dB: the reported SINRs reach
+    # t_star on the budget with nothing over- or underflowing into a
+    # warning, or the call refuses an optimum beyond a float's range
+    rng = np.random.default_rng(seed)
+    h1, h2 = random_pair(rng, m)
+    if parallel:
+        h2 = (0.5 - 1j) * h1
+    h1, h2 = math.ldexp(1.0, k) * h1, math.ldexp(1.0, k) * h2
+    power = 10.0 ** (snr_db / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = max_min_sinr(h1, h2, power)
+        except ContractViolationError:
+            # power ||h||^2 / noise_var, the optimum's scale, overflows
+            top = max(np.vdot(h, h).real for h in (h1, h2))
+            assert math.log2(power) + math.log2(top) > 1022
+            return
+    t = sol.t_star
+    assert 0.0 < t < math.inf
+    assert min(sol.sinr1, sol.sinr2) >= t * (1 - 1e-9)
+    assert abs(sol.sinr1 - sol.sinr2) <= 1e-9 * t
+    used = np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real
+    assert used <= power * (1 + 1e-12)
+    assert np.all(np.isfinite(sol.b1)) and np.all(np.isfinite(sol.b2))
+    if snr_db + 20 * k * math.log10(2) <= 200:
+        # up to 200 dB above the noise the beams themselves reach t
+        assert min(sinr(h1, sol.b1, sol.b2, 1.0),
+                   sinr(h2, sol.b2, sol.b1, 1.0)) >= t * (1 - 1e-9)

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relayarq.channel import SystemConfig, cn, draw_bs_channels, substream
 from relayarq.errors import DegenerateInputError, DimensionError
@@ -106,17 +110,34 @@ def test_zero_protected_channel():
     assert optimal_gain(zero, zero, 2.0) == 0.0
 
 
-def test_optimal_gain_batched():
-    # one row of a batch gives the same bits as that row alone
-    rng = np.random.default_rng(8)
-    gp = cn_vector(rng, 5 * 3 * 4, 1.0).reshape(5, 3, 4)
-    gt = cn_vector(rng, 5 * 3 * 4, 1.0).reshape(5, 3, 4)
-    gp[2, 1] = 0.0
-    got = optimal_gain(gp, gt, 6.0)
-    assert got.shape == (5, 3)
-    for idx in np.ndindex(5, 3):
-        assert got[idx] == optimal_gain(gp[idx], gt[idx], 6.0)
-    assert got[2, 1] == 6.0 * np.sum(np.abs(gt[2, 1]) ** 2)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([2, 3, 8]), k=st.integers(-500, 500),
+       snr_db=st.floats(0.0, 3000.0), parallel=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=3, k=-70, snr_db=10.0, parallel=False, seed=0)
+def test_beam_at_every_scale(m, k, snr_db, parallel, seed):
+    # channels scaled by 2^k and relay powers 0 to 3000 dB above 1: the
+    # beam spends the budget, nulls the protected user to rounding and
+    # reaches optimal_gain, with nothing over- or underflowing into a
+    # warning short of a gain beyond a float's range
+    rng = np.random.default_rng(seed)
+    gp, gt = cn_vector(rng, m, 4.0), cn_vector(rng, m, 4.0)
+    if parallel:
+        gt = (0.5 - 1j) * gp
+    gp, gt = math.ldexp(1.0, k) * gp, math.ldexp(1.0, k) * gt
+    power = 10.0 ** (snr_db / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = solve_single_user_beamformer(gp, gt, power)
+        assert beam_power(b) == pytest.approx(power, rel=1e-12)
+        assert abs(np.vdot(b, gp)) \
+            <= 1e-12 * np.linalg.norm(gp) * np.linalg.norm(b)
+        # power ||gt||^2 is the gain without a null
+        norm_t = np.vdot(gt, gt).real
+        if math.log2(power) + math.log2(norm_t) < 1020:
+            full = power * norm_t
+            assert beam_gain(b, gt) == pytest.approx(
+                optimal_gain(gp, gt, power), rel=1e-12, abs=1e-24 * full)
 
 
 def test_input_validation():
