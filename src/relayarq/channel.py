@@ -17,10 +17,13 @@ invariance; N. R. Goodman, Ann. Math. Statist. 34, 1963), and the engine
 draws those too. ``cn`` draws complex channels for the single-draw
 ``beamform-*`` commands and the demos.
 
-Randomness is counter-based: every (seed, context, index) triple owns a
-disjoint Philox substream. The Monte Carlo engine keys one substream per
-block of trials and draws each block's channels as whole arrays, so results
-are reproducible no matter how blocks are partitioned across workers.
+Randomness is counter-based: every (seed, context, index, attempt) key
+owns a disjoint Philox substream, its four parts in the counter's four
+64-bit words. The Monte Carlo engine keys one substream per block of
+trials, and the direct engine one per block and attempt, and draws each
+as whole arrays, so results are reproducible no matter how blocks are
+partitioned across workers. ``attempt`` defaults to 0, the word a
+three-part key leaves zero.
 """
 
 import math
@@ -114,9 +117,12 @@ class SystemConfig:
         return 2.0 ** self.rate - 1.0
 
 
-def substream(seed: int, context: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, context, index) triple."""
-    counter = (int(context) << 128) + (int(index) << 64)
+def substream(seed: int, context: int, index: int,
+              attempt: int = 0) -> np.random.Generator:
+    """Independent Philox stream for one (seed, context, index, attempt)
+    key."""
+    counter = ((int(attempt) << 192) + (int(context) << 128)
+               + (int(index) << 64))
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
                                                 counter=counter))
 

@@ -1,19 +1,29 @@
 """Command-line front end: seeded runs, sweeps, CSV emission.
 
-Subcommands:
+Usage::
 
-  analytic          closed-form outage curves over an SNR grid
-  simulate-direct   Monte Carlo direct-ARQ outage
-  simulate-relay    Monte Carlo relay-ARQ outage (pooled and per user)
-  beamform-single   one zero-forcing relay design on a seeded random draw
-  beamform-multi    one max-min SINR relay design on a seeded random draw
-  figure 1|2|3      the three preset experiment tables
+    relayarq COMMAND [1|2|3] [--FLAG VALUE | --FLAG=VALUE | -o PATH]...
 
-One parser serves every command: each takes the same flags, one for each
-run parameter in ``PARAMS``, and options and positionals may come in any
-order, so ``figure 2 --trials 100`` and ``figure --trials 100 2`` are the
-same run. The figure index goes with ``figure`` and with no other
-command.
+``relayarq --help`` lists the commands (``analytic``, ``simulate-direct``,
+``simulate-relay``, ``beamform-single``, ``beamform-multi`` and
+``figure 1|2|3``) and every flag with its default. Every command takes
+the same flags, one for each run parameter in ``PARAMS`` plus
+``--config`` and ``--dump-config``, and ``main`` reads them off that
+table itself:
+
+* positionals and flags come in any order, so ``figure 2 --trials 100``
+  and ``figure --trials 100 2`` are the same run; the figure index goes
+  with ``figure`` and with no other command, and ``--`` ends the flags;
+* a flag's value is always the next token, or follows ``=`` in the same
+  token (``-oPATH`` for ``-o``), so ``--snr-db -5:5:5`` takes its value
+  even though it starts with a dash;
+* a unique prefix names a flag (``--tri 100``); an ambiguous prefix or an
+  unknown flag is a usage error;
+* a repeated flag keeps its last value;
+* values are coerced by ``_coerce``, as config-file values are.
+
+Every usage error exits 2 with a message on standard error that starts
+with the usage line, and prints nothing to standard output.
 
 Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
@@ -30,7 +40,6 @@ once the run has succeeded. Exit codes: 0 success, 2 usage, config,
 output or computation error.
 """
 
-import argparse
 import os
 import sys
 
@@ -48,11 +57,12 @@ from .simulate import (STATS, run_experiment, simulate_direct,
 # extended-precision terms per call; m shares the bound, though no Monte
 # Carlo draw grows with n or m
 MAX_ANTENNAS = 5000
-# a direct-ARQ block draws BLOCK * retx rounds at once; this keeps one
-# block's gains under about 8 MB
+# a direct-ARQ draw is one block of BLOCK rounds per attempt, so a point
+# costs up to retx draws per block; this bounds it at 1000 rounds a trial
 MAX_ATTEMPTS = 1000
 # the engine memoises 16 B of direct margins and 8 STATS = 72 B of relay
-# statistics per trial; this keeps both memos under 1 GiB
+# statistics per trial; this keeps both memos under 1 GiB (extending the
+# direct memo to a larger attempt budget holds a second 16 B for a while)
 MAX_TRIALS = 2 ** 30 // (16 + 8 * STATS)
 # every point keeps one CSV row in memory until the run ends
 MAX_GRID_POINTS = 100_000
@@ -69,8 +79,16 @@ PARAMS = {
 }
 
 
+USAGE = "usage: relayarq [-h] COMMAND [1|2|3] [--FLAG VALUE]..."
+
+
 class ConfigError(RelayArqError):
-    """A run parameter or config file is malformed or out of range."""
+    """A command line, run parameter or config file is malformed or out of
+    range."""
+
+
+def _flag(key: str) -> str:
+    return "-o" if key == "output" else "--" + key.replace("_", "-")
 
 
 def _coerce(key: str, text: str):
@@ -122,15 +140,86 @@ def _parse_snr_grid(text: str):
     raise ConfigError(f"bad SNR grid {text!r}; expected X or A:B:STEP")
 
 
-def _effective_params(args):
+def _parse_argv(argv):
+    """``(command, figure index or None, {key: value})`` of a command line,
+    or None when it asks for help; raises ConfigError where it does not
+    parse. The keys are those of PARAMS plus ``config`` and
+    ``dump_config``."""
+    flags = {_flag(key): key for key in PARAMS}
+    flags.update({"--config": "config", "--dump-config": "dump_config",
+                  "--help": "help"})
+    positional, given = [], {}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            positional += tokens
+            break
+        if tok == "-h":
+            return None
+        if tok[:1] != "-" or tok == "-":
+            positional.append(tok)
+            continue
+        if tok[:2] == "-o":
+            name, value = "-o", tok[2:].removeprefix("=") if tok[2:] else None
+        elif tok[:2] == "--":
+            name, eq, value = tok.partition("=")
+            hits = [name] if name in flags else [
+                f for f in flags if f.startswith(name)]
+            if len(hits) > 1:
+                raise ConfigError(f"ambiguous option: {name} could match "
+                                  + ", ".join(hits))
+            if not hits:
+                raise ConfigError(f"unrecognized argument: {tok}")
+            name, value = hits[0], value if eq else None
+        else:
+            raise ConfigError(f"unrecognized argument: {tok}")
+        key = flags[name]
+        if key == "help":
+            return None
+        if value is None:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigError(f"argument {name}: expected one argument")
+        given[key] = _coerce(key, value) if key in PARAMS else value
+    if not positional:
+        raise ConfigError("a command is required")
+    command, *rest = positional
+    if command not in COMMANDS:
+        raise ConfigError(f"invalid command {command!r}; choose from "
+                          + ", ".join(COMMANDS))
+    which = rest.pop(0) if rest else None
+    if rest:
+        raise ConfigError("unrecognized argument: " + " ".join(rest))
+    if which not in (("1", "2", "3") if command == "figure" else (None,)):
+        raise ConfigError("a figure index 1, 2 or 3 goes with figure, and "
+                          "only with figure")
+    return command, which, given
+
+
+def _help_text() -> str:
+    lines = [USAGE, "", "Outage analytics and relay beamforming experiments.",
+             "", "commands:"]
+    lines += [f"  {name:<18}{fn.__doc__}" for name, fn in COMMANDS.items()]
+    lines += ["", "flags (or a unique prefix; the value is the next token, or "
+              "follows '='):",
+              f"  {'-h, --help':<26}show this help and exit",
+              f"  {'--config CONFIG':<26}read run parameters from a "
+              "key = value file",
+              f"  {'--dump-config PATH':<26}write the run's parameters there "
+              "once it succeeds"]
+    for key, (_, default) in PARAMS.items():
+        shown = "standard output" if default is None else default
+        lines.append(f"  {_flag(key) + ' ' + key.upper():<26}default: {shown}")
+    return "\n".join(lines) + "\n"
+
+
+def _effective_params(command: str, given: dict):
     """The run's parameters and its parsed SNR grid, both checked against
     every ceiling before anything is drawn or written."""
     params = {key: default for key, (_, default) in PARAMS.items()}
-    if args.config:
-        params.update(_load_config(args.config))
-    for key in PARAMS:
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+    if given.get("config"):
+        params.update(_load_config(given["config"]))
+    params.update((key, v) for key, v in given.items() if key in PARAMS)
     if params["trials"] < 100:
         raise ConfigError("trials must be at least 100")
     if params["trials"] > MAX_TRIALS:
@@ -142,7 +231,7 @@ def _effective_params(args):
     if params["retx"] > MAX_ATTEMPTS:
         raise ConfigError(f"retx must be at most {MAX_ATTEMPTS}")
     grid = _parse_snr_grid(params["snr_db"])
-    if args.command.startswith("beamform") and len(grid) > 1:
+    if command.startswith("beamform") and len(grid) > 1:
         raise ConfigError("beamform commands take one SNR")
     return params, grid
 
@@ -201,7 +290,8 @@ def _progress(msg: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analytic(params, grid, args):
+def _cmd_analytic(params, grid, which):
+    """closed-form outage curves over an SNR grid"""
     rows = []
     for snr in grid:
         cfg = _build_cfg(params, snr)
@@ -213,7 +303,8 @@ def _cmd_analytic(params, grid, args):
             "interference_arq"), rows
 
 
-def _cmd_simulate_direct(params, grid, args):
+def _cmd_simulate_direct(params, grid, which):
+    """Monte Carlo direct-ARQ outage over an SNR grid"""
     rows = []
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
@@ -225,7 +316,8 @@ def _cmd_simulate_direct(params, grid, args):
     return ("SNR_dB", "p", "ci", "messages", "failures"), rows
 
 
-def _cmd_simulate_relay(params, grid, args):
+def _cmd_simulate_relay(params, grid, which):
+    """Monte Carlo relay-ARQ outage, pooled and per user"""
     rows = []
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
@@ -247,16 +339,19 @@ def _beamform_setup(params, grid):
     return cfg, tuple(cn(rng, cfg.M, cfg.var_relay) for _ in range(2))
 
 
-def _cmd_beamform_single(params, grid, args):
+def _cmd_beamform_single(params, grid, which):
+    """one zero-forcing relay design on a seeded random draw"""
     cfg, (g_p, g_t) = _beamform_setup(params, grid)
+    # raises where the gain overflows, before any vdot forms it
+    predicted = optimal_gain(g_p, g_t, cfg.Pr_single)
     b = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
-    rows = [(params["m"], abs(np.vdot(b, g_t)) ** 2,
-             optimal_gain(g_p, g_t, cfg.Pr_single),
+    rows = [(params["m"], abs(np.vdot(b, g_t)) ** 2, predicted,
              abs(np.vdot(b, g_p)), np.vdot(b, b).real)]
     return ("m", "gain", "predicted_gain", "null_residual", "power"), rows
 
 
-def _cmd_beamform_multi(params, grid, args):
+def _cmd_beamform_multi(params, grid, which):
+    """one max-min SINR relay design on a seeded random draw"""
     cfg, (g1, g2) = _beamform_setup(params, grid)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
     # b b^H has rank 1 for a nonzero beam and 0 for the zero beam
@@ -268,13 +363,15 @@ def _cmd_beamform_multi(params, grid, args):
             "power"), rows
 
 
-def _cmd_figure(params, grid, args):
-    return run_experiment(f"fig{args.which}", trials=params["trials"],
+def _cmd_figure(params, grid, which):
+    """the three preset experiment tables: figure 1|2|3"""
+    return run_experiment(f"fig{which}", trials=params["trials"],
                           seed=params["seed"], threads=params["threads"],
                           progress=_progress)
 
 
-# subcommand name -> handler(params, grid, args) returning (columns, rows)
+# subcommand name -> handler(params, grid, which) returning (columns,
+# rows); its docstring is its line in --help
 COMMANDS = {
     "analytic": _cmd_analytic,
     "simulate-direct": _cmd_simulate_direct,
@@ -286,36 +383,25 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # one parser, built per call rather than at import
-    parser = argparse.ArgumentParser(
-        prog="relayarq",
-        description="Outage analytics and relay beamforming experiments.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("which", nargs="?", choices=("1", "2", "3"),
-                        help="figure index, for the figure command only")
-    parser.add_argument("--config")
-    parser.add_argument("--dump-config", metavar="PATH")
-    for key, (typ, _) in PARAMS.items():
-        flag = "-o" if key == "output" else "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=typ)
+    try:
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ConfigError as e:
+        print(f"{USAGE}\nrelayarq: error: {e}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        sys.stdout.write(_help_text())
+        return 0
+    command, which, given = parsed
 
     try:
-        # intermixed, so the figure index may follow the options
-        args = parser.parse_intermixed_args(argv)
-        if (args.command == "figure") != (args.which is not None):
-            parser.error("a figure index 1, 2 or 3 goes with figure, and "
-                         "only with figure")
-    except SystemExit as e:
-        return int(e.code or 0)
-
-    try:
-        params, grid = _effective_params(args)
+        params, grid = _effective_params(command, given)
+        dump = given.get("dump_config")
         _check_dir(params["output"])
-        _check_dir(args.dump_config)
-        columns, rows = COMMANDS[args.command](params, grid, args)
+        _check_dir(dump)
+        columns, rows = COMMANDS[command](params, grid, which)
         # written once the run has succeeded, so no refused run leaves one
-        if args.dump_config:
-            _write(args.dump_config, _config_text(params))
+        if dump:
+            _write(dump, _config_text(params))
         _write(params["output"], _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)

@@ -19,9 +19,11 @@ both functions against the stacked eigenproblem over vec(B), which allows
 any number of streams.
 """
 
+import math
+
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import ContractViolationError, DegenerateInputError, DimensionError
 from .linalg import span_coords
 
 
@@ -47,8 +49,16 @@ def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray,
                  power: float) -> float:
     """Optimum power |a|^2 |w_0|^2 of the zero-forcing design, squared
     last so that no factor under- or overflows before the gain does. Where
-    g_protect is zero the value is power ||g_target||^2."""
+    g_protect is zero the value is power ||g_target||^2. Raises
+    ContractViolationError where the gain overflows a float, which is
+    tested from mantissas and exponents, never by forming it."""
     _, a, w = _zero_forcing(g_protect, g_target, power)
+    (mp, ep), (mg, eg) = map(math.frexp, (power, float(abs(a * w[0]))))
+    try:
+        math.ldexp(mp * mg * mg, ep + 2 * eg)
+    except OverflowError:
+        raise ContractViolationError(
+            "the zero-forcing gain overflows at this power") from None
     return float(abs(np.sqrt(power) * a * w[0]) ** 2)
 
 

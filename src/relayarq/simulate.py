@@ -23,14 +23,19 @@ gains (``channel.draw_bs_channels``) and relay links as their (A, B, C)
 
 Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their gains, as
-whole arrays, from one counter-based substream keyed by (seed, context, b),
-and keeps a few floats per trial that the verdicts then come from.
-Threads take contiguous runs of blocks and write disjoint rows of one
-array, so failure counts are identical for any thread count. A
-trial's draws depend on its block and on that block's length, so a run
-with more trials is not a prefix-extension of a shorter one. Grid sweeps
-reuse the same seed at every point: common random numbers across a
-curve, fresh draws within each trial.
+whole arrays, from counter-based substreams: a relay block from the one
+keyed by (seed, CTX_RELAY, b), attempt a of a direct block from the one
+keyed by (seed, CTX_DIRECT, b, a). Each block keeps a few floats per
+trial that the verdicts then come from. Threads take contiguous runs of
+blocks and write disjoint rows of one array, so failure counts are
+identical for any thread count. A trial's draws depend on its block and
+on that block's length, so a run with more trials is not a
+prefix-extension of a shorter one. Grid sweeps reuse the same seed at
+every point: common random numbers across a curve, fresh draws within
+each trial. Attempt budgets share draws too: attempt a of a message is
+the same round under any budget L > a, so a budget of L attempts sees
+the rounds of every smaller budget plus its own (the prefix property),
+and a message lost under L is lost under every smaller budget.
 
 Both engines reuse those common draws instead of redrawing them. Each
 keeps the per-trial floats its verdicts need in a memo of one entry,
@@ -41,9 +46,13 @@ the last one draws nothing and only judges. ``clear_memos`` forgets both.
   reaches the floor gamma N sigma^2 / P, and the margin does not depend
   on P or sigma^2. The memo holds each message's best margin over its
   attempts, 16 bytes per trial, keyed by (seed, trials, N, var_direct,
-  var_cross, rate, retx). Figure 1 therefore runs its attempt budgets L
-  in the outer loop and SNR in the inner one; its rows are put back in
-  SNR-major order, but its progress lines come L-major.
+  var_cross, rate), and records the attempts it covers, its depth. A
+  larger budget draws only its further attempts and keeps the max of
+  their margins and the memo's; a smaller one draws again from attempt
+  0. Figure 1 therefore runs its attempt budgets L in the outer loop,
+  in rising order, and SNR in the inner one, so its four curves draw 10
+  attempts per trial between them; its rows are put back in SNR-major
+  order, but its progress lines come L-major.
 * Relay: a trial is judged from STATS = 9 floats, 72 bytes, none of
   which depends on the rate, the powers or the noise: the 4 round-1 BS
   gains, the 2 round-2 cross gains e2[f, 1 - f] a failed user f would
@@ -165,44 +174,64 @@ def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
 
 
 def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
-                  start: int):
-    """Write the best margin over the attempts of each (trial, user) of
-    the trials [start, start + len(out)) into out, float (len(out), 2)."""
+                  start: int, first: int):
+    """Write the best margin over the attempts [first, cfg.retx) of each
+    (trial, user) of the trials [start, start + len(out)) into out, float
+    (len(out), 2)."""
     gamma = cfg.sinr_threshold
     for block, n in _blocks(start, start + len(out)):
-        rng = substream(seed, CTX_DIRECT, block)
-        # trial-major: trial k owns rounds [k retx, (k + 1) retx)
-        e = draw_bs_channels(cfg, rng, rounds=n * cfg.retx)
         lo = block * BLOCK - start
-        out[lo:lo + n] = _direct_margin(e, gamma).reshape(
-            n, cfg.retx, 2).max(axis=1)
+        best = out[lo:lo + n]
+        for attempt in range(first, cfg.retx):
+            rng = substream(seed, CTX_DIRECT, block, attempt)
+            margin = _direct_margin(draw_bs_channels(cfg, rng, rounds=n),
+                                    gamma)
+            if attempt == first:
+                best[:] = margin
+            else:
+                np.maximum(best, margin, out=best)
 
 
-# chunk worker -> (key, rows) of that engine's last run: one entry per
-# engine, replaced whole and never written in place, so callers racing on
-# it at worst repeat a draw
+# chunk worker -> (key, depth, rows) of that engine's last run: one entry
+# per engine, replaced whole and never written in place, so callers racing
+# on it at worst repeat a draw
 _memos = {}
 
 
 def _memoised(worker, width: int, key, cfg: SystemConfig, seed: int,
-              trials: int, threads: int) -> np.ndarray:
+              trials: int, threads: int, depth: int = 1) -> np.ndarray:
     """The rows ``worker`` writes for the trials [0, trials), float
     (trials, width), read-only.
 
-    Memoised on ``key``, which must hold everything the rows depend on;
-    the thread count only splits the work. Threads write disjoint slices
-    of one array, so a draw keeps no second copy of its result.
+    Memoised on ``key``, which must hold everything the rows depend on
+    but ``depth``; the thread count only splits the work. A row is the
+    max over ``depth`` levels of draws (the direct engine's attempts; a
+    relay row has one level), and ``worker(cfg, seed, out, start,
+    first)`` writes the max over the levels [first, depth). A memo of the
+    same key and a smaller depth is extended: only its missing levels are
+    drawn, and their max with the memo's rows goes into a fresh array.
+    Any other miss draws from level 0. Threads write disjoint slices of
+    one array, so a draw keeps no second copy of its result.
     """
     if trials < 1:
         raise ContractViolationError("trials must be at least 1")
     memo = _memos.get(worker)
-    if memo is None or memo[0] != key:
-        rows = np.empty((trials, width))
-        _run_chunks(lambda lo, hi: worker(cfg, seed, rows[lo:hi], lo),
-                    trials, threads)
-        rows.flags.writeable = False
-        memo = _memos[worker] = (key, rows)
-    return memo[1]
+    first, prior = 0, None
+    if memo is not None and memo[0] == key:
+        if memo[1] == depth:
+            return memo[2]
+        if memo[1] < depth:
+            first, prior = memo[1], memo[2]
+    rows = np.empty((trials, width))
+
+    def fill(lo, hi):
+        worker(cfg, seed, rows[lo:hi], lo, first)
+        if prior is not None:
+            np.maximum(rows[lo:hi], prior[lo:hi], out=rows[lo:hi])
+    _run_chunks(fill, trials, threads)
+    rows.flags.writeable = False
+    _memos[worker] = (key, depth, rows)
+    return rows
 
 
 def clear_memos():
@@ -214,9 +243,9 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
                   threads: int) -> np.ndarray:
     """Best margin of every (trial, user), float (trials, 2), read-only,
     memoised on exactly what they depend on."""
-    key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate,
-           cfg.retx)
-    return _memoised(_margin_chunk, 2, key, cfg, seed, trials, threads)
+    key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate)
+    return _memoised(_margin_chunk, 2, key, cfg, seed, trials, threads,
+                     depth=cfg.retx)
 
 
 def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
@@ -295,9 +324,11 @@ def relay_block(cfg: SystemConfig, seed: int, block: int,
     return judge_relay(cfg, _block_stats(cfg, seed, block, n))
 
 
-def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, start: int):
+def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, start: int,
+                 first: int):
     """Write the statistics of the relay trials
-    [start, start + len(out)) into out."""
+    [start, start + len(out)) into out. A relay row has one level of
+    draws, so ``first`` is always 0."""
     for block, n in _blocks(start, start + len(out)):
         lo = block * BLOCK - start
         out[lo:lo + n] = _block_stats(cfg, seed, block, n)
@@ -401,7 +432,8 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
         # the one-attempt law does not depend on L: one per SNR
         p_int = {snr: outage_interference_n3(_cfg(_FIG1_BASE, snr))
                  for snr in FIG1_SNR_DB}
-        # L outer, so each curve draws its margins once
+        # L outer and rising, so each curve draws only the attempts the
+        # one before it lacks
         for attempts in FIG1_ATTEMPTS:
             for snr in FIG1_SNR_DB:
                 cfg = _cfg(_FIG1_BASE, snr, retx=attempts)

@@ -96,6 +96,9 @@ def test_substream_separation():
     assert not np.array_equal(base, substream(42, CTX_DIRECT, 8).standard_normal(5))
     assert not np.array_equal(base, substream(42, CTX_RELAY, 7).standard_normal(5))
     assert not np.array_equal(base, substream(43, CTX_DIRECT, 7).standard_normal(5))
+    # the attempt word: 0 is the three-part key, any other a new stream
+    assert np.array_equal(base, substream(42, CTX_DIRECT, 7, 0).standard_normal(5))
+    assert not np.array_equal(base, substream(42, CTX_DIRECT, 7, 1).standard_normal(5))
 
 
 def test_bs_channel_shapes():

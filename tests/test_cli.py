@@ -484,6 +484,21 @@ def test_beamform_single_serves_a_weak_target(capsys):
     assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), rel=1e-12)
 
 
+def test_beamform_single_refuses_an_overflowing_gain(capsys, monkeypatch):
+    # Pr ||g_t||^2 lies far beyond the float range: refused with exit 2
+    # before a beam or any vdot is formed, and without a warning
+    def no_beam(*args, **kwargs):
+        raise AssertionError("formed a beam whose gain overflows")
+    monkeypatch.setattr(cli, "solve_single_user_beamformer", no_beam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "beamform-single", "--var-relay",
+                                 "1e300", "--snr-db", "100")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 @pytest.mark.parametrize("flags", [
     ("--snr-db", "1600"),          # the filters and power system cancelled
     ("--var-relay", "1e-170"),     # the Gram term underflowed
@@ -563,6 +578,86 @@ def test_help_names_every_command_and_flag(capsys):
         assert flag in out
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag_with_its_default(capsys, flag):
+    code, out, err = run_cli(capsys, "figure", flag)
+    assert code == 0
+    assert err == ""
+    for name in cli.COMMANDS:
+        assert f"  {name} " in out
+    lines = out.splitlines()
+    for key, (_, default) in cli.PARAMS.items():
+        shown = "standard output" if default is None else default
+        line, = [ln for ln in lines if ln.startswith(f"  {cli._flag(key)} ")]
+        assert line.endswith(f"default: {shown}"), line
+
+
+# ---------------------------------------------------------------------------
+# the command-line grammar
+# ---------------------------------------------------------------------------
+
+def test_flag_value_may_start_with_a_dash(capsys):
+    # the value is the next token whatever it looks like
+    code, out, err = run_cli(capsys, "simulate-direct", "--trials", "100",
+                             "--snr-db", "-5:5:5")
+    assert code == 0, err
+    assert [float(r[0]) for r in parse_csv(out)[1]] == [-5.0, 0.0, 5.0]
+
+
+def test_flag_value_after_an_equals_sign(capsys):
+    code, joined, _ = run_cli(capsys, "simulate-direct", "--trials=100",
+                              "--snr-db=-5:5:5")
+    assert code == 0
+    _, spaced, _ = run_cli(capsys, "simulate-direct", "--trials", "100",
+                           "--snr-db", "-5:5:5")
+    assert joined == spaced
+
+
+def test_output_flag_takes_an_attached_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for flag in ("-oa.csv", "-o=b.csv"):
+        assert run_cli(capsys, "analytic", flag)[:2] == (0, "")
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+def test_double_dash_ends_the_flags(capsys):
+    code, out, _ = run_cli(capsys, "figure", "--trials", "100", "--", "2")
+    assert code == 0
+    assert parse_csv(out)[0] == ["R", "series", "p", "ci"]
+
+
+def test_unique_prefix_names_a_flag(capsys):
+    code, short, _ = run_cli(capsys, "simulate-direct", "--tri", "100",
+                             "--retx", "3")
+    assert code == 0
+    _, full, _ = run_cli(capsys, "simulate-direct", "--trials", "100",
+                         "--retx", "3")
+    assert short == full
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--var", "1"),                 # ambiguous prefix
+    ("analytic", "--bogus", "1"),               # unknown flag
+    ("analytic", "--snr-db", "0", "--rate"),    # a flag with no value
+    ("simulate-direct", "--trials", "1.5"),     # not an int
+    ("figure", "4"),
+])
+def test_usage_error_prints_usage_and_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: relayarq")
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    code, twice, _ = run_cli(capsys, "analytic", "--rate", "5", "--snr-db",
+                             "0:20:10", "--rate", "3")
+    assert code == 0
+    _, once, _ = run_cli(capsys, "analytic", "--snr-db", "0:20:10",
+                         "--rate", "3")
+    assert twice == once
+
+
 # ---------------------------------------------------------------------------
 # import path
 # ---------------------------------------------------------------------------
@@ -625,8 +720,9 @@ def test_every_accepted_input_gives_an_outcome_or_exit_2(command, **params):
         assert all(0.0 <= float(row[c]) <= 1.0
                    for c in _PROBABILITIES[command]), row
     if command == "beamform-single":
+        # a gain beyond the float range is refused, never written as inf
         gain, predicted = float(rows[0][1]), float(rows[0][2])
-        if math.isfinite(gain):
-            # a gain below the normal range cannot carry 1e-12
-            assert gain == pytest.approx(predicted, rel=1e-12,
-                                         abs=sys.float_info.min)
+        assert math.isfinite(gain), rows[0]
+        # a gain below the normal range cannot carry 1e-12
+        assert gain == pytest.approx(predicted, rel=1e-12,
+                                     abs=sys.float_info.min)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayarq.channel import SystemConfig, cn, draw_bs_channels, substream
-from relayarq.errors import DegenerateInputError, DimensionError
+from relayarq.errors import (ContractViolationError, DegenerateInputError,
+                             DimensionError)
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
 from _oracles import cn_vector, solve_single_user_beamformer_full
@@ -138,6 +139,23 @@ def test_beam_at_every_scale(m, k, snr_db, parallel, seed):
             full = power * norm_t
             assert beam_gain(b, gt) == pytest.approx(
                 optimal_gain(gp, gt, power), rel=1e-12, abs=1e-24 * full)
+
+
+def test_gain_beyond_the_float_range_raises():
+    # with nothing to null the gain is power ||gt||^2 = power 2^1000: the
+    # largest power of two that keeps it finite passes, twice it raises,
+    # and neither warns
+    gt = np.array([2.0 ** 500, 0.0], dtype=complex)
+    zero = np.zeros(2, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_gain(zero, gt, 2.0 ** 22) == 2.0 ** 1022
+        assert optimal_gain(zero, gt, 2.0 ** 23) == pytest.approx(
+            2.0 ** 1023, rel=1e-15)
+        with pytest.raises(ContractViolationError, match="overflows"):
+            optimal_gain(zero, gt, 2.0 ** 24)
+        with pytest.raises(ContractViolationError, match="overflows"):
+            optimal_gain(zero, 1e300 * np.ones(2), 1e10)
 
 
 def test_input_validation():

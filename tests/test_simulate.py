@@ -101,15 +101,17 @@ def test_direct_thread_count_invariant():
 
 
 def test_direct_block_layout():
-    # block b holds the rounds of its trials in trial-major order; a loss is
-    # a message whose every round falls short, judged here entry by entry
+    # attempt a of block b draws one round per trial of the block from the
+    # substream keyed (b, a); a loss is a message whose every round falls
+    # short, judged here entry by entry
     cfg = make_cfg(P=10.0, retx=3)
     p_ant = cfg.P / cfg.N
     want = 0
     for block in range(4):
         n = min(BLOCK, ODD_TRIALS - block * BLOCK)
-        e = draw_bs_channels(cfg, substream(14, CTX_DIRECT, block),
-                             rounds=n * cfg.retx).reshape(n, cfg.retx, 2, 2)
+        e = np.stack([draw_bs_channels(cfg, substream(14, CTX_DIRECT, block,
+                                                      attempt), rounds=n)
+                      for attempt in range(cfg.retx)], axis=1)
         for trial in e:
             for i in (0, 1):
                 want += not any(
@@ -299,11 +301,12 @@ def count_draws(monkeypatch, name="draw_bs_channels"):
 def test_second_point_of_a_curve_draws_nothing(monkeypatch):
     simulate.clear_memos()
     calls = count_draws(monkeypatch)
+    # one draw per block and attempt: 4 blocks, 2 attempts
     simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
-    assert len(calls) == 4
+    assert len(calls) == 8
     for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0)):
         simulate_direct(make_cfg(**kw), trials=ODD_TRIALS, seed=18)
-    assert len(calls) == 4
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("field, value", [
@@ -339,6 +342,65 @@ def test_memo_is_thread_count_invariant():
         assert np.array_equal(got, want)
         # a hit at another thread count returns the same margins
         assert simulate._best_margins(cfg, 21, ODD_TRIALS, 1) is got
+
+
+def test_best_margins_rise_with_the_attempt_budget():
+    # attempt a is the same round under every budget past a, so one more
+    # attempt can only raise a message's best margin; each budget is
+    # drawn afresh
+    cfg = make_cfg(P=10.0)
+    simulate.clear_memos()
+    last = simulate._best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS, 1)
+    for attempts in range(2, 11):
+        simulate.clear_memos()
+        got = simulate._best_margins(dataclasses.replace(cfg, retx=attempts),
+                                     24, ODD_TRIALS, 1)
+        assert np.all(got >= last), attempts
+        assert np.any(got > last), attempts
+        last = got
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("first, attempts", [
+    (lo, hi) for hi in range(2, 6) for lo in range(1, hi)])
+def test_memo_extends_to_a_larger_budget(monkeypatch, threads, first,
+                                         attempts):
+    # a memo at `first` attempts draws only the attempts it lacks, and
+    # gives the margins of a cleared run, bit for bit, in a fresh array
+    simulate.clear_memos()
+    want = simulate._best_margins(make_cfg(P=10.0, retx=attempts), 25,
+                                  ODD_TRIALS, threads)
+    simulate.clear_memos()
+    old = simulate._best_margins(make_cfg(P=10.0, retx=first), 25,
+                                 ODD_TRIALS, threads)
+    kept = old.copy()
+    calls = count_draws(monkeypatch)
+    got = simulate._best_margins(make_cfg(P=30.0, retx=attempts), 25,
+                                 ODD_TRIALS, threads)
+    assert len(calls) == 4 * (attempts - first)       # 4 blocks
+    assert np.array_equal(got, want)
+    assert got is not old and not got.flags.writeable
+    assert np.array_equal(old, kept)
+
+
+def test_smaller_budget_draws_afresh(monkeypatch):
+    simulate.clear_memos()
+    simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS, seed=26)
+    calls = count_draws(monkeypatch)
+    got = simulate_direct(make_cfg(P=10.0, retx=2), trials=ODD_TRIALS,
+                          seed=26)
+    assert len(calls) == 4 * 2
+    simulate.clear_memos()
+    assert simulate_direct(make_cfg(P=10.0, retx=2), trials=ODD_TRIALS,
+                           seed=26) == got
+
+
+@pytest.mark.parametrize("seed", [0, 27])
+def test_fig1_failures_never_rise_with_the_budget(seed):
+    _, rows = run_experiment("fig1", trials=1000, seed=seed)
+    for snr in simulate.FIG1_SNR_DB:
+        mc = [row[3] for row in rows if row[0] == snr]   # L rising
+        assert mc == sorted(mc, reverse=True), (snr, mc)
 
 
 def race(run, want, callers=6, rounds=40):
@@ -377,6 +439,18 @@ def test_memo_under_racing_callers():
     # memo entry keeps being replaced under them; every answer must still
     # be the one a serial run gives
     cfgs = [make_cfg(P=p, rate=r) for r in (1.0, 2.0) for p in (3.0, 30.0)]
+    want = []
+    for cfg in cfgs:
+        simulate.clear_memos()
+        want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
+    assert race(lambda i, j: simulate_direct(
+        cfgs[i], trials=2 * BLOCK, seed=23, threads=1 + j % 2), want) == []
+
+
+def test_memo_under_racing_budgets():
+    # callers alternate between two attempt budgets on one key, so the
+    # memo keeps being extended and drawn afresh under them
+    cfgs = [make_cfg(P=10.0, retx=r) for r in (2, 3)]
     want = []
     for cfg in cfgs:
         simulate.clear_memos()
@@ -430,13 +504,13 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
 
 def test_fig2_draws_its_relay_trials_once(monkeypatch):
     # 7 rates at one SNR: the relay draws once, the direct engine once per
-    # rate (gamma is part of its margins)
+    # rate and attempt (gamma is part of its margins)
     simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name) for name in
                ("substream", "draw_bs_channels", "draw_relay_gains")}
     run_experiment("fig2", trials=100, seed=0)
     assert {k: len(v) for k, v in counted.items()} == dict(
-        substream=8, draw_bs_channels=9, draw_relay_gains=1)
+        substream=15, draw_bs_channels=16, draw_relay_gains=1)
 
 
 def test_relay_memo_is_thread_count_invariant():
