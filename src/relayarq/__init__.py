@@ -14,8 +14,7 @@ from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
 from .linalg import span_coords
 from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
-                     diff_exp_params, outage_interference_n3,
-                     outage_single_user)
+                     outage_interference_n3, outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,

@@ -21,8 +21,8 @@ Randomness is counter-based: every (seed, context, index, attempt) key
 owns a disjoint Philox substream, its four parts in the counter's four
 64-bit words. The Monte Carlo engine keys one substream per block of
 trials, and the direct engine one per block and attempt, and draws each
-as whole arrays, so results are reproducible no matter how blocks are
-partitioned across workers. ``attempt`` defaults to 0, the word a
+as whole arrays, so a block's draws depend on its key and its length
+alone, not on which blocks were drawn before it. ``attempt`` defaults to 0, the word a
 three-part key leaves zero.
 """
 

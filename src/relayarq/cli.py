@@ -36,8 +36,10 @@ MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
 MAX_TRIALS (the engine's memos stay under 1 GiB), an SNR grid of at
 most MAX_GRID_POINTS points, counted before it is built, and the one SNR
 a beamform command takes. The ``--dump-config`` file is written only
-once the run has succeeded. Exit codes: 0 success, 2 usage, config,
-output or computation error.
+once the run has succeeded. ``--threads`` (at least 1) is accepted so
+that older command lines and config files still run, and has no effect:
+the engine draws every run on the calling thread. Exit codes: 0 success,
+2 usage, config, output or computation error.
 """
 
 import os
@@ -308,8 +310,7 @@ def _cmd_simulate_direct(params, grid, which):
     rows = []
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
-        est = simulate_direct(cfg, params["trials"], params["seed"],
-                              params["threads"])
+        est = simulate_direct(cfg, params["trials"], params["seed"])
         rows.append((snr, est.p_hat, est.ci_halfwidth, est.trials,
                      est.failures))
         _progress(f"simulate-direct {i + 1}/{len(grid)} SNR={snr} dB")
@@ -321,8 +322,7 @@ def _cmd_simulate_relay(params, grid, which):
     rows = []
     for i, snr in enumerate(grid):
         cfg = _build_cfg(params, snr)
-        est = simulate_relay(cfg, params["trials"], params["seed"],
-                             params["threads"])
+        est = simulate_relay(cfg, params["trials"], params["seed"])
         rows.append((snr, est.pooled.p_hat, est.pooled.ci_halfwidth,
                      est.user1.p_hat, est.user1.ci_halfwidth,
                      est.user2.p_hat, est.user2.ci_halfwidth))
@@ -366,8 +366,7 @@ def _cmd_beamform_multi(params, grid, which):
 def _cmd_figure(params, grid, which):
     """the three preset experiment tables: figure 1|2|3"""
     return run_experiment(f"fig{which}", trials=params["trials"],
-                          seed=params["seed"], threads=params["threads"],
-                          progress=_progress)
+                          seed=params["seed"], progress=_progress)
 
 
 # subcommand name -> handler(params, grid, which) returning (columns,

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .channel import SystemConfig
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +75,6 @@ class DiffExpPdfParams:
             raise ContractViolationError("rates must be positive")
         if self.n < 1 or self.n != int(self.n):
             raise ContractViolationError("antenna count must be an integer >= 1")
-
-
-def diff_exp_params(cfg: SystemConfig) -> DiffExpPdfParams:
-    """Map a system configuration onto the summand's tail rates."""
-    if cfg.var_direct <= 0 or cfg.var_cross <= 0:
-        raise DegenerateInputError("both channel variances must be positive here")
-    gamma = cfg.sinr_threshold
-    # 1 / gamma / var_cross: gamma var_cross underflows where both are tiny
-    return DiffExpPdfParams(lam=1.0 / cfg.var_direct,
-                            mu=1.0 / gamma / cfg.var_cross, n=cfg.N)
 
 
 def cdf_diff_exp(c: float, p: DiffExpPdfParams) -> float:

@@ -25,17 +25,24 @@ Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their gains, as
 whole arrays, from counter-based substreams: a relay block from the one
 keyed by (seed, CTX_RELAY, b), attempt a of a direct block from the one
-keyed by (seed, CTX_DIRECT, b, a). Each block keeps a few floats per
-trial that the verdicts then come from. Threads take contiguous runs of
-blocks and write disjoint rows of one array, so failure counts are
-identical for any thread count. A trial's draws depend on its block and
-on that block's length, so a run with more trials is not a
-prefix-extension of a shorter one. Grid sweeps reuse the same seed at
-every point: common random numbers across a curve, fresh draws within
-each trial. Attempt budgets share draws too: attempt a of a message is
-the same round under any budget L > a, so a budget of L attempts sees
-the rounds of every smaller budget plus its own (the prefix property),
-and a message lost under L is lost under every smaller budget.
+keyed by (seed, CTX_DIRECT, b, a). Each block writes a few floats per
+trial into its rows of one array, and the verdicts come from those.
+
+Only the direct engine is prefix-stable in the trial count: its
+substream per (block, attempt) draws one array of Gamma gains, entry
+after entry, so a trial's draws do not depend on its block's length, and
+a run with more trials holds a shorter run's margins in its first rows.
+A relay block draws its round-1 gains, round-2 gains and relay gains
+from one substream, one array after the other, so where each later array
+starts depends on the block's length: a run whose last block is partial
+is no prefix of a longer one, though its whole blocks agree.
+
+Grid sweeps reuse the same seed at every point: common random numbers
+across a curve, fresh draws within each trial. Attempt budgets share
+draws too: attempt a of a message is the same round under any budget
+L > a, so a budget of L attempts sees the rounds of every smaller budget
+plus its own, and a message lost under L is lost under every smaller
+budget.
 
 Both engines reuse those common draws instead of redrawing them. Each
 keeps the per-trial floats its verdicts need in a memo of one entry,
@@ -68,8 +75,6 @@ the last one draws nothing and only judges. ``clear_memos`` forgets both.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,11 +135,11 @@ class RelayVerdicts:
     delivered: np.ndarray     # (n, 2) bool, message delivered in the end
 
 
-def _blocks(start: int, stop: int):
-    """(block index, trial count) for each block of the trials
-    [start, stop); ``start`` sits on a block boundary."""
-    for lo in range(start, stop, BLOCK):
-        yield lo // BLOCK, min(BLOCK, stop - lo)
+def _blocks(trials: int):
+    """(first trial, trial count) for each block of the trials
+    [0, trials); block b starts at trial b BLOCK."""
+    for lo in range(0, trials, BLOCK):
+        yield lo, min(BLOCK, trials - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +179,15 @@ def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
 
 
 def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
-                  start: int, first: int):
+                  first: int):
     """Write the best margin over the attempts [first, cfg.retx) of each
-    (trial, user) of the trials [start, start + len(out)) into out, float
+    (trial, user) of the trials [0, len(out)) into out, float
     (len(out), 2)."""
     gamma = cfg.sinr_threshold
-    for block, n in _blocks(start, start + len(out)):
-        lo = block * BLOCK - start
+    for lo, n in _blocks(len(out)):
         best = out[lo:lo + n]
         for attempt in range(first, cfg.retx):
-            rng = substream(seed, CTX_DIRECT, block, attempt)
+            rng = substream(seed, CTX_DIRECT, lo // BLOCK, attempt)
             margin = _direct_margin(draw_bs_channels(cfg, rng, rounds=n),
                                     gamma)
             if attempt == first:
@@ -192,26 +196,26 @@ def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
                 np.maximum(best, margin, out=best)
 
 
-# chunk worker -> (key, depth, rows) of that engine's last run: one entry
-# per engine, replaced whole and never written in place, so callers racing
-# on it at worst repeat a draw
+# worker -> (key, depth, rows) of that engine's last run: one entry per
+# engine, replaced whole and never written in place, so concurrent
+# callers racing on it at worst repeat a draw
 _memos = {}
 
 
 def _memoised(worker, width: int, key, cfg: SystemConfig, seed: int,
-              trials: int, threads: int, depth: int = 1) -> np.ndarray:
+              trials: int, depth: int = 1) -> np.ndarray:
     """The rows ``worker`` writes for the trials [0, trials), float
     (trials, width), read-only.
 
     Memoised on ``key``, which must hold everything the rows depend on
-    but ``depth``; the thread count only splits the work. A row is the
-    max over ``depth`` levels of draws (the direct engine's attempts; a
-    relay row has one level), and ``worker(cfg, seed, out, start,
-    first)`` writes the max over the levels [first, depth). A memo of the
-    same key and a smaller depth is extended: only its missing levels are
-    drawn, and their max with the memo's rows goes into a fresh array.
-    Any other miss draws from level 0. Threads write disjoint slices of
-    one array, so a draw keeps no second copy of its result.
+    but ``depth``. A row is the max over ``depth`` levels of draws (the
+    direct engine's attempts; a relay row has one level), and
+    ``worker(cfg, seed, out, first)`` writes the max over the levels
+    [first, depth). A memo of the same key and a smaller depth is
+    extended: only its missing levels are drawn, and their max with the
+    memo's rows goes into a fresh array. Any other miss draws from
+    level 0. The worker writes straight into the returned array, so a
+    draw keeps no second copy of its result.
     """
     if trials < 1:
         raise ContractViolationError("trials must be at least 1")
@@ -223,12 +227,9 @@ def _memoised(worker, width: int, key, cfg: SystemConfig, seed: int,
         if memo[1] < depth:
             first, prior = memo[1], memo[2]
     rows = np.empty((trials, width))
-
-    def fill(lo, hi):
-        worker(cfg, seed, rows[lo:hi], lo, first)
-        if prior is not None:
-            np.maximum(rows[lo:hi], prior[lo:hi], out=rows[lo:hi])
-    _run_chunks(fill, trials, threads)
+    worker(cfg, seed, rows, first)
+    if prior is not None:
+        np.maximum(rows, prior, out=rows)
     rows.flags.writeable = False
     _memos[worker] = (key, depth, rows)
     return rows
@@ -239,22 +240,21 @@ def clear_memos():
     _memos.clear()
 
 
-def _best_margins(cfg: SystemConfig, seed: int, trials: int,
-                  threads: int) -> np.ndarray:
+def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Best margin of every (trial, user), float (trials, 2), read-only,
     memoised on exactly what they depend on."""
     key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate)
-    return _memoised(_margin_chunk, 2, key, cfg, seed, trials, threads,
+    return _memoised(_margin_chunk, 2, key, cfg, seed, trials,
                      depth=cfg.retx)
 
 
-def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
-                    threads: int = 1) -> OutageEstimate:
+def simulate_direct(cfg: SystemConfig, trials: int,
+                    seed: int) -> OutageEstimate:
     """Interference-limited direct ARQ outage, pooled over both users.
 
     A message is lost when its best margin falls below the floor.
     """
-    margins = _best_margins(cfg, seed, trials, threads)
+    margins = _best_margins(cfg, seed, trials)
     fails = np.count_nonzero(margins < _direct_floor(cfg))
     return OutageEstimate(trials=2 * trials, failures=int(fails))
 
@@ -324,27 +324,23 @@ def relay_block(cfg: SystemConfig, seed: int, block: int,
     return judge_relay(cfg, _block_stats(cfg, seed, block, n))
 
 
-def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, start: int,
-                 first: int):
-    """Write the statistics of the relay trials
-    [start, start + len(out)) into out. A relay row has one level of
-    draws, so ``first`` is always 0."""
-    for block, n in _blocks(start, start + len(out)):
-        lo = block * BLOCK - start
-        out[lo:lo + n] = _block_stats(cfg, seed, block, n)
+def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, first: int):
+    """Write the statistics of the relay trials [0, len(out)) into out. A
+    relay row has one level of draws, so ``first`` is always 0."""
+    for lo, n in _blocks(len(out)):
+        out[lo:lo + n] = _block_stats(cfg, seed, lo // BLOCK, n)
 
 
-def _relay_stats(cfg: SystemConfig, seed: int, trials: int,
-                 threads: int) -> np.ndarray:
+def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Statistics of every relay trial, float (trials, STATS), read-only,
     memoised on exactly what they depend on."""
     key = (seed, trials, cfg.N, cfg.M, cfg.var_direct, cfg.var_cross,
            cfg.var_relay)
-    return _memoised(_stats_chunk, STATS, key, cfg, seed, trials, threads)
+    return _memoised(_stats_chunk, STATS, key, cfg, seed, trials)
 
 
-def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
-                   threads: int = 1) -> RelayEstimate:
+def simulate_relay(cfg: SystemConfig, trials: int,
+                   seed: int) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round.
 
     The trials are judged JUDGE_ROWS at a time from their memoised
@@ -352,7 +348,7 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    stats = _relay_stats(cfg, seed, trials, threads)
+    stats = _relay_stats(cfg, seed, trials)
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, JUDGE_ROWS):
@@ -365,31 +361,6 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
         user1=OutageEstimate(trials=trials, failures=fail_1),
         user2=OutageEstimate(trials=trials, failures=fail_2),
         aborted=0, mode_counts=tuple(modes))
-
-
-def _run_chunks(fill, trials: int, threads: int):
-    """Split the blocks of [0, trials) into contiguous runs, one per
-    thread, and call ``fill(lo, hi)`` on the trial range of each run; each
-    range starts on a block boundary."""
-    blocks = -(-trials // BLOCK)
-    # a run per block at most: more threads would only get empty runs
-    threads = min(max(1, int(threads)), blocks)
-    base, extra = divmod(blocks, threads)
-    bounds = []
-    lo = 0
-    for c in range(threads):
-        hi = lo + base + (1 if c < extra else 0)
-        if hi > lo:
-            bounds.append((lo * BLOCK, min(hi * BLOCK, trials)))
-        lo = hi
-    if len(bounds) == 1:
-        fill(*bounds[0])
-        return
-    # more runs than cores queue up instead of starting more threads
-    workers = min(len(bounds), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
-            fut.result()
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +388,7 @@ def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
 
 
 def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
-                   threads: int = 1, progress=None):
+                   progress=None):
     """Produce one figure's data table as (columns, rows).
 
     fig1: direct ARQ vs SNR for several attempt budgets, analytic next to
@@ -438,7 +409,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             for snr in FIG1_SNR_DB:
                 cfg = _cfg(_FIG1_BASE, snr, retx=attempts)
                 analytic = arq_outage(p_int[snr], attempts)
-                est = simulate_direct(cfg, trials, seed, threads)
+                est = simulate_direct(cfg, trials, seed)
                 rows.append((float(snr), attempts, analytic, est.p_hat,
                              est.ci_halfwidth))
                 note(f"fig1 L={attempts} snr={snr}")
@@ -451,10 +422,10 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             cfg = _cfg(_FIG23_BASE, FIG2_SNR_DB, rate=float(rate), retx=2)
             bound = arq_outage(outage_single_user(cfg), 2)
             rows.append((float(rate), "single-user", bound, 0.0))
-            direct = simulate_direct(cfg, trials, seed, threads)
+            direct = simulate_direct(cfg, trials, seed)
             rows.append((float(rate), "direct-arq", direct.p_hat,
                          direct.ci_halfwidth))
-            relay = simulate_relay(cfg, trials, seed, threads)
+            relay = simulate_relay(cfg, trials, seed)
             rows.append((float(rate), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig2 R={rate}")
@@ -466,7 +437,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             cfg = _cfg(_FIG23_BASE, FIG3_SNR_DB, rate=FIG3_RATE, retx=2, M=m)
             bound = arq_outage(outage_single_user(cfg), 2)
             rows.append((float(m), "single-user", bound, 0.0))
-            relay = simulate_relay(cfg, trials, seed, threads)
+            relay = simulate_relay(cfg, trials, seed)
             rows.append((float(m), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig3 M={m}")

@@ -21,7 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
 from relayarq.errors import DegenerateInputError, DimensionError, RelayArqError
-from relayarq.outage import DiffExpPdfParams, diff_exp_params, outage_single_user
+from relayarq.outage import DiffExpPdfParams, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 
@@ -147,6 +147,17 @@ def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
             "characteristic-function quadrature did not converge",
             details={**details, "estimate": val, "error": err})
     return float(min(max(0.5 - val / np.pi, 0.0), 1.0))
+
+
+def diff_exp_params(cfg: SystemConfig) -> DiffExpPdfParams:
+    """Map a system configuration onto the summand's tail rates (lam,
+    mu, n) = (1/var_direct, 1/(gamma var_cross), N)."""
+    if cfg.var_direct <= 0 or cfg.var_cross <= 0:
+        raise DegenerateInputError("both channel variances must be positive here")
+    gamma = cfg.sinr_threshold
+    # 1 / gamma / var_cross: gamma var_cross underflows where both are tiny
+    return DiffExpPdfParams(lam=1.0 / cfg.var_direct,
+                            mu=1.0 / gamma / cfg.var_cross, n=cfg.N)
 
 
 def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:

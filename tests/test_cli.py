@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relayarq.cli as cli
+import relayarq.simulate as simulate
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
 from relayarq.simulate import clear_memos, simulate_direct
@@ -541,6 +542,30 @@ def test_figure_1_table(capsys):
     header, rows = parse_csv(out)
     assert header == ["SNR_dB", "L", "analytic", "mc", "ci"]
     assert len(rows) == 36
+
+
+def test_figure_2_calls_the_engines_as_the_benchmark_traces_them(
+        tmp_path, monkeypatch):
+    # the benchmark wraps both engines on the module run_experiment looks
+    # them up in, reads the trial count from their second positional
+    # argument, and tallies each relay estimate's aborted trials and modes
+    seen = {"simulate_direct": [], "simulate_relay": []}
+    for name, calls in seen.items():
+        def traced(*args, _fn=getattr(simulate, name), _calls=calls,
+                   **kwargs):
+            est = _fn(*args, **kwargs)
+            _calls.append((args, est))
+            return est
+        monkeypatch.setattr(simulate, name, traced)
+    code = cli.main(["figure", "2", "--threads", "1", "--trials", "100",
+                     "--seed", "0", "-o", str(tmp_path / "fig2.csv")])
+    assert code == 0
+    for name, calls in seen.items():
+        assert len(calls) == 7, name
+        assert all(args[1] == 100 for args, _ in calls), name
+    for _, est in seen["simulate_relay"]:
+        assert est.aborted == 0
+        assert sum(est.mode_counts) == 100
 
 
 def test_figure_requires_valid_index(capsys):

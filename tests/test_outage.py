@@ -13,13 +13,13 @@ from relayarq.outage import (
     DiffExpPdfParams,
     arq_outage,
     cdf_diff_exp,
-    diff_exp_params,
     outage_interference_n3,
     outage_single_user,
 )
 
 from _oracles import (NumericFailureError, cf_inversion_cdf,
-                      cf_inversion_outage, characteristic_function)
+                      cf_inversion_outage, characteristic_function,
+                      diff_exp_params)
 
 
 def make_cfg(**kw):

@@ -1,12 +1,9 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -91,15 +88,6 @@ def test_direct_zero_rate_never_fails():
     assert est.p_hat == 0.0
 
 
-def test_direct_thread_count_invariant():
-    cfg = make_cfg(P=10.0)
-    simulate.clear_memos()
-    a = simulate_direct(cfg, trials=3000, seed=4, threads=1)
-    simulate.clear_memos()
-    b = simulate_direct(cfg, trials=3000, seed=4, threads=3)
-    assert (a.trials, a.failures) == (b.trials, b.failures)
-
-
 def test_direct_block_layout():
     # attempt a of block b draws one round per trial of the block from the
     # substream keyed (b, a); a loss is a message whose every round falls
@@ -120,6 +108,20 @@ def test_direct_block_layout():
                     * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
                     for r in trial)
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
+
+
+@pytest.mark.parametrize("retx", [1, 3])
+def test_direct_margins_are_prefix_stable(retx):
+    # a direct block draws its gains entry after entry, so a trial's draws
+    # do not depend on its block's length: 300 trials end in a partial
+    # block, 512 fill two, and each run is the first rows of the next
+    cfg = make_cfg(P=10.0, retx=retx)
+    runs = []
+    for trials in (300, 512, 2000):
+        simulate.clear_memos()
+        runs.append(simulate._best_margins(cfg, 5, trials))
+    for short, long in zip(runs, runs[1:]):
+        assert np.array_equal(long[:len(short)], short)
 
 
 def test_direct_verdict_cannot_overflow():
@@ -206,82 +208,6 @@ def test_relay_modes_partition_and_counts():
     assert est.pooled.trials == 2 * (300 - est.aborted)
 
 
-def test_relay_thread_count_invariant():
-    cfg = make_cfg(P=10.0, rate=1.0)
-    simulate.clear_memos()
-    a = simulate_relay(cfg, trials=120, seed=11, threads=1)
-    simulate.clear_memos()
-    b = simulate_relay(cfg, trials=120, seed=11, threads=3)
-    assert a == b
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, 5])
-@pytest.mark.parametrize("engine", [simulate_direct, simulate_relay],
-                         ids=["direct", "relay"])
-def test_thread_count_invariant_across_blocks(engine, threads):
-    # four blocks, the last one partial: threads split them 4, 2+2, 2+1+1
-    # and 1+1+1+1 (one thread idle)
-    cfg = make_cfg(P=10.0, rate=1.0)
-    simulate.clear_memos()
-    want = engine(cfg, trials=ODD_TRIALS, seed=17, threads=1)
-    simulate.clear_memos()
-    assert engine(cfg, trials=ODD_TRIALS, seed=17, threads=threads) == want
-
-
-@pytest.mark.parametrize("cores,want", [(None, 1), (2, 2), (64, 7)])
-def test_thread_pool_capped_at_core_count(monkeypatch, cores, want):
-    sizes, submitted = [], []
-
-    class SerialPool:
-        """Stands in for ThreadPoolExecutor: records its size, runs inline."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    cfg = make_cfg(P=10.0)
-    simulate.clear_memos()
-    got = simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=7)
-    # seven runs of one block each, however few workers serve them
-    assert sizes == [want]
-    assert len(submitted) == 7
-    monkeypatch.undo()
-    simulate.clear_memos()
-    assert got == simulate_direct(cfg, trials=7 * BLOCK, seed=5, threads=1)
-
-
-def test_thread_count_is_clamped_to_the_blocks(monkeypatch):
-    # runs beyond the block count would be empty: a huge thread count
-    # costs nothing, and a one-block run starts no thread at all
-    def no_pool(max_workers):
-        raise AssertionError("a one-block run started a thread pool")
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
-    cfg = make_cfg(P=10.0)
-    for engine in (simulate_direct, simulate_relay):
-        simulate.clear_memos()
-        want = engine(cfg, trials=BLOCK, seed=27, threads=1)
-        simulate.clear_memos()
-        start = time.perf_counter()
-        got = engine(cfg, trials=BLOCK, seed=27, threads=10 ** 8)
-        # unclamped, the split alone took seconds (about 85 ns a thread)
-        assert time.perf_counter() - start < 1.0
-        assert got == want
-
-
 # ---------------------------------------------------------------------------
 # the direct-margin memo
 # ---------------------------------------------------------------------------
@@ -320,28 +246,18 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, retx=2)
     simulate.clear_memos()
-    simulate_direct(make_cfg(**cfg), **run)
+    rows = simulate._best_margins(make_cfg(**cfg), **run)
+    assert not rows.flags.writeable
+    assert rows.shape == (ODD_TRIALS, 2)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch)
     got = simulate_direct(make_cfg(**cfg), **run)
-    # a key field draws afresh; P, noise_var and the relay fields hit
+    # a key field draws afresh; P, noise_var and the relay fields hit,
+    # and a hit returns the memo's own rows
     assert bool(calls) == keyed
+    assert (simulate._best_margins(make_cfg(**cfg), **run) is rows) != keyed
     simulate.clear_memos()
     assert simulate_direct(make_cfg(**cfg), **run) == got
-
-
-def test_memo_is_thread_count_invariant():
-    cfg = make_cfg(P=10.0, retx=3)
-    simulate.clear_memos()
-    want = simulate._best_margins(cfg, 21, ODD_TRIALS, threads=1)
-    assert not want.flags.writeable
-    assert want.shape == (ODD_TRIALS, 2)
-    for threads in (2, 3, 5):
-        simulate.clear_memos()
-        got = simulate._best_margins(cfg, 21, ODD_TRIALS, threads)
-        assert np.array_equal(got, want)
-        # a hit at another thread count returns the same margins
-        assert simulate._best_margins(cfg, 21, ODD_TRIALS, 1) is got
 
 
 def test_best_margins_rise_with_the_attempt_budget():
@@ -350,34 +266,35 @@ def test_best_margins_rise_with_the_attempt_budget():
     # drawn afresh
     cfg = make_cfg(P=10.0)
     simulate.clear_memos()
-    last = simulate._best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS, 1)
+    last = simulate._best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS)
     for attempts in range(2, 11):
         simulate.clear_memos()
         got = simulate._best_margins(dataclasses.replace(cfg, retx=attempts),
-                                     24, ODD_TRIALS, 1)
+                                     24, ODD_TRIALS)
         assert np.all(got >= last), attempts
         assert np.any(got > last), attempts
         last = got
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("first, attempts", [
     (lo, hi) for hi in range(2, 6) for lo in range(1, hi)])
-def test_memo_extends_to_a_larger_budget(monkeypatch, threads, first,
+def test_memo_extends_to_a_larger_budget(monkeypatch, blocks, first,
                                          attempts):
-    # a memo at `first` attempts draws only the attempts it lacks, and
-    # gives the margins of a cleared run, bit for bit, in a fresh array
+    # a memo at `first` attempts draws only the attempts it lacks, one
+    # draw per block, and gives the margins of a cleared run, bit for
+    # bit, in a fresh array; the last block is a partial one
+    trials = blocks * BLOCK - 17
     simulate.clear_memos()
     want = simulate._best_margins(make_cfg(P=10.0, retx=attempts), 25,
-                                  ODD_TRIALS, threads)
+                                  trials)
     simulate.clear_memos()
-    old = simulate._best_margins(make_cfg(P=10.0, retx=first), 25,
-                                 ODD_TRIALS, threads)
+    old = simulate._best_margins(make_cfg(P=10.0, retx=first), 25, trials)
     kept = old.copy()
     calls = count_draws(monkeypatch)
     got = simulate._best_margins(make_cfg(P=30.0, retx=attempts), 25,
-                                 ODD_TRIALS, threads)
-    assert len(calls) == 4 * (attempts - first)       # 4 blocks
+                                 trials)
+    assert len(calls) == blocks * (attempts - first)
     assert np.array_equal(got, want)
     assert got is not old and not got.flags.writeable
     assert np.array_equal(old, kept)
@@ -444,7 +361,7 @@ def test_memo_under_racing_callers():
         simulate.clear_memos()
         want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * BLOCK, seed=23, threads=1 + j % 2), want) == []
+        cfgs[i], trials=2 * BLOCK, seed=23), want) == []
 
 
 def test_memo_under_racing_budgets():
@@ -456,7 +373,7 @@ def test_memo_under_racing_budgets():
         simulate.clear_memos()
         want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * BLOCK, seed=23, threads=1 + j % 2), want) == []
+        cfgs[i], trials=2 * BLOCK, seed=23), want) == []
 
 
 def test_memo_memory_is_16_bytes_per_trial():
@@ -492,12 +409,16 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, rate=1.0)
     simulate.clear_memos()
-    simulate_relay(make_cfg(**cfg), **run)
+    rows = simulate._relay_stats(make_cfg(**cfg), **run)
+    assert not rows.flags.writeable
+    assert rows.shape == (ODD_TRIALS, simulate.STATS)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch, "draw_relay_gains")
     got = simulate_relay(make_cfg(**cfg), **run)
-    # a key field draws afresh; the rate, the powers and the noise hit
+    # a key field draws afresh; the rate, the powers and the noise hit,
+    # and a hit returns the memo's own statistics
     assert bool(calls) == keyed
+    assert (simulate._relay_stats(make_cfg(**cfg), **run) is rows) != keyed
     simulate.clear_memos()
     assert simulate_relay(make_cfg(**cfg), **run) == got
 
@@ -513,20 +434,6 @@ def test_fig2_draws_its_relay_trials_once(monkeypatch):
         substream=15, draw_bs_channels=16, draw_relay_gains=1)
 
 
-def test_relay_memo_is_thread_count_invariant():
-    cfg = make_cfg(P=10.0, rate=1.0)
-    simulate.clear_memos()
-    want = simulate._relay_stats(cfg, 21, ODD_TRIALS, threads=1)
-    assert not want.flags.writeable
-    assert want.shape == (ODD_TRIALS, simulate.STATS)
-    for threads in (2, 3, 5):
-        simulate.clear_memos()
-        got = simulate._relay_stats(cfg, 21, ODD_TRIALS, threads)
-        assert np.array_equal(got, want)
-        # a hit at another thread count returns the same statistics
-        assert simulate._relay_stats(cfg, 21, ODD_TRIALS, 1) is got
-
-
 def test_relay_memo_under_racing_callers():
     # more callers than cores alternate between two relay keys and two
     # rates, with direct runs in between, so both memo entries keep being
@@ -539,8 +446,7 @@ def test_relay_memo_under_racing_callers():
         want.append(simulate_relay(cfg, trials=2 * BLOCK, seed=23))
 
     def run(i, j):
-        got = simulate_relay(cfgs[i], trials=2 * BLOCK, seed=23,
-                             threads=1 + j % 2)
+        got = simulate_relay(cfgs[i], trials=2 * BLOCK, seed=23)
         simulate_direct(cfgs[i], trials=BLOCK, seed=23)
         return got
     assert race(run, want) == []
