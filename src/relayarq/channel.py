@@ -10,20 +10,20 @@ flat per transmission round:
 
 Per-complex-entry variance s means real and imaginary parts each carry s/2.
 A user's SINR sees its BS links only through their power gains ||h||^2,
-which for N entries of variance s are exactly Gamma(N, s); the engine
-draws those gains directly. Both relay designs see a pair of relay links
-g1, g2 only through three independent Gamma variates (rotational
-invariance; N. R. Goodman, Ann. Math. Statist. 34, 1963), and the engine
-draws those too. ``cn`` draws complex channels for the single-draw
-``beamform-*`` commands and the demos.
+which for N entries of variance s are exactly s Gamma(N, 1). Both relay
+designs see a pair of relay links g1, g2 only through three independent
+Gamma variates (rotational invariance; N. R. Goodman, Ann. Math.
+Statist. 34, 1963). The engine draws both at unit variance, and only its
+verdicts read the variances (``simulate``). ``cn`` draws complex
+channels for the single-draw ``beamform-*`` commands and the demos.
 
 Randomness is counter-based: every (seed, context, index, attempt) key
 owns a disjoint Philox substream, its four parts in the counter's four
 64-bit words. The Monte Carlo engine keys one substream per block of
 trials, and the direct engine one per block and attempt, and draws each
 as whole arrays, so a block's draws depend on its key and its length
-alone, not on which blocks were drawn before it. ``attempt`` defaults to 0, the word a
-three-part key leaves zero.
+alone, not on which blocks were drawn before it. ``attempt`` defaults
+to 0, the word a three-part key leaves zero.
 """
 
 import math
@@ -135,28 +135,22 @@ def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
 
 def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
                      rounds: int) -> np.ndarray:
-    """BS-to-user power gains ||h_ij||^2 of ``rounds`` fresh rounds, float
-    (rounds, 2, 2).
-
-    Entry [i, j] is the gain from BS j to user i: Gamma(N, var_direct) on
-    the diagonal, Gamma(N, var_cross) off it. A zero variance gives zeros.
-    """
-    var = np.array([[cfg.var_direct, cfg.var_cross],
-                    [cfg.var_cross, cfg.var_direct]])
-    return rng.standard_gamma(cfg.N, (rounds, 2, 2)) * var
+    """Unit-variance BS-to-user power gains of ``rounds`` fresh rounds,
+    float (rounds, 2, 2), all Gamma(N, 1): the gain ||h_ij||^2 from BS j
+    to user i is entry [i, j] times var_direct on the diagonal, times
+    var_cross off it."""
+    return rng.standard_gamma(cfg.N, (rounds, 2, 2))
 
 
 def draw_relay_gains(cfg: SystemConfig, rng: np.random.Generator,
                      rounds: int) -> np.ndarray:
-    """The relay-link statistics (A, B, C) of ``rounds`` fresh rounds,
-    float (rounds, 3).
+    """The unit-variance relay-link statistics (A, B, C) of ``rounds``
+    fresh rounds, float (rounds, 3).
 
-    For relay links g1, g2 of M entries of variance v, A = ||g1||^2 is
-    Gamma(M, v), B = ||P_perp_g1 g2||^2 is Gamma(M - 1, v) and
-    C = |g1^H g2|^2 / ||g1||^2 is Gamma(1, v), all three independent.
-    So ||g2||^2 = B + C, the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is
-    A B, and ||P_perp_g2 g1||^2 = A B / (B + C). A zero variance gives
-    zeros.
+    For relay links g1, g2 of M entries of variance v, ||g1||^2 = v A,
+    ||P_perp_g1 g2||^2 = v B and |g1^H g2|^2 / ||g1||^2 = v C with A, B
+    and C independent Gamma(M), Gamma(M - 1) and Gamma(1). So ||g2||^2 =
+    v (B + C), the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B,
+    and ||P_perp_g2 g1||^2 = v A B / (B + C).
     """
-    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (rounds, 3)) \
-        * cfg.var_relay
+    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (rounds, 3))

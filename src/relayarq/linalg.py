@@ -1,4 +1,4 @@
-"""Two relay channels in coordinates of the plane they span.
+"""Relay channels in the coordinates of their span; overflow-free ratios.
 
 Both relay designs keep their beams in span{g1, g2}: a beam component off
 that plane reaches neither user. One Householder QR of [g1 g2] gives the
@@ -7,11 +7,13 @@ plane an orthonormal basis Q = [Q0 Q1] and the channels coordinates in it,
     g1 = a Q0,    g2 = c Q0 + b Q1,
 
 so |a|^2 = ||g1||^2 = A, |b|^2 = ||P_perp_g1 g2||^2 = B and
-|c|^2 = |g1^H g2|^2 / ||g1||^2 = C, the three numbers the Monte Carlo
-engine draws as Gamma variates. Householder QR keeps Q orthonormal when
-the channels are parallel or zero, so neither design needs a threshold or
-a fallback axis.
+|c|^2 = |g1^H g2|^2 / ||g1||^2 = C, which the engine draws, over
+var_relay, as Gamma variates. Householder QR keeps Q orthonormal when the
+channels are parallel or zero, so neither design needs a threshold or a
+fallback axis. ``ratio`` forms products of powers, variances and gains.
 """
+
+import math
 
 import numpy as np
 
@@ -25,3 +27,20 @@ def span_coords(g1: np.ndarray, g2: np.ndarray):
     g = np.column_stack([g1, g2]).astype(complex)
     q, r = np.linalg.qr(np.pad(g, ((0, max(0, 2 - len(g))), (0, 0))))
     return q[:len(g)], r[0, 0], r[1, 1], r[0, 1]
+
+
+def ratio(num, den=()) -> float:
+    """prod(num) / prod(den) of finite nonnegative floats, den nonzero,
+    from mantissas (multiplied, then divided, in the order given) and
+    exponents, so only the result can under- or overflow: to 0 or inf."""
+    m, e = 1.0, 0
+    for x in num:
+        f, k = math.frexp(x)
+        m, e = m * f, e + k
+    for x in den:
+        f, k = math.frexp(x)
+        m, e = m / f, e - k
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
-from .linalg import span_coords
+from .linalg import ratio, span_coords
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ def balanced_uplink(n1, n2, gram, power: float, noise_var: float):
     """
     reach = (n1 > 0) & (n2 > 0)
     total = np.where(reach, n1 + n2, 1.0)
-    q1 = power * (n2 / total)
-    q2 = power * (n1 / total)
-    # far above the noise t overflows to inf, and far below it (or where a
-    # user is unreachable) noise_var / q1 does: both are the right verdict
-    with np.errstate(over="ignore", divide="ignore"):
+    # far above the noise t overflows to inf, far below it noise_var / q1
+    # does, and where a user is unreachable t is 0 whatever they read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q1 = power * (n2 / total)
+        q2 = power * (n1 / total)
         t = (n1 + q2 / noise_var * gram) / (noise_var / q1 + n1)
     return q1, q2, np.where(reach, t, 0.0)
 
@@ -93,15 +93,11 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     q, a, b, c = span_coords(h1, h2)
     scale = float(max(abs(a), abs(b), abs(c))) or 1.0
     a, b, c = a / scale, b / scale, c / scale
-    # rho = power scale^2 / noise_var from mantissas and exponents, never
-    # forming power / noise_var or scale^2: the budget in the noise units of
-    # the scaled channels, which q1, q2, p1 and p2 below are in
-    (mp, ep), (mn, en), (ms, es) = map(math.frexp, (power, noise_var, scale))
-    try:
-        rho = math.ldexp(mp * ms * ms / mn, ep - en + 2 * es)
-    except OverflowError:
+    # the budget in the noise units of the scaled channels, as q1 .. p2 are
+    rho = ratio((power, scale, scale), (noise_var,))
+    if rho == math.inf:
         raise ContractViolationError(
-            "the max-min SINR overflows at this power") from None
+            "the max-min SINR overflows at this power")
     A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
     q1, q2, t = (float(x) for x in balanced_uplink(A, B + C, A * B, rho, 1.0))
     if not t > 0:             # a zero channel, or rho underflowed

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, DimensionError
-from .linalg import span_coords
+from .linalg import ratio, span_coords
 
 
 def _zero_forcing(g_protect, g_target, power: float):
@@ -53,12 +53,10 @@ def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray,
     ContractViolationError where the gain overflows a float, which is
     tested from mantissas and exponents, never by forming it."""
     _, a, w = _zero_forcing(g_protect, g_target, power)
-    (mp, ep), (mg, eg) = map(math.frexp, (power, float(abs(a * w[0]))))
-    try:
-        math.ldexp(mp * mg * mg, ep + 2 * eg)
-    except OverflowError:
+    amp = float(abs(a * w[0]))
+    if ratio((power, amp, amp)) == math.inf:
         raise ContractViolationError(
-            "the zero-forcing gain overflows at this power") from None
+            "the zero-forcing gain overflows at this power")
     return float(abs(np.sqrt(power) * a * w[0]) ** 2)
 
 

@@ -17,9 +17,11 @@ fails.
 
 Both protocols see a base-station link only through its power gain, and
 both relay designs see a pair of relay links only through three
-independent Gamma variates, so the engine draws BS links as Gamma(N)
-gains (``channel.draw_bs_channels``) and relay links as their (A, B, C)
-(``channel.draw_relay_gains``). It never builds a channel vector.
+independent Gamma variates, so the engine draws BS links as Gamma(N, 1)
+gains (``channel.draw_bs_channels``) and relay links as their unit
+(A, B, C) (``channel.draw_relay_gains``). It never builds a channel
+vector, and no draw reads a variance: only the verdicts here do, as
+ratios formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
 
 Trials run in blocks of ``BLOCK``. Block b covers trials
 [b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their gains, as
@@ -49,29 +51,27 @@ keeps the per-trial floats its verdicts need in a memo of one entry,
 keyed by exactly what the floats depend on; a point whose key matches
 the last one draws nothing and only judges. ``clear_memos`` forgets both.
 
-* Direct: a round succeeds when the margin ||h_ii||^2 - gamma ||h_ij||^2
-  reaches the floor gamma N sigma^2 / P, and the margin does not depend
-  on P or sigma^2. The memo holds each message's best margin over its
-  attempts, 16 bytes per trial, keyed by (seed, trials, N, var_direct,
-  var_cross, rate), and records the attempts it covers, its depth. A
+* Direct: a round succeeds when the margin own - kappa cross of its
+  unit gains reaches the floor gamma N sigma^2 / (var_direct P), with
+  kappa = gamma var_cross / var_direct; the margin does not depend on P,
+  sigma^2 or the variances' common scale. The memo holds each message's
+  best margin over its attempts, 16 bytes per trial, keyed by (seed,
+  trials, N, kappa), and records the attempts it covers, its depth. A
   larger budget draws only its further attempts and keeps the max of
   their margins and the memo's; a smaller one draws again from attempt
   0. Figure 1 therefore runs its attempt budgets L in the outer loop,
   in rising order, and SNR in the inner one, so its four curves draw 10
   attempts per trial between them; its rows are put back in SNR-major
   order, but its progress lines come L-major.
-* Relay: a trial is judged from STATS = 9 floats, 72 bytes, none of
-  which depends on the rate, the powers or the noise: the 4 round-1 BS
-  gains, the 2 round-2 cross gains e2[f, 1 - f] a failed user f would
-  see, and the relay links' A = ||g1||^2, B = ||P_perp_g1 g2||^2 and
-  C = |g1^H g2|^2 / ||g1||^2. The max-min design reads ||g1||^2 = A,
-  ||g2||^2 = B + C and the Gram term A B; the zero-forcing gain
-  ||P_perp_go g_f||^2 is B for f = 1 and A B / (B + C) for f = 0. The
-  memo is keyed by (seed, trials, N, M, var_direct, var_cross,
-  var_relay), so figure 2's rate sweep, or any SNR grid, draws once.
-  Each verdict is divided through by the noise or by P, so only
-  P / sigma^2 and power ratios enter and the outcome does not depend on
-  the noise's absolute scale.
+* Relay: a trial is judged from STATS = 9 unit-variance floats, 72
+  bytes, none of which depends on the rate, the powers, the noise or the
+  variances: the 4 round-1 BS gains, the 2 round-2 cross gains
+  e2[f, 1 - f] a failed user f would see, and the relay links' unit A,
+  B and C (``channel.draw_relay_gains``). The memo is keyed by (seed,
+  trials, N, M), so figure 2's rate sweep, any SNR grid or a sweep over
+  the variances draws once. ``judge_relay`` takes unit statistics and
+  divides each test through by the noise, by P or by var_relay, so no
+  absolute scale enters.
 """
 
 import math
@@ -82,6 +82,7 @@ import numpy as np
 from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
                       draw_relay_gains, substream)
 from .errors import ContractViolationError
+from .linalg import ratio
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import balanced_uplink
 
@@ -146,36 +147,23 @@ def _blocks(trials: int):
 # direct ARQ
 # ---------------------------------------------------------------------------
 
-def _direct_margin(e: np.ndarray, gamma: float) -> np.ndarray:
-    """SNR-free margins ||h_ii||^2 - gamma ||h_ij||^2 of a batch of rounds,
-    (L, 2), from the BS power gains e shaped (L, 2, 2), e[:, i, j] =
-    ||h_ij||^2."""
+def _direct_test(cfg: SystemConfig):
+    """``(kappa, floor)``, kappa = gamma var_cross / var_direct and floor =
+    gamma N sigma^2 / (var_direct P): on unit gains SINR_i >= gamma reads
+    own - kappa cross >= floor. Only rate 0 passes where var_direct = 0."""
+    gamma = cfg.sinr_threshold
+    if not (gamma and cfg.var_direct):
+        return 0.0, math.inf if gamma else 0.0
+    return (ratio((gamma, cfg.var_cross), (cfg.var_direct,)),
+            ratio((gamma, cfg.N, cfg.noise_var), (cfg.P, cfg.var_direct)))
+
+
+def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
+    """Margins own - kappa cross, (L, 2), of unit BS gains e (L, 2, 2),
+    e[:, i, j] from BS j to user i; -inf, a loss, where they overflow."""
     own = e.diagonal(axis1=1, axis2=2)               # (L, 2): e[:, i, i]
     cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)  # (L, 2): e[:, i, 1 - i]
-    return own - gamma * cross
-
-
-def _direct_floor(cfg: SystemConfig) -> float:
-    """The margin a direct round needs: gamma N sigma^2 / P.
-
-    sigma^2 / P is formed first: P/N underflows to 0 where P is subnormal.
-    Where sigma^2 / P overflows instead, only rate 0 can succeed, and its
-    floor stays 0.
-    """
-    gamma = cfg.sinr_threshold
-    return gamma * cfg.N * (cfg.noise_var / cfg.P) if gamma else 0.0
-
-
-def _direct_sinr_ok(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
-    """Per-user success flags for a batch of rounds, from the BS power
-    gains e shaped (L, 2, 2).
-
-    SINR_i = (P/N) ||h_ii||^2 / (noise + (P/N) ||h_ij||^2); success means
-    SINR >= gamma = 2^R - 1, i.e. the mutual information supports the
-    rate. Dividing by P/N turns that into margin >= floor, which cannot
-    overflow at any finite power.
-    """
-    return _direct_margin(e, cfg.sinr_threshold) >= _direct_floor(cfg)
+    return own - kappa * cross
 
 
 def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
@@ -183,17 +171,18 @@ def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
     """Write the best margin over the attempts [first, cfg.retx) of each
     (trial, user) of the trials [0, len(out)) into out, float
     (len(out), 2)."""
-    gamma = cfg.sinr_threshold
-    for lo, n in _blocks(len(out)):
-        best = out[lo:lo + n]
-        for attempt in range(first, cfg.retx):
-            rng = substream(seed, CTX_DIRECT, lo // BLOCK, attempt)
-            margin = _direct_margin(draw_bs_channels(cfg, rng, rounds=n),
-                                    gamma)
-            if attempt == first:
-                best[:] = margin
-            else:
-                np.maximum(best, margin, out=best)
+    kappa = _direct_test(cfg)[0]
+    with np.errstate(over="ignore"):
+        for lo, n in _blocks(len(out)):
+            best = out[lo:lo + n]
+            for attempt in range(first, cfg.retx):
+                rng = substream(seed, CTX_DIRECT, lo // BLOCK, attempt)
+                margin = _direct_margin(
+                    draw_bs_channels(cfg, rng, rounds=n), kappa)
+                if attempt == first:
+                    best[:] = margin
+                else:
+                    np.maximum(best, margin, out=best)
 
 
 # worker -> (key, depth, rows) of that engine's last run: one entry per
@@ -243,7 +232,7 @@ def clear_memos():
 def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Best margin of every (trial, user), float (trials, 2), read-only,
     memoised on exactly what they depend on."""
-    key = (seed, trials, cfg.N, cfg.var_direct, cfg.var_cross, cfg.rate)
+    key = (seed, trials, cfg.N, _direct_test(cfg)[0])
     return _memoised(_margin_chunk, 2, key, cfg, seed, trials,
                      depth=cfg.retx)
 
@@ -255,7 +244,7 @@ def simulate_direct(cfg: SystemConfig, trials: int,
     A message is lost when its best margin falls below the floor.
     """
     margins = _best_margins(cfg, seed, trials)
-    fails = np.count_nonzero(margins < _direct_floor(cfg))
+    fails = np.count_nonzero(margins < _direct_test(cfg)[1])
     return OutageEstimate(trials=2 * trials, failures=int(fails))
 
 
@@ -271,35 +260,40 @@ STATS = 9                 # floats per relay trial
 
 
 def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
-    """Outcomes of the relay-ARQ trials whose statistics are ``stats``,
-    float (n, STATS).
+    """Outcomes of the relay-ARQ trials whose unit-variance statistics
+    are ``stats``, float (n, STATS), as ``_block_stats`` draws them.
 
     Both relay modes are evaluated for every trial and each trial keeps
     the one its round-1 outcome selects. Every test is divided through by
-    the noise or by P, so only P / noise_var, the relay powers over P and
-    the channel statistics enter.
+    the noise, by P or by var_relay, so only ratios of the powers, the
+    noise and the variances enter. A zero relay channel rescues nobody.
     """
     gamma = cfg.sinr_threshold
-    ok = _direct_sinr_ok(cfg, stats[:, _E1].reshape(-1, 2, 2))
-    mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
-    a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
-    n2 = b + c                        # ||g2||^2
+    kappa, floor = _direct_test(cfg)
+    with np.errstate(over="ignore"):     # an overflow to inf is a loss
+        ok = _direct_margin(stats[:, _E1].reshape(-1, 2, 2), kappa) >= floor
+        mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
+        a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
+        n2 = b + c                        # ||g2||^2 / var_relay
 
-    # one user f failed: the relay zero-forces toward the other user while
-    # that user's BS serves fresh traffic. Its gain X = ||P_perp_go g_f||^2
-    # is B for f = 1 and A B / (B + C) for f = 0; where g2 = 0 there is
-    # nothing to null, and X = A. The SINR test
-    # Pr_single X / (noise_var + (P/N) Y) >= gamma is divided through by
-    # P. A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
-    user2_failed = ok[:, 0]
-    beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
-    x = np.where(user2_failed, b, a * beta)
-    y = np.where(user2_failed, stats[:, _Y + 1], stats[:, _Y])
-    single_ok = ((cfg.Pr_single / cfg.P) * x - (gamma / cfg.N) * y
-                 >= gamma * cfg.noise_var / cfg.P)
+        # one user f failed: the relay zero-forces toward the other user
+        # while that user's BS serves fresh traffic. Its unit gain X is B
+        # for f = 1 and A B / (B + C) for f = 0, or A where g2 = 0 leaves
+        # nothing to null. The SINR test is divided through by P var_relay.
+        # A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
+        user2_failed = ok[:, 0]
+        beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
+        x = np.where(user2_failed, b, a * beta)
+        y = np.where(user2_failed, stats[:, _Y + 1], stats[:, _Y])
+        single_ok = np.zeros_like(user2_failed)
+        if cfg.var_relay:
+            kappa = ratio((gamma, cfg.var_cross), (cfg.N, cfg.var_relay))
+            floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
+            single_ok = (cfg.Pr_single / cfg.P) * x - kappa * y >= floor
 
     # both failed: both messages ride the relay at the balanced SINR
-    _, _, t = balanced_uplink(a, n2, a * b, cfg.Pr_multi, cfg.noise_var)
+    rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
+    _, _, t = balanced_uplink(a, n2, a * b, rho, 1.0)
     multi_ok = t >= gamma
 
     rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
@@ -334,8 +328,7 @@ def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, first: int):
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Statistics of every relay trial, float (trials, STATS), read-only,
     memoised on exactly what they depend on."""
-    key = (seed, trials, cfg.N, cfg.M, cfg.var_direct, cfg.var_cross,
-           cfg.var_relay)
+    key = (seed, trials, cfg.N, cfg.M)
     return _memoised(_stats_chunk, STATS, key, cfg, seed, trials)
 
 
@@ -344,7 +337,7 @@ def simulate_relay(cfg: SystemConfig, trials: int,
     """Relay-assisted ARQ outage: one direct round plus one relay round.
 
     The trials are judged JUDGE_ROWS at a time from their memoised
-    statistics, so a sweep over the rate, P or noise_var draws once.
+    statistics, so a sweep over all but (seed, trials, N, M) draws once.
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")

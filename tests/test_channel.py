@@ -110,48 +110,45 @@ def test_bs_channel_shapes():
 
 
 def test_bs_channel_variance_structure():
-    # a gain sums N entries of variance var, so its mean is N var
+    # a unit gain sums N entries of variance 1, so its mean is N, on every
+    # link whatever the config's variances
     cfg = make_cfg(N=2, var_direct=2.0, var_cross=0.5)
     e = draw_bs_channels(cfg, substream(1, CTX_DIRECT, 0), rounds=40000)
-    mean = e.mean(axis=0)
-    assert np.allclose(mean[[0, 1], [0, 1]], 2 * 2.0, rtol=0.05)
-    assert np.allclose(mean[[0, 1], [1, 0]], 2 * 0.5, rtol=0.05)
+    assert np.allclose(e.mean(axis=0), 2.0, rtol=0.05)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_bs_gains_follow_gamma_law(n):
-    # ||h||^2 of n CN(0, var) entries is Gamma(n, var): each link's gain over
-    # its variance passes a KS test against Gamma(n, 1)
+    # ||h||^2 of n CN(0, var) entries is var Gamma(n, 1): each link's unit
+    # gain passes a KS test against Gamma(n, 1)
     cfg = make_cfg(N=n, var_direct=2.0, var_cross=0.5)
     e = draw_bs_channels(cfg, substream(4, CTX_DIRECT, n), rounds=5000)
-    var = np.array([[2.0, 0.5], [0.5, 2.0]])
     for i, j in np.ndindex(2, 2):
-        assert stats.kstest(e[:, i, j] / var[i, j],
-                            stats.gamma(n).cdf).pvalue > 1e-3, (i, j)
+        assert stats.kstest(e[:, i, j], stats.gamma(n).cdf).pvalue > 1e-3, \
+            (i, j)
 
 
-@pytest.mark.parametrize("zero", ["var_direct", "var_cross"])
-def test_bs_gains_zero_variance_gives_zeros(zero):
-    cfg = make_cfg(**{zero: 0.0})
-    e = draw_bs_channels(cfg, substream(5, CTX_DIRECT, 0), rounds=100)
-    # the zeroed links: the diagonal for var_direct, the rest for var_cross
-    zeroed = np.eye(2, dtype=bool) == (zero == "var_direct")
-    assert (e[:, zeroed] == 0.0).all()
-    assert (e[:, ~zeroed] > 0.0).all()
+@pytest.mark.parametrize("zero", ["var_direct", "var_cross", "var_relay"])
+def test_draws_do_not_read_the_variances(zero):
+    # the draws are unit variates: a zero variance, or any other, leaves
+    # them as they are, and only the verdicts read it
+    for draw in (draw_bs_channels, draw_relay_gains):
+        want = draw(make_cfg(), substream(5, CTX_DIRECT, 0), rounds=100)
+        got = draw(make_cfg(**{zero: 0.0}), substream(5, CTX_DIRECT, 0),
+                   rounds=100)
+        assert np.array_equal(got, want)
+        assert (got > 0.0).all()
 
 
 def test_relay_channel_variance():
-    # each of the M antennas of either relay link carries var_relay:
-    # E||g1||^2 = E A and E||g2||^2 = E (B + C) are both M var_relay
+    # each of the M antennas of either unit relay link carries variance 1:
+    # E A = E ||g1||^2 and E (B + C) = E ||g2||^2 are both M
     cfg = make_cfg(M=4, var_relay=3.0)
     abc = draw_relay_gains(cfg, substream(2, CTX_RELAY, 0), rounds=20000)
     a, b, c = abc.T
-    assert abs(np.mean(a) / 4 - 3.0) < 0.05
-    assert abs(np.mean(b + c) / 4 - 3.0) < 0.05
+    assert abs(np.mean(a) / 4 - 1.0) < 0.05
+    assert abs(np.mean(b + c) / 4 - 1.0) < 0.05
     assert (abc >= 0.0).all()
-    zero = draw_relay_gains(make_cfg(var_relay=0.0),
-                            substream(2, CTX_RELAY, 1), rounds=50)
-    assert (zero == 0.0).all()
 
 
 def test_relay_channel_shapes():
@@ -165,16 +162,17 @@ def test_relay_channel_shapes():
 def test_relay_gains_follow_gamma_law(m):
     # A = ||g1||^2, B = ||P_perp_g1 g2||^2 and C = |g1^H g2|^2 / ||g1||^2
     # of two CN(0, v I_M) links are independent Gamma(M), Gamma(M - 1) and
-    # Gamma(1) variates; so ||g2||^2 = B + C is Gamma(M) and
-    # ||P_perp_g2 g1||^2 = A B / (B + C) is Gamma(M - 1). Each passes a KS
-    # test, both as reduced from complex draws and as the engine draws it
+    # Gamma(1) variates times v; so ||g2||^2 = B + C is Gamma(M) and
+    # ||P_perp_g2 g1||^2 = A B / (B + C) is Gamma(M - 1), in units of v.
+    # Each passes a KS test, both as reduced from complex draws over v and
+    # as the engine draws it
     cfg = make_cfg(M=m, var_relay=2.5)
     rounds = 5000
     reduced = relay_gains(cn(substream(28, CTX_RELAY, m), (rounds, 2, m),
-                             cfg.var_relay))
+                             cfg.var_relay)) / cfg.var_relay
     drawn = draw_relay_gains(cfg, substream(29, CTX_RELAY, m), rounds)
     for source, abc in (("complex", reduced), ("gamma", drawn)):
-        a, b, c = (abc / cfg.var_relay).T
+        a, b, c = abc.T
         for name, x, order in (("A", a, m), ("B", b, m - 1), ("C", c, 1),
                                ("B + C", b + c, m),
                                ("AB / (B + C)", a * b / (b + c), m - 1)):

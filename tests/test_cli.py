@@ -728,12 +728,15 @@ _NOISE = st.floats(5e-324, sys.float_info.max)
 def test_every_accepted_input_gives_an_outcome_or_exit_2(command, **params):
     # each run parameter of cli.PARAMS over its whole range at 100 trials:
     # the CLI answers with a table free of NaN whose probabilities lie in
-    # [0, 1], or refuses with exit 2; it never raises
+    # [0, 1], or refuses with exit 2; it never raises, and no step of it
+    # over- or underflows into a RuntimeWarning
     argv = [command, "--trials", "100"]
     for key, value in params.items():
         argv.append(f"--{key.replace('_', '-')}={value!r}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
     assert code in (0, 2), err.getvalue()
     if code:

@@ -168,9 +168,12 @@ def test_input_validation():
 
 
 def draw_round(cfg, seed):
-    """One round of BS power gains (2, 2) and relay channels (2, M)."""
+    """One round of BS power gains (2, 2) and relay channels (2, M), at the
+    config's variances."""
     rng = substream(seed, 0, 0)
-    return (draw_bs_channels(cfg, rng, rounds=1)[0],
+    var = np.array([[cfg.var_direct, cfg.var_cross],
+                    [cfg.var_cross, cfg.var_direct]])
+    return (draw_bs_channels(cfg, rng, rounds=1)[0] * var,
             cn(rng, (2, cfg.M), cfg.var_relay))
 
 

@@ -41,13 +41,27 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
-def stats_of(e1, e2, g):
-    """The relay statistics of n trials, in the engine's column order, from
-    their round-1 and round-2 BS gains (n, 2, 2) and relay channels
-    (n, 2, M)."""
+def bs_var(cfg):
+    """Variance of each BS link, shaped as a round of BS gains: entry
+    [i, j] of the link from BS j to user i."""
+    return np.array([[cfg.var_direct, cfg.var_cross],
+                     [cfg.var_cross, cfg.var_direct]])
+
+
+def unit(x, var):
+    """Gains x of variance var in units of var. A zero variance leaves
+    nothing to scale: any unit draw gives the zero channel, so take 1."""
+    return np.divide(x, var, out=np.ones_like(x), where=var > 0)
+
+
+def stats_of(cfg, e1, e2, g):
+    """The unit-variance relay statistics of n trials, in the engine's
+    column order, from their round-1 and round-2 BS gains (n, 2, 2) and
+    relay channels (n, 2, M), all drawn at cfg's variances."""
     n = len(e1)
+    e1, e2 = unit(e1, bs_var(cfg)), unit(e2, bs_var(cfg))
     return np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0],
-                            relay_gains(g)])
+                            unit(relay_gains(g), cfg.var_relay)])
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +103,10 @@ def test_direct_zero_rate_never_fails():
 
 
 def test_direct_block_layout():
-    # attempt a of block b draws one round per trial of the block from the
-    # substream keyed (b, a); a loss is a message whose every round falls
-    # short, judged here entry by entry
+    # attempt a of block b draws one round of unit gains per trial of the
+    # block from the substream keyed (b, a); a loss is a message whose
+    # every round, at the config's variances, falls short, judged here
+    # entry by entry
     cfg = make_cfg(P=10.0, retx=3)
     p_ant = cfg.P / cfg.N
     want = 0
@@ -99,7 +114,7 @@ def test_direct_block_layout():
         n = min(BLOCK, ODD_TRIALS - block * BLOCK)
         e = np.stack([draw_bs_channels(cfg, substream(14, CTX_DIRECT, block,
                                                       attempt), rounds=n)
-                      for attempt in range(cfg.retx)], axis=1)
+                      for attempt in range(cfg.retx)], axis=1) * bs_var(cfg)
         for trial in e:
             for i in (0, 1):
                 want += not any(
@@ -133,12 +148,16 @@ def test_direct_verdict_cannot_overflow():
     e = np.array([[[20.0, 15.0], [15.0, 20.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not simulate._direct_sinr_ok(cfg, e).any()
-        out = judge_relay(cfg, stats_of(e, np.zeros_like(e),
+        kappa, floor = simulate._direct_test(cfg)
+        assert not (simulate._direct_margin(unit(e, bs_var(cfg)), kappa)
+                    >= floor).any()
+        out = judge_relay(cfg, stats_of(cfg, e, np.zeros_like(e),
                                         np.zeros((1, 2, cfg.M), complex)))
         assert not out.round1.any()
         # a round that clears the threshold still passes
-        assert simulate._direct_sinr_ok(cfg, e + np.diag([30.0, 30.0])).all()
+        assert (simulate._direct_margin(
+            unit(e + np.diag([30.0, 30.0]), bs_var(cfg)), kappa)
+            >= floor).all()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -404,8 +423,7 @@ def test_memo_memory_is_16_bytes_per_trial():
     ("Pr_single", 7.0), ("Pr_multi", 90.0),
 ])
 def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
-    keyed = field in ("seed", "trials", "N", "M", "var_direct", "var_cross",
-                      "var_relay")
+    keyed = field in ("seed", "trials", "N", "M")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, rate=1.0)
     simulate.clear_memos()
@@ -415,8 +433,8 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch, "draw_relay_gains")
     got = simulate_relay(make_cfg(**cfg), **run)
-    # a key field draws afresh; the rate, the powers and the noise hit,
-    # and a hit returns the memo's own statistics
+    # a key field draws afresh; the variances, the rate, the powers and
+    # the noise hit, and a hit returns the memo's own statistics
     assert bool(calls) == keyed
     assert (simulate._relay_stats(make_cfg(**cfg), **run) is rows) != keyed
     simulate.clear_memos()
@@ -434,12 +452,30 @@ def test_fig2_draws_its_relay_trials_once(monkeypatch):
         substream=15, draw_bs_channels=16, draw_relay_gains=1)
 
 
+def test_variance_sweeps_draw_once(monkeypatch):
+    # the draws are unit variates, so a sweep over var_relay draws the
+    # relay trials once, and doubling var_direct and var_cross together
+    # keeps the direct key, kappa = gamma var_cross / var_direct
+    simulate.clear_memos()
+    calls = count_draws(monkeypatch, "draw_relay_gains")
+    for var_relay in (1.0, 4.0, 16.0):
+        simulate_relay(make_cfg(P=10.0, var_relay=var_relay),
+                       trials=ODD_TRIALS, seed=29)
+    assert len(calls) == 4            # one run: one draw per block
+    calls = count_draws(monkeypatch)
+    simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=29)
+    drawn = len(calls)
+    simulate_direct(make_cfg(P=10.0, var_direct=4.0, var_cross=2.0),
+                    trials=ODD_TRIALS, seed=29)
+    assert len(calls) == drawn
+
+
 def test_relay_memo_under_racing_callers():
     # more callers than cores alternate between two relay keys and two
     # rates, with direct runs in between, so both memo entries keep being
     # replaced under them; every answer must be the one a serial run gives
-    cfgs = [make_cfg(P=10.0, rate=r, var_relay=v)
-            for v in (1.0, 4.0) for r in (1.0, 3.0)]
+    cfgs = [make_cfg(P=10.0, rate=r, M=m)
+            for m in (3, 4) for r in (1.0, 3.0)]
     want = []
     for cfg in cfgs:
         simulate.clear_memos()
@@ -522,6 +558,31 @@ def test_verdicts_do_not_depend_on_the_power_scale(k):
             == simulate_direct(_FIG2_R4, trials=1000, seed=3)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1021))
+# the ends of the valid range: var_cross = noise_var = 2^k must be
+# positive, and var_relay = 2^(k + 2) finite
+@example(k=-1074)
+@example(k=1021)
+def test_verdicts_do_not_depend_on_the_channel_scale(k):
+    # multiplying every channel variance and the noise by 2^k, at the same
+    # P, keeps every ratio the verdicts read, so no verdict may change at
+    # any scale, and nothing may over- or underflow into a warning
+    cfg = dataclasses.replace(
+        _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
+                     for f in ("var_direct", "var_cross", "var_relay",
+                               "noise_var")})
+    want = judge_relay(_FIG2_R4, _FIG2_R4_STATS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = judge_relay(cfg, _FIG2_R4_STATS)
+        assert np.array_equal(got.round1, want.round1)
+        assert np.array_equal(got.mode, want.mode)
+        assert np.array_equal(got.delivered, want.delivered)
+        assert simulate_direct(cfg, trials=1000, seed=3) \
+            == simulate_direct(_FIG2_R4, trials=1000, seed=3)
+
+
 def test_single_user_rescue_cannot_overflow():
     # at 3077 dB, Pr_single X and (P/N) Y both overflow to inf and the
     # SINR form read inf / inf = NaN as a loss; the SINR is
@@ -534,12 +595,12 @@ def test_single_user_rescue_cannot_overflow():
     g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = judge_relay(cfg, stats_of(e1, e2, g))
+        out = judge_relay(cfg, stats_of(cfg, e1, e2, g))
         assert out.round1.tolist() == [[True, False]]
         assert out.delivered.tolist() == [[True, True]]
         # past Y = 100 the SINR falls below gamma
         e2[0, 1, 0] = 100.0 * (1 + 1e-12)
-        assert judge_relay(cfg, stats_of(e1, e2, g)).delivered.tolist() \
+        assert judge_relay(cfg, stats_of(cfg, e1, e2, g)).delivered.tolist() \
             == [[True, False]]
 
 
@@ -593,16 +654,16 @@ def test_block_verdicts_match_per_trial_reference():
         zero = case.pop("zero", False)
         cfg = make_cfg(**case)
         sub = substream(16, 0, k)
-        e1 = draw_bs_channels(cfg, sub, rounds=BLOCK)
-        e2 = draw_bs_channels(cfg, sub, rounds=BLOCK)
+        e1 = draw_bs_channels(cfg, sub, rounds=BLOCK) * bs_var(cfg)
+        e2 = draw_bs_channels(cfg, sub, rounds=BLOCK) * bs_var(cfg)
         g = cn(sub, (BLOCK, 2, cfg.M), cfg.var_relay)
         if parallel:
             g = near_parallel(rng, g)
         if zero:
             g[:BLOCK // 3, 1] = 0.0     # nothing to null toward user 2
             g[-BLOCK // 3:, 0] = 0.0
-        # the engine judges by the (A, B, C) the channels reduce to
-        got = judge_relay(cfg, stats_of(e1, e2, g))
+        # the engine judges by the unit (A, B, C) the channels reduce to
+        got = judge_relay(cfg, stats_of(cfg, e1, e2, g))
         for i in range(BLOCK):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
