@@ -9,7 +9,7 @@ system-level outage experiments.
 """
 
 from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
-                      draw_bs_channels, draw_relay_gains, substream)
+                      draw_bs_channels, draw_relay_stats, substream)
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
 from .linalg import span_coords
@@ -18,8 +18,8 @@ from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
-                       judge_relay, relay_block, run_experiment,
-                       simulate_direct, simulate_relay)
+                       judge_relay, run_experiment, simulate_direct,
+                       simulate_relay)
 
 __version__ = "0.1.0"
 

@@ -17,13 +17,14 @@ Statist. 34, 1963). The engine draws both at unit variance, and only its
 verdicts read the variances (``simulate``). ``cn`` draws complex
 channels for the single-draw ``beamform-*`` commands and the demos.
 
-Randomness is counter-based: every (seed, context, index, attempt) key
-owns a disjoint Philox substream, its four parts in the counter's four
-64-bit words. The Monte Carlo engine keys one substream per block of
-trials, and the direct engine one per block and attempt, and draws each
-as whole arrays, so a block's draws depend on its key and its length
-alone, not on which blocks were drawn before it. ``attempt`` defaults
-to 0, the word a three-part key leaves zero.
+Randomness is counter-based: every (seed, context, index) key owns a
+disjoint Philox substream, with the seed as Philox's key and the context
+and index in two counter words above the one the stream counts in. The
+Monte Carlo engine keys a substream by what defines a round: the direct
+engine one per attempt, the relay engine one per run. Each stream is
+read in trial order, so a run with more trials draws a shorter run's
+values first, and how many trials a call draws at once changes none of
+them.
 """
 
 import math
@@ -117,12 +118,9 @@ class SystemConfig:
         return 2.0 ** self.rate - 1.0
 
 
-def substream(seed: int, context: int, index: int,
-              attempt: int = 0) -> np.random.Generator:
-    """Independent Philox stream for one (seed, context, index, attempt)
-    key."""
-    counter = ((int(attempt) << 192) + (int(context) << 128)
-               + (int(index) << 64))
+def substream(seed: int, context: int, index: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, context, index) key."""
+    counter = (int(context) << 128) + (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
                                                 counter=counter))
 
@@ -142,15 +140,24 @@ def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
     return rng.standard_gamma(cfg.N, (rounds, 2, 2))
 
 
-def draw_relay_gains(cfg: SystemConfig, rng: np.random.Generator,
-                     rounds: int) -> np.ndarray:
-    """The unit-variance relay-link statistics (A, B, C) of ``rounds``
-    fresh rounds, float (rounds, 3).
+# columns of a relay trial's statistics: round-1 gains e1[i, j] at 2 i + j,
+# the round-2 cross gains e2[f, 1 - f] a failed user f would see, and the
+# relay links' A, B and C
+_E1, _Y, _A, _B, _C = slice(0, 4), 4, 6, 7, 8
+STATS = 9                 # floats per relay trial
 
-    For relay links g1, g2 of M entries of variance v, ||g1||^2 = v A,
-    ||P_perp_g1 g2||^2 = v B and |g1^H g2|^2 / ||g1||^2 = v C with A, B
-    and C independent Gamma(M), Gamma(M - 1) and Gamma(1). So ||g2||^2 =
-    v (B + C), the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B,
-    and ||P_perp_g2 g1||^2 = v A B / (B + C).
+
+def draw_relay_stats(cfg: SystemConfig, rng: np.random.Generator,
+                     out: np.ndarray) -> np.ndarray:
+    """Write the unit-variance statistics of ``len(out)`` fresh relay
+    trials into out, float (len(out), STATS), and return it.
+
+    Every column is Gamma: the 6 BS gains Gamma(N, 1), as in
+    ``draw_bs_channels``, and the relay links' A, B and C Gamma(M),
+    Gamma(M - 1) and Gamma(1). For relay links g1, g2 of M entries of
+    variance v, ||g1||^2 = v A, ||P_perp_g1 g2||^2 = v B and
+    |g1^H g2|^2 / ||g1||^2 = v C, with A, B and C independent. So
+    ||g2||^2 = v (B + C), the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is
+    v^2 A B, and ||P_perp_g2 g1||^2 = v A B / (B + C).
     """
-    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (rounds, 3))
+    return rng.standard_gamma([cfg.N] * 6 + [cfg.M, cfg.M - 1, 1], out=out)

@@ -47,24 +47,25 @@ import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, SystemConfig, cn, substream
+from .channel import CTX_GENERIC, STATS, SystemConfig, cn, substream
 from .errors import RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
-from .simulate import (STATS, run_experiment, simulate_direct,
-                       simulate_relay)
+from .simulate import run_experiment, simulate_direct, simulate_relay
 
 # the largest order the outage law is tested at, whose sum holds O(n)
 # extended-precision terms per call; m shares the bound, though no Monte
 # Carlo draw grows with n or m
 MAX_ANTENNAS = 5000
-# a direct-ARQ draw is one block of BLOCK rounds per attempt, so a point
-# costs up to retx draws per block; this bounds it at 1000 rounds a trial
+# a direct-ARQ point draws one round per trial and attempt, each attempt
+# from its own substream; this bounds it at 1000 rounds a trial and 1000
+# substreams a point
 MAX_ATTEMPTS = 1000
 # the engine memoises 16 B of direct margins and 8 STATS = 72 B of relay
-# statistics per trial; this keeps both memos under 1 GiB (extending the
-# direct memo to a larger attempt budget holds a second 16 B for a while)
+# statistics per trial, which the relay draw writes in place; this keeps
+# both memos under 1 GiB (extending the direct memo to a larger attempt
+# budget holds a second 16 B for a while)
 MAX_TRIALS = 2 ** 30 // (16 + 8 * STATS)
 # every point keeps one CSV row in memory until the run ends
 MAX_GRID_POINTS = 100_000

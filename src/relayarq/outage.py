@@ -9,10 +9,12 @@ interfering cell, per-antenna the decision variable is
 a difference of independent exponentials. Its density is two-sided
 exponential with the positive tail governed by lam = 1/var_direct and the
 negative tail by mu = 1/(gamma var_cross); outage is the CDF of the
-N-antenna sum Z = sum_k y_k at c = N noise_var gamma / P.
-``outage_interference_n3`` takes that CDF in units of var_direct, rates
-1 and var_direct / (gamma var_cross) at c / var_direct, so only ratios
-enter and no rate over- or underflows on its own.
+N-antenna sum Z = sum_k y_k at c = N noise_var gamma / P. Both laws
+take it in units of var_direct, as the Monte Carlo engine does: the rates
+are 1 and 1 / kappa, kappa = gamma var_cross / var_direct, at the floor
+c / var_direct. ``direct_test`` forms kappa and the floor from mantissas
+and exponents (``linalg.ratio``), so only ratios enter and no partial
+product over- or underflows.
 
 The N-antenna sum is a difference of two Gamma(N) variables, and its CDF
 is a finite sum of incomplete-gamma terms for every N (conditioning on one
@@ -24,6 +26,7 @@ numeric Gil-Pelaez inversion of the characteristic function
 a quadrature oracle that lives in ``tests/_oracles.py``, not here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,18 @@ from scipy.special import gammainc, gammaincc
 
 from .channel import SystemConfig
 from .errors import ContractViolationError
+from .linalg import ratio
+
+
+def direct_test(cfg: SystemConfig):
+    """``(kappa, floor)``, kappa = gamma var_cross / var_direct and floor =
+    gamma N sigma^2 / (var_direct P): on unit gains SINR_i >= gamma reads
+    own - kappa cross >= floor. Only rate 0 passes where var_direct = 0."""
+    gamma = cfg.sinr_threshold
+    if not (gamma and cfg.var_direct):
+        return 0.0, math.inf if gamma else 0.0
+    return (ratio((gamma, cfg.var_cross), (cfg.var_direct,)),
+            ratio((gamma, cfg.N, cfg.noise_var), (cfg.P, cfg.var_direct)))
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +57,11 @@ def outage_single_user(cfg: SystemConfig) -> float:
 
     Pr{ log2(1 + (P/N) ||h||^2 / noise_var) < R } with ||h||^2 a sum of N
     exponentials of mean var_direct; evaluates the regularized lower
-    incomplete gamma at N noise_var gamma / (P var_direct). A zero own-cell
-    channel carries nothing, so it is in outage at every positive rate.
+    incomplete gamma at the floor N noise_var gamma / (P var_direct). A
+    zero own-cell channel carries nothing, so it is in outage at every
+    positive rate.
     """
-    gamma = cfg.sinr_threshold
-    if not (gamma and cfg.var_direct):
-        return float(gamma > 0)
-    # divided in turn: P var_direct underflows where both are tiny
-    return float(gammainc(cfg.N, cfg.N * cfg.noise_var * gamma / cfg.P
-                          / cfg.var_direct))
+    return float(gammainc(cfg.N, direct_test(cfg)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +129,13 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
     Pr{ log2(1 + (P/N)||h_ii||^2 / ((P/N)||h_ij||^2 + noise_var)) < R }.
     The name predates the general law; it holds for every antenna count.
     """
-    if cfg.sinr_threshold == 0.0:
-        return 0.0
-    if cfg.var_cross == 0 or cfg.var_direct == 0:
-        return outage_single_user(cfg)
-    # in units of var_direct: lam = 1 and mu = var_direct / (gamma
-    # var_cross), so neither rate over- or underflows on its own
-    gamma = cfg.sinr_threshold
-    ratio = cfg.var_direct / gamma / cfg.var_cross
-    if not ratio:     # interference beyond a float's range of the signal
+    kappa, floor = direct_test(cfg)
+    if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
-    c = cfg.N * cfg.noise_var * gamma / cfg.P / cfg.var_direct
-    return cdf_diff_exp(c, DiffExpPdfParams(lam=1.0, mu=ratio, n=cfg.N))
+    # kappa = 0 (no interference, rate 0 or no own-cell signal) puts no
+    # mass below 0: the negative tail's rate is inf
+    mu = 1.0 / kappa if kappa else math.inf
+    return cdf_diff_exp(floor, DiffExpPdfParams(lam=1.0, mu=mu, n=cfg.N))
 
 
 # ---------------------------------------------------------------------------

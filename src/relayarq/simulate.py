@@ -18,26 +18,18 @@ fails.
 Both protocols see a base-station link only through its power gain, and
 both relay designs see a pair of relay links only through three
 independent Gamma variates, so the engine draws BS links as Gamma(N, 1)
-gains (``channel.draw_bs_channels``) and relay links as their unit
-(A, B, C) (``channel.draw_relay_gains``). It never builds a channel
-vector, and no draw reads a variance: only the verdicts here do, as
-ratios formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
+gains (``channel.draw_bs_channels``) and a relay trial as its row of
+unit Gamma statistics (``channel.draw_relay_stats``). It never builds a
+channel vector, and no draw reads a variance: only the verdicts here do,
+as ratios formed by ``linalg.ratio``, where a 0 or inf is the right
+verdict.
 
-Trials run in blocks of ``BLOCK``. Block b covers trials
-[b BLOCK, min((b + 1) BLOCK, trials)) and draws all of their gains, as
-whole arrays, from counter-based substreams: a relay block from the one
-keyed by (seed, CTX_RELAY, b), attempt a of a direct block from the one
-keyed by (seed, CTX_DIRECT, b, a). Each block writes a few floats per
-trial into its rows of one array, and the verdicts come from those.
-
-Only the direct engine is prefix-stable in the trial count: its
-substream per (block, attempt) draws one array of Gamma gains, entry
-after entry, so a trial's draws do not depend on its block's length, and
-a run with more trials holds a shorter run's margins in its first rows.
-A relay block draws its round-1 gains, round-2 gains and relay gains
-from one substream, one array after the other, so where each later array
-starts depends on the block's length: a run whose last block is partial
-is no prefix of a longer one, though its whole blocks agree.
+Randomness is keyed by what defines a round: attempt a of every direct
+trial comes from the substream (seed, CTX_DIRECT, a), drawn ``BLOCK``
+rounds at a time, and every relay trial of a run from (seed, CTX_RELAY,
+0), in one draw. A block only bounds the direct engine's temporaries, so
+no output depends on its length, and both engines are prefix-stable: a
+run with more trials holds a shorter run's rows in its first rows.
 
 Grid sweeps reuse the same seed at every point: common random numbers
 across a curve, fresh draws within each trial. Attempt budgets share
@@ -67,7 +59,7 @@ the last one draws nothing and only judges. ``clear_memos`` forgets both.
   bytes, none of which depends on the rate, the powers, the noise or the
   variances: the 4 round-1 BS gains, the 2 round-2 cross gains
   e2[f, 1 - f] a failed user f would see, and the relay links' unit A,
-  B and C (``channel.draw_relay_gains``). The memo is keyed by (seed,
+  B and C (``channel.draw_relay_stats``). The memo is keyed by (seed,
   trials, N, M), so figure 2's rate sweep, any SNR grid or a sweep over
   the variances draws once. ``judge_relay`` takes unit statistics and
   divides each test through by the noise, by P or by var_relay, so no
@@ -79,14 +71,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, draw_bs_channels,
-                      draw_relay_gains, substream)
+from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig, _A, _B,
+                      _C, _E1, _Y, draw_bs_channels, draw_relay_stats,
+                      substream)
 from .errors import ContractViolationError
 from .linalg import ratio
-from .outage import arq_outage, outage_interference_n3, outage_single_user
+from .outage import (arq_outage, direct_test, outage_interference_n3,
+                     outage_single_user)
 from .relay_multi import balanced_uplink
 
-BLOCK = 256               # trials per random-number block
+BLOCK = 256               # direct rounds drawn per call
 JUDGE_ROWS = 16 * BLOCK   # relay trials judged per array pass
 
 MODE_NONE = "none"
@@ -136,27 +130,9 @@ class RelayVerdicts:
     delivered: np.ndarray     # (n, 2) bool, message delivered in the end
 
 
-def _blocks(trials: int):
-    """(first trial, trial count) for each block of the trials
-    [0, trials); block b starts at trial b BLOCK."""
-    for lo in range(0, trials, BLOCK):
-        yield lo, min(BLOCK, trials - lo)
-
-
 # ---------------------------------------------------------------------------
 # direct ARQ
 # ---------------------------------------------------------------------------
-
-def _direct_test(cfg: SystemConfig):
-    """``(kappa, floor)``, kappa = gamma var_cross / var_direct and floor =
-    gamma N sigma^2 / (var_direct P): on unit gains SINR_i >= gamma reads
-    own - kappa cross >= floor. Only rate 0 passes where var_direct = 0."""
-    gamma = cfg.sinr_threshold
-    if not (gamma and cfg.var_direct):
-        return 0.0, math.inf if gamma else 0.0
-    return (ratio((gamma, cfg.var_cross), (cfg.var_direct,)),
-            ratio((gamma, cfg.N, cfg.noise_var), (cfg.P, cfg.var_direct)))
-
 
 def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
     """Margins own - kappa cross, (L, 2), of unit BS gains e (L, 2, 2),
@@ -170,15 +146,16 @@ def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
                   first: int):
     """Write the best margin over the attempts [first, cfg.retx) of each
     (trial, user) of the trials [0, len(out)) into out, float
-    (len(out), 2)."""
-    kappa = _direct_test(cfg)[0]
+    (len(out), 2). Attempt a of every trial comes from one substream,
+    drawn BLOCK rounds at a time."""
+    kappa = direct_test(cfg)[0]
     with np.errstate(over="ignore"):
-        for lo, n in _blocks(len(out)):
-            best = out[lo:lo + n]
-            for attempt in range(first, cfg.retx):
-                rng = substream(seed, CTX_DIRECT, lo // BLOCK, attempt)
+        for attempt in range(first, cfg.retx):
+            rng = substream(seed, CTX_DIRECT, attempt)
+            for lo in range(0, len(out), BLOCK):
+                best = out[lo:lo + BLOCK]
                 margin = _direct_margin(
-                    draw_bs_channels(cfg, rng, rounds=n), kappa)
+                    draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
                 if attempt == first:
                     best[:] = margin
                 else:
@@ -232,7 +209,7 @@ def clear_memos():
 def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Best margin of every (trial, user), float (trials, 2), read-only,
     memoised on exactly what they depend on."""
-    key = (seed, trials, cfg.N, _direct_test(cfg)[0])
+    key = (seed, trials, cfg.N, direct_test(cfg)[0])
     return _memoised(_margin_chunk, 2, key, cfg, seed, trials,
                      depth=cfg.retx)
 
@@ -244,7 +221,7 @@ def simulate_direct(cfg: SystemConfig, trials: int,
     A message is lost when its best margin falls below the floor.
     """
     margins = _best_margins(cfg, seed, trials)
-    fails = np.count_nonzero(margins < _direct_test(cfg)[1])
+    fails = np.count_nonzero(margins < direct_test(cfg)[1])
     return OutageEstimate(trials=2 * trials, failures=int(fails))
 
 
@@ -252,16 +229,10 @@ def simulate_direct(cfg: SystemConfig, trials: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-# columns of the relay statistics: round-1 gains e1[i, j] at 2 i + j, the
-# round-2 cross gains seen by a failed user f, and the relay links' (A, B,
-# C) as channel.draw_relay_gains draws them
-_E1, _Y, _A, _B, _C = slice(0, 4), 4, 6, 7, 8
-STATS = 9                 # floats per relay trial
-
-
 def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     """Outcomes of the relay-ARQ trials whose unit-variance statistics
-    are ``stats``, float (n, STATS), as ``_block_stats`` draws them.
+    are ``stats``, float (n, STATS), as ``channel.draw_relay_stats``
+    draws them.
 
     Both relay modes are evaluated for every trial and each trial keeps
     the one its round-1 outcome selects. Every test is divided through by
@@ -269,7 +240,7 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     noise and the variances enter. A zero relay channel rescues nobody.
     """
     gamma = cfg.sinr_threshold
-    kappa, floor = _direct_test(cfg)
+    kappa, floor = direct_test(cfg)
     with np.errstate(over="ignore"):     # an overflow to inf is a loss
         ok = _direct_margin(stats[:, _E1].reshape(-1, 2, 2), kappa) >= floor
         mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
@@ -301,28 +272,11 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
                          delivered=ok | rescued[:, None])
 
 
-def _block_stats(cfg: SystemConfig, seed: int, block: int,
-                 n: int) -> np.ndarray:
-    """Draw the statistics of the ``n`` trials of one relay block: round-1
-    BS gains, round-2 BS gains, then relay gains."""
-    rng = substream(seed, CTX_RELAY, block)
-    e1 = draw_bs_channels(cfg, rng, rounds=n)
-    e2 = draw_bs_channels(cfg, rng, rounds=n)
-    return np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0],
-                            draw_relay_gains(cfg, rng, rounds=n)])
-
-
-def relay_block(cfg: SystemConfig, seed: int, block: int,
-                n: int = BLOCK) -> RelayVerdicts:
-    """Draw and judge the ``n`` trials of one relay block."""
-    return judge_relay(cfg, _block_stats(cfg, seed, block, n))
-
-
 def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, first: int):
-    """Write the statistics of the relay trials [0, len(out)) into out. A
-    relay row has one level of draws, so ``first`` is always 0."""
-    for lo, n in _blocks(len(out)):
-        out[lo:lo + n] = _block_stats(cfg, seed, lo // BLOCK, n)
+    """Write the statistics of the relay trials [0, len(out)) into out,
+    all from one substream. A relay row has one level of draws, so
+    ``first`` is always 0."""
+    draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0), out)
 
 
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:

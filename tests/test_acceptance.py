@@ -277,33 +277,33 @@ def test_c8_antenna_sweep_monotone_and_beats_bound():
     assert ps[-1] + guards[-1] < bound
 
 
-def test_c9_csv_byte_determinism(tmp_path):
+def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
     """Same seed and config give byte-identical CSV on every fresh draw.
 
-    The engine draws on the calling thread, so ``--threads`` is accepted
-    and changes nothing: runs with the memos cleared between them and
-    different ``--threads`` values must write the same bytes.
+    Each engine keys its substreams by what defines a round, never by a
+    block of trials, so neither a repeat run with the memos cleared nor
+    the block length ``simulate.BLOCK`` may change a byte. ``--threads``
+    is accepted and changes nothing.
     """
-    base = ["--seed", "7", "--trials", "150", "--rate", "2",
-            "--snr-db", "40"]
-    outs = []
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        path = tmp_path / f"relay_{tag}.csv"
-        simulate.clear_memos()          # each run draws afresh
-        code = cli.main(["simulate-relay", *base, "--threads", threads,
-                         "-o", str(path)])
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-    assert outs[0]
+    commands = {
+        "relay": ["simulate-relay", "--seed", "7", "--trials", "300",
+                  "--rate", "2", "--snr-db", "40"],
+        "direct": ["simulate-direct", "--seed", "5", "--trials", "3000",
+                   "--rate", "2", "--snr-db", "0:40:10"],
+    }
 
-    outs = []
-    for tag, threads in (("a", "1"), ("b", "3")):
-        path = tmp_path / f"direct_{tag}.csv"
-        simulate.clear_memos()    # each thread count draws afresh
-        code = cli.main(["simulate-direct", "--seed", "5", "--trials", "3000",
-                         "--rate", "2", "--snr-db", "0:40:10",
-                         "--threads", threads, "-o", str(path)])
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+    def run(argv, tag):
+        path = tmp_path / f"{tag}.csv"
+        simulate.clear_memos()          # each run draws afresh
+        assert cli.main([*argv, "-o", str(path)]) == 0
+        return path.read_bytes()
+
+    for name, argv in commands.items():
+        want = run(argv, name)
+        assert want
+        assert run(argv, f"{name}-again") == want
+        for block in (1, 7, 256):
+            monkeypatch.setattr(simulate, "BLOCK", block)
+            assert run(argv, f"{name}-block{block}") == want, (name, block)
+    assert run([*commands["relay"], "--threads", "4"], "threads") \
+        == run(commands["relay"], "relay")

@@ -5,10 +5,12 @@ from scipy import stats
 from relayarq.channel import (
     CTX_DIRECT,
     CTX_RELAY,
+    STATS,
     SystemConfig,
+    _A,
     cn,
     draw_bs_channels,
-    draw_relay_gains,
+    draw_relay_stats,
     substream,
 )
 from relayarq.errors import ContractViolationError
@@ -24,6 +26,11 @@ def make_cfg(**kw):
                 var_cross=1.0, var_relay=4.0, rate=2.0)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def relay_stats(cfg, rng, rounds):
+    """The statistics of ``rounds`` fresh relay trials, (rounds, STATS)."""
+    return draw_relay_stats(cfg, rng, np.empty((rounds, STATS)))
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, 0.0, 7.5, 40.0, 200.0])
@@ -96,9 +103,11 @@ def test_substream_separation():
     assert not np.array_equal(base, substream(42, CTX_DIRECT, 8).standard_normal(5))
     assert not np.array_equal(base, substream(42, CTX_RELAY, 7).standard_normal(5))
     assert not np.array_equal(base, substream(43, CTX_DIRECT, 7).standard_normal(5))
-    # the attempt word: 0 is the three-part key, any other a new stream
-    assert np.array_equal(base, substream(42, CTX_DIRECT, 7, 0).standard_normal(5))
-    assert not np.array_equal(base, substream(42, CTX_DIRECT, 7, 1).standard_normal(5))
+    # the key fills the seed and the counter's two middle words, so the
+    # single-draw commands' key (seed, 0, 0) is Philox's plain stream
+    plain = np.random.Generator(np.random.Philox(key=42))
+    assert np.array_equal(substream(42, 0, 0).standard_normal(5),
+                          plain.standard_normal(5))
 
 
 def test_bs_channel_shapes():
@@ -120,19 +129,24 @@ def test_bs_channel_variance_structure():
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_bs_gains_follow_gamma_law(n):
     # ||h||^2 of n CN(0, var) entries is var Gamma(n, 1): each link's unit
-    # gain passes a KS test against Gamma(n, 1)
+    # gain passes a KS test against Gamma(n, 1), and so does each of the
+    # 6 BS gains of a relay trial's statistics
     cfg = make_cfg(N=n, var_direct=2.0, var_cross=0.5)
     e = draw_bs_channels(cfg, substream(4, CTX_DIRECT, n), rounds=5000)
     for i, j in np.ndindex(2, 2):
         assert stats.kstest(e[:, i, j], stats.gamma(n).cdf).pvalue > 1e-3, \
             (i, j)
+    rows = relay_stats(cfg, substream(4, CTX_RELAY, n), rounds=5000)
+    for col in range(_A):
+        assert stats.kstest(rows[:, col], stats.gamma(n).cdf).pvalue \
+            > 1e-3, col
 
 
 @pytest.mark.parametrize("zero", ["var_direct", "var_cross", "var_relay"])
 def test_draws_do_not_read_the_variances(zero):
     # the draws are unit variates: a zero variance, or any other, leaves
     # them as they are, and only the verdicts read it
-    for draw in (draw_bs_channels, draw_relay_gains):
+    for draw in (draw_bs_channels, relay_stats):
         want = draw(make_cfg(), substream(5, CTX_DIRECT, 0), rounds=100)
         got = draw(make_cfg(**{zero: 0.0}), substream(5, CTX_DIRECT, 0),
                    rounds=100)
@@ -142,20 +156,24 @@ def test_draws_do_not_read_the_variances(zero):
 
 def test_relay_channel_variance():
     # each of the M antennas of either unit relay link carries variance 1:
-    # E A = E ||g1||^2 and E (B + C) = E ||g2||^2 are both M
-    cfg = make_cfg(M=4, var_relay=3.0)
-    abc = draw_relay_gains(cfg, substream(2, CTX_RELAY, 0), rounds=20000)
-    a, b, c = abc.T
+    # E A = E ||g1||^2 and E (B + C) = E ||g2||^2 are both M; each unit BS
+    # gain sums N entries of variance 1
+    cfg = make_cfg(N=2, M=4, var_relay=3.0)
+    rows = relay_stats(cfg, substream(2, CTX_RELAY, 0), rounds=20000)
+    a, b, c = rows[:, _A:].T
     assert abs(np.mean(a) / 4 - 1.0) < 0.05
     assert abs(np.mean(b + c) / 4 - 1.0) < 0.05
-    assert (abc >= 0.0).all()
+    assert np.allclose(rows[:, :_A].mean(axis=0), 2.0, rtol=0.05)
+    assert (rows >= 0.0).all()
 
 
 def test_relay_channel_shapes():
+    # the draw writes into the array it is given and returns it
     cfg = make_cfg(M=5)
     rng = substream(3, CTX_RELAY, 1)
-    assert draw_relay_gains(cfg, rng, rounds=1).shape == (1, 3)
-    assert draw_relay_gains(cfg, rng, rounds=7).shape == (7, 3)
+    for rounds in (1, 7):
+        out = np.empty((rounds, STATS))
+        assert draw_relay_stats(cfg, rng, out) is out
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
@@ -170,7 +188,7 @@ def test_relay_gains_follow_gamma_law(m):
     rounds = 5000
     reduced = relay_gains(cn(substream(28, CTX_RELAY, m), (rounds, 2, m),
                              cfg.var_relay)) / cfg.var_relay
-    drawn = draw_relay_gains(cfg, substream(29, CTX_RELAY, m), rounds)
+    drawn = relay_stats(cfg, substream(29, CTX_RELAY, m), rounds)[:, _A:]
     for source, abc in (("complex", reduced), ("gamma", drawn)):
         a, b, c = abc.T
         for name, x, order in (("A", a, m), ("B", b, m - 1), ("C", c, 1),

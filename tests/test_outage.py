@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
@@ -274,6 +275,50 @@ def test_interference_outage_properties(n, p, rate, var_direct, var_cross,
     lone = outage_single_user(make_cfg(**{**point, "var_cross": 0.0}))
     assert outage(var_cross=0.0) == lone
     assert base >= lone * (1.0 - 1e-12)
+
+
+# the 64-antenna point at which forming the floor left to right overflowed
+# where the noise is 1e300, and a point where both laws lie inside (0, 1)
+_SCALE_POINTS = tuple(
+    SystemConfig.at_snr(snr, N=n, M=3, noise_var=1.0, var_direct=var_direct,
+                        var_cross=1.0, var_relay=4.0, rate=rate)
+    for snr, n, var_direct, rate in ((72.3, 64, 64.0, 30.0),
+                                     (10.0, 3, 2.0, 2.0)))
+
+
+def _laws_match_at_scale(fields, k):
+    for cfg in _SCALE_POINTS:
+        scaled = dataclasses.replace(
+            cfg, **{f: math.ldexp(getattr(cfg, f), k) for f in fields})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (outage_single_user(scaled), outage_interference_n3(scaled))
+        want = (outage_single_user(cfg), outage_interference_n3(cfg))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), (cfg, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1017))
+# the ends of the valid range: the noise 2^k must be positive, and
+# var_direct = 2^(k + 6) finite
+@example(k=-1074)
+@example(k=1017)
+def test_laws_do_not_depend_on_the_channel_scale(k):
+    # every channel variance and the noise times 2^k, at the same P: the
+    # laws read only ratios, so neither may move, at subnormal scales too
+    _laws_match_at_scale(("var_direct", "var_cross", "var_relay",
+                          "noise_var"), k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1020, 998))
+# the ends of the range where P = 2^(k + 24.1) stays a normal float, so
+# scaling it is exact, and Pr_multi = 2P finite
+@example(k=-1020)
+@example(k=998)
+def test_laws_do_not_depend_on_the_power_scale(k):
+    # P, the noise and both relay powers times 2^k: the same system
+    _laws_match_at_scale(("P", "noise_var", "Pr_single", "Pr_multi"), k)
 
 
 # ---------------------------------------------------------------------------

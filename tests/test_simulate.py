@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relayarq.channel import (CTX_DIRECT, CTX_RELAY, SystemConfig, cn,
-                              draw_bs_channels, draw_relay_gains, substream)
+from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
+                              cn, draw_bs_channels, draw_relay_stats,
+                              substream)
 from relayarq.errors import ContractViolationError
-from relayarq.outage import arq_outage, outage_interference_n3
+from relayarq.outage import arq_outage, direct_test, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
     BLOCK,
@@ -22,7 +23,6 @@ from relayarq.simulate import (
     MODES,
     OutageEstimate,
     judge_relay,
-    relay_block,
     run_experiment,
     simulate_direct,
     simulate_relay,
@@ -64,6 +64,13 @@ def stats_of(cfg, e1, e2, g):
                             unit(relay_gains(g), cfg.var_relay)])
 
 
+def relay_verdicts(cfg, seed, trials=BLOCK):
+    """Draw the first ``trials`` relay trials of ``seed`` afresh and judge
+    them."""
+    simulate.clear_memos()
+    return judge_relay(cfg, simulate._relay_stats(cfg, seed, trials))
+
+
 # ---------------------------------------------------------------------------
 # estimates
 # ---------------------------------------------------------------------------
@@ -103,40 +110,41 @@ def test_direct_zero_rate_never_fails():
 
 
 def test_direct_block_layout():
-    # attempt a of block b draws one round of unit gains per trial of the
-    # block from the substream keyed (b, a); a loss is a message whose
-    # every round, at the config's variances, falls short, judged here
-    # entry by entry
+    # attempt a of every trial draws one round of unit gains per trial
+    # from the substream keyed a, in one call here and BLOCK rounds at a
+    # time in the engine; a loss is a message whose every round, at the
+    # config's variances, falls short, judged here entry by entry
     cfg = make_cfg(P=10.0, retx=3)
     p_ant = cfg.P / cfg.N
+    e = np.stack([draw_bs_channels(cfg, substream(14, CTX_DIRECT, attempt),
+                                   rounds=ODD_TRIALS)
+                  for attempt in range(cfg.retx)], axis=1) * bs_var(cfg)
     want = 0
-    for block in range(4):
-        n = min(BLOCK, ODD_TRIALS - block * BLOCK)
-        e = np.stack([draw_bs_channels(cfg, substream(14, CTX_DIRECT, block,
-                                                      attempt), rounds=n)
-                      for attempt in range(cfg.retx)], axis=1) * bs_var(cfg)
-        for trial in e:
-            for i in (0, 1):
-                want += not any(
-                    p_ant * float(r[i, i])
-                    >= cfg.sinr_threshold
-                    * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
-                    for r in trial)
+    for trial in e:
+        for i in (0, 1):
+            want += not any(
+                p_ant * float(r[i, i])
+                >= cfg.sinr_threshold
+                * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
+                for r in trial)
+    simulate.clear_memos()
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
 
 
 @pytest.mark.parametrize("retx", [1, 3])
 def test_direct_margins_are_prefix_stable(retx):
-    # a direct block draws its gains entry after entry, so a trial's draws
-    # do not depend on its block's length: 300 trials end in a partial
-    # block, 512 fill two, and each run is the first rows of the next
+    # each engine reads its substreams in trial order, so a trial's draws
+    # do not depend on the trial count: 300 trials end in a partial
+    # block, 512 fill two, and each run is the first rows of the next,
+    # for the direct margins and the relay statistics alike
     cfg = make_cfg(P=10.0, retx=retx)
-    runs = []
-    for trials in (300, 512, 2000):
-        simulate.clear_memos()
-        runs.append(simulate._best_margins(cfg, 5, trials))
-    for short, long in zip(runs, runs[1:]):
-        assert np.array_equal(long[:len(short)], short)
+    for rows in (simulate._best_margins, simulate._relay_stats):
+        runs = []
+        for trials in (300, 512, 2000):
+            simulate.clear_memos()
+            runs.append(rows(cfg, 5, trials))
+        for short, long in zip(runs, runs[1:]):
+            assert np.array_equal(long[:len(short)], short), rows
 
 
 def test_direct_verdict_cannot_overflow():
@@ -148,7 +156,7 @@ def test_direct_verdict_cannot_overflow():
     e = np.array([[[20.0, 15.0], [15.0, 20.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kappa, floor = simulate._direct_test(cfg)
+        kappa, floor = direct_test(cfg)
         assert not (simulate._direct_margin(unit(e, bs_var(cfg)), kappa)
                     >= floor).any()
         out = judge_relay(cfg, stats_of(cfg, e, np.zeros_like(e),
@@ -194,8 +202,8 @@ def test_direct_validates_trials():
 
 def test_relay_trial_deterministic():
     cfg = make_cfg()
-    a = relay_block(cfg, seed=7, block=13)
-    b = relay_block(cfg, seed=7, block=13)
+    a = relay_verdicts(cfg, seed=7)
+    b = relay_verdicts(cfg, seed=7)
     assert a.mode.shape == (BLOCK,) and a.delivered.shape == (BLOCK, 2)
     assert np.array_equal(a.round1, b.round1)
     assert np.array_equal(a.mode, b.mode)
@@ -203,7 +211,7 @@ def test_relay_trial_deterministic():
 
 
 def test_relay_trial_mode_none_when_rate_trivial():
-    out = relay_block(make_cfg(rate=0.0), seed=8, block=0)
+    out = relay_verdicts(make_cfg(rate=0.0), seed=8)
     assert (out.mode == MODES.index(MODE_NONE)).all()
     assert out.delivered.all()
     assert out.round1.all()
@@ -213,7 +221,7 @@ def test_relay_trial_mode_multi_when_direct_hopeless():
     # no direct power to speak of: both users always fail round one, and the
     # relay (with plenty of power) carries both
     cfg = make_cfg(P=1e-9, Pr_multi=1e6, Pr_single=1e3, rate=2.0)
-    out = relay_block(cfg, seed=9, block=0)
+    out = relay_verdicts(cfg, seed=9)
     assert (out.mode == MODES.index(MODE_MULTI)).all()
     assert not out.round1.any()
     assert out.delivered.all()
@@ -431,7 +439,7 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, simulate.STATS)
     (run if field in run else cfg)[field] = value
-    calls = count_draws(monkeypatch, "draw_relay_gains")
+    calls = count_draws(monkeypatch, "draw_relay_stats")
     got = simulate_relay(make_cfg(**cfg), **run)
     # a key field draws afresh; the variances, the rate, the powers and
     # the noise hit, and a hit returns the memo's own statistics
@@ -442,14 +450,26 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
 
 
 def test_fig2_draws_its_relay_trials_once(monkeypatch):
-    # 7 rates at one SNR: the relay draws once, the direct engine once per
-    # rate and attempt (gamma is part of its margins)
+    # 7 rates at one SNR: the relay draws once, from one substream, and
+    # the direct engine once per rate and attempt (gamma is part of its
+    # margins), from one substream per attempt
     simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name) for name in
-               ("substream", "draw_bs_channels", "draw_relay_gains")}
+               ("substream", "draw_bs_channels", "draw_relay_stats")}
     run_experiment("fig2", trials=100, seed=0)
     assert {k: len(v) for k, v in counted.items()} == dict(
-        substream=15, draw_bs_channels=16, draw_relay_gains=1)
+        substream=15, draw_bs_channels=14, draw_relay_stats=1)
+
+
+def test_fig1_builds_one_substream_per_attempt(monkeypatch):
+    # its four curves draw attempts 0 to 9 between them, each attempt
+    # from one substream whatever the trial count, 4 blocks of it here
+    simulate.clear_memos()
+    counted = {name: count_draws(monkeypatch, name)
+               for name in ("substream", "draw_bs_channels")}
+    run_experiment("fig1", trials=1000, seed=0)
+    assert {k: len(v) for k, v in counted.items()} == dict(
+        substream=10, draw_bs_channels=40)
 
 
 def test_variance_sweeps_draw_once(monkeypatch):
@@ -457,11 +477,11 @@ def test_variance_sweeps_draw_once(monkeypatch):
     # relay trials once, and doubling var_direct and var_cross together
     # keeps the direct key, kappa = gamma var_cross / var_direct
     simulate.clear_memos()
-    calls = count_draws(monkeypatch, "draw_relay_gains")
+    calls = count_draws(monkeypatch, "draw_relay_stats")
     for var_relay in (1.0, 4.0, 16.0):
         simulate_relay(make_cfg(P=10.0, var_relay=var_relay),
                        trials=ODD_TRIALS, seed=29)
-    assert len(calls) == 4            # one run: one draw per block
+    assert len(calls) == 1            # one run, one draw
     calls = count_draws(monkeypatch)
     simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=29)
     drawn = len(calls)
@@ -490,11 +510,9 @@ def test_relay_memo_under_racing_callers():
 
 def test_relay_memo_memory_is_72_bytes_per_trial():
     trials = 200_000
-    assert simulate.STATS == 9
-    # one block, at any M: its two rounds of BS gains, its relay gains and
-    # the Gamma draws they are scaled from, and its stacked statistics
-    block = BLOCK * 8 * (2 * 4 + 2 * 3 + simulate.STATS)
-    # the judge's temporaries, JUDGE_ROWS trials at a time, and 64 KiB
+    assert STATS == 9
+    # the draw writes straight into the memo, at any M; the slack is the
+    # judge's temporaries, JUDGE_ROWS trials at a time, and 64 KiB
     slack = simulate.JUDGE_ROWS * 16 * 8 + 64 * 1024
     for m in (3, 5000):
         simulate.clear_memos()
@@ -505,7 +523,7 @@ def test_relay_memo_memory_is_72_bytes_per_trial():
         finally:
             tracemalloc.stop()
             simulate.clear_memos()
-        assert peak <= 72 * trials + block + slack, m
+        assert peak <= 72 * trials + slack, m
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +542,15 @@ def test_relay_outage_does_not_depend_on_the_noise_scale():
                                       var_direct=2.0, var_cross=1.0,
                                       var_relay=4.0, rate=4.0)
             ests.append(simulate_relay(cfg, trials=1000, seed=0))
-    assert ests[0].pooled.failures == 20
+    assert ests[0].pooled.failures == 15      # seed 0's relay draw
     assert all(est == ests[0] for est in ests)
 
 
 # fig2's 40 dB, R = 4 point, whose statistics the scale test judges
 _FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                                var_cross=1.0, var_relay=4.0, rate=4.0)
-_FIG2_R4_STATS = simulate._block_stats(_FIG2_R4, 3, 0, BLOCK)
+_FIG2_R4_STATS = draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
+                                  np.empty((BLOCK, STATS)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -614,7 +633,7 @@ def test_relay_beats_direct_at_high_rate():
 def test_zero_relay_channel_fails_retransmission():
     # a relay that reaches nobody rescues nobody, in either relay mode
     cfg = make_cfg(P=10.0, rate=2.0, var_relay=0.0)
-    out = relay_block(cfg, seed=13, block=0)
+    out = relay_verdicts(cfg, seed=13)
     assert np.array_equal(out.delivered, out.round1)
     assert {MODES.index(MODE_SINGLE), MODES.index(MODE_MULTI)} \
         <= set(out.mode.tolist())
@@ -680,18 +699,16 @@ def test_block_verdicts_match_per_trial_reference():
     assert {True, False} <= {all(f) for f in outcomes[MODE_SINGLE]}
 
 
-def test_block_stats_layout():
-    # a relay block draws its round-1 gains, its round-2 gains and then its
-    # relay gains from one substream, and keeps 9 floats per trial
+def test_relay_stats_layout():
+    # every relay trial of a run comes from the one substream keyed 0, a
+    # row of 9 floats per trial, in trial order
     cfg = make_cfg(M=4)
     n = 37
-    rng = substream(26, CTX_RELAY, 5)
-    e1 = draw_bs_channels(cfg, rng, rounds=n)
-    e2 = draw_bs_channels(cfg, rng, rounds=n)
-    abc = draw_relay_gains(cfg, rng, rounds=n)
-    want = np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0], abc])
-    got = simulate._block_stats(cfg, 26, 5, n)
-    assert got.shape == (n, simulate.STATS)
+    want = draw_relay_stats(cfg, substream(26, CTX_RELAY, 0),
+                            np.empty((n, STATS)))
+    simulate.clear_memos()
+    got = simulate._relay_stats(cfg, 26, n)
+    assert got.shape == (n, STATS)
     assert np.array_equal(got, want)
 
 
