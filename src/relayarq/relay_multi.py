@@ -28,7 +28,11 @@ A, B, C their squared magnitudes and q~ = q / noise_var:
 
 The coordinates are scaled to O(1) and power / noise_var is carried in
 their units, so no intermediate depends on the channels' or the noise's
-absolute scale.
+absolute scale. Where that budget overflows a float, the optimum need not
+(very unequal gains; parallel channels, whose optimum is below 1), so the
+design then runs in numpy's extended type and refuses only an optimum
+that overflows. Where that type is no wider than a float, it refuses
+wherever the budget overflows.
 """
 
 import math
@@ -80,7 +84,9 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     Returns beams that reach ``t_star`` for both users (to rounding) with
     total power at most ``power``. A user whose channel is zero cannot be
     reached, so the optimum is then 0 and both beams are zero. Raises
-    ContractViolationError where the optimum overflows a float.
+    ContractViolationError where the optimum overflows a float (or, where
+    numpy's extended type is no wider, where power ||h||^2 / noise_var
+    does).
     """
     h1 = np.asarray(h1, dtype=complex).reshape(-1)
     h2 = np.asarray(h2, dtype=complex).reshape(-1)
@@ -93,14 +99,23 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     q, a, b, c = span_coords(h1, h2)
     scale = float(max(abs(a), abs(b), abs(c))) or 1.0
     a, b, c = a / scale, b / scale, c / scale
-    # the budget in the noise units of the scaled channels, as q1 .. p2 are
+    # the budget in the noise units of the scaled channels, as q1 .. p2 are.
+    # Where it overflows, the extended type's exponent range holds every
+    # intermediate of float inputs (x86-64 and aarch64 Linux); where that
+    # type is no wider than a float, rho stays inf, t reads inf or NaN and
+    # the call refuses
     rho = ratio((power, scale, scale), (noise_var,))
-    if rho == math.inf:
+    if rho == math.inf and (np.finfo(np.longdouble).maxexp
+                            > np.finfo(float).maxexp):
+        rho = np.longdouble(power) * scale * scale / noise_var
+        a, b, c = (np.clongdouble(x) for x in (a, b, c))
+    A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
+    q1, q2, t = balanced_uplink(A, B + C, A * B, rho, 1.0)
+    t = float(t)
+    if not t < math.inf:
         raise ContractViolationError(
             "the max-min SINR overflows at this power")
-    A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
-    q1, q2, t = (float(x) for x in balanced_uplink(A, B + C, A * B, rho, 1.0))
-    if not t > 0:             # a zero channel, or rho underflowed
+    if not t > 0:             # a zero channel, or t underflowed
         zero = np.zeros(h1.size, dtype=complex)
         return MultiBeamformer(zero, zero.copy(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -111,13 +126,17 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     a10 = (abs(c) / norm1) ** 2
     a01 = (abs(a) * abs(c) / norm2) ** 2
     a11 = ((C + B * (1 + q1 * A)) / norm2) ** 2
-    p1 = q1 * (a11 + t * a01) / (a11 + t * a10)
-    p2 = q2 * (a00 + t * a10) / (a00 + t * a01)
+    # from the mantissas of q1 and q2, which changes no bit while q1 (a11 +
+    # t a01) and q2 (a00 + t a10) are normal floats; where one gain is far
+    # below the other they are subnormal, though p1 and p2 are not
+    (m1, e1), (m2, e2) = np.frexp(q1), np.frexp(q2)
+    p1 = np.ldexp(m1 * (a11 + t * a01) / (a11 + t * a10), e1)
+    p2 = np.ldexp(m2 * (a00 + t * a10) / (a00 + t * a01), e2)
     shrink = min(1.0, rho / (p1 + p2))        # rounding may overshoot
     p1, p2 = p1 * shrink, p2 * shrink
     return MultiBeamformer(
-        b1=np.sqrt(power * (p1 / rho)) * (q @ (v1 / norm1)),
-        b2=np.sqrt(power * (p2 / rho)) * (q @ (v2 / norm2)), t_star=t,
-        sinr1=float(p1 * a00 / (p2 * a01 + 1)),
+        b1=(np.sqrt(power * (p1 / rho)) * (q @ (v1 / norm1))).astype(complex),
+        b2=(np.sqrt(power * (p2 / rho)) * (q @ (v2 / norm2))).astype(complex),
+        t_star=t, sinr1=float(p1 * a00 / (p2 * a01 + 1)),
         sinr2=float(p2 * a11 / (p1 * a10 + 1)),
-        q1=power * (q1 / rho), q2=power * (q2 / rho))
+        q1=float(power * (q1 / rho)), q2=float(power * (q2 / rho)))

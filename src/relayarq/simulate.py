@@ -39,19 +39,19 @@ plus its own, and a message lost under L is lost under every smaller
 budget.
 
 Both engines reuse those common draws instead of redrawing them. Each
-keeps the per-trial floats its verdicts need in a memo of one entry,
-keyed by exactly what the floats depend on; a point whose key matches
-the last one draws nothing and only judges. ``clear_memos`` forgets both.
+keeps the per-trial floats of its last run, keyed by exactly what they
+depend on; a point whose key matches draws nothing and only judges.
+``clear_memos`` forgets both.
 
 * Direct: a round succeeds when the margin own - kappa cross of its
   unit gains reaches the floor gamma N sigma^2 / (var_direct P), with
   kappa = gamma var_cross / var_direct; the margin does not depend on P,
   sigma^2 or the variances' common scale. The memo holds each message's
   best margin over its attempts, 16 bytes per trial, keyed by (seed,
-  trials, N, kappa), and records the attempts it covers, its depth. A
-  larger budget draws only its further attempts and keeps the max of
-  their margins and the memo's; a smaller one draws again from attempt
-  0. Figure 1 therefore runs its attempt budgets L in the outer loop,
+  trials, N, kappa), with the number of attempts it covers. A larger
+  budget draws only its further attempts and keeps the max of their
+  margins and the memo's; a smaller one draws again from attempt 0.
+  Figure 1 therefore runs its attempt budgets L in the outer loop,
   in rising order, and SNR in the inner one, so its four curves draw 10
   attempts per trial between them; its rows are put back in SNR-major
   order, but its progress lines come L-major.
@@ -135,70 +135,16 @@ class RelayVerdicts:
 # ---------------------------------------------------------------------------
 
 def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
-    """Margins own - kappa cross, (L, 2), of unit BS gains e (L, 2, 2),
-    e[:, i, j] from BS j to user i; -inf, a loss, where they overflow."""
-    own = e.diagonal(axis1=1, axis2=2)               # (L, 2): e[:, i, i]
-    cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)  # (L, 2): e[:, i, 1 - i]
-    return own - kappa * cross
+    """Margins own - kappa cross, (L, 2), of unit BS gains e, one round
+    per row, as (L, 2, 2) or flat (L, 4) with e[:, 2 i + j] from BS j to
+    user i; -inf, a loss, where they overflow."""
+    e = e.reshape(-1, 4)
+    return e[:, 0::3] - kappa * e[:, 1:3]
 
 
-def _margin_chunk(cfg: SystemConfig, seed: int, out: np.ndarray,
-                  first: int):
-    """Write the best margin over the attempts [first, cfg.retx) of each
-    (trial, user) of the trials [0, len(out)) into out, float
-    (len(out), 2). Attempt a of every trial comes from one substream,
-    drawn BLOCK rounds at a time."""
-    kappa = direct_test(cfg)[0]
-    with np.errstate(over="ignore"):
-        for attempt in range(first, cfg.retx):
-            rng = substream(seed, CTX_DIRECT, attempt)
-            for lo in range(0, len(out), BLOCK):
-                best = out[lo:lo + BLOCK]
-                margin = _direct_margin(
-                    draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
-                if attempt == first:
-                    best[:] = margin
-                else:
-                    np.maximum(best, margin, out=best)
-
-
-# worker -> (key, depth, rows) of that engine's last run: one entry per
-# engine, replaced whole and never written in place, so concurrent
-# callers racing on it at worst repeat a draw
+# engine -> its last run's memo entry, replaced whole and never written
+# in place, so concurrent callers racing on it at worst repeat a draw
 _memos = {}
-
-
-def _memoised(worker, width: int, key, cfg: SystemConfig, seed: int,
-              trials: int, depth: int = 1) -> np.ndarray:
-    """The rows ``worker`` writes for the trials [0, trials), float
-    (trials, width), read-only.
-
-    Memoised on ``key``, which must hold everything the rows depend on
-    but ``depth``. A row is the max over ``depth`` levels of draws (the
-    direct engine's attempts; a relay row has one level), and
-    ``worker(cfg, seed, out, first)`` writes the max over the levels
-    [first, depth). A memo of the same key and a smaller depth is
-    extended: only its missing levels are drawn, and their max with the
-    memo's rows goes into a fresh array. Any other miss draws from
-    level 0. The worker writes straight into the returned array, so a
-    draw keeps no second copy of its result.
-    """
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
-    memo = _memos.get(worker)
-    first, prior = 0, None
-    if memo is not None and memo[0] == key:
-        if memo[1] == depth:
-            return memo[2]
-        if memo[1] < depth:
-            first, prior = memo[1], memo[2]
-    rows = np.empty((trials, width))
-    worker(cfg, seed, rows, first)
-    if prior is not None:
-        np.maximum(rows, prior, out=rows)
-    rows.flags.writeable = False
-    _memos[worker] = (key, depth, rows)
-    return rows
 
 
 def clear_memos():
@@ -207,11 +153,37 @@ def clear_memos():
 
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
-    """Best margin of every (trial, user), float (trials, 2), read-only,
-    memoised on exactly what they depend on."""
-    key = (seed, trials, cfg.N, direct_test(cfg)[0])
-    return _memoised(_margin_chunk, 2, key, cfg, seed, trials,
-                     depth=cfg.retx)
+    """Best margin over the attempts [0, cfg.retx) of every (trial, user),
+    float (trials, 2), read-only.
+
+    Memoised on (seed, trials, N, kappa), with the attempt count the
+    memo covers: the same count returns the memo, a larger one draws
+    only the attempts the memo lacks into a fresh copy of it, and a
+    smaller one draws again from attempt 0. Attempt a of every trial
+    comes from one substream, drawn BLOCK rounds at a time.
+    """
+    if trials < 1:
+        raise ContractViolationError("trials must be at least 1")
+    kappa = direct_test(cfg)[0]
+    key = (seed, trials, cfg.N, kappa)
+    memo = _memos.get("direct")
+    if memo is not None and memo[0] == key and memo[1] <= cfg.retx:
+        if memo[1] == cfg.retx:
+            return memo[2]
+        first, rows = memo[1], memo[2].copy()
+    else:
+        first, rows = 0, np.full((trials, 2), -np.inf)
+    with np.errstate(over="ignore"):
+        for attempt in range(first, cfg.retx):
+            rng = substream(seed, CTX_DIRECT, attempt)
+            for lo in range(0, trials, BLOCK):
+                best = rows[lo:lo + BLOCK]
+                margin = _direct_margin(
+                    draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
+                np.maximum(best, margin, out=best)
+    rows.flags.writeable = False
+    _memos["direct"] = (key, cfg.retx, rows)
+    return rows
 
 
 def simulate_direct(cfg: SystemConfig, trials: int,
@@ -242,7 +214,7 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     gamma = cfg.sinr_threshold
     kappa, floor = direct_test(cfg)
     with np.errstate(over="ignore"):     # an overflow to inf is a loss
-        ok = _direct_margin(stats[:, _E1].reshape(-1, 2, 2), kappa) >= floor
+        ok = _direct_margin(stats[:, _E1], kappa) >= floor
         mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
         a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
         n2 = b + c                        # ||g2||^2 / var_relay
@@ -272,18 +244,20 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
                          delivered=ok | rescued[:, None])
 
 
-def _stats_chunk(cfg: SystemConfig, seed: int, out: np.ndarray, first: int):
-    """Write the statistics of the relay trials [0, len(out)) into out,
-    all from one substream. A relay row has one level of draws, so
-    ``first`` is always 0."""
-    draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0), out)
-
-
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Statistics of every relay trial, float (trials, STATS), read-only,
-    memoised on exactly what they depend on."""
+    all from one substream, memoised on (seed, trials, N, M)."""
+    if trials < 1:
+        raise ContractViolationError("trials must be at least 1")
     key = (seed, trials, cfg.N, cfg.M)
-    return _memoised(_stats_chunk, STATS, key, cfg, seed, trials)
+    memo = _memos.get("relay")
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    rows = draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0),
+                            np.empty((trials, STATS)))
+    rows.flags.writeable = False
+    _memos["relay"] = (key, rows)
+    return rows
 
 
 def simulate_relay(cfg: SystemConfig, trials: int,

@@ -544,6 +544,27 @@ def test_figure_1_table(capsys):
     assert len(rows) == 36
 
 
+def test_figure_1_calls_the_engines_as_the_benchmark_traces_them(
+        tmp_path, monkeypatch):
+    # the benchmark's fig1 workload wraps both engines as for fig2 and
+    # counts its trials from the second positional argument of every
+    # simulate_direct call; figure 1 never runs the relay engine
+    seen = {"simulate_direct": [], "simulate_relay": []}
+    for name, calls in seen.items():
+        def traced(*args, _fn=getattr(simulate, name), _calls=calls,
+                   **kwargs):
+            est = _fn(*args, **kwargs)
+            _calls.append((args, est))
+            return est
+        monkeypatch.setattr(simulate, name, traced)
+    code = cli.main(["figure", "1", "--threads", "1", "--trials", "1000",
+                     "--seed", "0", "-o", str(tmp_path / "fig1.csv")])
+    assert code == 0
+    assert len(seen["simulate_direct"]) == 36
+    assert all(args[1] == 1000 for args, _ in seen["simulate_direct"])
+    assert seen["simulate_relay"] == []
+
+
 def test_figure_2_calls_the_engines_as_the_benchmark_traces_them(
         tmp_path, monkeypatch):
     # the benchmark wraps both engines on the module run_experiment looks

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayarq.errors import ContractViolationError, DimensionError
+from relayarq.linalg import span_coords
 from relayarq.relay_multi import balanced_uplink, max_min_sinr
 
 from _oracles import (brute_force_m2, cn_vector, orthogonal_pair_optimum,
@@ -213,42 +214,99 @@ def test_input_validation():
             max_min_sinr(np.ones(3), np.ones(3), power, noise_var=noise)
 
 
+# numpy's extended type has a wider exponent than a float (x86-64 and
+# aarch64 Linux), where max_min_sinr runs an overflowing budget in it
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).maxexp > np.finfo(float).maxexp
+
+
+def log2_sum_sq(*xs):
+    """log2 of sum |x|^2, with nothing squared out of the float range."""
+    top = max(abs(x) for x in xs)
+    if not top:
+        return -math.inf
+    return 2 * math.log2(top) + math.log2(sum((abs(x) / top) ** 2 for x in xs))
+
+
+def log2_optimum_scales(h1, h2, power):
+    """log2 of power ||h1||^2 ||h2||^2 / (||h1||^2 + ||h2||^2) and of
+    power (||h1||^2 ||h2||^2 - |h1^H h2|^2) / (||h1||^2 + ||h2||^2), the
+    optimum's value at low SNR and at high SNR (noise 1; t_star is at
+    most one more than the latter). They are formed from the coordinates
+    of ``span_coords``, where the Gram term is |a|^2 |b|^2, free of
+    cancellation."""
+    _, a, b, c = span_coords(h1, h2)
+    base = math.log2(power) + log2_sum_sq(a) - log2_sum_sq(a, b, c)
+    return base + log2_sum_sq(b, c), base + log2_sum_sq(b)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(m=st.sampled_from([2, 3, 8]), k=st.integers(-500, 500),
-       snr_db=st.floats(0.0, 3000.0), parallel=st.booleans(),
+       j=st.integers(-500, 500), snr_db=st.floats(0.0, 3000.0),
+       pair=st.sampled_from(["random", "parallel", "aligned"]),
        seed=st.integers(0, 2 ** 32 - 1))
 # the beams once read NaN at 1600 dB, and at gains of 2^-564 (the Gram
-# term underflowed); parallel channels at the top of the range
-@example(m=3, k=0, snr_db=1600.0, parallel=False, seed=0)
-@example(m=3, k=-282, snr_db=10.0, parallel=False, seed=0)
-@example(m=8, k=0, snr_db=3000.0, parallel=True, seed=1)
-def test_contract_at_every_scale(m, k, snr_db, parallel, seed):
-    # channels scaled by 2^k and 0 to 3000 dB: the reported SINRs reach
-    # t_star on the budget with nothing over- or underflowing into a
-    # warning, or the call refuses an optimum beyond a float's range
+# term underflowed); parallel channels at the top of the range; pairs of
+# unequal gains or exactly parallel were refused wherever power times the
+# larger gain overflowed, and a weak user's power lost 8 digits through a
+# product below the float range
+@example(m=3, k=0, j=0, snr_db=1600.0, pair="random", seed=0)
+@example(m=3, k=-282, j=0, snr_db=10.0, pair="random", seed=0)
+@example(m=8, k=0, j=0, snr_db=3000.0, pair="parallel", seed=1)
+@example(m=3, k=300, j=-400, snr_db=1000.0, pair="random", seed=2)
+@example(m=3, k=400, j=0, snr_db=1000.0, pair="parallel", seed=3)
+@example(m=8, k=500, j=-500, snr_db=3000.0, pair="aligned", seed=4)
+@example(m=2, k=0, j=-263, snr_db=0.0, pair="random", seed=1)
+def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
+    # h1 scaled by 2^k, h2 by 2^(k + j), and 0 to 3000 dB: the reported
+    # SINRs reach t_star on the budget with nothing over- or underflowing
+    # into a warning. The call refuses only an optimum beyond a float's
+    # range, so never an exactly parallel pair, whose optimum is below 1.
+    # A "parallel" pair is parallel only to rounding; an "aligned" one lies
+    # on the first axis, where the span coordinates make it exactly
+    # parallel (b = 0).
     rng = np.random.default_rng(seed)
     h1, h2 = random_pair(rng, m)
-    if parallel:
+    if pair == "aligned":
+        h1[1:] = 0.0
+    if pair != "random":
         h2 = (0.5 - 1j) * h1
-    h1, h2 = math.ldexp(1.0, k) * h1, math.ldexp(1.0, k) * h2
+    h1, h2 = math.ldexp(1.0, k) * h1, math.ldexp(1.0, k + j) * h2
     power = 10.0 ** (snr_db / 10.0)
+    low, high = log2_optimum_scales(h1, h2, power)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             sol = max_min_sinr(h1, h2, power)
         except ContractViolationError:
-            # power ||h||^2 / noise_var, the optimum's scale, overflows
-            top = max(np.vdot(h, h).real for h in (h1, h2))
-            assert math.log2(power) + math.log2(top) > 1022
+            # t_star overflows; where numpy's extended type is no wider
+            # than a float, so may power ||h||^2 / noise_var
+            top = max(log2_sum_sq(*h1), log2_sum_sq(*h2))
+            assert high > 1022 or (
+                not WIDE_LONGDOUBLE and math.log2(power) + top > 1022)
             return
     t = sol.t_star
+    if t == 0.0 and j:
+        # an optimum below 2^-1024, deep in the subnormal range, reads 0
+        assert low < -1024
+        return
     assert 0.0 < t < math.inf
+    if pair == "aligned":
+        assert t <= 1.0
     assert min(sol.sinr1, sol.sinr2) >= t * (1 - 1e-9)
     assert abs(sol.sinr1 - sol.sinr2) <= 1e-9 * t
     used = np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real
     assert used <= power * (1 + 1e-12)
     assert np.all(np.isfinite(sol.b1)) and np.all(np.isfinite(sol.b2))
-    if snr_db + 20 * k * math.log10(2) <= 200:
-        # up to 200 dB above the noise the beams themselves reach t
-        assert min(sinr(h1, sol.b1, sol.b2, 1.0),
-                   sinr(h2, sol.b2, sol.b1, 1.0)) >= t * (1 - 1e-9)
+    if snr_db + 20 * max(k, k + j) * math.log10(2) <= 200:
+        # up to 200 dB above the noise the beams themselves reach t. Of
+        # unequal gains, to within the beams' rounding: a float beam and
+        # the span basis are exact to a few eps, so |h_i^H b_j| moves by
+        # about eps ||h_i|| ||b_j||, which shows where a user's strong beam
+        # leaks into a far stronger channel than its own
+        for h, own, other in ((h1, sol.b1, sol.b2), (h2, sol.b2, sol.b1)):
+            rounding = 0.0
+            if j:
+                leak = abs(np.vdot(h, other))
+                rounding = 8 * np.finfo(float).eps * np.linalg.norm(h) \
+                    * np.linalg.norm(other) * leak / (leak ** 2 + 1)
+            assert sinr(h, own, other, 1.0) >= t * (1 - 1e-9 - rounding)

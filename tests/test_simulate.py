@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
-                              cn, draw_bs_channels, draw_relay_stats,
+                              _E1, cn, draw_bs_channels, draw_relay_stats,
                               substream)
 from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, direct_test, outage_interference_n3
@@ -166,6 +166,28 @@ def test_direct_verdict_cannot_overflow():
         assert (simulate._direct_margin(
             unit(e + np.diag([30.0, 30.0]), bs_var(cfg)), kappa)
             >= floor).all()
+
+
+def test_direct_margin_matches_the_diagonal_form():
+    # the margin reads own gains from columns 0 and 3 of a flat round and
+    # cross gains from columns 1 and 2: the same floats as the diagonal
+    # views of the (L, 2, 2) round, whatever the layout it is handed,
+    # with -inf where kappa cross overflows
+    kappa = 3.0
+    e = substream(31, CTX_DIRECT, 0).standard_gamma(3.0, (10 ** 4, 2, 2))
+    e[:3, 0, 1] = e[2:5, 1, 0] = 1e308
+    own = e.diagonal(axis1=1, axis2=2)
+    cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)
+    with np.errstate(over="ignore"):
+        want = own - kappa * cross
+        stats = np.zeros((len(e), STATS))
+        stats[:, _E1] = e.reshape(-1, 4)
+        got = [simulate._direct_margin(x, kappa)
+               for x in (e, e.reshape(-1, 4), stats[:, _E1])]
+    assert np.isneginf(want).sum() == 6
+    for margin in got:
+        assert margin.shape == (len(e), 2)
+        assert np.array_equal(margin, want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
