@@ -13,8 +13,8 @@ from .channel import (CTX_DIRECT, CTX_GENERIC, CTX_RELAY, SystemConfig,
 from .errors import (ContractViolationError, DegenerateInputError,
                      DimensionError, RelayArqError)
 from .linalg import span_coords
-from .outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
-                     outage_interference_n3, outage_single_user)
+from .outage import (arq_outage, cdf_diff_exp, outage_interference_n3,
+                     outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_uplink, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,

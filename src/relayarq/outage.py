@@ -1,33 +1,30 @@
 """Closed-form outage probabilities for the two-cell downlink.
 
-Without interference the own-cell link is a sum of N exponential powers, so
-outage reduces to a chi-square CDF with 2N degrees of freedom. With one
-interfering cell, per-antenna the decision variable is
+Both laws read the direct test in the Monte Carlo engine's unit form
+(``direct_test``): on unit Gamma(N, 1) gains own and cross, SINR_i >=
+gamma = 2^R - 1 reads
 
-    y_k = |h_i,i(k)|^2 - gamma |h_i,j(k)|^2,    gamma = 2^R - 1,
+    own - kappa cross >= floor,   kappa = gamma var_cross / var_direct,
+                                  floor = gamma N noise_var / (var_direct P).
 
-a difference of independent exponentials. Its density is two-sided
-exponential with the positive tail governed by lam = 1/var_direct and the
-negative tail by mu = 1/(gamma var_cross); outage is the CDF of the
-N-antenna sum Z = sum_k y_k at c = N noise_var gamma / P. Both laws
-take it in units of var_direct, as the Monte Carlo engine does: the rates
-are 1 and 1 / kappa, kappa = gamma var_cross / var_direct, at the floor
-c / var_direct. ``direct_test`` forms kappa and the floor from mantissas
-and exponents (``linalg.ratio``), so only ratios enter and no partial
-product over- or underflows.
+``direct_test`` forms kappa and the floor from mantissas and exponents
+(``linalg.ratio``), so only ratios enter and no partial product over- or
+underflows.
 
-The N-antenna sum is a difference of two Gamma(N) variables, and its CDF
-is a finite sum of incomplete-gamma terms for every N (conditioning on one
-of the two and expanding binomially). The test suite checks it against a
-numeric Gil-Pelaez inversion of the characteristic function
+Without interference the test is own >= floor, so outage is the
+regularized lower incomplete gamma P(N, floor). With one interfering
+cell it is Pr{X - kappa Y < floor} for independent X, Y ~ Gamma(N, 1)
+(``cdf_diff_exp``), a finite sum of incomplete-gamma terms for every N
+(conditioning on one of the two and expanding binomially). The test
+suite checks it against a numeric Gil-Pelaez inversion of the
+characteristic function
 
-    phi_Z(t) = (lam mu / (lam + mu))^N (1/(lam - jt) + 1/(mu + jt))^N,
+    phi(t) = (1 - jt)^-N (1 + j kappa t)^-N,
 
 a quadrature oracle that lives in ``tests/_oracles.py``, not here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -65,61 +62,49 @@ def outage_single_user(cfg: SystemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interference-limited outage: two-sided exponential machinery
+# interference-limited outage: a difference of two Gamma(N, 1) variables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffExpPdfParams:
-    """Rates of the signal-minus-interference summand.
+def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
+    """Pr{X - kappa Y < c} for independent X, Y ~ Gamma(n, 1), any n.
 
-    lam  rate of the positive tail, 1/var_direct
-    mu   rate of the negative tail, 1/(gamma var_cross)
-    n    number of summed antennas N
-    """
+    This is the engine's margin own - kappa cross at the floor c: X has
+    rate 1 and kappa Y rate mu = 1/kappa. With a = 1/(1+mu), b = mu/(1+mu)
+    and w_i = C(n-1+i, i), i = 0..n-1,
 
-    lam: float
-    mu: float
-    n: int
+        c <  0:  F(c) = sum_i w_i a^n b^i Q(n-i, mu |c|)
+        c >= 0:  F(c) = sum_i w_i a^n b^i
+                        + sum_i w_i b^n a^i P(n-i, c),
 
-    def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ContractViolationError("rates must be positive")
-        if self.n < 1 or self.n != int(self.n):
-            raise ContractViolationError("antenna count must be an integer >= 1")
-
-
-def cdf_diff_exp(c: float, p: DiffExpPdfParams) -> float:
-    """Closed-form CDF Pr{Z < c} of the N-antenna sum, for any N.
-
-    Z is Gamma(N, lam) - Gamma(N, mu). With a = lam/(lam+mu),
-    b = mu/(lam+mu) and w_i = C(N-1+i, i), i = 0..N-1,
-
-        c <  0:  F(c) = sum_i w_i a^N b^i Q(N-i, mu |c|)
-        c >= 0:  F(c) = sum_i w_i a^N b^i
-                        + sum_i w_i b^N a^i P(N-i, lam c),
-
-    with P, Q the regularized incomplete gammas. Every term is positive;
-    the weights are formed in log space so no factor overflows at large N.
+    with P, Q the regularized incomplete gammas; kappa = 0 puts no mass
+    below 0, and kappa = inf all of it. Every term is positive; the
+    weights are formed in log space so no factor overflows at large n.
     The logs carry extended precision where the platform has it: a log
     weight of magnitude L rounded to double costs ~L ulps in its term, and
-    L reaches ~1.4 N, or ~N |log a| for a tiny a.
+    L reaches ~1.4 n, or ~n |log a| for a tiny a.
     """
-    n = p.n
+    if not kappa >= 0:
+        raise ContractViolationError("kappa must be at least 0")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ContractViolationError("antenna count must be an integer >= 1")
+    if kappa == math.inf:   # interference beyond a float's range of the signal
+        return 1.0
+    mu = 1.0 / kappa if kappa else math.inf
     i = np.arange(n)
-    # log w_i as a running sum of log(w_i / w_(i-1)) = log((N-1+i) / i)
+    # log w_i as a running sum of log(w_i / w_(i-1)) = log((n-1+i) / i)
     ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
     ratio[0] = 1
     log_w = np.cumsum(np.log(ratio))
-    # a rate of inf (a variance below the normal range) makes a log -inf;
-    # a floor far below exp's range keeps the 0 * log of i = 0 at 0
-    log_a = np.maximum(-np.log1p(np.longdouble(p.mu) / p.lam), -2.0 ** 16)
-    log_b = np.maximum(-np.log1p(np.longdouble(p.lam) / p.mu), -2.0 ** 16)
+    # an infinite mu or 1/mu (kappa 0, subnormal or near overflow) makes a
+    # log -inf; a floor far below exp's range keeps the 0 * log of i = 0 at 0
+    log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
+    log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
     mass_neg = np.exp(log_w + n * log_a + i * log_b)
     if c < 0:
-        terms = mass_neg * gammaincc(n - i, -c * p.mu)
+        terms = mass_neg * gammaincc(n - i, -c * mu)
     else:
         mass_pos = np.exp(log_w + n * log_b + i * log_a)
-        terms = mass_neg + mass_pos * gammainc(n - i, c * p.lam)
+        terms = mass_neg + mass_pos * gammainc(n - i, c)
     return min(max(float(np.sum(terms)), 0.0), 1.0)
 
 
@@ -130,12 +115,7 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
     The name predates the general law; it holds for every antenna count.
     """
     kappa, floor = direct_test(cfg)
-    if kappa == math.inf:   # interference beyond a float's range of the signal
-        return 1.0
-    # kappa = 0 (no interference, rate 0 or no own-cell signal) puts no
-    # mass below 0: the negative tail's rate is inf
-    mu = 1.0 / kappa if kappa else math.inf
-    return cdf_diff_exp(floor, DiffExpPdfParams(lam=1.0, mu=mu, n=cfg.N))
+    return cdf_diff_exp(floor, kappa, cfg.N)
 
 
 # ---------------------------------------------------------------------------

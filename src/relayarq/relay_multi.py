@@ -14,8 +14,11 @@ A, B, C their squared magnitudes and q~ = q / noise_var:
 
 * Dual uplink: user j transmits q_j, q_1 + q_2 = power. The SINRs balance
   where q_1 A = q_2 (B + C), at t = (A + q~_2 A B) / (1/q~_1 + A), the
-  optimal max-min SINR in both directions (``balanced_uplink``, which the
-  Monte Carlo engine calls too).
+  optimal max-min SINR in both directions. ``balanced_uplink``, which the
+  Monte Carlo engine calls too, takes the budget power / noise_var and
+  works in noise units throughout. Where 1/q~_1 overflows (q~_1 below
+  2^-1024), it forms the equal t = q~_1 (A + q~_2 A B) / (1 + q~_1 A), so
+  an optimum in the subnormal range reads as itself, not 0.
 * Filters: the 2 x 2 adjugate turns the MMSE filters
   (I + q~_j h_j h_j^H)^-1 h_i into v1 = (1 + q~_2 B, -q~_2 b conj(c)) and
   v2 = (c, b (1 + q~_1 A)), whose inner products with the channels are
@@ -57,23 +60,27 @@ class MultiBeamformer:
     q2: float
 
 
-def balanced_uplink(n1, n2, gram, power: float, noise_var: float):
+def balanced_uplink(n1, n2, gram, rho):
     """Balanced dual-uplink powers and the common SINR, in closed form.
 
-    Takes n_i = ||h_i||^2 and gram = ||h1||^2 ||h2||^2 - |h1^H h2|^2,
-    batched alike, and returns arrays ``(q1, q2, t)`` of their shape, t in
-    noise units as t = (n1 + q~2 gram) / (1 / q~1 + n1). Where either
-    channel is zero that user cannot be reached: t is 0 there, and q1, q2
-    carry no meaning.
+    Takes n_i = ||h_i||^2, gram = ||h1||^2 ||h2||^2 - |h1^H h2|^2, batched
+    alike, and the budget rho = power / noise_var, and returns arrays
+    ``(q~1, q~2, t)`` of their shape in noise units (module docstring).
+    Where either channel is zero that user cannot be reached: t is 0
+    there, and q~1, q~2 carry no meaning.
     """
     reach = (n1 > 0) & (n2 > 0)
     total = np.where(reach, n1 + n2, 1.0)
-    # far above the noise t overflows to inf, far below it noise_var / q1
-    # does, and where a user is unreachable t is 0 whatever they read
+    # far above the noise t overflows to inf, and where a user is
+    # unreachable t is 0 whatever it reads
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q1 = power * (n2 / total)
-        q2 = power * (n1 / total)
-        t = (n1 + q2 / noise_var * gram) / (noise_var / q1 + n1)
+        q1 = rho * (n2 / total)
+        q2 = rho * (n1 / total)
+        num, inv = n1 + q2 * gram, 1 / q1
+        t = num / (inv + n1)
+        low = inv == math.inf      # q~1 < 2^-1024: the equal low-SNR form
+        if np.any(low):
+            t = np.where(low, q1 * num / (1 + q1 * n1), t)
     return q1, q2, np.where(reach, t, 0.0)
 
 
@@ -110,7 +117,7 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
         rho = np.longdouble(power) * scale * scale / noise_var
         a, b, c = (np.clongdouble(x) for x in (a, b, c))
     A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
-    q1, q2, t = balanced_uplink(A, B + C, A * B, rho, 1.0)
+    q1, q2, t = balanced_uplink(A, B + C, A * B, rho)
     t = float(t)
     if not t < math.inf:
         raise ContractViolationError(

@@ -145,6 +145,11 @@ def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
 # engine -> its last run's memo entry, replaced whole and never written
 # in place, so concurrent callers racing on it at worst repeat a draw
 _memos = {}
+# the most trials whose two memos, 2 direct margins and STATS relay floats
+# of 8 B each per trial (the relay draw writes its rows in place), stay
+# under 1 GiB; extending the direct memo to a larger attempt budget holds
+# a second copy of it for a while
+MAX_TRIALS = 2 ** 30 // (8 * (2 + STATS))
 
 
 def clear_memos():
@@ -236,7 +241,7 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
 
     # both failed: both messages ride the relay at the balanced SINR
     rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
-    _, _, t = balanced_uplink(a, n2, a * b, rho, 1.0)
+    _, _, t = balanced_uplink(a, n2, a * b, rho)
     multi_ok = t >= gamma
 
     rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)

@@ -21,7 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
 from relayarq.errors import DegenerateInputError, DimensionError, RelayArqError
-from relayarq.outage import DiffExpPdfParams, outage_single_user
+from relayarq.outage import outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 
@@ -99,40 +99,40 @@ def brute_force_m2(h1, h2, power, noise_var, n_theta=141, n_alpha=161):
 # characteristic-function route (any N): oracle for the closed-form outage
 # ---------------------------------------------------------------------------
 
-def characteristic_function(t, p: DiffExpPdfParams) -> np.ndarray:
-    """phi_Z(t) of the N-antenna sum."""
+def characteristic_function(t, kappa: float, n: int) -> np.ndarray:
+    """phi(t) = (1 - jt)^-n (1 + j kappa t)^-n of X - kappa Y, X and Y
+    independent Gamma(n, 1)."""
     t = np.asarray(t, dtype=float)
-    base = (p.lam * p.mu / (p.lam + p.mu)) * (1.0 / (p.lam - 1j * t)
-                                              + 1.0 / (p.mu + 1j * t))
-    return base ** p.n
+    return ((1.0 - 1j * t) * (1.0 + 1j * kappa * t)) ** -n
 
 
-def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
-    """Pr{Z < c} by Gil-Pelaez inversion of the characteristic function.
+def cf_inversion_cdf(c: float, kappa: float, n: int,
+                     tol: float = 1e-7) -> float:
+    """Pr{X - kappa Y < c} by Gil-Pelaez inversion of the characteristic
+    function.
 
-    The integrand decays like (lam mu)^n / t^(2n+1); the truncation point is
+    The integrand decays like kappa^-n / t^(2n+1); the truncation point is
     chosen so the analytic tail bound stays below tol/10, and the quadrature
     error estimate is checked against tol as well.
 
-    Valid domain: the integrand varies on the scales 1/lam and 1/mu at once,
-    so the two tail rates must lie within about six decades of each other,
-    max(lam, mu)/min(lam, mu) <= 1e6 (a rate of about 20 bit/s/Hz at unit
-    variances). At n = 3 over that range, with c from -30/mu to 30/lam, it
-    agrees with the closed form to 1e-6; from about 3e6 on, quadrature
-    fails for some c. At n = 1 the integrand decays only like 1/t^3, and
-    the oscillation e^(-jtc) up to the horizon defeats the quadrature once
-    |c| sqrt(lam mu) exceeds about 9. Every quadrature warning is raised as
-    NumericFailureError rather than returned as a value: at unit variances,
-    N = 3, P = 1e4 and R = 30 the quadrature warns and returns 0.5 where
-    the outage is 1.
+    Valid domain: the integrand varies on the scales 1 and kappa at once,
+    so kappa must lie within about six decades of 1, 1e-6 <= kappa <= 1e6
+    (a rate of about 20 bit/s/Hz at unit variances). At n = 3 over that
+    range, with c from -30 kappa to 30, it agrees with the closed form to
+    1e-6; from about 3e6 on, quadrature fails for some c. At n = 1 the
+    integrand decays only like 1/t^3, and the oscillation e^(-jtc) up to
+    the horizon defeats the quadrature once |c| / sqrt(kappa) exceeds
+    about 9. Every quadrature warning is raised as NumericFailureError
+    rather than returned as a value: at unit variances, N = 3, P = 1e4 and
+    R = 30 the quadrature warns and returns 0.5 where the outage is 1.
     """
     tail = tol / 10.0
-    horizon = np.sqrt(p.lam * p.mu) * (1.0 / (2 * p.n * np.pi * tail)) ** (1.0 / (2 * p.n))
+    horizon = (1.0 / (2 * n * np.pi * tail)) ** (1.0 / (2 * n)) / np.sqrt(kappa)
 
     def integrand(t):
-        return (np.exp(-1j * t * c) * characteristic_function(t, p)).imag / t
+        return (np.exp(-1j * t * c) * characteristic_function(t, kappa, n)).imag / t
 
-    details = {"lam": p.lam, "mu": p.mu, "n": p.n, "c": c, "horizon": horizon}
+    details = {"kappa": kappa, "n": n, "c": c, "horizon": horizon}
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
@@ -149,29 +149,28 @@ def cf_inversion_cdf(c: float, p: DiffExpPdfParams, tol: float = 1e-7) -> float:
     return float(min(max(0.5 - val / np.pi, 0.0), 1.0))
 
 
-def diff_exp_params(cfg: SystemConfig) -> DiffExpPdfParams:
-    """Map a system configuration onto the summand's tail rates (lam,
-    mu, n) = (1/var_direct, 1/(gamma var_cross), N)."""
+def diff_exp_args(cfg: SystemConfig) -> tuple:
+    """Map a system configuration onto the law's (c, kappa, n) =
+    (N noise_var gamma / (P var_direct), gamma var_cross / var_direct, N),
+    formed left to right."""
     if cfg.var_direct <= 0 or cfg.var_cross <= 0:
         raise DegenerateInputError("both channel variances must be positive here")
     gamma = cfg.sinr_threshold
-    # 1 / gamma / var_cross: gamma var_cross underflows where both are tiny
-    return DiffExpPdfParams(lam=1.0 / cfg.var_direct,
-                            mu=1.0 / gamma / cfg.var_cross, n=cfg.N)
+    return (cfg.N * cfg.noise_var * gamma / cfg.P / cfg.var_direct,
+            gamma * cfg.var_cross / cfg.var_direct, cfg.N)
 
 
 def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:
     """Interference outage for any antenna count N via CF inversion.
 
-    Same valid domain as ``cf_inversion_cdf``: the rates there are
-    1/var_direct and 1/((2^R - 1) var_cross).
+    Same valid domain as ``cf_inversion_cdf``, with kappa =
+    (2^R - 1) var_cross / var_direct.
     """
     if cfg.sinr_threshold == 0.0:
         return 0.0
     if cfg.var_cross == 0:
         return outage_single_user(cfg)
-    c = cfg.N * cfg.noise_var * cfg.sinr_threshold / cfg.P
-    return cf_inversion_cdf(c, diff_exp_params(cfg), tol=tol)
+    return cf_inversion_cdf(*diff_exp_args(cfg), tol=tol)
 
 
 # ---------------------------------------------------------------------------

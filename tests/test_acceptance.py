@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relayarq.channel import SystemConfig
-from relayarq.outage import (DiffExpPdfParams, arq_outage, cdf_diff_exp,
+from relayarq.outage import (arq_outage, cdf_diff_exp,
                              outage_interference_n3, outage_single_user)
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
@@ -72,31 +72,31 @@ def test_c1_direct_outage_analytics_match_monte_carlo():
 def test_c2_difference_density_fidelity():
     """The closed-form CDF has unit mass and matches CF inversion at any N."""
     rng = np.random.default_rng(17)
+    # tail rates lam and mu map onto the law's units as F_(lam, mu)(c) =
+    # cdf_diff_exp(lam c, lam / mu, n)
 
     # unit mass: the law runs from 0 to 1 over its tails
     for _ in range(5):
-        p = DiffExpPdfParams(lam=rng.uniform(0.25, 2.5),
-                             mu=rng.uniform(0.25, 2.5), n=int(rng.integers(1, 7)))
-        assert cdf_diff_exp(-60.0 / p.mu, p) <= 1e-10
-        assert cdf_diff_exp(60.0 / p.lam, p) >= 1.0 - 1e-10
+        kappa = rng.uniform(0.25, 2.5) / rng.uniform(0.25, 2.5)
+        n = int(rng.integers(1, 7))
+        assert cdf_diff_exp(-60.0 * kappa, kappa, n) <= 1e-10
+        assert cdf_diff_exp(60.0, kappa, n) >= 1.0 - 1e-10
 
     # CDF values against Gil-Pelaez inversion of the CF, orders 1..6, with
-    # z in units of the law's scale 1/sqrt(lam mu) (the oracle's domain)
+    # z in units of the law's scale sqrt(kappa) (the oracle's domain)
     worst = 0.0
     for i in range(60):
-        p = DiffExpPdfParams(lam=rng.uniform(0.25, 2.5),
-                             mu=rng.uniform(0.25, 2.5), n=1 + i % 6)
-        z = rng.uniform(-6.0, 6.0) / np.sqrt(p.lam * p.mu)
-        err = abs(cf_inversion_cdf(z, p) - cdf_diff_exp(z, p))
+        kappa = rng.uniform(0.25, 2.5) / rng.uniform(0.25, 2.5)
+        n = 1 + i % 6
+        z = rng.uniform(-6.0, 6.0) * np.sqrt(kappa)
+        err = abs(cf_inversion_cdf(z, kappa, n) - cdf_diff_exp(z, kappa, n))
         worst = max(worst, err)
-        assert err <= 1e-7, (p, z)
+        assert err <= 1e-7, (kappa, n, z)
     print(f"  worst cdf-vs-CF error over 60 points: {worst:.2e}")
 
     # equal rates make the law symmetric, so half the mass sits below zero
-    for lam in (0.3, 1.0, 2.7):
-        p = DiffExpPdfParams(lam=lam, mu=lam, n=3)
-        assert abs(cdf_diff_exp(0.0, p) - 0.5) <= 1e-9
-        assert abs(cf_inversion_cdf(0.0, p, tol=1e-10) - 0.5) <= 1e-9
+    assert abs(cdf_diff_exp(0.0, 1.0, 3) - 0.5) <= 1e-9
+    assert abs(cf_inversion_cdf(0.0, 1.0, 3, tol=1e-10) - 0.5) <= 1e-9
 
 
 def test_c3_arq_attempts_compose_by_powers():

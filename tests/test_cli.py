@@ -544,29 +544,15 @@ def test_figure_1_table(capsys):
     assert len(rows) == 36
 
 
-def test_figure_1_calls_the_engines_as_the_benchmark_traces_them(
-        tmp_path, monkeypatch):
-    # the benchmark's fig1 workload wraps both engines as for fig2 and
-    # counts its trials from the second positional argument of every
-    # simulate_direct call; figure 1 never runs the relay engine
-    seen = {"simulate_direct": [], "simulate_relay": []}
-    for name, calls in seen.items():
-        def traced(*args, _fn=getattr(simulate, name), _calls=calls,
-                   **kwargs):
-            est = _fn(*args, **kwargs)
-            _calls.append((args, est))
-            return est
-        monkeypatch.setattr(simulate, name, traced)
-    code = cli.main(["figure", "1", "--threads", "1", "--trials", "1000",
-                     "--seed", "0", "-o", str(tmp_path / "fig1.csv")])
-    assert code == 0
-    assert len(seen["simulate_direct"]) == 36
-    assert all(args[1] == 1000 for args, _ in seen["simulate_direct"])
-    assert seen["simulate_relay"] == []
-
-
-def test_figure_2_calls_the_engines_as_the_benchmark_traces_them(
-        tmp_path, monkeypatch):
+# perfbench/run.py's WORKLOADS: (figure, threads, trials, direct calls,
+# relay calls), copied here so the suite does not import the benchmark
+@pytest.mark.parametrize("figure, threads, trials, direct, relay", [
+    pytest.param("1", 1, 1000, 36, 0, id="fig1-direct"),
+    pytest.param("2", 1, 100, 7, 7, id="fig2-relay-rates"),
+    pytest.param("3", 2, 100, 0, 5, id="fig3-relay-antennas-t2"),
+])
+def test_figure_calls_the_engines_as_the_benchmark_traces_them(
+        tmp_path, monkeypatch, figure, threads, trials, direct, relay):
     # the benchmark wraps both engines on the module run_experiment looks
     # them up in, reads the trial count from their second positional
     # argument, and tallies each relay estimate's aborted trials and modes
@@ -578,15 +564,17 @@ def test_figure_2_calls_the_engines_as_the_benchmark_traces_them(
             _calls.append((args, est))
             return est
         monkeypatch.setattr(simulate, name, traced)
-    code = cli.main(["figure", "2", "--threads", "1", "--trials", "100",
-                     "--seed", "0", "-o", str(tmp_path / "fig2.csv")])
+    code = cli.main(["figure", figure, "--threads", str(threads),
+                     "--trials", str(trials), "--seed", "0",
+                     "-o", str(tmp_path / "fig.csv")])
     assert code == 0
+    assert len(seen["simulate_direct"]) == direct
+    assert len(seen["simulate_relay"]) == relay
     for name, calls in seen.items():
-        assert len(calls) == 7, name
-        assert all(args[1] == 100 for args, _ in calls), name
+        assert all(args[1] == trials for args, _ in calls), name
     for _, est in seen["simulate_relay"]:
         assert est.aborted == 0
-        assert sum(est.mode_counts) == 100
+        assert sum(est.mode_counts) == trials
 
 
 def test_figure_requires_valid_index(capsys):

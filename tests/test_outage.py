@@ -11,7 +11,6 @@ from scipy.special import gammainc, gammaincc
 from relayarq.channel import SystemConfig
 from relayarq.errors import ContractViolationError
 from relayarq.outage import (
-    DiffExpPdfParams,
     arq_outage,
     cdf_diff_exp,
     outage_interference_n3,
@@ -20,7 +19,7 @@ from relayarq.outage import (
 
 from _oracles import (NumericFailureError, cf_inversion_cdf,
                       cf_inversion_outage, characteristic_function,
-                      diff_exp_params)
+                      diff_exp_args)
 
 
 def make_cfg(**kw):
@@ -30,7 +29,9 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
-REF_PARAMS = DiffExpPdfParams(lam=0.5, mu=1.0 / 3.0, n=3)
+# the law at tail rates lam = 1/2 and mu = 1/3: F_(lam, mu)(c) is
+# cdf_diff_exp(lam c, lam / mu, n), so kappa is 1.5 and c is halved
+REF_KAPPA = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -57,48 +58,55 @@ def test_single_user_zero_rate():
 # ---------------------------------------------------------------------------
 
 def test_param_mapping():
-    p = diff_exp_params(make_cfg(var_direct=2.0, var_cross=1.0, rate=2.0))
-    assert p.lam == pytest.approx(0.5)
-    assert p.mu == pytest.approx(1.0 / 3.0)
-    assert p.n == 3
+    c, kappa, n = diff_exp_args(make_cfg(var_direct=2.0, var_cross=1.0,
+                                         rate=2.0))
+    assert c == pytest.approx(0.045)
+    assert kappa == pytest.approx(1.5)
+    assert n == 3
 
 
 def test_param_validation():
-    with pytest.raises(ContractViolationError):
-        DiffExpPdfParams(lam=0.0, mu=1.0, n=3)
-    with pytest.raises(ContractViolationError):
-        DiffExpPdfParams(lam=1.0, mu=1.0, n=0)
-    with pytest.raises(ContractViolationError):
-        DiffExpPdfParams(lam=1.0, mu=1.0, n=2.5)
+    for kappa, n in ((-1.0, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)):
+        with pytest.raises(ContractViolationError):
+            cdf_diff_exp(0.0, kappa, n)
+
+
+def test_cdf_at_the_ends_of_kappa():
+    # kappa = inf: interference beyond a float's range of the signal;
+    # kappa = 0: none, so the law is the signal's own P(n, c)
+    for n in (1, 3, 64):
+        for c in (-np.inf, -1.0, 0.0, 2.5, np.inf):
+            assert cdf_diff_exp(c, math.inf, n) == 1.0
+            want = gammainc(n, c) if c >= 0 else 0.0
+            assert cdf_diff_exp(c, 0.0, n) == pytest.approx(want, rel=1e-14)
 
 
 def test_cdf_symmetric_at_equal_rates():
-    # lam = mu makes Z symmetric: half the mass sits below zero at every N
+    # kappa = 1 makes the law symmetric: half the mass sits below zero at
+    # every N
     for n in (1, 2, 3, 6, 40):
-        for lam in (0.25, 1.0, 3.0):
-            p = DiffExpPdfParams(lam=lam, mu=lam, n=n)
-            assert cdf_diff_exp(0.0, p) == pytest.approx(0.5, abs=1e-14)
-            for z in np.linspace(0.1, 8.0, 25) / lam:
-                assert cdf_diff_exp(z, p) + cdf_diff_exp(-z, p) == pytest.approx(
-                    1.0, abs=1e-13)
+        assert cdf_diff_exp(0.0, 1.0, n) == pytest.approx(0.5, abs=1e-14)
+        for z in np.linspace(0.1, 8.0, 25):
+            assert cdf_diff_exp(z, 1.0, n) + cdf_diff_exp(-z, 1.0, n) \
+                == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cdf_continuous_at_zero():
     # the two sums of the law meet at c = 0
     eps = 1e-9
     for n in range(1, 7):
-        p = DiffExpPdfParams(lam=REF_PARAMS.lam, mu=REF_PARAMS.mu, n=n)
-        left, right = cdf_diff_exp(-eps, p), cdf_diff_exp(eps, p)
+        left = cdf_diff_exp(-eps, REF_KAPPA, n)
+        right = cdf_diff_exp(eps, REF_KAPPA, n)
         assert left == pytest.approx(right, rel=1e-6)
 
 
 def test_cdf_has_unit_mass():
     for n in range(1, 7):
-        p = DiffExpPdfParams(lam=REF_PARAMS.lam, mu=REF_PARAMS.mu, n=n)
-        assert cdf_diff_exp(-np.inf, p) == 0.0
-        assert cdf_diff_exp(np.inf, p) == pytest.approx(1.0, abs=1e-15)
-        assert cdf_diff_exp(-60.0 / p.mu, p) <= 1e-10
-        assert cdf_diff_exp(60.0 / p.lam, p) >= 1.0 - 1e-10
+        assert cdf_diff_exp(-np.inf, REF_KAPPA, n) == 0.0
+        assert cdf_diff_exp(np.inf, REF_KAPPA, n) == pytest.approx(
+            1.0, abs=1e-15)
+        assert cdf_diff_exp(-60.0 * REF_KAPPA, REF_KAPPA, n) <= 1e-10
+        assert cdf_diff_exp(60.0, REF_KAPPA, n) >= 1.0 - 1e-10
 
 
 def test_cdf_matches_numeric_integration():
@@ -106,67 +114,67 @@ def test_cdf_matches_numeric_integration():
     # integrand decays too slowly for this tolerance, and the law there is
     # the elementary one checked below
     for n in range(2, 7):
-        p = DiffExpPdfParams(lam=REF_PARAMS.lam, mu=REF_PARAMS.mu, n=n)
-        for c in (-5.0, -1.0, -0.1, 0.0, 0.3, 2.0, 10.0):
-            want = cf_inversion_cdf(c, p, tol=1e-11)
-            assert cdf_diff_exp(c, p) == pytest.approx(want, abs=1e-10), (n, c)
+        for c in (-2.5, -0.5, -0.05, 0.0, 0.15, 1.0, 5.0):
+            want = cf_inversion_cdf(c, REF_KAPPA, n, tol=1e-11)
+            assert cdf_diff_exp(c, REF_KAPPA, n) == pytest.approx(
+                want, abs=1e-10), (n, c)
 
 
 def test_cdf_frozen_values():
-    # lam=1/2, mu=1/3: Pr{Z<0} = a^3 (1 + 3b + 6b^2) with a=0.6, b=0.4
-    assert cdf_diff_exp(0.0, REF_PARAMS) == pytest.approx(0.68256, abs=1e-12)
-    assert cdf_diff_exp(2.0, REF_PARAMS) == pytest.approx(0.8055242122, abs=1e-9)
+    # rates 1/2 and 1/3: Pr{Z<0} = a^3 (1 + 3b + 6b^2) with a=0.6, b=0.4
+    assert cdf_diff_exp(0.0, REF_KAPPA, 3) == pytest.approx(0.68256,
+                                                             abs=1e-12)
+    assert cdf_diff_exp(1.0, REF_KAPPA, 3) == pytest.approx(0.8055242122,
+                                                             abs=1e-9)
 
 
 def test_cdf_is_monotone_and_proper():
-    zs = np.linspace(-120.0, 120.0, 121)
-    vals = [cdf_diff_exp(z, REF_PARAMS) for z in zs]
+    zs = np.linspace(-60.0, 60.0, 121)
+    vals = [cdf_diff_exp(z, REF_KAPPA, 3) for z in zs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1e-6 and vals[-1] > 1 - 1e-6
 
 
 def test_cdf_n3_matches_explicit_expansion():
     # N = 3 written out: weights C(2+i, i) = 1, 3, 6 on b^i (or a^i), over
-    # tail-rate ratios of 1e-8 .. 1e8
+    # kappa of 1e-8 .. 1e8, the negative tail's rate mu = 1/kappa
     rng = np.random.default_rng(29)
     for _ in range(400):
-        lam = 10.0 ** rng.uniform(-4, 4)
-        mu = lam * 10.0 ** rng.uniform(-8, 8)
-        a, b = lam / (lam + mu), mu / (lam + mu)
-        c = rng.uniform(-30, 30) / (lam if rng.random() < 0.5 else mu)
+        kappa = 10.0 ** rng.uniform(-8, 8)
+        mu = 1.0 / kappa
+        a, b = 1.0 / (1.0 + mu), mu / (1.0 + mu)
+        c = rng.uniform(-30, 30) * (1.0 if rng.random() < 0.5 else kappa)
         if c <= 0:
             x = -c * mu
             want = a ** 3 * (gammaincc(3, x) + 3 * b * gammaincc(2, x)
                              + 6 * b * b * gammaincc(1, x))
         else:
-            x = c * lam
             want = (a ** 3 * (1 + 3 * b + 6 * b * b)
-                    + b ** 3 * (gammainc(3, x) + 3 * a * gammainc(2, x)
-                                + 6 * a * a * gammainc(1, x)))
-        got = cdf_diff_exp(c, DiffExpPdfParams(lam=lam, mu=mu, n=3))
+                    + b ** 3 * (gammainc(3, c) + 3 * a * gammainc(2, c)
+                                + 6 * a * a * gammainc(1, c)))
+        got = cdf_diff_exp(c, kappa, 3)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_cdf_n1_is_the_two_sided_exponential():
-    # one antenna: a e^(mu c) below zero, 1 - b e^(-lam c) above
-    p = DiffExpPdfParams(lam=0.5, mu=1.0 / 3.0, n=1)
+    # one antenna: a e^(c / kappa) below zero, 1 - b e^(-c) above
     a, b = 0.6, 0.4
     for c in (-7.0, -0.5, 0.0):
-        assert cdf_diff_exp(c, p) == pytest.approx(a * math.exp(p.mu * c),
-                                                   rel=1e-14)
+        assert cdf_diff_exp(c, REF_KAPPA, 1) == pytest.approx(
+            a * math.exp(c / REF_KAPPA), rel=1e-14)
     for c in (0.5, 7.0):
-        assert cdf_diff_exp(c, p) == pytest.approx(1 - b * math.exp(-p.lam * c),
-                                                   rel=1e-14)
+        assert cdf_diff_exp(c, REF_KAPPA, 1) == pytest.approx(
+            1 - b * math.exp(-c), rel=1e-14)
 
 
 def test_cdf_finite_at_large_orders():
     for n in (100, 1000, 5000):
-        half = cdf_diff_exp(0.0, DiffExpPdfParams(lam=1.3, mu=1.3, n=n))
+        half = cdf_diff_exp(0.0, 1.0, n)
         assert half == pytest.approx(0.5, abs=1e-9)
-        for ratio in (1e-8, 1.0, 1e8):
-            p = DiffExpPdfParams(lam=1.0, mu=ratio, n=n)
-            vals = [cdf_diff_exp(c, p) for c in (-1e4, -1.0, 0.0, 1.0, 1e4)]
-            assert all(0.0 <= v <= 1.0 for v in vals), (n, ratio, vals)
+        for kappa in (1e8, 1.0, 1e-8):
+            vals = [cdf_diff_exp(c, kappa, n)
+                    for c in (-1e4, -1.0, 0.0, 1.0, 1e4)]
+            assert all(0.0 <= v <= 1.0 for v in vals), (n, kappa, vals)
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -182,7 +190,7 @@ def test_closed_form_holds_for_other_orders():
 # ---------------------------------------------------------------------------
 
 def test_cf_at_zero_is_one():
-    assert characteristic_function(0.0, REF_PARAMS) == pytest.approx(1.0)
+    assert characteristic_function(0.0, REF_KAPPA, 3) == pytest.approx(1.0)
 
 
 def test_cf_matches_fourier_transform_of_cdf():
@@ -191,34 +199,32 @@ def test_cf_matches_fourier_transform_of_cdf():
     def part(fn, lo, hi):
         return quad(fn, lo, hi, limit=600, epsabs=1e-13, epsrel=1e-13)[0]
 
-    cdf = lambda z: cdf_diff_exp(z, REF_PARAMS)
+    cdf = lambda z: cdf_diff_exp(z, REF_KAPPA, 3)
     for t in (0.3, 1.7, -2.2):
         re = (part(lambda z: cdf(z) * np.cos(t * z), -np.inf, 0.0)
               + part(lambda z: (cdf(z) - 1.0) * np.cos(t * z), 0.0, np.inf))
         im = (part(lambda z: cdf(z) * np.sin(t * z), -np.inf, 0.0)
               + part(lambda z: (cdf(z) - 1.0) * np.sin(t * z), 0.0, np.inf))
-        got = characteristic_function(t, REF_PARAMS)
+        got = characteristic_function(t, REF_KAPPA, 3)
         assert got == pytest.approx(1.0 - 1j * t * (re + 1j * im), abs=1e-9)
 
 
 def test_cf_inversion_agrees_with_cdf():
-    for c in (-2.0, 0.0, 1.0, 4.0):
-        assert cf_inversion_cdf(c, REF_PARAMS) == pytest.approx(
-            cdf_diff_exp(c, REF_PARAMS), abs=1e-7)
+    for c in (-1.0, 0.0, 0.5, 2.0):
+        assert cf_inversion_cdf(c, REF_KAPPA, 3) == pytest.approx(
+            cdf_diff_exp(c, REF_KAPPA, 3), abs=1e-7)
 
 
 def test_cf_inversion_handles_other_orders():
-    # n = 1: Z is the difference of two exponentials, CDF at 0 is lam/(lam+mu)
-    p = DiffExpPdfParams(lam=0.5, mu=1.0 / 3.0, n=1)
-    assert cf_inversion_cdf(0.0, p) == pytest.approx(0.6, abs=1e-7)
+    # n = 1: the difference of two exponentials, CDF at 0 is
+    # kappa/(1+kappa)
+    assert cf_inversion_cdf(0.0, REF_KAPPA, 1) == pytest.approx(0.6, abs=1e-7)
 
 
 def test_interference_outage_pipeline():
     cfg = make_cfg(P=1000.0)
     got = outage_interference_n3(cfg)
-    gamma = cfg.sinr_threshold
-    c = cfg.N * cfg.noise_var * gamma / cfg.P
-    assert got == pytest.approx(cdf_diff_exp(c, diff_exp_params(cfg)), abs=1e-15)
+    assert got == pytest.approx(cdf_diff_exp(*diff_exp_args(cfg)), abs=1e-15)
     assert cf_inversion_outage(cfg) == pytest.approx(got, abs=1e-7)
 
 

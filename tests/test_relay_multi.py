@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,14 +188,31 @@ def test_batched_balance_matches_single_solves():
     h2[2] = 0.0                                # an unreachable user
     h2[3] = (0.5 - 1j) * h1[3]                 # no spatial separation
     a, b, c = relay_gains(np.stack([h1, h2], axis=1)).T
-    q1, q2, t = balanced_uplink(a, b + c, a * b, 30.0, 0.5)
+    # the budget and the powers in noise units
+    q1, q2, t = balanced_uplink(a, b + c, a * b, 30.0 / 0.5)
     assert t.shape == (6,) and t[2] == 0.0
     for i in range(6):
         sol = max_min_sinr(h1[i], h2[i], 30.0, noise_var=0.5)
         assert t[i] == pytest.approx(sol.t_star, rel=1e-14)
         if i != 2:
-            assert (q1[i], q2[i]) == pytest.approx((sol.q1, sol.q2),
-                                                   rel=1e-14)
+            assert (0.5 * q1[i], 0.5 * q2[i]) == pytest.approx(
+                (sol.q1, sol.q2), rel=1e-14)
+
+
+def test_balance_where_one_over_q1_overflows():
+    # n1 = 1, n2 = 2^e, gram = n2 / 2 at unit budget: q~1 = n2 / (1 + n2),
+    # so 1 / q~1 overflows from e = -1024 on, where t takes the equal form
+    # q~1 (n1 + q~2 gram) / (1 + q~1 n1) instead of reading 0
+    exps = (-1000, -1023, -1024, -1030, -1060, -1073)
+    n2 = np.array([math.ldexp(1.0, e) for e in exps])
+    _, _, batched = balanced_uplink(np.ones(n2.size), n2, n2 / 2, 1.0)
+    for e, t in zip(exps, batched):
+        x2 = Fraction(2) ** e
+        q1, q2 = x2 / (1 + x2), 1 / (1 + x2)
+        want = float(q1 * (1 + q2 * x2 / 2) / (1 + q1))   # rounded once
+        assert t == want, e
+        assert balanced_uplink(1.0, 2.0 ** e, 2.0 ** e / 2, 1.0)[2] == t
+    assert f"{batched[3]:.3g}" == "8.69e-311"
 
 
 def test_unreachable_user_gives_zero_target():
@@ -256,6 +274,13 @@ def log2_optimum_scales(h1, h2, power):
 @example(m=3, k=400, j=0, snr_db=1000.0, pair="parallel", seed=3)
 @example(m=8, k=500, j=-500, snr_db=3000.0, pair="aligned", seed=4)
 @example(m=2, k=0, j=-263, snr_db=0.0, pair="random", seed=1)
+# both sides of balanced_uplink's switch, where 1 / q~1 overflows: q~1 just
+# above 2^-1024, and just below it, where t read 0; an optimum of 3 * 2^-1074,
+# and one below the float's underflow, which reads 0
+@example(m=3, k=-20, j=-500, snr_db=40.0, pair="random", seed=0)
+@example(m=3, k=-20, j=-500, snr_db=36.0, pair="random", seed=0)
+@example(m=3, k=-45, j=-500, snr_db=43.0, pair="random", seed=0)
+@example(m=3, k=-45, j=-500, snr_db=20.0, pair="random", seed=0)
 def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
     # h1 scaled by 2^k, h2 by 2^(k + j), and 0 to 3000 dB: the reported
     # SINRs reach t_star on the budget with nothing over- or underflowing
@@ -286,8 +311,9 @@ def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
             return
     t = sol.t_star
     if t == 0.0 and j:
-        # an optimum below 2^-1024, deep in the subnormal range, reads 0
-        assert low < -1024
+        # an optimum below the float's underflow reads 0; the margin is
+        # the log2 estimate's own
+        assert low < -1072
         return
     assert 0.0 < t < math.inf
     if pair == "aligned":
