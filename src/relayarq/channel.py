@@ -28,6 +28,7 @@ them.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -84,6 +85,11 @@ class SystemConfig:
                 self.P, self.noise_var, self.var_direct, self.var_cross,
                 self.var_relay, self.rate, self.Pr_single, self.Pr_multi)):
             raise ContractViolationError("parameters must be finite numbers")
+        for name in ("N", "M", "retx"):       # counts, kept as int
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) or float(v).is_integer()):
+                raise ContractViolationError(f"{name} must be a whole number")
+            object.__setattr__(self, name, int(v))
         if self.N < 1 or self.M < 1:
             raise ContractViolationError("antenna counts must be at least 1")
         if self.P <= 0 or self.noise_var <= 0:
@@ -119,9 +125,13 @@ class SystemConfig:
 
 
 def substream(seed: int, context: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, context, index) key."""
+    """Independent Philox stream for one (seed, context, index) key; the
+    seed is Philox's 64-bit key, so it must lie in [0, 2^64)."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ContractViolationError(
+            f"seed must lie in [0, 2^64), not {seed}")
     counter = (int(context) << 128) + (int(index) << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1),
+    return np.random.Generator(np.random.Philox(key=int(seed),
                                                 counter=counter))
 
 

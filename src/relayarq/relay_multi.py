@@ -8,34 +8,43 @@ stay silent, so each user sees the other's relay beam as interference:
 and the design maximizes min(SINR_1, SINR_2) subject to
 ||b_1||^2 + ||b_2||^2 <= power. The optimum is one beam per user in
 span{h1, h2}; under one total-power budget it follows from uplink-downlink
-duality (Schubert & Boche, IEEE T-VT 2004). ``max_min_sinr`` works in the
-coordinates of ``linalg.span_coords``, h1 = (a, 0) and h2 = (c, b), with
-A, B, C their squared magnitudes and q~ = q / noise_var:
+duality (Schubert & Boche, IEEE T-VT 2004) and depends on two numbers:
 
-* Dual uplink: user j transmits q_j, q_1 + q_2 = power. The SINRs balance
-  where q_1 A = q_2 (B + C), at t = (A + q~_2 A B) / (1/q~_1 + A), the
-  optimal max-min SINR in both directions. ``balanced_uplink``, which the
-  Monte Carlo engine calls too, takes the budget power / noise_var and
-  works in noise units throughout. Where 1/q~_1 overflows (q~_1 below
-  2^-1024), it forms the equal t = q~_1 (A + q~_2 A B) / (1 + q~_1 A), so
-  an optimum in the subnormal range reads as itself, not 0.
-* Filters: the 2 x 2 adjugate turns the MMSE filters
-  (I + q~_j h_j h_j^H)^-1 h_i into v1 = (1 + q~_2 B, -q~_2 b conj(c)) and
-  v2 = (c, b (1 + q~_1 A)), whose inner products with the channels are
-  exact: h1^H v1 = conj(a) (1 + q~_2 B), h2^H v1 = conj(c),
-  h1^H v2 = conj(a) c and h2^H v2 = C + B (1 + q~_1 A). Nothing cancels.
-* Powers: with a_ik = |h^H u|^2 of user i + 1 and unit filter k + 1, both
-  downlink SINRs equal t at p_1 = q_1 (a11 + t a01) / (a11 + t a10) and
-  p_2 = q_2 (a00 + t a10) / (a00 + t a01), ratios of positive sums: the
-  uplink and downlink systems share one determinant, which drops out.
+    u = power / (noise_var / ||h1||^2 + noise_var / ||h2||^2)
 
-The coordinates are scaled to O(1) and power / noise_var is carried in
-their units, so no intermediate depends on the channels' or the noise's
-absolute scale. Where that budget overflows a float, the optimum need not
-(very unequal gains; parallel channels, whose optimum is below 1), so the
-design then runs in numpy's extended type and refuses only an optimum
-that overflows. Where that type is no wider than a float, it refuses
-wherever the budget overflows.
+and beta, the squared sine of the angle between h1 and h2. With
+omega = 1 / (1 + u) and w = u omega, it is
+
+    t = u (1 + u beta) / (1 + u) = w (1 + x),    x = u beta,
+
+which ``balanced_sinr`` forms, batched; the Monte Carlo engine calls it
+too. ``max_min_sinr`` divides each channel's coordinates in
+``linalg.span_coords`` by that channel's own norm, so h1 / ||h1|| =
+(alpha, 0) and h2 / ||h2|| = (c, b), with |alpha| = 1, beta = |b|^2 and
+gamma = |c|^2 = 1 - beta:
+
+* Dual uplink: user i transmits the share f_i = ||h_j||^2 / (||h1||^2 +
+  ||h2||^2) of the power, so both users see the uplink SNR u, and both
+  SINRs balance at t, the optimal max-min SINR in both directions.
+* Filters: the MMSE filters (I + u e_j e_j^H)^-1 e_i of the unit channels
+  e_i are v1 = alpha (beta + omega gamma, -w b conj(c)) and
+  v2 = (omega c, b). Both own gains are (beta + omega gamma)^2 / ||v_i||^2,
+  the cross gains omega G12 and omega G21, with G12 = omega gamma /
+  ||v2||^2 and G21 = omega gamma / ||v1||^2.
+* Powers: both downlink SINRs equal t where user i takes the share
+  pi_i = (w G_ij + f_i) / (w (G12 + G21) + 1) of the budget. Each SINR is
+  reported as t times pi_i (1 + w G_ji) / (pi_j w G_ij + f_i), a factor
+  that is 1 in exact arithmetic, since u (beta + omega gamma) = t.
+* An exactly aligned pair (b = 0) puts both beams on one line, with
+  pi_i = (w + omega f_i) / (2 w + omega), where omega may be 0.
+
+Only u and x carry the channels' and the noise's scale, and
+``linalg.ratio`` forms them from the norms; the rest are unit
+coordinates, shares and gains relative to the unit channels. The shares
+are formed from their square roots, since far apart norms put the strong
+user's f_i and pi_i below the float range while its beam is not. So the
+design runs in floats at every scale and on every platform, and refuses
+only an optimum that overflows.
 """
 
 import math
@@ -60,40 +69,29 @@ class MultiBeamformer:
     q2: float
 
 
-def balanced_uplink(n1, n2, gram, rho):
-    """Balanced dual-uplink powers and the common SINR, in closed form.
-
-    Takes n_i = ||h_i||^2, gram = ||h1||^2 ||h2||^2 - |h1^H h2|^2, batched
-    alike, and the budget rho = power / noise_var, and returns arrays
-    ``(q~1, q~2, t)`` of their shape in noise units (module docstring).
-    Where either channel is zero that user cannot be reached: t is 0
-    there, and q~1, q~2 carry no meaning.
+def balanced_sinr(u, x):
+    """``(omega, w, t)`` of the balanced design at u and x = u beta,
+    batched alike (module docstring): omega = 1 / (1 + u), w = u omega
+    and the max-min SINR t = w (1 + x). Where u is inf, omega is 0 and w
+    is 1; where u is 0, so is t.
     """
-    reach = (n1 > 0) & (n2 > 0)
-    total = np.where(reach, n1 + n2, 1.0)
-    # far above the noise t overflows to inf, and where a user is
-    # unreachable t is 0 whatever it reads
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q1 = rho * (n2 / total)
-        q2 = rho * (n1 / total)
-        num, inv = n1 + q2 * gram, 1 / q1
-        t = num / (inv + n1)
-        low = inv == math.inf      # q~1 < 2^-1024: the equal low-SNR form
-        if np.any(low):
-            t = np.where(low, q1 * num / (1 + q1 * n1), t)
-    return q1, q2, np.where(reach, t, 0.0)
+    with np.errstate(invalid="ignore"):      # inf * 0 where u is inf
+        omega = 1 / (1 + u)
+        w = np.fmin(u * omega, 1.0)
+    return omega, w, w * (1 + x)
 
 
 def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
                  noise_var: float = 1.0) -> MultiBeamformer:
     """Best common SINR for two users sharing the relay's power budget.
 
-    Returns beams that reach ``t_star`` for both users (to rounding) with
-    total power at most ``power``. A user whose channel is zero cannot be
-    reached, so the optimum is then 0 and both beams are zero. Raises
-    ContractViolationError where the optimum overflows a float (or, where
-    numpy's extended type is no wider, where power ||h||^2 / noise_var
-    does).
+    Returns beams that reach ``t_star`` for both users, to the rounding of
+    float beams, with total power at most ``power``: a float beam b_j moves
+    |h_i^H b_j| by about eps ||h_i|| ||b_j||, which shows where one user's
+    beam leaks into a far stronger channel than its own. A user whose
+    channel is zero cannot be reached, so the optimum is then 0 and both
+    beams are zero, as they are for an optimum below the float range.
+    Raises ContractViolationError where the optimum overflows a float.
     """
     h1 = np.asarray(h1, dtype=complex).reshape(-1)
     h2 = np.asarray(h2, dtype=complex).reshape(-1)
@@ -104,46 +102,55 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
             "power and noise must be positive and finite")
 
     q, a, b, c = span_coords(h1, h2)
-    scale = float(max(abs(a), abs(b), abs(c))) or 1.0
-    a, b, c = a / scale, b / scale, c / scale
-    # the budget in the noise units of the scaled channels, as q1 .. p2 are.
-    # Where it overflows, the extended type's exponent range holds every
-    # intermediate of float inputs (x86-64 and aarch64 Linux); where that
-    # type is no wider than a float, rho stays inf, t reads inf or NaN and
-    # the call refuses
-    rho = ratio((power, scale, scale), (noise_var,))
-    if rho == math.inf and (np.finfo(np.longdouble).maxexp
-                            > np.finfo(float).maxexp):
-        rho = np.longdouble(power) * scale * scale / noise_var
-        a, b, c = (np.clongdouble(x) for x in (a, b, c))
-    A, B, C = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2
-    q1, q2, t = balanced_uplink(A, B + C, A * B, rho)
+    s1, s2 = float(abs(a)), math.hypot(abs(b), abs(c))
+    zero = np.zeros(h1.size, dtype=complex)
+    if not (s1 and s2):       # a user the relay cannot reach
+        return MultiBeamformer(zero, zero.copy(), 0.0, 0.0, 0.0, 0.0, 0.0)
+    b, c = b / s2, c / s2
+    # e_i = sqrt(f_i), and u = power h^2 / noise with h = s1 e1 = s2 e2,
+    # formed from the smaller norm, whose e_i is at least 1/sqrt(2); nothing
+    # is squared below the float range
+    e1, e2 = 1 / math.hypot(1, s1 / s2), 1 / math.hypot(1, s2 / s1)
+    h = s1 * e1 if s1 < s2 else s2 * e2
+    omega, w, t = balanced_sinr(ratio((power, h, h), (noise_var,)),
+                                ratio((power, h, h, abs(b), abs(b)),
+                                      (noise_var,)))
     t = float(t)
     if not t < math.inf:
         raise ContractViolationError(
             "the max-min SINR overflows at this power")
-    if not t > 0:             # a zero channel, or t underflowed
-        zero = np.zeros(h1.size, dtype=complex)
+    if not t > 0:             # t underflowed
         return MultiBeamformer(zero, zero.copy(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    v1 = np.array([1 + q2 * B, -q2 * b * np.conj(c)])
-    v2 = np.array([c, b * (1 + q1 * A)])
-    norm1, norm2 = np.hypot(*abs(v1)), np.hypot(*abs(v2))
-    a00 = (abs(a) * v1[0].real / norm1) ** 2
-    a10 = (abs(c) / norm1) ** 2
-    a01 = (abs(a) * abs(c) / norm2) ** 2
-    a11 = ((C + B * (1 + q1 * A)) / norm2) ** 2
-    # from the mantissas of q1 and q2, which changes no bit while q1 (a11 +
-    # t a01) and q2 (a00 + t a10) are normal floats; where one gain is far
-    # below the other they are subnormal, though p1 and p2 are not
-    (m1, e1), (m2, e2) = np.frexp(q1), np.frexp(q2)
-    p1 = np.ldexp(m1 * (a11 + t * a01) / (a11 + t * a10), e1)
-    p2 = np.ldexp(m2 * (a00 + t * a10) / (a00 + t * a01), e2)
-    shrink = min(1.0, rho / (p1 + p2))        # rounding may overshoot
-    p1, p2 = p1 * shrink, p2 * shrink
+    # pi_i = (x_ij + y f_i) / z: x_ij = w G_ij and y = 1, or on one line
+    # x_ij = w and y = omega
+    if b:
+        beta, gamma = abs(b) ** 2, abs(c) ** 2
+        v1 = (a / s1) * np.array([beta + omega * gamma, -w * b * np.conj(c)])
+        v2 = np.array([omega * c, b])
+        norm1, norm2 = np.hypot(*abs(v1)), np.hypot(*abs(v2))
+        x12 = w * gamma * (omega / norm2) / norm2
+        x21 = w * gamma * (omega / norm1) / norm1
+        y = 1.0
+    else:                     # both beams on the one line
+        v1, v2 = np.array([a / s1, 0.0]), np.array([c, 0.0])
+        norm1 = norm2 = 1.0
+        x12, x21, y = w, w, omega
+    z = x12 + x21 + y
+    # m_i = sqrt(z pi_i) from amplitudes: far apart norms put the strong
+    # user's f_i and pi_i below the float range, but not its beam
+    m1 = math.hypot(math.sqrt(x12), math.sqrt(y) * e1)
+    m2 = math.hypot(math.sqrt(x21), math.sqrt(y) * e2)
+    # SINR_i = t pi_i (y + x_ji) / (pi_j x_ij + y f_i), which is t in exact
+    # arithmetic, with both terms divided by m_i^2: r_i^2 = x_ij / m_i^2
+    # and o_i^2 = y f_i / m_i^2
+    r1, r2 = math.sqrt(x12) / m1, math.sqrt(x21) / m2
+    o1, o2 = math.sqrt(y) * e1 / m1, math.sqrt(y) * e2 / m2
+    gain1 = (y + x21) / (m2 * m2 * r1 * r1 + z * o1 * o1)
+    gain2 = (y + x12) / (m1 * m1 * r2 * r2 + z * o2 * o2)
+    root = math.sqrt(power / z)
     return MultiBeamformer(
-        b1=(np.sqrt(power * (p1 / rho)) * (q @ (v1 / norm1))).astype(complex),
-        b2=(np.sqrt(power * (p2 / rho)) * (q @ (v2 / norm2))).astype(complex),
-        t_star=t, sinr1=float(p1 * a00 / (p2 * a01 + 1)),
-        sinr2=float(p2 * a11 / (p1 * a10 + 1)),
-        q1=float(power * (q1 / rho)), q2=float(power * (q2 / rho)))
+        b1=(root * m1 * (q @ (v1 / norm1))).astype(complex),
+        b2=(root * m2 * (q @ (v2 / norm2))).astype(complex),
+        t_star=t, sinr1=float(t * gain1), sinr2=float(t * gain2),
+        q1=ratio((power, e1, e1)), q2=ratio((power, e2, e2)))

@@ -78,7 +78,7 @@ from .errors import ContractViolationError
 from .linalg import ratio
 from .outage import (arq_outage, direct_test, outage_interference_n3,
                      outage_single_user)
-from .relay_multi import balanced_uplink
+from .relay_multi import balanced_sinr
 
 BLOCK = 256               # direct rounds drawn per call
 JUDGE_ROWS = 16 * BLOCK   # relay trials judged per array pass
@@ -218,7 +218,8 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     """
     gamma = cfg.sinr_threshold
     kappa, floor = direct_test(cfg)
-    with np.errstate(over="ignore"):     # an overflow to inf is a loss
+    # a margin that overflows to inf is a loss
+    with np.errstate(over="ignore", invalid="ignore"):
         ok = _direct_margin(stats[:, _E1], kappa) >= floor
         mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
         a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
@@ -239,10 +240,13 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
             floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
             single_ok = (cfg.Pr_single / cfg.P) * x - kappa * y >= floor
 
-    # both failed: both messages ride the relay at the balanced SINR
-    rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
-    _, _, t = balanced_uplink(a, n2, a * b, rho)
-    multi_ok = t >= gamma
+        # both failed: both messages ride the relay at the balanced SINR
+        # t of u = power / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
+        # A zero channel leaves t at 0, or NaN where 0 / 0 or inf * 0 forms
+        # u; neither rescues anyone at a positive rate
+        rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
+        u = rho * (a * (n2 / (a + n2)))
+        multi_ok = balanced_sinr(u, u * beta)[2] >= gamma
 
     rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
     return RelayVerdicts(round1=ok, mode=mode,

@@ -4,7 +4,8 @@ Everything here is deliberately written against the problem statements, not
 against the package internals, so agreement is meaningful: dumb grids, plain
 quadrature, Gil-Pelaez inversion of the characteristic function for the
 interference outage at any antenna count, one closed form that only exists
-for orthogonal channels, the single-user relay design solved as the stacked
+for orthogonal channels, the max-min design built in mpmath from
+uplink-downlink duality, the single-user relay design solved as the stacked
 eigenproblem over vec(B) on a Householder null basis, the relay-ARQ
 protocol judged one trial at a time by building both relay designs, and
 the reduction of complex relay channels to the (A, B, C) the engine draws
@@ -16,6 +17,7 @@ returning a wrong one.
 
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
@@ -93,6 +95,51 @@ def brute_force_m2(h1, h2, power, noise_var, n_theta=141, n_alpha=161):
         s2 = p2 * sig2[None, :] / (noise_var + p1 * i21[:, None])
         best = max(best, float(np.minimum(s1, s2).max()))
     return best
+
+
+def _mp_dot(x, y):
+    """x^H y of two mpmath vectors, at the working precision."""
+    return mpmath.fsum(mpmath.conj(a) * b for a, b in zip(x, y))
+
+
+def exact_max_min_beams(h1, h2, power, noise_var=1.0, dps=50):
+    """The max-min SINR design of float channels h1, h2, built in mpmath at
+    ``dps`` digits from uplink-downlink duality: ``(b1, b2, t)``, the beams
+    each rounded once to complex floats and the optimum t as an mpf.
+
+    The dual uplink balances at q_i = power ||h_j||^2 / (||h1||^2 +
+    ||h2||^2), where both MMSE receivers (noise I + q_j h_j h_j^H)^-1 h_i
+    reach t. The downlink beams point along those receivers, with the
+    powers that solve SINR_1 = SINR_2 = t, a 2 x 2 linear system.
+    """
+    with mpmath.workdps(dps):
+        h = [[mpmath.mpc(complex(z)) for z in g] for g in (h1, h2)]
+        n = [_mp_dot(g, g).real for g in h]
+        q = [power * n[1] / (n[0] + n[1]), power * n[0] / (n[0] + n[1])]
+        v = []
+        for i in (0, 1):                 # Sherman-Morrison, times noise_var
+            j = 1 - i
+            s = q[j] * _mp_dot(h[j], h[i]) / (noise_var + q[j] * n[j])
+            v.append([a - s * b for a, b in zip(h[i], h[j])])
+        t = q[0] * _mp_dot(h[0], v[0]).real / noise_var
+        v = [[a / mpmath.sqrt(_mp_dot(x, x).real) for a in x] for x in v]
+        g = [[abs(_mp_dot(h[i], v[k])) ** 2 for k in (0, 1)] for i in (0, 1)]
+        p = mpmath.lu_solve(mpmath.matrix([[g[0][0], -t * g[0][1]],
+                                           [-t * g[1][0], g[1][1]]]),
+                            mpmath.matrix([t * noise_var, t * noise_var]))
+        beams = [np.array([complex(mpmath.sqrt(p[i]) * a) for a in v[i]])
+                 for i in (0, 1)]
+    return beams[0], beams[1], t
+
+
+def exact_sinr(h, own, other, noise_var=1.0, dps=50):
+    """|h^H own|^2 / (|h^H other|^2 + noise_var) of float vectors, in
+    mpmath at ``dps`` digits, as an mpf."""
+    with mpmath.workdps(dps):
+        h, own, other = ([mpmath.mpc(complex(z)) for z in x]
+                         for x in (h, own, other))
+        return (abs(_mp_dot(h, own)) ** 2
+                / (abs(_mp_dot(h, other)) ** 2 + noise_var))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,28 @@ def test_sinr_threshold():
     dict(var_cross=NAN), dict(var_relay=INF), dict(rate=NAN), dict(rate=INF),
     dict(Pr_single=NAN), dict(Pr_multi=INF), dict(Pr_multi=NAN),
     dict(rate=1024.0),
+    dict(N=2.5), dict(M=2.5), dict(retx=2.5), dict(N=NAN), dict(retx=INF),
 ])
 def test_config_validation(kw):
     with pytest.raises(ContractViolationError):
         make_cfg(**kw)
+
+
+def test_counts_are_whole_numbers_kept_as_int():
+    cfg = make_cfg(N=4.0, M=np.int64(3), retx=3.0)
+    assert (cfg.N, cfg.M, cfg.retx) == (4, 3, 3)
+    assert all(type(v) is int for v in (cfg.N, cfg.M, cfg.retx))
+
+
+def test_substream_refuses_seeds_outside_64_bits():
+    # the seed is Philox's 64-bit key: -1 would alias 2^64 - 1, and 2^64
+    # would alias 0
+    for seed in (-1, 2 ** 64, -2 ** 64):
+        with pytest.raises(ContractViolationError):
+            substream(seed, CTX_DIRECT, 0)
+    top = substream(2 ** 64 - 1, CTX_DIRECT, 0).standard_normal(5)
+    assert not np.array_equal(
+        top, substream(0, CTX_DIRECT, 0).standard_normal(5))
 
 
 def test_substream_reproducible():

@@ -169,6 +169,26 @@ def test_antenna_ceiling_exits_2_before_any_draw(capsys, monkeypatch,
     assert "at most 5000" in err
 
 
+@pytest.mark.parametrize("command", ["simulate-direct", "simulate-relay",
+                                     "beamform-multi"])
+def test_seed_outside_64_bits_exits_2_before_any_draw(capsys, monkeypatch,
+                                                      command):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew channels from a seed outside 64 bits")
+    monkeypatch.setattr(simulate, "draw_bs_channels", no_draw)
+    monkeypatch.setattr(simulate, "draw_relay_stats", no_draw)
+    monkeypatch.setattr(cli, "cn", no_draw)
+    for seed in (-1, 2 ** 64):
+        code, out, err = run_cli(capsys, command, "--trials", "100",
+                                 "--seed", str(seed))
+        assert code == 2
+        assert out == ""
+        assert "seed must lie in [0, 2^64)" in err
+    monkeypatch.undo()
+    assert run_cli(capsys, command, "--trials", "100",
+                   "--seed", str(2 ** 64 - 1))[0] == 0
+
+
 def test_antenna_ceiling_is_inclusive(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--n", "5000")
     assert code == 0

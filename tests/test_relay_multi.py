@@ -1,17 +1,18 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relayarq.errors import ContractViolationError, DimensionError
 from relayarq.linalg import span_coords
-from relayarq.relay_multi import balanced_uplink, max_min_sinr
+from relayarq.relay_multi import balanced_sinr, max_min_sinr
 
-from _oracles import (brute_force_m2, cn_vector, orthogonal_pair_optimum,
-                      relay_gains)
+from _oracles import (brute_force_m2, cn_vector, exact_max_min_beams,
+                      exact_sinr, orthogonal_pair_optimum, relay_gains)
 from _sdp_oracle import (
     NotRankOneError,
     SdpInstance,
@@ -188,31 +189,42 @@ def test_batched_balance_matches_single_solves():
     h2[2] = 0.0                                # an unreachable user
     h2[3] = (0.5 - 1j) * h1[3]                 # no spatial separation
     a, b, c = relay_gains(np.stack([h1, h2], axis=1)).T
-    # the budget and the powers in noise units
-    q1, q2, t = balanced_uplink(a, b + c, a * b, 30.0 / 0.5)
+    # u and beta as the engine forms them, at the budget 30 over noise 0.5
+    n2 = b + c
+    u = 30.0 / 0.5 * (a * (n2 / (a + n2)))
+    beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
+    omega, w, t = balanced_sinr(u, u * beta)
     assert t.shape == (6,) and t[2] == 0.0
     for i in range(6):
+        assert balanced_sinr(float(u[i]), float(u[i] * beta[i])) == (
+            omega[i], w[i], t[i])
         sol = max_min_sinr(h1[i], h2[i], 30.0, noise_var=0.5)
         assert t[i] == pytest.approx(sol.t_star, rel=1e-14)
         if i != 2:
-            assert (0.5 * q1[i], 0.5 * q2[i]) == pytest.approx(
-                (sol.q1, sol.q2), rel=1e-14)
+            assert (sol.q1, sol.q2) == pytest.approx(
+                (30.0 * n2[i] / (a[i] + n2[i]), 30.0 * a[i] / (a[i] + n2[i])),
+                rel=1e-14)
 
 
-def test_balance_where_one_over_q1_overflows():
-    # n1 = 1, n2 = 2^e, gram = n2 / 2 at unit budget: q~1 = n2 / (1 + n2),
-    # so 1 / q~1 overflows from e = -1024 on, where t takes the equal form
-    # q~1 (n1 + q~2 gram) / (1 + q~1 n1) instead of reading 0
-    exps = (-1000, -1023, -1024, -1030, -1060, -1073)
-    n2 = np.array([math.ldexp(1.0, e) for e in exps])
-    _, _, batched = balanced_uplink(np.ones(n2.size), n2, n2 / 2, 1.0)
-    for e, t in zip(exps, batched):
-        x2 = Fraction(2) ** e
-        q1, q2 = x2 / (1 + x2), 1 / (1 + x2)
-        want = float(q1 * (1 + q2 * x2 / 2) / (1 + q1))   # rounded once
-        assert t == want, e
-        assert balanced_uplink(1.0, 2.0 ** e, 2.0 ** e / 2, 1.0)[2] == t
-    assert f"{batched[3]:.3g}" == "8.69e-311"
+def test_balance_at_the_ends_of_u():
+    # t = u (1 + x) / (1 + u) from u = 0 to inf, x = u beta: at each end
+    # the batched and the scalar t equal the exact value rounded once, and
+    # a subnormal optimum reads as itself, not 0
+    ends = (0.0, math.ldexp(1.0, -1074), math.ldexp(1.0, -1030), 1.0,
+            math.ldexp(1.0, 1023), math.inf)
+    for beta in (0.0, 0.5, 1.0):
+        u = np.array(ends)
+        x = np.array([e * beta if beta else 0.0 for e in ends])
+        _, _, batched = balanced_sinr(u, x)
+        for ui, xi, t in zip(u, x, batched):
+            if ui < math.inf:
+                exact = Fraction(ui) * (1 + Fraction(xi)) / (1 + Fraction(ui))
+                want = float(exact)               # rounded once
+            else:
+                want = 1 + xi                     # the limit u -> inf
+            assert t == want, (ui, beta)
+            assert balanced_sinr(float(ui), float(xi))[2] == t
+    assert f"{balanced_sinr(2.0 ** -1030, 0.0)[2]:.3g}" == "8.69e-311"
 
 
 def test_unreachable_user_gives_zero_target():
@@ -230,11 +242,6 @@ def test_input_validation():
                          (1.0, 0.0), (1.0, np.nan)):
         with pytest.raises(ContractViolationError):
             max_min_sinr(np.ones(3), np.ones(3), power, noise_var=noise)
-
-
-# numpy's extended type has a wider exponent than a float (x86-64 and
-# aarch64 Linux), where max_min_sinr runs an overflowing budget in it
-WIDE_LONGDOUBLE = np.finfo(np.longdouble).maxexp > np.finfo(float).maxexp
 
 
 def log2_sum_sq(*xs):
@@ -259,7 +266,7 @@ def log2_optimum_scales(h1, h2, power):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(m=st.sampled_from([2, 3, 8]), k=st.integers(-500, 500),
-       j=st.integers(-500, 500), snr_db=st.floats(0.0, 3000.0),
+       j=st.integers(-600, 600), snr_db=st.floats(0.0, 3000.0),
        pair=st.sampled_from(["random", "parallel", "aligned"]),
        seed=st.integers(0, 2 ** 32 - 1))
 # the beams once read NaN at 1600 dB, and at gains of 2^-564 (the Gram
@@ -274,13 +281,17 @@ def log2_optimum_scales(h1, h2, power):
 @example(m=3, k=400, j=0, snr_db=1000.0, pair="parallel", seed=3)
 @example(m=8, k=500, j=-500, snr_db=3000.0, pair="aligned", seed=4)
 @example(m=2, k=0, j=-263, snr_db=0.0, pair="random", seed=1)
-# both sides of balanced_uplink's switch, where 1 / q~1 overflows: q~1 just
-# above 2^-1024, and just below it, where t read 0; an optimum of 3 * 2^-1074,
-# and one below the float's underflow, which reads 0
+# an optimum just above 2^-1024 and one just below it, where it once read
+# 0; an optimum of 3 * 2^-1074, and one below the float's underflow, which
+# reads 0
 @example(m=3, k=-20, j=-500, snr_db=40.0, pair="random", seed=0)
 @example(m=3, k=-20, j=-500, snr_db=36.0, pair="random", seed=0)
 @example(m=3, k=-45, j=-500, snr_db=43.0, pair="random", seed=0)
 @example(m=3, k=-45, j=-500, snr_db=20.0, pair="random", seed=0)
+# norms 2^533 apart, where the weak user's squared coordinates were once
+# subnormal and the design balanced the wrong channel
+@example(m=3, k=0, j=-533, snr_db=0.0, pair="random", seed=3)
+@example(m=3, k=0, j=-533, snr_db=1000.0, pair="random", seed=3)
 def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
     # h1 scaled by 2^k, h2 by 2^(k + j), and 0 to 3000 dB: the reported
     # SINRs reach t_star on the budget with nothing over- or underflowing
@@ -288,7 +299,8 @@ def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
     # range, so never an exactly parallel pair, whose optimum is below 1.
     # A "parallel" pair is parallel only to rounding; an "aligned" one lies
     # on the first axis, where the span coordinates make it exactly
-    # parallel (b = 0).
+    # parallel (b = 0). Every channel entry stays a normal float.
+    assume(-1000 <= k + j <= 1000)
     rng = np.random.default_rng(seed)
     h1, h2 = random_pair(rng, m)
     if pair == "aligned":
@@ -302,12 +314,8 @@ def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
         warnings.simplefilter("error")
         try:
             sol = max_min_sinr(h1, h2, power)
-        except ContractViolationError:
-            # t_star overflows; where numpy's extended type is no wider
-            # than a float, so may power ||h||^2 / noise_var
-            top = max(log2_sum_sq(*h1), log2_sum_sq(*h2))
-            assert high > 1022 or (
-                not WIDE_LONGDOUBLE and math.log2(power) + top > 1022)
+        except ContractViolationError:            # t_star overflows
+            assert high > 1022
             return
     t = sol.t_star
     if t == 0.0 and j:
@@ -323,6 +331,10 @@ def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
     used = np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real
     assert used <= power * (1 + 1e-12)
     assert np.all(np.isfinite(sol.b1)) and np.all(np.isfinite(sol.b2))
+    if abs(j) > 500 and t < sys.float_info.min:
+        # past 2^500 apart, a subnormal optimum's beam gains are subnormal
+        # too, and keep too few bits to measure t
+        return
     if snr_db + 20 * max(k, k + j) * math.log10(2) <= 200:
         # up to 200 dB above the noise the beams themselves reach t. Of
         # unequal gains, to within the beams' rounding: a float beam and
@@ -336,3 +348,34 @@ def test_contract_at_every_scale(m, k, j, snr_db, pair, seed):
                 rounding = 8 * np.finfo(float).eps * np.linalg.norm(h) \
                     * np.linalg.norm(other) * leak / (leak ** 2 + 1)
             assert sinr(h, own, other, 1.0) >= t * (1 - 1e-9 - rounding)
+
+
+@pytest.mark.parametrize("m, k, j, snr_db, seed", [
+    (8, 27, -17, 20.95096565913349, 2919083145),
+    (2, 29, -15, 8.793014445107183, 2063397120),
+])
+def test_rounded_exact_beams_need_the_rounding_allowance(m, k, j, snr_db,
+                                                         seed):
+    # the optimal beams built in mpmath and rounded once to floats miss the
+    # strict gate t (1 - 1e-9) by more than 1e-7 here, measured exactly;
+    # they stay within test_contract_at_every_scale's allowance of
+    # 8 eps ||h_i|| ||b_j|| leak / (leak^2 + 1), and so do max_min_sinr's
+    # beams. The allowance is the limit of any float beam, not of the
+    # construction
+    rng = np.random.default_rng(seed)
+    h1, h2 = random_pair(rng, m)
+    h1, h2 = math.ldexp(1.0, k) * h1, math.ldexp(1.0, k + j) * h2
+    power = 10.0 ** (snr_db / 10.0)
+    b1, b2, t = exact_max_min_beams(h1, h2, power)
+    sol = max_min_sinr(h1, h2, power)
+    assert sol.t_star == pytest.approx(float(t), rel=1e-14)
+    shortfall = []
+    for h, own, other, sol_own, sol_other in ((h1, b1, b2, sol.b1, sol.b2),
+                                              (h2, b2, b1, sol.b2, sol.b1)):
+        leak = abs(np.vdot(h, other))
+        rounding = 8 * np.finfo(float).eps * np.linalg.norm(h) \
+            * np.linalg.norm(other) * leak / (leak ** 2 + 1)
+        shortfall.append(float(1 - exact_sinr(h, own, other) / t))
+        assert shortfall[-1] <= 1e-9 + rounding
+        assert exact_sinr(h, sol_own, sol_other) >= t * (1 - 1e-9 - rounding)
+    assert max(shortfall) > 1e-7
