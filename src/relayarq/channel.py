@@ -19,12 +19,9 @@ channels for the single-draw ``beamform-*`` commands and the demos.
 
 Randomness is counter-based: every (seed, context, index) key owns a
 disjoint Philox substream, with the seed as Philox's key and the context
-and index in two counter words above the one the stream counts in. The
-Monte Carlo engine keys a substream by what defines a round: the direct
-engine one per attempt, the relay engine one per run. Each stream is
-read in trial order, so a run with more trials draws a shorter run's
-values first, and how many trials a call draws at once changes none of
-them.
+and index in two counter words above the one the stream counts in. How
+the Monte Carlo engine keys and reads its substreams is set out in
+``simulate``.
 """
 
 import math
@@ -42,6 +39,17 @@ CTX_RELAY = 2
 CTX_GENERIC = 0
 
 
+def whole(value, name: str, low: int = 1) -> int:
+    """value as an int of at least low: an integer (True is 1) or a float
+    with no fractional part; anything else, nan and inf included, raises."""
+    if not (isinstance(value, numbers.Integral)
+            or float(value).is_integer()):
+        raise ContractViolationError(f"{name} must be a whole number")
+    if value < low:
+        raise ContractViolationError(f"{name} must be at least {low}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-cell downlink.
@@ -49,14 +57,15 @@ class SystemConfig:
     N            BS antennas per cell
     M            relay antennas
     P            per-BS transmit power
-    Pr_single    relay power when retransmitting for one user (default P)
-    Pr_multi     relay power when retransmitting for both users (default 2P)
     noise_var    receiver noise variance sigma^2
     var_direct   own-cell channel variance sigma1^2
     var_cross    cross-cell channel variance sigma2^2
     var_relay    relay channel variance sigma3^2
     rate         target rate R in bits per channel use
     retx         total transmission attempts L (first try plus retries)
+
+    The relay spends ``Pr_single`` = P on one user and ``Pr_multi`` = 2P on
+    two; the verdicts read them only times var_relay.
     """
 
     N: int
@@ -68,30 +77,18 @@ class SystemConfig:
     var_relay: float
     rate: float
     retx: int = 2
-    Pr_single: float = None  # type: ignore[assignment]
-    Pr_multi: float = None   # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.Pr_single is None:
-            object.__setattr__(self, "Pr_single", float(self.P))
-        if self.Pr_multi is None:
-            pr_multi = 2.0 * float(self.P)
-            if math.isfinite(self.P) and not math.isfinite(pr_multi):
-                raise ContractViolationError(
-                    f"multiuser relay power 2P overflows at P = {self.P:g}")
-            object.__setattr__(self, "Pr_multi", pr_multi)
         # nan compares False against every bound below, so it is caught here
         if not all(math.isfinite(x) for x in (
                 self.P, self.noise_var, self.var_direct, self.var_cross,
-                self.var_relay, self.rate, self.Pr_single, self.Pr_multi)):
+                self.var_relay, self.rate)):
             raise ContractViolationError("parameters must be finite numbers")
+        if math.isinf(2.0 * float(self.P)):
+            raise ContractViolationError(
+                f"multiuser relay power 2P overflows at P = {self.P:g}")
         for name in ("N", "M", "retx"):       # counts, kept as int
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) or float(v).is_integer()):
-                raise ContractViolationError(f"{name} must be a whole number")
-            object.__setattr__(self, name, int(v))
-        if self.N < 1 or self.M < 1:
-            raise ContractViolationError("antenna counts must be at least 1")
+            object.__setattr__(self, name, whole(getattr(self, name), name))
         if self.P <= 0 or self.noise_var <= 0:
             raise ContractViolationError("powers and noise variance must be positive")
         if min(self.var_direct, self.var_cross, self.var_relay) < 0:
@@ -102,10 +99,6 @@ class SystemConfig:
             raise ContractViolationError(
                 f"rate must be below {sys.float_info.max_exp} bits per "
                 "channel use")
-        if self.retx < 1:
-            raise ContractViolationError("attempt budget must be at least 1")
-        if self.Pr_single <= 0 or self.Pr_multi <= 0:
-            raise ContractViolationError("relay powers must be positive")
 
     @classmethod
     def at_snr(cls, snr_db: float, *, noise_var: float,
@@ -119,6 +112,16 @@ class SystemConfig:
         return cls(P=noise_var * ratio, noise_var=noise_var, **kw)
 
     @property
+    def Pr_single(self) -> float:
+        """Relay power when retransmitting for one user: P."""
+        return float(self.P)
+
+    @property
+    def Pr_multi(self) -> float:
+        """Relay power when retransmitting for both users: 2P."""
+        return 2.0 * float(self.P)
+
+    @property
     def sinr_threshold(self) -> float:
         """gamma = 2^R - 1."""
         return 2.0 ** self.rate - 1.0
@@ -126,13 +129,13 @@ class SystemConfig:
 
 def substream(seed: int, context: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, context, index) key; the
-    seed is Philox's 64-bit key, so it must lie in [0, 2^64)."""
-    if not 0 <= int(seed) < 2 ** 64:
+    seed is Philox's 64-bit key, a whole number in [0, 2^64)."""
+    if not 0 <= seed < 2 ** 64:
         raise ContractViolationError(
             f"seed must lie in [0, 2^64), not {seed}")
+    key = whole(seed, "seed", low=0)
     counter = (int(context) << 128) + (int(index) << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed),
-                                                counter=counter))
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def cn(rng: np.random.Generator, shape, var) -> np.ndarray:

@@ -6,12 +6,14 @@ class RelayArqError(Exception):
 
 
 class DimensionError(RelayArqError):
-    """Array shapes are inconsistent with the requested operation."""
+    """Two channel vectors given to a relay design differ in length."""
 
 
 class ContractViolationError(RelayArqError):
-    """An input fails a structural requirement (e.g. not Hermitian, not PSD)."""
+    """A parameter, count, seed or preset is out of range, or a relay
+    design's gain or SINR overflows a float."""
 
 
 class DegenerateInputError(RelayArqError):
-    """An input is valid in shape but degenerate in value (e.g. zero channel)."""
+    """The single-user design has under two relay antennas or a budget that
+    is not positive. A zero channel is an outcome, not an error."""

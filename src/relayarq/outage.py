@@ -29,7 +29,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .channel import SystemConfig
+from .channel import SystemConfig, whole
 from .errors import ContractViolationError
 from .linalg import ratio
 
@@ -85,8 +85,7 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     """
     if not kappa >= 0:
         raise ContractViolationError("kappa must be at least 0")
-    if not (n >= 1 and float(n).is_integer()):
-        raise ContractViolationError("antenna count must be an integer >= 1")
+    n = whole(n, "n")
     if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
     mu = 1.0 / kappa if kappa else math.inf
@@ -126,10 +125,9 @@ def arq_outage(p_single: float, attempts: int) -> float:
     """Outage after an attempt budget with independent fading per attempt.
 
     Every attempt fails independently with probability p_single, so the
-    message is lost iff all of them fail.
+    message is lost iff all of them fail. The budget is a count, read as
+    ``channel.whole`` reads it.
     """
     if not 0.0 <= p_single <= 1.0:
         raise ContractViolationError("per-attempt outage must lie in [0, 1]")
-    if attempts < 1:
-        raise ContractViolationError("attempt budget must be at least 1")
-    return float(p_single ** attempts)
+    return float(p_single ** whole(attempts, "attempts"))

@@ -11,18 +11,16 @@ message while nulling the other user, whose base station is meanwhile
 serving fresh traffic (that fresh message is not scored); the failed user's
 own base station stays silent. If both users failed, the base stations go
 silent and the relay retransmits both messages at the max-min SINR design.
-The relay is assumed to decode the first round perfectly. A zero relay
-channel (``var_relay = 0``) reaches nobody, so the retransmission then
-fails.
+The relay is assumed to decode the first round perfectly. It spends P on
+one user and 2P on two, and its power enters only times var_relay, so a
+relay-power study is a var_relay study; the design functions take any
+budget. A zero relay channel (``var_relay = 0``) reaches nobody, so the
+retransmission then fails.
 
-Both protocols see a base-station link only through its power gain, and
-both relay designs see a pair of relay links only through three
-independent Gamma variates, so the engine draws BS links as Gamma(N, 1)
-gains (``channel.draw_bs_channels``) and a relay trial as its row of
-unit Gamma statistics (``channel.draw_relay_stats``). It never builds a
-channel vector, and no draw reads a variance: only the verdicts here do,
-as ratios formed by ``linalg.ratio``, where a 0 or inf is the right
-verdict.
+The engine draws BS links as unit Gamma(N, 1) gains and a relay trial
+as its row of unit Gamma statistics (``channel``), never a channel
+vector. No draw reads a variance: only the verdicts here do, as ratios
+formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
 
 Randomness is keyed by what defines a round: attempt a of every direct
 trial comes from the substream (seed, CTX_DIRECT, a), drawn ``BLOCK``
@@ -43,27 +41,23 @@ keeps the per-trial floats of its last run, keyed by exactly what they
 depend on; a point whose key matches draws nothing and only judges.
 ``clear_memos`` forgets both.
 
-* Direct: a round succeeds when the margin own - kappa cross of its
-  unit gains reaches the floor gamma N sigma^2 / (var_direct P), with
-  kappa = gamma var_cross / var_direct; the margin does not depend on P,
-  sigma^2 or the variances' common scale. The memo holds each message's
-  best margin over its attempts, 16 bytes per trial, keyed by (seed,
-  trials, N, kappa), with the number of attempts it covers. A larger
-  budget draws only its further attempts and keeps the max of their
-  margins and the memo's; a smaller one draws again from attempt 0.
-  Figure 1 therefore runs its attempt budgets L in the outer loop,
-  in rising order, and SNR in the inner one, so its four curves draw 10
-  attempts per trial between them; its rows are put back in SNR-major
-  order, but its progress lines come L-major.
+* Direct: a round succeeds when the unit margin own - kappa cross
+  reaches the floor (``outage.direct_test``); the margin does not depend
+  on P, sigma^2 or the variances' common scale. The memo holds each
+  message's best margin over its attempts, 16 bytes per trial, keyed by
+  (seed, trials, N, kappa), with the number of attempts it covers. A
+  larger budget draws only its further attempts and keeps the max of
+  their margins and the memo's; a smaller one draws again from attempt
+  0. Figure 1 therefore runs its budgets L in rising order in the outer
+  loop, so its four curves draw 10 attempts per trial between them; its
+  rows come SNR-major, its progress lines L-major.
 * Relay: a trial is judged from STATS = 9 unit-variance floats, 72
   bytes, none of which depends on the rate, the powers, the noise or the
   variances: the 4 round-1 BS gains, the 2 round-2 cross gains
   e2[f, 1 - f] a failed user f would see, and the relay links' unit A,
   B and C (``channel.draw_relay_stats``). The memo is keyed by (seed,
   trials, N, M), so figure 2's rate sweep, any SNR grid or a sweep over
-  the variances draws once. ``judge_relay`` takes unit statistics and
-  divides each test through by the noise, by P or by var_relay, so no
-  absolute scale enters.
+  the variances draws once.
 """
 
 import math
@@ -73,7 +67,7 @@ import numpy as np
 
 from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig, _A, _B,
                       _C, _E1, _Y, draw_bs_channels, draw_relay_stats,
-                      substream)
+                      substream, whole)
 from .errors import ContractViolationError
 from .linalg import ratio
 from .outage import (arq_outage, direct_test, outage_interference_n3,
@@ -159,16 +153,11 @@ def clear_memos():
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Best margin over the attempts [0, cfg.retx) of every (trial, user),
-    float (trials, 2), read-only.
-
-    Memoised on (seed, trials, N, kappa), with the attempt count the
-    memo covers: the same count returns the memo, a larger one draws
-    only the attempts the memo lacks into a fresh copy of it, and a
-    smaller one draws again from attempt 0. Attempt a of every trial
-    comes from one substream, drawn BLOCK rounds at a time.
+    float (trials, 2), read-only, memoised as the module docstring's
+    Direct item sets out; a larger budget extends a fresh copy of the
+    memo. Attempt a of every trial comes from one substream.
     """
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
+    trials = whole(trials, "trials")
     kappa = direct_test(cfg)[0]
     key = (seed, trials, cfg.N, kappa)
     memo = _memos.get("direct")
@@ -196,10 +185,12 @@ def simulate_direct(cfg: SystemConfig, trials: int,
     """Interference-limited direct ARQ outage, pooled over both users.
 
     A message is lost when its best margin falls below the floor.
+    ``trials`` is a whole number of at least 1: a whole float runs as its
+    int and True as 1 trial; anything else raises ContractViolationError.
     """
     margins = _best_margins(cfg, seed, trials)
     fails = np.count_nonzero(margins < direct_test(cfg)[1])
-    return OutageEstimate(trials=2 * trials, failures=int(fails))
+    return OutageEstimate(trials=2 * len(margins), failures=int(fails))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +217,9 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
         n2 = b + c                        # ||g2||^2 / var_relay
 
         # one user f failed: the relay zero-forces toward the other user
-        # while that user's BS serves fresh traffic. Its unit gain X is B
-        # for f = 1 and A B / (B + C) for f = 0, or A where g2 = 0 leaves
-        # nothing to null. The SINR test is divided through by P var_relay.
+        # while that user's BS serves fresh traffic, both at power P. Its
+        # unit gain X is B for f = 1, A B / (B + C) for f = 0, or A where
+        # g2 = 0 leaves nothing to null; the test is divided by P var_relay.
         # A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
         user2_failed = ok[:, 0]
         beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
@@ -238,10 +229,10 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
         if cfg.var_relay:
             kappa = ratio((gamma, cfg.var_cross), (cfg.N, cfg.var_relay))
             floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
-            single_ok = (cfg.Pr_single / cfg.P) * x - kappa * y >= floor
+            single_ok = x - kappa * y >= floor
 
         # both failed: both messages ride the relay at the balanced SINR
-        # t of u = power / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
+        # t of u = 2P / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
         # A zero channel leaves t at 0, or NaN where 0 / 0 or inf * 0 forms
         # u; neither rescues anyone at a positive rate
         rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
@@ -256,8 +247,7 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Statistics of every relay trial, float (trials, STATS), read-only,
     all from one substream, memoised on (seed, trials, N, M)."""
-    if trials < 1:
-        raise ContractViolationError("trials must be at least 1")
+    trials = whole(trials, "trials")
     key = (seed, trials, cfg.N, cfg.M)
     memo = _memos.get("relay")
     if memo is not None and memo[0] == key:
@@ -275,10 +265,12 @@ def simulate_relay(cfg: SystemConfig, trials: int,
 
     The trials are judged JUDGE_ROWS at a time from their memoised
     statistics, so a sweep over all but (seed, trials, N, M) draws once.
+    ``trials`` is read as ``simulate_direct`` reads it.
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
     stats = _relay_stats(cfg, seed, trials)
+    trials = len(stats)
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, JUDGE_ROWS):
@@ -324,8 +316,9 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
     fig1: direct ARQ vs SNR for several attempt budgets, analytic next to
     Monte Carlo. fig2: single-user bound, direct ARQ, and relay ARQ over a
     rate sweep at 40 dB. fig3: relay ARQ over relay array sizes at 20 dB,
-    rate 6, with the single-user bound as reference. ``progress`` is an
-    optional callable fed one status string per grid point.
+    rate 6, with the single-user bound as reference. ``trials`` is as in
+    ``simulate_direct``; ``progress``, if given, is fed one status string
+    per grid point.
     """
     note = progress if progress is not None else (lambda msg: None)
     if preset == "fig1":

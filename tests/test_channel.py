@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -59,7 +61,6 @@ def test_default_multiuser_relay_power_must_not_overflow():
     with pytest.raises(ContractViolationError, match="relay power 2P"):
         SystemConfig.at_snr(3080.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                             var_cross=1.0, var_relay=4.0, rate=2.0)
-    assert make_cfg(P=1e308, Pr_multi=1.0).Pr_multi == 1.0
 
 
 def test_relay_power_defaults():
@@ -68,9 +69,21 @@ def test_relay_power_defaults():
     assert cfg.Pr_multi == 100.0
 
 
-def test_relay_power_overrides():
-    cfg = make_cfg(Pr_single=7.0, Pr_multi=9.0)
-    assert (cfg.Pr_single, cfg.Pr_multi) == (7.0, 9.0)
+def test_config_holds_only_the_run_parameters():
+    # the relay budgets are P and 2P, not fields: they cannot be set, and
+    # they follow P through dataclasses.replace
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == [
+        "N", "M", "P", "noise_var", "var_direct", "var_cross", "var_relay",
+        "rate", "retx"]
+    with pytest.raises(TypeError):
+        make_cfg(Pr_single=1.0)
+    with pytest.raises(TypeError):
+        make_cfg(Pr_multi=1.0)
+    for p in (1e-300, 0.5, 1000.0, 8e307):
+        cfg = dataclasses.replace(make_cfg(), P=p)
+        assert (cfg.Pr_single, cfg.Pr_multi) == (p, 2 * p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        make_cfg().Pr_single = 1.0
 
 
 def test_sinr_threshold():
@@ -81,10 +94,10 @@ def test_sinr_threshold():
 @pytest.mark.parametrize("kw", [
     dict(N=0), dict(M=0), dict(P=0.0), dict(noise_var=0.0),
     dict(var_direct=-1.0), dict(rate=-0.5), dict(retx=0),
-    dict(Pr_single=-1.0),
+    dict(P=1e308),
     dict(P=NAN), dict(P=INF), dict(noise_var=NAN), dict(var_direct=INF),
     dict(var_cross=NAN), dict(var_relay=INF), dict(rate=NAN), dict(rate=INF),
-    dict(Pr_single=NAN), dict(Pr_multi=INF), dict(Pr_multi=NAN),
+    dict(noise_var=-1.0), dict(var_relay=-1.0), dict(M=INF),
     dict(rate=1024.0),
     dict(N=2.5), dict(M=2.5), dict(retx=2.5), dict(N=NAN), dict(retx=INF),
 ])
@@ -101,13 +114,18 @@ def test_counts_are_whole_numbers_kept_as_int():
 
 def test_substream_refuses_seeds_outside_64_bits():
     # the seed is Philox's 64-bit key: -1 would alias 2^64 - 1, and 2^64
-    # would alias 0
-    for seed in (-1, 2 ** 64, -2 ** 64):
-        with pytest.raises(ContractViolationError):
+    # would alias 0. It is a whole number too: 2.5 and 2.9 once ran as
+    # seed 2
+    for seed in (-1, 2 ** 64, -2 ** 64, 2.5, 2.9, NAN, INF, -INF):
+        with pytest.raises(ContractViolationError, match="seed"):
             substream(seed, CTX_DIRECT, 0)
     top = substream(2 ** 64 - 1, CTX_DIRECT, 0).standard_normal(5)
     assert not np.array_equal(
         top, substream(0, CTX_DIRECT, 0).standard_normal(5))
+    # a whole float runs as its int
+    for seed, key in ((2.0, 2), (np.float64(2.0), 2), (2.0 ** 63, 2 ** 63)):
+        assert np.array_equal(substream(seed, CTX_DIRECT, 0).random(5),
+                              substream(key, CTX_DIRECT, 0).random(5))
 
 
 def test_substream_reproducible():

@@ -218,7 +218,7 @@ def _forbid_library_calls(monkeypatch):
 ])
 def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
                                                 needle):
-    # 2^R, 10^(SNR/10) and the default Pr_multi = 2P past the double range
+    # 2^R, 10^(SNR/10) and the multiuser relay power 2P past the double range
     # are config errors, caught when the config is built
     _forbid_library_calls(monkeypatch)
     code, out, err = run_cli(capsys, *argv)

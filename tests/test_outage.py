@@ -319,12 +319,12 @@ def test_laws_do_not_depend_on_the_channel_scale(k):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(-1020, 998))
 # the ends of the range where P = 2^(k + 24.1) stays a normal float, so
-# scaling it is exact, and Pr_multi = 2P finite
+# scaling it is exact, and the relay power 2P finite
 @example(k=-1020)
 @example(k=998)
 def test_laws_do_not_depend_on_the_power_scale(k):
-    # P, the noise and both relay powers times 2^k: the same system
-    _laws_match_at_scale(("P", "noise_var", "Pr_single", "Pr_multi"), k)
+    # P and the noise times 2^k (the relay powers follow P): the same system
+    _laws_match_at_scale(("P", "noise_var"), k)
 
 
 # ---------------------------------------------------------------------------
@@ -341,5 +341,8 @@ def test_arq_outage_powers():
 def test_arq_outage_validation():
     with pytest.raises(ContractViolationError):
         arq_outage(1.5, 2)
-    with pytest.raises(ContractViolationError):
-        arq_outage(0.5, 0)
+    # the budget is a count: 2.5 once gave p^2.5, and nan gave nan
+    for attempts in (0, 2.5, math.nan):
+        with pytest.raises(ContractViolationError):
+            arq_outage(0.5, attempts)
+    assert arq_outage(0.5, 2.0) == arq_outage(0.5, 2) == 0.25

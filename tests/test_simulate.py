@@ -213,9 +213,43 @@ def test_direct_seed_sensitivity():
 
 
 def test_direct_validates_trials():
-    for engine in (simulate_direct, simulate_relay):
+    # a fractional, nan or infinite count once died with a TypeError
+    # inside numpy
+    for trials in (0, 2.5, math.nan, math.inf, -math.inf):
+        for engine in (simulate_direct, simulate_relay):
+            with pytest.raises(ContractViolationError, match="trials"):
+                engine(make_cfg(), trials=trials, seed=0)
         with pytest.raises(ContractViolationError, match="trials"):
-            engine(make_cfg(), trials=0, seed=0)
+            run_experiment("fig2", trials=trials, seed=0)
+
+
+def test_engines_run_a_whole_float_count_as_its_int():
+    cfg = make_cfg(P=10.0)
+    for engine in (simulate_direct, simulate_relay):
+        simulate.clear_memos()
+        want = engine(cfg, trials=300, seed=4)
+        simulate.clear_memos()
+        assert engine(cfg, trials=300.0, seed=4) == want
+        assert engine(cfg, trials=np.float64(300.0), seed=4) == want
+        # True is the count 1
+        simulate.clear_memos()
+        assert engine(cfg, trials=True, seed=4) \
+            == engine(cfg, trials=1, seed=4)
+    assert simulate_direct(cfg, trials=True, seed=4).trials == 2
+
+
+def test_engines_refuse_seeds_that_are_not_whole():
+    # a fractional seed once ran as its truncation: 2.5 and 2.9 both
+    # returned seed 2's table
+    cfg = make_cfg(P=10.0)
+    for engine in (simulate_direct, simulate_relay):
+        for seed in (2.5, 2.9, math.nan, math.inf):
+            simulate.clear_memos()
+            with pytest.raises(ContractViolationError, match="seed"):
+                engine(cfg, trials=300, seed=seed)
+        simulate.clear_memos()
+        assert engine(cfg, trials=300, seed=2.0) \
+            == engine(cfg, trials=300, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +275,9 @@ def test_relay_trial_mode_none_when_rate_trivial():
 
 def test_relay_trial_mode_multi_when_direct_hopeless():
     # no direct power to speak of: both users always fail round one, and the
-    # relay (with plenty of power) carries both
-    cfg = make_cfg(P=1e-9, Pr_multi=1e6, Pr_single=1e3, rate=2.0)
+    # relay (with plenty of power) carries both: 2P var_relay = 4e6, as a
+    # strong relay channel
+    cfg = make_cfg(P=1e-9, var_relay=2e15, rate=2.0)
     out = relay_verdicts(cfg, seed=9)
     assert (out.mode == MODES.index(MODE_MULTI)).all()
     assert not out.round1.any()
@@ -450,7 +485,6 @@ def test_memo_memory_is_16_bytes_per_trial():
     ("seed", 20), ("trials", 2 * BLOCK + 3), ("N", 2), ("M", 5),
     ("var_direct", 3.0), ("var_cross", 0.5), ("var_relay", 1.0),
     ("rate", 4.0), ("P", 30.0), ("noise_var", 0.25), ("retx", 3),
-    ("Pr_single", 7.0), ("Pr_multi", 90.0),
 ])
 def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     keyed = field in ("seed", "trials", "N", "M")
@@ -577,17 +611,18 @@ _FIG2_R4_STATS = draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(-1074, 1009))
-# the ends of the valid range: the noise 2^k must be positive, and
-# Pr_multi = 2^(k + 14.3) finite
+# the ends of the valid range: the noise 2^k must be positive, and the
+# multiuser relay power 2P = 2^(k + 14.3) finite
 @example(k=-1074)
 @example(k=1009)
 def test_verdicts_do_not_depend_on_the_power_scale(k):
-    # multiplying P, noise_var and both relay powers by 2^k keeps every
-    # ratio the verdicts read, so no verdict may change, subnormal scales
-    # included, and nothing may over- or underflow into a warning
+    # multiplying P and noise_var by 2^k (the relay powers P and 2P follow
+    # P) keeps every ratio the verdicts read, so no verdict may change,
+    # subnormal scales included, and nothing may over- or underflow into a
+    # warning
     cfg = dataclasses.replace(
         _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
-                     for f in ("P", "noise_var", "Pr_single", "Pr_multi")})
+                     for f in ("P", "noise_var")})
     want = judge_relay(_FIG2_R4, _FIG2_R4_STATS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
