@@ -17,7 +17,7 @@ from .outage import (arq_outage, cdf_diff_exp, outage_interference_n3,
                      outage_single_user)
 from .relay_multi import MultiBeamformer, balanced_sinr, max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
-from .simulate import (BLOCK, OutageEstimate, RelayEstimate, RelayVerdicts,
+from .simulate import (OutageEstimate, RelayEstimate, RelayVerdicts,
                        judge_relay, run_experiment, simulate_direct,
                        simulate_relay)
 

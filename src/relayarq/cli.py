@@ -29,13 +29,15 @@ Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
 Floats are printed with 17 significant digits, so equal runs produce
 byte-identical files. A flat ``key = value`` config file can hold any
-run parameter in ``PARAMS``; command-line flags override it. ``-o`` and
-``--dump-config`` must name a file in an existing directory, which is
-checked before any work. So are the ceilings: ``--n``/``--m`` at most
-MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
-MAX_TRIALS (the engine's memos stay under 1 GiB), an SNR grid of at
-most MAX_GRID_POINTS points, counted before it is built, and the one SNR
-a beamform command takes. The ``--dump-config`` file is written only
+run parameter in ``PARAMS``; command-line flags override it, and
+``--dump-config`` writes one that reruns the same run (``_load_config``
+says what is a comment). ``-o`` and ``--dump-config`` must name a file
+in an existing directory, which is checked before any work. So are the
+ceilings: ``--n``/``--m`` at most MAX_ANTENNAS, ``--retx`` at most
+MAX_ATTEMPTS, ``--trials`` at most MAX_TRIALS (each engine holds one
+memo and frees it before drawing the next, so the memos stay under
+1 GiB), an SNR grid of at most MAX_GRID_POINTS points, counted before it
+is built, and the one SNR a beamform command takes. The ``--dump-config`` file is written only
 once the run has succeeded. ``--threads`` (at least 1) is accepted so
 that older command lines and config files still run, and has no effect:
 the engine draws every run on the calling thread. Exit codes: 0 success,
@@ -98,22 +100,26 @@ def _coerce(key: str, text: str):
 
 
 def _load_config(path: str) -> dict:
+    """Run parameters from a ``key = value`` file, as ``_config_text``
+    writes them. A line whose first non-blank character is ``#`` is a
+    comment; so is the rest of a line from a ``#`` on, except in
+    ``output``, whose value is a path and runs to the end of its line."""
     out = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}")
     for ln, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, eq, val = map(str.strip, raw.partition("="))
+        if key.startswith("#") or not (key or eq):
             continue
-        if "=" not in line:
+        if not eq:
             raise ConfigError(f"{path}:{ln}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
         if key not in PARAMS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        out[key] = _coerce(key, val.strip())
+        value = val if key == "output" else val.split("#", 1)[0].strip()
+        out[key] = _coerce(key, value)
     return out
 
 

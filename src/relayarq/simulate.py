@@ -23,11 +23,12 @@ vector. No draw reads a variance: only the verdicts here do, as ratios
 formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
 
 Randomness is keyed by what defines a round: attempt a of every direct
-trial comes from the substream (seed, CTX_DIRECT, a), drawn ``BLOCK``
-rounds at a time, and every relay trial of a run from (seed, CTX_RELAY,
-0), in one draw. A block only bounds the direct engine's temporaries, so
-no output depends on its length, and both engines are prefix-stable: a
-run with more trials holds a shorter run's rows in its first rows.
+trial comes from the substream (seed, CTX_DIRECT, a), drawn in passes of
+at most ``PASS_ROWS`` rounds, and every relay trial of a run from (seed,
+CTX_RELAY, 0), in one draw judged ``PASS_ROWS`` trials at a time. A pass
+only bounds an engine's temporaries, so no output depends on its length,
+and both engines are prefix-stable: a run with more trials holds a
+shorter run's rows in its first rows.
 
 Grid sweeps reuse the same seed at every point: common random numbers
 across a curve, fresh draws within each trial. Attempt budgets share
@@ -38,8 +39,11 @@ budget.
 
 Both engines reuse those common draws instead of redrawing them. Each
 keeps the per-trial floats of its last run, keyed by exactly what they
-depend on; a point whose key matches draws nothing and only judges.
-``clear_memos`` forgets both.
+depend on; a point whose key matches draws nothing and only judges. One
+memory rule holds: an engine holds one memo, and a miss frees it before
+the next is allocated, so a CLI run holds at most 2 + STATS floats per
+trial (``MAX_TRIALS``) besides one pass of temporaries. ``clear_memos``
+forgets both.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
   reaches the floor (``outage.direct_test``); the margin does not depend
@@ -74,8 +78,7 @@ from .outage import (arq_outage, direct_test, outage_interference_n3,
                      outage_single_user)
 from .relay_multi import balanced_sinr
 
-BLOCK = 256               # direct rounds drawn per call
-JUDGE_ROWS = 16 * BLOCK   # relay trials judged per array pass
+PASS_ROWS = 4096          # direct rounds drawn, relay trials judged per pass
 
 MODE_NONE = "none"
 MODE_SINGLE = "single-user"
@@ -136,13 +139,15 @@ def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
     return e[:, 0::3] - kappa * e[:, 1:3]
 
 
-# engine -> its last run's memo entry, replaced whole and never written
-# in place, so concurrent callers racing on it at worst repeat a draw
+# engine -> its last run's memo entry, taken out while a point runs and
+# put back whole; a memo's array is never written once stored
 _memos = {}
 # the most trials whose two memos, 2 direct margins and STATS relay floats
 # of 8 B each per trial (the relay draw writes its rows in place), stay
-# under 1 GiB; extending the direct memo to a larger attempt budget holds
-# a second copy of it for a while
+# under 1 GiB. A miss frees its engine's memo before drawing the next, so
+# no run holds more. Extending the direct memo to a larger attempt budget
+# copies it, as a returned array never changes: 16 B per trial more for
+# that copy, which the CLI makes only in figure 1, with no relay memo held
 MAX_TRIALS = 2 ** 30 // (8 * (2 + STATS))
 
 
@@ -151,31 +156,30 @@ def clear_memos():
     _memos.clear()
 
 
-def _best_margins(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
-    """Best margin over the attempts [0, cfg.retx) of every (trial, user),
-    float (trials, 2), read-only, memoised as the module docstring's
-    Direct item sets out; a larger budget extends a fresh copy of the
-    memo. Attempt a of every trial comes from one substream.
+def _best_margins(cfg: SystemConfig, seed: int, trials: int,
+                  kappa: float) -> np.ndarray:
+    """Best margin own - kappa cross over the attempts [0, cfg.retx) of
+    every (trial, user), float (trials, 2), read-only, memoised as the
+    module docstring's Direct item sets out; a larger budget extends a
+    fresh copy of the memo. Attempt a of every trial comes from one
+    substream.
     """
     trials = whole(trials, "trials")
-    kappa = direct_test(cfg)[0]
     key = (seed, trials, cfg.N, kappa)
-    memo = _memos.get("direct")
-    if memo is not None and memo[0] == key and memo[1] <= cfg.retx:
-        if memo[1] == cfg.retx:
-            return memo[2]
-        first, rows = memo[1], memo[2].copy()
-    else:
-        first, rows = 0, np.full((trials, 2), -np.inf)
-    with np.errstate(over="ignore"):
-        for attempt in range(first, cfg.retx):
-            rng = substream(seed, CTX_DIRECT, attempt)
-            for lo in range(0, trials, BLOCK):
-                best = rows[lo:lo + BLOCK]
-                margin = _direct_margin(
-                    draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
-                np.maximum(best, margin, out=best)
-    rows.flags.writeable = False
+    old, first, rows = _memos.pop("direct", (None, 0, None))
+    if old != key or first > cfg.retx:
+        first, rows = 0, None             # frees the old memo
+    if first < cfg.retx:
+        rows = rows.copy() if first else np.full((trials, 2), -np.inf)
+        with np.errstate(over="ignore"):
+            for attempt in range(first, cfg.retx):
+                rng = substream(seed, CTX_DIRECT, attempt)
+                for lo in range(0, trials, PASS_ROWS):
+                    best = rows[lo:lo + PASS_ROWS]
+                    margin = _direct_margin(
+                        draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
+                    np.maximum(best, margin, out=best)
+        rows.flags.writeable = False
     _memos["direct"] = (key, cfg.retx, rows)
     return rows
 
@@ -188,8 +192,10 @@ def simulate_direct(cfg: SystemConfig, trials: int,
     ``trials`` is a whole number of at least 1: a whole float runs as its
     int and True as 1 trial; anything else raises ContractViolationError.
     """
-    margins = _best_margins(cfg, seed, trials)
-    fails = np.count_nonzero(margins < direct_test(cfg)[1])
+    kappa, floor = direct_test(cfg)
+    margins = _best_margins(cfg, seed, trials, kappa)
+    fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < floor)
+                for lo in range(0, len(margins), PASS_ROWS))
     return OutageEstimate(trials=2 * len(margins), failures=int(fails))
 
 
@@ -249,12 +255,12 @@ def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     all from one substream, memoised on (seed, trials, N, M)."""
     trials = whole(trials, "trials")
     key = (seed, trials, cfg.N, cfg.M)
-    memo = _memos.get("relay")
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    rows = draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0),
-                            np.empty((trials, STATS)))
-    rows.flags.writeable = False
+    old, rows = _memos.pop("relay", (None, None))
+    if old != key:
+        rows = None                       # frees the old memo
+        rows = draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0),
+                                np.empty((trials, STATS)))
+        rows.flags.writeable = False
     _memos["relay"] = (key, rows)
     return rows
 
@@ -263,7 +269,7 @@ def simulate_relay(cfg: SystemConfig, trials: int,
                    seed: int) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round.
 
-    The trials are judged JUDGE_ROWS at a time from their memoised
+    The trials are judged PASS_ROWS at a time from their memoised
     statistics, so a sweep over all but (seed, trials, N, M) draws once.
     ``trials`` is read as ``simulate_direct`` reads it.
     """
@@ -273,8 +279,8 @@ def simulate_relay(cfg: SystemConfig, trials: int,
     trials = len(stats)
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
-    for lo in range(0, trials, JUDGE_ROWS):
-        out = judge_relay(cfg, stats[lo:lo + JUDGE_ROWS])
+    for lo in range(0, trials, PASS_ROWS):
+        out = judge_relay(cfg, stats[lo:lo + PASS_ROWS])
         counts[:2] += np.count_nonzero(~out.delivered, axis=0)
         counts[2:] += np.bincount(out.mode, minlength=3)
     fail_1, fail_2, *modes = map(int, counts)

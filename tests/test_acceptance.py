@@ -281,8 +281,8 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
     """Same seed and config give byte-identical CSV on every fresh draw.
 
     Each engine keys its substreams by what defines a round, never by a
-    block of trials, so neither a repeat run with the memos cleared nor
-    the block length ``simulate.BLOCK`` may change a byte. ``--threads``
+    pass of trials, so neither a repeat run with the memos cleared nor
+    the pass size ``simulate.PASS_ROWS`` may change a byte. ``--threads``
     is accepted and changes nothing.
     """
     commands = {
@@ -302,8 +302,8 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
         want = run(argv, name)
         assert want
         assert run(argv, f"{name}-again") == want
-        for block in (1, 7, 256):
-            monkeypatch.setattr(simulate, "BLOCK", block)
-            assert run(argv, f"{name}-block{block}") == want, (name, block)
+        for rows in (1, 7, 256):
+            monkeypatch.setattr(simulate, "PASS_ROWS", rows)
+            assert run(argv, f"{name}-pass{rows}") == want, (name, rows)
     assert run([*commands["relay"], "--threads", "4"], "threads") \
         == run(commands["relay"], "relay")

@@ -342,8 +342,11 @@ def test_analytic_any_antenna_count(capsys, n):
 # ---------------------------------------------------------------------------
 
 def test_config_file_applies(tmp_path, capsys):
+    # a line whose first non-blank character is "#" is a comment, and so
+    # is the rest of a line from a "#" on
     conf = tmp_path / "run.conf"
-    conf.write_text("rate = 3.0\nsnr_db = 0:10:5  # grid\n")
+    conf.write_text("# rate = 9\n  # snr_db = 40\n\nrate = 3.0#bits\n"
+                    "snr_db = 0:10:5  # grid\n")
     code, out, _ = run_cli(capsys, "analytic", "--config", str(conf))
     assert code == 0
     _, rows = parse_csv(out)
@@ -360,16 +363,6 @@ def test_flags_override_config(tmp_path, capsys):
                               "--rate", "2")
     _, plain, _ = run_cli(capsys, "analytic", "--snr-db", "0", "--rate", "2")
     assert with_flag == plain
-
-
-def test_config_round_trip(tmp_path, capsys):
-    dump = tmp_path / "dumped.conf"
-    code, first, _ = run_cli(capsys, "analytic", "--snr-db", "0:10:5",
-                             "--rate", "3", "--dump-config", str(dump))
-    assert code == 0
-    code, second, _ = run_cli(capsys, "analytic", "--config", str(dump))
-    assert code == 0
-    assert first == second
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -410,6 +403,32 @@ def test_flag_and_config_key_agree(tmp_path, capsys, monkeypatch, key):
     dumped = (tmp_path / "flag.conf").read_text()
     assert dumped == (tmp_path / "file.conf").read_text()
     assert f"{key} = {cli.PARAMS[key][0](value)}\n" in dumped
+
+
+def test_config_round_trip(tmp_path, capsys, monkeypatch):
+    # every run parameter away from its default survives a dump and a
+    # load, a path holding "#" too: every "#" once started a comment, so
+    # the reloaded run below wrote its table to "a" instead
+    monkeypatch.chdir(tmp_path)
+    sample = dict(SAMPLE, output="a #b#.csv")
+    argv = ["analytic", "--dump-config", "first.conf"]
+    for key, value in sample.items():
+        argv += [cli._flag(key), value]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    table = tmp_path / sample["output"]
+    first = table.read_bytes()
+    table.unlink()
+    assert cli._load_config("first.conf") == {
+        key: cli.PARAMS[key][0](value) for key, value in sample.items()}
+    code, _, _ = run_cli(capsys, "analytic", "--config", "first.conf",
+                         "--dump-config", "second.conf")
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["first.conf", "second.conf", sample["output"]])
+    assert table.read_bytes() == first
+    assert (tmp_path / "second.conf").read_text() \
+        == (tmp_path / "first.conf").read_text()
 
 
 def test_missing_config_exits_2(capsys):

@@ -16,7 +16,6 @@ from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, direct_test, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
-    BLOCK,
     MODE_MULTI,
     MODE_NONE,
     MODE_SINGLE,
@@ -30,8 +29,17 @@ from relayarq.simulate import (
 
 from _oracles import relay_gains, relay_trial_reference
 
-# a trial count that leaves the last block partial and gives 4 blocks
-ODD_TRIALS = 3 * BLOCK + 17
+# a pass size the tests patch into the engines (``small_pass``), so that
+# a few hundred trials cross pass boundaries, and a trial count that leaves
+# the last pass partial and gives 4 passes
+PASS = 256
+ODD_TRIALS = 3 * PASS + 17
+
+
+@pytest.fixture
+def small_pass(monkeypatch):
+    """Run both engines in passes of PASS rows."""
+    monkeypatch.setattr(simulate, "PASS_ROWS", PASS)
 
 
 def make_cfg(**kw):
@@ -64,7 +72,12 @@ def stats_of(cfg, e1, e2, g):
                             unit(relay_gains(g), cfg.var_relay)])
 
 
-def relay_verdicts(cfg, seed, trials=BLOCK):
+def best_margins(cfg, seed, trials):
+    """The engine's best direct margins, at cfg's own kappa."""
+    return simulate._best_margins(cfg, seed, trials, direct_test(cfg)[0])
+
+
+def relay_verdicts(cfg, seed, trials=PASS):
     """Draw the first ``trials`` relay trials of ``seed`` afresh and judge
     them."""
     simulate.clear_memos()
@@ -109,9 +122,10 @@ def test_direct_zero_rate_never_fails():
     assert est.p_hat == 0.0
 
 
+@pytest.mark.usefixtures("small_pass")
 def test_direct_block_layout():
     # attempt a of every trial draws one round of unit gains per trial
-    # from the substream keyed a, in one call here and BLOCK rounds at a
+    # from the substream keyed a, in one call here and PASS rounds at a
     # time in the engine; a loss is a message whose every round, at the
     # config's variances, falls short, judged here entry by entry
     cfg = make_cfg(P=10.0, retx=3)
@@ -131,14 +145,15 @@ def test_direct_block_layout():
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
 
 
+@pytest.mark.usefixtures("small_pass")
 @pytest.mark.parametrize("retx", [1, 3])
 def test_direct_margins_are_prefix_stable(retx):
     # each engine reads its substreams in trial order, so a trial's draws
     # do not depend on the trial count: 300 trials end in a partial
-    # block, 512 fill two, and each run is the first rows of the next,
+    # pass, 512 fill two, and each run is the first rows of the next,
     # for the direct margins and the relay statistics alike
     cfg = make_cfg(P=10.0, retx=retx)
-    for rows in (simulate._best_margins, simulate._relay_stats):
+    for rows in (best_margins, simulate._relay_stats):
         runs = []
         for trials in (300, 512, 2000):
             simulate.clear_memos()
@@ -260,7 +275,7 @@ def test_relay_trial_deterministic():
     cfg = make_cfg()
     a = relay_verdicts(cfg, seed=7)
     b = relay_verdicts(cfg, seed=7)
-    assert a.mode.shape == (BLOCK,) and a.delivered.shape == (BLOCK, 2)
+    assert a.mode.shape == (PASS,) and a.delivered.shape == (PASS, 2)
     assert np.array_equal(a.round1, b.round1)
     assert np.array_equal(a.mode, b.mode)
     assert np.array_equal(a.delivered, b.delivered)
@@ -308,10 +323,11 @@ def count_draws(monkeypatch, name="draw_bs_channels"):
     return calls
 
 
+@pytest.mark.usefixtures("small_pass")
 def test_second_point_of_a_curve_draws_nothing(monkeypatch):
     simulate.clear_memos()
     calls = count_draws(monkeypatch)
-    # one draw per block and attempt: 4 blocks, 2 attempts
+    # one draw per pass and attempt: 4 passes, 2 attempts
     simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
     assert len(calls) == 8
     for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0)):
@@ -320,17 +336,18 @@ def test_second_point_of_a_curve_draws_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 20), ("trials", 2 * BLOCK + 3), ("N", 2), ("var_direct", 3.0),
+    ("seed", 20), ("trials", 2 * PASS + 3), ("N", 2), ("var_direct", 3.0),
     ("var_cross", 0.5), ("rate", 1.5), ("retx", 3),
     ("P", 30.0), ("noise_var", 0.25), ("M", 5), ("var_relay", 1.0),
 ])
+@pytest.mark.usefixtures("small_pass")
 def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     keyed = field in ("seed", "trials", "N", "var_direct", "var_cross",
                       "rate", "retx")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, retx=2)
     simulate.clear_memos()
-    rows = simulate._best_margins(make_cfg(**cfg), **run)
+    rows = best_margins(make_cfg(**cfg), **run)
     assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, 2)
     (run if field in run else cfg)[field] = value
@@ -339,7 +356,7 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     # a key field draws afresh; P, noise_var and the relay fields hit,
     # and a hit returns the memo's own rows
     assert bool(calls) == keyed
-    assert (simulate._best_margins(make_cfg(**cfg), **run) is rows) != keyed
+    assert (best_margins(make_cfg(**cfg), **run) is rows) != keyed
     simulate.clear_memos()
     assert simulate_direct(make_cfg(**cfg), **run) == got
 
@@ -350,40 +367,40 @@ def test_best_margins_rise_with_the_attempt_budget():
     # drawn afresh
     cfg = make_cfg(P=10.0)
     simulate.clear_memos()
-    last = simulate._best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS)
+    last = best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS)
     for attempts in range(2, 11):
         simulate.clear_memos()
-        got = simulate._best_margins(dataclasses.replace(cfg, retx=attempts),
-                                     24, ODD_TRIALS)
+        got = best_margins(dataclasses.replace(cfg, retx=attempts), 24,
+                           ODD_TRIALS)
         assert np.all(got >= last), attempts
         assert np.any(got > last), attempts
         last = got
 
 
-@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.usefixtures("small_pass")
+@pytest.mark.parametrize("passes", [1, 3])
 @pytest.mark.parametrize("first, attempts", [
     (lo, hi) for hi in range(2, 6) for lo in range(1, hi)])
-def test_memo_extends_to_a_larger_budget(monkeypatch, blocks, first,
+def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
                                          attempts):
     # a memo at `first` attempts draws only the attempts it lacks, one
-    # draw per block, and gives the margins of a cleared run, bit for
-    # bit, in a fresh array; the last block is a partial one
-    trials = blocks * BLOCK - 17
+    # draw per pass, and gives the margins of a cleared run, bit for
+    # bit, in a fresh array; the last of the passes is partial
+    trials = passes * PASS - 17
     simulate.clear_memos()
-    want = simulate._best_margins(make_cfg(P=10.0, retx=attempts), 25,
-                                  trials)
+    want = best_margins(make_cfg(P=10.0, retx=attempts), 25, trials)
     simulate.clear_memos()
-    old = simulate._best_margins(make_cfg(P=10.0, retx=first), 25, trials)
+    old = best_margins(make_cfg(P=10.0, retx=first), 25, trials)
     kept = old.copy()
     calls = count_draws(monkeypatch)
-    got = simulate._best_margins(make_cfg(P=30.0, retx=attempts), 25,
-                                 trials)
-    assert len(calls) == blocks * (attempts - first)
+    got = best_margins(make_cfg(P=30.0, retx=attempts), 25, trials)
+    assert len(calls) == passes * (attempts - first)
     assert np.array_equal(got, want)
     assert got is not old and not got.flags.writeable
     assert np.array_equal(old, kept)
 
 
+@pytest.mark.usefixtures("small_pass")
 def test_smaller_budget_draws_afresh(monkeypatch):
     simulate.clear_memos()
     simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS, seed=26)
@@ -443,9 +460,9 @@ def test_memo_under_racing_callers():
     want = []
     for cfg in cfgs:
         simulate.clear_memos()
-        want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
+        want.append(simulate_direct(cfg, trials=2 * PASS, seed=23))
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * BLOCK, seed=23), want) == []
+        cfgs[i], trials=2 * PASS, seed=23), want) == []
 
 
 def test_memo_under_racing_budgets():
@@ -455,17 +472,17 @@ def test_memo_under_racing_budgets():
     want = []
     for cfg in cfgs:
         simulate.clear_memos()
-        want.append(simulate_direct(cfg, trials=2 * BLOCK, seed=23))
+        want.append(simulate_direct(cfg, trials=2 * PASS, seed=23))
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * BLOCK, seed=23), want) == []
+        cfgs[i], trials=2 * PASS, seed=23), want) == []
 
 
 def test_memo_memory_is_16_bytes_per_trial():
-    trials = 200_000
+    trials = 400_000
     cfg = make_cfg(P=10.0, retx=2)
-    block_gains = BLOCK * cfg.retx * 4 * 8
-    # slack: the bool mask a point counts failures with, and 64 KiB
-    slack = 2 * trials + 64 * 1024
+    # slack: one pass's temporaries, its gains, margins and the bool mask
+    # it counts failures with, up to 16 floats a row, and 64 KiB
+    slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     simulate.clear_memos()
     tracemalloc.start()
     try:
@@ -474,7 +491,7 @@ def test_memo_memory_is_16_bytes_per_trial():
     finally:
         tracemalloc.stop()
         simulate.clear_memos()
-    assert peak <= 16 * trials + block_gains + slack
+    assert peak <= 16 * trials + slack
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +499,11 @@ def test_memo_memory_is_16_bytes_per_trial():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 20), ("trials", 2 * BLOCK + 3), ("N", 2), ("M", 5),
+    ("seed", 20), ("trials", 2 * PASS + 3), ("N", 2), ("M", 5),
     ("var_direct", 3.0), ("var_cross", 0.5), ("var_relay", 1.0),
     ("rate", 4.0), ("P", 30.0), ("noise_var", 0.25), ("retx", 3),
 ])
+@pytest.mark.usefixtures("small_pass")
 def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     keyed = field in ("seed", "trials", "N", "M")
     run = dict(seed=19, trials=ODD_TRIALS)
@@ -519,13 +537,13 @@ def test_fig2_draws_its_relay_trials_once(monkeypatch):
 
 def test_fig1_builds_one_substream_per_attempt(monkeypatch):
     # its four curves draw attempts 0 to 9 between them, each attempt
-    # from one substream whatever the trial count, 4 blocks of it here
+    # from one substream whatever the trial count, in one pass here
     simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name)
                for name in ("substream", "draw_bs_channels")}
     run_experiment("fig1", trials=1000, seed=0)
     assert {k: len(v) for k, v in counted.items()} == dict(
-        substream=10, draw_bs_channels=40)
+        substream=10, draw_bs_channels=10)
 
 
 def test_variance_sweeps_draw_once(monkeypatch):
@@ -555,11 +573,11 @@ def test_relay_memo_under_racing_callers():
     want = []
     for cfg in cfgs:
         simulate.clear_memos()
-        want.append(simulate_relay(cfg, trials=2 * BLOCK, seed=23))
+        want.append(simulate_relay(cfg, trials=2 * PASS, seed=23))
 
     def run(i, j):
-        got = simulate_relay(cfgs[i], trials=2 * BLOCK, seed=23)
-        simulate_direct(cfgs[i], trials=BLOCK, seed=23)
+        got = simulate_relay(cfgs[i], trials=2 * PASS, seed=23)
+        simulate_direct(cfgs[i], trials=PASS, seed=23)
         return got
     assert race(run, want) == []
 
@@ -568,8 +586,8 @@ def test_relay_memo_memory_is_72_bytes_per_trial():
     trials = 200_000
     assert STATS == 9
     # the draw writes straight into the memo, at any M; the slack is the
-    # judge's temporaries, JUDGE_ROWS trials at a time, and 64 KiB
-    slack = simulate.JUDGE_ROWS * 16 * 8 + 64 * 1024
+    # judge's temporaries, PASS_ROWS trials at a time, and 64 KiB
+    slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     for m in (3, 5000):
         simulate.clear_memos()
         tracemalloc.start()
@@ -580,6 +598,33 @@ def test_relay_memo_memory_is_72_bytes_per_trial():
             tracemalloc.stop()
             simulate.clear_memos()
         assert peak <= 72 * trials + slack, m
+
+
+@pytest.mark.parametrize("step", ["rate", "antennas"])
+def test_a_sweep_step_holds_one_memo_per_engine(step):
+    # a point that misses its engine's memo frees it before drawing the
+    # next, so a fig2-style rate step (a new kappa, the direct key) and a
+    # fig3-style antenna step (a new relay key) never hold an old memo next
+    # to its successor: the peak is the 2 + STATS floats per trial that
+    # MAX_TRIALS is derived from, and 2 B per trial for a pass's
+    # temporaries (the old engine peaked at 104 and 144 B per trial)
+    trials = 400_000
+    if step == "rate":
+        cfgs = [make_cfg(rate=rate) for rate in (2.0, 3.0)]
+    else:
+        cfgs = [make_cfg(rate=6.0, M=m) for m in (2, 3)]
+    simulate.clear_memos()
+    tracemalloc.start()
+    try:
+        for cfg in cfgs:
+            if step == "rate":
+                simulate_direct(cfg, trials=trials, seed=32)
+            simulate_relay(cfg, trials=trials, seed=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate.clear_memos()
+    assert peak <= ((2 + STATS) * 8 + 2) * trials
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +651,7 @@ def test_relay_outage_does_not_depend_on_the_noise_scale():
 _FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                                var_cross=1.0, var_relay=4.0, rate=4.0)
 _FIG2_R4_STATS = draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
-                                  np.empty((BLOCK, STATS)))
+                                  np.empty((PASS, STATS)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -730,17 +775,17 @@ def test_block_verdicts_match_per_trial_reference():
         zero = case.pop("zero", False)
         cfg = make_cfg(**case)
         sub = substream(16, 0, k)
-        e1 = draw_bs_channels(cfg, sub, rounds=BLOCK) * bs_var(cfg)
-        e2 = draw_bs_channels(cfg, sub, rounds=BLOCK) * bs_var(cfg)
-        g = cn(sub, (BLOCK, 2, cfg.M), cfg.var_relay)
+        e1 = draw_bs_channels(cfg, sub, rounds=PASS) * bs_var(cfg)
+        e2 = draw_bs_channels(cfg, sub, rounds=PASS) * bs_var(cfg)
+        g = cn(sub, (PASS, 2, cfg.M), cfg.var_relay)
         if parallel:
             g = near_parallel(rng, g)
         if zero:
-            g[:BLOCK // 3, 1] = 0.0     # nothing to null toward user 2
-            g[-BLOCK // 3:, 0] = 0.0
+            g[:PASS // 3, 1] = 0.0      # nothing to null toward user 2
+            g[-PASS // 3:, 0] = 0.0
         # the engine judges by the unit (A, B, C) the channels reduce to
         got = judge_relay(cfg, stats_of(cfg, e1, e2, g))
-        for i in range(BLOCK):
+        for i in range(PASS):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
             assert MODES[got.mode[i]] == mode, (case, i)
@@ -748,7 +793,7 @@ def test_block_verdicts_match_per_trial_reference():
             modes_seen.add(mode)
             if mode in outcomes:
                 outcomes[mode].add(final)
-        draws += BLOCK
+        draws += PASS
     assert draws >= 5000
     assert modes_seen == set(MODES)
     # both relay modes rescue some messages and lose others
