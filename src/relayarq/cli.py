@@ -22,6 +22,20 @@ table itself:
 * a repeated flag keeps its last value;
 * values are coerced by ``_coerce``, as config-file values are.
 
+A command checks every flag but reads only those its run depends on, so
+the rest leave its table unchanged:
+
+* ``figure`` runs the paper's preset systems and reads only
+  ``--trials``, ``--seed`` and ``-o``;
+* ``analytic`` and ``simulate-direct`` have no relay, so they ignore
+  ``--m`` and ``--var-relay``, and ``analytic`` draws nothing, so it
+  ignores ``--trials`` and ``--seed`` too;
+* ``simulate-relay`` is one direct round plus one relay round, so
+  ``--retx`` does not apply;
+* ``beamform-single`` and ``beamform-multi`` design for one draw of the
+  relay channels, so they ignore ``--n``, ``--rate``, ``--retx``,
+  ``--trials``, ``--var-direct`` and ``--var-cross``.
+
 Every usage error exits 2 with a message on standard error that starts
 with the usage line, and prints nothing to standard output.
 
@@ -32,12 +46,15 @@ byte-identical files. A flat ``key = value`` config file can hold any
 run parameter in ``PARAMS``; command-line flags override it, and
 ``--dump-config`` writes one that reruns the same run (``_load_config``
 says what is a comment). ``-o`` and ``--dump-config`` must name a file
-in an existing directory, which is checked before any work. So are the
-ceilings: ``--n``/``--m`` at most MAX_ANTENNAS, ``--retx`` at most
-MAX_ATTEMPTS, ``--trials`` at most MAX_TRIALS (each engine holds one
-memo and frees it before drawing the next, so the memos stay under
-1 GiB), an SNR grid of at most MAX_GRID_POINTS points, counted before it
-is built, and the one SNR a beamform command takes. The ``--dump-config`` file is written only
+in an existing directory, and ``-o`` neither the ``--config`` nor the
+``--dump-config`` file; with ``--dump-config``, ``-o`` must be a path a
+config line holds: one line of UTF-8 with no blank at either end. All
+of that is checked before any work. So are the ceilings: ``--n``/``--m``
+at most MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at
+most MAX_TRIALS (each engine holds one memo and frees it before drawing
+the next, so the memos stay under 1 GiB), an SNR grid of at most
+MAX_GRID_POINTS points, counted before it is built, and the one SNR a
+beamform command takes. The ``--dump-config`` file is written only
 once the run has succeeded. ``--threads`` (at least 1) is accepted so
 that older command lines and config files still run, and has no effect:
 the engine draws every run on the calling thread. Exit codes: 0 success,
@@ -108,7 +125,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
     for ln, raw in enumerate(lines, 1):
         key, eq, val = map(str.strip, raw.partition("="))
@@ -219,8 +236,11 @@ def _help_text() -> str:
 
 
 def _effective_params(command: str, given: dict):
-    """The run's parameters and its parsed SNR grid, both checked against
-    every ceiling before anything is drawn or written."""
+    """The run's parameters and its parsed SNR grid, checked before
+    anything is drawn or written: every ceiling, and the -o and
+    --dump-config paths. Each must name a file in an existing directory;
+    -o may not name a config file, and with a dump it must be a path the
+    dumped file can hold."""
     params = {key: default for key, (_, default) in PARAMS.items()}
     if given.get("config"):
         params.update(_load_config(given["config"]))
@@ -238,6 +258,19 @@ def _effective_params(command: str, given: dict):
     grid = _parse_snr_grid(params["snr_db"])
     if command.startswith("beamform") and len(grid) > 1:
         raise ConfigError("beamform commands take one SNR")
+    output, dump = params["output"], given.get("dump_config")
+    for path in (output, dump):
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ConfigError(f"cannot write {path}: not a file in an "
+                              "existing directory")
+    configs = [os.path.realpath(p) for p in (given.get("config"), dump) if p]
+    if output and os.path.realpath(output) in configs:
+        raise ConfigError(f"cannot write {output}: it is a config file")
+    # _load_config reads a value back as one stripped line of UTF-8
+    line = (output or "").encode("utf-8", "replace").decode("utf-8")
+    if output and dump and line.splitlines() != [output.strip()]:
+        raise ConfigError(f"--dump-config cannot record -o {output!r}")
     return params, grid
 
 
@@ -256,14 +289,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.17g" % float(x)
-
-
-def _check_dir(path):
-    """Fail before any work when path names no file in an existing directory."""
-    if path and (os.path.isdir(path)
-                 or not os.path.isdir(os.path.dirname(path) or ".")):
-        raise ConfigError(f"cannot write {path}: not a file in an existing "
-                          "directory")
 
 
 def _write(path, text):
@@ -398,8 +423,6 @@ def main(argv=None) -> int:
     try:
         params, grid = _effective_params(command, given)
         dump = given.get("dump_config")
-        _check_dir(params["output"])
-        _check_dir(dump)
         columns, rows = COMMANDS[command](params, grid, which)
         # written once the run has succeeded, so no refused run leaves one
         if dump:

@@ -80,10 +80,7 @@ from .relay_multi import balanced_sinr
 
 PASS_ROWS = 4096          # direct rounds drawn, relay trials judged per pass
 
-MODE_NONE = "none"
-MODE_SINGLE = "single-user"
-MODE_MULTI = "multiuser"
-MODES = (MODE_NONE, MODE_SINGLE, MODE_MULTI)   # index = mode code
+MODES = ("none", "single-user", "multiuser")   # index = users served
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,10 @@ class RelayEstimate:
     pooled: OutageEstimate
     user1: OutageEstimate
     user2: OutageEstimate
-    # always 0; kept because perfbench/spans.py:_tally_relay reads it
-    aborted: int
     mode_counts: tuple        # (none, single-user, multiuser) trial counts
+    # always 0, as no relay trial can fail to solve; a class constant,
+    # not a field, kept because perfbench/spans.py:_tally_relay reads it
+    aborted = 0
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ class RelayVerdicts:
     """Per-trial outcomes of a batch of relay-ARQ trials."""
 
     round1: np.ndarray        # (n, 2) bool, user decoded the direct round
-    mode: np.ndarray          # (n,) int, index into MODES
+    mode: np.ndarray          # (n,) int, users the relay serves; MODES index
     delivered: np.ndarray     # (n, 2) bool, message delivered in the end
 
 
@@ -208,8 +206,11 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     are ``stats``, float (n, STATS), as ``channel.draw_relay_stats``
     draws them.
 
-    Both relay modes are evaluated for every trial and each trial keeps
-    the one its round-1 outcome selects. Every test is divided through by
+    A user's message is delivered when the user decoded round 1 or, if
+    not, when the relay design its partner's round-1 outcome selects
+    rescues it: the zero-forcing beam if the partner decoded, the
+    max-min design if the partner failed too. Both rescue tests are
+    evaluated for every trial and user. Every test is divided through by
     the noise, by P or by var_relay, so only ratios of the powers, the
     noise and the variances enter. A zero relay channel rescues nobody.
     """
@@ -218,24 +219,22 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     # a margin that overflows to inf is a loss
     with np.errstate(over="ignore", invalid="ignore"):
         ok = _direct_margin(stats[:, _E1], kappa) >= floor
-        mode = np.where(ok.all(axis=1), 0, np.where(ok.any(axis=1), 1, 2))
         a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
         n2 = b + c                        # ||g2||^2 / var_relay
-
-        # one user f failed: the relay zero-forces toward the other user
-        # while that user's BS serves fresh traffic, both at power P. Its
-        # unit gain X is B for f = 1, A B / (B + C) for f = 0, or A where
-        # g2 = 0 leaves nothing to null; the test is divided by P var_relay.
-        # A failure needs gamma > 0, so a zero g_f (X = 0) fails here too.
-        user2_failed = ok[:, 0]
         beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
-        x = np.where(user2_failed, b, a * beta)
-        y = np.where(user2_failed, stats[:, _Y + 1], stats[:, _Y])
-        single_ok = np.zeros_like(user2_failed)
+
+        # user f alone failed: the relay zero-forces toward its partner
+        # while the partner's BS serves fresh traffic, both at power P.
+        # f's unit gain is (A B / (B + C), B)[f], or A for f = 0 where
+        # g2 = 0 leaves nothing to null, against its round-2 cross gain;
+        # the test is divided by P var_relay. A failure needs gamma > 0,
+        # so a zero g_f (gain 0) fails here too.
+        single = np.zeros_like(ok)
         if cfg.var_relay:
             kappa = ratio((gamma, cfg.var_cross), (cfg.N, cfg.var_relay))
             floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
-            single_ok = x - kappa * y >= floor
+            x = np.stack((a * beta, b), axis=1)
+            single = x - kappa * stats[:, _Y:_Y + 2] >= floor
 
         # both failed: both messages ride the relay at the balanced SINR
         # t of u = 2P / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
@@ -243,11 +242,12 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
         # u; neither rescues anyone at a positive rate
         rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
         u = rho * (a * (n2 / (a + n2)))
-        multi_ok = balanced_sinr(u, u * beta)[2] >= gamma
+        multi = balanced_sinr(u, u * beta)[2] >= gamma
 
-    rescued = np.where(mode == 1, single_ok, (mode == 2) & multi_ok)
-    return RelayVerdicts(round1=ok, mode=mode,
-                         delivered=ok | rescued[:, None])
+    # mode counts the users the relay serves
+    return RelayVerdicts(
+        round1=ok, mode=(~ok).sum(axis=1),
+        delivered=ok | np.where(ok[:, ::-1], single, multi[:, None]))
 
 
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
@@ -288,7 +288,7 @@ def simulate_relay(cfg: SystemConfig, trials: int,
         pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),
         user1=OutageEstimate(trials=trials, failures=fail_1),
         user2=OutageEstimate(trials=trials, failures=fail_2),
-        aborted=0, mode_counts=tuple(modes))
+        mode_counts=tuple(modes))
 
 
 # ---------------------------------------------------------------------------

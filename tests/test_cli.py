@@ -294,6 +294,25 @@ def test_unusable_output_path_exits_2_before_any_work(
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("-o", "same.txt", "--dump-config", "same.txt"),
+    ("-o", "./same.txt", "--dump-config", "same.txt"),
+    ("--config", "run.conf", "-o", "run.conf"),
+])
+def test_output_may_not_name_a_config_file(tmp_path, capsys, monkeypatch,
+                                           argv):
+    # the table would overwrite the config file read or dumped
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text("snr_db = 10\n")
+    _forbid_library_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "analytic", *argv)
+    assert code == 2
+    assert out == ""
+    assert "it is a config file" in err
+    assert os.listdir(tmp_path) == ["run.conf"]
+    assert (tmp_path / "run.conf").read_text() == "snr_db = 10\n"
+
+
 @pytest.mark.parametrize("argv, needle", [
     (("analytic", "--snr-db", "0:1e12:1"), "more than 100000 points"),
     (("beamform-multi", "--snr-db", "0:10:5"),
@@ -370,10 +389,11 @@ def test_flags_override_config(tmp_path, capsys):
     ("rate\n", "expected key = value"),
     ("rate = abc\n", "bad value"),
     ("preset = fig1\n", "unknown key"),
+    ("rate = 3  # \udcff\n", "cannot read config file"),   # not UTF-8
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     conf = tmp_path / "bad.conf"
-    conf.write_text(body)
+    conf.write_bytes(body.encode("utf-8", "surrogateescape"))
     code, _, err = run_cli(capsys, "analytic", "--config", str(conf))
     assert code == 2
     assert needle in err
@@ -431,6 +451,29 @@ def test_config_round_trip(tmp_path, capsys, monkeypatch):
         == (tmp_path / "first.conf").read_text()
 
 
+@pytest.mark.parametrize("output", [
+    " lead.csv", "trail.csv\t", "a\nb.csv", "a\rb.csv",
+    os.fsdecode(b"\xff.csv"),
+])
+def test_dump_config_refuses_an_output_it_cannot_carry(
+        tmp_path, capsys, monkeypatch, output):
+    # a config value is one stripped line of UTF-8, so the dumped file
+    # would rerun to another path, not load, or not be written at all
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as patch:
+        _forbid_library_calls(patch)
+        code, out, err = run_cli(capsys, "analytic", "-o", output,
+                                 "--dump-config", "run.conf")
+    assert code == 2
+    assert out == ""
+    assert "--dump-config cannot record -o" in err
+    assert os.listdir(tmp_path) == []
+    # without a dump, -o is any path, as it always was
+    code, _, _ = run_cli(capsys, "analytic", "-o", output)
+    assert code == 0
+    assert os.listdir(tmp_path) == [output]
+
+
 def test_missing_config_exits_2(capsys):
     code, _, err = run_cli(capsys, "analytic", "--config", "/nonexistent.conf")
     assert code == 2
@@ -473,6 +516,36 @@ def test_simulate_relay_csv(capsys):
     assert header == ["SNR_dB", "pooled_p", "pooled_ci", "user1_p", "user1_ci",
                       "user2_p", "user2_ci"]
     assert len(rows) == 1 and len(rows[0]) == 7
+
+
+# every flag the command takes but does not read, as the README lists them
+_NOT_FOR_FIGURE = ("--snr-db", "0:20:10", "--n", "4", "--m", "5", "--rate",
+                   "5", "--retx", "3", "--noise-var", "2", "--var-direct",
+                   "1", "--var-cross", "3", "--var-relay", "1")
+_NOT_FOR_BEAMFORM = ("--n", "7", "--rate", "5", "--retx", "4", "--trials",
+                     "500", "--var-direct", "0.5", "--var-cross", "3")
+
+
+@pytest.mark.parametrize("base, ignored", [
+    *[(("figure", which, "--trials", "100"), _NOT_FOR_FIGURE)
+      for which in "123"],
+    (("simulate-relay", "--snr-db", "0:20:10", "--trials", "500"),
+     ("--retx", "1")),
+    (("simulate-relay", "--snr-db", "0:20:10", "--trials", "500"),
+     ("--retx", "5")),
+    (("analytic", "--snr-db", "0:20:10"),
+     ("--m", "7", "--var-relay", "0", "--trials", "500", "--seed", "4")),
+    (("simulate-direct", "--snr-db", "0:20:10", "--trials", "500"),
+     ("--m", "7", "--var-relay", "0")),
+    (("beamform-single", "--m", "4", "--seed", "5"), _NOT_FOR_BEAMFORM),
+    (("beamform-multi", "--m", "4", "--seed", "5"), _NOT_FOR_BEAMFORM),
+])
+def test_a_command_ignores_the_flags_it_does_not_read(capsys, base, ignored):
+    # simulate-relay is one direct round plus one relay round, so --retx
+    # does not apply; the direct commands have no relay
+    code, want, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert run_cli(capsys, *base, *ignored)[:2] == (0, want)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,6 @@ from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, direct_test, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
-    MODE_MULTI,
-    MODE_NONE,
-    MODE_SINGLE,
     MODES,
     OutageEstimate,
     judge_relay,
@@ -283,7 +280,7 @@ def test_relay_trial_deterministic():
 
 def test_relay_trial_mode_none_when_rate_trivial():
     out = relay_verdicts(make_cfg(rate=0.0), seed=8)
-    assert (out.mode == MODES.index(MODE_NONE)).all()
+    assert (out.mode == MODES.index("none")).all()
     assert out.delivered.all()
     assert out.round1.all()
 
@@ -294,7 +291,7 @@ def test_relay_trial_mode_multi_when_direct_hopeless():
     # strong relay channel
     cfg = make_cfg(P=1e-9, var_relay=2e15, rate=2.0)
     out = relay_verdicts(cfg, seed=9)
-    assert (out.mode == MODES.index(MODE_MULTI)).all()
+    assert (out.mode == MODES.index("multiuser")).all()
     assert not out.round1.any()
     assert out.delivered.all()
 
@@ -737,7 +734,7 @@ def test_zero_relay_channel_fails_retransmission():
     cfg = make_cfg(P=10.0, rate=2.0, var_relay=0.0)
     out = relay_verdicts(cfg, seed=13)
     assert np.array_equal(out.delivered, out.round1)
-    assert {MODES.index(MODE_SINGLE), MODES.index(MODE_MULTI)} \
+    assert {MODES.index("single-user"), MODES.index("multiuser")} \
         <= set(out.mode.tolist())
     est = simulate_relay(cfg, trials=40, seed=13)
     assert sum(est.mode_counts) == 40 and est.aborted == 0
@@ -768,7 +765,7 @@ def test_block_verdicts_match_per_trial_reference():
         *(dict(P=10.0, rate=1.0, M=m, zero=True) for m in (2, 4)),
     ]
     modes_seen = set()
-    outcomes = {MODE_SINGLE: set(), MODE_MULTI: set()}
+    outcomes = {"single-user": set(), "multiuser": set()}
     draws = 0
     for k, case in enumerate(cases):
         parallel = case.pop("parallel", False)
@@ -789,6 +786,7 @@ def test_block_verdicts_match_per_trial_reference():
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
             assert MODES[got.mode[i]] == mode, (case, i)
+            assert got.mode[i] == ok.count(False), (case, i)
             assert tuple(got.delivered[i]) == final, (case, i)
             modes_seen.add(mode)
             if mode in outcomes:
@@ -797,8 +795,8 @@ def test_block_verdicts_match_per_trial_reference():
     assert draws >= 5000
     assert modes_seen == set(MODES)
     # both relay modes rescue some messages and lose others
-    assert {(True, True), (False, False)} <= outcomes[MODE_MULTI]
-    assert {True, False} <= {all(f) for f in outcomes[MODE_SINGLE]}
+    assert {(True, True), (False, False)} <= outcomes["multiuser"]
+    assert {True, False} <= {all(f) for f in outcomes["single-user"]}
 
 
 def test_relay_stats_layout():
