@@ -240,7 +240,8 @@ def _effective_params(command: str, given: dict):
     anything is drawn or written: every ceiling, and the -o and
     --dump-config paths. Each must name a file in an existing directory;
     -o may not name a config file, and with a dump it must be a path the
-    dumped file can hold."""
+    dumped file can hold. No file name holds a NUL byte, which only a
+    config file's output can carry."""
     params = {key: default for key, (_, default) in PARAMS.items()}
     if given.get("config"):
         params.update(_load_config(given["config"]))
@@ -260,7 +261,7 @@ def _effective_params(command: str, given: dict):
         raise ConfigError("beamform commands take one SNR")
     output, dump = params["output"], given.get("dump_config")
     for path in (output, dump):
-        if path and (os.path.isdir(path)
+        if path and ("\0" in path or os.path.isdir(path)
                      or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ConfigError(f"cannot write {path}: not a file in an "
                               "existing directory")

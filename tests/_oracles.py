@@ -9,10 +9,9 @@ uplink-downlink duality, the single-user relay design solved as the stacked
 eigenproblem over vec(B) on a Householder null basis, the relay-ARQ
 protocol judged one trial at a time by building both relay designs, and
 the reduction of complex relay channels to the (A, B, C) the engine draws
-as Gamma variates. The
-semidefinite max-min SINR reference lives in ``_sdp_oracle``. A reference
-that cannot deliver its value raises ``NumericFailureError`` rather than
-returning a wrong one.
+as Gamma variates, and a two-sided duality certificate for the max-min
+design's optimum. A reference that cannot deliver its value raises
+``NumericFailureError`` rather than returning a wrong one.
 """
 
 import warnings
@@ -130,6 +129,67 @@ def exact_max_min_beams(h1, h2, power, noise_var=1.0, dps=50):
         beams = [np.array([complex(mpmath.sqrt(p[i]) * a) for a in v[i]])
                  for i in (0, 1)]
     return beams[0], beams[1], t
+
+
+def dual_checks(h1, h2, q1, q2, t, power, noise_var, delta):
+    """The three numbers that certify target t infeasible for the
+    semidefinite relaxation when each is below zero (``duality_bracket``):
+    the largest eigenvalues of Z1 and Z2, and P - t noise_var (lam1 +
+    lam2), with lam_i = (1 + delta / 4) q_i / (noise_var t)."""
+    c1, c2 = np.outer(h1, np.conj(h1)), np.outer(h2, np.conj(h2))
+    eye = np.eye(len(h1))
+    lam1, lam2 = ((1 + delta / 4) * q / noise_var / t for q in (q1, q2))
+    return (np.linalg.eigvalsh(lam1 * c1 - t * lam2 * c2 - eye)[-1],
+            np.linalg.eigvalsh(lam2 * c2 - t * lam1 * c1 - eye)[-1],
+            power - t * noise_var * (lam1 + lam2))
+
+
+def duality_bracket(h1, h2, power, noise_var, delta):
+    """Certify that ``max_min_sinr``'s t* is the optimum of the semidefinite
+    relaxation (SDR) to within a factor 1 +- delta, and return ``(sol,
+    checks)``: the solution and ``dual_checks`` at t*(1 + delta).
+
+    With C_i = h_i h_i^H and sigma^2 = noise_var, the SDR asks for X1, X2
+    >= 0 with tr(X1) + tr(X2) <= P and the SINR rows
+
+        tr(C_i X_i) - t tr(C_i X_j) >= t sigma^2,    i = 1, 2.
+
+    Feasible at t*(1 - delta): the rank-one X_i = b_i b_i^H of ``sol.b1``
+    and ``sol.b2`` meet both rows, where tr(C_i X_k) = |h_i^H b_k|^2, on
+    power at most P (1 + 1e-12), the design's rounding allowance.
+
+    Infeasible at t = t*(1 + delta): take the dual uplink powers p_i =
+    (1 + delta / 4) q_i / sigma^2 of ``sol.q1, sol.q2`` and the multipliers
+    lam_i = p_i / t, and form
+
+        Z1 = lam1 C1 - t lam2 C2 - I,    Z2 = lam2 C2 - t lam1 C1 - I.
+
+    A feasible X would give, by weak duality (the rows weighted by lam_i
+    and summed, then tr(X1) + tr(X2) <= P),
+
+        t sigma^2 (lam1 + lam2) <= tr(Z1 X1) + tr(Z2 X2) + P <= P,
+
+    the second step wherever both Z_i are negative definite. So the
+    largest eigenvalue of Z1, that of Z2 and P - t sigma^2 (lam1 + lam2),
+    all below zero, rule every X out; no tolerance is allowed on any of
+    the three. The last is -(delta / 4) P, since q1 + q2 = P. Z_i < 0 says
+    that user i's uplink SINR at powers p, at most (1 + delta / 4) t*, is
+    below t, by a margin of about 3 delta / 4 in the eigenvalue.
+    """
+    sol = max_min_sinr(h1, h2, power, noise_var=noise_var)
+    low = sol.t_star * (1 - delta)
+    for h, own, other in ((h1, sol.b1, sol.b2), (h2, sol.b2, sol.b1)):
+        assert abs(np.vdot(h, own)) ** 2 \
+            >= low * (abs(np.vdot(h, other)) ** 2 + noise_var), (
+                f"the beams miss t* (1 - {delta:.0e}), t*={sol.t_star!r}")
+    used = np.vdot(sol.b1, sol.b1).real + np.vdot(sol.b2, sol.b2).real
+    assert used <= power * (1 + 1e-12), (used, power)
+    checks = dual_checks(h1, h2, sol.q1, sol.q2, sol.t_star * (1 + delta),
+                         power, noise_var, delta)
+    assert max(checks) < 0, (
+        f"no certificate at t* (1 + {delta:.0e}): {checks}, "
+        f"t*={sol.t_star!r}")
+    return sol, checks
 
 
 def exact_sinr(h, own, other, noise_var=1.0, dps=50):

@@ -390,6 +390,7 @@ def test_flags_override_config(tmp_path, capsys):
     ("rate = abc\n", "bad value"),
     ("preset = fig1\n", "unknown key"),
     ("rate = 3  # \udcff\n", "cannot read config file"),   # not UTF-8
+    ("output = a\0b.csv\n", "not a file in an existing directory"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     conf = tmp_path / "bad.conf"

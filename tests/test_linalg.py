@@ -1,43 +1,10 @@
 import numpy as np
 import pytest
 
-from relayarq.errors import ContractViolationError, DegenerateInputError, DimensionError
+from relayarq.errors import DegenerateInputError, DimensionError
 from relayarq.linalg import span_coords
 
 from _oracles import conjT, kron_identity, null_basis, unvec, vec
-from _sdp_oracle import herm_eig
-
-
-def test_herm_eig_two_by_two_closed_form():
-    # eigenvalues of [[2, i], [-i, 2]] are 2 +/- 1
-    a = np.array([[2.0, 1j], [-1j, 2.0]])
-    eig = herm_eig(a)
-    assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-12)
-
-
-def test_herm_eig_reconstructs_and_orders():
-    rng = np.random.default_rng(3)
-    for m in (2, 3, 5, 8):
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = (z + conjT(z)) / 2
-        eig = herm_eig(a)
-        assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
-        assert np.allclose(eig.eigenvectors @ np.diag(eig.eigenvalues) @ conjT(eig.eigenvectors), a, atol=1e-10)
-        assert np.allclose(conjT(eig.eigenvectors) @ eig.eigenvectors, np.eye(m), atol=1e-10)
-
-
-def test_herm_eig_deterministic_phases():
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = (z + conjT(z)) / 2
-    u1 = herm_eig(a).eigenvectors
-    u2 = herm_eig(a.copy()).eigenvectors
-    assert np.array_equal(u1, u2)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ContractViolationError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_null_basis_properties():
