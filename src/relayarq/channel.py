@@ -149,28 +149,25 @@ def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
     """Unit-variance BS-to-user power gains of ``rounds`` fresh rounds,
     float (rounds, 2, 2), all Gamma(N, 1): the gain ||h_ij||^2 from BS j
     to user i is entry [i, j] times var_direct on the diagonal, times
-    var_cross off it."""
+    var_cross off it. Both engines read a direct attempt's rounds, the
+    relay engine its attempts 0 and 1 as its rounds 1 and 2."""
     return rng.standard_gamma(cfg.N, (rounds, 2, 2))
 
 
-# columns of a relay trial's statistics: round-1 gains e1[i, j] at 2 i + j,
-# the round-2 cross gains e2[f, 1 - f] a failed user f would see, and the
-# relay links' A, B and C
-_E1, _Y, _A, _B, _C = slice(0, 4), 4, 6, 7, 8
-STATS = 9                 # floats per relay trial
+STATS = 3                 # floats per relay trial: A, B and C
 
 
 def draw_relay_stats(cfg: SystemConfig, rng: np.random.Generator,
                      out: np.ndarray) -> np.ndarray:
-    """Write the unit-variance statistics of ``len(out)`` fresh relay
-    trials into out, float (len(out), STATS), and return it.
+    """Write the unit-variance relay-link statistics A, B and C of
+    ``len(out)`` fresh relay trials into out, float (len(out), STATS),
+    and return it.
 
-    Every column is Gamma: the 6 BS gains Gamma(N, 1), as in
-    ``draw_bs_channels``, and the relay links' A, B and C Gamma(M),
-    Gamma(M - 1) and Gamma(1). For relay links g1, g2 of M entries of
-    variance v, ||g1||^2 = v A, ||P_perp_g1 g2||^2 = v B and
-    |g1^H g2|^2 / ||g1||^2 = v C, with A, B and C independent. So
-    ||g2||^2 = v (B + C), the Gram term ||g1||^2 ||g2||^2 - |g1^H g2|^2 is
-    v^2 A B, and ||P_perp_g2 g1||^2 = v A B / (B + C).
+    A, B and C are Gamma(M), Gamma(M - 1) and Gamma(1). For relay links
+    g1, g2 of M entries of variance v, ||g1||^2 = v A,
+    ||P_perp_g1 g2||^2 = v B and |g1^H g2|^2 / ||g1||^2 = v C, with A, B
+    and C independent. So ||g2||^2 = v (B + C), the Gram term
+    ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B, and
+    ||P_perp_g2 g1||^2 = v A B / (B + C).
     """
-    return rng.standard_gamma([cfg.N] * 6 + [cfg.M, cfg.M - 1, 1], out=out)
+    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], out=out)

@@ -51,8 +51,8 @@ in an existing directory, and ``-o`` neither the ``--config`` nor the
 config line holds: one line of UTF-8 with no blank at either end. All
 of that is checked before any work. So are the ceilings: ``--n``/``--m``
 at most MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at
-most MAX_TRIALS (each engine holds one memo and frees it before drawing
-the next, so the memos stay under 1 GiB), an SNR grid of at most
+most MAX_TRIALS (each memo is held once and freed before the next is
+drawn, so the memos stay under 1 GiB), an SNR grid of at most
 MAX_GRID_POINTS points, counted before it is built, and the one SNR a
 beamform command takes. The ``--dump-config`` file is written only
 once the run has succeeded. ``--threads`` (at least 1) is accepted so

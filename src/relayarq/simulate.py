@@ -23,12 +23,17 @@ vector. No draw reads a variance: only the verdicts here do, as ratios
 formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
 
 Randomness is keyed by what defines a round: attempt a of every direct
-trial comes from the substream (seed, CTX_DIRECT, a), drawn in passes of
-at most ``PASS_ROWS`` rounds, and every relay trial of a run from (seed,
-CTX_RELAY, 0), in one draw judged ``PASS_ROWS`` trials at a time. A pass
-only bounds an engine's temporaries, so no output depends on its length,
-and both engines are prefix-stable: a run with more trials holds a
-shorter run's rows in its first rows.
+trial comes from the substream (seed, CTX_DIRECT, a), and the relay links
+of every relay trial of a run from (seed, CTX_RELAY, 0). Both engines
+share the BS rounds of attempts 0 and 1, each drawn whole: the relay's
+round 1 is direct attempt 0, and its round 2 is attempt 1, of which a
+failed user reads only its cross gain. So a relay trial is lost only
+where direct attempt 0 failed, trial by trial. Later attempts are drawn
+in passes of at most ``PASS_ROWS`` rounds, and the engines judge
+``PASS_ROWS`` trials at a time. A pass only bounds an engine's
+temporaries, so no output depends on its length, and both engines are
+prefix-stable: a run with more trials holds a shorter run's rows in its
+first rows.
 
 Grid sweeps reuse the same seed at every point: common random numbers
 across a curve, fresh draws within each trial. Attempt budgets share
@@ -37,31 +42,35 @@ L > a, so a budget of L attempts sees the rounds of every smaller budget
 plus its own, and a message lost under L is lost under every smaller
 budget.
 
-Both engines reuse those common draws instead of redrawing them. Each
-keeps the per-trial floats of its last run, keyed by exactly what they
-depend on; a point whose key matches draws nothing and only judges. One
-memory rule holds: an engine holds one memo, and a miss frees it before
-the next is allocated, so a CLI run holds at most 2 + STATS floats per
-trial (``MAX_TRIALS``) besides one pass of temporaries. ``clear_memos``
-forgets both.
+Both engines reuse those common draws instead of redrawing them. Three
+memos keep per-trial floats of the last run, each keyed by exactly what
+its floats depend on; a point whose keys match draws nothing and only
+judges. One memory rule holds: a memo is held once, and a miss frees it
+before the next is allocated, so a CLI run holds at most 8 + 2 + STATS
+floats per trial (``MAX_TRIALS``) besides one pass of temporaries.
+``clear_memos`` forgets all three.
+
+* Rounds: the unit BS gains of attempts 0 and 1, 64 bytes per trial,
+  keyed by (seed, trials, N). No rate, power, noise or variance enters,
+  so every point of figures 2 and 3 reads the same two rounds.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
   reaches the floor (``outage.direct_test``); the margin does not depend
   on P, sigma^2 or the variances' common scale. The memo holds each
   message's best margin over its attempts, 16 bytes per trial, keyed by
-  (seed, trials, N, kappa), with the number of attempts it covers. A
-  larger budget draws only its further attempts and keeps the max of
-  their margins and the memo's; a smaller one draws again from attempt
-  0. Figure 1 therefore runs its budgets L in rising order in the outer
-  loop, so its four curves draw 10 attempts per trial between them; its
-  rows come SNR-major, its progress lines L-major.
-* Relay: a trial is judged from STATS = 9 unit-variance floats, 72
-  bytes, none of which depends on the rate, the powers, the noise or the
-  variances: the 4 round-1 BS gains, the 2 round-2 cross gains
-  e2[f, 1 - f] a failed user f would see, and the relay links' unit A,
-  B and C (``channel.draw_relay_stats``). The memo is keyed by (seed,
-  trials, N, M), so figure 2's rate sweep, any SNR grid or a sweep over
-  the variances draws once.
+  (seed, trials, N, kappa), with the number of attempts it covers;
+  attempts 0 and 1 come from the rounds memo. A larger budget draws
+  only its further attempts and keeps the max of their margins and the
+  memo's; a smaller one starts again from attempt 0. Figure 1 therefore
+  runs its budgets L in rising order in the outer loop, so its four
+  curves draw 10 attempts per trial between them; its rows come
+  SNR-major, its progress lines L-major.
+* Relay: a trial is judged from its two rounds and STATS = 3
+  unit-variance floats, 24 bytes, the relay links' A, B and C
+  (``channel.draw_relay_stats``), which depend on nothing but M. The
+  memo is keyed by (seed, trials, M), so figure 2's rate sweep, any SNR
+  grid or a sweep over the variances draws once, and figure 3 draws once
+  per M.
 """
 
 import math
@@ -69,9 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig, _A, _B,
-                      _C, _E1, _Y, draw_bs_channels, draw_relay_stats,
-                      substream, whole)
+from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
+                      draw_bs_channels, draw_relay_stats, substream, whole)
 from .errors import ContractViolationError
 from .linalg import ratio
 from .outage import (arq_outage, direct_test, outage_interference_n3,
@@ -137,21 +145,49 @@ def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
     return e[:, 0::3] - kappa * e[:, 1:3]
 
 
-# engine -> its last run's memo entry, taken out while a point runs and
-# put back whole; a memo's array is never written once stored
+# memo name -> its last run's entry, taken out while a point runs and put
+# back whole; a memo's arrays are never written once stored
 _memos = {}
-# the most trials whose two memos, 2 direct margins and STATS relay floats
-# of 8 B each per trial (the relay draw writes its rows in place), stay
-# under 1 GiB. A miss frees its engine's memo before drawing the next, so
-# no run holds more. Extending the direct memo to a larger attempt budget
-# copies it, as a returned array never changes: 16 B per trial more for
-# that copy, which the CLI makes only in figure 1, with no relay memo held
-MAX_TRIALS = 2 ** 30 // (8 * (2 + STATS))
+# attempts whose BS rounds both engines read from the rounds memo
+ROUNDS = 2
+# the most trials whose three memos, 4 gains of each of the ROUNDS rounds,
+# 2 direct margins and STATS relay floats of 8 B each per trial (every
+# draw writes its rows in place), stay under 1 GiB. A miss frees its memo
+# before drawing the next, so no run holds more. Extending the direct memo
+# to a larger attempt budget copies it, as a returned array never changes:
+# 16 B per trial more for that copy, which the CLI makes only in figure 1,
+# with no relay memo held
+MAX_TRIALS = 2 ** 30 // (8 * (4 * ROUNDS + 2 + STATS))
 
 
 def clear_memos():
-    """Forget the memoised direct margins and relay statistics."""
+    """Forget the memoised BS rounds, direct margins and relay
+    statistics."""
     _memos.clear()
+
+
+def _memo(name: str, key: tuple, draw) -> tuple:
+    """The arrays the memo ``name`` holds under ``key``. A miss frees
+    them first, then stores the tuple of arrays ``draw()`` returns, made
+    read-only."""
+    old, arrays = _memos.pop(name, (None, None))
+    if old != key:
+        arrays = None                     # frees the old memo
+        arrays = draw()
+        for a in arrays:
+            a.flags.writeable = False
+    _memos[name] = (key, arrays)
+    return arrays
+
+
+def _bs_rounds(cfg: SystemConfig, seed: int, trials: int) -> tuple:
+    """Unit BS gains of attempts 0 and 1 of every trial, ROUNDS read-only
+    float (trials, 2, 2), each drawn whole from its attempt's substream,
+    memoised on (seed, trials, N)."""
+    trials = whole(trials, "trials")
+    return _memo("rounds", (seed, trials, cfg.N), lambda: tuple(
+        draw_bs_channels(cfg, substream(seed, CTX_DIRECT, a), rounds=trials)
+        for a in range(ROUNDS)))
 
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int,
@@ -159,8 +195,8 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
     """Best margin own - kappa cross over the attempts [0, cfg.retx) of
     every (trial, user), float (trials, 2), read-only, memoised as the
     module docstring's Direct item sets out; a larger budget extends a
-    fresh copy of the memo. Attempt a of every trial comes from one
-    substream.
+    fresh copy of the memo. Attempts below ROUNDS are read from the
+    rounds memo, and each later attempt is drawn from its substream.
     """
     trials = whole(trials, "trials")
     key = (seed, trials, cfg.N, kappa)
@@ -171,12 +207,15 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
         rows = rows.copy() if first else np.full((trials, 2), -np.inf)
         with np.errstate(over="ignore"):
             for attempt in range(first, cfg.retx):
-                rng = substream(seed, CTX_DIRECT, attempt)
+                if attempt < ROUNDS:
+                    e = _bs_rounds(cfg, seed, trials)[attempt]
+                else:
+                    rng = substream(seed, CTX_DIRECT, attempt)
                 for lo in range(0, trials, PASS_ROWS):
                     best = rows[lo:lo + PASS_ROWS]
-                    margin = _direct_margin(
-                        draw_bs_channels(cfg, rng, rounds=len(best)), kappa)
-                    np.maximum(best, margin, out=best)
+                    gains = (e[lo:lo + PASS_ROWS] if attempt < ROUNDS else
+                             draw_bs_channels(cfg, rng, rounds=len(best)))
+                    np.maximum(best, _direct_margin(gains, kappa), out=best)
         rows.flags.writeable = False
     _memos["direct"] = (key, cfg.retx, rows)
     return rows
@@ -201,10 +240,14 @@ def simulate_direct(cfg: SystemConfig, trials: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
-    """Outcomes of the relay-ARQ trials whose unit-variance statistics
-    are ``stats``, float (n, STATS), as ``channel.draw_relay_stats``
-    draws them.
+def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
+                stats: np.ndarray) -> RelayVerdicts:
+    """Outcomes of the relay-ARQ trials whose unit BS gains of rounds 1
+    and 2 are e1 and e2, float (n, 2, 2) or flat (n, 4) as
+    ``_direct_margin`` reads them, and whose relay statistics are
+    ``stats``, float (n, STATS), as ``channel.draw_relay_stats`` draws
+    them. The engine passes direct attempts 0 and 1 as e1 and e2; of
+    round 2, a failed user f reads only its cross gain e2[f, 1 - f].
 
     A user's message is delivered when the user decoded round 1 or, if
     not, when the relay design its partner's round-1 outcome selects
@@ -218,8 +261,8 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
     kappa, floor = direct_test(cfg)
     # a margin that overflows to inf is a loss
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = _direct_margin(stats[:, _E1], kappa) >= floor
-        a, b, c = stats[:, _A], stats[:, _B], stats[:, _C]
+        ok = _direct_margin(e1, kappa) >= floor
+        a, b, c = stats.T
         n2 = b + c                        # ||g2||^2 / var_relay
         beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
 
@@ -234,7 +277,7 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
             kappa = ratio((gamma, cfg.var_cross), (cfg.N, cfg.var_relay))
             floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
             x = np.stack((a * beta, b), axis=1)
-            single = x - kappa * stats[:, _Y:_Y + 2] >= floor
+            single = x - kappa * e2.reshape(-1, 4)[:, 1:3] >= floor
 
         # both failed: both messages ride the relay at the balanced SINR
         # t of u = 2P / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
@@ -251,36 +294,30 @@ def judge_relay(cfg: SystemConfig, stats: np.ndarray) -> RelayVerdicts:
 
 
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
-    """Statistics of every relay trial, float (trials, STATS), read-only,
-    all from one substream, memoised on (seed, trials, N, M)."""
+    """Relay-link statistics of every relay trial, float (trials, STATS),
+    read-only, all from one substream, memoised on (seed, trials, M)."""
     trials = whole(trials, "trials")
-    key = (seed, trials, cfg.N, cfg.M)
-    old, rows = _memos.pop("relay", (None, None))
-    if old != key:
-        rows = None                       # frees the old memo
-        rows = draw_relay_stats(cfg, substream(seed, CTX_RELAY, 0),
-                                np.empty((trials, STATS)))
-        rows.flags.writeable = False
-    _memos["relay"] = (key, rows)
-    return rows
+    return _memo("relay", (seed, trials, cfg.M), lambda: (draw_relay_stats(
+        cfg, substream(seed, CTX_RELAY, 0), np.empty((trials, STATS))),))[0]
 
 
 def simulate_relay(cfg: SystemConfig, trials: int,
                    seed: int) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round.
 
-    The trials are judged PASS_ROWS at a time from their memoised
-    statistics, so a sweep over all but (seed, trials, N, M) draws once.
-    ``trials`` is read as ``simulate_direct`` reads it.
+    The trials are judged PASS_ROWS at a time from the memoised rounds of
+    direct attempts 0 and 1 and relay statistics, so a sweep over all but
+    (seed, trials, N, M) draws nothing after its first point. ``trials``
+    is read as ``simulate_direct`` reads it.
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    stats = _relay_stats(cfg, seed, trials)
-    trials = len(stats)
+    inputs = (*_bs_rounds(cfg, seed, trials), _relay_stats(cfg, seed, trials))
+    trials = len(inputs[0])
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):
-        out = judge_relay(cfg, stats[lo:lo + PASS_ROWS])
+        out = judge_relay(cfg, *(x[lo:lo + PASS_ROWS] for x in inputs))
         counts[:2] += np.count_nonzero(~out.delivered, axis=0)
         counts[2:] += np.bincount(out.mode, minlength=3)
     fail_1, fail_2, *modes = map(int, counts)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relayarq.channel import SystemConfig
-from relayarq.outage import (arq_outage, cdf_diff_exp,
+from relayarq.outage import (arq_outage, cdf_diff_exp, direct_test,
                              outage_interference_n3, outage_single_user)
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
@@ -30,6 +30,8 @@ EXAMPLE_BASE = dict(N=3, M=3, noise_var=1e-3, var_direct=2.0, var_cross=1.0,
 # relay study system used by the rate and antenna sweeps
 STUDY_BASE = dict(N=3, M=3, noise_var=1.0, var_direct=2.0, var_cross=1.0,
                   var_relay=4.0)
+# family level of test_c7's paired tests over the rate sweep
+C7_FAMILY_ALPHA = 1e-4
 
 
 def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
@@ -240,9 +242,24 @@ def test_c6_certificate_rejects_the_feasible_side():
     print(f"  smallest violation at t* (1 - {delta:.0e}): {least:.2e}")
 
 
+def _mcnemar_p(b: int, c: int) -> float:
+    """Exact one-sided McNemar p-value: P{X >= b} for X ~ Bin(b + c, 1/2),
+    the chance of b or more of the b + c discordant pairs on one side
+    when both sides are equally likely."""
+    n = b + c
+    return sum(math.comb(n, k) for k in range(b, n + 1)) / 2 ** n
+
+
 def test_c7_rate_sweep_relay_beats_direct():
-    """Relay ARQ stays under direct ARQ at every rate and pulls away."""
+    """Relay ARQ stays under direct ARQ at every rate and pulls away.
+
+    Both engines read the same round 1 (direct attempt 0), so each rate
+    also gets a paired test: an exact one-sided McNemar test on the
+    (trial, user) messages one scheme loses and the other delivers,
+    Bonferroni-corrected over the 7 rates to a family level of 1e-4.
+    """
     trials = 1000
+    alpha = C7_FAMILY_ALPHA / len(FIG2_RATES)
     gaps, errs = [], []
     for rate in FIG2_RATES:
         cfg = _cfg(STUDY_BASE, FIG2_SNR_DB, rate=float(rate), retx=2)
@@ -255,8 +272,22 @@ def test_c7_rate_sweep_relay_beats_direct():
             f"direct {direct.p_hat:.4f}-{g_d:.4f}")
         gaps.append(direct.p_hat - relay.pooled.p_hat)
         errs.append(_rss(g_d, g_r))
+
+        # the same messages, trial by trial, from the engines' memos
+        kappa, floor = direct_test(cfg)
+        direct_lost = simulate._best_margins(cfg, 0, trials, kappa) < floor
+        relay_lost = ~simulate.judge_relay(
+            cfg, *simulate._bs_rounds(cfg, 0, trials),
+            simulate._relay_stats(cfg, 0, trials)).delivered
+        assert direct_lost.sum() == direct.failures
+        assert relay_lost.sum() == relay.pooled.failures
+        b = int((direct_lost & ~relay_lost).sum())
+        c = int((relay_lost & ~direct_lost).sum())
+        p = _mcnemar_p(b, c)
+        assert p <= alpha, f"R={rate}: McNemar b={b} c={c} p={p:.3g}"
         print(f"  R={rate}  direct={direct.p_hat:.4f}  "
-              f"relay={relay.pooled.p_hat:.4f}  gap={gaps[-1]:.4f}")
+              f"relay={relay.pooled.p_hat:.4f}  gap={gaps[-1]:.4f}  "
+              f"b={b} c={c} p={p:.3g}")
 
     # widening: no statistically significant narrowing anywhere, and the
     # last gap clears the first by more than the combined uncertainty

@@ -275,7 +275,9 @@ def test_run_ceilings_exit_2_before_any_allocation(capsys, monkeypatch,
 def test_run_ceilings_are_inclusive(capsys, monkeypatch):
     assert len(cli._parse_snr_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) \
         == cli.MAX_GRID_POINTS
-    # the largest trial count passes validation and reaches the engine
+    # the largest trial count passes validation and reaches the engine;
+    # it is 1 GiB over the 104 B per trial of the engine's memos
+    assert cli.MAX_TRIALS == 10_324_440 == 2 ** 30 // 104
     _forbid_library_calls(monkeypatch)
     with pytest.raises(AssertionError, match="before the run was validated"):
         cli.main(["simulate-relay", "--trials", str(cli.MAX_TRIALS)])

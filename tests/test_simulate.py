@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
-                              _E1, cn, draw_bs_channels, draw_relay_stats,
+                              cn, draw_bs_channels, draw_relay_stats,
                               substream)
 from relayarq.errors import ContractViolationError
 from relayarq.outage import arq_outage, direct_test, outage_interference_n3
@@ -60,13 +60,11 @@ def unit(x, var):
 
 
 def stats_of(cfg, e1, e2, g):
-    """The unit-variance relay statistics of n trials, in the engine's
-    column order, from their round-1 and round-2 BS gains (n, 2, 2) and
-    relay channels (n, 2, M), all drawn at cfg's variances."""
-    n = len(e1)
-    e1, e2 = unit(e1, bs_var(cfg)), unit(e2, bs_var(cfg))
-    return np.column_stack([e1.reshape(n, 4), e2[:, 0, 1], e2[:, 1, 0],
-                            unit(relay_gains(g), cfg.var_relay)])
+    """The unit-variance inputs of ``judge_relay`` for n trials, (e1, e2,
+    stats), from their round-1 and round-2 BS gains (n, 2, 2) and relay
+    channels (n, 2, M), all drawn at cfg's variances."""
+    return (unit(e1, bs_var(cfg)), unit(e2, bs_var(cfg)),
+            unit(relay_gains(g), cfg.var_relay))
 
 
 def best_margins(cfg, seed, trials):
@@ -74,11 +72,24 @@ def best_margins(cfg, seed, trials):
     return simulate._best_margins(cfg, seed, trials, direct_test(cfg)[0])
 
 
+def relay_inputs(cfg, seed, trials):
+    """The engine's memoised inputs of ``judge_relay`` for ``trials``
+    relay trials of ``seed``: direct attempts 0 and 1 and the relay
+    statistics."""
+    return (*simulate._bs_rounds(cfg, seed, trials),
+            simulate._relay_stats(cfg, seed, trials))
+
+
+def bs_rounds(cfg, seed, trials):
+    """The memoised BS rounds of attempts 0 and 1, (trials, 2, 2, 2)."""
+    return np.stack(simulate._bs_rounds(cfg, seed, trials), axis=1)
+
+
 def relay_verdicts(cfg, seed, trials=PASS):
     """Draw the first ``trials`` relay trials of ``seed`` afresh and judge
     them."""
     simulate.clear_memos()
-    return judge_relay(cfg, simulate._relay_stats(cfg, seed, trials))
+    return judge_relay(cfg, *relay_inputs(cfg, seed, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +159,9 @@ def test_direct_margins_are_prefix_stable(retx):
     # each engine reads its substreams in trial order, so a trial's draws
     # do not depend on the trial count: 300 trials end in a partial
     # pass, 512 fill two, and each run is the first rows of the next,
-    # for the direct margins and the relay statistics alike
+    # for the direct margins, the shared rounds and the relay statistics
     cfg = make_cfg(P=10.0, retx=retx)
-    for rows in (best_margins, simulate._relay_stats):
+    for rows in (best_margins, bs_rounds, simulate._relay_stats):
         runs = []
         for trials in (300, 512, 2000):
             simulate.clear_memos()
@@ -171,8 +182,8 @@ def test_direct_verdict_cannot_overflow():
         kappa, floor = direct_test(cfg)
         assert not (simulate._direct_margin(unit(e, bs_var(cfg)), kappa)
                     >= floor).any()
-        out = judge_relay(cfg, stats_of(cfg, e, np.zeros_like(e),
-                                        np.zeros((1, 2, cfg.M), complex)))
+        out = judge_relay(cfg, *stats_of(cfg, e, np.zeros_like(e),
+                                         np.zeros((1, 2, cfg.M), complex)))
         assert not out.round1.any()
         # a round that clears the threshold still passes
         assert (simulate._direct_margin(
@@ -183,8 +194,8 @@ def test_direct_verdict_cannot_overflow():
 def test_direct_margin_matches_the_diagonal_form():
     # the margin reads own gains from columns 0 and 3 of a flat round and
     # cross gains from columns 1 and 2: the same floats as the diagonal
-    # views of the (L, 2, 2) round, whatever the layout it is handed,
-    # with -inf where kappa cross overflows
+    # views of the (L, 2, 2) round, in either layout, with -inf where
+    # kappa cross overflows
     kappa = 3.0
     e = substream(31, CTX_DIRECT, 0).standard_gamma(3.0, (10 ** 4, 2, 2))
     e[:3, 0, 1] = e[2:5, 1, 0] = 1e308
@@ -192,10 +203,8 @@ def test_direct_margin_matches_the_diagonal_form():
     cross = e[:, :, ::-1].diagonal(axis1=1, axis2=2)
     with np.errstate(over="ignore"):
         want = own - kappa * cross
-        stats = np.zeros((len(e), STATS))
-        stats[:, _E1] = e.reshape(-1, 4)
         got = [simulate._direct_margin(x, kappa)
-               for x in (e, e.reshape(-1, 4), stats[:, _E1])]
+               for x in (e, e.reshape(-1, 4))]
     assert np.isneginf(want).sum() == 6
     for margin in got:
         assert margin.shape == (len(e), 2)
@@ -324,12 +333,13 @@ def count_draws(monkeypatch, name="draw_bs_channels"):
 def test_second_point_of_a_curve_draws_nothing(monkeypatch):
     simulate.clear_memos()
     calls = count_draws(monkeypatch)
-    # one draw per pass and attempt: 4 passes, 2 attempts
+    # attempts 0 and 1 are the shared rounds, one whole draw each
     simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
-    assert len(calls) == 8
-    for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0)):
+    assert len(calls) == 2
+    for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0),
+               dict(rate=3.0), dict(var_cross=0.5)):
         simulate_direct(make_cfg(**kw), trials=ODD_TRIALS, seed=18)
-    assert len(calls) == 8
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("field, value", [
@@ -341,6 +351,7 @@ def test_second_point_of_a_curve_draws_nothing(monkeypatch):
 def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     keyed = field in ("seed", "trials", "N", "var_direct", "var_cross",
                       "rate", "retx")
+    drawn = field in ("seed", "trials", "N", "retx")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, retx=2)
     simulate.clear_memos()
@@ -350,9 +361,11 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch)
     got = simulate_direct(make_cfg(**cfg), **run)
-    # a key field draws afresh; P, noise_var and the relay fields hit,
-    # and a hit returns the memo's own rows
-    assert bool(calls) == keyed
+    # a key field builds new margins, which draw only where the shared
+    # rounds' key (seed, trials, N) misses or an attempt past them is
+    # added; P, noise_var and the relay fields hit, and a hit returns the
+    # memo's own rows
+    assert bool(calls) == drawn
     assert (best_margins(make_cfg(**cfg), **run) is rows) != keyed
     simulate.clear_memos()
     assert simulate_direct(make_cfg(**cfg), **run) == got
@@ -380,9 +393,10 @@ def test_best_margins_rise_with_the_attempt_budget():
     (lo, hi) for hi in range(2, 6) for lo in range(1, hi)])
 def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
                                          attempts):
-    # a memo at `first` attempts draws only the attempts it lacks, one
-    # draw per pass, and gives the margins of a cleared run, bit for
-    # bit, in a fresh array; the last of the passes is partial
+    # a memo at `first` attempts draws only the attempts it lacks past
+    # the shared rounds, one draw per pass, and gives the margins of a
+    # cleared run, bit for bit, in a fresh array; the last of the passes
+    # is partial
     trials = passes * PASS - 17
     simulate.clear_memos()
     want = best_margins(make_cfg(P=10.0, retx=attempts), 25, trials)
@@ -391,7 +405,7 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
     kept = old.copy()
     calls = count_draws(monkeypatch)
     got = best_margins(make_cfg(P=30.0, retx=attempts), 25, trials)
-    assert len(calls) == passes * (attempts - first)
+    assert len(calls) == passes * (attempts - max(first, simulate.ROUNDS))
     assert np.array_equal(got, want)
     assert got is not old and not got.flags.writeable
     assert np.array_equal(old, kept)
@@ -399,14 +413,16 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
 
 @pytest.mark.usefixtures("small_pass")
 def test_smaller_budget_draws_afresh(monkeypatch):
+    # 4 passes of attempt 2 are drawn again; attempts 0 and 1 are the
+    # shared rounds
     simulate.clear_memos()
-    simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS, seed=26)
+    simulate_direct(make_cfg(P=10.0, retx=4), trials=ODD_TRIALS, seed=26)
     calls = count_draws(monkeypatch)
-    got = simulate_direct(make_cfg(P=10.0, retx=2), trials=ODD_TRIALS,
+    got = simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS,
                           seed=26)
-    assert len(calls) == 4 * 2
+    assert len(calls) == 4
     simulate.clear_memos()
-    assert simulate_direct(make_cfg(P=10.0, retx=2), trials=ODD_TRIALS,
+    assert simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS,
                            seed=26) == got
 
 
@@ -476,11 +492,13 @@ def test_memo_under_racing_budgets():
 
 def test_memo_memory_is_16_bytes_per_trial():
     trials = 400_000
-    cfg = make_cfg(P=10.0, retx=2)
+    cfg = make_cfg(P=10.0, retx=3)
     # slack: one pass's temporaries, its gains, margins and the bool mask
-    # it counts failures with, up to 16 floats a row, and 64 KiB
+    # it counts failures with, up to 16 floats a row, and 64 KiB; the
+    # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     simulate.clear_memos()
+    simulate._bs_rounds(cfg, 22, trials)
     tracemalloc.start()
     try:
         simulate_direct(cfg, trials=trials, seed=22)
@@ -502,7 +520,7 @@ def test_memo_memory_is_16_bytes_per_trial():
 ])
 @pytest.mark.usefixtures("small_pass")
 def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
-    keyed = field in ("seed", "trials", "N", "M")
+    keyed = field in ("seed", "trials", "M")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, rate=1.0)
     simulate.clear_memos()
@@ -521,15 +539,26 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
 
 
 def test_fig2_draws_its_relay_trials_once(monkeypatch):
-    # 7 rates at one SNR: the relay draws once, from one substream, and
-    # the direct engine once per rate and attempt (gamma is part of its
-    # margins), from one substream per attempt
+    # 7 rates at one SNR: the relay statistics are drawn once, from one
+    # substream, and attempts 0 and 1 once each, from their own, for both
+    # engines at every rate
     simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name) for name in
                ("substream", "draw_bs_channels", "draw_relay_stats")}
     run_experiment("fig2", trials=100, seed=0)
     assert {k: len(v) for k, v in counted.items()} == dict(
-        substream=15, draw_bs_channels=14, draw_relay_stats=1)
+        substream=3, draw_bs_channels=2, draw_relay_stats=1)
+
+
+def test_fig3_draws_its_bs_rounds_once(monkeypatch):
+    # 5 relay sizes: the relay statistics are drawn once per M, and the
+    # two BS rounds, which do not depend on M, once for all five
+    simulate.clear_memos()
+    counted = {name: count_draws(monkeypatch, name) for name in
+               ("substream", "draw_bs_channels", "draw_relay_stats")}
+    run_experiment("fig3", trials=100, seed=0)
+    assert {k: len(v) for k, v in counted.items()} == dict(
+        substream=7, draw_bs_channels=2, draw_relay_stats=5)
 
 
 def test_fig1_builds_one_substream_per_attempt(monkeypatch):
@@ -545,20 +574,21 @@ def test_fig1_builds_one_substream_per_attempt(monkeypatch):
 
 def test_variance_sweeps_draw_once(monkeypatch):
     # the draws are unit variates, so a sweep over var_relay draws the
-    # relay trials once, and doubling var_direct and var_cross together
-    # keeps the direct key, kappa = gamma var_cross / var_direct
+    # relay trials once, the direct engine then reads the rounds the relay
+    # drew, and doubling var_direct and var_cross together keeps the
+    # direct key, kappa = gamma var_cross / var_direct
     simulate.clear_memos()
     calls = count_draws(monkeypatch, "draw_relay_stats")
+    rounds = count_draws(monkeypatch)
     for var_relay in (1.0, 4.0, 16.0):
         simulate_relay(make_cfg(P=10.0, var_relay=var_relay),
                        trials=ODD_TRIALS, seed=29)
     assert len(calls) == 1            # one run, one draw
-    calls = count_draws(monkeypatch)
-    simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=29)
-    drawn = len(calls)
-    simulate_direct(make_cfg(P=10.0, var_direct=4.0, var_cross=2.0),
-                    trials=ODD_TRIALS, seed=29)
-    assert len(calls) == drawn
+    assert len(rounds) == 2           # attempts 0 and 1
+    rows = best_margins(make_cfg(P=10.0), 29, ODD_TRIALS)
+    assert best_margins(make_cfg(P=10.0, var_direct=4.0, var_cross=2.0),
+                        29, ODD_TRIALS) is rows
+    assert len(rounds) == 2
 
 
 def test_relay_memo_under_racing_callers():
@@ -579,49 +609,59 @@ def test_relay_memo_under_racing_callers():
     assert race(run, want) == []
 
 
-def test_relay_memo_memory_is_72_bytes_per_trial():
+def test_relay_memo_memory_is_24_bytes_per_trial():
     trials = 200_000
-    assert STATS == 9
+    assert STATS == 3
     # the draw writes straight into the memo, at any M; the slack is the
-    # judge's temporaries, PASS_ROWS trials at a time, and 64 KiB
+    # judge's temporaries, PASS_ROWS trials at a time, and 64 KiB; the
+    # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     for m in (3, 5000):
         simulate.clear_memos()
+        cfg = make_cfg(rate=4.0, M=m)
+        simulate._bs_rounds(cfg, 22, trials)
         tracemalloc.start()
         try:
-            simulate_relay(make_cfg(rate=4.0, M=m), trials=trials, seed=22)
+            simulate_relay(cfg, trials=trials, seed=22)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             simulate.clear_memos()
-        assert peak <= 72 * trials + slack, m
+        assert peak <= 24 * trials + slack, m
 
 
-@pytest.mark.parametrize("step", ["rate", "antennas"])
+@pytest.mark.parametrize("step", ["rate", "antennas", "budget"])
 def test_a_sweep_step_holds_one_memo_per_engine(step):
-    # a point that misses its engine's memo frees it before drawing the
-    # next, so a fig2-style rate step (a new kappa, the direct key) and a
-    # fig3-style antenna step (a new relay key) never hold an old memo next
-    # to its successor: the peak is the 2 + STATS floats per trial that
-    # MAX_TRIALS is derived from, and 2 B per trial for a pass's
-    # temporaries (the old engine peaked at 104 and 144 B per trial)
+    # a point that misses a memo frees it before drawing the next, so a
+    # fig2-style rate step (a new kappa, the direct key), a fig3-style
+    # antenna step (a new relay key) and a fig1-style budget step (a
+    # copied, extended direct memo, with no relay memo) never hold an old
+    # memo next to its successor: the peak is at most the 8 + 2 + STATS
+    # floats per trial (104 B) that MAX_TRIALS is derived from, and 2 B
+    # per trial for a pass's temporaries
     trials = 400_000
     if step == "rate":
         cfgs = [make_cfg(rate=rate) for rate in (2.0, 3.0)]
-    else:
+    elif step == "antennas":
         cfgs = [make_cfg(rate=6.0, M=m) for m in (2, 3)]
+    else:
+        cfgs = [make_cfg(retx=retx) for retx in (1, 2, 3)]
     simulate.clear_memos()
     tracemalloc.start()
     try:
         for cfg in cfgs:
-            if step == "rate":
+            if step != "antennas":
                 simulate_direct(cfg, trials=trials, seed=32)
-            simulate_relay(cfg, trials=trials, seed=32)
+            if step != "budget":
+                simulate_relay(cfg, trials=trials, seed=32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         simulate.clear_memos()
-    assert peak <= ((2 + STATS) * 8 + 2) * trials
+    per_trial = 8 * (4 * simulate.ROUNDS + 2 + STATS)
+    assert per_trial == 104
+    assert simulate.MAX_TRIALS == 2 ** 30 // per_trial
+    assert peak <= (per_trial + 2) * trials
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +680,19 @@ def test_relay_outage_does_not_depend_on_the_noise_scale():
                                       var_direct=2.0, var_cross=1.0,
                                       var_relay=4.0, rate=4.0)
             ests.append(simulate_relay(cfg, trials=1000, seed=0))
-    assert ests[0].pooled.failures == 15      # seed 0's relay draw
+    assert ests[0].pooled.failures == 21      # seed 0's relay draw
     assert all(est == ests[0] for est in ests)
 
 
-# fig2's 40 dB, R = 4 point, whose statistics the scale test judges
+# fig2's 40 dB, R = 4 point, whose trials the scale test judges: its
+# rounds 1 and 2 and its relay statistics
 _FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                                var_cross=1.0, var_relay=4.0, rate=4.0)
-_FIG2_R4_STATS = draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
-                                  np.empty((PASS, STATS)))
+_FIG2_R4_TRIALS = (
+    *(draw_bs_channels(_FIG2_R4, substream(3, CTX_DIRECT, a), rounds=PASS)
+      for a in (0, 1)),
+    draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
+                     np.empty((PASS, STATS))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -665,10 +709,10 @@ def test_verdicts_do_not_depend_on_the_power_scale(k):
     cfg = dataclasses.replace(
         _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
                      for f in ("P", "noise_var")})
-    want = judge_relay(_FIG2_R4, _FIG2_R4_STATS)
+    want = judge_relay(_FIG2_R4, *_FIG2_R4_TRIALS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = judge_relay(cfg, _FIG2_R4_STATS)
+        got = judge_relay(cfg, *_FIG2_R4_TRIALS)
         assert np.array_equal(got.round1, want.round1)
         assert np.array_equal(got.mode, want.mode)
         assert np.array_equal(got.delivered, want.delivered)
@@ -690,10 +734,10 @@ def test_verdicts_do_not_depend_on_the_channel_scale(k):
         _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
                      for f in ("var_direct", "var_cross", "var_relay",
                                "noise_var")})
-    want = judge_relay(_FIG2_R4, _FIG2_R4_STATS)
+    want = judge_relay(_FIG2_R4, *_FIG2_R4_TRIALS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = judge_relay(cfg, _FIG2_R4_STATS)
+        got = judge_relay(cfg, *_FIG2_R4_TRIALS)
         assert np.array_equal(got.round1, want.round1)
         assert np.array_equal(got.mode, want.mode)
         assert np.array_equal(got.delivered, want.delivered)
@@ -713,12 +757,12 @@ def test_single_user_rescue_cannot_overflow():
     g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = judge_relay(cfg, stats_of(cfg, e1, e2, g))
+        out = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
         assert out.round1.tolist() == [[True, False]]
         assert out.delivered.tolist() == [[True, True]]
         # past Y = 100 the SINR falls below gamma
         e2[0, 1, 0] = 100.0 * (1 + 1e-12)
-        assert judge_relay(cfg, stats_of(cfg, e1, e2, g)).delivered.tolist() \
+        assert judge_relay(cfg, *stats_of(cfg, e1, e2, g)).delivered.tolist() \
             == [[True, False]]
 
 
@@ -727,6 +771,42 @@ def test_relay_beats_direct_at_high_rate():
     relay = simulate_relay(cfg, trials=150, seed=12)
     direct = simulate_direct(cfg, trials=150, seed=12)
     assert relay.pooled.p_hat < direct.p_hat
+
+
+@pytest.mark.usefixtures("small_pass")
+def test_relay_losses_failed_direct_attempt_0(monkeypatch):
+    # relay round 1 is direct attempt 0, trial by trial: at every rate of
+    # figure 2, judged in the engine's passes, a (trial, user) decodes
+    # round 1 exactly where it passes attempt 0, so every message the
+    # relay loses also failed attempt 0
+    judged = []
+    judge = simulate.judge_relay
+
+    def kept(*args):
+        judged.append(judge(*args))
+        return judged[-1]
+    monkeypatch.setattr(simulate, "judge_relay", kept)
+    e = draw_bs_channels(make_cfg(), substream(3, CTX_DIRECT, 0),
+                         rounds=ODD_TRIALS)
+    simulate.clear_memos()
+    seen = set()
+    for rate in simulate.FIG2_RATES:
+        cfg = simulate._cfg(simulate._FIG23_BASE, simulate.FIG2_SNR_DB,
+                            rate=float(rate))
+        judged.clear()
+        est = simulate_relay(cfg, trials=ODD_TRIALS, seed=3)
+        round1, lost = (np.concatenate([getattr(v, f) for v in judged])
+                        for f in ("round1", "delivered"))
+        lost = ~lost
+        kappa, floor = direct_test(cfg)
+        with np.errstate(over="ignore"):
+            failed0 = simulate._direct_margin(e, kappa) < floor
+        assert len(judged) == 4 and est.pooled.failures == lost.sum()
+        assert np.array_equal(round1, ~failed0), rate
+        assert not (lost & ~failed0).any(), rate
+        seen |= {(f, x) for f, x in zip(failed0.flat, lost.flat)}
+    # some failures are rescued, some lost
+    assert seen >= {(True, True), (True, False)}
 
 
 def test_zero_relay_channel_fails_retransmission():
@@ -781,7 +861,7 @@ def test_block_verdicts_match_per_trial_reference():
             g[:PASS // 3, 1] = 0.0      # nothing to null toward user 2
             g[-PASS // 3:, 0] = 0.0
         # the engine judges by the unit (A, B, C) the channels reduce to
-        got = judge_relay(cfg, stats_of(cfg, e1, e2, g))
+        got = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
         for i in range(PASS):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(got.round1[i]) == ok, (case, i)
@@ -800,16 +880,21 @@ def test_block_verdicts_match_per_trial_reference():
 
 
 def test_relay_stats_layout():
-    # every relay trial of a run comes from the one substream keyed 0, a
-    # row of 9 floats per trial, in trial order
+    # the relay links of every relay trial of a run come from the one
+    # substream keyed 0, a row of 3 floats per trial, in trial order, and
+    # its rounds 1 and 2 are direct attempts 0 and 1, each drawn whole
     cfg = make_cfg(M=4)
     n = 37
     want = draw_relay_stats(cfg, substream(26, CTX_RELAY, 0),
                             np.empty((n, STATS)))
     simulate.clear_memos()
-    got = simulate._relay_stats(cfg, 26, n)
+    e1, e2, got = relay_inputs(cfg, 26, n)
     assert got.shape == (n, STATS)
     assert np.array_equal(got, want)
+    for attempt, e in enumerate((e1, e2)):
+        assert not e.flags.writeable
+        assert np.array_equal(e, draw_bs_channels(
+            cfg, substream(26, CTX_DIRECT, attempt), rounds=n))
 
 
 def test_relay_validates_antennas():
