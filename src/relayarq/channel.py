@@ -158,10 +158,9 @@ STATS = 3                 # floats per relay trial: A, B and C
 
 
 def draw_relay_stats(cfg: SystemConfig, rng: np.random.Generator,
-                     out: np.ndarray) -> np.ndarray:
-    """Write the unit-variance relay-link statistics A, B and C of
-    ``len(out)`` fresh relay trials into out, float (len(out), STATS),
-    and return it.
+                     trials: int) -> np.ndarray:
+    """Unit-variance relay-link statistics A, B and C of ``trials`` fresh
+    relay trials, float (trials, STATS), one row per trial.
 
     A, B and C are Gamma(M), Gamma(M - 1) and Gamma(1). For relay links
     g1, g2 of M entries of variance v, ||g1||^2 = v A,
@@ -170,4 +169,4 @@ def draw_relay_stats(cfg: SystemConfig, rng: np.random.Generator,
     ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B, and
     ||P_perp_g2 g1||^2 = v A B / (B + C).
     """
-    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], out=out)
+    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (trials, STATS))

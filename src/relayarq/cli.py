@@ -55,10 +55,11 @@ most MAX_TRIALS (each memo is held once and freed before the next is
 drawn, so the memos stay under 1 GiB), an SNR grid of at most
 MAX_GRID_POINTS points, counted before it is built, and the one SNR a
 beamform command takes. The ``--dump-config`` file is written only
-once the run has succeeded. ``--threads`` (at least 1) is accepted so
-that older command lines and config files still run, and has no effect:
-the engine draws every run on the calling thread. Exit codes: 0 success,
-2 usage, config, output or computation error.
+once the run has succeeded and its table is written. ``--threads`` (at
+least 1) is accepted so that older command lines and config files still
+run, and has no effect: the engine draws every run on the calling
+thread. Exit codes: 0 success, 2 usage, config, output or computation
+error.
 """
 
 import os
@@ -425,10 +426,11 @@ def main(argv=None) -> int:
         params, grid = _effective_params(command, given)
         dump = given.get("dump_config")
         columns, rows = COMMANDS[command](params, grid, which)
-        # written once the run has succeeded, so no refused run leaves one
+        _write(params["output"], _csv_text(columns, rows))
+        # written once the run and its table have succeeded, so no refused
+        # run or failed write leaves one
         if dump:
             _write(dump, _config_text(params))
-        _write(params["output"], _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)
         return 2

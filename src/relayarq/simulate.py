@@ -25,15 +25,15 @@ formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
 Randomness is keyed by what defines a round: attempt a of every direct
 trial comes from the substream (seed, CTX_DIRECT, a), and the relay links
 of every relay trial of a run from (seed, CTX_RELAY, 0). Both engines
-share the BS rounds of attempts 0 and 1, each drawn whole: the relay's
-round 1 is direct attempt 0, and its round 2 is attempt 1, of which a
-failed user reads only its cross gain. So a relay trial is lost only
-where direct attempt 0 failed, trial by trial. Later attempts are drawn
-in passes of at most ``PASS_ROWS`` rounds, and the engines judge
-``PASS_ROWS`` trials at a time. A pass only bounds an engine's
-temporaries, so no output depends on its length, and both engines are
-prefix-stable: a run with more trials holds a shorter run's rows in its
-first rows.
+share the BS rounds of attempts 0 and 1, each drawn whole the first time
+either engine reads it: the relay's round 1 is direct attempt 0, and its
+round 2 is attempt 1, of which a failed user reads only its cross gain.
+So a relay trial is lost only where direct attempt 0 failed, trial by
+trial. Later attempts are drawn in passes of at most ``PASS_ROWS``
+rounds, and the engines judge ``PASS_ROWS`` trials at a time. A pass
+only bounds an engine's temporaries, so no output depends on its length,
+and both engines are prefix-stable: a run with more trials holds a
+shorter run's rows in its first rows.
 
 Grid sweeps reuse the same seed at every point: common random numbers
 across a curve, fresh draws within each trial. Attempt budgets share
@@ -42,24 +42,27 @@ L > a, so a budget of L attempts sees the rounds of every smaller budget
 plus its own, and a message lost under L is lost under every smaller
 budget.
 
-Both engines reuse those common draws instead of redrawing them. Three
-memos keep per-trial floats of the last run, each keyed by exactly what
-its floats depend on; a point whose keys match draws nothing and only
-judges. One memory rule holds: a memo is held once, and a miss frees it
-before the next is allocated, so a CLI run holds at most 8 + 2 + STATS
-floats per trial (``MAX_TRIALS``) besides one pass of temporaries.
-``clear_memos`` forgets all three.
+Both engines reuse those common draws instead of redrawing them. Memos
+keep per-trial floats of the last run, one per shared round, one for the
+direct margins and one for the relay statistics, each keyed by exactly
+what its floats depend on; a point whose keys match draws nothing and
+only judges. One memory rule holds: a memo is held once, and a miss
+frees it before the next is allocated, so a CLI run holds at most
+8 + 2 + STATS floats per trial (``MAX_TRIALS``) besides one pass of
+temporaries. ``clear_memos`` forgets them all.
 
-* Rounds: the unit BS gains of attempts 0 and 1, 64 bytes per trial,
-  keyed by (seed, trials, N). No rate, power, noise or variance enters,
-  so every point of figures 2 and 3 reads the same two rounds.
+* Rounds: one memo per shared attempt a < ROUNDS, its unit BS gains,
+  32 bytes per trial, keyed by (seed, trials, N). No rate, power, noise
+  or variance enters, so every point of figures 2 and 3 reads the same
+  two rounds, and a one-attempt direct run, which reads only attempt 0,
+  holds 32 + 16 = 48 bytes per trial.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
   reaches the floor (``outage.direct_test``); the margin does not depend
   on P, sigma^2 or the variances' common scale. The memo holds each
   message's best margin over its attempts, 16 bytes per trial, keyed by
   (seed, trials, N, kappa), with the number of attempts it covers;
-  attempts 0 and 1 come from the rounds memo. A larger budget draws
+  attempts 0 and 1 come from their round memos. A larger budget draws
   only its further attempts and keeps the max of their margins and the
   memo's; a smaller one starts again from attempt 0. Figure 1 therefore
   runs its budgets L in rising order in the outer loop, so its four
@@ -146,17 +149,18 @@ def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
 
 
 # memo name -> its last run's entry, taken out while a point runs and put
-# back whole; a memo's arrays are never written once stored
+# back whole; a memo's array is never written once stored
 _memos = {}
-# attempts whose BS rounds both engines read from the rounds memo
+# attempts whose BS rounds both engines read, each from its own memo
 ROUNDS = 2
-# the most trials whose three memos, 4 gains of each of the ROUNDS rounds,
-# 2 direct margins and STATS relay floats of 8 B each per trial (every
-# draw writes its rows in place), stay under 1 GiB. A miss frees its memo
-# before drawing the next, so no run holds more. Extending the direct memo
-# to a larger attempt budget copies it, as a returned array never changes:
-# 16 B per trial more for that copy, which the CLI makes only in figure 1,
-# with no relay memo held
+# the most trials whose memos, 4 gains of each of the ROUNDS rounds, 2
+# direct margins and STATS relay floats of 8 B each per trial (each draw
+# returns the array its memo keeps), stay under 1 GiB. A miss frees its
+# memo before drawing the next, so no run holds more; a one-attempt direct
+# run holds its round 0 and margins, 48 B. Extending the direct memo to a
+# larger attempt budget copies it, as a returned array never changes: 16 B
+# per trial more for that copy, which the CLI makes only in figure 1, with
+# no relay memo held
 MAX_TRIALS = 2 ** 30 // (8 * (4 * ROUNDS + 2 + STATS))
 
 
@@ -166,28 +170,26 @@ def clear_memos():
     _memos.clear()
 
 
-def _memo(name: str, key: tuple, draw) -> tuple:
-    """The arrays the memo ``name`` holds under ``key``. A miss frees
-    them first, then stores the tuple of arrays ``draw()`` returns, made
-    read-only."""
-    old, arrays = _memos.pop(name, (None, None))
+def _memo(name: str, key: tuple, draw):
+    """The array the memo ``name`` holds under ``key``. A miss frees it
+    first, then stores the array ``draw()`` returns, made read-only."""
+    old, rows = _memos.pop(name, (None, None))
     if old != key:
-        arrays = None                     # frees the old memo
-        arrays = draw()
-        for a in arrays:
-            a.flags.writeable = False
-    _memos[name] = (key, arrays)
-    return arrays
+        rows = None                       # frees the old memo
+        rows = draw()
+        rows.flags.writeable = False
+    _memos[name] = (key, rows)
+    return rows
 
 
-def _bs_rounds(cfg: SystemConfig, seed: int, trials: int) -> tuple:
-    """Unit BS gains of attempts 0 and 1 of every trial, ROUNDS read-only
-    float (trials, 2, 2), each drawn whole from its attempt's substream,
-    memoised on (seed, trials, N)."""
-    trials = whole(trials, "trials")
-    return _memo("rounds", (seed, trials, cfg.N), lambda: tuple(
-        draw_bs_channels(cfg, substream(seed, CTX_DIRECT, a), rounds=trials)
-        for a in range(ROUNDS)))
+def _bs_round(cfg: SystemConfig, seed: int, trials: int,
+              attempt: int) -> np.ndarray:
+    """Unit BS gains of attempt ``attempt`` < ROUNDS of every trial, float
+    (trials, 2, 2), read-only, drawn whole from the attempt's substream
+    the first time it is read, memoised on (seed, trials, N)."""
+    return _memo(f"round {attempt}", (seed, trials, cfg.N),
+                 lambda: draw_bs_channels(
+                     cfg, substream(seed, CTX_DIRECT, attempt), trials))
 
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int,
@@ -195,10 +197,9 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
     """Best margin own - kappa cross over the attempts [0, cfg.retx) of
     every (trial, user), float (trials, 2), read-only, memoised as the
     module docstring's Direct item sets out; a larger budget extends a
-    fresh copy of the memo. Attempts below ROUNDS are read from the
-    rounds memo, and each later attempt is drawn from its substream.
+    fresh copy of the memo. Attempts below ROUNDS are read from their
+    round memos, and each later attempt is drawn from its substream.
     """
-    trials = whole(trials, "trials")
     key = (seed, trials, cfg.N, kappa)
     old, first, rows = _memos.pop("direct", (None, 0, None))
     if old != key or first > cfg.retx:
@@ -208,7 +209,7 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
         with np.errstate(over="ignore"):
             for attempt in range(first, cfg.retx):
                 if attempt < ROUNDS:
-                    e = _bs_rounds(cfg, seed, trials)[attempt]
+                    e = _bs_round(cfg, seed, trials, attempt)
                 else:
                     rng = substream(seed, CTX_DIRECT, attempt)
                 for lo in range(0, trials, PASS_ROWS):
@@ -230,7 +231,7 @@ def simulate_direct(cfg: SystemConfig, trials: int,
     int and True as 1 trial; anything else raises ContractViolationError.
     """
     kappa, floor = direct_test(cfg)
-    margins = _best_margins(cfg, seed, trials, kappa)
+    margins = _best_margins(cfg, seed, whole(trials, "trials"), kappa)
     fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < floor)
                 for lo in range(0, len(margins), PASS_ROWS))
     return OutageEstimate(trials=2 * len(margins), failures=int(fails))
@@ -296,9 +297,8 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Relay-link statistics of every relay trial, float (trials, STATS),
     read-only, all from one substream, memoised on (seed, trials, M)."""
-    trials = whole(trials, "trials")
-    return _memo("relay", (seed, trials, cfg.M), lambda: (draw_relay_stats(
-        cfg, substream(seed, CTX_RELAY, 0), np.empty((trials, STATS))),))[0]
+    return _memo("relay", (seed, trials, cfg.M), lambda: draw_relay_stats(
+        cfg, substream(seed, CTX_RELAY, 0), trials))
 
 
 def simulate_relay(cfg: SystemConfig, trials: int,
@@ -312,8 +312,9 @@ def simulate_relay(cfg: SystemConfig, trials: int,
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    inputs = (*_bs_rounds(cfg, seed, trials), _relay_stats(cfg, seed, trials))
-    trials = len(inputs[0])
+    trials = whole(trials, "trials")
+    inputs = (*(_bs_round(cfg, seed, trials, a) for a in range(ROUNDS)),
+              _relay_stats(cfg, seed, trials))
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):

@@ -277,7 +277,7 @@ def test_c7_rate_sweep_relay_beats_direct():
         kappa, floor = direct_test(cfg)
         direct_lost = simulate._best_margins(cfg, 0, trials, kappa) < floor
         relay_lost = ~simulate.judge_relay(
-            cfg, *simulate._bs_rounds(cfg, 0, trials),
+            cfg, *(simulate._bs_round(cfg, 0, trials, a) for a in (0, 1)),
             simulate._relay_stats(cfg, 0, trials)).delivered
         assert direct_lost.sum() == direct.failures
         assert relay_lost.sum() == relay.pooled.failures

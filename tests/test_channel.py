@@ -29,11 +29,6 @@ def make_cfg(**kw):
     return SystemConfig(**base)
 
 
-def relay_stats(cfg, rng, rounds):
-    """The statistics of ``rounds`` fresh relay trials, (rounds, STATS)."""
-    return draw_relay_stats(cfg, rng, np.empty((rounds, STATS)))
-
-
 @pytest.mark.parametrize("snr_db", [-30.0, 0.0, 7.5, 40.0, 200.0])
 @pytest.mark.parametrize("noise_var", [1e-3, 1.0, 4.0])
 def test_at_snr_sets_power_from_snr(snr_db, noise_var):
@@ -176,10 +171,10 @@ def test_bs_gains_follow_gamma_law(n):
 def test_draws_do_not_read_the_variances(zero):
     # the draws are unit variates: a zero variance, or any other, leaves
     # them as they are, and only the verdicts read it
-    for draw in (draw_bs_channels, relay_stats):
-        want = draw(make_cfg(), substream(5, CTX_DIRECT, 0), rounds=100)
+    for draw in (draw_bs_channels, draw_relay_stats):
+        want = draw(make_cfg(), substream(5, CTX_DIRECT, 0), 100)
         got = draw(make_cfg(**{zero: 0.0}), substream(5, CTX_DIRECT, 0),
-                   rounds=100)
+                   100)
         assert np.array_equal(got, want)
         assert (got > 0.0).all()
 
@@ -189,7 +184,7 @@ def test_relay_channel_variance():
     # E A = E ||g1||^2 and E (B + C) = E ||g2||^2 are both M; each unit BS
     # gain sums N entries of variance 1
     cfg = make_cfg(N=2, M=4, var_relay=3.0)
-    rows = relay_stats(cfg, substream(2, CTX_RELAY, 0), rounds=20000)
+    rows = draw_relay_stats(cfg, substream(2, CTX_RELAY, 0), 20000)
     a, b, c = rows.T
     assert abs(np.mean(a) / 4 - 1.0) < 0.05
     assert abs(np.mean(b + c) / 4 - 1.0) < 0.05
@@ -199,12 +194,17 @@ def test_relay_channel_variance():
 
 
 def test_relay_channel_shapes():
-    # the draw writes into the array it is given and returns it
+    # the draw returns a fresh float (trials, STATS) array, one row per
+    # trial: the variates one Gamma([M, M - 1, 1]) draw writes into an
+    # array of that shape, from a substream of the same key
     cfg = make_cfg(M=5)
-    rng = substream(3, CTX_RELAY, 1)
-    for rounds in (1, 7):
-        out = np.empty((rounds, STATS))
-        assert draw_relay_stats(cfg, rng, out) is out
+    for trials in (1, 7):
+        got = draw_relay_stats(cfg, substream(3, CTX_RELAY, trials), trials)
+        assert got.shape == (trials, STATS)
+        assert got.dtype == np.float64
+        want = substream(3, CTX_RELAY, trials).standard_gamma(
+            [cfg.M, cfg.M - 1, 1], out=np.empty((trials, STATS)))
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
@@ -219,7 +219,7 @@ def test_relay_gains_follow_gamma_law(m):
     rounds = 5000
     reduced = relay_gains(cn(substream(28, CTX_RELAY, m), (rounds, 2, m),
                              cfg.var_relay)) / cfg.var_relay
-    drawn = relay_stats(cfg, substream(29, CTX_RELAY, m), rounds)
+    drawn = draw_relay_stats(cfg, substream(29, CTX_RELAY, m), rounds)
     for source, abc in (("complex", reduced), ("gamma", drawn)):
         a, b, c = abc.T
         for name, x, order in (("A", a, m), ("B", b, m - 1), ("C", c, 1),

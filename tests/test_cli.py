@@ -333,6 +333,20 @@ def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
     assert not dump.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_failed_table_write_dumps_no_config(tmp_path, capsys):
+    # every write to /dev/full fails for want of space, so the run's table
+    # is lost and no config file may record the run
+    dump = tmp_path / "d.conf"
+    code, out, err = run_cli(capsys, "analytic", "--snr-db", "10", "-o",
+                             "/dev/full", "--dump-config", str(dump))
+    assert code == 2
+    assert out == ""
+    assert "No space left on device" in err
+    assert not dump.exists()
+
+
 def test_failed_write_exits_2(tmp_path, capsys):
     # the directory exists, but the file name is longer than any file
     # system allows, so only the write itself can fail

@@ -72,17 +72,24 @@ def best_margins(cfg, seed, trials):
     return simulate._best_margins(cfg, seed, trials, direct_test(cfg)[0])
 
 
+def shared_rounds(cfg, seed, trials):
+    """The memoised BS rounds of attempts 0 and 1, read-only (trials, 2,
+    2) each."""
+    return tuple(simulate._bs_round(cfg, seed, trials, attempt)
+                 for attempt in range(simulate.ROUNDS))
+
+
 def relay_inputs(cfg, seed, trials):
     """The engine's memoised inputs of ``judge_relay`` for ``trials``
     relay trials of ``seed``: direct attempts 0 and 1 and the relay
     statistics."""
-    return (*simulate._bs_rounds(cfg, seed, trials),
+    return (*shared_rounds(cfg, seed, trials),
             simulate._relay_stats(cfg, seed, trials))
 
 
 def bs_rounds(cfg, seed, trials):
     """The memoised BS rounds of attempts 0 and 1, (trials, 2, 2, 2)."""
-    return np.stack(simulate._bs_rounds(cfg, seed, trials), axis=1)
+    return np.stack(shared_rounds(cfg, seed, trials), axis=1)
 
 
 def relay_verdicts(cfg, seed, trials=PASS):
@@ -393,10 +400,10 @@ def test_best_margins_rise_with_the_attempt_budget():
     (lo, hi) for hi in range(2, 6) for lo in range(1, hi)])
 def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
                                          attempts):
-    # a memo at `first` attempts draws only the attempts it lacks past
-    # the shared rounds, one draw per pass, and gives the margins of a
-    # cleared run, bit for bit, in a fresh array; the last of the passes
-    # is partial
+    # a memo at `first` attempts draws only the attempts it lacks: a
+    # shared round not yet read in one whole draw, each later attempt one
+    # draw per pass, and gives the margins of a cleared run, bit for bit,
+    # in a fresh array; the last of the passes is partial
     trials = passes * PASS - 17
     simulate.clear_memos()
     want = best_margins(make_cfg(P=10.0, retx=attempts), 25, trials)
@@ -405,7 +412,9 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
     kept = old.copy()
     calls = count_draws(monkeypatch)
     got = best_margins(make_cfg(P=30.0, retx=attempts), 25, trials)
-    assert len(calls) == passes * (attempts - max(first, simulate.ROUNDS))
+    shared = len(range(first, min(attempts, simulate.ROUNDS)))
+    later = len(range(max(first, simulate.ROUNDS), attempts))
+    assert len(calls) == shared + passes * later
     assert np.array_equal(got, want)
     assert got is not old and not got.flags.writeable
     assert np.array_equal(old, kept)
@@ -498,7 +507,7 @@ def test_memo_memory_is_16_bytes_per_trial():
     # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     simulate.clear_memos()
-    simulate._bs_rounds(cfg, 22, trials)
+    shared_rounds(cfg, 22, trials)
     tracemalloc.start()
     try:
         simulate_direct(cfg, trials=trials, seed=22)
@@ -507,6 +516,33 @@ def test_memo_memory_is_16_bytes_per_trial():
         tracemalloc.stop()
         simulate.clear_memos()
     assert peak <= 16 * trials + slack
+
+
+def test_one_attempt_draws_only_round_0(monkeypatch):
+    # a one-attempt run reads attempt 0 alone, so it draws that round from
+    # its substream and no other
+    simulate.clear_memos()
+    counted = {name: count_draws(monkeypatch, name)
+               for name in ("substream", "draw_bs_channels")}
+    simulate_direct(make_cfg(P=10.0, retx=1), trials=ODD_TRIALS, seed=33)
+    assert {k: len(v) for k, v in counted.items()} == dict(
+        substream=1, draw_bs_channels=1)
+
+
+def test_one_attempt_memory_is_48_bytes_per_trial():
+    # round 0's 4 gains and the 2 margins, 48 B per trial, and the slack
+    # of one pass as above; the round of attempt 1 is never drawn
+    trials = 400_000
+    slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
+    simulate.clear_memos()
+    tracemalloc.start()
+    try:
+        simulate_direct(make_cfg(P=10.0, retx=1), trials=trials, seed=34)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate.clear_memos()
+    assert peak <= 48 * trials + slack
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +648,14 @@ def test_relay_memo_under_racing_callers():
 def test_relay_memo_memory_is_24_bytes_per_trial():
     trials = 200_000
     assert STATS == 3
-    # the draw writes straight into the memo, at any M; the slack is the
+    # the memo keeps the array the draw returns, at any M; the slack is the
     # judge's temporaries, PASS_ROWS trials at a time, and 64 KiB; the
     # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     for m in (3, 5000):
         simulate.clear_memos()
         cfg = make_cfg(rate=4.0, M=m)
-        simulate._bs_rounds(cfg, 22, trials)
+        shared_rounds(cfg, 22, trials)
         tracemalloc.start()
         try:
             simulate_relay(cfg, trials=trials, seed=22)
@@ -691,8 +727,7 @@ _FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
 _FIG2_R4_TRIALS = (
     *(draw_bs_channels(_FIG2_R4, substream(3, CTX_DIRECT, a), rounds=PASS)
       for a in (0, 1)),
-    draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0),
-                     np.empty((PASS, STATS))))
+    draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0), PASS))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -885,8 +920,7 @@ def test_relay_stats_layout():
     # its rounds 1 and 2 are direct attempts 0 and 1, each drawn whole
     cfg = make_cfg(M=4)
     n = 37
-    want = draw_relay_stats(cfg, substream(26, CTX_RELAY, 0),
-                            np.empty((n, STATS)))
+    want = draw_relay_stats(cfg, substream(26, CTX_RELAY, 0), n)
     simulate.clear_memos()
     e1, e2, got = relay_inputs(cfg, 26, n)
     assert got.shape == (n, STATS)
