@@ -7,9 +7,9 @@ Usage::
 ``relayarq --help`` lists the commands (``analytic``, ``simulate-direct``,
 ``simulate-relay``, ``beamform-single``, ``beamform-multi`` and
 ``figure 1|2|3``) and every flag with its default. Every command takes
-the same flags, one for each run parameter in ``PARAMS`` plus
-``--config`` and ``--dump-config``, and ``main`` reads them off that
-table itself:
+the same flags, one for each run parameter in ``PARAMS`` plus three
+that belong to the invocation, not the run: ``-o``, ``--config`` and
+``--dump-config``. ``main`` reads them off that table itself:
 
 * positionals and flags come in any order, so ``figure 2 --trials 100``
   and ``figure --trials 100 2`` are the same run; the figure index goes
@@ -43,19 +43,22 @@ Every command writes a CSV (header row, one data row per point) to the
 ``-o`` path or standard output; progress goes to standard error only.
 Floats are printed with 17 significant digits, so equal runs produce
 byte-identical files. A flat ``key = value`` config file can hold any
-run parameter in ``PARAMS``; command-line flags override it, and
-``--dump-config`` writes one that reruns the same run (``_load_config``
-says what is a comment). ``-o`` and ``--dump-config`` must name a file
-in an existing directory, and ``-o`` neither the ``--config`` nor the
-``--dump-config`` file; with ``--dump-config``, ``-o`` must be a path a
-config line holds: one line of UTF-8 with no blank at either end. All
-of that is checked before any work. So are the ceilings: ``--n``/``--m``
+run parameter in ``PARAMS`` and nothing else, so not the output path;
+command-line flags override it, and ``--dump-config`` writes one that
+reruns the same run given the same ``-o`` (``_load_config`` says what is
+a comment). ``-o`` and ``--dump-config`` must name a file in an
+existing directory, so neither may be empty, and ``-o`` neither the
+``--config`` nor the ``--dump-config`` file. All of that is checked
+before any work. So are the ceilings: ``--n``/``--m``
 at most MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at
 most MAX_TRIALS (each memo is held once and freed before the next is
 drawn, so the memos stay under 1 GiB), an SNR grid of at most
 MAX_GRID_POINTS points, counted before it is built, and the one SNR a
-beamform command takes. The ``--dump-config`` file is written only
-once the run has succeeded and its table is written. ``--threads`` (at
+beamform command takes. Files are written first and standard output
+last: the ``-o`` file, then the ``--dump-config`` file, then the table on
+standard output. So a refused run or a failed ``-o`` write leaves no
+dump, and a failed dump leaves standard output empty, but a failed write
+to standard output can leave the dump behind. ``--threads`` (at
 least 1) is accepted so that older command lines and config files still
 run, and has no effect: the engine draws every run on the calling
 thread. Exit codes: 0 success, 2 usage, config, output or computation
@@ -88,13 +91,13 @@ MAX_GRID_POINTS = 100_000
 
 # every run parameter: (type, default). A config file sets it by its key,
 # the command line by the key with dashes (``noise_var`` is
-# ``--noise-var``), except that ``output`` is ``-o``.
+# ``--noise-var``).
 PARAMS = {
     "seed": (int, 0), "trials": (int, 10000), "threads": (int, 1),
     "n": (int, 3), "m": (int, 3), "rate": (float, 2.0), "retx": (int, 2),
     "noise_var": (float, 1.0), "var_direct": (float, 2.0),
     "var_cross": (float, 1.0), "var_relay": (float, 4.0),
-    "snr_db": (str, "10"), "output": (str, None),
+    "snr_db": (str, "10"),
 }
 
 
@@ -107,7 +110,7 @@ class ConfigError(RelayArqError):
 
 
 def _flag(key: str) -> str:
-    return "-o" if key == "output" else "--" + key.replace("_", "-")
+    return "--" + key.replace("_", "-")
 
 
 def _coerce(key: str, text: str):
@@ -119,9 +122,8 @@ def _coerce(key: str, text: str):
 
 def _load_config(path: str) -> dict:
     """Run parameters from a ``key = value`` file, as ``_config_text``
-    writes them. A line whose first non-blank character is ``#`` is a
-    comment; so is the rest of a line from a ``#`` on, except in
-    ``output``, whose value is a path and runs to the end of its line."""
+    writes them. A ``#`` anywhere starts a comment that runs to the end of
+    its line."""
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,15 +131,14 @@ def _load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
     for ln, raw in enumerate(lines, 1):
-        key, eq, val = map(str.strip, raw.partition("="))
-        if key.startswith("#") or not (key or eq):
+        key, eq, val = map(str.strip, raw.split("#", 1)[0].partition("="))
+        if not (key or eq):
             continue
         if not eq:
             raise ConfigError(f"{path}:{ln}: expected key = value")
         if key not in PARAMS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        value = val if key == "output" else val.split("#", 1)[0].strip()
-        out[key] = _coerce(key, value)
+        out[key] = _coerce(key, val)
     return out
 
 
@@ -166,25 +167,23 @@ def _parse_snr_grid(text: str):
 def _parse_argv(argv):
     """``(command, figure index or None, {key: value})`` of a command line,
     or None when it asks for help; raises ConfigError where it does not
-    parse. The keys are those of PARAMS plus ``config`` and
+    parse. The keys are those of PARAMS plus ``output``, ``config`` and
     ``dump_config``."""
     flags = {_flag(key): key for key in PARAMS}
-    flags.update({"--config": "config", "--dump-config": "dump_config",
-                  "--help": "help"})
+    flags.update({"-h": "help", "--help": "help", "-o": "output",
+                  "--config": "config", "--dump-config": "dump_config"})
     positional, given = [], {}
     tokens = iter(argv)
     for tok in tokens:
         if tok == "--":
             positional += tokens
             break
-        if tok == "-h":
-            return None
         if tok[:1] != "-" or tok == "-":
             positional.append(tok)
             continue
         if tok[:2] == "-o":
             name, value = "-o", tok[2:].removeprefix("=") if tok[2:] else None
-        elif tok[:2] == "--":
+        elif tok[:2] == "--" or tok == "-h":
             name, eq, value = tok.partition("=")
             hits = [name] if name in flags else [
                 f for f in flags if f.startswith(name)]
@@ -229,22 +228,21 @@ def _help_text() -> str:
               f"  {'--config CONFIG':<26}read run parameters from a "
               "key = value file",
               f"  {'--dump-config PATH':<26}write the run's parameters there "
-              "once it succeeds"]
+              "after the run"]
     for key, (_, default) in PARAMS.items():
-        shown = "standard output" if default is None else default
-        lines.append(f"  {_flag(key) + ' ' + key.upper():<26}default: {shown}")
+        lines.append(f"  {_flag(key) + ' ' + key.upper():<26}default: {default}")
+    lines.append(f"  {'-o OUTPUT':<26}default: standard output")
     return "\n".join(lines) + "\n"
 
 
 def _effective_params(command: str, given: dict):
     """The run's parameters and its parsed SNR grid, checked before
     anything is drawn or written: every ceiling, and the -o and
-    --dump-config paths. Each must name a file in an existing directory;
-    -o may not name a config file, and with a dump it must be a path the
-    dumped file can hold. No file name holds a NUL byte, which only a
-    config file's output can carry."""
+    --dump-config paths. Each must name a file in an existing directory,
+    so it may be neither empty nor hold a NUL byte, and -o may not name a
+    config file."""
     params = {key: default for key, (_, default) in PARAMS.items()}
-    if given.get("config"):
+    if "config" in given:
         params.update(_load_config(given["config"]))
     params.update((key, v) for key, v in given.items() if key in PARAMS)
     if params["trials"] < 100:
@@ -260,29 +258,26 @@ def _effective_params(command: str, given: dict):
     grid = _parse_snr_grid(params["snr_db"])
     if command.startswith("beamform") and len(grid) > 1:
         raise ConfigError("beamform commands take one SNR")
-    output, dump = params["output"], given.get("dump_config")
+    output, dump = given.get("output"), given.get("dump_config")
     for path in (output, dump):
-        if path and ("\0" in path or os.path.isdir(path)
-                     or not os.path.isdir(os.path.dirname(path) or ".")):
+        if path is not None and (
+                not path or "\0" in path or os.path.isdir(path)
+                or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ConfigError(f"cannot write {path}: not a file in an "
                               "existing directory")
     configs = [os.path.realpath(p) for p in (given.get("config"), dump) if p]
     if output and os.path.realpath(output) in configs:
         raise ConfigError(f"cannot write {output}: it is a config file")
-    # _load_config reads a value back as one stripped line of UTF-8
-    line = (output or "").encode("utf-8", "replace").decode("utf-8")
-    if output and dump and line.splitlines() != [output.strip()]:
-        raise ConfigError(f"--dump-config cannot record -o {output!r}")
     return params, grid
 
 
 def _build_cfg(params: dict, snr_db: float) -> SystemConfig:
+    # N and M are n and m, P follows from the SNR, and every other field
+    # is the run parameter of its name
+    same = ("noise_var", "var_direct", "var_cross", "var_relay", "rate",
+            "retx")
     return SystemConfig.at_snr(snr_db, N=params["n"], M=params["m"],
-                               noise_var=params["noise_var"],
-                               var_direct=params["var_direct"],
-                               var_cross=params["var_cross"],
-                               var_relay=params["var_relay"],
-                               rate=params["rate"], retx=params["retx"])
+                               **{key: params[key] for key in same})
 
 
 def _fmt(x) -> str:
@@ -294,14 +289,23 @@ def _fmt(x) -> str:
 
 
 def _write(path, text):
-    if not path:
-        sys.stdout.write(text)
-        return
+    """Write text to the file at path, or to standard output where path is
+    None, and flush it; raises ConfigError where the write fails."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}")
+        if path is None:
+            # what was not written stays buffered, and the flush at exit
+            # would fail on it again: point standard output at the null
+            # device, so the process exits with the code main returns
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {path or 'standard output'}: {e}")
 
 
 def _csv_text(columns, rows):
@@ -311,7 +315,7 @@ def _csv_text(columns, rows):
 
 
 def _config_text(params):
-    return "".join(f"{k} = {v}\n" for k, v in params.items() if v is not None)
+    return "".join(f"{k} = {v}\n" for k, v in params.items())
 
 
 def _progress(msg: str):
@@ -417,20 +421,21 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"{USAGE}\nrelayarq: error: {e}", file=sys.stderr)
         return 2
-    if parsed is None:
-        sys.stdout.write(_help_text())
-        return 0
-    command, which, given = parsed
 
     try:
+        if parsed is None:
+            _write(None, _help_text())
+            return 0
+        command, which, given = parsed
         params, grid = _effective_params(command, given)
-        dump = given.get("dump_config")
         columns, rows = COMMANDS[command](params, grid, which)
-        _write(params["output"], _csv_text(columns, rows))
-        # written once the run and its table have succeeded, so no refused
-        # run or failed write leaves one
-        if dump:
-            _write(dump, _config_text(params))
+        # files first, standard output last, so a failed file prints no table
+        if "output" in given:
+            _write(given["output"], _csv_text(columns, rows))
+        if "dump_config" in given:
+            _write(given["dump_config"], _config_text(params))
+        if "output" not in given:
+            _write(None, _csv_text(columns, rows))
     except RelayArqError as e:
         print(f"relayarq: {e}", file=sys.stderr)
         return 2

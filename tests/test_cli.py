@@ -287,8 +287,10 @@ def test_run_ceilings_are_inclusive(capsys, monkeypatch):
 @pytest.mark.parametrize("flag", ["-o", "--dump-config"])
 def test_unusable_output_path_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, command, flag):
+    # main(argv) in process can still pass a NUL byte, which no file name holds
     _forbid_library_calls(monkeypatch)
-    for target in (tmp_path / "missing_dir" / "x.out", tmp_path):
+    for target in (tmp_path / "missing_dir" / "x.out", tmp_path,
+                   tmp_path / "a\0b.csv"):
         code, out, err = run_cli(capsys, command, flag, str(target))
         assert code == 2
         assert out == ""
@@ -347,6 +349,61 @@ def test_failed_table_write_dumps_no_config(tmp_path, capsys):
     assert not dump.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_failed_dump_leaves_standard_output_empty(capsys):
+    # files are written before standard output, so a run that exits 2 for
+    # want of its dump has printed no table
+    code, out, err = run_cli(capsys, "analytic", "--snr-db", "10",
+                             "--dump-config", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert "cannot write /dev/full: [Errno 28] No space left on device" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [("analytic", "--snr-db", "10"), ("--help",)],
+                         ids=["table", "help"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_failed_write_to_standard_output_exits_2(argv, unbuffered):
+    # a real process, as only one can find its standard output full. A
+    # buffered standard output keeps what it failed to write, and the
+    # flush at exit must not fail on it again: no "Exception ignored", and
+    # the exit code is main's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "relayarq.cli", *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("relayarq: cannot write standard output: "
+                           "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("-o", ""), "cannot write : not a file in an existing directory"),
+    (("--dump-config=",), "cannot write : not a file in an existing directory"),
+    (("--config", ""), "cannot read config file"),
+], ids=["-o", "--dump-config", "--config"])
+def test_empty_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                            argv, needle):
+    # an empty path is given, not absent: it names no file to write or read
+    monkeypatch.chdir(tmp_path)
+    _forbid_library_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "analytic", *argv)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_write_exits_2(tmp_path, capsys):
     # the directory exists, but the file name is longer than any file
     # system allows, so only the write itself can fail
@@ -377,11 +434,11 @@ def test_analytic_any_antenna_count(capsys, n):
 # ---------------------------------------------------------------------------
 
 def test_config_file_applies(tmp_path, capsys):
-    # a line whose first non-blank character is "#" is a comment, and so
-    # is the rest of a line from a "#" on
+    # a "#" anywhere starts a comment that runs to the end of its line,
+    # inside a value too
     conf = tmp_path / "run.conf"
     conf.write_text("# rate = 9\n  # snr_db = 40\n\nrate = 3.0#bits\n"
-                    "snr_db = 0:10:5  # grid\n")
+                    "snr_db = 0:10:5#0:40:10  # grid\n")
     code, out, _ = run_cli(capsys, "analytic", "--config", str(conf))
     assert code == 0
     _, rows = parse_csv(out)
@@ -406,7 +463,7 @@ def test_flags_override_config(tmp_path, capsys):
     ("rate = abc\n", "bad value"),
     ("preset = fig1\n", "unknown key"),
     ("rate = 3  # \udcff\n", "cannot read config file"),   # not UTF-8
-    ("output = a\0b.csv\n", "not a file in an existing directory"),
+    ("output = t.csv\n", "unknown key"),       # -o is not a run parameter
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     conf = tmp_path / "bad.conf"
@@ -419,8 +476,7 @@ def test_config_errors_exit_2(tmp_path, capsys, body, needle):
 # a non-default value for every run parameter, as text
 SAMPLE = {"seed": "7", "trials": "500", "threads": "2", "n": "4", "m": "5",
           "rate": "3.5", "retx": "3", "noise_var": "0.5", "var_direct": "1.5",
-          "var_cross": "0.25", "var_relay": "2.5", "snr_db": "0:10:5",
-          "output": "table.csv"}
+          "var_cross": "0.25", "var_relay": "2.5", "snr_db": "0:10:5"}
 
 
 @pytest.mark.parametrize("key", list(cli.PARAMS))
@@ -428,9 +484,8 @@ def test_flag_and_config_key_agree(tmp_path, capsys, monkeypatch, key):
     monkeypatch.chdir(tmp_path)
     value = SAMPLE[key]
     assert cli.PARAMS[key][0](value) != cli.PARAMS[key][1]
-    flag = "-o" if key == "output" else "--" + key.replace("_", "-")
     (tmp_path / "run.conf").write_text(f"{key} = {value}\n")
-    code, by_flag, _ = run_cli(capsys, "analytic", flag, value,
+    code, by_flag, _ = run_cli(capsys, "analytic", cli._flag(key), value,
                                "--dump-config", "flag.conf")
     assert code == 0
     code, by_file, _ = run_cli(capsys, "analytic", "--config", "run.conf",
@@ -443,52 +498,45 @@ def test_flag_and_config_key_agree(tmp_path, capsys, monkeypatch, key):
 
 
 def test_config_round_trip(tmp_path, capsys, monkeypatch):
-    # every run parameter away from its default survives a dump and a
-    # load, a path holding "#" too: every "#" once started a comment, so
-    # the reloaded run below wrote its table to "a" instead
+    # every run parameter away from its default survives a dump and a load
     monkeypatch.chdir(tmp_path)
-    sample = dict(SAMPLE, output="a #b#.csv")
     argv = ["analytic", "--dump-config", "first.conf"]
-    for key, value in sample.items():
+    for key, value in SAMPLE.items():
         argv += [cli._flag(key), value]
-    code, _, _ = run_cli(capsys, *argv)
+    code, first, _ = run_cli(capsys, *argv)
     assert code == 0
-    table = tmp_path / sample["output"]
-    first = table.read_bytes()
-    table.unlink()
     assert cli._load_config("first.conf") == {
-        key: cli.PARAMS[key][0](value) for key, value in sample.items()}
-    code, _, _ = run_cli(capsys, "analytic", "--config", "first.conf",
-                         "--dump-config", "second.conf")
+        key: cli.PARAMS[key][0](value) for key, value in SAMPLE.items()}
+    code, second, _ = run_cli(capsys, "analytic", "--config", "first.conf",
+                              "--dump-config", "second.conf")
     assert code == 0
-    assert sorted(os.listdir(tmp_path)) == sorted(
-        ["first.conf", "second.conf", sample["output"]])
-    assert table.read_bytes() == first
+    assert second == first
+    assert sorted(os.listdir(tmp_path)) == ["first.conf", "second.conf"]
     assert (tmp_path / "second.conf").read_text() \
         == (tmp_path / "first.conf").read_text()
 
 
-@pytest.mark.parametrize("output", [
-    " lead.csv", "trail.csv\t", "a\nb.csv", "a\rb.csv",
-    os.fsdecode(b"\xff.csv"),
-])
-def test_dump_config_refuses_an_output_it_cannot_carry(
-        tmp_path, capsys, monkeypatch, output):
-    # a config value is one stripped line of UTF-8, so the dumped file
-    # would rerun to another path, not load, or not be written at all
+@pytest.mark.parametrize("output", [" lead.csv", "a\nb.csv",
+                                    os.fsdecode(b"\xff.csv")])
+def test_dump_config_records_no_output(tmp_path, capsys, monkeypatch,
+                                       output):
+    # -o belongs to the invocation, so any path goes with a dump, even one
+    # no config line could hold, and the rerun names it again
     monkeypatch.chdir(tmp_path)
-    with monkeypatch.context() as patch:
-        _forbid_library_calls(patch)
-        code, out, err = run_cli(capsys, "analytic", "-o", output,
-                                 "--dump-config", "run.conf")
-    assert code == 2
-    assert out == ""
-    assert "--dump-config cannot record -o" in err
-    assert os.listdir(tmp_path) == []
-    # without a dump, -o is any path, as it always was
-    code, _, _ = run_cli(capsys, "analytic", "-o", output)
+    code, out, _ = run_cli(capsys, "analytic", "--snr-db", "0:20:10", "-o",
+                           output, "--dump-config", "run.conf")
     assert code == 0
-    assert os.listdir(tmp_path) == [output]
+    assert out == ""
+    table = (tmp_path / output).read_bytes()
+    assert table.startswith(b"SNR_dB,")
+    dumped = (tmp_path / "run.conf").read_text()
+    assert "output" not in dumped
+    (tmp_path / output).unlink()
+    code, _, _ = run_cli(capsys, "analytic", "--config", "run.conf",
+                         "-o", output)
+    assert code == 0
+    assert (tmp_path / output).read_bytes() == table
+    assert sorted(os.listdir(tmp_path)) == sorted([output, "run.conf"])
 
 
 def test_missing_config_exits_2(capsys):
@@ -735,9 +783,8 @@ def test_help_names_every_command_and_flag(capsys):
     for name in cli.COMMANDS:
         assert name in out
     for key in cli.PARAMS:
-        flag = "-o" if key == "output" else "--" + key.replace("_", "-")
-        assert f"{flag} " in out
-    for flag in ("--config", "--dump-config"):
+        assert f"{cli._flag(key)} " in out
+    for flag in ("-o ", "--config ", "--dump-config "):
         assert flag in out
 
 
@@ -750,9 +797,10 @@ def test_help_lists_every_flag_with_its_default(capsys, flag):
         assert f"  {name} " in out
     lines = out.splitlines()
     for key, (_, default) in cli.PARAMS.items():
-        shown = "standard output" if default is None else default
         line, = [ln for ln in lines if ln.startswith(f"  {cli._flag(key)} ")]
-        assert line.endswith(f"default: {shown}"), line
+        assert line.endswith(f"default: {default}"), line
+    line, = [ln for ln in lines if ln.startswith("  -o ")]
+    assert line.endswith("default: standard output"), line
 
 
 # ---------------------------------------------------------------------------
