@@ -56,15 +56,20 @@ drawn, so the memos stay under 1 GiB), an SNR grid of at most
 MAX_GRID_POINTS points, counted before it is built, and the one SNR a
 beamform command takes. Files are written first and standard output
 last: the ``-o`` file, then the ``--dump-config`` file, then the table on
-standard output. So a refused run or a failed ``-o`` write leaves no
-dump, and a failed dump leaves standard output empty, but a failed write
-to standard output can leave the dump behind. ``--threads`` (at
+standard output. Those three are the run's product: where one cannot be
+written, or standard output is closed, the run exits 2. So a refused run
+or a failed ``-o`` write leaves no dump, and a failed dump leaves
+standard output empty, but a failed write to standard output can leave
+the dump behind. Standard error carries only progress and messages:
+where it is full or closed, they are dropped, and the files, standard
+output and exit code stay as they would be. ``--threads`` (at
 least 1) is accepted so that older command lines and config files still
 run, and has no effect: the engine draws every run on the calling
 thread. Exit codes: 0 success, 2 usage, config, output or computation
 error.
 """
 
+import contextlib
 import os
 import sys
 
@@ -288,23 +293,35 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _put(fd, text):
+    """Write text to standard output (fd 1) or standard error (fd 2) and
+    flush it; raises OSError where the stream is closed or the write
+    fails."""
+    stream = sys.stdout if fd == 1 else sys.stderr
+    if stream is None:                    # Python's view of a closed fd
+        raise OSError("it is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        # what was not written stays buffered, and the flush at exit
+        # would fail on it again: point fd at the null device, so the
+        # process exits with the code main returns
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), fd)
+        raise
+
+
 def _write(path, text):
     """Write text to the file at path, or to standard output where path is
     None, and flush it; raises ConfigError where the write fails."""
     try:
         if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _put(1, text)
         else:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as e:
-        if path is None:
-            # what was not written stays buffered, and the flush at exit
-            # would fail on it again: point standard output at the null
-            # device, so the process exits with the code main returns
-            with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
         raise ConfigError(f"cannot write {path or 'standard output'}: {e}")
 
 
@@ -318,8 +335,17 @@ def _config_text(params):
     return "".join(f"{k} = {v}\n" for k, v in params.items())
 
 
-def _progress(msg: str):
-    print(msg, file=sys.stderr, flush=True)
+def _note(msg: str):
+    """Print msg as a line to standard error, which carries only progress
+    and messages: where it is closed or its write fails, the line is
+    dropped and nothing else changes."""
+    with contextlib.suppress(OSError):
+        _put(2, msg + "\n")
+
+
+# the per-grid-point progress line, under a name of its own so that a
+# tracer can wrap it alone
+_progress = _note
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +445,7 @@ def main(argv=None) -> int:
     try:
         parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
     except ConfigError as e:
-        print(f"{USAGE}\nrelayarq: error: {e}", file=sys.stderr)
+        _note(f"{USAGE}\nrelayarq: error: {e}")
         return 2
 
     try:
@@ -437,7 +463,7 @@ def main(argv=None) -> int:
         if "output" not in given:
             _write(None, _csv_text(columns, rows))
     except RelayArqError as e:
-        print(f"relayarq: {e}", file=sys.stderr)
+        _note(f"relayarq: {e}")
         return 2
     return 0
 

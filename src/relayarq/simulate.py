@@ -91,8 +91,6 @@ from .relay_multi import balanced_sinr
 
 PASS_ROWS = 4096          # direct rounds drawn, relay trials judged per pass
 
-MODES = ("none", "single-user", "multiuser")   # index = users served
-
 
 @dataclass(frozen=True)
 class OutageEstimate:
@@ -121,7 +119,8 @@ class RelayEstimate:
     pooled: OutageEstimate
     user1: OutageEstimate
     user2: OutageEstimate
-    mode_counts: tuple        # (none, single-user, multiuser) trial counts
+    mode_counts: tuple        # trials whose relay serves 0, 1 or 2 users,
+                              # those that failed round 1
     # always 0, as no relay trial can fail to solve; a class constant,
     # not a field, kept because perfbench/spans.py:_tally_relay reads it
     aborted = 0
@@ -129,10 +128,11 @@ class RelayEstimate:
 
 @dataclass(frozen=True)
 class RelayVerdicts:
-    """Per-trial outcomes of a batch of relay-ARQ trials."""
+    """Per-trial outcomes of a batch of relay-ARQ trials. The relay
+    serves the users that failed round 1, so that mask is a trial's
+    mode."""
 
     round1: np.ndarray        # (n, 2) bool, user decoded the direct round
-    mode: np.ndarray          # (n,) int, users the relay serves; MODES index
     delivered: np.ndarray     # (n, 2) bool, message delivered in the end
 
 
@@ -253,10 +253,12 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
     A user's message is delivered when the user decoded round 1 or, if
     not, when the relay design its partner's round-1 outcome selects
     rescues it: the zero-forcing beam if the partner decoded, the
-    max-min design if the partner failed too. Both rescue tests are
-    evaluated for every trial and user. Every test is divided through by
-    the noise, by P or by var_relay, so only ratios of the powers, the
-    noise and the variances enter. A zero relay channel rescues nobody.
+    max-min design if the partner failed too. So ``round1`` also gives
+    the trial's mode: the relay serves the users that failed it. Both
+    rescue tests are evaluated for every trial and user. Every test is
+    divided through by the noise, by P or by var_relay, so only ratios
+    of the powers, the noise and the variances enter. A zero relay
+    channel rescues nobody.
     """
     gamma = cfg.sinr_threshold
     kappa, floor = direct_test(cfg)
@@ -288,9 +290,8 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
         u = rho * (a * (n2 / (a + n2)))
         multi = balanced_sinr(u, u * beta)[2] >= gamma
 
-    # mode counts the users the relay serves
     return RelayVerdicts(
-        round1=ok, mode=(~ok).sum(axis=1),
+        round1=ok,
         delivered=ok | np.where(ok[:, ::-1], single, multi[:, None]))
 
 
@@ -320,7 +321,7 @@ def simulate_relay(cfg: SystemConfig, trials: int,
     for lo in range(0, trials, PASS_ROWS):
         out = judge_relay(cfg, *(x[lo:lo + PASS_ROWS] for x in inputs))
         counts[:2] += np.count_nonzero(~out.delivered, axis=0)
-        counts[2:] += np.bincount(out.mode, minlength=3)
+        counts[2:] += np.bincount((~out.round1).sum(axis=1), minlength=3)
     fail_1, fail_2, *modes = map(int, counts)
     return RelayEstimate(
         pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),
@@ -387,7 +388,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
         rows = []
         for rate in FIG2_RATES:
             cfg = _cfg(_FIG23_BASE, FIG2_SNR_DB, rate=float(rate), retx=2)
-            bound = arq_outage(outage_single_user(cfg), 2)
+            bound = arq_outage(outage_single_user(cfg), cfg.retx)
             rows.append((float(rate), "single-user", bound, 0.0))
             direct = simulate_direct(cfg, trials, seed)
             rows.append((float(rate), "direct-arq", direct.p_hat,
@@ -402,7 +403,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
         rows = []
         for m in FIG3_M:
             cfg = _cfg(_FIG23_BASE, FIG3_SNR_DB, rate=FIG3_RATE, retx=2, M=m)
-            bound = arq_outage(outage_single_user(cfg), 2)
+            bound = arq_outage(outage_single_user(cfg), cfg.retx)
             rows.append((float(m), "single-user", bound, 0.0))
             relay = simulate_relay(cfg, trials, seed)
             rows.append((float(m), "relay-arq", relay.pooled.p_hat,

@@ -361,30 +361,108 @@ def test_failed_dump_leaves_standard_output_empty(capsys):
     assert "cannot write /dev/full: [Errno 28] No space left on device" in err
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"),
-                    reason="needs the /dev/full device")
-@pytest.mark.parametrize("argv", [("analytic", "--snr-db", "10"), ("--help",)],
-                         ids=["table", "help"])
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
-def test_failed_write_to_standard_output_exits_2(argv, unbuffered):
-    # a real process, as only one can find its standard output full. A
-    # buffered standard output keeps what it failed to write, and the
-    # flush at exit must not fail on it again: no "Exception ignored", and
-    # the exit code is main's
+def cli_process(argv, unbuffered, redirect, cwd=None):
+    """Run ``relayarq.cli`` on ``argv`` in a fresh interpreter whose
+    streams the shell redirection ``redirect`` sets (``2>/dev/full`` fills
+    standard error, ``>&-`` closes standard output), with PYTHONUNBUFFERED
+    removed from its environment or set to 1; the streams it leaves are
+    captured as text."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "relayarq.cli", *argv],
-                              env=env, stdout=full, stderr=subprocess.PIPE,
-                              text=True, timeout=120)
+    cmd = [sys.executable, "-m", "relayarq.cli", *argv]
+    proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {redirect}', "sh",
+                           *cmd], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+    for text in (proc.stdout, proc.stderr):
+        assert "Traceback" not in text and "Exception ignored" not in text
+    return proc
+
+
+# a real process, as only one can find a standard stream full or closed;
+# each broken-stream test runs buffered, as by default, and unbuffered
+broken_streams = pytest.mark.skipif(
+    not os.path.exists("/dev/full"),
+    reason="needs a POSIX shell and the /dev/full device")
+both_buffers = pytest.mark.parametrize("unbuffered", [False, True],
+                                       ids=["buffered", "unbuffered"])
+
+
+@broken_streams
+@pytest.mark.parametrize("argv", [("analytic", "--snr-db", "10"), ("--help",)],
+                         ids=["table", "help"])
+@both_buffers
+def test_failed_write_to_standard_output_exits_2(argv, unbuffered):
+    # a buffered standard output keeps what it failed to write, and the
+    # flush at exit must not fail on it again: no "Exception ignored", and
+    # the exit code is main's
+    proc = cli_process(argv, unbuffered, ">/dev/full")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ("relayarq: cannot write standard output: "
                            "[Errno 28] No space left on device\n")
+
+
+@broken_streams
+@both_buffers
+def test_closed_standard_output_exits_2(tmp_path, unbuffered):
+    proc = cli_process(["analytic"], unbuffered, ">&-")
+    assert proc.returncode == 2
+    assert proc.stderr == ("relayarq: cannot write standard output: "
+                           "it is closed\n")
+    # a run that writes its table to -o does not need standard output
+    proc = cli_process(["analytic", "-o", "y.csv"], unbuffered, ">&-",
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(["analytic", "-o", str(tmp_path / "want.csv")]) == 0
+    assert (tmp_path / "y.csv").read_bytes() \
+        == (tmp_path / "want.csv").read_bytes()
+
+
+@broken_streams
+@pytest.mark.parametrize("argv, want", [
+    (("figure", "1", "--trials", "300", "--seed", "3"), "fig1-t300-s3.csv"),
+    (("simulate-direct", "--trials", "100"), None),
+], ids=["figure-1", "simulate-direct"])
+@both_buffers
+def test_full_standard_error_changes_nothing(tmp_path, capsys, argv, want,
+                                             unbuffered):
+    # standard error carries only progress: the run completes, and its
+    # file is the one a working standard error gets
+    proc = cli_process([*argv, "-o", "x.csv"], unbuffered, "2>/dev/full",
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "")
+    if want is None:
+        want = tmp_path / "want.csv"
+        assert run_cli(capsys, *argv, "-o", str(want))[0] == 0
+    else:
+        want = Path(__file__).resolve().parent / "data" / want
+    assert (tmp_path / "x.csv").read_bytes() == want.read_bytes()
+
+
+@broken_streams
+@pytest.mark.parametrize("argv", [("figure", "9"), ("analytic", "--rate", "2000")],
+                         ids=["usage", "run"])
+@both_buffers
+def test_errors_on_full_standard_error_exit_2(argv, unbuffered):
+    # the message is lost, its exit code is not
+    proc = cli_process(argv, unbuffered, "2>/dev/full")
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@broken_streams
+@pytest.mark.parametrize("argv, code", [
+    (("simulate-direct", "--trials", "100", "--snr-db", "0:10:10"), 0),
+    (("figure", "9"), 2),
+], ids=["run", "usage"])
+@both_buffers
+def test_closed_standard_error_changes_nothing(capsys, argv, code, unbuffered):
+    # no line meant for standard error lands on standard output: it holds
+    # the table a working standard error gets, or nothing on a usage error
+    proc = cli_process(argv, unbuffered, "2>&-")
+    assert (proc.returncode, proc.stdout) == (code, run_cli(capsys, *argv)[1])
 
 
 @pytest.mark.parametrize("argv, needle", [
