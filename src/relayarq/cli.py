@@ -83,9 +83,9 @@ from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (MAX_TRIALS, run_experiment, simulate_direct,
                        simulate_relay)
 
-# the largest order the outage law is tested at, whose sum holds O(n)
-# extended-precision terms per call; m shares the bound, though no Monte
-# Carlo draw grows with n or m
+# the largest order the outage law is tested at, well inside the one
+# block of terms its sum holds at a time; m shares the bound, though no
+# Monte Carlo draw grows with n or m
 MAX_ANTENNAS = 5000
 # a direct-ARQ point draws one round per trial and attempt, each attempt
 # from its own substream; this bounds it at 1000 rounds a trial and 1000

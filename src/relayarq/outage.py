@@ -81,7 +81,10 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     weights are formed in log space so no factor overflows at large n.
     The logs carry extended precision where the platform has it: a log
     weight of magnitude L rounded to double costs ~L ulps in its term, and
-    L reaches ~1.4 n, or ~n |log a| for a tiny a.
+    L reaches ~1.4 n, or ~n |log a| for a tiny a. The terms are formed and
+    summed in blocks of 2^15, the log weight carried from block to block,
+    so a call holds one block of terms at any n, and an n of one block
+    (every n the CLI accepts) is one sum over all of them.
     """
     if not kappa >= 0:
         raise ContractViolationError("kappa must be at least 0")
@@ -89,22 +92,27 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
     mu = 1.0 / kappa if kappa else math.inf
-    i = np.arange(n)
-    # log w_i as a running sum of log(w_i / w_(i-1)) = log((n-1+i) / i)
-    ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
-    ratio[0] = 1
-    log_w = np.cumsum(np.log(ratio))
     # an infinite mu or 1/mu (kappa 0, subnormal or near overflow) makes a
     # log -inf; a floor far below exp's range keeps the 0 * log of i = 0 at 0
     log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
     log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
-    mass_neg = np.exp(log_w + n * log_a + i * log_b)
-    if c < 0:
-        terms = mass_neg * gammaincc(n - i, -c * mu)
-    else:
-        mass_pos = np.exp(log_w + n * log_b + i * log_a)
-        terms = mass_neg + mass_pos * gammainc(n - i, c)
-    return min(max(float(np.sum(terms)), 0.0), 1.0)
+    log_w, sums = np.zeros(1, np.longdouble), []
+    # the terms in blocks of 2^15, so a call holds one block at any n
+    for lo in range(0, n, 2 ** 15):
+        i = np.arange(lo, min(lo + 2 ** 15, n))
+        # log w_i as a running sum of log(w_i / w_(i-1)) = log((n-1+i) / i),
+        # carried over from the block before
+        ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
+        ratio[i == 0] = 1
+        log_w = log_w[-1] + np.cumsum(np.log(ratio))
+        mass_neg = np.exp(log_w + n * log_a + i * log_b)
+        if c < 0:
+            terms = mass_neg * gammaincc(n - i, -c * mu)
+        else:
+            mass_pos = np.exp(log_w + n * log_b + i * log_a)
+            terms = mass_neg + mass_pos * gammainc(n - i, c)
+        sums.append(np.sum(terms))
+    return min(max(float(np.sum(sums)), 0.0), 1.0)
 
 
 def outage_interference_n3(cfg: SystemConfig) -> float:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionError
+from .errors import ContractViolationError
 from .linalg import ratio, span_coords
 
 
@@ -96,7 +96,7 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     h1 = np.asarray(h1, dtype=complex).reshape(-1)
     h2 = np.asarray(h2, dtype=complex).reshape(-1)
     if h1.shape != h2.shape:
-        raise DimensionError("user channels must have equal length")
+        raise ContractViolationError("user channels must have equal length")
     if not (0.0 < power < np.inf and 0.0 < noise_var < np.inf):
         raise ContractViolationError(
             "power and noise must be positive and finite")

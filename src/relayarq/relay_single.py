@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError, DimensionError
+from .errors import ContractViolationError
 from .linalg import ratio, span_coords
 
 
@@ -32,12 +32,13 @@ def _zero_forcing(g_protect, g_target, power: float):
     g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
     g_target = np.asarray(g_target, dtype=complex).reshape(-1)
     if g_target.size != g_protect.size:
-        raise DimensionError("channel vectors must share the antenna count")
+        raise ContractViolationError(
+            "channel vectors must share the antenna count")
     if g_protect.size < 2:
-        raise DegenerateInputError(
+        raise ContractViolationError(
             "zero-forcing toward one user needs at least two relay antennas")
     if power <= 0:
-        raise DegenerateInputError("relay power must be positive")
+        raise ContractViolationError("relay power must be positive")
     q, a, b, c = span_coords(g_target, g_protect)
     norm = np.hypot(abs(b), abs(c))
     w = np.array([np.conj(b), -np.conj(c)]) / norm if norm else \

@@ -126,16 +126,6 @@ class RelayEstimate:
     aborted = 0
 
 
-@dataclass(frozen=True)
-class RelayVerdicts:
-    """Per-trial outcomes of a batch of relay-ARQ trials. The relay
-    serves the users that failed round 1, so that mask is a trial's
-    mode."""
-
-    round1: np.ndarray        # (n, 2) bool, user decoded the direct round
-    delivered: np.ndarray     # (n, 2) bool, message delivered in the end
-
-
 # ---------------------------------------------------------------------------
 # direct ARQ
 # ---------------------------------------------------------------------------
@@ -242,13 +232,15 @@ def simulate_direct(cfg: SystemConfig, trials: int,
 # ---------------------------------------------------------------------------
 
 def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
-                stats: np.ndarray) -> RelayVerdicts:
-    """Outcomes of the relay-ARQ trials whose unit BS gains of rounds 1
-    and 2 are e1 and e2, float (n, 2, 2) or flat (n, 4) as
-    ``_direct_margin`` reads them, and whose relay statistics are
-    ``stats``, float (n, STATS), as ``channel.draw_relay_stats`` draws
-    them. The engine passes direct attempts 0 and 1 as e1 and e2; of
-    round 2, a failed user f reads only its cross gain e2[f, 1 - f].
+                stats: np.ndarray):
+    """``(round1, delivered)``, bool (n, 2) masks of the relay-ARQ trials
+    whose unit BS gains of rounds 1 and 2 are e1 and e2, float (n, 2, 2)
+    or flat (n, 4) as ``_direct_margin`` reads them, and whose relay
+    statistics are ``stats``, float (n, STATS), as
+    ``channel.draw_relay_stats`` draws them: which users decoded the
+    direct round, and whose messages were delivered in the end. The
+    engine passes direct attempts 0 and 1 as e1 and e2; of round 2, a
+    failed user f reads only its cross gain e2[f, 1 - f].
 
     A user's message is delivered when the user decoded round 1 or, if
     not, when the relay design its partner's round-1 outcome selects
@@ -290,9 +282,7 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
         u = rho * (a * (n2 / (a + n2)))
         multi = balanced_sinr(u, u * beta)[2] >= gamma
 
-    return RelayVerdicts(
-        round1=ok,
-        delivered=ok | np.where(ok[:, ::-1], single, multi[:, None]))
+    return ok, ok | np.where(ok[:, ::-1], single, multi[:, None])
 
 
 def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
@@ -319,9 +309,10 @@ def simulate_relay(cfg: SystemConfig, trials: int,
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):
-        out = judge_relay(cfg, *(x[lo:lo + PASS_ROWS] for x in inputs))
-        counts[:2] += np.count_nonzero(~out.delivered, axis=0)
-        counts[2:] += np.bincount((~out.round1).sum(axis=1), minlength=3)
+        round1, delivered = judge_relay(
+            cfg, *(x[lo:lo + PASS_ROWS] for x in inputs))
+        counts[:2] += np.count_nonzero(~delivered, axis=0)
+        counts[2:] += np.bincount((~round1).sum(axis=1), minlength=3)
     fail_1, fail_2, *modes = map(int, counts)
     return RelayEstimate(
         pooled=OutageEstimate(trials=2 * trials, failures=fail_1 + fail_2),

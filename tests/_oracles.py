@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
-from relayarq.errors import DegenerateInputError, DimensionError, RelayArqError
+from relayarq.errors import ContractViolationError, RelayArqError
 from relayarq.outage import outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
@@ -261,7 +261,7 @@ def diff_exp_args(cfg: SystemConfig) -> tuple:
     (N noise_var gamma / (P var_direct), gamma var_cross / var_direct, N),
     formed left to right."""
     if cfg.var_direct <= 0 or cfg.var_cross <= 0:
-        raise DegenerateInputError("both channel variances must be positive here")
+        raise ContractViolationError("both channel variances must be positive here")
     gamma = cfg.sinr_threshold
     return (cfg.N * cfg.noise_var * gamma / cfg.P / cfg.var_direct,
             gamma * cfg.var_cross / cfg.var_direct, cfg.N)
@@ -299,7 +299,7 @@ def null_basis(h: np.ndarray) -> np.ndarray:
     m = h.size
     nrm = np.linalg.norm(h)
     if nrm == 0.0:
-        raise DegenerateInputError("cannot build a null basis for the zero vector")
+        raise ContractViolationError("cannot build a null basis for the zero vector")
     w = h / nrm
     alpha = w[0] / abs(w[0]) if abs(w[0]) > 0 else 1.0
     v = w.copy()
@@ -311,7 +311,7 @@ def null_basis(h: np.ndarray) -> np.ndarray:
 def kron_identity(n: int, a: np.ndarray) -> np.ndarray:
     """I_n kron a."""
     if n < 1:
-        raise DimensionError("identity factor must be at least 1x1")
+        raise ContractViolationError("identity factor must be at least 1x1")
     return np.kron(np.eye(n), np.asarray(a))
 
 
@@ -323,7 +323,7 @@ def vec(a: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     v = np.asarray(v).reshape(-1)
     if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
+        raise ContractViolationError(f"cannot reshape length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
 
 

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import betainc
+from scipy.stats import binomtest
 
 from relayarq.channel import SystemConfig
 from relayarq.outage import (arq_outage, cdf_diff_exp, direct_test,
@@ -19,7 +21,8 @@ from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 from relayarq.simulate import (FIG2_RATES, FIG2_SNR_DB, FIG3_M, FIG3_RATE,
                                FIG3_SNR_DB, simulate_direct, simulate_relay)
-from relayarq import cli, simulate
+import relayarq.cli as cli
+import relayarq.simulate as simulate
 
 from _oracles import (brute_force_m2, cf_inversion_cdf, cn_vector,
                       dual_checks, duality_bracket, null_basis)
@@ -247,7 +250,11 @@ def _mcnemar_p(b: int, c: int) -> float:
     the chance of b or more of the b + c discordant pairs on one side
     when both sides are equally likely."""
     n = b + c
-    return sum(math.comb(n, k) for k in range(b, n + 1)) / 2 ** n
+    total, term = 0, math.comb(n, b)
+    for k in range(b, n + 1):       # term = C(n, k), updated exactly
+        total += term
+        term = term * (n - k) // (k + 1)
+    return total / 2 ** n
 
 
 def test_c7_rate_sweep_relay_beats_direct():
@@ -276,9 +283,10 @@ def test_c7_rate_sweep_relay_beats_direct():
         # the same messages, trial by trial, from the engines' memos
         kappa, floor = direct_test(cfg)
         direct_lost = simulate._best_margins(cfg, 0, trials, kappa) < floor
-        relay_lost = ~simulate.judge_relay(
+        _, delivered = simulate.judge_relay(
             cfg, *(simulate._bs_round(cfg, 0, trials, a) for a in (0, 1)),
-            simulate._relay_stats(cfg, 0, trials)).delivered
+            simulate._relay_stats(cfg, 0, trials))
+        relay_lost = ~delivered
         assert direct_lost.sum() == direct.failures
         assert relay_lost.sum() == relay.pooled.failures
         b = int((direct_lost & ~relay_lost).sum())
@@ -294,6 +302,81 @@ def test_c7_rate_sweep_relay_beats_direct():
     for k in range(len(gaps) - 1):
         assert gaps[k + 1] - gaps[k] >= -_rss(errs[k], errs[k + 1])
     assert gaps[-1] - gaps[0] >= _rss(errs[0], errs[-1])
+
+
+def _cli_default_cfg(snr_db: float, **kw) -> SystemConfig:
+    """The system of the CLI's default parameters, at snr_db."""
+    params = {key: default for key, (_, default) in cli.PARAMS.items()}
+    return cli._build_cfg(dict(params, **kw), snr_db)
+
+
+def test_c10_relay_curve_dips():
+    """More power, or a lower rate, can lose more relay-ARQ messages.
+
+    A partner that decodes round 1 selects the zero-forcing round, which
+    faces the partner BS's fresh traffic; a partner that fails silences
+    both BSs, and the max-min round sees only noise. So at rate 4 the CLI's
+    default system loses more messages at 40 dB than at 20 dB, and at 40 dB
+    more at rate 2 than at rate 4. All three points judge the same memoised
+    rounds and relay statistics, so each claim is an exact one-sided
+    McNemar test on the messages only one of its two points loses,
+    Bonferroni-corrected over the two claims to a family level of 1e-4.
+    """
+    trials, seed = 100_000, 4
+    alpha = C7_FAMILY_ALPHA / 2
+    base = _cli_default_cfg(0.0)         # the draws read only N and M
+    rounds = [simulate._bs_round(base, seed, trials, a) for a in (0, 1)]
+    stats = simulate._relay_stats(base, seed, trials)
+
+    lost = {}
+    for snr_db, rate in ((20.0, 4.0), (40.0, 4.0), (40.0, 2.0)):
+        cfg = _cli_default_cfg(snr_db, rate=rate)
+        _, delivered = simulate.judge_relay(cfg, *rounds, stats)
+        lost[snr_db, rate] = ~delivered
+        assert (~delivered).sum() == \
+            simulate_relay(cfg, trials, seed).pooled.failures
+
+    for more, less, claim in (
+            ((40.0, 4.0), (20.0, 4.0), "rate 4: 40 dB loses more than 20"),
+            ((40.0, 2.0), (40.0, 4.0), "40 dB: rate 2 loses more than 4")):
+        lost_more, lost_less = lost[more], lost[less]
+        b = int((lost_more & ~lost_less).sum())
+        c = int((lost_less & ~lost_more).sum())
+        p = _mcnemar_p(b, c)
+        print(f"  {claim}: b={b} c={c} p={p:.3g}")
+        assert p <= alpha, f"{claim}: McNemar b={b} c={c} p={p:.3g}"
+
+
+def test_c11_relay_floor_matches_closed_form():
+    """At 300 dB each user's relay-ARQ outage is its interference floor.
+
+    As P grows, round 1 fails for each user with p_d = I_{k/(1+k)}(N, N),
+    k = gamma var_cross / var_direct; the max-min round, which sees only
+    noise, rescues every message; and the zero-forcing round fails with
+    p_s = I_{k'/(1+k')}(M - 1, N), k' = gamma var_cross / (N var_relay),
+    against the partner BS's fresh traffic. A message is then lost with
+    p_d (1 - p_d) p_s. Each user's failure count is binomial (the pooled
+    count is not: a trial's users share their relay round), so each gets
+    an exact two-sided binomial test, Bonferroni-corrected over the three
+    rates and two users to a family level of 1e-4.
+    """
+    trials, seed = 200_000, 4
+    rates = (2.0, 4.0, 6.0)
+    alpha = 1e-4 / (2 * len(rates))
+    for rate in rates:
+        cfg = _cli_default_cfg(300.0, rate=rate)
+        gamma = cfg.sinr_threshold
+        k = gamma * cfg.var_cross / cfg.var_direct
+        k_relay = gamma * cfg.var_cross / (cfg.N * cfg.var_relay)
+        p_d = betainc(cfg.N, cfg.N, k / (1 + k))
+        p_s = betainc(cfg.M - 1, cfg.N, k_relay / (1 + k_relay))
+        law = p_d * (1 - p_d) * p_s
+        est = simulate_relay(cfg, trials, seed)
+        for user, got in (("user1", est.user1), ("user2", est.user2)):
+            p = binomtest(got.failures, got.trials, law).pvalue
+            print(f"  R={rate:g} {user}: law={law:.6g} "
+                  f"mc={got.p_hat:.6g} p={p:.3g}")
+            assert p >= alpha, (rate, user, got.failures, law, p)
 
 
 def test_c8_antenna_sweep_monotone_and_beats_bound():

@@ -755,6 +755,16 @@ def test_beamform_single_refuses_an_overflowing_gain(capsys, monkeypatch):
     assert "overflows" in err
 
 
+def test_beamform_single_refuses_a_one_antenna_relay(capsys):
+    # zero-forcing toward one user has nothing to null with: bad input,
+    # exit 2 with the design's own message
+    code, out, err = run_cli(capsys, "beamform-single", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("relayarq: zero-forcing toward one user needs at least "
+                   "two relay antennas\n")
+
+
 @pytest.mark.parametrize("flags", [
     ("--snr-db", "1600"),          # the filters and power system cancelled
     ("--var-relay", "1e-170"),     # the Gram term underflowed
@@ -951,18 +961,33 @@ def test_repeated_flag_keeps_its_last_value(capsys):
 # import path
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_heavy_scipy_unloaded():
-    # every CLI call pays for what importing the package loads; quadrature
-    # and its oracles belong to the tests, and only scipy.special is needed
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+def loaded_after(imports: str, prefix: str) -> list:
+    """The modules named ``prefix`` or ``prefix.*`` that a fresh
+    interpreter holds after running the statement ``imports``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = ("import sys, relayarq.cli; "
-             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == ""
+    probe = (f"import sys; {imports}; print(' '.join(m for m in sys.modules "
+             f"if m == {prefix!r} or m.startswith({prefix + '.'!r})))")
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout.split()
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # every CLI call pays for what importing the package loads; quadrature
+    # and its oracles belong to the tests, and only scipy.special is needed
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse"}
+    assert heavy.isdisjoint(loaded_after("import relayarq.cli", "scipy"))
+
+
+def test_channel_and_relay_designs_import_without_scipy():
+    # the package root imports nothing, so the modules that need only
+    # numpy load no scipy: only the outage laws need scipy.special
+    assert loaded_after("import relayarq.channel, relayarq.linalg, "
+                        "relayarq.errors, relayarq.relay_single, "
+                        "relayarq.relay_multi", "scipy") == []
 
 
 # ---------------------------------------------------------------------------

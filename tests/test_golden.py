@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relayarq import cli
+import relayarq.cli as cli
 
 DATA = Path(__file__).resolve().parent / "data"
 ANALYTIC_REL = 1e-12

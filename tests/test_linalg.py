@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relayarq.errors import DegenerateInputError, DimensionError
+from relayarq.errors import ContractViolationError
 from relayarq.linalg import span_coords
 
 from _oracles import conjT, kron_identity, null_basis, unvec, vec
@@ -18,7 +18,7 @@ def test_null_basis_properties():
 
 
 def test_null_basis_zero_vector_rejected():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractViolationError, match="zero vector"):
         null_basis(np.zeros(3, dtype=complex))
 
 
@@ -40,7 +40,7 @@ def test_vec_unvec_round_trip():
 
 
 def test_unvec_size_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolationError, match="cannot reshape"):
         unvec(np.zeros(5), 2, 3)
 
 

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc
+from scipy.special import betainc, gammainc, gammaincc
 
 from relayarq.channel import SystemConfig
 from relayarq.errors import ContractViolationError
@@ -178,6 +179,56 @@ def test_cdf_finite_at_large_orders():
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def unblocked_cdf_diff_exp(c, kappa, n):
+    """``cdf_diff_exp``'s sum over all n terms at once, for 0 < kappa <
+    inf: the formula the library evaluates in blocks."""
+    mu = 1.0 / kappa
+    i = np.arange(n)
+    ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
+    ratio[0] = 1
+    log_w = np.cumsum(np.log(ratio))
+    log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
+    log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
+    mass_neg = np.exp(log_w + n * log_a + i * log_b)
+    if c < 0:
+        terms = mass_neg * gammaincc(n - i, -c * mu)
+    else:
+        mass_pos = np.exp(log_w + n * log_b + i * log_a)
+        terms = mass_neg + mass_pos * gammainc(n - i, c)
+    return min(max(float(np.sum(terms)), 0.0), 1.0)
+
+
+def test_cdf_of_one_block_is_the_unblocked_sum():
+    # up to one block of 2^15 terms, every order the CLI accepts among
+    # them, the blocked law runs the unblocked sum's operations
+    for n in (1, 3, 64, 5000, 2 ** 15):
+        for c, kappa in ((-0.3 * n, 1.5), (0.0, 1.0), (0.2 * n, 0.5),
+                         (1e-3, 1e-6), (-1e-3, 1e6)):
+            assert cdf_diff_exp(c, kappa, n) == \
+                unblocked_cdf_diff_exp(c, kappa, n), (n, c, kappa)
+
+
+def test_cdf_memory_is_bounded_at_large_orders():
+    # one block of terms at a time: a call at n = 10^6 once held all of
+    # them, about 90 MiB of extended-precision floats. At kappa = 1 the
+    # law is even, so F(0) = 1/2 exactly. The unblocked sum misses that by
+    # 1.8e-11, the rounding of its one running sum of 10^6 logs that reach
+    # 1.4e6; the blocked sum restarts that sum at every block, so it meets
+    # 1/2 to 1e-12 and agrees with the unblocked one to within the
+    # unblocked sum's own error
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        got = cdf_diff_exp(0.0, 1.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert got == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(unblocked_cdf_diff_exp(0.0, 1.0, n),
+                                rel=1e-10, abs=0.0)
+
+
 def test_closed_form_holds_for_other_orders():
     for n in (1, 2, 4, 6):
         cfg = make_cfg(N=n)
@@ -255,6 +306,18 @@ def test_interference_floor_at_high_snr():
     hi = outage_interference_n3(make_cfg(P=1e12))
     assert lo == pytest.approx(hi, abs=1e-6)
     assert hi == pytest.approx(0.68256, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_interference_floor_is_an_incomplete_beta(n):
+    # as P grows the test reads X < kappa Y, and X / (X + Y) ~ Beta(N, N),
+    # so the floor is I_{kappa/(1+kappa)}(N, N); at 300 dB the law's floor
+    # term gamma N sigma^2 / (var_direct P) moves it by about 1e-30
+    for rate in (2.0, 4.0, 6.0):
+        cfg = make_cfg(N=n, P=1e30, rate=rate)
+        kappa = cfg.sinr_threshold * cfg.var_cross / cfg.var_direct
+        assert outage_interference_n3(cfg) == pytest.approx(
+            betainc(n, n, kappa / (1 + kappa)), rel=1e-12, abs=0.0)
 
 
 _positive = st.floats(1e-3, 1e3)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayarq.channel import SystemConfig, cn, draw_bs_channels, substream
-from relayarq.errors import (ContractViolationError, DegenerateInputError,
-                             DimensionError)
+from relayarq.errors import ContractViolationError
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
 from _oracles import cn_vector, solve_single_user_beamformer_full
@@ -159,11 +158,11 @@ def test_gain_beyond_the_float_range_raises():
 
 
 def test_input_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolationError, match="antenna count"):
         solve_single_user_beamformer(np.ones(3), np.ones(4), 1.0)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractViolationError, match="two relay antennas"):
         solve_single_user_beamformer(np.ones(1), np.ones(1), 1.0)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractViolationError, match="must be positive"):
         solve_single_user_beamformer(np.ones(3), np.ones(3), 0.0)
 
 

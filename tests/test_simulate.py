@@ -188,9 +188,9 @@ def test_direct_verdict_cannot_overflow():
         kappa, floor = direct_test(cfg)
         assert not (simulate._direct_margin(unit(e, bs_var(cfg)), kappa)
                     >= floor).any()
-        out = judge_relay(cfg, *stats_of(cfg, e, np.zeros_like(e),
-                                         np.zeros((1, 2, cfg.M), complex)))
-        assert not out.round1.any()
+        round1, _ = judge_relay(cfg, *stats_of(
+            cfg, e, np.zeros_like(e), np.zeros((1, 2, cfg.M), complex)))
+        assert not round1.any()
         # a round that clears the threshold still passes
         assert (simulate._direct_margin(
             unit(e + np.diag([30.0, 30.0]), bs_var(cfg)), kappa)
@@ -285,17 +285,17 @@ def test_engines_refuse_seeds_that_are_not_whole():
 
 def test_relay_trial_deterministic():
     cfg = make_cfg()
-    a = relay_verdicts(cfg, seed=7)
-    b = relay_verdicts(cfg, seed=7)
-    assert a.round1.shape == a.delivered.shape == (PASS, 2)
-    assert np.array_equal(a.round1, b.round1)
-    assert np.array_equal(a.delivered, b.delivered)
+    round1, delivered = relay_verdicts(cfg, seed=7)
+    again = relay_verdicts(cfg, seed=7)
+    assert round1.shape == delivered.shape == (PASS, 2)
+    assert np.array_equal(round1, again[0])
+    assert np.array_equal(delivered, again[1])
 
 
 def test_relay_trial_mode_none_when_rate_trivial():
-    out = relay_verdicts(make_cfg(rate=0.0), seed=8)
-    assert out.delivered.all()
-    assert out.round1.all()
+    round1, delivered = relay_verdicts(make_cfg(rate=0.0), seed=8)
+    assert delivered.all()
+    assert round1.all()
 
 
 def test_relay_trial_mode_multi_when_direct_hopeless():
@@ -303,9 +303,9 @@ def test_relay_trial_mode_multi_when_direct_hopeless():
     # relay (with plenty of power) carries both: 2P var_relay = 4e6, as a
     # strong relay channel
     cfg = make_cfg(P=1e-9, var_relay=2e15, rate=2.0)
-    out = relay_verdicts(cfg, seed=9)
-    assert not out.round1.any()
-    assert out.delivered.all()
+    round1, delivered = relay_verdicts(cfg, seed=9)
+    assert not round1.any()
+    assert delivered.all()
 
 
 def test_relay_modes_partition_and_counts():
@@ -759,8 +759,8 @@ def test_verdicts_do_not_depend_on_the_power_scale(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = judge_relay(cfg, *_FIG2_R4_TRIALS)
-        assert np.array_equal(got.round1, want.round1)
-        assert np.array_equal(got.delivered, want.delivered)
+        assert np.array_equal(got[0], want[0])      # round1
+        assert np.array_equal(got[1], want[1])      # delivered
         assert simulate_direct(cfg, trials=1000, seed=3) \
             == simulate_direct(_FIG2_R4, trials=1000, seed=3)
 
@@ -783,8 +783,8 @@ def test_verdicts_do_not_depend_on_the_channel_scale(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = judge_relay(cfg, *_FIG2_R4_TRIALS)
-        assert np.array_equal(got.round1, want.round1)
-        assert np.array_equal(got.delivered, want.delivered)
+        assert np.array_equal(got[0], want[0])      # round1
+        assert np.array_equal(got[1], want[1])      # delivered
         assert simulate_direct(cfg, trials=1000, seed=3) \
             == simulate_direct(_FIG2_R4, trials=1000, seed=3)
 
@@ -801,13 +801,13 @@ def test_single_user_rescue_cannot_overflow():
     g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
-        assert out.round1.tolist() == [[True, False]]
-        assert out.delivered.tolist() == [[True, True]]
+        round1, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        assert round1.tolist() == [[True, False]]
+        assert delivered.tolist() == [[True, True]]
         # past Y = 100 the SINR falls below gamma
         e2[0, 1, 0] = 100.0 * (1 + 1e-12)
-        assert judge_relay(cfg, *stats_of(cfg, e1, e2, g)).delivered.tolist() \
-            == [[True, False]]
+        _, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        assert delivered.tolist() == [[True, False]]
 
 
 def test_relay_beats_direct_at_high_rate():
@@ -839,9 +839,8 @@ def test_relay_losses_failed_direct_attempt_0(monkeypatch):
                             rate=float(rate))
         judged.clear()
         est = simulate_relay(cfg, trials=ODD_TRIALS, seed=3)
-        round1, lost = (np.concatenate([getattr(v, f) for v in judged])
-                        for f in ("round1", "delivered"))
-        lost = ~lost
+        round1, delivered = map(np.concatenate, zip(*judged))
+        lost = ~delivered
         kappa, floor = direct_test(cfg)
         with np.errstate(over="ignore"):
             failed0 = simulate._direct_margin(e, kappa) < floor
@@ -856,9 +855,9 @@ def test_relay_losses_failed_direct_attempt_0(monkeypatch):
 def test_zero_relay_channel_fails_retransmission():
     # a relay that reaches nobody rescues nobody, in either relay mode
     cfg = make_cfg(P=10.0, rate=2.0, var_relay=0.0)
-    out = relay_verdicts(cfg, seed=13)
-    assert np.array_equal(out.delivered, out.round1)
-    assert {1, 2} <= set((~out.round1).sum(axis=1).tolist())
+    round1, delivered = relay_verdicts(cfg, seed=13)
+    assert np.array_equal(delivered, round1)
+    assert {1, 2} <= set((~round1).sum(axis=1).tolist())
     est = simulate_relay(cfg, trials=40, seed=13)
     assert sum(est.mode_counts) == 40 and est.aborted == 0
 
@@ -908,12 +907,12 @@ def test_block_verdicts_match_per_trial_reference():
             g[:PASS // 3, 1] = 0.0      # nothing to null toward user 2
             g[-PASS // 3:, 0] = 0.0
         # the engine judges by the unit (A, B, C) the channels reduce to
-        got = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        round1, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
         for i in range(PASS):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
-            assert tuple(got.round1[i]) == ok, (case, i)
+            assert tuple(round1[i]) == ok, (case, i)
             assert mode == REFERENCE_MODES[ok.count(False)], (case, i)
-            assert tuple(got.delivered[i]) == final, (case, i)
+            assert tuple(delivered[i]) == final, (case, i)
             modes_seen.add(mode)
             if mode in outcomes:
                 outcomes[mode].add(final)
