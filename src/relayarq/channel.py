@@ -14,7 +14,9 @@ which for N entries of variance s are exactly s Gamma(N, 1). Both relay
 designs see a pair of relay links g1, g2 only through three independent
 Gamma variates (rotational invariance; N. R. Goodman, Ann. Math.
 Statist. 34, 1963). The engine draws both at unit variance, and only its
-verdicts read the variances (``simulate``). ``cn`` draws complex
+verdicts read the variances (``simulate``): ``draw_bs_channels`` takes
+the BS antenna count n and ``draw_relay_stats`` the relay's m, each with
+its stream and its count, and no config. ``cn`` draws complex
 channels for the single-draw ``beamform-*`` commands and the demos.
 
 Randomness is counter-based: every (seed, context, index) key owns a
@@ -144,29 +146,30 @@ def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
     return np.sqrt(var / 2.0) * z
 
 
-def draw_bs_channels(cfg: SystemConfig, rng: np.random.Generator,
+def draw_bs_channels(n: int, rng: np.random.Generator,
                      rounds: int) -> np.ndarray:
-    """Unit-variance BS-to-user power gains of ``rounds`` fresh rounds,
-    float (rounds, 2, 2), all Gamma(N, 1): the gain ||h_ij||^2 from BS j
-    to user i is entry [i, j] times var_direct on the diagonal, times
-    var_cross off it. Both engines read a direct attempt's rounds, the
-    relay engine its attempts 0 and 1 as its rounds 1 and 2."""
-    return rng.standard_gamma(cfg.N, (rounds, 2, 2))
+    """Unit-variance BS-to-user power gains of ``rounds`` fresh rounds at
+    n BS antennas, float (rounds, 2, 2), all Gamma(n, 1): the gain
+    ||h_ij||^2 from BS j to user i is entry [i, j] times var_direct on the
+    diagonal, times var_cross off it. Both engines read a direct attempt's
+    rounds, the relay engine its attempts 0 and 1 as its rounds 1 and 2."""
+    return rng.standard_gamma(n, (rounds, 2, 2))
 
 
 STATS = 3                 # floats per relay trial: A, B and C
 
 
-def draw_relay_stats(cfg: SystemConfig, rng: np.random.Generator,
+def draw_relay_stats(m: int, rng: np.random.Generator,
                      trials: int) -> np.ndarray:
     """Unit-variance relay-link statistics A, B and C of ``trials`` fresh
-    relay trials, float (trials, STATS), one row per trial.
+    relay trials at m relay antennas, float (trials, STATS), one row per
+    trial.
 
-    A, B and C are Gamma(M), Gamma(M - 1) and Gamma(1). For relay links
-    g1, g2 of M entries of variance v, ||g1||^2 = v A,
+    A, B and C are Gamma(m), Gamma(m - 1) and Gamma(1). For relay links
+    g1, g2 of m entries of variance v, ||g1||^2 = v A,
     ||P_perp_g1 g2||^2 = v B and |g1^H g2|^2 / ||g1||^2 = v C, with A, B
     and C independent. So ||g2||^2 = v (B + C), the Gram term
     ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B, and
     ||P_perp_g2 g1||^2 = v A B / (B + C).
     """
-    return rng.standard_gamma([cfg.M, cfg.M - 1, 1], (trials, STATS))
+    return rng.standard_gamma([m, m - 1, 1], (trials, STATS))

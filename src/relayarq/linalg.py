@@ -17,14 +17,19 @@ import math
 
 import numpy as np
 
+from .errors import ContractViolationError
+
 
 def span_coords(g1: np.ndarray, g2: np.ndarray):
     """``(Q, a, b, c)`` of the pair g1, g2, with Q complex (M, 2).
 
     On a one-antenna relay the plane is a line: b = 0 and Q's second
-    column is zero.
+    column is zero. A channel holding NaN or inf raises
+    ContractViolationError.
     """
     g = np.column_stack([g1, g2]).astype(complex)
+    if not np.isfinite(g).all():
+        raise ContractViolationError("relay channels must be finite")
     q, r = np.linalg.qr(np.pad(g, ((0, max(0, 2 - len(g))), (0, 0))))
     return q[:len(g)], r[0, 0], r[1, 1], r[0, 1]
 

@@ -15,9 +15,12 @@ Without interference the test is own >= floor, so outage is the
 regularized lower incomplete gamma P(N, floor). With one interfering
 cell it is Pr{X - kappa Y < floor} for independent X, Y ~ Gamma(N, 1)
 (``cdf_diff_exp``), a finite sum of incomplete-gamma terms for every N
-(conditioning on one of the two and expanding binomially). The test
-suite checks it against a numeric Gil-Pelaez inversion of the
-characteristic function
+(conditioning on one of the two and expanding binomially). The floor is
+never negative, so the law is taken on c >= 0 only, as one series of
+lower incomplete gammas P: ``gammainc`` is all this module takes from
+scipy. Below 0 the law is 1 - F_(1/kappa)(-c / kappa), X and Y swapped,
+which is how the test suite checks it on the whole line against a
+numeric Gil-Pelaez inversion of the characteristic function
 
     phi(t) = (1 - jt)^-N (1 + j kappa t)^-N,
 
@@ -27,7 +30,7 @@ a quadrature oracle that lives in ``tests/_oracles.py``, not here.
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc
 
 from .channel import SystemConfig, whole
 from .errors import ContractViolationError
@@ -66,18 +69,20 @@ def outage_single_user(cfg: SystemConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
-    """Pr{X - kappa Y < c} for independent X, Y ~ Gamma(n, 1), any n.
+    """Pr{X - kappa Y < c} for independent X, Y ~ Gamma(n, 1), any n, at
+    c >= 0.
 
-    This is the engine's margin own - kappa cross at the floor c: X has
-    rate 1 and kappa Y rate mu = 1/kappa. With a = 1/(1+mu), b = mu/(1+mu)
-    and w_i = C(n-1+i, i), i = 0..n-1,
+    This is the engine's margin own - kappa cross at the floor c, which
+    ``direct_test`` never forms below 0: X has rate 1 and kappa Y rate
+    mu = 1/kappa. With a = 1/(1+mu), b = mu/(1+mu) and w_i = C(n-1+i, i),
+    i = 0..n-1, the law is the one series
 
-        c <  0:  F(c) = sum_i w_i a^n b^i Q(n-i, mu |c|)
-        c >= 0:  F(c) = sum_i w_i a^n b^i
-                        + sum_i w_i b^n a^i P(n-i, c),
+        F(c) = sum_i w_i a^n b^i + sum_i w_i b^n a^i P(n-i, c),
 
-    with P, Q the regularized incomplete gammas; kappa = 0 puts no mass
-    below 0, and kappa = inf all of it. Every term is positive; the
+    the mass below 0 plus the mass in [0, c), with P the regularized
+    lower incomplete gamma; kappa = 0 puts no mass below 0, and
+    kappa = inf all of it. A negative or NaN c raises
+    ContractViolationError. Every term is positive; the
     weights are formed in log space so no factor overflows at large n.
     The logs carry extended precision where the platform has it: a log
     weight of magnitude L rounded to double costs ~L ulps in its term, and
@@ -88,6 +93,8 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     """
     if not kappa >= 0:
         raise ContractViolationError("kappa must be at least 0")
+    if not c >= 0:
+        raise ContractViolationError("c must be at least 0")
     n = whole(n, "n")
     if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
@@ -106,12 +113,8 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
         ratio[i == 0] = 1
         log_w = log_w[-1] + np.cumsum(np.log(ratio))
         mass_neg = np.exp(log_w + n * log_a + i * log_b)
-        if c < 0:
-            terms = mass_neg * gammaincc(n - i, -c * mu)
-        else:
-            mass_pos = np.exp(log_w + n * log_b + i * log_a)
-            terms = mass_neg + mass_pos * gammainc(n - i, c)
-        sums.append(np.sum(terms))
+        mass_pos = np.exp(log_w + n * log_b + i * log_a)
+        sums.append(np.sum(mass_neg + mass_pos * gammainc(n - i, c)))
     return min(max(float(np.sum(sums)), 0.0), 1.0)
 
 

@@ -19,8 +19,10 @@ retransmission then fails.
 
 The engine draws BS links as unit Gamma(N, 1) gains and a relay trial
 as its row of unit Gamma statistics (``channel``), never a channel
-vector. No draw reads a variance: only the verdicts here do, as ratios
-formed by ``linalg.ratio``, where a 0 or inf is the right verdict.
+vector. No draw reads a variance: ``draw_bs_channels`` takes only N and
+``draw_relay_stats`` only M, besides the stream and the count, and only
+the verdicts here read the variances, as ratios formed by
+``linalg.ratio``, where a 0 or inf is the right verdict.
 
 Randomness is keyed by what defines a round: attempt a of every direct
 trial comes from the substream (seed, CTX_DIRECT, a), and the relay links
@@ -52,10 +54,11 @@ frees it before the next is allocated, so a CLI run holds at most
 temporaries. ``clear_memos`` forgets them all.
 
 * Rounds: one memo per shared attempt a < ROUNDS, its unit BS gains,
-  32 bytes per trial, keyed by (seed, trials, N). No rate, power, noise
-  or variance enters, so every point of figures 2 and 3 reads the same
-  two rounds, and a one-attempt direct run, which reads only attempt 0,
-  holds 32 + 16 = 48 bytes per trial.
+  32 bytes per trial, keyed by (seed, trials, N): with the attempt,
+  which names the memo, these are its draw's arguments. No rate, power,
+  noise or variance enters, so every point of figures 2 and 3 reads the
+  same two rounds, and a one-attempt direct run, which reads only
+  attempt 0, holds 32 + 16 = 48 bytes per trial.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
   reaches the floor (``outage.direct_test``); the margin does not depend
@@ -71,9 +74,9 @@ temporaries. ``clear_memos`` forgets them all.
 * Relay: a trial is judged from its two rounds and STATS = 3
   unit-variance floats, 24 bytes, the relay links' A, B and C
   (``channel.draw_relay_stats``), which depend on nothing but M. The
-  memo is keyed by (seed, trials, M), so figure 2's rate sweep, any SNR
-  grid or a sweep over the variances draws once, and figure 3 draws once
-  per M.
+  memo is keyed by (seed, trials, M), its draw's arguments, so figure
+  2's rate sweep, any SNR grid or a sweep over the variances draws once,
+  and figure 3 draws once per M.
 """
 
 import math
@@ -179,7 +182,7 @@ def _bs_round(cfg: SystemConfig, seed: int, trials: int,
     the first time it is read, memoised on (seed, trials, N)."""
     return _memo(f"round {attempt}", (seed, trials, cfg.N),
                  lambda: draw_bs_channels(
-                     cfg, substream(seed, CTX_DIRECT, attempt), trials))
+                     cfg.N, substream(seed, CTX_DIRECT, attempt), trials))
 
 
 def _best_margins(cfg: SystemConfig, seed: int, trials: int,
@@ -205,7 +208,7 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
                 for lo in range(0, trials, PASS_ROWS):
                     best = rows[lo:lo + PASS_ROWS]
                     gains = (e[lo:lo + PASS_ROWS] if attempt < ROUNDS else
-                             draw_bs_channels(cfg, rng, rounds=len(best)))
+                             draw_bs_channels(cfg.N, rng, rounds=len(best)))
                     np.maximum(best, _direct_margin(gains, kappa), out=best)
         rows.flags.writeable = False
     _memos["direct"] = (key, cfg.retx, rows)
@@ -289,7 +292,7 @@ def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
     """Relay-link statistics of every relay trial, float (trials, STATS),
     read-only, all from one substream, memoised on (seed, trials, M)."""
     return _memo("relay", (seed, trials, cfg.M), lambda: draw_relay_stats(
-        cfg, substream(seed, CTX_RELAY, 0), trials))
+        cfg.M, substream(seed, CTX_RELAY, 0), trials))
 
 
 def simulate_relay(cfg: SystemConfig, trials: int,

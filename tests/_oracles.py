@@ -10,7 +10,10 @@ eigenproblem over vec(B) on a Householder null basis, the relay-ARQ
 protocol judged one trial at a time by building both relay designs, and
 the reduction of complex relay channels to the (A, B, C) the engine draws
 as Gamma variates, and a two-sided duality certificate for the max-min
-design's optimum. A reference that cannot deliver its value raises
+design's optimum. ``cdf_whole_line`` is no reference: it extends the
+closed-form law, which the package takes on c >= 0 only, to the whole
+line by swapping X and Y, so that the checks against the oracles can
+cover both tails. A reference that cannot deliver its value raises
 ``NumericFailureError`` rather than returning a wrong one.
 """
 
@@ -22,7 +25,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
 from relayarq.errors import ContractViolationError, RelayArqError
-from relayarq.outage import outage_single_user
+from relayarq.outage import cdf_diff_exp, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 
@@ -254,6 +257,16 @@ def cf_inversion_cdf(c: float, kappa: float, n: int,
             "characteristic-function quadrature did not converge",
             details={**details, "estimate": val, "error": err})
     return float(min(max(0.5 - val / np.pi, 0.0), 1.0))
+
+
+def cdf_whole_line(c: float, kappa: float, n: int) -> float:
+    """Pr{X - kappa Y < c} at any c, for 0 < kappa < inf, from the law
+    ``cdf_diff_exp`` takes on c >= 0 only. Below 0 the event is
+    Y - X / kappa > -c / kappa, X and Y swapped, so the law there is
+    1 - F_(1/kappa)(-c / kappa) (the law has no atoms)."""
+    if c >= 0:
+        return cdf_diff_exp(c, kappa, n)
+    return 1.0 - cdf_diff_exp(-c / kappa, 1.0 / kappa, n)
 
 
 def diff_exp_args(cfg: SystemConfig) -> tuple:

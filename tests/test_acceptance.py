@@ -24,8 +24,8 @@ from relayarq.simulate import (FIG2_RATES, FIG2_SNR_DB, FIG3_M, FIG3_RATE,
 import relayarq.cli as cli
 import relayarq.simulate as simulate
 
-from _oracles import (brute_force_m2, cf_inversion_cdf, cn_vector,
-                      dual_checks, duality_bracket, null_basis)
+from _oracles import (brute_force_m2, cdf_whole_line, cf_inversion_cdf,
+                      cn_vector, dual_checks, duality_bracket, null_basis)
 
 # interference-limited example system: 3 BS antennas, strong direct links
 EXAMPLE_BASE = dict(N=3, M=3, noise_var=1e-3, var_direct=2.0, var_cross=1.0,
@@ -78,13 +78,14 @@ def test_c2_difference_density_fidelity():
     """The closed-form CDF has unit mass and matches CF inversion at any N."""
     rng = np.random.default_rng(17)
     # tail rates lam and mu map onto the law's units as F_(lam, mu)(c) =
-    # cdf_diff_exp(lam c, lam / mu, n)
+    # cdf_diff_exp(lam c, lam / mu, n); below 0 it is read with X and Y
+    # swapped (cdf_whole_line)
 
     # unit mass: the law runs from 0 to 1 over its tails
     for _ in range(5):
         kappa = rng.uniform(0.25, 2.5) / rng.uniform(0.25, 2.5)
         n = int(rng.integers(1, 7))
-        assert cdf_diff_exp(-60.0 * kappa, kappa, n) <= 1e-10
+        assert cdf_whole_line(-60.0 * kappa, kappa, n) <= 1e-10
         assert cdf_diff_exp(60.0, kappa, n) >= 1.0 - 1e-10
 
     # CDF values against Gil-Pelaez inversion of the CF, orders 1..6, with
@@ -94,7 +95,7 @@ def test_c2_difference_density_fidelity():
         kappa = rng.uniform(0.25, 2.5) / rng.uniform(0.25, 2.5)
         n = 1 + i % 6
         z = rng.uniform(-6.0, 6.0) * np.sqrt(kappa)
-        err = abs(cf_inversion_cdf(z, kappa, n) - cdf_diff_exp(z, kappa, n))
+        err = abs(cf_inversion_cdf(z, kappa, n) - cdf_whole_line(z, kappa, n))
         worst = max(worst, err)
         assert err <= 1e-7, (kappa, n, z)
     print(f"  worst cdf-vs-CF error over 60 points: {worst:.2e}")

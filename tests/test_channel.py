@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relayarq.channel import (
     substream,
 )
 from relayarq.errors import ContractViolationError
+import relayarq.simulate as simulate
 
 from _oracles import relay_gains
 
@@ -141,18 +143,16 @@ def test_substream_separation():
 
 
 def test_bs_channel_shapes():
-    cfg = make_cfg(N=4)
     rng = substream(0, CTX_DIRECT, 0)
     for rounds in (1, 5):
-        e = draw_bs_channels(cfg, rng, rounds=rounds)
+        e = draw_bs_channels(4, rng, rounds=rounds)
         assert e.shape == (rounds, 2, 2) and e.dtype == np.float64
 
 
 def test_bs_channel_variance_structure():
     # a unit gain sums N entries of variance 1, so its mean is N, on every
     # link whatever the config's variances
-    cfg = make_cfg(N=2, var_direct=2.0, var_cross=0.5)
-    e = draw_bs_channels(cfg, substream(1, CTX_DIRECT, 0), rounds=40000)
+    e = draw_bs_channels(2, substream(1, CTX_DIRECT, 0), rounds=40000)
     assert np.allclose(e.mean(axis=0), 2.0, rtol=0.05)
 
 
@@ -160,8 +160,7 @@ def test_bs_channel_variance_structure():
 def test_bs_gains_follow_gamma_law(n):
     # ||h||^2 of n CN(0, var) entries is var Gamma(n, 1): each link's unit
     # gain passes a KS test against Gamma(n, 1)
-    cfg = make_cfg(N=n, var_direct=2.0, var_cross=0.5)
-    e = draw_bs_channels(cfg, substream(4, CTX_DIRECT, n), rounds=5000)
+    e = draw_bs_channels(n, substream(4, CTX_DIRECT, n), rounds=5000)
     for i, j in np.ndindex(2, 2):
         assert stats.kstest(e[:, i, j], stats.gamma(n).cdf).pvalue > 1e-3, \
             (i, j)
@@ -169,12 +168,19 @@ def test_bs_gains_follow_gamma_law(n):
 
 @pytest.mark.parametrize("zero", ["var_direct", "var_cross", "var_relay"])
 def test_draws_do_not_read_the_variances(zero):
-    # the draws are unit variates: a zero variance, or any other, leaves
-    # them as they are, and only the verdicts read it
-    for draw in (draw_bs_channels, draw_relay_stats):
-        want = draw(make_cfg(), substream(5, CTX_DIRECT, 0), 100)
-        got = draw(make_cfg(**{zero: 0.0}), substream(5, CTX_DIRECT, 0),
-                   100)
+    # the draws take their order, their stream and their count, and no
+    # config: the engine draws the same unit variates at a zero variance,
+    # or any other, and only the verdicts read it
+    assert [list(inspect.signature(draw).parameters)
+            for draw in (draw_bs_channels, draw_relay_stats)] == [
+        ["n", "rng", "rounds"], ["m", "rng", "trials"]]
+    drawn = []
+    for cfg in (make_cfg(), make_cfg(**{zero: 0.0})):
+        simulate.clear_memos()            # each config draws afresh
+        drawn.append((simulate._bs_round(cfg, 5, 100, 0),
+                      simulate._relay_stats(cfg, 5, 100)))
+    simulate.clear_memos()
+    for want, got in zip(*drawn):
         assert np.array_equal(got, want)
         assert (got > 0.0).all()
 
@@ -183,13 +189,12 @@ def test_relay_channel_variance():
     # each of the M antennas of either unit relay link carries variance 1:
     # E A = E ||g1||^2 and E (B + C) = E ||g2||^2 are both M; each unit BS
     # gain sums N entries of variance 1
-    cfg = make_cfg(N=2, M=4, var_relay=3.0)
-    rows = draw_relay_stats(cfg, substream(2, CTX_RELAY, 0), 20000)
+    rows = draw_relay_stats(4, substream(2, CTX_RELAY, 0), 20000)
     a, b, c = rows.T
     assert abs(np.mean(a) / 4 - 1.0) < 0.05
     assert abs(np.mean(b + c) / 4 - 1.0) < 0.05
     assert (rows >= 0.0).all()
-    e = draw_bs_channels(cfg, substream(2, CTX_DIRECT, 0), rounds=20000)
+    e = draw_bs_channels(2, substream(2, CTX_DIRECT, 0), rounds=20000)
     assert np.allclose(e.mean(axis=0), 2.0, rtol=0.05)
 
 
@@ -197,13 +202,12 @@ def test_relay_channel_shapes():
     # the draw returns a fresh float (trials, STATS) array, one row per
     # trial: the variates one Gamma([M, M - 1, 1]) draw writes into an
     # array of that shape, from a substream of the same key
-    cfg = make_cfg(M=5)
     for trials in (1, 7):
-        got = draw_relay_stats(cfg, substream(3, CTX_RELAY, trials), trials)
+        got = draw_relay_stats(5, substream(3, CTX_RELAY, trials), trials)
         assert got.shape == (trials, STATS)
         assert got.dtype == np.float64
         want = substream(3, CTX_RELAY, trials).standard_gamma(
-            [cfg.M, cfg.M - 1, 1], out=np.empty((trials, STATS)))
+            [5, 4, 1], out=np.empty((trials, STATS)))
         assert np.array_equal(got, want)
 
 
@@ -219,7 +223,7 @@ def test_relay_gains_follow_gamma_law(m):
     rounds = 5000
     reduced = relay_gains(cn(substream(28, CTX_RELAY, m), (rounds, 2, m),
                              cfg.var_relay)) / cfg.var_relay
-    drawn = draw_relay_stats(cfg, substream(29, CTX_RELAY, m), rounds)
+    drawn = draw_relay_stats(m, substream(29, CTX_RELAY, m), rounds)
     for source, abc in (("complex", reduced), ("gamma", drawn)):
         a, b, c = abc.T
         for name, x, order in (("A", a, m), ("B", b, m - 1), ("C", c, 1),

@@ -5,20 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, gammainc, gammaincc
+from scipy.special import betainc, gammainc
 
 from relayarq.channel import SystemConfig
 from relayarq.errors import ContractViolationError
 from relayarq.outage import (
     arq_outage,
     cdf_diff_exp,
+    direct_test,
     outage_interference_n3,
     outage_single_user,
 )
 
-from _oracles import (NumericFailureError, cf_inversion_cdf,
+from _oracles import (NumericFailureError, cdf_whole_line, cf_inversion_cdf,
                       cf_inversion_outage, characteristic_function,
                       diff_exp_args)
 
@@ -72,14 +73,54 @@ def test_param_validation():
             cdf_diff_exp(0.0, kappa, n)
 
 
+def test_cdf_refuses_a_negative_or_nan_floor():
+    # the law is taken on c >= 0, which holds every floor direct_test
+    # forms; a negative floor, however small, or NaN raises instead of
+    # returning a value, and 0, -0 and +inf are inside
+    for c in (-1e-300, -np.inf, math.nan):
+        with pytest.raises(ContractViolationError,
+                           match="c must be at least 0"):
+            cdf_diff_exp(c, REF_KAPPA, 3)
+    assert cdf_diff_exp(-0.0, REF_KAPPA, 3) == cdf_diff_exp(0.0, REF_KAPPA, 3)
+    assert cdf_diff_exp(np.inf, REF_KAPPA, 3) == pytest.approx(1.0,
+                                                                abs=1e-15)
+
+
+_CLI_VARIANCE = st.one_of(st.just(0.0), st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5000), rate=st.floats(0.0, 1024.0, exclude_max=True),
+       snr_db=st.floats(-3000.0, 3000.0), noise_var=st.floats(5e-324, 1e300),
+       var_direct=_CLI_VARIANCE, var_cross=_CLI_VARIANCE)
+@example(n=3, rate=2.0, snr_db=10.0, noise_var=1.0, var_direct=0.0,
+         var_cross=0.0)
+@example(n=5000, rate=1023.9, snr_db=-3000.0, noise_var=1e300,
+         var_direct=5e-324, var_cross=1e300)
+def test_cli_floors_lie_in_the_law_domain(n, rate, snr_db, noise_var,
+                                          var_direct, var_cross):
+    # every config the CLI accepts (N up to 5000, rate below 1024, SNR
+    # within 3000 dB of the noise, variances 0 or 5e-324 .. 1e300) forms a
+    # floor of at least 0, so no run reaches the law's refusal
+    try:
+        cfg = SystemConfig.at_snr(snr_db, N=n, M=3, noise_var=noise_var,
+                                  var_direct=var_direct, var_cross=var_cross,
+                                  var_relay=4.0, rate=rate)
+    except ContractViolationError:
+        reject()                          # the CLI exits 2 here
+    floor = direct_test(cfg)[1]
+    assert floor >= 0.0 and not math.isnan(floor)
+    assert 0.0 <= outage_interference_n3(cfg) <= 1.0
+
+
 def test_cdf_at_the_ends_of_kappa():
     # kappa = inf: interference beyond a float's range of the signal;
     # kappa = 0: none, so the law is the signal's own P(n, c)
     for n in (1, 3, 64):
-        for c in (-np.inf, -1.0, 0.0, 2.5, np.inf):
+        for c in (0.0, 2.5, np.inf):
             assert cdf_diff_exp(c, math.inf, n) == 1.0
-            want = gammainc(n, c) if c >= 0 else 0.0
-            assert cdf_diff_exp(c, 0.0, n) == pytest.approx(want, rel=1e-14)
+            assert cdf_diff_exp(c, 0.0, n) == pytest.approx(gammainc(n, c),
+                                                            rel=1e-14)
 
 
 def test_cdf_symmetric_at_equal_rates():
@@ -87,26 +128,23 @@ def test_cdf_symmetric_at_equal_rates():
     # every N
     for n in (1, 2, 3, 6, 40):
         assert cdf_diff_exp(0.0, 1.0, n) == pytest.approx(0.5, abs=1e-14)
-        for z in np.linspace(0.1, 8.0, 25):
-            assert cdf_diff_exp(z, 1.0, n) + cdf_diff_exp(-z, 1.0, n) \
-                == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cdf_continuous_at_zero():
-    # the two sums of the law meet at c = 0
+    # the law and its swap meet at c = 0: F_kappa(0) + F_(1/kappa)(0) = 1
     eps = 1e-9
     for n in range(1, 7):
-        left = cdf_diff_exp(-eps, REF_KAPPA, n)
+        left = cdf_whole_line(-eps, REF_KAPPA, n)
         right = cdf_diff_exp(eps, REF_KAPPA, n)
         assert left == pytest.approx(right, rel=1e-6)
 
 
 def test_cdf_has_unit_mass():
     for n in range(1, 7):
-        assert cdf_diff_exp(-np.inf, REF_KAPPA, n) == 0.0
-        assert cdf_diff_exp(np.inf, REF_KAPPA, n) == pytest.approx(
-            1.0, abs=1e-15)
-        assert cdf_diff_exp(-60.0 * REF_KAPPA, REF_KAPPA, n) <= 1e-10
+        for kappa in (REF_KAPPA, 1.0 / REF_KAPPA):
+            assert cdf_diff_exp(np.inf, kappa, n) == pytest.approx(
+                1.0, abs=1e-15)
+        assert cdf_whole_line(-60.0 * REF_KAPPA, REF_KAPPA, n) <= 1e-10
         assert cdf_diff_exp(60.0, REF_KAPPA, n) >= 1.0 - 1e-10
 
 
@@ -117,7 +155,7 @@ def test_cdf_matches_numeric_integration():
     for n in range(2, 7):
         for c in (-2.5, -0.5, -0.05, 0.0, 0.15, 1.0, 5.0):
             want = cf_inversion_cdf(c, REF_KAPPA, n, tol=1e-11)
-            assert cdf_diff_exp(c, REF_KAPPA, n) == pytest.approx(
+            assert cdf_whole_line(c, REF_KAPPA, n) == pytest.approx(
                 want, abs=1e-10), (n, c)
 
 
@@ -131,38 +169,33 @@ def test_cdf_frozen_values():
 
 def test_cdf_is_monotone_and_proper():
     zs = np.linspace(-60.0, 60.0, 121)
-    vals = [cdf_diff_exp(z, REF_KAPPA, 3) for z in zs]
+    vals = [cdf_whole_line(z, REF_KAPPA, 3) for z in zs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1e-6 and vals[-1] > 1 - 1e-6
 
 
 def test_cdf_n3_matches_explicit_expansion():
     # N = 3 written out: weights C(2+i, i) = 1, 3, 6 on b^i (or a^i), over
-    # kappa of 1e-8 .. 1e8, the negative tail's rate mu = 1/kappa
+    # kappa of 1e-8 .. 1e8, the negative tail's rate mu = 1/kappa, and c
+    # up to 30 on the scale 1 or kappa
     rng = np.random.default_rng(29)
     for _ in range(400):
         kappa = 10.0 ** rng.uniform(-8, 8)
         mu = 1.0 / kappa
         a, b = 1.0 / (1.0 + mu), mu / (1.0 + mu)
-        c = rng.uniform(-30, 30) * (1.0 if rng.random() < 0.5 else kappa)
-        if c <= 0:
-            x = -c * mu
-            want = a ** 3 * (gammaincc(3, x) + 3 * b * gammaincc(2, x)
-                             + 6 * b * b * gammaincc(1, x))
-        else:
-            want = (a ** 3 * (1 + 3 * b + 6 * b * b)
-                    + b ** 3 * (gammainc(3, c) + 3 * a * gammainc(2, c)
-                                + 6 * a * a * gammainc(1, c)))
+        c = rng.uniform(0, 30) * (1.0 if rng.random() < 0.5 else kappa)
+        want = (a ** 3 * (1 + 3 * b + 6 * b * b)
+                + b ** 3 * (gammainc(3, c) + 3 * a * gammainc(2, c)
+                            + 6 * a * a * gammainc(1, c)))
         got = cdf_diff_exp(c, kappa, 3)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_cdf_n1_is_the_two_sided_exponential():
-    # one antenna: a e^(c / kappa) below zero, 1 - b e^(-c) above
+    # one antenna: a e^(c / kappa) below zero, 1 - b e^(-c) above, both
+    # a at 0
     a, b = 0.6, 0.4
-    for c in (-7.0, -0.5, 0.0):
-        assert cdf_diff_exp(c, REF_KAPPA, 1) == pytest.approx(
-            a * math.exp(c / REF_KAPPA), rel=1e-14)
+    assert cdf_diff_exp(0.0, REF_KAPPA, 1) == pytest.approx(a, rel=1e-14)
     for c in (0.5, 7.0):
         assert cdf_diff_exp(c, REF_KAPPA, 1) == pytest.approx(
             1 - b * math.exp(-c), rel=1e-14)
@@ -173,7 +206,7 @@ def test_cdf_finite_at_large_orders():
         half = cdf_diff_exp(0.0, 1.0, n)
         assert half == pytest.approx(0.5, abs=1e-9)
         for kappa in (1e8, 1.0, 1e-8):
-            vals = [cdf_diff_exp(c, kappa, n)
+            vals = [cdf_whole_line(c, kappa, n)
                     for c in (-1e4, -1.0, 0.0, 1.0, 1e4)]
             assert all(0.0 <= v <= 1.0 for v in vals), (n, kappa, vals)
             assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -190,11 +223,8 @@ def unblocked_cdf_diff_exp(c, kappa, n):
     log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
     log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
     mass_neg = np.exp(log_w + n * log_a + i * log_b)
-    if c < 0:
-        terms = mass_neg * gammaincc(n - i, -c * mu)
-    else:
-        mass_pos = np.exp(log_w + n * log_b + i * log_a)
-        terms = mass_neg + mass_pos * gammainc(n - i, c)
+    mass_pos = np.exp(log_w + n * log_b + i * log_a)
+    terms = mass_neg + mass_pos * gammainc(n - i, c)
     return min(max(float(np.sum(terms)), 0.0), 1.0)
 
 
@@ -202,8 +232,8 @@ def test_cdf_of_one_block_is_the_unblocked_sum():
     # up to one block of 2^15 terms, every order the CLI accepts among
     # them, the blocked law runs the unblocked sum's operations
     for n in (1, 3, 64, 5000, 2 ** 15):
-        for c, kappa in ((-0.3 * n, 1.5), (0.0, 1.0), (0.2 * n, 0.5),
-                         (1e-3, 1e-6), (-1e-3, 1e6)):
+        for c, kappa in ((0.3 * n, 1.5), (0.0, 1.0), (0.2 * n, 0.5),
+                         (1e-3, 1e-6), (1e3, 1e6), (np.inf, 1.5)):
             assert cdf_diff_exp(c, kappa, n) == \
                 unblocked_cdf_diff_exp(c, kappa, n), (n, c, kappa)
 
@@ -250,7 +280,7 @@ def test_cf_matches_fourier_transform_of_cdf():
     def part(fn, lo, hi):
         return quad(fn, lo, hi, limit=600, epsabs=1e-13, epsrel=1e-13)[0]
 
-    cdf = lambda z: cdf_diff_exp(z, REF_KAPPA, 3)
+    cdf = lambda z: cdf_whole_line(z, REF_KAPPA, 3)
     for t in (0.3, 1.7, -2.2):
         re = (part(lambda z: cdf(z) * np.cos(t * z), -np.inf, 0.0)
               + part(lambda z: (cdf(z) - 1.0) * np.cos(t * z), 0.0, np.inf))
@@ -263,7 +293,7 @@ def test_cf_matches_fourier_transform_of_cdf():
 def test_cf_inversion_agrees_with_cdf():
     for c in (-1.0, 0.0, 0.5, 2.0):
         assert cf_inversion_cdf(c, REF_KAPPA, 3) == pytest.approx(
-            cdf_diff_exp(c, REF_KAPPA, 3), abs=1e-7)
+            cdf_whole_line(c, REF_KAPPA, 3), abs=1e-7)
 
 
 def test_cf_inversion_handles_other_orders():

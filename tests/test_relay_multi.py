@@ -173,6 +173,20 @@ def test_input_validation():
             max_min_sinr(np.ones(3), np.ones(3), power, noise_var=noise)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_channels_are_refused(bad):
+    # a NaN or inf entry in either channel is bad input, not an SINR that
+    # overflows, which the design once gave as its reason
+    for which in (0, 1):
+        h = [np.ones(3, complex), np.ones(3, complex)]
+        h[which][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError,
+                               match="relay channels must be finite"):
+                max_min_sinr(*h, 1.0)
+
+
 def log2_sum_sq(*xs):
     """log2 of sum |x|^2, with nothing squared out of the float range."""
     top = max(abs(x) for x in xs)

@@ -166,13 +166,28 @@ def test_input_validation():
         solve_single_user_beamformer(np.ones(3), np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_channels_are_refused(bad):
+    # a NaN or inf entry in either channel is bad input: both functions
+    # once returned a NaN gain or beam here, with a RuntimeWarning
+    for which in (0, 1):
+        g = [np.ones(3, complex), np.ones(3, complex)]
+        g[which][1] = bad
+        for design in (optimal_gain, solve_single_user_beamformer):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolationError,
+                                   match="relay channels must be finite"):
+                    design(*g, 1.0)
+
+
 def draw_round(cfg, seed):
     """One round of BS power gains (2, 2) and relay channels (2, M), at the
     config's variances."""
     rng = substream(seed, 0, 0)
     var = np.array([[cfg.var_direct, cfg.var_cross],
                     [cfg.var_cross, cfg.var_direct]])
-    return (draw_bs_channels(cfg, rng, rounds=1)[0] * var,
+    return (draw_bs_channels(cfg.N, rng, rounds=1)[0] * var,
             cn(rng, (2, cfg.M), cfg.var_relay))
 
 

@@ -144,7 +144,7 @@ def test_direct_block_layout():
     # config's variances, falls short, judged here entry by entry
     cfg = make_cfg(P=10.0, retx=3)
     p_ant = cfg.P / cfg.N
-    e = np.stack([draw_bs_channels(cfg, substream(14, CTX_DIRECT, attempt),
+    e = np.stack([draw_bs_channels(cfg.N, substream(14, CTX_DIRECT, attempt),
                                    rounds=ODD_TRIALS)
                   for attempt in range(cfg.retx)], axis=1) * bs_var(cfg)
     want = 0
@@ -736,9 +736,9 @@ def test_relay_outage_does_not_depend_on_the_noise_scale():
 _FIG2_R4 = SystemConfig.at_snr(40.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                                var_cross=1.0, var_relay=4.0, rate=4.0)
 _FIG2_R4_TRIALS = (
-    *(draw_bs_channels(_FIG2_R4, substream(3, CTX_DIRECT, a), rounds=PASS)
+    *(draw_bs_channels(_FIG2_R4.N, substream(3, CTX_DIRECT, a), rounds=PASS)
       for a in (0, 1)),
-    draw_relay_stats(_FIG2_R4, substream(3, CTX_RELAY, 0), PASS))
+    draw_relay_stats(_FIG2_R4.M, substream(3, CTX_RELAY, 0), PASS))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -830,7 +830,7 @@ def test_relay_losses_failed_direct_attempt_0(monkeypatch):
         judged.append(judge(*args))
         return judged[-1]
     monkeypatch.setattr(simulate, "judge_relay", kept)
-    e = draw_bs_channels(make_cfg(), substream(3, CTX_DIRECT, 0),
+    e = draw_bs_channels(make_cfg().N, substream(3, CTX_DIRECT, 0),
                          rounds=ODD_TRIALS)
     simulate.clear_memos()
     seen = set()
@@ -898,8 +898,8 @@ def test_block_verdicts_match_per_trial_reference():
         zero = case.pop("zero", False)
         cfg = make_cfg(**case)
         sub = substream(16, 0, k)
-        e1 = draw_bs_channels(cfg, sub, rounds=PASS) * bs_var(cfg)
-        e2 = draw_bs_channels(cfg, sub, rounds=PASS) * bs_var(cfg)
+        e1 = draw_bs_channels(cfg.N, sub, rounds=PASS) * bs_var(cfg)
+        e2 = draw_bs_channels(cfg.N, sub, rounds=PASS) * bs_var(cfg)
         g = cn(sub, (PASS, 2, cfg.M), cfg.var_relay)
         if parallel:
             g = near_parallel(rng, g)
@@ -930,7 +930,7 @@ def test_relay_stats_layout():
     # its rounds 1 and 2 are direct attempts 0 and 1, each drawn whole
     cfg = make_cfg(M=4)
     n = 37
-    want = draw_relay_stats(cfg, substream(26, CTX_RELAY, 0), n)
+    want = draw_relay_stats(cfg.M, substream(26, CTX_RELAY, 0), n)
     simulate.clear_memos()
     e1, e2, got = relay_inputs(cfg, 26, n)
     assert got.shape == (n, STATS)
@@ -938,7 +938,7 @@ def test_relay_stats_layout():
     for attempt, e in enumerate((e1, e2)):
         assert not e.flags.writeable
         assert np.array_equal(e, draw_bs_channels(
-            cfg, substream(26, CTX_DIRECT, attempt), rounds=n))
+            cfg.N, substream(26, CTX_DIRECT, attempt), rounds=n))
 
 
 def test_relay_validates_antennas():
