@@ -286,11 +286,9 @@ def _build_cfg(params: dict, snr_db: float) -> SystemConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+    # every count that reaches a cell is below 2^53, so %.17g prints it
+    # exactly as str(int(x)) would
+    return x if isinstance(x, str) else "%.17g" % float(x)
 
 
 def _put(fd, text):

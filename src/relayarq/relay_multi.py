@@ -44,7 +44,9 @@ coordinates, shares and gains relative to the unit channels. The shares
 are formed from their square roots, since far apart norms put the strong
 user's f_i and pi_i below the float range while its beam is not. So the
 design runs in floats at every scale and on every platform, and refuses
-only an optimum that overflows.
+only an optimum that overflows. Its input contract is the single-user
+design's: ``span_coords`` validates the channel pair, and the budget, like
+the noise, must be positive and finite.
 """
 
 import math
@@ -65,7 +67,8 @@ class MultiBeamformer:
     t_star: float             # optimal common SINR
     sinr1: float              # achieved by the beams
     sinr2: float
-    q1: float                 # balanced dual-uplink powers, q1 + q2 = power
+    q1: float                 # balanced dual-uplink powers, q1 + q2 = power,
+                              # or both 0 where t* is 0
     q2: float
 
 
@@ -93,17 +96,13 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     beams are zero, as they are for an optimum below the float range.
     Raises ContractViolationError where the optimum overflows a float.
     """
-    h1 = np.asarray(h1, dtype=complex).reshape(-1)
-    h2 = np.asarray(h2, dtype=complex).reshape(-1)
-    if h1.shape != h2.shape:
-        raise ContractViolationError("user channels must have equal length")
+    q, a, b, c = span_coords(h1, h2)
     if not (0.0 < power < np.inf and 0.0 < noise_var < np.inf):
         raise ContractViolationError(
             "power and noise must be positive and finite")
 
-    q, a, b, c = span_coords(h1, h2)
     s1, s2 = float(abs(a)), math.hypot(abs(b), abs(c))
-    zero = np.zeros(h1.size, dtype=complex)
+    zero = np.zeros(len(q), dtype=complex)
     if not (s1 and s2):       # a user the relay cannot reach
         return MultiBeamformer(zero, zero.copy(), 0.0, 0.0, 0.0, 0.0, 0.0)
     b, c = b / s2, c / s2

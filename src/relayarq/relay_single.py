@@ -14,9 +14,11 @@ exactly when w is along (conj(b), -conj(c)), so the optimum is
 sqrt(Pr) Q w with that unit w, and its value is Pr |a|^2 |w_0|^2 =
 Pr A B / (B + C), the gain the Monte Carlo engine reads off its Gamma
 draws. Only where g_protect = 0 is that w zero: nothing needs nulling, and
-w = (1, 0) points the beam straight at the target. The test suite checks
-both functions against the stacked eigenproblem over vec(B), which allows
-any number of streams.
+w = (1, 0) points the beam straight at the target. ``span_coords``
+validates the channel pair; the relay needs at least two antennas, and
+the budget must be positive and finite, as ``relay_multi.max_min_sinr``'s
+is. The test suite checks both functions against the stacked eigenproblem
+over vec(B), which allows any number of streams.
 """
 
 import math
@@ -29,17 +31,12 @@ from .linalg import ratio, span_coords
 
 def _zero_forcing(g_protect, g_target, power: float):
     """The span basis Q, the target's coordinate a and the unit w."""
-    g_protect = np.asarray(g_protect, dtype=complex).reshape(-1)
-    g_target = np.asarray(g_target, dtype=complex).reshape(-1)
-    if g_target.size != g_protect.size:
-        raise ContractViolationError(
-            "channel vectors must share the antenna count")
-    if g_protect.size < 2:
+    q, a, b, c = span_coords(g_target, g_protect)
+    if len(q) < 2:
         raise ContractViolationError(
             "zero-forcing toward one user needs at least two relay antennas")
-    if power <= 0:
-        raise ContractViolationError("relay power must be positive")
-    q, a, b, c = span_coords(g_target, g_protect)
+    if not 0.0 < power < np.inf:
+        raise ContractViolationError("relay power must be positive and finite")
     norm = np.hypot(abs(b), abs(c))
     w = np.array([np.conj(b), -np.conj(c)]) / norm if norm else \
         np.array([1.0, 0.0])

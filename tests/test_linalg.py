@@ -85,3 +85,26 @@ def test_span_coords_reconstruct_the_pair(case):
     assert abs(a) ** 2 == pytest.approx(np.vdot(g1, g1).real, rel=1e-14)
     assert abs(b) ** 2 + abs(c) ** 2 == pytest.approx(np.vdot(g2, g2).real,
                                                        rel=1e-14)
+
+
+def test_span_coords_flattens_each_channel():
+    # a channel may come as (M,), (M, 1) or (1, M), real or complex: each
+    # is the same length-M vector
+    rng = np.random.default_rng(19)
+    g1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    g2 = rng.standard_normal(4)
+    want = span_coords(g1, g2)
+    for shape in ((4, 1), (1, 4)):
+        got = span_coords(g1.reshape(shape), g2.reshape(shape))
+        assert got[0].shape == (4, 2)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shapes", [((3,), (4,)), ((3, 1), (1, 4)),
+                                    ((2, 2), (3,))])
+def test_span_coords_refuses_unequal_lengths(shapes):
+    g1, g2 = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ContractViolationError,
+                       match="relay channels must have equal length"):
+        span_coords(g1, g2)

@@ -167,10 +167,19 @@ def test_unreachable_user_gives_zero_target():
 def test_input_validation():
     with pytest.raises(ContractViolationError, match="equal length"):
         max_min_sinr(np.ones(3), np.ones(4), 1.0)
-    for power, noise in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                         (1.0, 0.0), (1.0, np.nan)):
-        with pytest.raises(ContractViolationError):
-            max_min_sinr(np.ones(3), np.ones(3), power, noise_var=noise)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_budget_must_be_positive_and_finite(bad):
+    # the single-user design's rule, here on the noise as on the budget
+    h1, h2 = random_pair(np.random.default_rng(6), 3)
+    for power, noise_var in ((bad, 1.0), (1.0, bad)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError,
+                               match="power and noise must be positive and "
+                                     "finite"):
+                max_min_sinr(h1, h2, power, noise_var=noise_var)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])

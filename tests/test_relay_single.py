@@ -158,12 +158,26 @@ def test_gain_beyond_the_float_range_raises():
 
 
 def test_input_validation():
-    with pytest.raises(ContractViolationError, match="antenna count"):
+    with pytest.raises(ContractViolationError,
+                       match="relay channels must have equal length"):
         solve_single_user_beamformer(np.ones(3), np.ones(4), 1.0)
     with pytest.raises(ContractViolationError, match="two relay antennas"):
         solve_single_user_beamformer(np.ones(1), np.ones(1), 1.0)
-    with pytest.raises(ContractViolationError, match="must be positive"):
-        solve_single_user_beamformer(np.ones(3), np.ones(3), 0.0)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_budget_must_be_positive_and_finite(power):
+    # the max-min design's rule: a NaN budget once gave a NaN gain and beam,
+    # and an inf one a RuntimeWarning
+    rng = np.random.default_rng(6)
+    gp, gt = cn_vector(rng, 3, 1.0), cn_vector(rng, 3, 1.0)
+    for design in (optimal_gain, solve_single_user_beamformer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError,
+                               match="relay power must be positive and "
+                                     "finite"):
+                design(gp, gt, power)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
