@@ -129,13 +129,19 @@ class SystemConfig:
         return 2.0 ** self.rate - 1.0
 
 
-def substream(seed: int, context: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, context, index) key; the
-    seed is Philox's 64-bit key, a whole number in [0, 2^64)."""
+def seed_key(seed) -> int:
+    """seed as Philox's 64-bit key: a whole number in [0, 2^64), or raise.
+    The CLI checks a run's seed by this rule before any work."""
     if not 0 <= seed < 2 ** 64:
         raise ContractViolationError(
             f"seed must lie in [0, 2^64), not {seed}")
-    key = whole(seed, "seed", low=0)
+    return whole(seed, "seed", low=0)
+
+
+def substream(seed: int, context: int, index: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, context, index) key; the
+    seed is Philox's 64-bit key (``seed_key``)."""
+    key = seed_key(seed)
     counter = (int(context) << 128) + (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 

@@ -22,8 +22,11 @@ that belong to the invocation, not the run: ``-o``, ``--config`` and
 * a repeated flag keeps its last value;
 * values are coerced by ``_coerce``, as config-file values are.
 
-A command checks every flag but reads only those its run depends on, so
-the rest leave its table unchanged:
+Every command validates every flag in one pass, ``_effective_params``,
+before its first library call, so a flag it does not read is refused
+where it is out of range (``figure 1 --n 0`` exits 2). But a command
+reads only the flags its run depends on, so the rest leave its table
+unchanged:
 
 * ``figure`` runs the paper's preset systems and reads only
   ``--trials``, ``--seed`` and ``-o``;
@@ -49,34 +52,38 @@ reruns the same run given the same ``-o`` (``_load_config`` says what is
 a comment). ``-o`` and ``--dump-config`` must name a file in an
 existing directory, so neither may be empty, and ``-o`` neither the
 ``--config`` nor the ``--dump-config`` file. All of that is checked
-before any work. So are the ceilings: ``--n``/``--m``
-at most MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at
-most MAX_TRIALS (each memo is held once and freed before the next is
-drawn, so the memos stay under 1 GiB), an SNR grid of at most
-MAX_GRID_POINTS points, counted before it is built, and the one SNR a
-beamform command takes. Files are written first and standard output
-last: the ``-o`` file, then the ``--dump-config`` file, then the table on
-standard output. Those three are the run's product: where one cannot be
-written, or standard output is closed, the run exits 2. So a refused run
-or a failed ``-o`` write leaves no dump, and a failed dump leaves
-standard output empty, but a failed write to standard output can leave
-the dump behind. Standard error carries only progress and messages:
-where it is full or closed, they are dropped, and the files, standard
-output and exit code stay as they would be. ``--threads`` (at
-least 1) is accepted so that older command lines and config files still
-run, and has no effect: the engine draws every run on the calling
-thread. Exit codes: 0 success, 2 usage, config, output or computation
-error.
+before any work. So are the ceilings: ``--n``/``--m`` at most
+MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
+MAX_TRIALS (each memo is held once and freed before the next is drawn,
+so the memos stay under 1 GiB), an SNR grid of at most MAX_GRID_POINTS
+points, counted before it is built, and the one SNR a beamform command
+takes; the system at each point of the grid, as ``SystemConfig`` checks
+it; and the seed, a whole number in [0, 2^64) (``channel.seed_key``).
+``A:B:STEP`` is every A + k*STEP up to B. Files are written first and
+standard output last: the ``-o`` file, then the ``--dump-config`` file,
+then the table on standard output. Those three are the run's product:
+where one cannot be written, or standard output is closed, the run
+exits 2. So a refused run or a failed ``-o`` write leaves no dump, and a
+failed dump leaves standard output empty, but a failed write to standard
+output can leave the dump behind. Standard error carries only progress
+and messages: where it is full or closed, they are dropped, and the
+files, standard output and exit code stay as they would be.
+``--threads`` (at least 1) is accepted so that older command lines and
+config files still run, and has no effect: the engine draws every run on
+the calling thread. Exit codes: 0 success, 2 usage, config, output or
+computation error; each is a ``RelayArqError``, and a usage error is one
+raised while the command line is parsed.
 """
 
 import contextlib
+import math
 import os
 import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, SystemConfig, cn, substream
-from .errors import RelayArqError
+from .channel import CTX_GENERIC, SystemConfig, cn, seed_key, substream
+from .errors import ContractViolationError, RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
@@ -109,11 +116,6 @@ PARAMS = {
 USAGE = "usage: relayarq [-h] COMMAND [1|2|3] [--FLAG VALUE]..."
 
 
-class ConfigError(RelayArqError):
-    """A command line, run parameter or config file is malformed or out of
-    range."""
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -122,7 +124,7 @@ def _coerce(key: str, text: str):
     try:
         return PARAMS[key][0](text)
     except ValueError:
-        raise ConfigError(f"bad value for {key}: {text!r}")
+        raise ContractViolationError(f"bad value for {key}: {text!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -134,46 +136,47 @@ def _load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config file: {e}")
+        raise ContractViolationError(f"cannot read config file: {e}")
     for ln, raw in enumerate(lines, 1):
         key, eq, val = map(str.strip, raw.split("#", 1)[0].partition("="))
         if not (key or eq):
             continue
         if not eq:
-            raise ConfigError(f"{path}:{ln}: expected key = value")
+            raise ContractViolationError(f"{path}:{ln}: expected key = value")
         if key not in PARAMS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            raise ContractViolationError(f"{path}:{ln}: unknown key {key!r}")
         out[key] = _coerce(key, val)
     return out
 
 
 def _parse_snr_grid(text: str):
-    """'a:b:step' inclusive grid, or a single number; at most
-    MAX_GRID_POINTS points, counted before the grid is built."""
-    parts = str(text).split(":")
+    """A single number, or 'a:b:step': every a + k*step up to b, k = 0, 1,
+    ..., where a point past b by no more than the rounding of that sum
+    (four machine epsilons of the larger of |a| and |b|, and under half a
+    step) still counts. At most MAX_GRID_POINTS points, counted before the
+    grid is built."""
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            a, b, step = (float(x) for x in parts)
-            if step <= 0 or b < a:
-                raise ValueError
-            n = int(round((b - a) / step))
-            if n >= MAX_GRID_POINTS:
-                raise ConfigError(f"SNR grid {text!r} has more than "
-                                  f"{MAX_GRID_POINTS} points")
-            grid = [a + k * step for k in range(n + 1)]
-            return [x for x in grid if x <= b + 1e-9]
-    except (ValueError, OverflowError):     # round(inf) overflows
-        pass
-    raise ConfigError(f"bad SNR grid {text!r}; expected X or A:B:STEP")
+        if ":" not in text:
+            return [float(text)]
+        a, b, step = map(float, text.split(":"))    # or ValueError
+        if step <= 0 or b < a:
+            raise ValueError
+        slack = min(4 * sys.float_info.epsilon * max(abs(a), abs(b)), step / 2)
+        last = math.floor((b - a + slack) / step)
+        if last >= MAX_GRID_POINTS:
+            raise ContractViolationError(f"SNR grid {text!r} has more than "
+                                         f"{MAX_GRID_POINTS} points")
+        return [a + k * step for k in range(last + 1)]
+    except (ValueError, OverflowError):     # floor(inf) overflows
+        raise ContractViolationError(
+            f"bad SNR grid {text!r}; expected X or A:B:STEP") from None
 
 
 def _parse_argv(argv):
     """``(command, figure index or None, {key: value})`` of a command line,
-    or None when it asks for help; raises ConfigError where it does not
-    parse. The keys are those of PARAMS plus ``output``, ``config`` and
-    ``dump_config``."""
+    or None when it asks for help; raises ContractViolationError where it
+    does not parse. The keys are those of PARAMS plus ``output``,
+    ``config`` and ``dump_config``."""
     flags = {_flag(key): key for key in PARAMS}
     flags.update({"-h": "help", "--help": "help", "-o": "output",
                   "--config": "config", "--dump-config": "dump_config"})
@@ -188,38 +191,38 @@ def _parse_argv(argv):
             continue
         if tok[:2] == "-o":
             name, value = "-o", tok[2:].removeprefix("=") if tok[2:] else None
-        elif tok[:2] == "--" or tok == "-h":
+        else:
             name, eq, value = tok.partition("=")
             hits = [name] if name in flags else [
                 f for f in flags if f.startswith(name)]
             if len(hits) > 1:
-                raise ConfigError(f"ambiguous option: {name} could match "
-                                  + ", ".join(hits))
+                raise ContractViolationError(
+                    f"ambiguous option: {name} could match " + ", ".join(hits))
             if not hits:
-                raise ConfigError(f"unrecognized argument: {tok}")
+                raise ContractViolationError(f"unrecognized argument: {tok}")
             name, value = hits[0], value if eq else None
-        else:
-            raise ConfigError(f"unrecognized argument: {tok}")
         key = flags[name]
         if key == "help":
             return None
         if value is None:
             value = next(tokens, None)
             if value is None:
-                raise ConfigError(f"argument {name}: expected one argument")
+                raise ContractViolationError(
+                    f"argument {name}: expected one argument")
         given[key] = _coerce(key, value) if key in PARAMS else value
     if not positional:
-        raise ConfigError("a command is required")
+        raise ContractViolationError("a command is required")
     command, *rest = positional
     if command not in COMMANDS:
-        raise ConfigError(f"invalid command {command!r}; choose from "
-                          + ", ".join(COMMANDS))
+        raise ContractViolationError(
+            f"invalid command {command!r}; choose from " + ", ".join(COMMANDS))
     which = rest.pop(0) if rest else None
     if rest:
-        raise ConfigError("unrecognized argument: " + " ".join(rest))
+        raise ContractViolationError(
+            "unrecognized argument: " + " ".join(rest))
     if which not in (("1", "2", "3") if command == "figure" else (None,)):
-        raise ConfigError("a figure index 1, 2 or 3 goes with figure, and "
-                          "only with figure")
+        raise ContractViolationError(
+            "a figure index 1, 2 or 3 goes with figure, and only with figure")
     return command, which, given
 
 
@@ -241,39 +244,43 @@ def _help_text() -> str:
 
 
 def _effective_params(command: str, given: dict):
-    """The run's parameters and its parsed SNR grid, checked before
-    anything is drawn or written: every ceiling, and the -o and
-    --dump-config paths. Each must name a file in an existing directory,
-    so it may be neither empty nor hold a NUL byte, and -o may not name a
-    config file."""
+    """The run's parameters and its points, one (SNR, SystemConfig) pair
+    per grid point: the one place a run is validated, for every command,
+    before anything is drawn or written. It checks every ceiling, the -o
+    and --dump-config paths, each point's config and the seed. Each path
+    must name a file in an existing directory, so it may be neither empty
+    nor hold a NUL byte, and -o may not name a config file."""
     params = {key: default for key, (_, default) in PARAMS.items()}
     if "config" in given:
         params.update(_load_config(given["config"]))
     params.update((key, v) for key, v in given.items() if key in PARAMS)
     if params["trials"] < 100:
-        raise ConfigError("trials must be at least 100")
+        raise ContractViolationError("trials must be at least 100")
     if params["trials"] > MAX_TRIALS:
-        raise ConfigError(f"trials must be at most {MAX_TRIALS}")
+        raise ContractViolationError(f"trials must be at most {MAX_TRIALS}")
     if params["threads"] < 1:
-        raise ConfigError("threads must be at least 1")
+        raise ContractViolationError("threads must be at least 1")
     if max(params["n"], params["m"]) > MAX_ANTENNAS:
-        raise ConfigError(f"n and m must be at most {MAX_ANTENNAS}")
+        raise ContractViolationError(f"n and m must be at most {MAX_ANTENNAS}")
     if params["retx"] > MAX_ATTEMPTS:
-        raise ConfigError(f"retx must be at most {MAX_ATTEMPTS}")
+        raise ContractViolationError(f"retx must be at most {MAX_ATTEMPTS}")
     grid = _parse_snr_grid(params["snr_db"])
     if command.startswith("beamform") and len(grid) > 1:
-        raise ConfigError("beamform commands take one SNR")
+        raise ContractViolationError("beamform commands take one SNR")
     output, dump = given.get("output"), given.get("dump_config")
     for path in (output, dump):
         if path is not None and (
                 not path or "\0" in path or os.path.isdir(path)
                 or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise ConfigError(f"cannot write {path}: not a file in an "
-                              "existing directory")
+            raise ContractViolationError(
+                f"cannot write {path}: not a file in an existing directory")
     configs = [os.path.realpath(p) for p in (given.get("config"), dump) if p]
     if output and os.path.realpath(output) in configs:
-        raise ConfigError(f"cannot write {output}: it is a config file")
-    return params, grid
+        raise ContractViolationError(
+            f"cannot write {output}: it is a config file")
+    points = [(snr, _build_cfg(params, snr)) for snr in grid]
+    seed_key(params["seed"])
+    return params, points
 
 
 def _build_cfg(params: dict, snr_db: float) -> SystemConfig:
@@ -312,7 +319,7 @@ def _put(fd, text):
 
 def _write(path, text):
     """Write text to the file at path, or to standard output where path is
-    None, and flush it; raises ConfigError where the write fails."""
+    None, and flush it; raises ContractViolationError where the write fails."""
     try:
         if path is None:
             _put(1, text)
@@ -320,13 +327,12 @@ def _write(path, text):
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as e:
-        raise ConfigError(f"cannot write {path or 'standard output'}: {e}")
+        raise ContractViolationError(
+            f"cannot write {path or 'standard output'}: {e}")
 
 
 def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_fmt, r)) + "\n" for r in (columns, *rows))
 
 
 def _config_text(params):
@@ -350,11 +356,10 @@ _progress = _note
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analytic(params, grid, which):
+def _cmd_analytic(params, points, which):
     """closed-form outage curves over an SNR grid"""
     rows = []
-    for snr in grid:
-        cfg = _build_cfg(params, snr)
+    for snr, cfg in points:
         p_su = outage_single_user(cfg)
         p_int = outage_interference_n3(cfg)
         rows.append((snr, p_su, p_int, arq_outage(p_su, cfg.retx),
@@ -363,43 +368,41 @@ def _cmd_analytic(params, grid, which):
             "interference_arq"), rows
 
 
-def _cmd_simulate_direct(params, grid, which):
+def _cmd_simulate_direct(params, points, which):
     """Monte Carlo direct-ARQ outage over an SNR grid"""
     rows = []
-    for i, snr in enumerate(grid):
-        cfg = _build_cfg(params, snr)
+    for i, (snr, cfg) in enumerate(points, 1):
         est = simulate_direct(cfg, params["trials"], params["seed"])
         rows.append((snr, est.p_hat, est.ci_halfwidth, est.trials,
                      est.failures))
-        _progress(f"simulate-direct {i + 1}/{len(grid)} SNR={snr} dB")
+        _progress(f"simulate-direct {i}/{len(points)} SNR={snr} dB")
     return ("SNR_dB", "p", "ci", "messages", "failures"), rows
 
 
-def _cmd_simulate_relay(params, grid, which):
+def _cmd_simulate_relay(params, points, which):
     """Monte Carlo relay-ARQ outage, pooled and per user"""
     rows = []
-    for i, snr in enumerate(grid):
-        cfg = _build_cfg(params, snr)
+    for i, (snr, cfg) in enumerate(points, 1):
         est = simulate_relay(cfg, params["trials"], params["seed"])
         rows.append((snr, est.pooled.p_hat, est.pooled.ci_halfwidth,
                      est.user1.p_hat, est.user1.ci_halfwidth,
                      est.user2.p_hat, est.user2.ci_halfwidth))
-        _progress(f"simulate-relay {i + 1}/{len(grid)} SNR={snr} dB")
+        _progress(f"simulate-relay {i}/{len(points)} SNR={snr} dB")
     return ("SNR_dB", "pooled_p", "pooled_ci", "user1_p", "user1_ci",
             "user2_p", "user2_ci"), rows
 
 
-def _beamform_setup(params, grid):
+def _beamform_setup(params, points):
     """The run's config at its one SNR, and two relay channels drawn from
     its seed, first one drawn first."""
-    cfg = _build_cfg(params, grid[0])      # validates before any draw
+    [(_, cfg)] = points
     rng = substream(params["seed"], CTX_GENERIC, 0)
     return cfg, tuple(cn(rng, cfg.M, cfg.var_relay) for _ in range(2))
 
 
-def _cmd_beamform_single(params, grid, which):
+def _cmd_beamform_single(params, points, which):
     """one zero-forcing relay design on a seeded random draw"""
-    cfg, (g_p, g_t) = _beamform_setup(params, grid)
+    cfg, (g_p, g_t) = _beamform_setup(params, points)
     # raises where the gain overflows, before any vdot forms it
     predicted = optimal_gain(g_p, g_t, cfg.Pr_single)
     b = solve_single_user_beamformer(g_p, g_t, cfg.Pr_single)
@@ -408,9 +411,9 @@ def _cmd_beamform_single(params, grid, which):
     return ("m", "gain", "predicted_gain", "null_residual", "power"), rows
 
 
-def _cmd_beamform_multi(params, grid, which):
+def _cmd_beamform_multi(params, points, which):
     """one max-min SINR relay design on a seeded random draw"""
-    cfg, (g1, g2) = _beamform_setup(params, grid)
+    cfg, (g1, g2) = _beamform_setup(params, points)
     sol = max_min_sinr(g1, g2, cfg.Pr_multi, noise_var=cfg.noise_var)
     # b b^H has rank 1 for a nonzero beam and 0 for the zero beam
     ranks = [int(b.any()) for b in (sol.b1, sol.b2)]
@@ -421,13 +424,13 @@ def _cmd_beamform_multi(params, grid, which):
             "power"), rows
 
 
-def _cmd_figure(params, grid, which):
+def _cmd_figure(params, points, which):
     """the three preset experiment tables: figure 1|2|3"""
     return run_experiment(f"fig{which}", trials=params["trials"],
                           seed=params["seed"], progress=_progress)
 
 
-# subcommand name -> handler(params, grid, which) returning (columns,
+# subcommand name -> handler(params, points, which) returning (columns,
 # rows); its docstring is its line in --help
 COMMANDS = {
     "analytic": _cmd_analytic,
@@ -442,7 +445,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
-    except ConfigError as e:
+    except RelayArqError as e:
         _note(f"{USAGE}\nrelayarq: error: {e}")
         return 2
 
@@ -451,8 +454,8 @@ def main(argv=None) -> int:
             _write(None, _help_text())
             return 0
         command, which, given = parsed
-        params, grid = _effective_params(command, given)
-        columns, rows = COMMANDS[command](params, grid, which)
+        params, points = _effective_params(command, given)
+        columns, rows = COMMANDS[command](params, points, which)
         # files first, standard output last, so a failed file prints no table
         if "output" in given:
             _write(given["output"], _csv_text(columns, rows))

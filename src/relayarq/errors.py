@@ -1,5 +1,8 @@
-"""Exception types shared across the package. Each is bad input, which
-the CLI reports with exit code 2."""
+"""Exception types shared across the package, each reported by the CLI
+with exit code 2. Bad input to any function is a
+``ContractViolationError``, and so are the CLI's usage and config
+errors: a malformed command line or config file, an out-of-range run
+parameter or an output file that cannot be written."""
 
 
 class RelayArqError(Exception):
@@ -7,10 +10,11 @@ class RelayArqError(Exception):
 
 
 class ContractViolationError(RelayArqError):
-    """A parameter, count, seed or preset is out of range; two channel
-    vectors given to a relay design differ in length, or one holds a NaN
-    or inf; the single-user design has under two relay antennas; a relay
-    design's budget (or the max-min design's noise) is not positive and
-    finite, the one rule both designs apply, so NaN and inf are refused;
-    or a relay design's gain or SINR overflows a float. A zero channel is
-    an outcome, not an error."""
+    """A command line or config file is malformed; a parameter, count,
+    seed or preset is out of range; an output file cannot be written; two
+    channel vectors given to a relay design differ in length, or one holds
+    a NaN or inf; the single-user design has under two relay antennas; a
+    relay design's budget (or the max-min design's noise) is not positive
+    and finite, the one rule both designs apply, so NaN and inf are
+    refused; or a relay design's gain or SINR overflows a float. A zero
+    channel is an outcome, not an error."""

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -72,6 +73,36 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "analytic", "--bogus-flag")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+# the grids README, CI and the tests run, with their point counts
+@pytest.mark.parametrize("text, count", [
+    ("0:40:5", 9), ("0:40:10", 5), ("0:40:0.1", 401), ("-5:5:5", 3),
+    ("0:0.9:0.3", 4), ("0:0.7:0.1", 8),
+])
+def test_snr_grid_of_the_documented_runs(text, count):
+    a, _, step = map(float, text.split(":"))
+    assert cli._parse_snr_grid(text) == [a + k * step for k in range(count)]
+
+
+def test_snr_grid_is_every_step_up_to_its_bound():
+    # A:B:STEP is every A + k*STEP up to B: the last point lies at B or
+    # below, up to the rounding of its sum, and the next one past B. A B
+    # that is itself a computed point is the last point.
+    rng = random.Random(34)
+    cases = [(0.0, 1e-10, 6e-11), (0.0, 3e-9, 2e-9)]
+    for _ in range(2000):
+        a = rng.uniform(-100, 100)
+        step = 10 ** rng.uniform(-12, math.log10(30))
+        k = rng.randint(0, 2000)
+        cases += [(a, a + k * step, step),
+                  (a, a + rng.uniform(0, k + 1) * step, step)]
+    for a, b, step in cases:
+        grid = cli._parse_snr_grid(f"{a!r}:{b!r}:{step!r}")
+        rounding = 4 * sys.float_info.epsilon * max(abs(a), abs(b))
+        assert grid == [a + k * step for k in range(len(grid))]
+        assert grid[-1] <= b + rounding, (a, b, step)
+        assert a + len(grid) * step > b, (a, b, step)
 
 
 def test_bad_snr_grid_exits_2(capsys):
@@ -170,22 +201,20 @@ def test_antenna_ceiling_exits_2_before_any_draw(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["simulate-direct", "simulate-relay",
-                                     "beamform-multi"])
+                                     "beamform-multi", "analytic",
+                                     "beamform-single", "figure 1"])
 def test_seed_outside_64_bits_exits_2_before_any_draw(capsys, monkeypatch,
                                                       command):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew channels from a seed outside 64 bits")
-    monkeypatch.setattr(simulate, "draw_bs_channels", no_draw)
-    monkeypatch.setattr(simulate, "draw_relay_stats", no_draw)
-    monkeypatch.setattr(cli, "cn", no_draw)
+    # every command checks the seed, read or not, before any library call
+    _forbid_library_calls(monkeypatch)
     for seed in (-1, 2 ** 64):
-        code, out, err = run_cli(capsys, command, "--trials", "100",
+        code, out, err = run_cli(capsys, *command.split(), "--trials", "100",
                                  "--seed", str(seed))
         assert code == 2
         assert out == ""
         assert "seed must lie in [0, 2^64)" in err
     monkeypatch.undo()
-    assert run_cli(capsys, command, "--trials", "100",
+    assert run_cli(capsys, *command.split(), "--trials", "100",
                    "--seed", str(2 ** 64 - 1))[0] == 0
 
 
@@ -201,7 +230,8 @@ def _forbid_library_calls(monkeypatch):
         raise AssertionError("library called before the run was validated")
     for name in ("simulate_direct", "simulate_relay", "outage_single_user",
                  "outage_interference_n3", "solve_single_user_beamformer",
-                 "max_min_sinr"):
+                 "max_min_sinr", "optimal_gain", "substream", "cn",
+                 "run_experiment"):
         monkeypatch.setattr(cli, name, no_call)
 
 
@@ -215,6 +245,7 @@ def _forbid_library_calls(monkeypatch):
     (("analytic", "--snr-db", "3080"), "relay power 2P overflows"),
     (("simulate-direct", "--snr-db", "3080", "--trials", "100"),
      "relay power 2P overflows"),
+    (("figure", "1", "--rate", "2000"), "rate must be below 1024"),
 ])
 def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
                                                 needle):
@@ -254,6 +285,8 @@ def test_attempt_ceiling_is_inclusive(capsys):
     (("simulate-relay", "--trials", "100", "--snr-db",
       f"0:{10 * cli.MAX_GRID_POINTS}:1"),
      f"more than {cli.MAX_GRID_POINTS} points"),
+    (("simulate-direct", "--trials", "100", "--threads", "0"),
+     "threads must be at least 1"),
 ])
 def test_run_ceilings_exit_2_before_any_allocation(capsys, monkeypatch,
                                                    argv, needle):
@@ -322,6 +355,9 @@ def test_output_may_not_name_a_config_file(tmp_path, capsys, monkeypatch,
     (("beamform-multi", "--snr-db", "0:10:5"),
      "beamform commands take one SNR"),
     (("analytic", "--snr-db", "4000"), "overflows the transmit power"),
+    (("figure", "1", "--n", "0"), "N must be at least 1"),
+    (("figure", "1", "--var-relay", "-1"), "variances must be nonnegative"),
+    (("figure", "2", "--snr-db", "1e400"), "parameters must be finite"),
 ])
 def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
                                      needle):
@@ -333,6 +369,7 @@ def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
     assert out == ""
     assert needle in err
     assert not dump.exists()
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -940,12 +977,15 @@ def test_unique_prefix_names_a_flag(capsys):
     ("analytic", "--snr-db", "0", "--rate"),    # a flag with no value
     ("simulate-direct", "--trials", "1.5"),     # not an int
     ("figure", "4"),
+    ("analytic", "-x"),                         # unknown short flag
 ])
 def test_usage_error_prints_usage_and_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage: relayarq")
+    if "-x" in argv:
+        assert "unrecognized argument: -x" in err
 
 
 def test_repeated_flag_keeps_its_last_value(capsys):
