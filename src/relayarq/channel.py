@@ -147,7 +147,11 @@ def substream(seed: int, context: int, index: int) -> np.random.Generator:
 
 
 def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
-    """Circularly symmetric complex Gaussian with per-entry variance var."""
+    """Circularly symmetric complex Gaussian with per-entry variance var,
+    a float in [0, inf): 0 gives the zero channel, and a negative, NaN or
+    infinite var raises ContractViolationError before anything is drawn."""
+    if not 0 <= var < math.inf:
+        raise ContractViolationError(f"variance must be in [0, inf), not {var}")
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(var / 2.0) * z
 

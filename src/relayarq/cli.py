@@ -54,11 +54,13 @@ existing directory, so neither may be empty, and ``-o`` neither the
 ``--config`` nor the ``--dump-config`` file. All of that is checked
 before any work. So are the ceilings: ``--n``/``--m`` at most
 MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
-MAX_TRIALS (each memo is held once and freed before the next is drawn,
-so the memos stay under 1 GiB), an SNR grid of at most MAX_GRID_POINTS
-points, counted before it is built, and the one SNR a beamform command
-takes; the system at each point of the grid, as ``SystemConfig`` checks
-it; and the seed, a whole number in [0, 2^64) (``channel.seed_key``).
+MAX_TRIALS (a run's points share one memo dict, each memo held once and
+freed before the next is drawn, so the run's memos stay under 1 GiB and
+are freed when it ends), an SNR grid of at most MAX_GRID_POINTS points,
+counted before it is built, whose points strictly rise, and the one SNR
+a beamform command takes; the system at each point of the grid, as
+``SystemConfig`` checks it; and the seed, a whole number in [0, 2^64)
+(``channel.seed_key``).
 ``A:B:STEP`` is every A + k*STEP up to B. Files are written first and
 standard output last: the ``-o`` file, then the ``--dump-config`` file,
 then the table on standard output. Those three are the run's product:
@@ -154,7 +156,8 @@ def _parse_snr_grid(text: str):
     ..., where a point past b by no more than the rounding of that sum
     (four machine epsilons of the larger of |a| and |b|, and under half a
     step) still counts. At most MAX_GRID_POINTS points, counted before the
-    grid is built."""
+    grid is built, and each above the one before it: a step below the
+    spacing of the floats near a repeats a point, which is refused."""
     try:
         if ":" not in text:
             return [float(text)]
@@ -166,7 +169,10 @@ def _parse_snr_grid(text: str):
         if last >= MAX_GRID_POINTS:
             raise ContractViolationError(f"SNR grid {text!r} has more than "
                                          f"{MAX_GRID_POINTS} points")
-        return [a + k * step for k in range(last + 1)]
+        grid = [a + k * step for k in range(last + 1)]
+        if len(set(grid)) < len(grid):        # a + k*step never falls
+            raise ContractViolationError(f"SNR grid {text!r} repeats a point")
+        return grid
     except (ValueError, OverflowError):     # floor(inf) overflows
         raise ContractViolationError(
             f"bad SNR grid {text!r}; expected X or A:B:STEP") from None
@@ -360,19 +366,17 @@ def _cmd_analytic(params, points, which):
     """closed-form outage curves over an SNR grid"""
     rows = []
     for snr, cfg in points:
-        p_su = outage_single_user(cfg)
-        p_int = outage_interference_n3(cfg)
-        rows.append((snr, p_su, p_int, arq_outage(p_su, cfg.retx),
-                     arq_outage(p_int, cfg.retx)))
+        p = outage_single_user(cfg), outage_interference_n3(cfg)
+        rows.append((snr, *p, *(arq_outage(x, cfg.retx) for x in p)))
     return ("SNR_dB", "single_user", "interference", "single_user_arq",
             "interference_arq"), rows
 
 
 def _cmd_simulate_direct(params, points, which):
     """Monte Carlo direct-ARQ outage over an SNR grid"""
-    rows = []
+    rows, memos = [], {}                  # the run's points share memos
     for i, (snr, cfg) in enumerate(points, 1):
-        est = simulate_direct(cfg, params["trials"], params["seed"])
+        est = simulate_direct(cfg, params["trials"], params["seed"], memos)
         rows.append((snr, est.p_hat, est.ci_halfwidth, est.trials,
                      est.failures))
         _progress(f"simulate-direct {i}/{len(points)} SNR={snr} dB")
@@ -381,9 +385,9 @@ def _cmd_simulate_direct(params, points, which):
 
 def _cmd_simulate_relay(params, points, which):
     """Monte Carlo relay-ARQ outage, pooled and per user"""
-    rows = []
+    rows, memos = [], {}                  # the run's points share memos
     for i, (snr, cfg) in enumerate(points, 1):
-        est = simulate_relay(cfg, params["trials"], params["seed"])
+        est = simulate_relay(cfg, params["trials"], params["seed"], memos)
         rows.append((snr, est.pooled.p_hat, est.pooled.ci_halfwidth,
                      est.user1.p_hat, est.user1.ci_halfwidth,
                      est.user2.p_hat, est.user2.ci_halfwidth))

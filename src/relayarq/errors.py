@@ -16,5 +16,6 @@ class ContractViolationError(RelayArqError):
     a NaN or inf; the single-user design has under two relay antennas; a
     relay design's budget (or the max-min design's noise) is not positive
     and finite, the one rule both designs apply, so NaN and inf are
-    refused; or a relay design's gain or SINR overflows a float. A zero
-    channel is an outcome, not an error."""
+    refused; a channel variance given to ``channel.cn`` is negative, NaN
+    or infinite; or a relay design's gain or SINR overflows a float. A
+    zero channel is an outcome, not an error."""

@@ -44,14 +44,17 @@ L > a, so a budget of L attempts sees the rounds of every smaller budget
 plus its own, and a message lost under L is lost under every smaller
 budget.
 
-Both engines reuse those common draws instead of redrawing them. Memos
-keep per-trial floats of the last run, one per shared round, one for the
+Both engines reuse those common draws instead of redrawing them. A run
+owns its memos: a plain dict that the caller makes once and passes as
+``memos`` to every point of its sweep, as ``run_experiment`` and the CLI
+do. They keep per-trial floats, one per shared round, one for the
 direct margins and one for the relay statistics, each keyed by exactly
 what its floats depend on; a point whose keys match draws nothing and
-only judges. One memory rule holds: a memo is held once, and a miss
-frees it before the next is allocated, so a CLI run holds at most
-8 + 2 + STATS floats per trial (``MAX_TRIALS``) besides one pass of
-temporaries. ``clear_memos`` forgets them all.
+only judges. A call given no dict uses a fresh one, so it draws afresh
+and keeps nothing once it returns. One memory rule holds: a memo is held
+once, and a miss frees it before the next is allocated, so a CLI run
+holds at most 8 + 2 + STATS floats per trial (``MAX_TRIALS``) besides
+one pass of temporaries, and frees them all when it ends.
 
 * Rounds: one memo per shared attempt a < ROUNDS, its unit BS gains,
   32 bytes per trial, keyed by (seed, trials, N): with the attempt,
@@ -109,10 +112,8 @@ class OutageEstimate:
     @property
     def ci_halfwidth(self) -> float:
         """Three-sigma normal half width of the estimate."""
-        if not self.trials:
-            return float("nan")
-        p = self.p_hat
-        return 3.0 * math.sqrt(p * (1.0 - p) / self.trials)
+        p = self.p_hat                    # nan where there are no trials
+        return 3.0 * math.sqrt(p * (1.0 - p) / max(self.trials, 1))
 
 
 @dataclass(frozen=True)
@@ -141,51 +142,44 @@ def _direct_margin(e: np.ndarray, kappa: float) -> np.ndarray:
     return e[:, 0::3] - kappa * e[:, 1:3]
 
 
-# memo name -> its last run's entry, taken out while a point runs and put
-# back whole; a memo's array is never written once stored
-_memos = {}
 # attempts whose BS rounds both engines read, each from its own memo
 ROUNDS = 2
 # the most trials whose memos, 4 gains of each of the ROUNDS rounds, 2
 # direct margins and STATS relay floats of 8 B each per trial (each draw
 # returns the array its memo keeps), stay under 1 GiB. A miss frees its
-# memo before drawing the next, so no run holds more; a one-attempt direct
-# run holds its round 0 and margins, 48 B. Extending the direct memo to a
-# larger attempt budget copies it, as a returned array never changes: 16 B
-# per trial more for that copy, which the CLI makes only in figure 1, with
-# no relay memo held
+# memo before drawing the next, so no run's memo dict holds more, and the
+# dict goes when its run ends; a one-attempt direct run holds its round 0
+# and margins, 48 B. Extending the direct memo to a larger attempt budget
+# copies it, as a returned array never changes: 16 B per trial more for
+# that copy, which the CLI makes only in figure 1, with no relay memo held
 MAX_TRIALS = 2 ** 30 // (8 * (4 * ROUNDS + 2 + STATS))
 
 
-def clear_memos():
-    """Forget the memoised BS rounds, direct margins and relay
-    statistics."""
-    _memos.clear()
-
-
-def _memo(name: str, key: tuple, draw):
-    """The array the memo ``name`` holds under ``key``. A miss frees it
-    first, then stores the array ``draw()`` returns, made read-only."""
-    old, rows = _memos.pop(name, (None, None))
+def _memo(memos: dict, name: str, key: tuple, draw):
+    """The array the run's memo ``name`` holds under ``key``. A miss frees
+    it first, then stores the array ``draw()`` returns, made read-only.
+    An entry is taken out of ``memos`` while a point reads it and put back
+    whole; a memo's array is never written once stored."""
+    old, rows = memos.pop(name, (None, None))
     if old != key:
         rows = None                       # frees the old memo
         rows = draw()
         rows.flags.writeable = False
-    _memos[name] = (key, rows)
+    memos[name] = (key, rows)
     return rows
 
 
-def _bs_round(cfg: SystemConfig, seed: int, trials: int,
+def _bs_round(memos: dict, cfg: SystemConfig, seed: int, trials: int,
               attempt: int) -> np.ndarray:
     """Unit BS gains of attempt ``attempt`` < ROUNDS of every trial, float
     (trials, 2, 2), read-only, drawn whole from the attempt's substream
-    the first time it is read, memoised on (seed, trials, N)."""
-    return _memo(f"round {attempt}", (seed, trials, cfg.N),
+    the first time the run reads it, memoised on (seed, trials, N)."""
+    return _memo(memos, f"round {attempt}", (seed, trials, cfg.N),
                  lambda: draw_bs_channels(
                      cfg.N, substream(seed, CTX_DIRECT, attempt), trials))
 
 
-def _best_margins(cfg: SystemConfig, seed: int, trials: int,
+def _best_margins(memos: dict, cfg: SystemConfig, seed: int, trials: int,
                   kappa: float) -> np.ndarray:
     """Best margin own - kappa cross over the attempts [0, cfg.retx) of
     every (trial, user), float (trials, 2), read-only, memoised as the
@@ -194,7 +188,7 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
     round memos, and each later attempt is drawn from its substream.
     """
     key = (seed, trials, cfg.N, kappa)
-    old, first, rows = _memos.pop("direct", (None, 0, None))
+    old, first, rows = memos.pop("direct", (None, 0, None))
     if old != key or first > cfg.retx:
         first, rows = 0, None             # frees the old memo
     if first < cfg.retx:
@@ -202,7 +196,7 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
         with np.errstate(over="ignore"):
             for attempt in range(first, cfg.retx):
                 if attempt < ROUNDS:
-                    e = _bs_round(cfg, seed, trials, attempt)
+                    e = _bs_round(memos, cfg, seed, trials, attempt)
                 else:
                     rng = substream(seed, CTX_DIRECT, attempt)
                 for lo in range(0, trials, PASS_ROWS):
@@ -211,20 +205,23 @@ def _best_margins(cfg: SystemConfig, seed: int, trials: int,
                              draw_bs_channels(cfg.N, rng, rounds=len(best)))
                     np.maximum(best, _direct_margin(gains, kappa), out=best)
         rows.flags.writeable = False
-    _memos["direct"] = (key, cfg.retx, rows)
+    memos["direct"] = (key, cfg.retx, rows)
     return rows
 
 
-def simulate_direct(cfg: SystemConfig, trials: int,
-                    seed: int) -> OutageEstimate:
+def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
+                    memos: dict | None = None) -> OutageEstimate:
     """Interference-limited direct ARQ outage, pooled over both users.
 
     A message is lost when its best margin falls below the floor.
     ``trials`` is a whole number of at least 1: a whole float runs as its
     int and True as 1 trial; anything else raises ContractViolationError.
+    ``memos`` is the run's memo dict, read and filled (module docstring);
+    without one the call draws afresh and keeps nothing.
     """
     kappa, floor = direct_test(cfg)
-    margins = _best_margins(cfg, seed, whole(trials, "trials"), kappa)
+    margins = _best_margins({} if memos is None else memos, cfg, seed,
+                            whole(trials, "trials"), kappa)
     fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < floor)
                 for lo in range(0, len(margins), PASS_ROWS))
     return OutageEstimate(trials=2 * len(margins), failures=int(fails))
@@ -288,27 +285,31 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
     return ok, ok | np.where(ok[:, ::-1], single, multi[:, None])
 
 
-def _relay_stats(cfg: SystemConfig, seed: int, trials: int) -> np.ndarray:
+def _relay_stats(memos: dict, cfg: SystemConfig, seed: int,
+                 trials: int) -> np.ndarray:
     """Relay-link statistics of every relay trial, float (trials, STATS),
     read-only, all from one substream, memoised on (seed, trials, M)."""
-    return _memo("relay", (seed, trials, cfg.M), lambda: draw_relay_stats(
-        cfg.M, substream(seed, CTX_RELAY, 0), trials))
+    return _memo(memos, "relay", (seed, trials, cfg.M),
+                 lambda: draw_relay_stats(
+                     cfg.M, substream(seed, CTX_RELAY, 0), trials))
 
 
-def simulate_relay(cfg: SystemConfig, trials: int,
-                   seed: int) -> RelayEstimate:
+def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
+                   memos: dict | None = None) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round.
 
     The trials are judged PASS_ROWS at a time from the memoised rounds of
-    direct attempts 0 and 1 and relay statistics, so a sweep over all but
-    (seed, trials, N, M) draws nothing after its first point. ``trials``
-    is read as ``simulate_direct`` reads it.
+    direct attempts 0 and 1 and relay statistics, so a sweep that passes
+    one ``memos`` dict to every point, over all but (seed, trials, N, M),
+    draws nothing after its first point. ``trials`` and ``memos`` are read
+    as ``simulate_direct`` reads them.
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
     trials = whole(trials, "trials")
-    inputs = (*(_bs_round(cfg, seed, trials, a) for a in range(ROUNDS)),
-              _relay_stats(cfg, seed, trials))
+    memos = {} if memos is None else memos
+    inputs = (*(_bs_round(memos, cfg, seed, trials, a) for a in range(ROUNDS)),
+              _relay_stats(memos, cfg, seed, trials))
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):
@@ -357,11 +358,11 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
     rate sweep at 40 dB. fig3: relay ARQ over relay array sizes at 20 dB,
     rate 6, with the single-user bound as reference. ``trials`` is as in
     ``simulate_direct``; ``progress``, if given, is fed one status string
-    per grid point.
+    per grid point. Its points share one memo dict, freed when it returns.
     """
     note = progress if progress is not None else (lambda msg: None)
+    rows, memos = [], {}
     if preset == "fig1":
-        rows = []
         # the one-attempt law does not depend on L: one per SNR
         p_int = {snr: outage_interference_n3(_cfg(_FIG1_BASE, snr))
                  for snr in FIG1_SNR_DB}
@@ -371,7 +372,7 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
             for snr in FIG1_SNR_DB:
                 cfg = _cfg(_FIG1_BASE, snr, retx=attempts)
                 analytic = arq_outage(p_int[snr], attempts)
-                est = simulate_direct(cfg, trials, seed)
+                est = simulate_direct(cfg, trials, seed, memos)
                 rows.append((float(snr), attempts, analytic, est.p_hat,
                              est.ci_halfwidth))
                 note(f"fig1 L={attempts} snr={snr}")
@@ -379,27 +380,25 @@ def run_experiment(preset: str, trials: int = 10000, seed: int = 0,
         return ("SNR_dB", "L", "analytic", "mc", "ci"), rows
 
     if preset == "fig2":
-        rows = []
         for rate in FIG2_RATES:
             cfg = _cfg(_FIG23_BASE, FIG2_SNR_DB, rate=float(rate), retx=2)
             bound = arq_outage(outage_single_user(cfg), cfg.retx)
             rows.append((float(rate), "single-user", bound, 0.0))
-            direct = simulate_direct(cfg, trials, seed)
+            direct = simulate_direct(cfg, trials, seed, memos)
             rows.append((float(rate), "direct-arq", direct.p_hat,
                          direct.ci_halfwidth))
-            relay = simulate_relay(cfg, trials, seed)
+            relay = simulate_relay(cfg, trials, seed, memos)
             rows.append((float(rate), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig2 R={rate}")
         return ("R", "series", "p", "ci"), rows
 
     if preset == "fig3":
-        rows = []
         for m in FIG3_M:
             cfg = _cfg(_FIG23_BASE, FIG3_SNR_DB, rate=FIG3_RATE, retx=2, M=m)
             bound = arq_outage(outage_single_user(cfg), cfg.retx)
             rows.append((float(m), "single-user", bound, 0.0))
-            relay = simulate_relay(cfg, trials, seed)
+            relay = simulate_relay(cfg, trials, seed, memos)
             rows.append((float(m), "relay-arq", relay.pooled.p_hat,
                          relay.pooled.ci_halfwidth))
             note(f"fig3 M={m}")

@@ -282,11 +282,14 @@ def test_c7_rate_sweep_relay_beats_direct():
         errs.append(_rss(g_d, g_r))
 
         # the same messages, trial by trial, from the engines' memos
+        memos = {}
         kappa, floor = direct_test(cfg)
-        direct_lost = simulate._best_margins(cfg, 0, trials, kappa) < floor
+        direct_lost = simulate._best_margins(
+            memos, cfg, 0, trials, kappa) < floor
         _, delivered = simulate.judge_relay(
-            cfg, *(simulate._bs_round(cfg, 0, trials, a) for a in (0, 1)),
-            simulate._relay_stats(cfg, 0, trials))
+            cfg, *(simulate._bs_round(memos, cfg, 0, trials, a)
+                   for a in (0, 1)),
+            simulate._relay_stats(memos, cfg, 0, trials))
         relay_lost = ~delivered
         assert direct_lost.sum() == direct.failures
         assert relay_lost.sum() == relay.pooled.failures
@@ -326,8 +329,10 @@ def test_c10_relay_curve_dips():
     trials, seed = 100_000, 4
     alpha = C7_FAMILY_ALPHA / 2
     base = _cli_default_cfg(0.0)         # the draws read only N and M
-    rounds = [simulate._bs_round(base, seed, trials, a) for a in (0, 1)]
-    stats = simulate._relay_stats(base, seed, trials)
+    memos = {}
+    rounds = [simulate._bs_round(memos, base, seed, trials, a)
+              for a in (0, 1)]
+    stats = simulate._relay_stats(memos, base, seed, trials)
 
     lost = {}
     for snr_db, rate in ((20.0, 4.0), (40.0, 4.0), (40.0, 2.0)):
@@ -408,9 +413,9 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
     """Same seed and config give byte-identical CSV on every fresh draw.
 
     Each engine keys its substreams by what defines a round, never by a
-    pass of trials, so neither a repeat run with the memos cleared nor
-    the pass size ``simulate.PASS_ROWS`` may change a byte. ``--threads``
-    is accepted and changes nothing.
+    pass of trials, so neither a repeat run, which draws afresh into
+    memos of its own, nor the pass size ``simulate.PASS_ROWS`` may change
+    a byte. ``--threads`` is accepted and changes nothing.
     """
     commands = {
         "relay": ["simulate-relay", "--seed", "7", "--trials", "300",
@@ -421,7 +426,6 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
 
     def run(argv, tag):
         path = tmp_path / f"{tag}.csv"
-        simulate.clear_memos()          # each run draws afresh
         assert cli.main([*argv, "-o", str(path)]) == 0
         return path.read_bytes()
 

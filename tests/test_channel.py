@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ def test_substream_separation():
                           plain.standard_normal(5))
 
 
+@pytest.mark.parametrize("var", [-1.0, -0.0, 0.0, 4.0, NAN, INF, -INF])
+def test_cn_takes_a_variance_in_0_to_inf(var):
+    # a negative variance once gave NaN entries and a RuntimeWarning from
+    # sqrt, and inf gave inf entries; each is refused before any draw. A
+    # zero variance is the zero channel, which is an outcome
+    rng = substream(36, CTX_DIRECT, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not 0 <= var < INF:
+            with pytest.raises(ContractViolationError, match="variance"):
+                cn(rng, 3, var)
+            assert np.array_equal(rng.standard_normal(2), substream(
+                36, CTX_DIRECT, 0).standard_normal(2))
+            return
+        g = cn(rng, (2, 3), var)
+    assert g.shape == (2, 3) and g.dtype == complex
+    assert np.isfinite(g).all() and (g == 0).all() == (var == 0)
+
+
 def test_bs_channel_shapes():
     rng = substream(0, CTX_DIRECT, 0)
     for rounds in (1, 5):
@@ -176,10 +196,9 @@ def test_draws_do_not_read_the_variances(zero):
         ["n", "rng", "rounds"], ["m", "rng", "trials"]]
     drawn = []
     for cfg in (make_cfg(), make_cfg(**{zero: 0.0})):
-        simulate.clear_memos()            # each config draws afresh
-        drawn.append((simulate._bs_round(cfg, 5, 100, 0),
-                      simulate._relay_stats(cfg, 5, 100)))
-    simulate.clear_memos()
+        memos = {}                        # each config draws afresh
+        drawn.append((simulate._bs_round(memos, cfg, 5, 100, 0),
+                      simulate._relay_stats(memos, cfg, 5, 100)))
     for want, got in zip(*drawn):
         assert np.array_equal(got, want)
         assert (got > 0.0).all()

@@ -17,7 +17,7 @@ import relayarq.cli as cli
 import relayarq.simulate as simulate
 from relayarq.channel import SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
-from relayarq.simulate import clear_memos, simulate_direct
+from relayarq.simulate import simulate_direct
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +110,24 @@ def test_bad_snr_grid_exits_2(capsys):
         code, _, err = run_cli(capsys, "analytic", "--snr-db", grid)
         assert code == 2, grid
         assert "SNR grid" in err
+
+
+def test_snr_grid_that_repeats_a_point_exits_2(capsys, monkeypatch):
+    # a STEP below the spacing of the floats near A rounds A + k*STEP to
+    # one float for runs of k: this grid's 112 points hold 6 values, so
+    # its table would repeat rows. A grid whose points do not strictly
+    # rise is refused before any work, naming the grid.
+    grid = "1:1.000000000000001:1e-17"
+    _forbid_library_calls(monkeypatch)
+    for command in ("analytic", "simulate-direct", "simulate-relay",
+                    "figure 1"):
+        code, out, err = run_cli(capsys, *command.split(), "--trials",
+                                 "100", "--snr-db", grid)
+        assert (code, out) == (2, ""), command
+        assert f"relayarq: SNR grid {grid!r} repeats a point" in err
+    # steps well above the spacing keep every point
+    assert len(cli._parse_snr_grid("0:40:0.1")) == 401
+    assert cli._parse_snr_grid("0:3e-9:2e-9") == [0.0, 2e-9]
 
 
 def test_non_finite_parameters_exit_2(capsys):
@@ -672,7 +690,6 @@ def test_simulate_direct_matches_library(capsys):
     assert header == ["SNR_dB", "p", "ci", "messages", "failures"]
     cfg = SystemConfig(N=3, M=3, P=10.0, noise_var=1.0, var_direct=2.0,
                        var_cross=1.0, var_relay=4.0, rate=2.0, retx=2)
-    clear_memos()     # draw afresh rather than reread the CLI's run
     est = simulate_direct(cfg, trials=500, seed=9)
     assert int(rows[0][3]) == est.trials
     assert int(rows[0][4]) == est.failures
@@ -683,7 +700,6 @@ def test_repeat_runs_byte_identical(capsys):
     args = ("simulate-direct", "--snr-db", "0:10:5", "--trials", "300",
             "--seed", "3", "--threads", "2")
     _, first, _ = run_cli(capsys, *args)
-    clear_memos()
     _, second, _ = run_cli(capsys, *args)
     assert first == second
 
@@ -894,7 +910,6 @@ def test_figure_index_before_or_after_the_options(capsys):
     for argv in (("figure", "--trials", "100", "--seed", "2", "2"),
                  ("figure", "2", "--trials", "100", "--seed", "2"),
                  ("figure", "--trials", "100", "2", "--seed", "2")):
-        clear_memos()                   # each run draws afresh
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         outs.append(out)

@@ -66,36 +66,39 @@ def stats_of(cfg, e1, e2, g):
             unit(relay_gains(g), cfg.var_relay))
 
 
-def best_margins(cfg, seed, trials):
+# each helper below reads and fills the run's memo dict ``memos``, as the
+# engine function it calls does
+
+def best_margins(memos, cfg, seed, trials):
     """The engine's best direct margins, at cfg's own kappa."""
-    return simulate._best_margins(cfg, seed, trials, direct_test(cfg)[0])
+    return simulate._best_margins(memos, cfg, seed, trials,
+                                  direct_test(cfg)[0])
 
 
-def shared_rounds(cfg, seed, trials):
+def shared_rounds(memos, cfg, seed, trials):
     """The memoised BS rounds of attempts 0 and 1, read-only (trials, 2,
     2) each."""
-    return tuple(simulate._bs_round(cfg, seed, trials, attempt)
+    return tuple(simulate._bs_round(memos, cfg, seed, trials, attempt)
                  for attempt in range(simulate.ROUNDS))
 
 
-def relay_inputs(cfg, seed, trials):
+def relay_inputs(memos, cfg, seed, trials):
     """The engine's memoised inputs of ``judge_relay`` for ``trials``
     relay trials of ``seed``: direct attempts 0 and 1 and the relay
     statistics."""
-    return (*shared_rounds(cfg, seed, trials),
-            simulate._relay_stats(cfg, seed, trials))
+    return (*shared_rounds(memos, cfg, seed, trials),
+            simulate._relay_stats(memos, cfg, seed, trials))
 
 
-def bs_rounds(cfg, seed, trials):
+def bs_rounds(memos, cfg, seed, trials):
     """The memoised BS rounds of attempts 0 and 1, (trials, 2, 2, 2)."""
-    return np.stack(shared_rounds(cfg, seed, trials), axis=1)
+    return np.stack(shared_rounds(memos, cfg, seed, trials), axis=1)
 
 
 def relay_verdicts(cfg, seed, trials=PASS):
     """Draw the first ``trials`` relay trials of ``seed`` afresh and judge
     them."""
-    simulate.clear_memos()
-    return judge_relay(cfg, *relay_inputs(cfg, seed, trials))
+    return judge_relay(cfg, *relay_inputs({}, cfg, seed, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,6 @@ def test_direct_block_layout():
                 >= cfg.sinr_threshold
                 * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
                 for r in trial)
-    simulate.clear_memos()
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
 
 
@@ -170,8 +172,7 @@ def test_direct_margins_are_prefix_stable(retx):
     for rows in (best_margins, bs_rounds, simulate._relay_stats):
         runs = []
         for trials in (300, 512, 2000):
-            simulate.clear_memos()
-            runs.append(rows(cfg, 5, trials))
+            runs.append(rows({}, cfg, 5, trials))
         for short, long in zip(runs, runs[1:]):
             assert np.array_equal(long[:len(short)], short), rows
 
@@ -253,13 +254,11 @@ def test_direct_validates_trials():
 def test_engines_run_a_whole_float_count_as_its_int():
     cfg = make_cfg(P=10.0)
     for engine in (simulate_direct, simulate_relay):
-        simulate.clear_memos()
+        # each call draws afresh
         want = engine(cfg, trials=300, seed=4)
-        simulate.clear_memos()
         assert engine(cfg, trials=300.0, seed=4) == want
         assert engine(cfg, trials=np.float64(300.0), seed=4) == want
         # True is the count 1
-        simulate.clear_memos()
         assert engine(cfg, trials=True, seed=4) \
             == engine(cfg, trials=1, seed=4)
     assert simulate_direct(cfg, trials=True, seed=4).trials == 2
@@ -271,10 +270,8 @@ def test_engines_refuse_seeds_that_are_not_whole():
     cfg = make_cfg(P=10.0)
     for engine in (simulate_direct, simulate_relay):
         for seed in (2.5, 2.9, math.nan, math.inf):
-            simulate.clear_memos()
             with pytest.raises(ContractViolationError, match="seed"):
                 engine(cfg, trials=300, seed=seed)
-        simulate.clear_memos()
         assert engine(cfg, trials=300, seed=2.0) \
             == engine(cfg, trials=300, seed=2)
 
@@ -349,14 +346,17 @@ def count_draws(monkeypatch, name="draw_bs_channels"):
 
 @pytest.mark.usefixtures("small_pass")
 def test_second_point_of_a_curve_draws_nothing(monkeypatch):
-    simulate.clear_memos()
+    # the curve's points share one memo dict
+    memos = {}
     calls = count_draws(monkeypatch)
     # attempts 0 and 1 are the shared rounds, one whole draw each
-    simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18)
+    simulate_direct(make_cfg(P=10.0), trials=ODD_TRIALS, seed=18,
+                    memos=memos)
     assert len(calls) == 2
     for kw in (dict(P=1e3), dict(noise_var=0.1), dict(P=1.0, noise_var=3.0),
                dict(rate=3.0), dict(var_cross=0.5)):
-        simulate_direct(make_cfg(**kw), trials=ODD_TRIALS, seed=18)
+        simulate_direct(make_cfg(**kw), trials=ODD_TRIALS, seed=18,
+                        memos=memos)
     assert len(calls) == 2
 
 
@@ -372,20 +372,19 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     drawn = field in ("seed", "trials", "N", "retx")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, retx=2)
-    simulate.clear_memos()
-    rows = best_margins(make_cfg(**cfg), **run)
+    memos = {}
+    rows = best_margins(memos, make_cfg(**cfg), **run)
     assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, 2)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch)
-    got = simulate_direct(make_cfg(**cfg), **run)
+    got = simulate_direct(make_cfg(**cfg), **run, memos=memos)
     # a key field builds new margins, which draw only where the shared
     # rounds' key (seed, trials, N) misses or an attempt past them is
     # added; P, noise_var and the relay fields hit, and a hit returns the
-    # memo's own rows
+    # memo's own rows; a call given no dict draws afresh
     assert bool(calls) == drawn
-    assert (best_margins(make_cfg(**cfg), **run) is rows) != keyed
-    simulate.clear_memos()
+    assert (best_margins(memos, make_cfg(**cfg), **run) is rows) != keyed
     assert simulate_direct(make_cfg(**cfg), **run) == got
 
 
@@ -394,11 +393,9 @@ def test_best_margins_rise_with_the_attempt_budget():
     # attempt can only raise a message's best margin; each budget is
     # drawn afresh
     cfg = make_cfg(P=10.0)
-    simulate.clear_memos()
-    last = best_margins(make_cfg(P=10.0, retx=1), 24, ODD_TRIALS)
+    last = best_margins({}, make_cfg(P=10.0, retx=1), 24, ODD_TRIALS)
     for attempts in range(2, 11):
-        simulate.clear_memos()
-        got = best_margins(dataclasses.replace(cfg, retx=attempts), 24,
+        got = best_margins({}, dataclasses.replace(cfg, retx=attempts), 24,
                            ODD_TRIALS)
         assert np.all(got >= last), attempts
         assert np.any(got > last), attempts
@@ -413,16 +410,15 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
                                          attempts):
     # a memo at `first` attempts draws only the attempts it lacks: a
     # shared round not yet read in one whole draw, each later attempt one
-    # draw per pass, and gives the margins of a cleared run, bit for bit,
+    # draw per pass, and gives the margins of a fresh run, bit for bit,
     # in a fresh array; the last of the passes is partial
     trials = passes * PASS - 17
-    simulate.clear_memos()
-    want = best_margins(make_cfg(P=10.0, retx=attempts), 25, trials)
-    simulate.clear_memos()
-    old = best_margins(make_cfg(P=10.0, retx=first), 25, trials)
+    want = best_margins({}, make_cfg(P=10.0, retx=attempts), 25, trials)
+    memos = {}
+    old = best_margins(memos, make_cfg(P=10.0, retx=first), 25, trials)
     kept = old.copy()
     calls = count_draws(monkeypatch)
-    got = best_margins(make_cfg(P=30.0, retx=attempts), 25, trials)
+    got = best_margins(memos, make_cfg(P=30.0, retx=attempts), 25, trials)
     shared = len(range(first, min(attempts, simulate.ROUNDS)))
     later = len(range(max(first, simulate.ROUNDS), attempts))
     assert len(calls) == shared + passes * later
@@ -435,13 +431,13 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
 def test_smaller_budget_draws_afresh(monkeypatch):
     # 4 passes of attempt 2 are drawn again; attempts 0 and 1 are the
     # shared rounds
-    simulate.clear_memos()
-    simulate_direct(make_cfg(P=10.0, retx=4), trials=ODD_TRIALS, seed=26)
+    memos = {}
+    simulate_direct(make_cfg(P=10.0, retx=4), trials=ODD_TRIALS, seed=26,
+                    memos=memos)
     calls = count_draws(monkeypatch)
     got = simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS,
-                          seed=26)
+                          seed=26, memos=memos)
     assert len(calls) == 4
-    simulate.clear_memos()
     assert simulate_direct(make_cfg(P=10.0, retx=3), trials=ODD_TRIALS,
                            seed=26) == got
 
@@ -486,28 +482,25 @@ def race(run, want, callers=6, rounds=40):
 
 
 def test_memo_under_racing_callers():
-    # more callers than cores alternate between two curves, so the one
-    # memo entry keeps being replaced under them; every answer must still
-    # be the one a serial run gives
+    # more callers than cores share one memo dict and alternate between
+    # two curves, so its one direct entry keeps being replaced under them;
+    # every answer must still be the one a fresh serial run gives
     cfgs = [make_cfg(P=p, rate=r) for r in (1.0, 2.0) for p in (3.0, 30.0)]
-    want = []
-    for cfg in cfgs:
-        simulate.clear_memos()
-        want.append(simulate_direct(cfg, trials=2 * PASS, seed=23))
+    want = [simulate_direct(cfg, trials=2 * PASS, seed=23) for cfg in cfgs]
+    memos = {}
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * PASS, seed=23), want) == []
+        cfgs[i], trials=2 * PASS, seed=23, memos=memos), want) == []
 
 
 def test_memo_under_racing_budgets():
-    # callers alternate between two attempt budgets on one key, so the
-    # memo keeps being extended and drawn afresh under them
+    # callers share one memo dict and alternate between two attempt
+    # budgets on one key, so the memo keeps being extended and drawn
+    # afresh under them
     cfgs = [make_cfg(P=10.0, retx=r) for r in (2, 3)]
-    want = []
-    for cfg in cfgs:
-        simulate.clear_memos()
-        want.append(simulate_direct(cfg, trials=2 * PASS, seed=23))
+    want = [simulate_direct(cfg, trials=2 * PASS, seed=23) for cfg in cfgs]
+    memos = {}
     assert race(lambda i, j: simulate_direct(
-        cfgs[i], trials=2 * PASS, seed=23), want) == []
+        cfgs[i], trials=2 * PASS, seed=23, memos=memos), want) == []
 
 
 def test_memo_memory_is_16_bytes_per_trial():
@@ -517,22 +510,20 @@ def test_memo_memory_is_16_bytes_per_trial():
     # it counts failures with, up to 16 floats a row, and 64 KiB; the
     # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
-    simulate.clear_memos()
-    shared_rounds(cfg, 22, trials)
+    memos = {}
+    shared_rounds(memos, cfg, 22, trials)
     tracemalloc.start()
     try:
-        simulate_direct(cfg, trials=trials, seed=22)
+        simulate_direct(cfg, trials=trials, seed=22, memos=memos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        simulate.clear_memos()
     assert peak <= 16 * trials + slack
 
 
 def test_one_attempt_draws_only_round_0(monkeypatch):
     # a one-attempt run reads attempt 0 alone, so it draws that round from
     # its substream and no other
-    simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name)
                for name in ("substream", "draw_bs_channels")}
     simulate_direct(make_cfg(P=10.0, retx=1), trials=ODD_TRIALS, seed=33)
@@ -545,15 +536,28 @@ def test_one_attempt_memory_is_48_bytes_per_trial():
     # of one pass as above; the round of attempt 1 is never drawn
     trials = 400_000
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
-    simulate.clear_memos()
     tracemalloc.start()
     try:
         simulate_direct(make_cfg(P=10.0, retx=1), trials=trials, seed=34)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        simulate.clear_memos()
     assert peak <= 48 * trials + slack
+
+
+@pytest.mark.parametrize("engine", [simulate_direct, simulate_relay])
+def test_a_lone_call_keeps_nothing(engine):
+    # a call given no memo dict draws into a fresh one, which goes when
+    # it returns: it keeps none of its 80 or 88 B per trial of memos
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine(make_cfg(rate=4.0), trials=trials, seed=35)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -570,26 +574,26 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     keyed = field in ("seed", "trials", "M")
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, rate=1.0)
-    simulate.clear_memos()
-    rows = simulate._relay_stats(make_cfg(**cfg), **run)
+    memos = {}
+    rows = simulate._relay_stats(memos, make_cfg(**cfg), **run)
     assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, simulate.STATS)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch, "draw_relay_stats")
-    got = simulate_relay(make_cfg(**cfg), **run)
+    got = simulate_relay(make_cfg(**cfg), **run, memos=memos)
     # a key field draws afresh; the variances, the rate, the powers and
-    # the noise hit, and a hit returns the memo's own statistics
+    # the noise hit, and a hit returns the memo's own statistics; a call
+    # given no dict draws afresh
     assert bool(calls) == keyed
-    assert (simulate._relay_stats(make_cfg(**cfg), **run) is rows) != keyed
-    simulate.clear_memos()
+    assert (simulate._relay_stats(memos, make_cfg(**cfg), **run)
+            is rows) != keyed
     assert simulate_relay(make_cfg(**cfg), **run) == got
 
 
 def test_fig2_draws_its_relay_trials_once(monkeypatch):
     # 7 rates at one SNR: the relay statistics are drawn once, from one
     # substream, and attempts 0 and 1 once each, from their own, for both
-    # engines at every rate
-    simulate.clear_memos()
+    # engines at every rate; the run's points share its memo dict
     counted = {name: count_draws(monkeypatch, name) for name in
                ("substream", "draw_bs_channels", "draw_relay_stats")}
     run_experiment("fig2", trials=100, seed=0)
@@ -600,7 +604,6 @@ def test_fig2_draws_its_relay_trials_once(monkeypatch):
 def test_fig3_draws_its_bs_rounds_once(monkeypatch):
     # 5 relay sizes: the relay statistics are drawn once per M, and the
     # two BS rounds, which do not depend on M, once for all five
-    simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name) for name in
                ("substream", "draw_bs_channels", "draw_relay_stats")}
     run_experiment("fig3", trials=100, seed=0)
@@ -611,7 +614,6 @@ def test_fig3_draws_its_bs_rounds_once(monkeypatch):
 def test_fig1_builds_one_substream_per_attempt(monkeypatch):
     # its four curves draw attempts 0 to 9 between them, each attempt
     # from one substream whatever the trial count, in one pass here
-    simulate.clear_memos()
     counted = {name: count_draws(monkeypatch, name)
                for name in ("substream", "draw_bs_channels")}
     run_experiment("fig1", trials=1000, seed=0)
@@ -623,35 +625,36 @@ def test_variance_sweeps_draw_once(monkeypatch):
     # the draws are unit variates, so a sweep over var_relay draws the
     # relay trials once, the direct engine then reads the rounds the relay
     # drew, and doubling var_direct and var_cross together keeps the
-    # direct key, kappa = gamma var_cross / var_direct
-    simulate.clear_memos()
+    # direct key, kappa = gamma var_cross / var_direct; the sweep's points
+    # share one memo dict
+    memos = {}
     calls = count_draws(monkeypatch, "draw_relay_stats")
     rounds = count_draws(monkeypatch)
     for var_relay in (1.0, 4.0, 16.0):
         simulate_relay(make_cfg(P=10.0, var_relay=var_relay),
-                       trials=ODD_TRIALS, seed=29)
+                       trials=ODD_TRIALS, seed=29, memos=memos)
     assert len(calls) == 1            # one run, one draw
     assert len(rounds) == 2           # attempts 0 and 1
-    rows = best_margins(make_cfg(P=10.0), 29, ODD_TRIALS)
-    assert best_margins(make_cfg(P=10.0, var_direct=4.0, var_cross=2.0),
+    rows = best_margins(memos, make_cfg(P=10.0), 29, ODD_TRIALS)
+    assert best_margins(memos, make_cfg(P=10.0, var_direct=4.0,
+                                        var_cross=2.0),
                         29, ODD_TRIALS) is rows
     assert len(rounds) == 2
 
 
 def test_relay_memo_under_racing_callers():
-    # more callers than cores alternate between two relay keys and two
-    # rates, with direct runs in between, so both memo entries keep being
-    # replaced under them; every answer must be the one a serial run gives
+    # more callers than cores share one memo dict and alternate between
+    # two relay keys and two rates, with direct runs in between, so both
+    # memo entries keep being replaced under them; every answer must be
+    # the one a fresh serial run gives
     cfgs = [make_cfg(P=10.0, rate=r, M=m)
             for m in (3, 4) for r in (1.0, 3.0)]
-    want = []
-    for cfg in cfgs:
-        simulate.clear_memos()
-        want.append(simulate_relay(cfg, trials=2 * PASS, seed=23))
+    want = [simulate_relay(cfg, trials=2 * PASS, seed=23) for cfg in cfgs]
+    memos = {}
 
     def run(i, j):
-        got = simulate_relay(cfgs[i], trials=2 * PASS, seed=23)
-        simulate_direct(cfgs[i], trials=PASS, seed=23)
+        got = simulate_relay(cfgs[i], trials=2 * PASS, seed=23, memos=memos)
+        simulate_direct(cfgs[i], trials=PASS, seed=23, memos=memos)
         return got
     assert race(run, want) == []
 
@@ -664,16 +667,15 @@ def test_relay_memo_memory_is_24_bytes_per_trial():
     # shared rounds are drawn before the count starts
     slack = simulate.PASS_ROWS * 16 * 8 + 64 * 1024
     for m in (3, 5000):
-        simulate.clear_memos()
+        memos = {}
         cfg = make_cfg(rate=4.0, M=m)
-        shared_rounds(cfg, 22, trials)
+        shared_rounds(memos, cfg, 22, trials)
         tracemalloc.start()
         try:
-            simulate_relay(cfg, trials=trials, seed=22)
+            simulate_relay(cfg, trials=trials, seed=22, memos=memos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            simulate.clear_memos()
         assert peak <= 24 * trials + slack, m
 
 
@@ -693,18 +695,17 @@ def test_a_sweep_step_holds_one_memo_per_engine(step):
         cfgs = [make_cfg(rate=6.0, M=m) for m in (2, 3)]
     else:
         cfgs = [make_cfg(retx=retx) for retx in (1, 2, 3)]
-    simulate.clear_memos()
+    memos = {}                        # the sweep's points share it
     tracemalloc.start()
     try:
         for cfg in cfgs:
             if step != "antennas":
-                simulate_direct(cfg, trials=trials, seed=32)
+                simulate_direct(cfg, trials=trials, seed=32, memos=memos)
             if step != "budget":
-                simulate_relay(cfg, trials=trials, seed=32)
+                simulate_relay(cfg, trials=trials, seed=32, memos=memos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        simulate.clear_memos()
     per_trial = 8 * (4 * simulate.ROUNDS + 2 + STATS)
     assert per_trial == 104
     assert simulate.MAX_TRIALS == 2 ** 30 // per_trial
@@ -832,13 +833,12 @@ def test_relay_losses_failed_direct_attempt_0(monkeypatch):
     monkeypatch.setattr(simulate, "judge_relay", kept)
     e = draw_bs_channels(make_cfg().N, substream(3, CTX_DIRECT, 0),
                          rounds=ODD_TRIALS)
-    simulate.clear_memos()
-    seen = set()
+    memos, seen = {}, set()           # the rate sweep shares its memos
     for rate in simulate.FIG2_RATES:
         cfg = simulate._cfg(simulate._FIG23_BASE, simulate.FIG2_SNR_DB,
                             rate=float(rate))
         judged.clear()
-        est = simulate_relay(cfg, trials=ODD_TRIALS, seed=3)
+        est = simulate_relay(cfg, trials=ODD_TRIALS, seed=3, memos=memos)
         round1, delivered = map(np.concatenate, zip(*judged))
         lost = ~delivered
         kappa, floor = direct_test(cfg)
@@ -931,8 +931,7 @@ def test_relay_stats_layout():
     cfg = make_cfg(M=4)
     n = 37
     want = draw_relay_stats(cfg.M, substream(26, CTX_RELAY, 0), n)
-    simulate.clear_memos()
-    e1, e2, got = relay_inputs(cfg, 26, n)
+    e1, e2, got = relay_inputs({}, cfg, 26, n)
     assert got.shape == (n, STATS)
     assert np.array_equal(got, want)
     for attempt, e in enumerate((e1, e2)):
