@@ -123,11 +123,6 @@ class SystemConfig:
         """Relay power when retransmitting for both users: 2P."""
         return 2.0 * float(self.P)
 
-    @property
-    def sinr_threshold(self) -> float:
-        """gamma = 2^R - 1."""
-        return 2.0 ** self.rate - 1.0
-
 
 def seed_key(seed) -> int:
     """seed as Philox's 64-bit key: a whole number in [0, 2^64), or raise.

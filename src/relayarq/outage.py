@@ -1,25 +1,25 @@
-"""Closed-form outage probabilities for the two-cell downlink.
+"""Closed-form outage probabilities for the two-cell downlink, and the
+unit system every verdict and law reads.
 
-Both laws read the direct test in the Monte Carlo engine's unit form
-(``direct_test``): on unit Gamma(N, 1) gains own and cross, SINR_i >=
-gamma = 2^R - 1 reads
+Every decision of the protocol is an SINR threshold test, and on unit
+Gamma gains each test reads only a few dimensionless ratios of the
+config: ``UnitSystem`` forms all of them, once, from mantissas and
+exponents (``linalg.ratio``), so only ratios enter and no partial product
+over- or underflows. On unit Gamma(N, 1) gains own and cross, the direct
+test SINR_i >= gamma = 2^R - 1 reads
 
     own - kappa cross >= floor,   kappa = gamma var_cross / var_direct,
                                   floor = gamma N noise_var / (var_direct P).
 
-``direct_test`` forms kappa and the floor from mantissas and exponents
-(``linalg.ratio``), so only ratios enter and no partial product over- or
-underflows.
-
-Without interference the test is own >= floor, so outage is the
-regularized lower incomplete gamma P(N, floor). With one interfering
-cell it is Pr{X - kappa Y < floor} for independent X, Y ~ Gamma(N, 1)
-(``cdf_diff_exp``), a finite sum of incomplete-gamma terms for every N
-(conditioning on one of the two and expanding binomially). The floor is
-never negative, so the law is taken on c >= 0 only, as one series of
-lower incomplete gammas P: ``gammainc`` is all this module takes from
-scipy. Below 0 the law is 1 - F_(1/kappa)(-c / kappa), X and Y swapped,
-which is how the test suite checks it on the whole line against a
+Both laws read that test. Without interference it is own >= floor, so
+outage is the regularized lower incomplete gamma P(N, floor). With one
+interfering cell it is Pr{X - kappa Y < floor} for independent X, Y ~
+Gamma(N, 1) (``cdf_diff_exp``), a finite sum of incomplete-gamma terms for
+every N (conditioning on one of the two and expanding binomially). The
+floor is never negative, so the law is taken on c >= 0 only, as one
+series of lower incomplete gammas P: ``gammainc`` is all this module takes
+from scipy. Below 0 the law is 1 - F_(1/kappa)(-c / kappa), X and Y
+swapped, which is how the test suite checks it on the whole line against a
 numeric Gil-Pelaez inversion of the characteristic function
 
     phi(t) = (1 - jt)^-N (1 + j kappa t)^-N,
@@ -28,6 +28,7 @@ a quadrature oracle that lives in ``tests/_oracles.py``, not here.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import gammainc
@@ -37,15 +38,39 @@ from .errors import ContractViolationError
 from .linalg import ratio
 
 
-def direct_test(cfg: SystemConfig):
-    """``(kappa, floor)``, kappa = gamma var_cross / var_direct and floor =
-    gamma N sigma^2 / (var_direct P): on unit gains SINR_i >= gamma reads
-    own - kappa cross >= floor. Only rate 0 passes where var_direct = 0."""
-    gamma = cfg.sinr_threshold
-    if not (gamma and cfg.var_direct):
-        return 0.0, math.inf if gamma else 0.0
-    return (ratio((gamma, cfg.var_cross), (cfg.var_direct,)),
-            ratio((gamma, cfg.N, cfg.noise_var), (cfg.P, cfg.var_direct)))
+class UnitSystem(namedtuple("UnitSystem",
+                            "gamma kappa floor kappa_r floor_r rho")):
+    """The ratios of a ``SystemConfig`` that every verdict and law reads.
+
+    On unit gains each SINR threshold test reads as a margin against a
+    floor: the direct round as own - kappa cross >= floor (module
+    docstring), the zero-forcing rescue as x - kappa_r y >= floor_r, with
+    kappa_r = gamma var_cross / (N var_relay) and floor_r = gamma
+    noise_var / (P var_relay), and the max-min rescue as t(u) >= gamma,
+    with u = rho times the unit harmonic gain and rho = 2P var_relay /
+    noise_var; gamma = 2^R - 1. A test whose signal variance is 0 passes
+    nothing at gamma > 0, (kappa, floor) = (0, inf), and everything at
+    gamma = 0, (0, 0). ``of`` is the one constructor, and an instance is
+    frozen.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, cfg: SystemConfig) -> "UnitSystem":
+        """The unit system of cfg, every ratio formed by ``linalg.ratio``."""
+        gamma = 2.0 ** cfg.rate - 1.0
+
+        def test(var, kappa_den, floor_num):
+            """(kappa, floor) of the test whose signal has variance var."""
+            if not (gamma and var):
+                return 0.0, math.inf if gamma else 0.0
+            return (ratio((gamma, cfg.var_cross), (*kappa_den, var)),
+                    ratio((gamma, *floor_num, cfg.noise_var), (cfg.P, var)))
+
+        return cls(gamma, *test(cfg.var_direct, (), (cfg.N,)),
+                   *test(cfg.var_relay, (cfg.N,), ()),
+                   ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,)))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +86,7 @@ def outage_single_user(cfg: SystemConfig) -> float:
     zero own-cell channel carries nothing, so it is in outage at every
     positive rate.
     """
-    return float(gammainc(cfg.N, direct_test(cfg)[1]))
+    return float(gammainc(cfg.N, UnitSystem.of(cfg).floor))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +98,7 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     c >= 0.
 
     This is the engine's margin own - kappa cross at the floor c, which
-    ``direct_test`` never forms below 0: X has rate 1 and kappa Y rate
+    ``UnitSystem`` never forms below 0: X has rate 1 and kappa Y rate
     mu = 1/kappa. With a = 1/(1+mu), b = mu/(1+mu) and w_i = C(n-1+i, i),
     i = 0..n-1, the law is the one series
 
@@ -124,8 +149,8 @@ def outage_interference_n3(cfg: SystemConfig) -> float:
     Pr{ log2(1 + (P/N)||h_ii||^2 / ((P/N)||h_ij||^2 + noise_var)) < R }.
     The name predates the general law; it holds for every antenna count.
     """
-    kappa, floor = direct_test(cfg)
-    return cdf_diff_exp(floor, kappa, cfg.N)
+    units = UnitSystem.of(cfg)
+    return cdf_diff_exp(units.floor, units.kappa, cfg.N)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ The engine draws BS links as unit Gamma(N, 1) gains and a relay trial
 as its row of unit Gamma statistics (``channel``), never a channel
 vector. No draw reads a variance: ``draw_bs_channels`` takes only N and
 ``draw_relay_stats`` only M, besides the stream and the count, and only
-the verdicts here read the variances, as ratios formed by
-``linalg.ratio``, where a 0 or inf is the right verdict.
+the verdicts here read the variances, as the ratios of
+``outage.UnitSystem``, formed once per point, where a 0 or inf is the
+right verdict.
 
 Randomness is keyed by what defines a round: attempt a of every direct
 trial comes from the substream (seed, CTX_DIRECT, a), and the relay links
@@ -64,7 +65,7 @@ one pass of temporaries, and frees them all when it ends.
   attempt 0, holds 32 + 16 = 48 bytes per trial.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
-  reaches the floor (``outage.direct_test``); the margin does not depend
+  reaches the floor (``outage.UnitSystem``); the margin does not depend
   on P, sigma^2 or the variances' common scale. The memo holds each
   message's best margin over its attempts, 16 bytes per trial, keyed by
   (seed, trials, N, kappa), with the number of attempts it covers;
@@ -90,8 +91,7 @@ import numpy as np
 from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
                       draw_bs_channels, draw_relay_stats, substream, whole)
 from .errors import ContractViolationError
-from .linalg import ratio
-from .outage import (arq_outage, direct_test, outage_interference_n3,
+from .outage import (UnitSystem, arq_outage, outage_interference_n3,
                      outage_single_user)
 from .relay_multi import balanced_sinr
 
@@ -219,10 +219,10 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
     ``memos`` is the run's memo dict, read and filled (module docstring);
     without one the call draws afresh and keeps nothing.
     """
-    kappa, floor = direct_test(cfg)
+    units = UnitSystem.of(cfg)
     margins = _best_margins({} if memos is None else memos, cfg, seed,
-                            whole(trials, "trials"), kappa)
-    fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < floor)
+                            whole(trials, "trials"), units.kappa)
+    fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < units.floor)
                 for lo in range(0, len(margins), PASS_ROWS))
     return OutageEstimate(trials=2 * len(margins), failures=int(fails))
 
@@ -231,7 +231,7 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
 # relay ARQ
 # ---------------------------------------------------------------------------
 
-def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
+def judge_relay(units: UnitSystem, e1: np.ndarray, e2: np.ndarray,
                 stats: np.ndarray):
     """``(round1, delivered)``, bool (n, 2) masks of the relay-ARQ trials
     whose unit BS gains of rounds 1 and 2 are e1 and e2, float (n, 2, 2)
@@ -247,16 +247,13 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
     rescues it: the zero-forcing beam if the partner decoded, the
     max-min design if the partner failed too. So ``round1`` also gives
     the trial's mode: the relay serves the users that failed it. Both
-    rescue tests are evaluated for every trial and user. Every test is
-    divided through by the noise, by P or by var_relay, so only ratios
-    of the powers, the noise and the variances enter. A zero relay
-    channel rescues nobody.
+    rescue tests are evaluated for every trial and user. Every test
+    reads only the ratios of ``units``, the config's ``UnitSystem``, so
+    a zero relay channel rescues nobody at a positive rate.
     """
-    gamma = cfg.sinr_threshold
-    kappa, floor = direct_test(cfg)
     # a margin that overflows to inf is a loss
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = _direct_margin(e1, kappa) >= floor
+        ok = _direct_margin(e1, units.kappa) >= units.floor
         a, b, c = stats.T
         n2 = b + c                        # ||g2||^2 / var_relay
         beta = np.divide(b, n2, out=np.ones_like(b), where=n2 > 0)
@@ -267,20 +264,15 @@ def judge_relay(cfg: SystemConfig, e1: np.ndarray, e2: np.ndarray,
         # g2 = 0 leaves nothing to null, against its round-2 cross gain;
         # the test is divided by P var_relay. A failure needs gamma > 0,
         # so a zero g_f (gain 0) fails here too.
-        single = np.zeros_like(ok)
-        if cfg.var_relay:
-            kappa = ratio((gamma, cfg.var_cross), (cfg.N, cfg.var_relay))
-            floor = ratio((gamma, cfg.noise_var), (cfg.P, cfg.var_relay))
-            x = np.stack((a * beta, b), axis=1)
-            single = x - kappa * e2.reshape(-1, 4)[:, 1:3] >= floor
+        single = (np.stack((a * beta, b), axis=1)
+                  - units.kappa_r * e2.reshape(-1, 4)[:, 1:3] >= units.floor_r)
 
         # both failed: both messages ride the relay at the balanced SINR
         # t of u = 2P / (noise / ||g1||^2 + noise / ||g2||^2) and beta.
         # A zero channel leaves t at 0, or NaN where 0 / 0 or inf * 0 forms
         # u; neither rescues anyone at a positive rate
-        rho = ratio((cfg.Pr_multi, cfg.var_relay), (cfg.noise_var,))
-        u = rho * (a * (n2 / (a + n2)))
-        multi = balanced_sinr(u, u * beta)[2] >= gamma
+        u = units.rho * (a * (n2 / (a + n2)))
+        multi = balanced_sinr(u, u * beta)[2] >= units.gamma
 
     return ok, ok | np.where(ok[:, ::-1], single, multi[:, None])
 
@@ -308,13 +300,14 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
         raise ContractViolationError("relay needs at least 2 antennas")
     trials = whole(trials, "trials")
     memos = {} if memos is None else memos
+    units = UnitSystem.of(cfg)
     inputs = (*(_bs_round(memos, cfg, seed, trials, a) for a in range(ROUNDS)),
               _relay_stats(memos, cfg, seed, trials))
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):
         round1, delivered = judge_relay(
-            cfg, *(x[lo:lo + PASS_ROWS] for x in inputs))
+            units, *(x[lo:lo + PASS_ROWS] for x in inputs))
         counts[:2] += np.count_nonzero(~delivered, axis=0)
         counts[2:] += np.bincount((~round1).sum(axis=1), minlength=3)
     fail_1, fail_2, *modes = map(int, counts)

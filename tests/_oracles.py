@@ -275,7 +275,7 @@ def diff_exp_args(cfg: SystemConfig) -> tuple:
     formed left to right."""
     if cfg.var_direct <= 0 or cfg.var_cross <= 0:
         raise ContractViolationError("both channel variances must be positive here")
-    gamma = cfg.sinr_threshold
+    gamma = 2.0 ** cfg.rate - 1.0
     return (cfg.N * cfg.noise_var * gamma / cfg.P / cfg.var_direct,
             gamma * cfg.var_cross / cfg.var_direct, cfg.N)
 
@@ -286,7 +286,7 @@ def cf_inversion_outage(cfg: SystemConfig, tol: float = 1e-7) -> float:
     Same valid domain as ``cf_inversion_cdf``, with kappa =
     (2^R - 1) var_cross / var_direct.
     """
-    if cfg.sinr_threshold == 0.0:
+    if 2.0 ** cfg.rate - 1.0 == 0.0:
         return 0.0
     if cfg.var_cross == 0:
         return outage_single_user(cfg)
@@ -384,7 +384,7 @@ def relay_trial_reference(cfg, e1, e2, g):
     (2, 2) with e[i, j] = ||h_ij||^2 from BS j to user i; g is (2, M).
     Returns (round-1 success per user, mode name, delivered per user).
     """
-    gamma = cfg.sinr_threshold
+    gamma = 2.0 ** cfg.rate - 1.0
     p_ant = cfg.P / cfg.N
     ok = tuple(p_ant * float(e1[i, i])
                >= gamma * (cfg.noise_var + p_ant * float(e1[i, 1 - i]))

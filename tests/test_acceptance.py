@@ -15,7 +15,7 @@ from scipy.special import betainc
 from scipy.stats import binomtest
 
 from relayarq.channel import SystemConfig
-from relayarq.outage import (arq_outage, cdf_diff_exp, direct_test,
+from relayarq.outage import (UnitSystem, arq_outage, cdf_diff_exp,
                              outage_interference_n3, outage_single_user)
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
@@ -283,11 +283,11 @@ def test_c7_rate_sweep_relay_beats_direct():
 
         # the same messages, trial by trial, from the engines' memos
         memos = {}
-        kappa, floor = direct_test(cfg)
+        units = UnitSystem.of(cfg)
         direct_lost = simulate._best_margins(
-            memos, cfg, 0, trials, kappa) < floor
+            memos, cfg, 0, trials, units.kappa) < units.floor
         _, delivered = simulate.judge_relay(
-            cfg, *(simulate._bs_round(memos, cfg, 0, trials, a)
+            units, *(simulate._bs_round(memos, cfg, 0, trials, a)
                    for a in (0, 1)),
             simulate._relay_stats(memos, cfg, 0, trials))
         relay_lost = ~delivered
@@ -337,7 +337,8 @@ def test_c10_relay_curve_dips():
     lost = {}
     for snr_db, rate in ((20.0, 4.0), (40.0, 4.0), (40.0, 2.0)):
         cfg = _cli_default_cfg(snr_db, rate=rate)
-        _, delivered = simulate.judge_relay(cfg, *rounds, stats)
+        _, delivered = simulate.judge_relay(UnitSystem.of(cfg), *rounds,
+                                            stats)
         lost[snr_db, rate] = ~delivered
         assert (~delivered).sum() == \
             simulate_relay(cfg, trials, seed).pooled.failures
@@ -371,7 +372,7 @@ def test_c11_relay_floor_matches_closed_form():
     alpha = 1e-4 / (2 * len(rates))
     for rate in rates:
         cfg = _cli_default_cfg(300.0, rate=rate)
-        gamma = cfg.sinr_threshold
+        gamma = 2.0 ** cfg.rate - 1.0
         k = gamma * cfg.var_cross / cfg.var_direct
         k_relay = gamma * cfg.var_cross / (cfg.N * cfg.var_relay)
         p_d = betainc(cfg.N, cfg.N, k / (1 + k))

@@ -17,6 +17,7 @@ from relayarq.channel import (
     substream,
 )
 from relayarq.errors import ContractViolationError
+from relayarq.outage import UnitSystem
 import relayarq.simulate as simulate
 
 from _oracles import relay_gains
@@ -84,8 +85,8 @@ def test_config_holds_only_the_run_parameters():
 
 
 def test_sinr_threshold():
-    assert make_cfg(rate=2.0).sinr_threshold == 3.0
-    assert make_cfg(rate=0.0).sinr_threshold == 0.0
+    assert UnitSystem.of(make_cfg(rate=2.0)).gamma == 3.0
+    assert UnitSystem.of(make_cfg(rate=0.0)).gamma == 0.0
 
 
 @pytest.mark.parametrize("kw", [

@@ -12,9 +12,9 @@ from scipy.special import betainc, gammainc
 from relayarq.channel import SystemConfig
 from relayarq.errors import ContractViolationError
 from relayarq.outage import (
+    UnitSystem,
     arq_outage,
     cdf_diff_exp,
-    direct_test,
     outage_interference_n3,
     outage_single_user,
 )
@@ -74,7 +74,7 @@ def test_param_validation():
 
 
 def test_cdf_refuses_a_negative_or_nan_floor():
-    # the law is taken on c >= 0, which holds every floor direct_test
+    # the law is taken on c >= 0, which holds every floor UnitSystem
     # forms; a negative floor, however small, or NaN raises instead of
     # returning a value, and 0, -0 and +inf are inside
     for c in (-1e-300, -np.inf, math.nan):
@@ -108,9 +108,39 @@ def test_cli_floors_lie_in_the_law_domain(n, rate, snr_db, noise_var,
                                   var_relay=4.0, rate=rate)
     except ContractViolationError:
         reject()                          # the CLI exits 2 here
-    floor = direct_test(cfg)[1]
+    floor = UnitSystem.of(cfg).floor
     assert floor >= 0.0 and not math.isnan(floor)
     assert 0.0 <= outage_interference_n3(cfg) <= 1.0
+
+
+# a zero signal variance in the direct test, the relay's or both, at rate
+# 0 and above: (var_direct, var_relay, rate, direct test, relay test), a
+# test None where its variance is positive and it keeps its ratios
+_OFF, _ON = (0.0, math.inf), (0.0, 0.0)
+_ZERO_VARIANCE_TABLE = (
+    (0.0, 4.0, 0.0, _ON, None),
+    (0.0, 4.0, 2.0, _OFF, None),
+    (2.0, 0.0, 0.0, None, _ON),
+    (2.0, 0.0, 2.0, None, _OFF),
+    (0.0, 0.0, 0.0, _ON, _ON),
+    (0.0, 0.0, 2.0, _OFF, _OFF),
+)
+
+
+@pytest.mark.parametrize("var_direct, var_relay, rate, direct, relay",
+                         _ZERO_VARIANCE_TABLE)
+def test_unit_system_zero_variance_rule(var_direct, var_relay, rate, direct,
+                                        relay):
+    # a test whose signal variance is 0 passes nothing at a positive rate,
+    # (kappa, floor) = (0, inf), and everything at rate 0, (0, 0), each a
+    # +0.0 where it is 0; the other test and gamma keep their values, and
+    # rho is 0 with the relay channel
+    units = UnitSystem.of(make_cfg(var_direct=var_direct,
+                                   var_relay=var_relay, rate=rate))
+    live = UnitSystem.of(make_cfg(rate=rate))
+    want = (live.gamma, *(direct or live[1:3]), *(relay or live[3:5]),
+            live.rho if var_relay else 0.0)
+    assert tuple(map(float.hex, units)) == tuple(map(float.hex, want))
 
 
 def test_cdf_at_the_ends_of_kappa():
@@ -345,7 +375,7 @@ def test_interference_floor_is_an_incomplete_beta(n):
     # term gamma N sigma^2 / (var_direct P) moves it by about 1e-30
     for rate in (2.0, 4.0, 6.0):
         cfg = make_cfg(N=n, P=1e30, rate=rate)
-        kappa = cfg.sinr_threshold * cfg.var_cross / cfg.var_direct
+        kappa = (2.0 ** cfg.rate - 1.0) * cfg.var_cross / cfg.var_direct
         assert outage_interference_n3(cfg) == pytest.approx(
             betainc(n, n, kappa / (1 + kappa)), rel=1e-12, abs=0.0)
 
@@ -393,7 +423,7 @@ def _laws_match_at_scale(fields, k):
             warnings.simplefilter("error")
             got = (outage_single_user(scaled), outage_interference_n3(scaled))
         want = (outage_single_user(cfg), outage_interference_n3(cfg))
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0), (cfg, k)
+        assert got == want, (cfg, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -13,7 +13,7 @@ from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
                               cn, draw_bs_channels, draw_relay_stats,
                               substream)
 from relayarq.errors import ContractViolationError
-from relayarq.outage import arq_outage, direct_test, outage_interference_n3
+from relayarq.outage import UnitSystem, arq_outage, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
     OutageEstimate,
@@ -72,7 +72,7 @@ def stats_of(cfg, e1, e2, g):
 def best_margins(memos, cfg, seed, trials):
     """The engine's best direct margins, at cfg's own kappa."""
     return simulate._best_margins(memos, cfg, seed, trials,
-                                  direct_test(cfg)[0])
+                                  UnitSystem.of(cfg).kappa)
 
 
 def shared_rounds(memos, cfg, seed, trials):
@@ -98,7 +98,8 @@ def bs_rounds(memos, cfg, seed, trials):
 def relay_verdicts(cfg, seed, trials=PASS):
     """Draw the first ``trials`` relay trials of ``seed`` afresh and judge
     them."""
-    return judge_relay(cfg, *relay_inputs({}, cfg, seed, trials))
+    return judge_relay(UnitSystem.of(cfg),
+                       *relay_inputs({}, cfg, seed, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_direct_block_layout():
         for i in (0, 1):
             want += not any(
                 p_ant * float(r[i, i])
-                >= cfg.sinr_threshold
+                >= (2.0 ** cfg.rate - 1.0)
                 * (cfg.noise_var + p_ant * float(r[i, 1 - i]))
                 for r in trial)
     assert simulate_direct(cfg, trials=ODD_TRIALS, seed=14).failures == want
@@ -186,10 +187,11 @@ def test_direct_verdict_cannot_overflow():
     e = np.array([[[20.0, 15.0], [15.0, 20.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kappa, floor = direct_test(cfg)
+        units = UnitSystem.of(cfg)
+        kappa, floor = units.kappa, units.floor
         assert not (simulate._direct_margin(unit(e, bs_var(cfg)), kappa)
                     >= floor).any()
-        round1, _ = judge_relay(cfg, *stats_of(
+        round1, _ = judge_relay(units, *stats_of(
             cfg, e, np.zeros_like(e), np.zeros((1, 2, cfg.M), complex)))
         assert not round1.any()
         # a round that clears the threshold still passes
@@ -756,10 +758,10 @@ def test_verdicts_do_not_depend_on_the_power_scale(k):
     cfg = dataclasses.replace(
         _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
                      for f in ("P", "noise_var")})
-    want = judge_relay(_FIG2_R4, *_FIG2_R4_TRIALS)
+    want = judge_relay(UnitSystem.of(_FIG2_R4), *_FIG2_R4_TRIALS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = judge_relay(cfg, *_FIG2_R4_TRIALS)
+        got = judge_relay(UnitSystem.of(cfg), *_FIG2_R4_TRIALS)
         assert np.array_equal(got[0], want[0])      # round1
         assert np.array_equal(got[1], want[1])      # delivered
         assert simulate_direct(cfg, trials=1000, seed=3) \
@@ -780,14 +782,48 @@ def test_verdicts_do_not_depend_on_the_channel_scale(k):
         _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k)
                      for f in ("var_direct", "var_cross", "var_relay",
                                "noise_var")})
-    want = judge_relay(_FIG2_R4, *_FIG2_R4_TRIALS)
+    want = judge_relay(UnitSystem.of(_FIG2_R4), *_FIG2_R4_TRIALS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = judge_relay(cfg, *_FIG2_R4_TRIALS)
+        got = judge_relay(UnitSystem.of(cfg), *_FIG2_R4_TRIALS)
         assert np.array_equal(got[0], want[0])      # round1
         assert np.array_equal(got[1], want[1])      # delivered
         assert simulate_direct(cfg, trials=1000, seed=3) \
             == simulate_direct(_FIG2_R4, trials=1000, seed=3)
+
+
+def _unit_bits_at_scale(fields, k):
+    """The bits of every field of the ``UnitSystem`` of _FIG2_R4 with
+    ``fields`` times 2^k, formed where every warning is an error."""
+    cfg = dataclasses.replace(
+        _FIG2_R4, **{f: math.ldexp(getattr(_FIG2_R4, f), k) for f in fields})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return tuple(map(float.hex, UnitSystem.of(cfg)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1009))
+# the range of test_verdicts_do_not_depend_on_the_power_scale
+@example(k=-1074)
+@example(k=1009)
+def test_unit_system_does_not_depend_on_the_power_scale(k):
+    # P and noise_var times 2^k: every ratio is formed from mantissas and
+    # exponents, so every field keeps its bits, subnormal scales included
+    assert _unit_bits_at_scale(("P", "noise_var"), k) \
+        == _unit_bits_at_scale((), 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1021))
+# the range of test_verdicts_do_not_depend_on_the_channel_scale
+@example(k=-1074)
+@example(k=1021)
+def test_unit_system_does_not_depend_on_the_channel_scale(k):
+    # every channel variance and the noise times 2^k, at the same P
+    assert _unit_bits_at_scale(("var_direct", "var_cross", "var_relay",
+                                "noise_var"), k) \
+        == _unit_bits_at_scale((), 0)
 
 
 def test_single_user_rescue_cannot_overflow():
@@ -802,12 +838,14 @@ def test_single_user_rescue_cannot_overflow():
     g = np.array([[[1.0, 0.0, 0.0], [0.0, 10.0, 0.0]]], complex)   # X = 100
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        round1, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        round1, delivered = judge_relay(UnitSystem.of(cfg),
+                                        *stats_of(cfg, e1, e2, g))
         assert round1.tolist() == [[True, False]]
         assert delivered.tolist() == [[True, True]]
         # past Y = 100 the SINR falls below gamma
         e2[0, 1, 0] = 100.0 * (1 + 1e-12)
-        _, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        _, delivered = judge_relay(UnitSystem.of(cfg),
+                                   *stats_of(cfg, e1, e2, g))
         assert delivered.tolist() == [[True, False]]
 
 
@@ -841,7 +879,8 @@ def test_relay_losses_failed_direct_attempt_0(monkeypatch):
         est = simulate_relay(cfg, trials=ODD_TRIALS, seed=3, memos=memos)
         round1, delivered = map(np.concatenate, zip(*judged))
         lost = ~delivered
-        kappa, floor = direct_test(cfg)
+        units = UnitSystem.of(cfg)
+        kappa, floor = units.kappa, units.floor
         with np.errstate(over="ignore"):
             failed0 = simulate._direct_margin(e, kappa) < floor
         assert len(judged) == 4 and est.pooled.failures == lost.sum()
@@ -907,7 +946,8 @@ def test_block_verdicts_match_per_trial_reference():
             g[:PASS // 3, 1] = 0.0      # nothing to null toward user 2
             g[-PASS // 3:, 0] = 0.0
         # the engine judges by the unit (A, B, C) the channels reduce to
-        round1, delivered = judge_relay(cfg, *stats_of(cfg, e1, e2, g))
+        round1, delivered = judge_relay(UnitSystem.of(cfg),
+                                        *stats_of(cfg, e1, e2, g))
         for i in range(PASS):
             ok, mode, final = relay_trial_reference(cfg, e1[i], e2[i], g[i])
             assert tuple(round1[i]) == ok, (case, i)
