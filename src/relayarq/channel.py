@@ -41,14 +41,27 @@ CTX_RELAY = 2
 CTX_GENERIC = 0
 
 
-def whole(value, name: str, low: int = 1) -> int:
-    """value as an int of at least low: an integer (True is 1) or a float
-    with no fractional part; anything else, nan and inf included, raises."""
+# the most BS or relay antennas: the outage law sums one array of N terms
+# and is tested at this order (``outage.cdf_diff_exp``); M shares the
+# bound, though no Monte Carlo draw grows with N or M
+MAX_ANTENNAS = 5000
+# the most attempts of a direct-ARQ message: a point draws one round per
+# trial and attempt, each attempt from its own substream, so at most 1000
+# rounds a trial and 1000 substreams a point
+MAX_ATTEMPTS = 1000
+
+
+def whole(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """value as an int in [low, high]: an integer (True is 1) or a float
+    with no fractional part; anything else, nan and inf included, raises.
+    This is the one rule for every count and its ceiling."""
     if not (isinstance(value, numbers.Integral)
             or float(value).is_integer()):
         raise ContractViolationError(f"{name} must be a whole number")
     if value < low:
         raise ContractViolationError(f"{name} must be at least {low}")
+    if value > high:
+        raise ContractViolationError(f"{name} must be at most {high}")
     return int(value)
 
 
@@ -56,15 +69,16 @@ def whole(value, name: str, low: int = 1) -> int:
 class SystemConfig:
     """Static parameters of the two-cell downlink.
 
-    N            BS antennas per cell
-    M            relay antennas
+    N            BS antennas per cell, at most MAX_ANTENNAS
+    M            relay antennas, at most MAX_ANTENNAS
     P            per-BS transmit power
     noise_var    receiver noise variance sigma^2
     var_direct   own-cell channel variance sigma1^2
     var_cross    cross-cell channel variance sigma2^2
     var_relay    relay channel variance sigma3^2
     rate         target rate R in bits per channel use
-    retx         total transmission attempts L (first try plus retries)
+    retx         total transmission attempts L (first try plus retries),
+                 at most MAX_ATTEMPTS
 
     The relay spends ``Pr_single`` = P on one user and ``Pr_multi`` = 2P on
     two; the verdicts read them only times var_relay.
@@ -89,8 +103,10 @@ class SystemConfig:
         if math.isinf(2.0 * float(self.P)):
             raise ContractViolationError(
                 f"multiuser relay power 2P overflows at P = {self.P:g}")
-        for name in ("N", "M", "retx"):       # counts, kept as int
-            object.__setattr__(self, name, whole(getattr(self, name), name))
+        for name, high in (("N", MAX_ANTENNAS), ("M", MAX_ANTENNAS),
+                           ("retx", MAX_ATTEMPTS)):    # counts, kept as int
+            object.__setattr__(self, name,
+                               whole(getattr(self, name), name, high=high))
         if self.P <= 0 or self.noise_var <= 0:
             raise ContractViolationError("powers and noise variance must be positive")
         if min(self.var_direct, self.var_cross, self.var_relay) < 0:

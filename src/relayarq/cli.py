@@ -52,15 +52,17 @@ reruns the same run given the same ``-o`` (``_load_config`` says what is
 a comment). ``-o`` and ``--dump-config`` must name a file in an
 existing directory, so neither may be empty, and ``-o`` neither the
 ``--config`` nor the ``--dump-config`` file. All of that is checked
-before any work. So are the ceilings: ``--n``/``--m`` at most
-MAX_ANTENNAS, ``--retx`` at most MAX_ATTEMPTS, ``--trials`` at most
-MAX_TRIALS (a run's points share one memo dict, each memo held once and
-freed before the next is drawn, so the run's memos stay under 1 GiB and
-are freed when it ends), an SNR grid of at most MAX_GRID_POINTS points,
-counted before it is built, whose points strictly rise, and the one SNR
-a beamform command takes; the system at each point of the grid, as
-``SystemConfig`` checks it; and the seed, a whole number in [0, 2^64)
-(``channel.seed_key``).
+before any work. So are the ceilings, every count by the one rule
+``channel.whole``: ``--trials`` from 100 to ``simulate.MAX_TRIALS`` (a
+run's points share one memo dict, each memo held once and freed before
+the next is drawn, so the run's memos stay under 1 GiB and are freed
+when it ends), an SNR grid of at most MAX_GRID_POINTS points, counted
+before it is built, whose points strictly rise, and the one SNR a
+beamform command takes; the system at each point of the grid, as
+``SystemConfig`` checks it (``--n`` and ``--m`` at most
+``channel.MAX_ANTENNAS``, ``--retx`` at most ``channel.MAX_ATTEMPTS``);
+and the seed, a whole number in [0, 2^64) (``channel.seed_key``). The
+library's configs and engines refuse the same values.
 ``A:B:STEP`` is every A + k*STEP up to B. Files are written first and
 standard output last: the ``-o`` file, then the ``--dump-config`` file,
 then the table on standard output. Those three are the run's product:
@@ -84,7 +86,7 @@ import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, SystemConfig, cn, seed_key, substream
+from .channel import CTX_GENERIC, SystemConfig, cn, seed_key, substream, whole
 from .errors import ContractViolationError, RelayArqError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
@@ -92,14 +94,6 @@ from .relay_single import optimal_gain, solve_single_user_beamformer
 from .simulate import (MAX_TRIALS, run_experiment, simulate_direct,
                        simulate_relay)
 
-# the largest order the outage law is tested at, well inside the one
-# block of terms its sum holds at a time; m shares the bound, though no
-# Monte Carlo draw grows with n or m
-MAX_ANTENNAS = 5000
-# a direct-ARQ point draws one round per trial and attempt, each attempt
-# from its own substream; this bounds it at 1000 rounds a trial and 1000
-# substreams a point
-MAX_ATTEMPTS = 1000
 # every point keeps one CSV row in memory until the run ends
 MAX_GRID_POINTS = 100_000
 
@@ -260,16 +254,8 @@ def _effective_params(command: str, given: dict):
     if "config" in given:
         params.update(_load_config(given["config"]))
     params.update((key, v) for key, v in given.items() if key in PARAMS)
-    if params["trials"] < 100:
-        raise ContractViolationError("trials must be at least 100")
-    if params["trials"] > MAX_TRIALS:
-        raise ContractViolationError(f"trials must be at most {MAX_TRIALS}")
-    if params["threads"] < 1:
-        raise ContractViolationError("threads must be at least 1")
-    if max(params["n"], params["m"]) > MAX_ANTENNAS:
-        raise ContractViolationError(f"n and m must be at most {MAX_ANTENNAS}")
-    if params["retx"] > MAX_ATTEMPTS:
-        raise ContractViolationError(f"retx must be at most {MAX_ATTEMPTS}")
+    whole(params["trials"], "trials", low=100, high=MAX_TRIALS)
+    whole(params["threads"], "threads")
     grid = _parse_snr_grid(params["snr_db"])
     if command.startswith("beamform") and len(grid) > 1:
         raise ContractViolationError("beamform commands take one SNR")

@@ -14,13 +14,14 @@ test SINR_i >= gamma = 2^R - 1 reads
 Both laws read that test. Without interference it is own >= floor, so
 outage is the regularized lower incomplete gamma P(N, floor). With one
 interfering cell it is Pr{X - kappa Y < floor} for independent X, Y ~
-Gamma(N, 1) (``cdf_diff_exp``), a finite sum of incomplete-gamma terms for
-every N (conditioning on one of the two and expanding binomially). The
-floor is never negative, so the law is taken on c >= 0 only, as one
-series of lower incomplete gammas P: ``gammainc`` is all this module takes
-from scipy. Below 0 the law is 1 - F_(1/kappa)(-c / kappa), X and Y
-swapped, which is how the test suite checks it on the whole line against a
-numeric Gil-Pelaez inversion of the characteristic function
+Gamma(N, 1) (``cdf_diff_exp``), a finite sum of N incomplete-gamma terms
+for every N a config accepts (conditioning on one of the two and
+expanding binomially). The floor is never negative, so the law is taken
+on c >= 0 only, as one series of lower incomplete gammas P: ``gammainc``
+is all this module takes from scipy. Below 0 the law is
+1 - F_(1/kappa)(-c / kappa), X and Y swapped, which is how the test suite
+checks it on the whole line against a numeric Gil-Pelaez inversion of the
+characteristic function
 
     phi(t) = (1 - jt)^-N (1 + j kappa t)^-N,
 
@@ -33,7 +34,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import gammainc
 
-from .channel import SystemConfig, whole
+from .channel import MAX_ANTENNAS, SystemConfig, whole
 from .errors import ContractViolationError
 from .linalg import ratio
 
@@ -94,8 +95,8 @@ def outage_single_user(cfg: SystemConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
-    """Pr{X - kappa Y < c} for independent X, Y ~ Gamma(n, 1), any n, at
-    c >= 0.
+    """Pr{X - kappa Y < c} for independent X, Y ~ Gamma(n, 1), n at most
+    MAX_ANTENNAS, at c >= 0.
 
     This is the engine's margin own - kappa cross at the floor c, which
     ``UnitSystem`` never forms below 0: X has rate 1 and kappa Y rate
@@ -106,21 +107,19 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
 
     the mass below 0 plus the mass in [0, c), with P the regularized
     lower incomplete gamma; kappa = 0 puts no mass below 0, and
-    kappa = inf all of it. A negative or NaN c raises
-    ContractViolationError. Every term is positive; the
-    weights are formed in log space so no factor overflows at large n.
-    The logs carry extended precision where the platform has it: a log
-    weight of magnitude L rounded to double costs ~L ulps in its term, and
-    L reaches ~1.4 n, or ~n |log a| for a tiny a. The terms are formed and
-    summed in blocks of 2^15, the log weight carried from block to block,
-    so a call holds one block of terms at any n, and an n of one block
-    (every n the CLI accepts) is one sum over all of them.
+    kappa = inf all of it. A negative or NaN c, and an n past
+    MAX_ANTENNAS, raise ContractViolationError before any term is formed.
+    Every term is positive, and all n are summed as one array; the weights
+    are formed in log space so no factor overflows at large n. The logs
+    carry extended precision where the platform has it: a log weight of
+    magnitude L rounded to double costs ~L ulps in its term, and L reaches
+    ~1.4 n, or ~n |log a| for a tiny a.
     """
     if not kappa >= 0:
         raise ContractViolationError("kappa must be at least 0")
     if not c >= 0:
         raise ContractViolationError("c must be at least 0")
-    n = whole(n, "n")
+    n = whole(n, "n", high=MAX_ANTENNAS)
     if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
     mu = 1.0 / kappa if kappa else math.inf
@@ -128,23 +127,20 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
     # log -inf; a floor far below exp's range keeps the 0 * log of i = 0 at 0
     log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
     log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
-    log_w, sums = np.zeros(1, np.longdouble), []
-    # the terms in blocks of 2^15, so a call holds one block at any n
-    for lo in range(0, n, 2 ** 15):
-        i = np.arange(lo, min(lo + 2 ** 15, n))
-        # log w_i as a running sum of log(w_i / w_(i-1)) = log((n-1+i) / i),
-        # carried over from the block before
-        ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
-        ratio[i == 0] = 1
-        log_w = log_w[-1] + np.cumsum(np.log(ratio))
-        mass_neg = np.exp(log_w + n * log_a + i * log_b)
-        mass_pos = np.exp(log_w + n * log_b + i * log_a)
-        sums.append(np.sum(mass_neg + mass_pos * gammainc(n - i, c)))
-    return min(max(float(np.sum(sums)), 0.0), 1.0)
+    i = np.arange(n)
+    # log w_i as a running sum of log(w_i / w_(i-1)) = log((n-1+i) / i)
+    ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
+    ratio[0] = 1
+    log_w = np.cumsum(np.log(ratio))
+    mass_neg = np.exp(log_w + n * log_a + i * log_b)
+    mass_pos = np.exp(log_w + n * log_b + i * log_a)
+    total = np.sum(mass_neg + mass_pos * gammainc(n - i, c))
+    return min(max(float(total), 0.0), 1.0)
 
 
 def outage_interference_n3(cfg: SystemConfig) -> float:
-    """Outage probability of one cell under cross-cell interference, any N.
+    """Outage probability of one cell under cross-cell interference, at
+    any N a config accepts.
 
     Pr{ log2(1 + (P/N)||h_ii||^2 / ((P/N)||h_ij||^2 + noise_var)) < R }.
     The name predates the general law; it holds for every antenna count.

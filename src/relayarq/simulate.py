@@ -214,14 +214,16 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
     """Interference-limited direct ARQ outage, pooled over both users.
 
     A message is lost when its best margin falls below the floor.
-    ``trials`` is a whole number of at least 1: a whole float runs as its
-    int and True as 1 trial; anything else raises ContractViolationError.
+    ``trials`` is a whole number in [1, MAX_TRIALS]: a whole float runs as
+    its int and True as 1 trial; anything else raises
+    ContractViolationError before anything is drawn.
     ``memos`` is the run's memo dict, read and filled (module docstring);
     without one the call draws afresh and keeps nothing.
     """
     units = UnitSystem.of(cfg)
     margins = _best_margins({} if memos is None else memos, cfg, seed,
-                            whole(trials, "trials"), units.kappa)
+                            whole(trials, "trials", high=MAX_TRIALS),
+                            units.kappa)
     fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < units.floor)
                 for lo in range(0, len(margins), PASS_ROWS))
     return OutageEstimate(trials=2 * len(margins), failures=int(fails))
@@ -298,7 +300,7 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     """
     if cfg.M < 2:
         raise ContractViolationError("relay needs at least 2 antennas")
-    trials = whole(trials, "trials")
+    trials = whole(trials, "trials", high=MAX_TRIALS)
     memos = {} if memos is None else memos
     units = UnitSystem.of(cfg)
     inputs = (*(_bs_round(memos, cfg, seed, trials, a) for a in range(ROUNDS)),

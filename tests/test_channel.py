@@ -9,6 +9,8 @@ from scipy import stats
 from relayarq.channel import (
     CTX_DIRECT,
     CTX_RELAY,
+    MAX_ANTENNAS,
+    MAX_ATTEMPTS,
     STATS,
     SystemConfig,
     cn,
@@ -98,6 +100,9 @@ def test_sinr_threshold():
     dict(noise_var=-1.0), dict(var_relay=-1.0), dict(M=INF),
     dict(rate=1024.0),
     dict(N=2.5), dict(M=2.5), dict(retx=2.5), dict(N=NAN), dict(retx=INF),
+    # the CLI's ceilings: the library refuses what the CLI refuses
+    dict(N=MAX_ANTENNAS + 1), dict(M=MAX_ANTENNAS + 1),
+    dict(retx=MAX_ATTEMPTS + 1),
 ])
 def test_config_validation(kw):
     with pytest.raises(ContractViolationError):

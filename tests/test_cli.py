@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import relayarq.cli as cli
 import relayarq.simulate as simulate
-from relayarq.channel import SystemConfig
+from relayarq.channel import MAX_ATTEMPTS, SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
 from relayarq.simulate import simulate_direct
 
@@ -279,15 +279,15 @@ def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
 def test_attempt_ceiling_exits_2_before_any_draw(capsys, monkeypatch):
     _forbid_library_calls(monkeypatch)
     code, out, err = run_cli(capsys, "simulate-direct", "--trials", "100",
-                             "--retx", str(cli.MAX_ATTEMPTS + 1))
+                             "--retx", str(MAX_ATTEMPTS + 1))
     assert code == 2
     assert out == ""
-    assert f"retx must be at most {cli.MAX_ATTEMPTS}" in err
+    assert f"retx must be at most {MAX_ATTEMPTS}" in err
 
 
 def test_attempt_ceiling_is_inclusive(capsys):
     code, out, _ = run_cli(capsys, "simulate-direct", "--trials", "100",
-                           "--retx", str(cli.MAX_ATTEMPTS))
+                           "--retx", str(MAX_ATTEMPTS))
     assert code == 0
     _, rows = parse_csv(out)
     assert 0.0 <= float(rows[0][1]) <= 1.0

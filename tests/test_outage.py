@@ -9,7 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gammainc
 
-from relayarq.channel import SystemConfig
+from relayarq.channel import MAX_ANTENNAS, SystemConfig
 from relayarq.errors import ContractViolationError
 from relayarq.outage import (
     UnitSystem,
@@ -242,51 +242,29 @@ def test_cdf_finite_at_large_orders():
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def unblocked_cdf_diff_exp(c, kappa, n):
-    """``cdf_diff_exp``'s sum over all n terms at once, for 0 < kappa <
-    inf: the formula the library evaluates in blocks."""
-    mu = 1.0 / kappa
-    i = np.arange(n)
-    ratio = (n - 1 + i) / np.maximum(i, 1).astype(np.longdouble)
-    ratio[0] = 1
-    log_w = np.cumsum(np.log(ratio))
-    log_a = np.maximum(-np.log1p(np.longdouble(mu)), -2.0 ** 16)
-    log_b = np.maximum(-np.log1p(np.longdouble(1.0) / mu), -2.0 ** 16)
-    mass_neg = np.exp(log_w + n * log_a + i * log_b)
-    mass_pos = np.exp(log_w + n * log_b + i * log_a)
-    terms = mass_neg + mass_pos * gammainc(n - i, c)
-    return min(max(float(np.sum(terms)), 0.0), 1.0)
-
-
-def test_cdf_of_one_block_is_the_unblocked_sum():
-    # up to one block of 2^15 terms, every order the CLI accepts among
-    # them, the blocked law runs the unblocked sum's operations
-    for n in (1, 3, 64, 5000, 2 ** 15):
-        for c, kappa in ((0.3 * n, 1.5), (0.0, 1.0), (0.2 * n, 0.5),
-                         (1e-3, 1e-6), (1e3, 1e6), (np.inf, 1.5)):
-            assert cdf_diff_exp(c, kappa, n) == \
-                unblocked_cdf_diff_exp(c, kappa, n), (n, c, kappa)
-
-
 def test_cdf_memory_is_bounded_at_large_orders():
-    # one block of terms at a time: a call at n = 10^6 once held all of
-    # them, about 90 MiB of extended-precision floats. At kappa = 1 the
-    # law is even, so F(0) = 1/2 exactly. The unblocked sum misses that by
-    # 1.8e-11, the rounding of its one running sum of 10^6 logs that reach
-    # 1.4e6; the blocked sum restarts that sum at every block, so it meets
-    # 1/2 to 1e-12 and agrees with the unblocked one to within the
-    # unblocked sum's own error
-    n = 10 ** 6
+    # the law sums its n terms as one array, so its ceiling bounds the
+    # memory: under 1 MiB at the largest order a config accepts, where the
+    # law at kappa = 1 is even, so F(0) = 1/2 exactly
     tracemalloc.start()
     try:
-        got = cdf_diff_exp(0.0, 1.0, n)
+        got = cdf_diff_exp(0.0, 1.0, MAX_ANTENNAS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert got == pytest.approx(0.5, rel=1e-12, abs=0.0)
-    assert got == pytest.approx(unblocked_cdf_diff_exp(0.0, 1.0, n),
-                                rel=1e-10, abs=0.0)
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert got == pytest.approx(0.5, rel=0.0, abs=1e-13)
+    # an order past the ceiling is refused before any term is formed
+    for n in (MAX_ANTENNAS + 1, 10 ** 6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolationError,
+                               match=f"n must be at most {MAX_ANTENNAS}"):
+                cdf_diff_exp(0.0, 1.0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16, (n, peak)
 
 
 def test_closed_form_holds_for_other_orders():
@@ -368,16 +346,22 @@ def test_interference_floor_at_high_snr():
     assert hi == pytest.approx(0.68256, abs=1e-4)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, MAX_ANTENNAS])
 def test_interference_floor_is_an_incomplete_beta(n):
     # as P grows the test reads X < kappa Y, and X / (X + Y) ~ Beta(N, N),
     # so the floor is I_{kappa/(1+kappa)}(N, N); at 300 dB the law's floor
-    # term gamma N sigma^2 / (var_direct P) moves it by about 1e-30
-    for rate in (2.0, 4.0, 6.0):
-        cfg = make_cfg(N=n, P=1e30, rate=rate)
+    # term gamma N sigma^2 / (var_direct P) moves it by about 1e-30. Rates
+    # 2, 4 and 6 give kappa >= 1.5, where at the ceiling both sides read
+    # exactly 1; kappa near 1 (rate 2, var_cross = 2 kappa / 3) keeps the
+    # floor inside (0, 1) at every order
+    points = [dict(rate=rate) for rate in (2.0, 4.0, 6.0)]
+    points += [dict(var_cross=2.0 * k / 3.0)
+               for k in (0.97, 0.99, 1.0, 1.01, 1.03)]
+    for point in points:
+        cfg = make_cfg(N=n, P=1e30, **point)
         kappa = (2.0 ** cfg.rate - 1.0) * cfg.var_cross / cfg.var_direct
         assert outage_interference_n3(cfg) == pytest.approx(
-            betainc(n, n, kappa / (1 + kappa)), rel=1e-12, abs=0.0)
+            betainc(n, n, kappa / (1 + kappa)), rel=1e-13, abs=0.0), point
 
 
 _positive = st.floats(1e-3, 1e3)

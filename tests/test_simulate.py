@@ -16,6 +16,7 @@ from relayarq.errors import ContractViolationError
 from relayarq.outage import UnitSystem, arq_outage, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
+    MAX_TRIALS,
     OutageEstimate,
     judge_relay,
     run_experiment,
@@ -242,10 +243,15 @@ def test_direct_seed_sensitivity():
     assert a.failures != b.failures
 
 
-def test_direct_validates_trials():
+def test_direct_validates_trials(monkeypatch):
     # a fractional, nan or infinite count once died with a TypeError
-    # inside numpy
-    for trials in (0, 2.5, math.nan, math.inf, -math.inf):
+    # inside numpy, and MAX_TRIALS + 1 relay trials would ask for over
+    # 1 GiB of memos: each is refused before anything is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn before the trial count was checked")
+    for name in ("draw_bs_channels", "draw_relay_stats", "substream"):
+        monkeypatch.setattr(simulate, name, no_draw)
+    for trials in (0, 2.5, math.nan, math.inf, -math.inf, MAX_TRIALS + 1):
         for engine in (simulate_direct, simulate_relay):
             with pytest.raises(ContractViolationError, match="trials"):
                 engine(make_cfg(), trials=trials, seed=0)
