@@ -20,10 +20,13 @@ its stream and its count, and no config. ``cn`` draws complex
 channels for the single-draw ``beamform-*`` commands and the demos.
 
 Randomness is counter-based: every (seed, context, index) key owns a
-disjoint Philox substream, with the seed as Philox's key and the context
-and index in two counter words above the one the stream counts in. How
-the Monte Carlo engine keys and reads its substreams is set out in
-``simulate``.
+disjoint Philox substream, with the seed as Philox's 64-bit key, a whole
+number from 0 to MAX_SEED = 2^64 - 1, and the context and index in two
+counter words above the one the stream counts in. Every count, ceiling
+and seed goes through one rule, ``whole``, and a config's real fields
+through one finite check; each refuses bad input, of any type, with
+``ContractViolationError`` before anything is drawn. How the Monte Carlo
+engine keys and reads its substreams is set out in ``simulate``.
 """
 
 import math
@@ -49,14 +52,19 @@ MAX_ANTENNAS = 5000
 # trial and attempt, each attempt from its own substream, so at most 1000
 # rounds a trial and 1000 substreams a point
 MAX_ATTEMPTS = 1000
+# the largest seed: Philox's key is 64 bits, so -1 would alias it and
+# 2^64 would alias 0
+MAX_SEED = 2 ** 64 - 1
 
 
 def whole(value, name: str, low: int = 1, high: float = math.inf) -> int:
-    """value as an int in [low, high]: an integer (True is 1) or a float
-    with no fractional part; anything else, nan and inf included, raises.
-    This is the one rule for every count and its ceiling."""
+    """value as an int in [low, high]: an integer (True is 1) or a real
+    number with no fractional part; anything else (nan, inf, a str, None,
+    a complex) raises ContractViolationError before it is compared to
+    anything. This is the one rule for every count, its ceiling and the
+    seed."""
     if not (isinstance(value, numbers.Integral)
-            or float(value).is_integer()):
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ContractViolationError(f"{name} must be a whole number")
     if value < low:
         raise ContractViolationError(f"{name} must be at least {low}")
@@ -95,10 +103,12 @@ class SystemConfig:
     retx: int = 2
 
     def __post_init__(self):
-        # nan compares False against every bound below, so it is caught here
-        if not all(math.isfinite(x) for x in (
-                self.P, self.noise_var, self.var_direct, self.var_cross,
-                self.var_relay, self.rate)):
+        # a real number within float range: nan compares False against
+        # every bound, and a str, None or complex is not Real
+        if not all(isinstance(x, numbers.Real)
+                   and abs(x) <= sys.float_info.max for x in (
+                       self.P, self.noise_var, self.var_direct,
+                       self.var_cross, self.var_relay, self.rate)):
             raise ContractViolationError("parameters must be finite numbers")
         if math.isinf(2.0 * float(self.P)):
             raise ContractViolationError(
@@ -140,19 +150,11 @@ class SystemConfig:
         return 2.0 * float(self.P)
 
 
-def seed_key(seed) -> int:
-    """seed as Philox's 64-bit key: a whole number in [0, 2^64), or raise.
-    The CLI checks a run's seed by this rule before any work."""
-    if not 0 <= seed < 2 ** 64:
-        raise ContractViolationError(
-            f"seed must lie in [0, 2^64), not {seed}")
-    return whole(seed, "seed", low=0)
-
-
 def substream(seed: int, context: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, context, index) key; the
-    seed is Philox's 64-bit key (``seed_key``)."""
-    key = seed_key(seed)
+    seed is Philox's 64-bit key, a whole number in [0, MAX_SEED]
+    (``whole``)."""
+    key = whole(seed, "seed", low=0, high=MAX_SEED)
     counter = (int(context) << 128) + (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 

@@ -61,8 +61,9 @@ before it is built, whose points strictly rise, and the one SNR a
 beamform command takes; the system at each point of the grid, as
 ``SystemConfig`` checks it (``--n`` and ``--m`` at most
 ``channel.MAX_ANTENNAS``, ``--retx`` at most ``channel.MAX_ATTEMPTS``);
-and the seed, a whole number in [0, 2^64) (``channel.seed_key``). The
-library's configs and engines refuse the same values.
+and the seed, a whole number from 0 to ``channel.MAX_SEED`` = 2^64 - 1,
+Philox's largest key. The library's configs and engines refuse the same
+values.
 ``A:B:STEP`` is every A + k*STEP up to B. Files are written first and
 standard output last: the ``-o`` file, then the ``--dump-config`` file,
 then the table on standard output. Those three are the run's product:
@@ -72,11 +73,12 @@ failed dump leaves standard output empty, but a failed write to standard
 output can leave the dump behind. Standard error carries only progress
 and messages: where it is full or closed, they are dropped, and the
 files, standard output and exit code stay as they would be.
-``--threads`` (at least 1) is accepted so that older command lines and
-config files still run, and has no effect: the engine draws every run on
-the calling thread. Exit codes: 0 success, 2 usage, config, output or
-computation error; each is a ``RelayArqError``, and a usage error is one
-raised while the command line is parsed.
+``--threads`` (at least 1) has no effect: the engine draws every run on
+the calling thread. It stays because the benchmark, ``perfbench/run.py``,
+passes it on every call; ROADMAP item 1 drops it with the benchmark's
+next change. Exit codes: 0 success, 2 usage, config, output or
+computation error; each is a ``ContractViolationError``, and a usage
+error is one raised while the command line is parsed.
 """
 
 import contextlib
@@ -86,8 +88,8 @@ import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, SystemConfig, cn, seed_key, substream, whole
-from .errors import ContractViolationError, RelayArqError
+from .channel import CTX_GENERIC, MAX_SEED, SystemConfig, cn, substream, whole
+from .errors import ContractViolationError
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
@@ -271,7 +273,7 @@ def _effective_params(command: str, given: dict):
         raise ContractViolationError(
             f"cannot write {output}: it is a config file")
     points = [(snr, _build_cfg(params, snr)) for snr in grid]
-    seed_key(params["seed"])
+    whole(params["seed"], "seed", low=0, high=MAX_SEED)
     return params, points
 
 
@@ -435,7 +437,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
-    except RelayArqError as e:
+    except ContractViolationError as e:
         _note(f"{USAGE}\nrelayarq: error: {e}")
         return 2
 
@@ -453,7 +455,7 @@ def main(argv=None) -> int:
             _write(given["dump_config"], _config_text(params))
         if "output" not in given:
             _write(None, _csv_text(columns, rows))
-    except RelayArqError as e:
+    except ContractViolationError as e:
         _note(f"relayarq: {e}")
         return 2
     return 0

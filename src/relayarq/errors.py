@@ -1,15 +1,11 @@
-"""Exception types shared across the package, each reported by the CLI
-with exit code 2. Bad input to any function is a
-``ContractViolationError``, and so are the CLI's usage and config
-errors: a malformed command line or config file, an out-of-range run
-parameter or an output file that cannot be written."""
+"""The package's one exception type, reported by the CLI with exit code
+2. Bad input to any function is a ``ContractViolationError``, and so are
+the CLI's usage and config errors: a malformed command line or config
+file, an out-of-range run parameter or an output file that cannot be
+written."""
 
 
-class RelayArqError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class ContractViolationError(RelayArqError):
+class ContractViolationError(Exception):
     """A command line or config file is malformed; a parameter, count,
     seed or preset is out of range; an output file cannot be written; two
     channel vectors given to a relay design differ in length, or one holds

@@ -24,13 +24,13 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from relayarq.channel import SystemConfig
-from relayarq.errors import ContractViolationError, RelayArqError
+from relayarq.errors import ContractViolationError
 from relayarq.outage import cdf_diff_exp, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer
 
 
-class NumericFailureError(RelayArqError):
+class NumericFailureError(Exception):
     """A reference computation failed to converge.
 
     Carries whatever diagnostic payload the caller attached (iteration

@@ -38,9 +38,7 @@ C7_FAMILY_ALPHA = 1e-4
 
 
 def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
-    merged = dict(base, **kw)
-    p = merged["noise_var"] * 10.0 ** (snr_db / 10.0)
-    return SystemConfig(P=p, **merged)
+    return SystemConfig.at_snr(snr_db, **dict(base, **kw))
 
 
 def _guard(est) -> float:

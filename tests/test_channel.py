@@ -103,6 +103,10 @@ def test_sinr_threshold():
     # the CLI's ceilings: the library refuses what the CLI refuses
     dict(N=MAX_ANTENNAS + 1), dict(M=MAX_ANTENNAS + 1),
     dict(retx=MAX_ATTEMPTS + 1),
+    # a field that is not a real number within float range, and a count
+    # that is not a real number, are refused before any comparison
+    dict(P=10 ** 400), dict(P="1"), dict(rate=None),
+    dict(N="3"), dict(M=None), dict(retx=1j),
 ])
 def test_config_validation(kw):
     with pytest.raises(ContractViolationError):
@@ -118,8 +122,8 @@ def test_counts_are_whole_numbers_kept_as_int():
 def test_substream_refuses_seeds_outside_64_bits():
     # the seed is Philox's 64-bit key: -1 would alias 2^64 - 1, and 2^64
     # would alias 0. It is a whole number too: 2.5 and 2.9 once ran as
-    # seed 2
-    for seed in (-1, 2 ** 64, -2 ** 64, 2.5, 2.9, NAN, INF, -INF):
+    # seed 2. And it is a number: "1" and None are refused, not compared
+    for seed in (-1, 2 ** 64, -2 ** 64, 2.5, 2.9, NAN, INF, -INF, "1", None):
         with pytest.raises(ContractViolationError, match="seed"):
             substream(seed, CTX_DIRECT, 0)
     top = substream(2 ** 64 - 1, CTX_DIRECT, 0).standard_normal(5)
