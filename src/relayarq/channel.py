@@ -22,11 +22,14 @@ channels for the single-draw ``beamform-*`` commands and the demos.
 Randomness is counter-based: every (seed, context, index) key owns a
 disjoint Philox substream, with the seed as Philox's 64-bit key, a whole
 number from 0 to MAX_SEED = 2^64 - 1, and the context and index in two
-counter words above the one the stream counts in. Every count, ceiling
-and seed goes through one rule, ``whole``, and a config's real fields
-through one finite check; each refuses bad input, of any type, with
-``ContractViolationError`` before anything is drawn. How the Monte Carlo
-engine keys and reads its substreams is set out in ``simulate``.
+counter words above the one the stream counts in, the index a 64-bit
+word and the context two. Every count, ceiling, seed and key word goes
+through one rule, ``whole``, and every real input, a config's fields, a
+variance, a budget or a probability, through its twin, ``real``; the
+package's other modules read their inputs by the same two. Each refuses
+bad input, of any type, with ``ContractViolationError`` before it is
+compared to a bound, and so before anything is drawn. How the Monte
+Carlo engine keys and reads its substreams is set out in ``simulate``.
 """
 
 import math
@@ -55,6 +58,20 @@ MAX_ATTEMPTS = 1000
 # the largest seed: Philox's key is 64 bits, so -1 would alias it and
 # 2^64 would alias 0
 MAX_SEED = 2 ** 64 - 1
+# the bounds of a positive and of a finite real: the smallest positive
+# double and the largest
+MIN_POSITIVE = math.ulp(0.0)
+MAX_FINITE = sys.float_info.max
+
+
+def _within(value, name: str, low, high):
+    """value, once it lies in [low, high]; an int is compared with every
+    digit."""
+    if value < low:
+        raise ContractViolationError(f"{name} must be at least {low!r}")
+    if value > high:
+        raise ContractViolationError(f"{name} must be at most {high!r}")
+    return value
 
 
 def whole(value, name: str, low: int = 1, high: float = math.inf) -> int:
@@ -63,30 +80,49 @@ def whole(value, name: str, low: int = 1, high: float = math.inf) -> int:
     a complex) raises ContractViolationError before it is compared to
     anything. This is the one rule for every count, its ceiling and the
     seed."""
-    if not (isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
+    # int and float first: they pass without the slower ABC check
+    if not (isinstance(value, (int, numbers.Integral)) or isinstance(
+            value, (float, numbers.Real)) and float(value).is_integer()):
         raise ContractViolationError(f"{name} must be a whole number")
-    if value < low:
-        raise ContractViolationError(f"{name} must be at least {low}")
-    if value > high:
-        raise ContractViolationError(f"{name} must be at most {high}")
-    return int(value)
+    return _within(int(value), name, low, high)
+
+
+def real(value, name: str, low: float = -math.inf,
+         high: float = math.inf) -> float:
+    """value as a float in [low, high]: any real number but NaN (True is
+    1.0); anything else (nan, a str, None, a complex) raises
+    ContractViolationError before it is compared to anything. An int past
+    float range is refused by a finite bound, never by ``float``, and
+    within an infinite one reads as that infinity. This is the one rule
+    for every real input, the twin of ``whole``: ``MIN_POSITIVE`` bounds a
+    positive one and ``MAX_FINITE`` a finite one."""
+    if not isinstance(value, (float, int, numbers.Real)) or value != value:
+        raise ContractViolationError(f"{name} must be a real number")
+    # a numpy float scalar would cast a bound to its own precision, so it
+    # is compared as a float; an int, float or fraction is compared exactly
+    x = _within(value if isinstance(value, (int, float, numbers.Rational))
+                else float(value), name, low, high)
+    return float(x) if abs(x) <= MAX_FINITE else math.inf if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-cell downlink.
 
-    N            BS antennas per cell, at most MAX_ANTENNAS
-    M            relay antennas, at most MAX_ANTENNAS
-    P            per-BS transmit power
-    noise_var    receiver noise variance sigma^2
-    var_direct   own-cell channel variance sigma1^2
-    var_cross    cross-cell channel variance sigma2^2
-    var_relay    relay channel variance sigma3^2
-    rate         target rate R in bits per channel use
+    N            BS antennas per cell, 1 to MAX_ANTENNAS
+    M            relay antennas, 1 to MAX_ANTENNAS
+    P            per-BS transmit power, positive and at most MAX_FINITE / 2
+    noise_var    receiver noise variance sigma^2, positive and finite
+    var_direct   own-cell channel variance sigma1^2, nonnegative and finite
+    var_cross    cross-cell channel variance sigma2^2, likewise
+    var_relay    relay channel variance sigma3^2, likewise
+    rate         target rate R in bits per channel use, nonnegative and
+                 below 1024, where 2^R overflows a float
     retx         total transmission attempts L (first try plus retries),
-                 at most MAX_ATTEMPTS
+                 1 to MAX_ATTEMPTS
+
+    Counts are read by ``whole`` and kept as int, the rest by ``real`` and
+    kept as float, so bad input of any type raises ContractViolationError.
 
     The relay spends ``Pr_single`` = P on one user and ``Pr_multi`` = 2P on
     two; the verdicts read them only times var_relay.
@@ -103,35 +139,28 @@ class SystemConfig:
     retx: int = 2
 
     def __post_init__(self):
-        # a real number within float range: nan compares False against
-        # every bound, and a str, None or complex is not Real
-        if not all(isinstance(x, numbers.Real)
-                   and abs(x) <= sys.float_info.max for x in (
-                       self.P, self.noise_var, self.var_direct,
-                       self.var_cross, self.var_relay, self.rate)):
-            raise ContractViolationError("parameters must be finite numbers")
-        if math.isinf(2.0 * float(self.P)):
-            raise ContractViolationError(
-                f"multiuser relay power 2P overflows at P = {self.P:g}")
-        for name, high in (("N", MAX_ANTENNAS), ("M", MAX_ANTENNAS),
-                           ("retx", MAX_ATTEMPTS)):    # counts, kept as int
+        # each field read by its rule and stored as what the rule returns,
+        # a count as int and a real as float; noise_var comes before P,
+        # which at_snr forms from it. P is at most half the float range,
+        # so the two-user budget 2P is finite, and 2^rate is finite too
+        for name, rule, low, high in (
+                ("N", whole, 1, MAX_ANTENNAS), ("M", whole, 1, MAX_ANTENNAS),
+                ("noise_var", real, MIN_POSITIVE, MAX_FINITE),
+                ("P", real, MIN_POSITIVE, MAX_FINITE / 2),
+                ("var_direct", real, 0, MAX_FINITE),
+                ("var_cross", real, 0, MAX_FINITE),
+                ("var_relay", real, 0, MAX_FINITE),
+                ("rate", real, 0, math.nextafter(sys.float_info.max_exp, 0)),
+                ("retx", whole, 1, MAX_ATTEMPTS)):
             object.__setattr__(self, name,
-                               whole(getattr(self, name), name, high=high))
-        if self.P <= 0 or self.noise_var <= 0:
-            raise ContractViolationError("powers and noise variance must be positive")
-        if min(self.var_direct, self.var_cross, self.var_relay) < 0:
-            raise ContractViolationError("channel variances must be nonnegative")
-        if self.rate < 0:
-            raise ContractViolationError("rate must be nonnegative")
-        if self.rate >= sys.float_info.max_exp:    # 2.0 ** rate overflows
-            raise ContractViolationError(
-                f"rate must be below {sys.float_info.max_exp} bits per "
-                "channel use")
+                               rule(getattr(self, name), name, low, high))
 
     @classmethod
     def at_snr(cls, snr_db: float, *, noise_var: float,
                **kw) -> "SystemConfig":
-        """Config whose per-BS power P lies snr_db above noise_var."""
+        """Config whose per-BS power P lies snr_db above noise_var; both
+        are read by ``real`` before any arithmetic."""
+        snr_db, noise_var = real(snr_db, "snr_db"), real(noise_var, "noise_var")
         try:
             ratio = 10.0 ** (snr_db / 10.0)
         except OverflowError:
@@ -142,29 +171,31 @@ class SystemConfig:
     @property
     def Pr_single(self) -> float:
         """Relay power when retransmitting for one user: P."""
-        return float(self.P)
+        return self.P
 
     @property
     def Pr_multi(self) -> float:
         """Relay power when retransmitting for both users: 2P."""
-        return 2.0 * float(self.P)
+        return 2.0 * self.P
 
 
 def substream(seed: int, context: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, context, index) key; the
-    seed is Philox's 64-bit key, a whole number in [0, MAX_SEED]
-    (``whole``)."""
+    seed is Philox's 64-bit key, a whole number in [0, MAX_SEED], the
+    index a whole number in [0, 2^64) and the context one in [0, 2^128),
+    each read by ``whole``, so no two keys share a stream."""
     key = whole(seed, "seed", low=0, high=MAX_SEED)
-    counter = (int(context) << 128) + (int(index) << 64)
+    counter = ((whole(context, "context", low=0, high=2 ** 128 - 1) << 128)
+               + (whole(index, "index", low=0, high=2 ** 64 - 1) << 64))
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def cn(rng: np.random.Generator, shape, var) -> np.ndarray:
     """Circularly symmetric complex Gaussian with per-entry variance var,
-    a float in [0, inf): 0 gives the zero channel, and a negative, NaN or
-    infinite var raises ContractViolationError before anything is drawn."""
-    if not 0 <= var < math.inf:
-        raise ContractViolationError(f"variance must be in [0, inf), not {var}")
+    a real in [0, MAX_FINITE] (``real``): 0 gives the zero channel, and a
+    negative, NaN or infinite var, or one that is not a real number,
+    raises ContractViolationError before anything is drawn."""
+    var = real(var, "variance", 0, MAX_FINITE)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(var / 2.0) * z
 
@@ -175,8 +206,11 @@ def draw_bs_channels(n: int, rng: np.random.Generator,
     n BS antennas, float (rounds, 2, 2), all Gamma(n, 1): the gain
     ||h_ij||^2 from BS j to user i is entry [i, j] times var_direct on the
     diagonal, times var_cross off it. Both engines read a direct attempt's
-    rounds, the relay engine its attempts 0 and 1 as its rounds 1 and 2."""
-    return rng.standard_gamma(n, (rounds, 2, 2))
+    rounds, the relay engine its attempts 0 and 1 as its rounds 1 and 2.
+    n lies in [1, MAX_ANTENNAS] and rounds is at least 1, each read by
+    ``whole``."""
+    return rng.standard_gamma(whole(n, "n", high=MAX_ANTENNAS),
+                              (whole(rounds, "rounds"), 2, 2))
 
 
 STATS = 3                 # floats per relay trial: A, B and C
@@ -193,6 +227,9 @@ def draw_relay_stats(m: int, rng: np.random.Generator,
     ||P_perp_g1 g2||^2 = v B and |g1^H g2|^2 / ||g1||^2 = v C, with A, B
     and C independent. So ||g2||^2 = v (B + C), the Gram term
     ||g1||^2 ||g2||^2 - |g1^H g2|^2 is v^2 A B, and
-    ||P_perp_g2 g1||^2 = v A B / (B + C).
+    ||P_perp_g2 g1||^2 = v A B / (B + C). m lies in [1, MAX_ANTENNAS],
+    where m = 1 gives B = 0, and trials is at least 1, each read by
+    ``whole``.
     """
-    return rng.standard_gamma([m, m - 1, 1], (trials, STATS))
+    m = whole(m, "m", high=MAX_ANTENNAS)
+    return rng.standard_gamma([m, m - 1, 1], (whole(trials, "trials"), STATS))

@@ -60,7 +60,8 @@ when it ends), an SNR grid of at most MAX_GRID_POINTS points, counted
 before it is built, whose points strictly rise, and the one SNR a
 beamform command takes; the system at each point of the grid, as
 ``SystemConfig`` checks it (``--n`` and ``--m`` at most
-``channel.MAX_ANTENNAS``, ``--retx`` at most ``channel.MAX_ATTEMPTS``);
+``channel.MAX_ANTENNAS``, ``--retx`` at most ``channel.MAX_ATTEMPTS``,
+and every real flag, and the power P the SNR sets, by ``channel.real``);
 and the seed, a whole number from 0 to ``channel.MAX_SEED`` = 2^64 - 1,
 Philox's largest key. The library's configs and engines refuse the same
 values.

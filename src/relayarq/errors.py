@@ -6,12 +6,12 @@ written."""
 
 
 class ContractViolationError(Exception):
-    """A command line or config file is malformed; a parameter, count,
-    seed or preset is out of range; an output file cannot be written; two
-    channel vectors given to a relay design differ in length, or one holds
-    a NaN or inf; the single-user design has under two relay antennas; a
-    relay design's budget (or the max-min design's noise) is not positive
-    and finite, the one rule both designs apply, so NaN and inf are
-    refused; a channel variance given to ``channel.cn`` is negative, NaN
-    or infinite; or a relay design's gain or SINR overflows a float. A
-    zero channel is an outcome, not an error."""
+    """A command line or config file is malformed; a count, seed or
+    substream key word is not a whole number in its range
+    (``channel.whole``); a real input, such as a config field, a variance,
+    a relay design's budget or noise, or a probability, is not a real
+    number in its range (``channel.real``); a preset is unknown; an output
+    file cannot be written; two channel vectors given to a relay design
+    differ in length, or one holds a NaN or inf; the single-user design
+    has under two relay antennas; or a relay design's gain or SINR
+    overflows a float. A zero channel is an outcome, not an error."""

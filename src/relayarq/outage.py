@@ -34,8 +34,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import gammainc
 
-from .channel import MAX_ANTENNAS, SystemConfig, whole
-from .errors import ContractViolationError
+from .channel import MAX_ANTENNAS, SystemConfig, real, whole
 from .linalg import ratio
 
 
@@ -107,18 +106,18 @@ def cdf_diff_exp(c: float, kappa: float, n: int) -> float:
 
     the mass below 0 plus the mass in [0, c), with P the regularized
     lower incomplete gamma; kappa = 0 puts no mass below 0, and
-    kappa = inf all of it. A negative or NaN c, and an n past
-    MAX_ANTENNAS, raise ContractViolationError before any term is formed.
+    kappa = inf all of it. c and kappa are reals in [0, inf], read by
+    ``channel.real`` (``UnitSystem`` gives inf for either), and n a count
+    in [1, MAX_ANTENNAS], read by ``channel.whole``; a negative or NaN c or
+    kappa, an n past MAX_ANTENNAS, or any value that is not a number
+    raises ContractViolationError before any term is formed.
     Every term is positive, and all n are summed as one array; the weights
     are formed in log space so no factor overflows at large n. The logs
     carry extended precision where the platform has it: a log weight of
     magnitude L rounded to double costs ~L ulps in its term, and L reaches
     ~1.4 n, or ~n |log a| for a tiny a.
     """
-    if not kappa >= 0:
-        raise ContractViolationError("kappa must be at least 0")
-    if not c >= 0:
-        raise ContractViolationError("c must be at least 0")
+    kappa, c = real(kappa, "kappa", 0), real(c, "c", 0)
     n = whole(n, "n", high=MAX_ANTENNAS)
     if kappa == math.inf:   # interference beyond a float's range of the signal
         return 1.0
@@ -157,9 +156,8 @@ def arq_outage(p_single: float, attempts: int) -> float:
     """Outage after an attempt budget with independent fading per attempt.
 
     Every attempt fails independently with probability p_single, so the
-    message is lost iff all of them fail. The budget is a count, read as
-    ``channel.whole`` reads it.
+    message is lost iff all of them fail. p_single is a probability, a
+    real in [0, 1] read by ``channel.real``, and the budget a count, read
+    by ``channel.whole``.
     """
-    if not 0.0 <= p_single <= 1.0:
-        raise ContractViolationError("per-attempt outage must lie in [0, 1]")
-    return float(p_single ** whole(attempts, "attempts"))
+    return real(p_single, "p_single", 0, 1) ** whole(attempts, "attempts")

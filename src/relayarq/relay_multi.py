@@ -46,7 +46,8 @@ user's f_i and pi_i below the float range while its beam is not. So the
 design runs in floats at every scale and on every platform, and refuses
 only an optimum that overflows. Its input contract is the single-user
 design's: ``span_coords`` validates the channel pair, and the budget, like
-the noise, must be positive and finite.
+the noise, is a real in [MIN_POSITIVE, MAX_FINITE], read by
+``channel.real``.
 """
 
 import math
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import MAX_FINITE, MIN_POSITIVE, real
 from .errors import ContractViolationError
 from .linalg import ratio, span_coords
 
@@ -97,9 +99,8 @@ def max_min_sinr(h1: np.ndarray, h2: np.ndarray, power: float,
     Raises ContractViolationError where the optimum overflows a float.
     """
     q, a, b, c = span_coords(h1, h2)
-    if not (0.0 < power < np.inf and 0.0 < noise_var < np.inf):
-        raise ContractViolationError(
-            "power and noise must be positive and finite")
+    power = real(power, "power", MIN_POSITIVE, MAX_FINITE)
+    noise_var = real(noise_var, "noise_var", MIN_POSITIVE, MAX_FINITE)
 
     s1, s2 = float(abs(a)), math.hypot(abs(b), abs(c))
     zero = np.zeros(len(q), dtype=complex)

@@ -16,31 +16,33 @@ Pr A B / (B + C), the gain the Monte Carlo engine reads off its Gamma
 draws. Only where g_protect = 0 is that w zero: nothing needs nulling, and
 w = (1, 0) points the beam straight at the target. ``span_coords``
 validates the channel pair; the relay needs at least two antennas, and
-the budget must be positive and finite, as ``relay_multi.max_min_sinr``'s
-is. The test suite checks both functions against the stacked eigenproblem
-over vec(B), which allows any number of streams.
+the budget is a real in [MIN_POSITIVE, MAX_FINITE], read by
+``channel.real`` as ``relay_multi.max_min_sinr`` reads its own. The test
+suite checks both functions against the stacked eigenproblem over
+vec(B), which allows any number of streams.
 """
 
 import math
 
 import numpy as np
 
+from .channel import MAX_FINITE, MIN_POSITIVE, real
 from .errors import ContractViolationError
 from .linalg import ratio, span_coords
 
 
 def _zero_forcing(g_protect, g_target, power: float):
-    """The span basis Q, the target's coordinate a and the unit w."""
+    """The span basis Q, the target's coordinate a, the unit w and the
+    budget as a float."""
     q, a, b, c = span_coords(g_target, g_protect)
     if len(q) < 2:
         raise ContractViolationError(
             "zero-forcing toward one user needs at least two relay antennas")
-    if not 0.0 < power < np.inf:
-        raise ContractViolationError("relay power must be positive and finite")
+    power = real(power, "power", MIN_POSITIVE, MAX_FINITE)
     norm = np.hypot(abs(b), abs(c))
     w = np.array([np.conj(b), -np.conj(c)]) / norm if norm else \
         np.array([1.0, 0.0])
-    return q, a, w
+    return q, a, w, power
 
 
 def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray,
@@ -50,7 +52,7 @@ def optimal_gain(g_protect: np.ndarray, g_target: np.ndarray,
     g_protect is zero the value is power ||g_target||^2. Raises
     ContractViolationError where the gain overflows a float, which is
     tested from mantissas and exponents, never by forming it."""
-    _, a, w = _zero_forcing(g_protect, g_target, power)
+    _, a, w, power = _zero_forcing(g_protect, g_target, power)
     amp = float(abs(a * w[0]))
     if ratio((power, amp, amp)) == math.inf:
         raise ContractViolationError(
@@ -65,5 +67,5 @@ def solve_single_user_beamformer(g_protect: np.ndarray, g_target: np.ndarray,
     When g_target lies in span(g_protect) no beam reaches it, and b is a
     direction orthogonal to g_protect that carries the full power.
     """
-    q, _, w = _zero_forcing(g_protect, g_target, power)
+    q, _, w, power = _zero_forcing(g_protect, g_target, power)
     return np.sqrt(power) * (q @ w)

@@ -11,6 +11,7 @@ from relayarq.channel import (
     CTX_RELAY,
     MAX_ANTENNAS,
     MAX_ATTEMPTS,
+    MAX_FINITE,
     STATS,
     SystemConfig,
     cn,
@@ -54,13 +55,17 @@ def test_at_snr_rejects_overflowing_power():
 
 
 def test_default_multiuser_relay_power_must_not_overflow():
-    # P is finite but 2P is not: the message names the relay power, not
-    # "finite numbers"
-    with pytest.raises(ContractViolationError, match="relay power 2P"):
+    # P = 1e308 is finite but 2P is not: P may be at most half the float
+    # range, so the multiuser relay power 2P is finite, and that half runs
+    message = f"P must be at most {MAX_FINITE / 2!r}"
+    with pytest.raises(ContractViolationError) as info:
         make_cfg(P=1e308)
-    with pytest.raises(ContractViolationError, match="relay power 2P"):
+    assert str(info.value) == message
+    with pytest.raises(ContractViolationError) as info:
         SystemConfig.at_snr(3080.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                             var_cross=1.0, var_relay=4.0, rate=2.0)
+    assert str(info.value) == message
+    assert make_cfg(P=MAX_FINITE / 2).Pr_multi == MAX_FINITE
 
 
 def test_relay_power_defaults():
@@ -151,6 +156,70 @@ def test_substream_separation():
     plain = np.random.Generator(np.random.Philox(key=42))
     assert np.array_equal(substream(42, 0, 0).standard_normal(5),
                           plain.standard_normal(5))
+
+
+def test_substream_keys_cannot_alias():
+    # the index is one 64-bit counter word and the context the two above
+    # it: an index of 2^64 once carried into the context, so (0, 0, 2^64)
+    # drew the stream of (0, 1, 0), and -1 or "a" raised numpy's ValueError
+    for context, index, message in (
+            (0, 2 ** 64, "index must be at most 18446744073709551615"),
+            (2 ** 128, 0, "context must be at most "
+                          "340282366920938463463374607431768211455"),
+            (0, -1, "index must be at least 0"),
+            (-1, 0, "context must be at least 0"),
+            (0, "a", "index must be a whole number"),
+            (None, 0, "context must be a whole number"),
+            (0, 1.5, "index must be a whole number")):
+        with pytest.raises(ContractViolationError) as info:
+            substream(0, context, index)
+        assert str(info.value) == message
+    # both top words are keys of their own, and a whole float is its int
+    draws = {key: substream(0, *key).random(4).tobytes()
+             for key in ((0, 0), (1, 0), (0, 2 ** 64 - 1), (1, 2 ** 64 - 1),
+                         (2 ** 128 - 1, 0), (2 ** 128 - 1, 2 ** 64 - 1))}
+    assert len(set(draws.values())) == len(draws)
+    assert substream(0, 1.0, np.int64(2)).random(4).tobytes() == \
+        substream(0, 1, 2).random(4).tobytes()
+
+
+def test_draws_read_their_counts_by_whole():
+    # n = 0 once drew all-zero gains; n = -1, a zero relay order and a
+    # negative round or trial count raised numpy's ValueError, and n = "3"
+    # a TypeError. Each is refused before the stream is read
+    for draw, message in (
+            (lambda rng: draw_bs_channels(0, rng, 5), "n must be at least 1"),
+            (lambda rng: draw_bs_channels(-1, rng, 5), "n must be at least 1"),
+            (lambda rng: draw_bs_channels("3", rng, 5),
+             "n must be a whole number"),
+            (lambda rng: draw_bs_channels(MAX_ANTENNAS + 1, rng, 5),
+             f"n must be at most {MAX_ANTENNAS}"),
+            (lambda rng: draw_bs_channels(3, rng, -1),
+             "rounds must be at least 1"),
+            (lambda rng: draw_relay_stats(0, rng, 5), "m must be at least 1"),
+            (lambda rng: draw_relay_stats(MAX_ANTENNAS + 1, rng, 5),
+             f"m must be at most {MAX_ANTENNAS}"),
+            (lambda rng: draw_relay_stats(3, rng, -2),
+             "trials must be at least 1"),
+            (lambda rng: draw_relay_stats(3, rng, 2.5),
+             "trials must be a whole number")):
+        rng = substream(5, CTX_DIRECT, 0)
+        with pytest.raises(ContractViolationError) as info:
+            draw(rng)
+        assert str(info.value) == message
+        assert np.array_equal(rng.random(2),
+                              substream(5, CTX_DIRECT, 0).random(2))
+    # both ceilings are inclusive, a one-antenna relay has B = Gamma(0) = 0,
+    # and a whole float or numpy int draws as its int
+    assert draw_bs_channels(MAX_ANTENNAS, substream(5, 0, 0), 1).min() > 0
+    one = draw_relay_stats(1, substream(5, CTX_RELAY, 0), 4)
+    assert (one[:, 1] == 0).all() and (one[:, [0, 2]] > 0).all()
+    assert draw_relay_stats(MAX_ANTENNAS, substream(5, 0, 0), 1).min() > 0
+    assert np.array_equal(draw_bs_channels(3.0, substream(5, 0, 0), 2.0),
+                          draw_bs_channels(3, substream(5, 0, 0), 2))
+    assert np.array_equal(
+        draw_relay_stats(np.int64(3), substream(5, 0, 0), np.int64(2)),
+        draw_relay_stats(3, substream(5, 0, 0), 2))
 
 
 @pytest.mark.parametrize("var", [-1.0, -0.0, 0.0, 4.0, NAN, INF, -INF])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import relayarq.cli as cli
 import relayarq.simulate as simulate
-from relayarq.channel import MAX_ATTEMPTS, SystemConfig
+from relayarq.channel import MAX_ATTEMPTS, MAX_FINITE, SystemConfig
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
 from relayarq.simulate import simulate_direct
 
@@ -131,11 +131,17 @@ def test_snr_grid_that_repeats_a_point_exits_2(capsys, monkeypatch):
 
 
 def test_non_finite_parameters_exit_2(capsys):
-    for flags in (("--rate", "nan"), ("--snr-db", "inf"),
-                  ("--var-relay", "nan"), ("--noise-var", "inf")):
+    # NaN is not a real number; an infinite SNR makes P infinite, and an
+    # infinite noise is refused before the P formed from it
+    for flags, message in (
+            (("--rate", "nan"), "rate must be a real number"),
+            (("--snr-db", "inf"), f"P must be at most {MAX_FINITE / 2!r}"),
+            (("--var-relay", "nan"), "var_relay must be a real number"),
+            (("--noise-var", "inf"),
+             f"noise_var must be at most {MAX_FINITE!r}")):
         code, _, err = run_cli(capsys, "analytic", *flags)
         assert code == 2, flags
-        assert "finite" in err
+        assert err == f"relayarq: {message}\n"
 
 
 def test_trials_floor_exits_2(capsys):
@@ -255,7 +261,25 @@ def _forbid_library_calls(monkeypatch):
         monkeypatch.setattr(cli, name, no_call)
 
 
-@pytest.mark.parametrize("argv, needle", [
+# the one line a refused run writes to standard error, by the rule it
+# breaks: 2^R must be finite, so R < 1024; 10^(SNR/10) must be finite; P
+# is at most half the float range, so the multiuser relay power 2P is
+# finite; the channel variances are nonnegative; the parameters finite
+REFUSALS = {
+    "rate must be below 1024": "rate must be at most 1023.9999999999999",
+    "overflows the transmit power":
+        "SNR of 4000.0 dB overflows the transmit power",
+    "relay power 2P overflows": f"P must be at most {MAX_FINITE / 2!r}",
+    "variances must be nonnegative": "var_relay must be at least 0",
+    "parameters must be finite": f"P must be at most {MAX_FINITE / 2!r}",
+    "more than 100000 points": "SNR grid '0:1e12:1' has more than 100000 "
+                               "points",
+    "beamform commands take one SNR": "beamform commands take one SNR",
+    "N must be at least 1": "N must be at least 1",
+}
+
+
+@pytest.mark.parametrize("argv, rule", [
     (("analytic", "--rate", "2000"), "rate must be below 1024"),
     (("simulate-direct", "--rate", "2000", "--trials", "100"),
      "rate must be below 1024"),
@@ -268,14 +292,14 @@ def _forbid_library_calls(monkeypatch):
     (("figure", "1", "--rate", "2000"), "rate must be below 1024"),
 ])
 def test_overflowing_threshold_or_power_exits_2(capsys, monkeypatch, argv,
-                                                needle):
+                                                rule):
     # 2^R, 10^(SNR/10) and the multiuser relay power 2P past the double range
     # are config errors, caught when the config is built
     _forbid_library_calls(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert needle in err
+    assert err == f"relayarq: {REFUSALS[rule]}\n"
 
 
 def test_attempt_ceiling_exits_2_before_any_draw(capsys, monkeypatch):
@@ -370,7 +394,7 @@ def test_output_may_not_name_a_config_file(tmp_path, capsys, monkeypatch,
     assert (tmp_path / "run.conf").read_text() == "snr_db = 10\n"
 
 
-@pytest.mark.parametrize("argv, needle", [
+@pytest.mark.parametrize("argv, rule", [
     (("analytic", "--snr-db", "0:1e12:1"), "more than 100000 points"),
     (("beamform-multi", "--snr-db", "0:10:5"),
      "beamform commands take one SNR"),
@@ -380,14 +404,14 @@ def test_output_may_not_name_a_config_file(tmp_path, capsys, monkeypatch,
     (("figure", "2", "--snr-db", "1e400"), "parameters must be finite"),
 ])
 def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
-                                     needle):
+                                     rule):
     # the config file records a run that happened, never a refused one
     _forbid_library_calls(monkeypatch)
     dump = tmp_path / "run.conf"
     code, out, err = run_cli(capsys, *argv, "--dump-config", str(dump))
     assert code == 2
     assert out == ""
-    assert needle in err
+    assert err == f"relayarq: {REFUSALS[rule]}\n"
     assert not dump.exists()
     assert os.listdir(tmp_path) == []
 
@@ -837,19 +861,19 @@ def test_beamform_multi_reaches_t_star_at_extremes(capsys, flags):
 
 
 @pytest.mark.parametrize("command", ["beamform-single", "beamform-multi"])
-@pytest.mark.parametrize("flag, value, needle", [
+@pytest.mark.parametrize("flag, value, rule", [
     ("--snr-db", "0:40:10", "beamform commands take one SNR"),
     ("--var-relay", "-1", "variances must be nonnegative"),
 ])
 def test_beamform_bad_input_exits_2_before_any_draw(
-        capsys, monkeypatch, command, flag, value, needle):
+        capsys, monkeypatch, command, flag, value, rule):
     _forbid_library_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")     # no draw at a negative variance
         code, out, err = run_cli(capsys, command, flag, value)
     assert code == 2
     assert out == ""
-    assert needle in err
+    assert err == f"relayarq: {REFUSALS[rule]}\n"
 
 
 # ---------------------------------------------------------------------------

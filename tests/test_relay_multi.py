@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from relayarq.channel import MAX_FINITE, MIN_POSITIVE
 from relayarq.errors import ContractViolationError
 from relayarq.linalg import span_coords
 from relayarq.relay_multi import balanced_sinr, max_min_sinr
@@ -169,17 +170,28 @@ def test_input_validation():
         max_min_sinr(np.ones(3), np.ones(4), 1.0)
 
 
+# each refused budget's or noise's message: ``channel.real`` with
+# MIN_POSITIVE and MAX_FINITE as its bounds
+BUDGET_REFUSALS = {
+    math.nan: "must be a real number",
+    math.inf: f"must be at most {MAX_FINITE!r}",
+    -math.inf: f"must be at least {MIN_POSITIVE!r}",
+    0.0: f"must be at least {MIN_POSITIVE!r}",
+    -1.0: f"must be at least {MIN_POSITIVE!r}",
+}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_budget_must_be_positive_and_finite(bad):
     # the single-user design's rule, here on the noise as on the budget
     h1, h2 = random_pair(np.random.default_rng(6), 3)
-    for power, noise_var in ((bad, 1.0), (1.0, bad)):
+    for name, power, noise_var in (("power", bad, 1.0),
+                                   ("noise_var", 1.0, bad)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ContractViolationError,
-                               match="power and noise must be positive and "
-                                     "finite"):
+            with pytest.raises(ContractViolationError) as info:
                 max_min_sinr(h1, h2, power, noise_var=noise_var)
+        assert str(info.value) == f"{name} {BUDGET_REFUSALS[bad]}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
