@@ -80,9 +80,12 @@ def whole(value, name: str, low: int = 1, high: float = math.inf) -> int:
     a complex) raises ContractViolationError before it is compared to
     anything. This is the one rule for every count, its ceiling and the
     seed."""
-    # int and float first: they pass without the slower ABC check
+    # int and float first: they pass without the slower ABC check. A real
+    # is whole when finite and equal to its floor, both tested exactly, so
+    # a fraction past float range is never made a float
     if not (isinstance(value, (int, numbers.Integral)) or isinstance(
-            value, (float, numbers.Real)) and float(value).is_integer()):
+            value, (float, numbers.Real)) and abs(value) < math.inf
+            and math.floor(value) == value):
         raise ContractViolationError(f"{name} must be a whole number")
     return _within(int(value), name, low, high)
 

@@ -48,39 +48,43 @@ budget.
 Both engines reuse those common draws instead of redrawing them. A run
 owns its memos: a plain dict that the caller makes once and passes as
 ``memos`` to every point of its sweep, as ``run_experiment`` and the CLI
-do. They keep per-trial floats, one per shared round, one for the
-direct margins and one for the relay statistics, each keyed by exactly
-what its floats depend on; a point whose keys match draws nothing and
-only judges. A call given no dict uses a fresh one, so it draws afresh
-and keeps nothing once it returns. One memory rule holds: a memo is held
-once, and a miss frees it before the next is allocated, so a CLI run
-holds at most 8 + 2 + STATS floats per trial (``MAX_TRIALS``) besides
-one pass of temporaries, and frees them all when it ends.
+do. They keep per-trial floats, each keyed by exactly what its floats
+depend on, so a point whose keys match draws nothing and only judges:
+one memo per shared draw, the two rounds and the relay statistics, and
+one for the direct margins. ``_drawn`` keeps each shared draw under its
+substream's (context, index), keyed by (seed, trials, order), the
+draw's other arguments. A call given no dict uses a fresh one, so it
+draws afresh and keeps nothing once it returns. One memory rule holds:
+a memo is held once, a miss frees it before the next is allocated, and
+a larger budget extends the direct margins in place, so a CLI run holds
+at most 8 + 2 + STATS floats per trial (``MAX_TRIALS``) besides one
+pass of temporaries, and frees them all when it ends.
 
-* Rounds: one memo per shared attempt a < ROUNDS, its unit BS gains,
-  32 bytes per trial, keyed by (seed, trials, N): with the attempt,
-  which names the memo, these are its draw's arguments. No rate, power,
-  noise or variance enters, so every point of figures 2 and 3 reads the
-  same two rounds, and a one-attempt direct run, which reads only
-  attempt 0, holds 32 + 16 = 48 bytes per trial.
+* Rounds: the memo (CTX_DIRECT, a) of each shared attempt a < ROUNDS,
+  its unit BS gains, 32 bytes per trial, keyed by (seed, trials, N). No
+  rate, power, noise or variance enters, so every point of figures 2
+  and 3 reads the same two rounds, and a one-attempt direct run, which
+  reads only attempt 0, holds 32 + 16 = 48 bytes per trial.
 
 * Direct: a round succeeds when the unit margin own - kappa cross
   reaches the floor (``outage.UnitSystem``); the margin does not depend
-  on P, sigma^2 or the variances' common scale. The memo holds each
-  message's best margin over its attempts, 16 bytes per trial, keyed by
-  (seed, trials, N, kappa), with the number of attempts it covers;
-  attempts 0 and 1 come from their round memos. A larger budget draws
-  only its further attempts and keeps the max of their margins and the
-  memo's; a smaller one starts again from attempt 0. Figure 1 therefore
-  runs its budgets L in rising order in the outer loop, so its four
-  curves draw 10 attempts per trial between them; its rows come
-  SNR-major, its progress lines L-major.
+  on P, sigma^2 or the variances' common scale. The memo "direct" holds
+  each message's best margin over its attempts, 16 bytes per trial,
+  keyed by (seed, trials, N, kappa), with the number of attempts it
+  covers; attempts 0 and 1 come from their round memos. A larger budget
+  draws only its further attempts and raises the memo's margins to
+  their max in place; a smaller one starts again from attempt 0. It is
+  the one memo the engine writes, so a point takes it out of the dict
+  until it has counted its failures. Figure 1 therefore runs its
+  budgets L in rising order in the outer loop, so its four curves draw
+  10 attempts per trial between them; its rows come SNR-major, its
+  progress lines L-major.
 * Relay: a trial is judged from its two rounds and STATS = 3
   unit-variance floats, 24 bytes, the relay links' A, B and C
-  (``channel.draw_relay_stats``), which depend on nothing but M. The
-  memo is keyed by (seed, trials, M), its draw's arguments, so figure
-  2's rate sweep, any SNR grid or a sweep over the variances draws once,
-  and figure 3 draws once per M.
+  (``channel.draw_relay_stats``), which depend on nothing but M. Their
+  memo (CTX_RELAY, 0) is keyed by (seed, trials, M), so figure 2's rate
+  sweep, any SNR grid or a sweep over the variances draws once, and
+  figure 3 draws once per M.
 """
 
 import math
@@ -147,65 +151,28 @@ ROUNDS = 2
 # the most trials whose memos, 4 gains of each of the ROUNDS rounds, 2
 # direct margins and STATS relay floats of 8 B each per trial (each draw
 # returns the array its memo keeps), stay under 1 GiB. A miss frees its
-# memo before drawing the next, so no run's memo dict holds more, and the
-# dict goes when its run ends; a one-attempt direct run holds its round 0
-# and margins, 48 B. Extending the direct memo to a larger attempt budget
-# copies it, as a returned array never changes: 16 B per trial more for
-# that copy, which the CLI makes only in figure 1, with no relay memo held
+# memo before drawing the next, and a larger attempt budget extends the
+# direct margins in place, so no run's memo dict holds more, and the dict
+# goes when its run ends; a one-attempt direct run holds its round 0 and
+# margins, 48 B
 MAX_TRIALS = 2 ** 30 // (8 * (4 * ROUNDS + 2 + STATS))
 
 
-def _memo(memos: dict, name: str, key: tuple, draw):
-    """The array the run's memo ``name`` holds under ``key``. A miss frees
-    it first, then stores the array ``draw()`` returns, made read-only.
-    An entry is taken out of ``memos`` while a point reads it and put back
-    whole; a memo's array is never written once stored."""
-    old, rows = memos.pop(name, (None, None))
+def _drawn(memos: dict, draw, order: int, seed: int, context: int,
+           index: int, trials: int) -> np.ndarray:
+    """``draw(order, substream(seed, context, index), trials)``, read-only,
+    memoised under its substream's (context, index) on (seed, trials,
+    order), its draw's other arguments. The entry is out of ``memos``
+    while it is drawn and goes back whole; a miss frees the old array
+    before drawing the next, and a stored array is never written, so a
+    caller may go on reading what it was given."""
+    key = (seed, trials, order)
+    old, rows = memos.pop((context, index), (None, None))
     if old != key:
         rows = None                       # frees the old memo
-        rows = draw()
+        rows = draw(order, substream(seed, context, index), trials)
         rows.flags.writeable = False
-    memos[name] = (key, rows)
-    return rows
-
-
-def _bs_round(memos: dict, cfg: SystemConfig, seed: int, trials: int,
-              attempt: int) -> np.ndarray:
-    """Unit BS gains of attempt ``attempt`` < ROUNDS of every trial, float
-    (trials, 2, 2), read-only, drawn whole from the attempt's substream
-    the first time the run reads it, memoised on (seed, trials, N)."""
-    return _memo(memos, f"round {attempt}", (seed, trials, cfg.N),
-                 lambda: draw_bs_channels(
-                     cfg.N, substream(seed, CTX_DIRECT, attempt), trials))
-
-
-def _best_margins(memos: dict, cfg: SystemConfig, seed: int, trials: int,
-                  kappa: float) -> np.ndarray:
-    """Best margin own - kappa cross over the attempts [0, cfg.retx) of
-    every (trial, user), float (trials, 2), read-only, memoised as the
-    module docstring's Direct item sets out; a larger budget extends a
-    fresh copy of the memo. Attempts below ROUNDS are read from their
-    round memos, and each later attempt is drawn from its substream.
-    """
-    key = (seed, trials, cfg.N, kappa)
-    old, first, rows = memos.pop("direct", (None, 0, None))
-    if old != key or first > cfg.retx:
-        first, rows = 0, None             # frees the old memo
-    if first < cfg.retx:
-        rows = rows.copy() if first else np.full((trials, 2), -np.inf)
-        with np.errstate(over="ignore"):
-            for attempt in range(first, cfg.retx):
-                if attempt < ROUNDS:
-                    e = _bs_round(memos, cfg, seed, trials, attempt)
-                else:
-                    rng = substream(seed, CTX_DIRECT, attempt)
-                for lo in range(0, trials, PASS_ROWS):
-                    best = rows[lo:lo + PASS_ROWS]
-                    gains = (e[lo:lo + PASS_ROWS] if attempt < ROUNDS else
-                             draw_bs_channels(cfg.N, rng, rounds=len(best)))
-                    np.maximum(best, _direct_margin(gains, kappa), out=best)
-        rows.flags.writeable = False
-    memos["direct"] = (key, cfg.retx, rows)
+    memos[context, index] = (key, rows)
     return rows
 
 
@@ -213,20 +180,44 @@ def simulate_direct(cfg: SystemConfig, trials: int, seed: int,
                     memos: dict | None = None) -> OutageEstimate:
     """Interference-limited direct ARQ outage, pooled over both users.
 
-    A message is lost when its best margin falls below the floor.
-    ``trials`` is a whole number in [1, MAX_TRIALS]: a whole float runs as
-    its int and True as 1 trial; anything else raises
-    ContractViolationError before anything is drawn.
-    ``memos`` is the run's memo dict, read and filled (module docstring);
-    without one the call draws afresh and keeps nothing.
+    A message is lost when its best margin own - kappa cross over the
+    attempts [0, cfg.retx) falls below the floor. ``trials`` is a whole
+    number in [1, MAX_TRIALS]: a whole float runs as its int and True as
+    1 trial; anything else raises ContractViolationError before anything
+    is drawn. ``memos`` is the run's memo dict, read and filled (module
+    docstring); without one the call draws afresh and keeps nothing.
+
+    The margins memo, float (trials, 2) under ``"direct"``, is the one
+    memo the engine writes: a larger budget extends its array in place.
+    The call takes it out of ``memos`` until its failures are counted,
+    so a racing caller never extends an array another is reading.
+    Attempts below ROUNDS are read through ``_drawn``, and each later
+    attempt is drawn from its substream.
     """
     units = UnitSystem.of(cfg)
-    margins = _best_margins({} if memos is None else memos, cfg, seed,
-                            whole(trials, "trials", high=MAX_TRIALS),
-                            units.kappa)
-    fails = sum(np.count_nonzero(margins[lo:lo + PASS_ROWS] < units.floor)
-                for lo in range(0, len(margins), PASS_ROWS))
-    return OutageEstimate(trials=2 * len(margins), failures=int(fails))
+    trials = whole(trials, "trials", high=MAX_TRIALS)
+    memos = {} if memos is None else memos
+    key = (seed, trials, cfg.N, units.kappa)
+    old, first, rows = memos.pop("direct", (None, 0, None))
+    if old != key or first > cfg.retx:
+        first, rows = 0, None             # frees the old memo
+        rows = np.full((trials, 2), -np.inf)
+    with np.errstate(over="ignore"):
+        for attempt in range(first, cfg.retx):
+            if attempt < ROUNDS:
+                e = _drawn(memos, draw_bs_channels, cfg.N, seed, CTX_DIRECT,
+                           attempt, trials)
+            else:
+                rng = substream(seed, CTX_DIRECT, attempt)
+            for lo in range(0, trials, PASS_ROWS):
+                best = rows[lo:lo + PASS_ROWS]
+                gains = (e[lo:lo + PASS_ROWS] if attempt < ROUNDS else
+                         draw_bs_channels(cfg.N, rng, rounds=len(best)))
+                np.maximum(best, _direct_margin(gains, units.kappa), out=best)
+    fails = sum(np.count_nonzero(rows[lo:lo + PASS_ROWS] < units.floor)
+                for lo in range(0, trials, PASS_ROWS))
+    memos["direct"] = (key, cfg.retx, rows)
+    return OutageEstimate(trials=2 * trials, failures=int(fails))
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +270,6 @@ def judge_relay(units: UnitSystem, e1: np.ndarray, e2: np.ndarray,
     return ok, ok | np.where(ok[:, ::-1], single, multi[:, None])
 
 
-def _relay_stats(memos: dict, cfg: SystemConfig, seed: int,
-                 trials: int) -> np.ndarray:
-    """Relay-link statistics of every relay trial, float (trials, STATS),
-    read-only, all from one substream, memoised on (seed, trials, M)."""
-    return _memo(memos, "relay", (seed, trials, cfg.M),
-                 lambda: draw_relay_stats(
-                     cfg.M, substream(seed, CTX_RELAY, 0), trials))
-
-
 def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
                    memos: dict | None = None) -> RelayEstimate:
     """Relay-assisted ARQ outage: one direct round plus one relay round.
@@ -303,8 +285,10 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     trials = whole(trials, "trials", high=MAX_TRIALS)
     memos = {} if memos is None else memos
     units = UnitSystem.of(cfg)
-    inputs = (*(_bs_round(memos, cfg, seed, trials, a) for a in range(ROUNDS)),
-              _relay_stats(memos, cfg, seed, trials))
+    inputs = (*(_drawn(memos, draw_bs_channels, cfg.N, seed, CTX_DIRECT, a,
+                       trials) for a in range(ROUNDS)),
+              _drawn(memos, draw_relay_stats, cfg.M, seed, CTX_RELAY, 0,
+                     trials))
     # (fail_1, fail_2, n_none, n_single, n_multi)
     counts = np.zeros(5, dtype=np.int64)
     for lo in range(0, trials, PASS_ROWS):

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import binomtest
 
-from relayarq.channel import SystemConfig
+from relayarq.channel import CTX_DIRECT, CTX_RELAY, SystemConfig
 from relayarq.outage import (UnitSystem, arq_outage, cdf_diff_exp,
                              outage_interference_n3, outage_single_user)
 from relayarq.relay_multi import max_min_sinr
@@ -49,6 +49,15 @@ def _guard(est) -> float:
 
 def _rss(a: float, b: float) -> float:
     return math.hypot(a, b)
+
+
+def _relay_inputs(memos: dict, cfg: SystemConfig, seed: int, trials: int):
+    """The relay engine's memoised inputs of ``judge_relay``: the BS rounds
+    of direct attempts 0 and 1 and the relay statistics."""
+    return (*(simulate._drawn(memos, simulate.draw_bs_channels, cfg.N, seed,
+                              CTX_DIRECT, a, trials) for a in (0, 1)),
+            simulate._drawn(memos, simulate.draw_relay_stats, cfg.M, seed,
+                            CTX_RELAY, 0, trials))
 
 
 def test_c1_direct_outage_analytics_match_monte_carlo():
@@ -282,12 +291,10 @@ def test_c7_rate_sweep_relay_beats_direct():
         # the same messages, trial by trial, from the engines' memos
         memos = {}
         units = UnitSystem.of(cfg)
-        direct_lost = simulate._best_margins(
-            memos, cfg, 0, trials, units.kappa) < units.floor
-        _, delivered = simulate.judge_relay(
-            units, *(simulate._bs_round(memos, cfg, 0, trials, a)
-                   for a in (0, 1)),
-            simulate._relay_stats(memos, cfg, 0, trials))
+        simulate_direct(cfg, trials, 0, memos)
+        direct_lost = memos["direct"][2] < units.floor
+        _, delivered = simulate.judge_relay(units, *_relay_inputs(
+            memos, cfg, 0, trials))
         relay_lost = ~delivered
         assert direct_lost.sum() == direct.failures
         assert relay_lost.sum() == relay.pooled.failures
@@ -328,15 +335,12 @@ def test_c10_relay_curve_dips():
     alpha = C7_FAMILY_ALPHA / 2
     base = _cli_default_cfg(0.0)         # the draws read only N and M
     memos = {}
-    rounds = [simulate._bs_round(memos, base, seed, trials, a)
-              for a in (0, 1)]
-    stats = simulate._relay_stats(memos, base, seed, trials)
+    inputs = _relay_inputs(memos, base, seed, trials)
 
     lost = {}
     for snr_db, rate in ((20.0, 4.0), (40.0, 4.0), (40.0, 2.0)):
         cfg = _cli_default_cfg(snr_db, rate=rate)
-        _, delivered = simulate.judge_relay(UnitSystem.of(cfg), *rounds,
-                                            stats)
+        _, delivered = simulate.judge_relay(UnitSystem.of(cfg), *inputs)
         lost[snr_db, rate] = ~delivered
         assert (~delivered).sum() == \
             simulate_relay(cfg, trials, seed).pooled.failures

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from relayarq.channel import (
     draw_bs_channels,
     draw_relay_stats,
     substream,
+    whole,
 )
 from relayarq.errors import ContractViolationError
 from relayarq.outage import UnitSystem
@@ -122,6 +124,23 @@ def test_counts_are_whole_numbers_kept_as_int():
     cfg = make_cfg(N=4.0, M=np.int64(3), retx=3.0)
     assert (cfg.N, cfg.M, cfg.retx) == (4, 3, 3)
     assert all(type(v) is int for v in (cfg.N, cfg.M, cfg.retx))
+
+
+def test_whole_reads_a_real_exactly():
+    # a fraction past float range once raised OverflowError on its way to
+    # float; it is compared exactly and refused by its bound, and NaN and
+    # inf, in any type, are refused as not whole
+    with pytest.raises(ContractViolationError) as info:
+        whole(Fraction(10 ** 400), "n", high=MAX_ANTENNAS)
+    assert str(info.value) == f"n must be at most {MAX_ANTENNAS}"
+    assert whole(Fraction(10 ** 400), "n") == 10 ** 400
+    assert whole(Fraction(6, 2), "n") == 3
+    assert type(whole(np.float32(3.0), "n")) is int
+    for value in (Fraction(7, 2), NAN, INF, -INF, np.float64(NAN),
+                  np.float32(INF), 2.5):
+        with pytest.raises(ContractViolationError) as info:
+            whole(value, "n")
+        assert str(info.value) == "n must be a whole number"
 
 
 def test_substream_refuses_seeds_outside_64_bits():
@@ -276,8 +295,10 @@ def test_draws_do_not_read_the_variances(zero):
     drawn = []
     for cfg in (make_cfg(), make_cfg(**{zero: 0.0})):
         memos = {}                        # each config draws afresh
-        drawn.append((simulate._bs_round(memos, cfg, 5, 100, 0),
-                      simulate._relay_stats(memos, cfg, 5, 100)))
+        drawn.append((simulate._drawn(memos, draw_bs_channels, cfg.N, 5,
+                                      CTX_DIRECT, 0, 100),
+                      simulate._drawn(memos, draw_relay_stats, cfg.M, 5,
+                                      CTX_RELAY, 0, 100)))
     for want, got in zip(*drawn):
         assert np.array_equal(got, want)
         assert (got > 0.0).all()

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -16,6 +17,17 @@ def test_demo_runs(path, capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.main()
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert "nan" not in out
+
+
+def test_readme_example_runs(capsys):
+    # the quick start's one python block, run as written
+    readme = ROOT / "README.md"
+    _, block, *rest = readme.read_text().split("```python\n")
+    assert rest == []
+    exec(compile(block.split("```")[0], str(readme), "exec"), {})
     out = capsys.readouterr().out
     assert out.strip()
     assert "nan" not in out

@@ -71,16 +71,24 @@ def stats_of(cfg, e1, e2, g):
 # engine function it calls does
 
 def best_margins(memos, cfg, seed, trials):
-    """The engine's best direct margins, at cfg's own kappa."""
-    return simulate._best_margins(memos, cfg, seed, trials,
-                                  UnitSystem.of(cfg).kappa)
+    """The engine's best direct margins, at cfg's own kappa: the array
+    its direct run leaves in the margins memo."""
+    simulate_direct(cfg, trials, seed, memos)
+    return memos["direct"][2]
 
 
 def shared_rounds(memos, cfg, seed, trials):
     """The memoised BS rounds of attempts 0 and 1, read-only (trials, 2,
     2) each."""
-    return tuple(simulate._bs_round(memos, cfg, seed, trials, attempt)
+    return tuple(simulate._drawn(memos, simulate.draw_bs_channels, cfg.N,
+                                 seed, CTX_DIRECT, attempt, trials)
                  for attempt in range(simulate.ROUNDS))
+
+
+def relay_stats(memos, cfg, seed, trials):
+    """The memoised relay statistics, read-only (trials, STATS)."""
+    return simulate._drawn(memos, simulate.draw_relay_stats, cfg.M, seed,
+                           CTX_RELAY, 0, trials)
 
 
 def relay_inputs(memos, cfg, seed, trials):
@@ -88,7 +96,7 @@ def relay_inputs(memos, cfg, seed, trials):
     relay trials of ``seed``: direct attempts 0 and 1 and the relay
     statistics."""
     return (*shared_rounds(memos, cfg, seed, trials),
-            simulate._relay_stats(memos, cfg, seed, trials))
+            relay_stats(memos, cfg, seed, trials))
 
 
 def bs_rounds(memos, cfg, seed, trials):
@@ -171,7 +179,7 @@ def test_direct_margins_are_prefix_stable(retx):
     # pass, 512 fill two, and each run is the first rows of the next,
     # for the direct margins, the shared rounds and the relay statistics
     cfg = make_cfg(P=10.0, retx=retx)
-    for rows in (best_margins, bs_rounds, simulate._relay_stats):
+    for rows in (best_margins, bs_rounds, relay_stats):
         runs = []
         for trials in (300, 512, 2000):
             runs.append(rows({}, cfg, 5, trials))
@@ -382,17 +390,18 @@ def test_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     cfg = dict(P=10.0, retx=2)
     memos = {}
     rows = best_margins(memos, make_cfg(**cfg), **run)
-    assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, 2)
     (run if field in run else cfg)[field] = value
     calls = count_draws(monkeypatch)
     got = simulate_direct(make_cfg(**cfg), **run, memos=memos)
     # a key field builds new margins, which draw only where the shared
     # rounds' key (seed, trials, N) misses or an attempt past them is
-    # added; P, noise_var and the relay fields hit, and a hit returns the
-    # memo's own rows; a call given no dict draws afresh
+    # added; P, noise_var and the relay fields hit, and a hit, or a
+    # larger budget, which extends them in place, keeps the memo's own
+    # rows; a call given no dict draws afresh
     assert bool(calls) == drawn
-    assert (best_margins(memos, make_cfg(**cfg), **run) is rows) != keyed
+    assert (best_margins(memos, make_cfg(**cfg), **run) is rows) \
+        != (keyed and field != "retx")
     assert simulate_direct(make_cfg(**cfg), **run) == got
 
 
@@ -418,21 +427,24 @@ def test_memo_extends_to_a_larger_budget(monkeypatch, passes, first,
                                          attempts):
     # a memo at `first` attempts draws only the attempts it lacks: a
     # shared round not yet read in one whole draw, each later attempt one
-    # draw per pass, and gives the margins of a fresh run, bit for bit,
-    # in a fresh array; the last of the passes is partial
+    # draw per pass, and extends its own array in place to the margins of
+    # a fresh run, bit for bit: the memo's draws and the added ones are a
+    # fresh run's draws; the last of the passes is partial
     trials = passes * PASS - 17
+    calls = count_draws(monkeypatch)
     want = best_margins({}, make_cfg(P=10.0, retx=attempts), 25, trials)
+    fresh = len(calls)
     memos = {}
     old = best_margins(memos, make_cfg(P=10.0, retx=first), 25, trials)
-    kept = old.copy()
-    calls = count_draws(monkeypatch)
+    kept = len(calls) - fresh
     got = best_margins(memos, make_cfg(P=30.0, retx=attempts), 25, trials)
+    added = len(calls) - fresh - kept
     shared = len(range(first, min(attempts, simulate.ROUNDS)))
     later = len(range(max(first, simulate.ROUNDS), attempts))
-    assert len(calls) == shared + passes * later
+    assert added == shared + passes * later
+    assert kept + added == fresh
+    assert got is old
     assert np.array_equal(got, want)
-    assert got is not old and not got.flags.writeable
-    assert np.array_equal(old, kept)
 
 
 @pytest.mark.usefixtures("small_pass")
@@ -583,7 +595,7 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     run = dict(seed=19, trials=ODD_TRIALS)
     cfg = dict(P=10.0, rate=1.0)
     memos = {}
-    rows = simulate._relay_stats(memos, make_cfg(**cfg), **run)
+    rows = relay_stats(memos, make_cfg(**cfg), **run)
     assert not rows.flags.writeable
     assert rows.shape == (ODD_TRIALS, simulate.STATS)
     (run if field in run else cfg)[field] = value
@@ -593,8 +605,7 @@ def test_relay_memo_agrees_with_a_cleared_run(monkeypatch, field, value):
     # the noise hit, and a hit returns the memo's own statistics; a call
     # given no dict draws afresh
     assert bool(calls) == keyed
-    assert (simulate._relay_stats(memos, make_cfg(**cfg), **run)
-            is rows) != keyed
+    assert (relay_stats(memos, make_cfg(**cfg), **run) is rows) != keyed
     assert simulate_relay(make_cfg(**cfg), **run) == got
 
 
@@ -691,11 +702,13 @@ def test_relay_memo_memory_is_24_bytes_per_trial():
 def test_a_sweep_step_holds_one_memo_per_engine(step):
     # a point that misses a memo frees it before drawing the next, so a
     # fig2-style rate step (a new kappa, the direct key), a fig3-style
-    # antenna step (a new relay key) and a fig1-style budget step (a
-    # copied, extended direct memo, with no relay memo) never hold an old
-    # memo next to its successor: the peak is at most the 8 + 2 + STATS
-    # floats per trial (104 B) that MAX_TRIALS is derived from, and 2 B
-    # per trial for a pass's temporaries
+    # antenna step (a new relay key) and a fig1-style budget step (the
+    # direct memo extended in place, with no relay memo) never hold an
+    # old memo next to its successor: the peak is at most the 8 + 2 +
+    # STATS floats per trial (104 B) that MAX_TRIALS is derived from, and
+    # 2 B per trial for a pass's temporaries; the budget step holds no
+    # relay memo, so its bound is the 8 + 2 floats of the two rounds and
+    # the margins, and the same 2 B
     trials = 400_000
     if step == "rate":
         cfgs = [make_cfg(rate=rate) for rate in (2.0, 3.0)]
@@ -717,6 +730,8 @@ def test_a_sweep_step_holds_one_memo_per_engine(step):
     per_trial = 8 * (4 * simulate.ROUNDS + 2 + STATS)
     assert per_trial == 104
     assert simulate.MAX_TRIALS == 2 ** 30 // per_trial
+    if step == "budget":
+        per_trial = 8 * (4 * simulate.ROUNDS + 2)
     assert peak <= (per_trial + 2) * trials
 
 
