@@ -17,7 +17,10 @@ Statist. 34, 1963). The engine draws both at unit variance, and only its
 verdicts read the variances (``simulate``): ``draw_bs_channels`` takes
 the BS antenna count n and ``draw_relay_stats`` the relay's m, each with
 its stream and its count, and no config. ``cn`` draws complex
-channels for the single-draw ``beamform-*`` commands and the demos.
+channels for the single-draw ``beamform-*`` commands and the demos, and
+``span_coords`` reads such a pair in the coordinates of its span, the
+one input rule of both relay designs: the squared moduli of its a, b and
+c are the A, B and C that ``draw_relay_stats`` draws.
 
 Randomness is counter-based: every (seed, context, index) key owns a
 disjoint Philox substream, with the seed as Philox's 64-bit key, a whole
@@ -30,6 +33,9 @@ package's other modules read their inputs by the same two. Each refuses
 bad input, of any type, with ``ContractViolationError`` before it is
 compared to a bound, and so before anything is drawn. How the Monte
 Carlo engine keys and reads its substreams is set out in ``simulate``.
+``ContractViolationError`` is the package's one exception type, and
+``ratio`` forms every product of powers, variances and gains from
+mantissas and exponents, so that no partial product under- or overflows.
 """
 
 import math
@@ -39,7 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+
+class ContractViolationError(Exception):
+    """Bad input to any function, reported by the CLI with exit code 2: a
+    command line or config file is malformed; a count, seed or substream
+    key word is not a whole number in its range (``whole``); a real
+    input, such as a config field, a variance, a relay design's budget or
+    noise, or a probability, is not a real number in its range
+    (``real``); a preset is unknown; an output file cannot be written; two
+    channel vectors given to a relay design differ in length, hold no
+    entry or more than MAX_ANTENNAS, or one holds a NaN or inf; the
+    single-user design has under two relay antennas; or a relay design's
+    gain or SINR overflows a float. A zero channel is an outcome, not an
+    error."""
 
 # substream contexts; each top-level consumer uses its own lane
 CTX_DIRECT = 1
@@ -236,3 +254,55 @@ def draw_relay_stats(m: int, rng: np.random.Generator,
     """
     m = whole(m, "m", high=MAX_ANTENNAS)
     return rng.standard_gamma([m, m - 1, 1], (whole(trials, "trials"), STATS))
+
+
+def span_coords(g1: np.ndarray, g2: np.ndarray):
+    """``(Q, a, b, c)`` of the relay channels g1, g2 in their span, with Q
+    complex (M, 2).
+
+    Both relay designs keep their beams in span{g1, g2}: a beam component
+    off that plane reaches neither user. One Householder QR of [g1 g2]
+    gives the plane an orthonormal basis Q = [Q0 Q1] and the channels
+    coordinates in it,
+
+        g1 = a Q0,    g2 = c Q0 + b Q1,
+
+    so |a|^2 = ||g1||^2, |b|^2 = ||P_perp_g1 g2||^2 and
+    |c|^2 = |g1^H g2|^2 / ||g1||^2: at variance v, these are v A, v B and
+    v C of ``draw_relay_stats``. Householder QR keeps Q orthonormal when
+    the channels are parallel or zero, so neither design needs a threshold
+    or a fallback axis. On a one-antenna relay the plane is a line: b = 0
+    and Q's second column is zero.
+
+    This is where both relay designs validate their channel pair: each
+    channel is flattened to a complex vector, whatever its shape, and a
+    pair of unequal lengths, a length M outside [1, MAX_ANTENNAS] (read by
+    ``whole``) or a channel holding NaN or inf raises
+    ContractViolationError.
+    """
+    g1, g2 = (np.asarray(g, dtype=complex).reshape(-1) for g in (g1, g2))
+    if len(g1) != len(g2):
+        raise ContractViolationError("relay channels must have equal length")
+    m = whole(len(g1), "relay antennas", high=MAX_ANTENNAS)
+    g = np.column_stack([g1, g2])
+    if not np.isfinite(g).all():
+        raise ContractViolationError("relay channels must be finite")
+    q, r = np.linalg.qr(np.pad(g, ((0, max(0, 2 - m)), (0, 0))))
+    return q[:m], r[0, 0], r[1, 1], r[0, 1]
+
+
+def ratio(num, den=()) -> float:
+    """prod(num) / prod(den) of finite nonnegative floats, den nonzero,
+    from mantissas (multiplied, then divided, in the order given) and
+    exponents, so only the result can under- or overflow: to 0 or inf."""
+    m, e = 1.0, 0
+    for x in num:
+        f, k = math.frexp(x)
+        m, e = m * f, e + k
+    for x in den:
+        f, k = math.frexp(x)
+        m, e = m / f, e - k
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf

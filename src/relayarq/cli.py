@@ -89,8 +89,8 @@ import sys
 
 import numpy as np
 
-from .channel import CTX_GENERIC, MAX_SEED, SystemConfig, cn, substream, whole
-from .errors import ContractViolationError
+from .channel import (CTX_GENERIC, MAX_SEED, ContractViolationError,
+                      SystemConfig, cn, substream, whole)
 from .outage import arq_outage, outage_interference_n3, outage_single_user
 from .relay_multi import max_min_sinr
 from .relay_single import optimal_gain, solve_single_user_beamformer
@@ -163,9 +163,7 @@ def _parse_snr_grid(text: str):
             raise ValueError
         slack = min(4 * sys.float_info.epsilon * max(abs(a), abs(b)), step / 2)
         last = math.floor((b - a + slack) / step)
-        if last >= MAX_GRID_POINTS:
-            raise ContractViolationError(f"SNR grid {text!r} has more than "
-                                         f"{MAX_GRID_POINTS} points")
+        whole(last + 1, f"SNR grid {text!r} points", high=MAX_GRID_POINTS)
         grid = [a + k * step for k in range(last + 1)]
         if len(set(grid)) < len(grid):        # a + k*step never falls
             raise ContractViolationError(f"SNR grid {text!r} repeats a point")

@@ -4,7 +4,7 @@ unit system every verdict and law reads.
 Every decision of the protocol is an SINR threshold test, and on unit
 Gamma gains each test reads only a few dimensionless ratios of the
 config: ``UnitSystem`` forms all of them, once, from mantissas and
-exponents (``linalg.ratio``), so only ratios enter and no partial product
+exponents (``channel.ratio``), so only ratios enter and no partial product
 over- or underflows. On unit Gamma(N, 1) gains own and cross, the direct
 test SINR_i >= gamma = 2^R - 1 reads
 
@@ -34,8 +34,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import gammainc
 
-from .channel import MAX_ANTENNAS, SystemConfig, real, whole
-from .linalg import ratio
+from .channel import MAX_ANTENNAS, SystemConfig, ratio, real, whole
 
 
 class UnitSystem(namedtuple("UnitSystem",
@@ -58,7 +57,7 @@ class UnitSystem(namedtuple("UnitSystem",
 
     @classmethod
     def of(cls, cfg: SystemConfig) -> "UnitSystem":
-        """The unit system of cfg, every ratio formed by ``linalg.ratio``."""
+        """The unit system of cfg, every ratio formed by ``channel.ratio``."""
         gamma = 2.0 ** cfg.rate - 1.0
 
         def test(var, kappa_den, floor_num):

@@ -19,7 +19,7 @@ omega = 1 / (1 + u) and w = u omega, it is
 
 which ``balanced_sinr`` forms, batched; the Monte Carlo engine calls it
 too. ``max_min_sinr`` divides each channel's coordinates in
-``linalg.span_coords`` by that channel's own norm, so h1 / ||h1|| =
+``channel.span_coords`` by that channel's own norm, so h1 / ||h1|| =
 (alpha, 0) and h2 / ||h2|| = (c, b), with |alpha| = 1, beta = |b|^2 and
 gamma = |c|^2 = 1 - beta:
 
@@ -39,7 +39,7 @@ gamma = |c|^2 = 1 - beta:
   pi_i = (w + omega f_i) / (2 w + omega), where omega may be 0.
 
 Only u and x carry the channels' and the noise's scale, and
-``linalg.ratio`` forms them from the norms; the rest are unit
+``channel.ratio`` forms them from the norms; the rest are unit
 coordinates, shares and gains relative to the unit channels. The shares
 are formed from their square roots, since far apart norms put the strong
 user's f_i and pi_i below the float range while its beam is not. So the
@@ -55,9 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MAX_FINITE, MIN_POSITIVE, real
-from .errors import ContractViolationError
-from .linalg import ratio, span_coords
+from .channel import (MAX_FINITE, MIN_POSITIVE, ContractViolationError,
+                      ratio, real, span_coords)
 
 
 @dataclass(frozen=True)

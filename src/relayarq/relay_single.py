@@ -8,16 +8,17 @@ protected user:
     maximize |b^H g_target|^2
     s.t.     b^H g_protect = 0,   ||b||^2 = Pr.
 
-In the span coordinates of ``linalg.span_coords(g_target, g_protect)``,
+In the span coordinates of ``channel.span_coords(g_target, g_protect)``,
 g_target = a Q0 and g_protect = c Q0 + b Q1. A beam Q w nulls g_protect
 exactly when w is along (conj(b), -conj(c)), so the optimum is
 sqrt(Pr) Q w with that unit w, and its value is Pr |a|^2 |w_0|^2 =
 Pr A B / (B + C), the gain the Monte Carlo engine reads off its Gamma
 draws. Only where g_protect = 0 is that w zero: nothing needs nulling, and
 w = (1, 0) points the beam straight at the target. ``span_coords``
-validates the channel pair; the relay needs at least two antennas, and
-the budget is a real in [MIN_POSITIVE, MAX_FINITE], read by
-``channel.real`` as ``relay_multi.max_min_sinr`` reads its own. The test
+validates the channel pair; the relay needs at least two antennas, the
+pair's length read by ``channel.whole``, and the budget is a real in
+[MIN_POSITIVE, MAX_FINITE], read by ``channel.real`` as
+``relay_multi.max_min_sinr`` reads its own. The test
 suite checks both functions against the stacked eigenproblem over
 vec(B), which allows any number of streams.
 """
@@ -26,18 +27,15 @@ import math
 
 import numpy as np
 
-from .channel import MAX_FINITE, MIN_POSITIVE, real
-from .errors import ContractViolationError
-from .linalg import ratio, span_coords
+from .channel import (MAX_FINITE, MIN_POSITIVE, ContractViolationError,
+                      ratio, real, span_coords, whole)
 
 
 def _zero_forcing(g_protect, g_target, power: float):
     """The span basis Q, the target's coordinate a, the unit w and the
     budget as a float."""
     q, a, b, c = span_coords(g_target, g_protect)
-    if len(q) < 2:
-        raise ContractViolationError(
-            "zero-forcing toward one user needs at least two relay antennas")
+    whole(len(q), "relay antennas", low=2)
     power = real(power, "power", MIN_POSITIVE, MAX_FINITE)
     norm = np.hypot(abs(b), abs(c))
     w = np.array([np.conj(b), -np.conj(c)]) / norm if norm else \

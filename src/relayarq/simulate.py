@@ -92,9 +92,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
-                      draw_bs_channels, draw_relay_stats, substream, whole)
-from .errors import ContractViolationError
+from .channel import (CTX_DIRECT, CTX_RELAY, STATS, ContractViolationError,
+                      SystemConfig, draw_bs_channels, draw_relay_stats,
+                      substream, whole)
 from .outage import (UnitSystem, arq_outage, outage_interference_n3,
                      outage_single_user)
 from .relay_multi import balanced_sinr
@@ -277,11 +277,11 @@ def simulate_relay(cfg: SystemConfig, trials: int, seed: int,
     The trials are judged PASS_ROWS at a time from the memoised rounds of
     direct attempts 0 and 1 and relay statistics, so a sweep that passes
     one ``memos`` dict to every point, over all but (seed, trials, N, M),
-    draws nothing after its first point. ``trials`` and ``memos`` are read
-    as ``simulate_direct`` reads them.
+    draws nothing after its first point. The zero-forcing round needs
+    cfg.M at least 2, read by ``whole`` before ``trials``; ``trials`` and
+    ``memos`` are read as ``simulate_direct`` reads them.
     """
-    if cfg.M < 2:
-        raise ContractViolationError("relay needs at least 2 antennas")
+    whole(cfg.M, "M", low=2)
     trials = whole(trials, "trials", high=MAX_TRIALS)
     memos = {} if memos is None else memos
     units = UnitSystem.of(cfg)

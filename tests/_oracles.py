@@ -23,8 +23,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from relayarq.channel import SystemConfig
-from relayarq.errors import ContractViolationError
+from relayarq.channel import ContractViolationError, SystemConfig
 from relayarq.outage import cdf_diff_exp, outage_single_user
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import solve_single_user_beamformer

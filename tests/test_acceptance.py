@@ -6,15 +6,21 @@ independent oracles, figure-level curve shapes, and bitwise determinism.
 One test per guarantee, so a verbose run reads as a pass/fail checklist.
 """
 
+import dataclasses
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 from scipy.special import betainc
 from scipy.stats import binomtest
 
-from relayarq.channel import CTX_DIRECT, CTX_RELAY, SystemConfig
+from relayarq.channel import (CTX_DIRECT, CTX_RELAY, MAX_ANTENNAS,
+                              MAX_ATTEMPTS, MAX_FINITE, MAX_SEED,
+                              MIN_POSITIVE, ContractViolationError,
+                              SystemConfig, ratio)
 from relayarq.outage import (UnitSystem, arq_outage, cdf_diff_exp,
                              outage_interference_n3, outage_single_user)
 from relayarq.relay_multi import max_min_sinr
@@ -386,6 +392,129 @@ def test_c11_relay_floor_matches_closed_form():
             print(f"  R={rate:g} {user}: law={law:.6g} "
                   f"mc={got.p_hat:.6g} p={p:.3g}")
             assert p >= alpha, (rate, user, got.failures, law, p)
+
+
+# family level of each exact binomial gate of the direct engine, and the
+# examples of the property over the CLI's range
+C12_FAMILY_ALPHA = 1e-4
+C12_EXAMPLES = 120
+# trial-attempts per example: a budget of L attempts runs C12_ROUNDS // L
+# trials, so an example at the attempt ceiling draws what one at L = 1 does
+C12_ROUNDS = 40_000
+# the largest rate a config accepts: 2^rate stays finite
+MAX_RATE = math.nextafter(sys.float_info.max_exp, 0)
+
+
+def _snr_range(noise_var: float):
+    """The SNRs at which ``at_snr`` forms a P the config accepts, in
+    [MIN_POSITIVE, MAX_FINITE / 2], with 10^(SNR/10) finite and nonzero:
+    1 dB inside the bottom, where P may be subnormal, and 0.01 dB inside
+    the top."""
+    lg = math.log10(noise_var)
+    return (max(10 * (math.log10(MIN_POSITIVE) - lg),
+                10 * math.log10(MIN_POSITIVE)) + 1,
+            min(10 * (math.log10(MAX_FINITE / 2) - lg),
+                10 * math.log10(MAX_FINITE)) - 0.01)
+
+
+@st.composite
+def _direct_configs(draw):
+    """A config across the CLI's range, its budget L log-uniform.
+
+    One example in four draws every field across its whole range, zeros
+    included; the law there is mostly 0 or 1 in floats. The others draw
+    N and the rate across theirs and the noise from 1e-300 to 1e300, and
+    aim the rest where the law lies inside (0, 1): var_direct within
+    10^30 of gamma = 2^R - 1, var_cross at kappa = gamma var_cross /
+    var_direct from 1e-3 to 2, the SNR at a floor z standard deviations
+    of X - kappa Y from its mean, |z| <= 8, and L no larger than keeps
+    p^L above 1e-300. Only the law steers a draw, never a count the
+    engine makes.
+    """
+    anywhere = draw(st.integers(0, 3), label="anywhere") == 0
+    n = draw(st.integers(1, MAX_ANTENNAS), label="N")
+    # below 2^-40, gamma is too small to aim with, and 0 where it rounds
+    rate = draw(st.floats(0.0 if anywhere else 2.0 ** -40, MAX_RATE),
+                label="rate")
+    noise = draw(st.floats(MIN_POSITIVE, MAX_FINITE) if anywhere else
+                 st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                 label="noise_var")
+    lo, hi = _snr_range(noise)
+    fields = dict(N=n, M=draw(st.integers(1, MAX_ANTENNAS), label="M"),
+                  noise_var=noise, rate=rate, var_relay=draw(
+                      st.floats(0.0, MAX_FINITE), label="var_relay"))
+    if anywhere:
+        snr = draw(st.floats(lo, hi), label="snr_db")
+        fields.update(
+            var_direct=draw(st.floats(0.0, MAX_FINITE), label="var_direct"),
+            var_cross=draw(st.floats(0.0, MAX_FINITE), label="var_cross"))
+    else:
+        gamma = 2.0 ** rate - 1.0
+        var_direct = min(MAX_FINITE, ratio((gamma, 10.0 ** draw(
+            st.floats(-30.0, 30.0), label="log10 var_direct / gamma"))))
+        kappa = 10.0 ** draw(st.floats(-3.0, 0.3), label="log10 kappa")
+        z = draw(st.floats(-8.0, 8.0), label="z")
+        c = n * (1 - kappa) + z * math.sqrt(n * (1 + kappa ** 2))
+        # floor = gamma N noise / (P var_direct), so this SNR puts it at c
+        snr = hi if c <= 0 else min(max(10 * math.log10(
+            ratio((gamma, n), (c, var_direct))), lo), hi)
+        fields.update(var_direct=var_direct,
+                      var_cross=ratio((kappa, var_direct), (gamma,)))
+    try:
+        cfg = SystemConfig.at_snr(snr, **fields)
+    except ContractViolationError:
+        reject()                  # P rounded out of range at an edge SNR
+    p, top = outage_interference_n3(cfg), MAX_ATTEMPTS
+    if not anywhere and 0 < p < 1:
+        top = max(1, min(top, int(-300 / math.log10(p))))
+    return dataclasses.replace(cfg, retx=round(10 ** draw(
+        st.floats(0.0, math.log10(top)), label="log10 retx")))
+
+
+def _binom_p(failures: int, messages: int, law: float) -> float:
+    """``binomtest``'s exact two-sided p-value; below a law of 1e-300,
+    where scipy's binomial pmf may overflow, the chance of a failure at
+    all bounds it from above, so any failure still fails the gate."""
+    if law < 1e-300:
+        return 1.0 if failures == 0 else min(1.0, messages * law)
+    return binomtest(failures, messages, law).pvalue
+
+
+@settings(max_examples=C12_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(cfg=_direct_configs(), seed=st.integers(0, MAX_SEED))
+def test_c12_direct_engine_meets_its_law_across_the_cli_range(cfg, seed):
+    """The direct engine's pooled failure count is Binomial(2T, p^L).
+
+    The two users of a trial read disjoint gains and every attempt is a
+    fresh round, so an exact two-sided binomial test applies at every
+    config, Bonferroni-corrected over the examples to a family level of
+    1e-4. Where the law is 0 or 1 in floats, any discordant count fails.
+    """
+    trials = max(1, C12_ROUNDS // cfg.retx)
+    law = arq_outage(outage_interference_n3(cfg), cfg.retx)
+    est = simulate_direct(cfg, trials, seed)
+    p = _binom_p(est.failures, est.trials, law)
+    assert p >= C12_FAMILY_ALPHA / C12_EXAMPLES, (est.failures, est.trials,
+                                                  law, p)
+
+
+@pytest.mark.parametrize("trials", [300, 100_000])
+def test_c12_fig2_direct_rows_meet_their_law(trials):
+    """Each ``direct-arq`` row of figure 2 (seed 3, the goldens' seed) is
+    a failure count of Binomial(2T, p^2), gated as test_c12's property
+    is, over the figure's rates."""
+    _, rows = simulate.run_experiment("fig2", trials, seed=3)
+    direct = [(rate, p) for rate, series, p, _ in rows
+              if series == "direct-arq"]
+    assert len(direct) == len(FIG2_RATES)
+    for rate, p_hat in direct:
+        cfg = _cfg(STUDY_BASE, FIG2_SNR_DB, rate=rate, retx=2)
+        law = arq_outage(outage_interference_n3(cfg), cfg.retx)
+        failures = round(p_hat * 2 * trials)
+        p = binomtest(failures, 2 * trials, law).pvalue
+        print(f"  R={rate:g}: law={law:.6g} mc={p_hat:.6g} p={p:.3g}")
+        assert p >= C12_FAMILY_ALPHA / len(direct), (rate, failures, law, p)
 
 
 def test_c8_antenna_sweep_monotone_and_beats_bound():

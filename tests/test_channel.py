@@ -14,6 +14,7 @@ from relayarq.channel import (
     MAX_ATTEMPTS,
     MAX_FINITE,
     STATS,
+    ContractViolationError,
     SystemConfig,
     cn,
     draw_bs_channels,
@@ -21,7 +22,6 @@ from relayarq.channel import (
     substream,
     whole,
 )
-from relayarq.errors import ContractViolationError
 from relayarq.outage import UnitSystem
 import relayarq.simulate as simulate
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from relayarq.errors import ContractViolationError
-from relayarq.linalg import span_coords
+from relayarq.channel import (MAX_ANTENNAS, ContractViolationError,
+                              span_coords)
+from relayarq.relay_multi import max_min_sinr
+from relayarq.relay_single import solve_single_user_beamformer
 
 from _oracles import conjT, kron_identity, null_basis, unvec, vec
 
@@ -108,3 +110,18 @@ def test_span_coords_refuses_unequal_lengths(shapes):
     with pytest.raises(ContractViolationError,
                        match="relay channels must have equal length"):
         span_coords(g1, g2)
+
+
+@pytest.mark.parametrize("design", [
+    lambda g1, g2: solve_single_user_beamformer(g1, g2, 1.0),
+    lambda g1, g2: max_min_sinr(g1, g2, 1.0)], ids=["single", "multi"])
+def test_relay_designs_refuse_an_antenna_count_no_config_has(design):
+    # a relay has 1 to MAX_ANTENNAS antennas, as SystemConfig's M does: an
+    # empty pair or one past the ceiling is refused, and the ceiling solves
+    for m in (0, MAX_ANTENNAS + 1):
+        with pytest.raises(ContractViolationError,
+                           match="relay antennas must"):
+            design(np.ones(m), np.ones(m))
+    rng = np.random.default_rng(23)
+    g1, g2 = (rng.standard_normal(MAX_ANTENNAS) for _ in range(2))
+    design(g1, g2)

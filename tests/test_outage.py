@@ -9,8 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, gammainc
 
-from relayarq.channel import MAX_ANTENNAS, SystemConfig
-from relayarq.errors import ContractViolationError
+from relayarq.channel import MAX_ANTENNAS, ContractViolationError, SystemConfig
 from relayarq.outage import (
     UnitSystem,
     arq_outage,

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relayarq.channel import (MAX_FINITE, MIN_POSITIVE, SystemConfig, cn, real,
-                              substream)
-from relayarq.errors import ContractViolationError
+from relayarq.channel import (MAX_FINITE, MIN_POSITIVE, ContractViolationError,
+                              SystemConfig, cn, real, substream)
 from relayarq.outage import arq_outage, cdf_diff_exp
 from relayarq.relay_multi import max_min_sinr
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from relayarq.channel import MAX_FINITE, MIN_POSITIVE
-from relayarq.errors import ContractViolationError
-from relayarq.linalg import span_coords
+from relayarq.channel import (MAX_FINITE, MIN_POSITIVE, ContractViolationError,
+                              span_coords)
 from relayarq.relay_multi import balanced_sinr, max_min_sinr
 
 from _oracles import (brute_force_m2, cn_vector, duality_bracket,

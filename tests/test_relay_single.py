@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relayarq.channel import (MAX_FINITE, MIN_POSITIVE, SystemConfig, cn,
-                              draw_bs_channels, substream)
-from relayarq.errors import ContractViolationError
+from relayarq.channel import (MAX_FINITE, MIN_POSITIVE, ContractViolationError,
+                              SystemConfig, cn, draw_bs_channels, substream)
 from relayarq.relay_single import optimal_gain, solve_single_user_beamformer
 
 from _oracles import cn_vector, solve_single_user_beamformer_full
@@ -162,7 +161,8 @@ def test_input_validation():
     with pytest.raises(ContractViolationError,
                        match="relay channels must have equal length"):
         solve_single_user_beamformer(np.ones(3), np.ones(4), 1.0)
-    with pytest.raises(ContractViolationError, match="two relay antennas"):
+    with pytest.raises(ContractViolationError,
+                       match="relay antennas must be at least 2"):
         solve_single_user_beamformer(np.ones(1), np.ones(1), 1.0)
 
 

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS, SystemConfig,
-                              cn, draw_bs_channels, draw_relay_stats,
-                              substream)
-from relayarq.errors import ContractViolationError
+from relayarq.channel import (CTX_DIRECT, CTX_RELAY, STATS,
+                              ContractViolationError, SystemConfig, cn,
+                              draw_bs_channels, draw_relay_stats, substream)
 from relayarq.outage import UnitSystem, arq_outage, outage_interference_n3
 import relayarq.simulate as simulate
 from relayarq.simulate import (
