@@ -80,6 +80,9 @@ MAX_SEED = 2 ** 64 - 1
 # double and the largest
 MIN_POSITIVE = math.ulp(0.0)
 MAX_FINITE = sys.float_info.max
+# the largest SNR in dB whose power ratio 10^(SNR/10) is finite; 10
+# log10(MAX_FINITE) rounds one ulp above it
+MAX_SNR_DB = 3082.547155599167
 
 
 def _within(value, name: str, low, high):
@@ -180,14 +183,12 @@ class SystemConfig:
     def at_snr(cls, snr_db: float, *, noise_var: float,
                **kw) -> "SystemConfig":
         """Config whose per-BS power P lies snr_db above noise_var; both
-        are read by ``real`` before any arithmetic."""
-        snr_db, noise_var = real(snr_db, "snr_db"), real(noise_var, "noise_var")
-        try:
-            ratio = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            raise ContractViolationError(
-                f"SNR of {snr_db} dB overflows the transmit power") from None
-        return cls(P=noise_var * ratio, noise_var=noise_var, **kw)
+        are read by ``real`` before any arithmetic, snr_db at most
+        MAX_SNR_DB."""
+        snr_db = real(snr_db, "snr_db", high=MAX_SNR_DB)
+        noise_var = real(noise_var, "noise_var")
+        return cls(P=noise_var * 10.0 ** (snr_db / 10.0), noise_var=noise_var,
+                   **kw)
 
     @property
     def Pr_single(self) -> float:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.special import betainc
 from scipy.stats import binomtest
 
@@ -41,6 +42,10 @@ STUDY_BASE = dict(N=3, M=3, noise_var=1.0, var_direct=2.0, var_cross=1.0,
                   var_relay=4.0)
 # family level of test_c7's paired tests over the rate sweep
 C7_FAMILY_ALPHA = 1e-4
+
+# every gate holds with every warning an error; test_c9 runs the CLI, as
+# the installed entry point's smoke run does (PYTHONWARNINGS=error)
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def _cfg(base: dict, snr_db: float, **kw) -> SystemConfig:
@@ -517,6 +522,87 @@ def test_c12_fig2_direct_rows_meet_their_law(trials):
         assert p >= C12_FAMILY_ALPHA / len(direct), (rate, failures, law, p)
 
 
+# examples of the zero-forcing rescue's property, and the trials of each
+C12_RESCUE_EXAMPLES = 60
+C12_RESCUE_TRIALS = 20_000
+
+
+def _kappa_at(n: int, s: float, z: float) -> float:
+    """The kappa at which the floor kappa s of X - kappa Y, X and Y ~
+    Gamma(n), lies z standard deviations above the margin's mean in the
+    normal approximation: (kappa (n + s) - n) / sqrt(n (1 + kappa^2)) =
+    z. The left side rises with kappa from -sqrt(n) to (n + s) /
+    sqrt(n), so z is kept inside nine tenths of that range."""
+    z = min(max(z, -0.9 * math.sqrt(n)), 0.9 * (n + s) / math.sqrt(n))
+    return brentq(lambda k: (k * (n + s) - n) / math.sqrt(n * (1 + k * k))
+                  - z, 0.0, 1e3)
+
+
+@st.composite
+def _rescue_configs(draw):
+    """A config with M = N + 1, its N log-uniform up to MAX_ANTENNAS - 1.
+
+    The direct test X - kappa Y >= floor and the rescue X - kappa_r Y >=
+    floor_r share floor / kappa = floor_r / kappa_r = s = N noise / (P
+    var_cross). So s is drawn from N / 10 to 100 N, where a floor is
+    mostly signal, and kappa and kappa_r are aimed at a floor z standard
+    deviations from the margin's mean: |z| <= 1.5 for round 1, so that
+    one user alone fails it often, and |z| <= 2.5 for the rescue. The
+    rate, the noise and the scale of var_direct against gamma are drawn
+    as in test_c12's property. Only the law steers a draw, never a count
+    the engine makes.
+    """
+    n = round(10 ** draw(st.floats(0.0, math.log10(MAX_ANTENNAS - 1)),
+                         label="log10 N"))
+    s = n * 10 ** draw(st.floats(-1.0, 2.0), label="log10 s / N")
+    kappa = _kappa_at(n, s, draw(st.floats(-1.5, 1.5), label="z"))
+    kappa_r = _kappa_at(n, s, draw(st.floats(-2.5, 2.5), label="z_r"))
+    rate = draw(st.floats(2.0 ** -40, MAX_RATE), label="rate")
+    gamma = 2.0 ** rate - 1.0
+    noise = 10.0 ** draw(st.floats(-300.0, 300.0), label="log10 noise_var")
+    var_direct = min(MAX_FINITE, ratio((gamma, 10.0 ** draw(
+        st.floats(-30.0, 30.0), label="log10 var_direct / gamma"))))
+    var_cross = ratio((kappa, var_direct), (gamma,))
+    try:
+        return SystemConfig(
+            N=n, M=n + 1, P=ratio((n, noise), (s, var_cross)),
+            noise_var=noise, var_direct=var_direct, var_cross=var_cross,
+            var_relay=ratio((kappa, var_direct), (n, kappa_r)),
+            rate=rate)
+    except ContractViolationError:
+        reject()                  # P past the float range at an edge draw
+
+
+@settings(max_examples=C12_RESCUE_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(cfg=_rescue_configs(), seed=st.integers(0, MAX_SEED))
+def test_c12_zero_forcing_rescue_meets_its_law(cfg, seed):
+    """Where only user f failed round 1, f is delivered with probability
+    1 - F(floor_r), F = ``cdf_diff_exp`` at kappa_r and N, when M = N + 1.
+
+    f is delivered iff x_f - kappa_r Y >= floor_r, with x_f = A B / (B +
+    C) for user 1 and B for user 2, and Y f's round-2 cross gain. B is
+    Gamma(M - 1), and so is A B / (B + C) by the Beta-Gamma algebra (A ~
+    Gamma(M), B / (B + C) ~ Beta(M - 1, 1), independent); at M = N + 1
+    both are Gamma(N), as Y is, and none of them reads round 1. So among
+    the trials whose mode is that one, f's failure count is binomial, and
+    each user's gets an exact two-sided test on the engine's own draws,
+    Bonferroni-corrected over the examples and users to 1e-4.
+    """
+    units = UnitSystem.of(cfg)
+    round1, delivered = simulate.judge_relay(
+        units, *_relay_inputs({}, cfg, seed, C12_RESCUE_TRIALS))
+    law = cdf_diff_exp(units.floor_r, units.kappa_r, cfg.N)
+    for f in (0, 1):
+        single = ~round1[:, f] & round1[:, 1 - f]
+        trials = int(np.count_nonzero(single))
+        if trials:
+            failures = trials - int(np.count_nonzero(delivered[single, f]))
+            p = _binom_p(failures, trials, law)
+            assert p >= C12_FAMILY_ALPHA / (2 * C12_RESCUE_EXAMPLES), \
+                (f, failures, trials, law, p)
+
+
 def test_c8_antenna_sweep_monotone_and_beats_bound():
     """More relay antennas never hurt; six of them beat the lone-user bound."""
     trials = 1000
@@ -547,7 +633,8 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
     Each engine keys its substreams by what defines a round, never by a
     pass of trials, so neither a repeat run, which draws afresh into
     memos of its own, nor the pass size ``simulate.PASS_ROWS`` may change
-    a byte. ``--threads`` is accepted and changes nothing.
+    a byte. ``--threads`` is accepted and changes nothing, for both
+    engines and every figure.
     """
     commands = {
         "relay": ["simulate-relay", "--seed", "7", "--trials", "300",
@@ -568,5 +655,13 @@ def test_c9_csv_byte_determinism(tmp_path, monkeypatch):
         for rows in (1, 7, 256):
             monkeypatch.setattr(simulate, "PASS_ROWS", rows)
             assert run(argv, f"{name}-pass{rows}") == want, (name, rows)
+    monkeypatch.undo()
     assert run([*commands["relay"], "--threads", "4"], "threads") \
         == run(commands["relay"], "relay")
+    figures = {f"figure-{k}": ["figure", k, "--trials", "300", "--seed", "3"]
+               for k in "123"}
+    for name, argv in {**commands, **figures}.items():
+        one = run([*argv, "--threads", "1"], f"{name}-t1")
+        for threads in ("2", "3"):
+            assert run([*argv, "--threads", threads], f"{name}-t{threads}") \
+                == one, (name, threads)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import warnings
 from fractions import Fraction
 
@@ -13,19 +14,23 @@ from relayarq.channel import (
     MAX_ANTENNAS,
     MAX_ATTEMPTS,
     MAX_FINITE,
+    MAX_SNR_DB,
     STATS,
     ContractViolationError,
     SystemConfig,
     cn,
     draw_bs_channels,
     draw_relay_stats,
+    span_coords,
     substream,
     whole,
 )
 from relayarq.outage import UnitSystem
+from relayarq.relay_multi import max_min_sinr
+from relayarq.relay_single import solve_single_user_beamformer
 import relayarq.simulate as simulate
 
-from _oracles import relay_gains
+from _oracles import conjT, relay_gains
 
 
 NAN, INF = float("nan"), float("inf")
@@ -51,9 +56,28 @@ def test_at_snr_sets_power_from_snr(snr_db, noise_var):
 
 
 def test_at_snr_rejects_overflowing_power():
-    with pytest.raises(ContractViolationError, match="4000"):
+    with pytest.raises(ContractViolationError) as info:
         SystemConfig.at_snr(4000.0, N=3, M=3, noise_var=1.0, var_direct=2.0,
                             var_cross=1.0, var_relay=4.0, rate=2.0)
+    assert str(info.value) == f"snr_db must be at most {MAX_SNR_DB!r}"
+
+
+def test_snr_ceiling_is_the_last_finite_power_ratio():
+    # 10^(SNR/10) is finite at MAX_SNR_DB and overflows one ulp above it,
+    # where at_snr refuses the SNR itself, as it does inf, and no
+    # OverflowError escapes; a small noise keeps P in range at the ceiling
+    above = math.nextafter(MAX_SNR_DB, math.inf)
+    assert math.isfinite(10.0 ** (MAX_SNR_DB / 10))
+    with pytest.raises(OverflowError):
+        10.0 ** (above / 10)
+    kw = dict(N=3, M=3, noise_var=1e-300, var_direct=2.0, var_cross=1.0,
+              var_relay=4.0, rate=2.0)
+    assert SystemConfig.at_snr(MAX_SNR_DB, **kw).P \
+        == 1e-300 * 10.0 ** (MAX_SNR_DB / 10)
+    for snr_db in (above, 4000.0, math.inf):
+        with pytest.raises(ContractViolationError) as info:
+            SystemConfig.at_snr(snr_db, **kw)
+        assert str(info.value) == f"snr_db must be at most {MAX_SNR_DB!r}"
 
 
 def test_default_multiuser_relay_power_must_not_overflow():
@@ -350,3 +374,70 @@ def test_relay_gains_follow_gamma_law(m):
                                ("AB / (B + C)", a * b / (b + c), m - 1)):
             assert stats.kstest(x, stats.gamma(order).cdf).pvalue > 1e-3, \
                 (source, name)
+
+
+@pytest.mark.parametrize("case", ["random", "parallel", "zero_first",
+                                  "zero_both", "one_antenna"])
+def test_span_coords_reconstruct_the_pair(case):
+    # g1 = a Q0 and g2 = c Q0 + b Q1 with Q orthonormal, also where the
+    # pair spans less than a plane; one antenna leaves Q1 = 0 and b = 0
+    rng = np.random.default_rng(17)
+    m = 1 if case == "one_antenna" else 4
+    g1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    g2 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if case == "parallel":
+        g2 = (0.5 - 1j) * g1
+    if case in ("zero_first", "zero_both"):
+        g1 = np.zeros(m, dtype=complex)
+    if case == "zero_both":
+        g2 = np.zeros(m, dtype=complex)
+    q, a, b, c = span_coords(g1, g2)
+    assert q.shape == (m, 2)
+    scale = np.linalg.norm(g1) + np.linalg.norm(g2)
+    assert np.allclose(a * q[:, 0], g1, atol=1e-15 * scale)
+    assert np.allclose(c * q[:, 0] + b * q[:, 1], g2, atol=1e-15 * scale)
+    if m > 1:
+        assert np.allclose(conjT(q) @ q, np.eye(2), atol=1e-15)
+    else:
+        assert b == 0 and not q[:, 1].any()
+    assert abs(a) ** 2 == pytest.approx(np.vdot(g1, g1).real, rel=1e-14)
+    assert abs(b) ** 2 + abs(c) ** 2 == pytest.approx(np.vdot(g2, g2).real,
+                                                       rel=1e-14)
+
+
+def test_span_coords_flattens_each_channel():
+    # a channel may come as (M,), (M, 1) or (1, M), real or complex: each
+    # is the same length-M vector
+    rng = np.random.default_rng(19)
+    g1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    g2 = rng.standard_normal(4)
+    want = span_coords(g1, g2)
+    for shape in ((4, 1), (1, 4)):
+        got = span_coords(g1.reshape(shape), g2.reshape(shape))
+        assert got[0].shape == (4, 2)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shapes", [((3,), (4,)), ((3, 1), (1, 4)),
+                                    ((2, 2), (3,))])
+def test_span_coords_refuses_unequal_lengths(shapes):
+    g1, g2 = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ContractViolationError,
+                       match="relay channels must have equal length"):
+        span_coords(g1, g2)
+
+
+@pytest.mark.parametrize("design", [
+    lambda g1, g2: solve_single_user_beamformer(g1, g2, 1.0),
+    lambda g1, g2: max_min_sinr(g1, g2, 1.0)], ids=["single", "multi"])
+def test_relay_designs_refuse_an_antenna_count_no_config_has(design):
+    # a relay has 1 to MAX_ANTENNAS antennas, as SystemConfig's M does: an
+    # empty pair or one past the ceiling is refused, and the ceiling solves
+    for m in (0, MAX_ANTENNAS + 1):
+        with pytest.raises(ContractViolationError,
+                           match="relay antennas must"):
+            design(np.ones(m), np.ones(m))
+    rng = np.random.default_rng(23)
+    g1, g2 = (rng.standard_normal(MAX_ANTENNAS) for _ in range(2))
+    design(g1, g2)

@@ -15,9 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import relayarq.cli as cli
 import relayarq.simulate as simulate
-from relayarq.channel import MAX_ATTEMPTS, MAX_FINITE, SystemConfig
+from relayarq.channel import (MAX_ATTEMPTS, MAX_FINITE, MAX_SNR_DB,
+                              MIN_POSITIVE, SystemConfig)
 from relayarq.outage import arq_outage, outage_interference_n3, outage_single_user
 from relayarq.simulate import simulate_direct
+
+# the CLI's contract holds with every warning an error, as the installed
+# entry point's smoke run has it (PYTHONWARNINGS=error)
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run_cli(capsys, *argv):
@@ -78,11 +83,16 @@ def test_usage_errors_exit_2(capsys):
 # the grids README, CI and the tests run, with their point counts
 @pytest.mark.parametrize("text, count", [
     ("0:40:5", 9), ("0:40:10", 5), ("0:40:0.1", 401), ("-5:5:5", 3),
-    ("0:0.9:0.3", 4), ("0:0.7:0.1", 8),
+    ("0:0.9:0.3", 4), ("0:0.7:0.1", 8), ("0:3e-9:2e-9", 2),
 ])
-def test_snr_grid_of_the_documented_runs(text, count):
+def test_snr_grid_of_the_documented_runs(capsys, text, count):
+    # one table row per point
     a, _, step = map(float, text.split(":"))
-    assert cli._parse_snr_grid(text) == [a + k * step for k in range(count)]
+    grid = [a + k * step for k in range(count)]
+    assert cli._parse_snr_grid(text) == grid
+    code, out, _ = run_cli(capsys, "analytic", "--snr-db", text)
+    assert code == 0
+    assert [float(row[0]) for row in parse_csv(out)[1]] == grid
 
 
 def test_snr_grid_is_every_step_up_to_its_bound():
@@ -131,12 +141,14 @@ def test_snr_grid_that_repeats_a_point_exits_2(capsys, monkeypatch):
 
 
 def test_non_finite_parameters_exit_2(capsys):
-    # NaN is not a real number; an infinite SNR makes P infinite, and an
-    # infinite noise is refused before the P formed from it
+    # NaN is not a real number; an infinite SNR lies past the SNR ceiling,
+    # and an infinite noise is refused before the P formed from it
     for flags, message in (
             (("--rate", "nan"), "rate must be a real number"),
-            (("--snr-db", "inf"), f"P must be at most {MAX_FINITE / 2!r}"),
+            (("--snr-db", "inf"), f"snr_db must be at most {MAX_SNR_DB!r}"),
             (("--var-relay", "nan"), "var_relay must be a real number"),
+            (("--var-relay", "inf"),
+             f"var_relay must be at most {MAX_FINITE!r}"),
             (("--noise-var", "inf"),
              f"noise_var must be at most {MAX_FINITE!r}")):
         code, _, err = run_cli(capsys, "analytic", *flags)
@@ -156,7 +168,7 @@ def test_computation_error_exits_2(capsys):
                              "--trials", "100")
     assert code == 2
     assert out == ""
-    assert "M must be at least 2" in err
+    assert err == "relayarq: M must be at least 2\n"
 
 
 @pytest.mark.parametrize("rate, want", [("2", 1.0), ("0", 0.0)])
@@ -207,15 +219,25 @@ def test_vanishing_interference_is_single_user(capsys):
     for single, interference in ((1, 2), (3, 4)):
         assert float(rows[0][interference]) == pytest.approx(
             float(rows[0][single]), rel=1e-12, abs=0.0)
+    # at var_cross = 0 the interference law is the single-user law: equal
+    # cells on every row, compared as strings
+    code, out, _ = run_cli(capsys, "analytic", "--var-cross", "0",
+                           "--snr-db", "0:40:10")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 5
+    for row in rows:
+        assert (row[2], row[4]) == (row[1], row[3]), row
 
 
-@pytest.mark.parametrize("command", ["analytic", "simulate-direct"])
+@pytest.mark.parametrize("command", ["analytic", "simulate-direct",
+                                     "simulate-relay"])
 @pytest.mark.parametrize("flag", ["--n", "--m"])
 def test_antenna_ceiling_exits_2_before_any_draw(capsys, monkeypatch,
                                                  command, flag):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew channels past the antenna ceiling")
-    for name in ("simulate_direct", "outage_single_user",
+    for name in ("simulate_direct", "simulate_relay", "outage_single_user",
                  "outage_interference_n3"):
         monkeypatch.setattr(cli, name, no_draw)
     code, out, err = run_cli(capsys, command, flag, "5001")
@@ -245,10 +267,12 @@ def test_seed_outside_64_bits_exits_2_before_any_draw(capsys, monkeypatch,
 
 
 def test_antenna_ceiling_is_inclusive(capsys):
-    code, out, _ = run_cli(capsys, "analytic", "--n", "5000")
+    code, out, _ = run_cli(capsys, "analytic", "--n", "5000",
+                           "--snr-db", "0:40:10")
     assert code == 0
     _, rows = parse_csv(out)
-    assert 0.0 <= float(rows[0][2]) <= 1.0
+    assert len(rows) == 5
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
 
 
 def _forbid_library_calls(monkeypatch):
@@ -262,16 +286,18 @@ def _forbid_library_calls(monkeypatch):
 
 
 # the one line a refused run writes to standard error, by the rule it
-# breaks: 2^R must be finite, so R < 1024; 10^(SNR/10) must be finite; P
-# is at most half the float range, so the multiuser relay power 2P is
-# finite; the channel variances are nonnegative; the parameters finite
+# breaks: 2^R must be finite, so R < 1024; 10^(SNR/10) must be finite, so
+# the SNR is at most MAX_SNR_DB; P is positive and at most half the float
+# range, so the multiuser relay power 2P is finite; the channel variances
+# are nonnegative and the noise positive; the parameters finite
 REFUSALS = {
     "rate must be below 1024": "rate must be at most 1023.9999999999999",
-    "overflows the transmit power":
-        "SNR of 4000.0 dB overflows the transmit power",
+    "overflows the transmit power": f"snr_db must be at most {MAX_SNR_DB!r}",
     "relay power 2P overflows": f"P must be at most {MAX_FINITE / 2!r}",
+    "power underflows to 0": f"P must be at least {MIN_POSITIVE!r}",
     "variances must be nonnegative": "var_relay must be at least 0",
-    "parameters must be finite": f"P must be at most {MAX_FINITE / 2!r}",
+    "noise must be positive": f"noise_var must be at least {MIN_POSITIVE!r}",
+    "parameters must be finite": f"snr_db must be at most {MAX_SNR_DB!r}",
     "more than 100000 points": "SNR grid '0:1e12:1' points must be at most "
                                "100000",
     "beamform commands take one SNR": "beamform commands take one SNR",
@@ -402,6 +428,8 @@ def test_output_may_not_name_a_config_file(tmp_path, capsys, monkeypatch,
     (("figure", "1", "--n", "0"), "N must be at least 1"),
     (("figure", "1", "--var-relay", "-1"), "variances must be nonnegative"),
     (("figure", "2", "--snr-db", "1e400"), "parameters must be finite"),
+    (("analytic", "--noise-var", "-1"), "noise must be positive"),
+    (("analytic", "--snr-db", "-4000"), "power underflows to 0"),
 ])
 def test_refused_run_dumps_no_config(tmp_path, capsys, monkeypatch, argv,
                                      rule):
@@ -445,11 +473,11 @@ def test_failed_dump_leaves_standard_output_empty(capsys):
 def cli_process(argv, unbuffered, redirect, cwd=None):
     """Run ``relayarq.cli`` on ``argv`` in a fresh interpreter whose
     streams the shell redirection ``redirect`` sets (``2>/dev/full`` fills
-    standard error, ``>&-`` closes standard output), with PYTHONUNBUFFERED
-    removed from its environment or set to 1; the streams it leaves are
-    captured as text."""
+    standard error, ``>&-`` closes standard output), with every warning an
+    error and PYTHONUNBUFFERED removed from its environment or set to 1;
+    the streams it leaves are captured as text."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -623,6 +651,7 @@ def test_flags_override_config(tmp_path, capsys):
     ("preset = fig1\n", "unknown key"),
     ("rate = 3  # \udcff\n", "cannot read config file"),   # not UTF-8
     ("output = t.csv\n", "unknown key"),       # -o is not a run parameter
+    ("output = a\0b.csv\n", "unknown key"),    # nor a path no file holds
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     conf = tmp_path / "bad.conf"
@@ -673,6 +702,14 @@ def test_config_round_trip(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["first.conf", "second.conf"]
     assert (tmp_path / "second.conf").read_text() \
         == (tmp_path / "first.conf").read_text()
+    # a figure rerun from its dump writes the same table
+    code, out, _ = run_cli(capsys, "figure", "1", "--trials", "100", "-o",
+                           "a.csv", "--dump-config", "f1.conf")
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "figure", "1", "--config", "f1.conf",
+                           "-o", "b.csv")
+    assert (code, out) == (0, "")
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 @pytest.mark.parametrize("output", [" lead.csv", "a\nb.csv",
@@ -846,6 +883,8 @@ def test_beamform_single_refuses_a_one_antenna_relay(capsys):
 @pytest.mark.parametrize("flags", [
     ("--snr-db", "1600"),          # the filters and power system cancelled
     ("--var-relay", "1e-170"),     # the Gram term underflowed
+    ("--snr-db", "3000", "--var-relay", "1e-300"),     # both at once
+    ("--var-relay", "1e-310"),     # a subnormal optimum
 ])
 def test_beamform_multi_reaches_t_star_at_extremes(capsys, flags):
     code, out, _ = run_cli(capsys, "beamform-multi", *flags)
@@ -853,6 +892,7 @@ def test_beamform_multi_reaches_t_star_at_extremes(capsys, flags):
     assert "nan" not in out
     _, rows = parse_csv(out)
     t_star, s1, s2 = (float(x) for x in rows[0][1:4])
+    assert t_star > 0
     assert min(s1, s2) >= t_star * (1 - 1e-9)
     snr_db = float(dict(zip(flags[::2], flags[1::2])).get("--snr-db", 10))
     budget = 2 * 10.0 ** (snr_db / 10)       # Pr_multi = 2P, noise 1
@@ -1067,6 +1107,51 @@ def test_channel_and_relay_designs_import_without_scipy():
     # numpy load no scipy: only the outage laws need scipy.special
     assert loaded_after("import relayarq.channel, relayarq.relay_single, "
                         "relayarq.relay_multi", "scipy") == []
+
+
+# ---------------------------------------------------------------------------
+# scale pairs: one system at two scales gives one table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["analytic", "simulate-direct",
+                                     "simulate-relay"])
+def test_noise_times_a_power_of_two_gives_the_same_table(capsys, command):
+    # P = noise 10^(SNR/10) follows a noise times 2^k exactly, so every
+    # ratio the laws and verdicts read keeps its bits: the whole CSV of
+    # each outage command must match
+    argv = [command, "--trials", "2000", "--snr-db", "0:40:0.5"]
+    code, want, _ = run_cli(capsys, *argv, "--noise-var", "1")
+    assert code == 0
+    assert len(parse_csv(want)[1]) == 81
+    for noise in (2.0 ** -600, 2.0 ** 600):
+        assert run_cli(capsys, *argv, f"--noise-var={noise!r}")[:2] \
+            == (0, want), noise
+
+
+def test_relay_table_does_not_depend_on_the_noise_scale(capsys):
+    # a noise of 1e-200 rounds P, but the relay engine's counts hold: the
+    # same bytes as at noise 1
+    argv = ("simulate-relay", "--snr-db", "40", "--rate", "4", "--trials",
+            "1000")
+    code, want, _ = run_cli(capsys, *argv, "--noise-var", "1")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--noise-var", "1e-200")[:2] == (0, want)
+
+
+@pytest.mark.parametrize("command", ["simulate-direct", "simulate-relay"])
+def test_every_variance_and_the_noise_times_1e_300_gives_the_same_counts(
+        capsys, command):
+    # the same system at the same P, 10: every column but the SNR, which
+    # is taken against the new noise, must match
+    tiny = ("--var-direct", "2e-300", "--var-cross", "1e-300", "--var-relay",
+            "4e-300", "--noise-var", "1e-300", "--snr-db", "3010")
+    tables = [run_cli(capsys, command, "--trials", "2000", *flags)
+              for flags in (("--snr-db", "10"), tiny)]
+    assert [code for code, _, _ in tables] == [0, 0]
+    unit, scaled = ([line.split(",", 1)[1] for line in out.splitlines()]
+                    for _, out, _ in tables)
+    assert len(unit) == 2
+    assert scaled == unit
 
 
 # ---------------------------------------------------------------------------
